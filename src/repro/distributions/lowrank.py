@@ -28,7 +28,7 @@ from typing import Iterable, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.distributions.base import HomogeneousDistribution, SubsetDistribution
-from repro.linalg.batch import batched_esp, group_by_size, lowrank_conditioned_gram
+from repro.linalg.batch import group_by_size, lowrank_conditioned_gram
 from repro.linalg.esp import elementary_symmetric_polynomials
 from repro.pram.cost import OracleCostHint
 from repro.pram.tracker import current_tracker
@@ -528,8 +528,8 @@ class LowRankKDPP(_LowRankOracleMixin, HomogeneousDistribution):
             det_T, reduced = lowrank_conditioned_gram(self.factor, self.gram, group)
             tracker.charge_determinant(self.rank, count=len(group))
             spectra = np.clip(np.linalg.eigvalsh(reduced), 0.0, None)
-            esp = batched_esp(spectra, self.k - t)
-            values[positions] = np.where(det_T > 0, det_T * esp[:, self.k - t], 0.0)
+            esp = elementary_symmetric_polynomials(spectra, max_order=self.k - t)
+            values[positions] = np.where(det_T > 0, det_T * esp[self.k - t], 0.0)
         return values
 
     def joint_marginals_batch(self, subsets: Sequence[Sequence[int]]) -> np.ndarray:

@@ -26,7 +26,6 @@ from repro.dpp.likelihood import (
     dpp_unnormalized,
     dpp_log_unnormalized,
     sum_principal_minors,
-    batched_joint_marginals,
 )
 from repro.dpp.symmetric import SymmetricDPP, SymmetricKDPP
 from repro.dpp.nonsymmetric import NonsymmetricDPP, NonsymmetricKDPP
@@ -37,7 +36,7 @@ from repro.dpp.spectral import (
     select_kdpp_eigenvectors,
     symmetrized_eigh,
 )
-from repro.dpp.elementary import dpp_size_distribution, kdpp_normalization
+from repro.dpp.elementary import dpp_size_distribution
 from repro.dpp.exact import exact_dpp_distribution, exact_kdpp_distribution
 from repro.dpp.intermediate import (
     lowrank_intermediate_basis,
@@ -57,7 +56,6 @@ __all__ = [
     "dpp_unnormalized",
     "dpp_log_unnormalized",
     "sum_principal_minors",
-    "batched_joint_marginals",
     "SymmetricDPP",
     "SymmetricKDPP",
     "NonsymmetricDPP",
@@ -68,7 +66,6 @@ __all__ = [
     "select_kdpp_eigenvectors",
     "symmetrized_eigh",
     "dpp_size_distribution",
-    "kdpp_normalization",
     "exact_dpp_distribution",
     "exact_kdpp_distribution",
 ]

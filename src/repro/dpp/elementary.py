@@ -1,4 +1,4 @@
-"""Size distributions and k-DPP normalization via elementary symmetric polynomials.
+"""Size distributions and k-DPP marginals via elementary symmetric polynomials.
 
 For an ensemble matrix ``L`` with eigenvalues ``λ``:
 
@@ -9,12 +9,11 @@ For an ensemble matrix ``L`` with eigenvalues ``λ``:
 
 The ``e_{k-1}(λ_{-j})`` terms are computed with a leave-one-out dynamic program
 that recomputes the ESP table with one eigenvalue removed (numerically safer
-than the division recurrence when eigenvalues repeat or vanish).
+than the division recurrence when eigenvalues repeat or vanish); all ``n``
+leave-one-out spectra go through one stacked ESP call.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 import numpy as np
 
@@ -24,34 +23,22 @@ from repro.utils.validation import check_square
 
 
 def dpp_size_distribution(L: np.ndarray) -> np.ndarray:
-    """``P[|S| = t]`` for ``t = 0..n`` for the (symmetric) DPP with ensemble ``L``."""
+    """``P[|S| = t]`` for ``t = 0..n`` for the DPP with ensemble ``L``."""
     a = check_square(L, "L")
     n = a.shape[0]
     current_tracker().charge_determinant(n)
     if n == 0:
         return np.array([1.0])
-    eigenvalues = np.linalg.eigvalsh(0.5 * (a + a.T)) if np.allclose(a, a.T) else np.real(np.linalg.eigvals(a))
-    eigenvalues = np.clip(eigenvalues, 0.0, None)
-    esp = elementary_symmetric_polynomials(eigenvalues)
+    if np.allclose(a, a.T):
+        eigenvalues = np.clip(np.linalg.eigvalsh(0.5 * (a + a.T)), 0.0, None)
+        esp = elementary_symmetric_polynomials(eigenvalues)
+    else:
+        # complex spectrum: the polynomials are real, the eigenvalues need not be
+        esp = np.clip(elementary_symmetric_polynomials(np.linalg.eigvals(a)).real, 0.0, None)
     total = esp.sum()
     if total <= 0:
         raise ValueError("ensemble matrix defines a zero measure")
     return esp / total
-
-
-def kdpp_normalization(L: np.ndarray, k: int) -> float:
-    """k-DPP partition function ``e_k(λ(L)) = Σ_{|S|=k} det(L_S)``."""
-    a = check_square(L, "L")
-    n = a.shape[0]
-    if k < 0 or k > n:
-        return 0.0
-    current_tracker().charge_determinant(n)
-    if np.allclose(a, a.T):
-        eigenvalues = np.linalg.eigvalsh(a)
-    else:
-        eigenvalues = np.linalg.eigvals(a)
-    coeffs = np.poly(-eigenvalues)  # prod (t + lambda_i); coeff of t^{n-k} is e_k
-    return float(np.real_if_close(coeffs[k], tol=1e8).real)
 
 
 def leave_one_out_esp(values: np.ndarray, order: int) -> np.ndarray:
@@ -60,11 +47,9 @@ def leave_one_out_esp(values: np.ndarray, order: int) -> np.ndarray:
     n = vals.size
     if order < 0 or order > n - 1:
         return np.zeros(n)
-    out = np.empty(n, dtype=float)
-    for j in range(n):
-        rest = np.delete(vals, j)
-        out[j] = elementary_symmetric_polynomials(rest, max_order=order)[order]
-    return out
+    # row j is ``vals`` without entry j, in order: n² floats, the size of L
+    rest = np.broadcast_to(vals, (n, n))[~np.eye(n, dtype=bool)].reshape(n, n - 1)
+    return elementary_symmetric_polynomials(rest, max_order=order)[order]
 
 
 def kdpp_marginals_spectral(L: np.ndarray, k: int) -> np.ndarray:

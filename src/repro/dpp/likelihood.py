@@ -1,20 +1,20 @@
-"""Unnormalized DPP densities and batched joint marginals.
+"""Unnormalized DPP densities and principal-minor sums.
 
 * ``μ(S) = det(L_{S,S})`` — one principal minor per subset.
 * ``Σ_{|S| = j} det(L_{S,S})`` — the ``j``-th coefficient sum of principal
-  minors, read off the characteristic polynomial (works for nonsymmetric
-  matrices, whose eigenvalues may be complex but whose minor sums are real).
-* ``P[T ⊆ S] = det(K_{T,T})`` (symmetric or nonsymmetric kernels, [KT12a]) —
-  evaluated for many ``T`` at once in one batched-oracle round.
+  minors, the ``j``-th elementary symmetric polynomial of the spectrum
+  (works for nonsymmetric matrices, whose eigenvalues may be complex but
+  whose minor sums are real).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
-from repro.linalg.determinant import batched_principal_minors, principal_minor
+from repro.linalg.determinant import principal_minor
+from repro.linalg.esp import elementary_symmetric_polynomials
 from repro.pram.tracker import current_tracker
 from repro.utils.validation import check_square
 
@@ -52,30 +52,15 @@ def sum_principal_minors(matrix: np.ndarray, order: int) -> float:
     if order == 0:
         return 1.0
     current_tracker().charge_determinant(n)
-    eigenvalues = np.linalg.eigvals(a)
-    # coefficients of prod (t + lambda_i): coeff of t^{n-j} is e_j(lambda)
-    coeffs = np.poly(-eigenvalues)  # gives prod (t + lambda_i)
-    value = coeffs[order]
-    return float(np.real_if_close(value, tol=1e8).real)
+    esp = elementary_symmetric_polynomials(np.linalg.eigvals(a), max_order=order)
+    return float(esp[order].real)
 
 
 def all_principal_minor_sums(matrix: np.ndarray) -> np.ndarray:
-    """``[Σ_{|S|=j} det(M_S)]_{j=0..n}`` in one characteristic-polynomial call."""
+    """``[Σ_{|S|=j} det(M_S)]_{j=0..n}`` from one eigenvalue call."""
     a = check_square(matrix, "matrix")
     n = a.shape[0]
     current_tracker().charge_determinant(n)
     if n == 0:
         return np.array([1.0])
-    eigenvalues = np.linalg.eigvals(a)
-    coeffs = np.poly(-eigenvalues)
-    return np.real_if_close(coeffs, tol=1e8).real.astype(float)
-
-
-def batched_joint_marginals(K: np.ndarray, subsets: Sequence[Sequence[int]]) -> np.ndarray:
-    """``P[T ⊆ S] = det(K_{T,T})`` for many subsets ``T`` of equal size.
-
-    One batched round of oracle queries; clips tiny negative values caused by
-    floating point to zero.
-    """
-    values = batched_principal_minors(K, subsets)
-    return np.clip(values, 0.0, None)
+    return elementary_symmetric_polynomials(np.linalg.eigvals(a)).real

@@ -26,13 +26,13 @@ from repro.distributions.base import HomogeneousDistribution, SubsetDistribution
 from repro.dpp.kernels import ensemble_to_kernel, validate_ensemble
 from repro.dpp.likelihood import all_principal_minor_sums, dpp_unnormalized, sum_principal_minors
 from repro.linalg.batch import (
-    batched_esp,
     batched_schur_complements,
     group_by_size,
     grouped_principal_minors,
     stacked_principal_submatrices,
 )
 from repro.linalg.determinant import principal_minor
+from repro.linalg.esp import elementary_symmetric_polynomials
 from repro.linalg.schur import condition_ensemble
 from repro.pram.cost import OracleCostHint
 from repro.pram.tracker import current_tracker
@@ -280,10 +280,8 @@ class NonsymmetricKDPP(HomogeneousDistribution):
                 for start in range(0, m, chunk):
                     block = keep[start:start + chunk]
                     stacked = target.L[block[:, :, None], block[:, None, :]]
-                    spectra = np.linalg.eigvals(stacked)
-                    esp = batched_esp(spectra, kk)
-                    excluded[start:start + chunk] = np.clip(
-                        np.real_if_close(esp[:, kk], tol=1e8).real, 0.0, None)
+                    esp = elementary_symmetric_polynomials(np.linalg.eigvals(stacked), max_order=kk)
+                    excluded[start:start + chunk] = np.clip(esp[kk].real, 0.0, None)
                 inner = 1.0 - np.minimum(excluded / z, 1.0)
             marginals = np.ones(self.n, dtype=float)
             if items:
@@ -319,9 +317,8 @@ class NonsymmetricKDPP(HomogeneousDistribution):
             if ok.size == 0:
                 continue
             schur, _ = batched_schur_complements(self.L, [group[i] for i in ok])
-            spectra = np.linalg.eigvals(schur)
-            esp = batched_esp(spectra, self.k - t)
-            inner = np.real_if_close(esp[:, self.k - t], tol=1e8).real
+            esp = elementary_symmetric_polynomials(np.linalg.eigvals(schur), max_order=self.k - t)
+            inner = esp[self.k - t].real
             out = np.zeros(len(group), dtype=float)
             out[ok] = dets[ok] * np.clip(inner, 0.0, None)
             values[positions] = out

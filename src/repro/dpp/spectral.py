@@ -28,7 +28,6 @@ import numpy as np
 
 from repro.dpp.kernels import validate_ensemble
 from repro.engine import BackendLike, OracleBatch, resolve_backend
-from repro.linalg.esp import elementary_symmetric_polynomials
 from repro.pram.tracker import current_tracker
 from repro.utils.rng import SeedLike, as_generator
 from repro.utils.subsets import subset_key

@@ -19,11 +19,10 @@ from typing import Iterable, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.distributions.base import HomogeneousDistribution, SubsetDistribution
-from repro.dpp.elementary import dpp_size_distribution, kdpp_marginals_spectral, kdpp_normalization
+from repro.dpp.elementary import dpp_size_distribution, kdpp_marginals_spectral
 from repro.dpp.kernels import ensemble_to_kernel, validate_ensemble
-from repro.dpp.likelihood import batched_joint_marginals, dpp_unnormalized
+from repro.dpp.likelihood import dpp_unnormalized
 from repro.linalg.batch import (
-    batched_esp,
     group_by_size,
     grouped_principal_minors,
     lowrank_conditioned_gram,
@@ -153,9 +152,6 @@ class SymmetricDPP(SubsetDistribution):
 
     def joint_marginals_batch(self, subsets: Sequence[Sequence[int]]) -> np.ndarray:
         """``P[T ⊆ Y]`` for many (mixed-size) ``T`` in one batched round."""
-        sizes = {len(s) for s in subsets}
-        if len(sizes) <= 1:
-            return np.clip(batched_joint_marginals(self.kernel, subsets), 0.0, 1.0)
         return np.clip(grouped_principal_minors(self.kernel, subsets), 0.0, 1.0)
 
     def marginal_vector(self, given: Iterable[int] = ()) -> np.ndarray:
@@ -422,8 +418,8 @@ class SymmetricKDPP(HomogeneousDistribution):
             det_T, reduced = lowrank_conditioned_gram(self.factor, self.factor_gram, group)
             tracker.charge_determinant(self.n - t, count=len(group))
             spectra = np.clip(np.linalg.eigvalsh(reduced), 0.0, None)
-            esp = batched_esp(spectra, self.k - t)
-            values[positions] = np.where(det_T > 0, det_T * esp[:, self.k - t], 0.0)
+            esp = elementary_symmetric_polynomials(spectra, max_order=self.k - t)
+            values[positions] = np.where(det_T > 0, det_T * esp[self.k - t], 0.0)
         return values
 
     def joint_marginals_batch(self, subsets: Sequence[Sequence[int]]) -> np.ndarray:

@@ -31,9 +31,7 @@ BACKEND_REGISTRY = {
     "serial": SerialBackend,
     "vectorized": VectorizedBackend,
     "threads": ThreadPoolBackend,
-    "threadpool": ThreadPoolBackend,
     "process": ProcessPoolBackend,
-    "processpool": ProcessPoolBackend,
 }
 
 _context_backend: ContextVar[Optional[ExecutionBackend]] = ContextVar(

@@ -12,12 +12,10 @@ from repro.linalg.determinant import (
     determinant,
     log_determinant,
     principal_minor,
-    batched_principal_minors,
 )
-from repro.linalg.schur import schur_complement, condition_ensemble, condition_kernel
+from repro.linalg.schur import schur_complement, condition_ensemble
 from repro.linalg.esp import elementary_symmetric_polynomials, esp_from_matrix
 from repro.linalg.batch import (
-    batched_esp,
     batched_schur_complements,
     grouped_log_principal_minors,
     grouped_principal_minors,
@@ -55,13 +53,10 @@ __all__ = [
     "determinant",
     "log_determinant",
     "principal_minor",
-    "batched_principal_minors",
     "schur_complement",
     "condition_ensemble",
-    "condition_kernel",
     "elementary_symmetric_polynomials",
     "esp_from_matrix",
-    "batched_esp",
     "batched_schur_complements",
     "grouped_log_principal_minors",
     "grouped_principal_minors",

@@ -11,8 +11,6 @@ those queries out with:
   mixed-size) index subsets via stacked ``det`` / ``slogdet`` calls;
 * :func:`batched_schur_complements` — Schur complements ``M^T`` for many
   equal-size blocks ``T`` in one stacked ``solve``;
-* :func:`batched_esp` — elementary symmetric polynomials of many spectra at
-  once (the vectorized form of the stable DP in :mod:`repro.linalg.esp`);
 * :func:`lowrank_conditioned_gram` — the rank-``r`` Gram reduction: for a PSD
   ``L = B Bᵀ`` the nonzero spectrum of the Schur complement ``L^T`` equals the
   spectrum of the ``r x r`` matrix ``Q (BᵀB - B_TᵀB_T) Q`` with
@@ -38,7 +36,6 @@ __all__ = [
     "grouped_principal_minors",
     "grouped_log_principal_minors",
     "batched_schur_complements",
-    "batched_esp",
     "lowrank_conditioned_gram",
     "psd_factor",
     "group_by_size",
@@ -138,30 +135,6 @@ def batched_schur_complements(matrix: np.ndarray, subsets: Sequence[Sequence[int
     a_oo = a[comp[:, :, None], comp[:, None, :]]
     solve = np.linalg.solve(a_bb, a_bo)
     return a_oo - a_ob @ solve, comp
-
-
-def batched_esp(values: np.ndarray, max_order: int) -> np.ndarray:
-    """ESPs ``e_0..e_{max_order}`` of each row of ``values`` (shape ``(batch, m)``).
-
-    The vectorized form of the stable DP in
-    :func:`repro.linalg.esp.elementary_symmetric_polynomials` — identical
-    update order per row, so results match the scalar routine bit for bit.
-    Accepts complex input (nonsymmetric spectra); the caller takes real parts.
-    """
-    vals = np.asarray(values)
-    if vals.ndim != 2:
-        raise ValueError("values must have shape (batch, m)")
-    if max_order < 0:
-        raise ValueError("max_order must be nonnegative")
-    batch, m = vals.shape
-    dtype = complex if np.iscomplexobj(vals) else float
-    esp = np.zeros((batch, max_order + 1), dtype=dtype)
-    esp[:, 0] = 1.0
-    upper = min(max_order, m)
-    for j in range(m):
-        x = vals[:, j:j + 1]
-        esp[:, 1:upper + 1] = esp[:, 1:upper + 1] + x * esp[:, 0:upper]
-    return esp
 
 
 def psd_factor(L: np.ndarray, *, tol: float = 1e-12) -> np.ndarray:

@@ -1,18 +1,18 @@
-"""Determinants and batched principal minors.
+"""Determinants and principal minors.
 
 Unnormalized DPP probabilities are principal minors ``det(L_{S,S})``; partition
 functions are determinants like ``det(L + I)``.  This module provides:
 
 * scalar determinants / log-determinants (depth-charged),
-* :func:`principal_minor` for a single index subset,
-* :func:`batched_principal_minors` which evaluates many principal minors of
-  the *same size* in one vectorized ``slogdet`` call over a stacked array —
-  this is the workhorse of one batched-oracle round.
+* :func:`principal_minor` for a single index subset.
+
+Many principal minors in one batched-oracle round go through
+:func:`repro.linalg.batch.grouped_principal_minors`.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence, Tuple
+from typing import Iterable, Tuple
 
 import numpy as np
 
@@ -53,31 +53,3 @@ def principal_minor(matrix: np.ndarray, subset: Iterable[int]) -> float:
     sub = a[np.ix_(idx, idx)]
     current_tracker().charge_determinant(idx.size)
     return float(np.linalg.det(sub))
-
-
-def batched_principal_minors(matrix: np.ndarray, subsets: Sequence[Sequence[int]]) -> np.ndarray:
-    """Determinants of many principal submatrices in one vectorized batch.
-
-    All subsets must have the same cardinality ``m`` (pad/group by size at the
-    call site); the result is an array of length ``len(subsets)``.  Charged as
-    ``len(subsets)`` parallel oracle queries inside a single round.
-    """
-    a = check_square(matrix, "matrix")
-    if len(subsets) == 0:
-        return np.empty(0, dtype=float)
-    sizes = {len(s) for s in subsets}
-    if len(sizes) != 1:
-        raise ValueError(f"all subsets must have equal size, got sizes {sorted(sizes)}")
-    m = sizes.pop()
-    tracker = current_tracker()
-    if m == 0:
-        tracker.charge_determinant(0, count=len(subsets))
-        return np.ones(len(subsets), dtype=float)
-    idx = np.asarray([sorted(int(i) for i in s) for s in subsets], dtype=int)
-    if idx.min() < 0 or idx.max() >= a.shape[0]:
-        raise ValueError("subset index out of range")
-    # Build the stacked (batch, m, m) array of principal submatrices with fancy
-    # indexing and evaluate all determinants in one LAPACK-batched call.
-    stacked = a[idx[:, :, None], idx[:, None, :]]
-    tracker.charge_determinant(m, count=len(subsets))
-    return np.linalg.det(stacked)

@@ -22,24 +22,29 @@ from repro.utils.validation import check_square
 
 
 def elementary_symmetric_polynomials(values: np.ndarray, max_order: Optional[int] = None) -> np.ndarray:
-    """All ESPs ``e_0, ..., e_m`` of ``values`` (``m = max_order`` or ``len(values)``).
+    """All ESPs ``e_0, ..., e_m`` of the last axis of ``values``.
+
+    ``values`` has shape ``(n,)`` or ``(..., n)``, real or complex (the
+    spectrum of a nonsymmetric matrix); ``m = max_order`` or ``n``, and
+    orders above ``n`` are zero.  The result puts the order axis first:
+    ``table[j]`` holds ``e_j`` of every row, so a ``(..., n)`` input gives an
+    ``(m + 1, ...)`` table and a 1-D input an ``(m + 1,)`` vector.
 
     Uses the O(n·m) dynamic program ``e_j <- e_j + x * e_{j-1}``, which is the
     coefficient recurrence of ``∏ (1 + x_i t)`` and is numerically stable for
-    nonnegative inputs.
+    nonnegative inputs.  Each row sees the same update order whatever it is
+    stacked with, so a stacked call equals per-row calls bitwise.
     """
-    vals = np.asarray(values, dtype=float).ravel()
-    n = vals.size
+    vals = np.asarray(values)
+    vals = vals.astype(complex if np.iscomplexobj(vals) else float, copy=False)
+    n = vals.shape[-1]
     m = n if max_order is None else int(max_order)
     if m < 0:
         raise ValueError("max_order must be nonnegative")
-    m = min(m, n) if max_order is None else m
-    esp = np.zeros(m + 1, dtype=float)
+    esp = np.zeros((m + 1,) + vals.shape[:-1], dtype=vals.dtype)
     esp[0] = 1.0
-    limit = min(m, n)
-    for x in vals:
-        upper = limit
-        # reverse order so each e_j uses the previous iteration's e_{j-1}
+    upper = min(m, n)
+    for x in np.moveaxis(vals, -1, 0):
         esp[1:upper + 1] = esp[1:upper + 1] + x * esp[0:upper]
     return esp
 
@@ -68,8 +73,10 @@ def esp_from_matrix(matrix: np.ndarray, max_order: Optional[int] = None,
             if np.allclose(a, a.T):
                 eigenvalues = np.linalg.eigvalsh(a)
             else:
-                eigenvalues = np.real_if_close(np.linalg.eigvals(a))
-            esp = elementary_symmetric_polynomials(np.real(eigenvalues))
+                eigenvalues = np.linalg.eigvals(a)
+            # a complex-conjugate pair contributes |λ|² to e_2: only the
+            # polynomials, never the eigenvalues, may drop their imaginary part
+            esp = elementary_symmetric_polynomials(eigenvalues).real
     else:
         raise ValueError(f"unknown method {method!r}")
     if max_order is not None:

@@ -13,7 +13,7 @@ sampler when a batch is accepted and the distribution must be updated.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence, Tuple
+from typing import Iterable, Tuple
 
 import numpy as np
 
@@ -79,31 +79,3 @@ def condition_ensemble(L: np.ndarray, include: Iterable[int]) -> Tuple[np.ndarra
         )
     cond = schur_complement(a, inside)
     return cond, outside
-
-
-def condition_kernel(K: np.ndarray, include: Iterable[int]) -> Tuple[np.ndarray, np.ndarray]:
-    """Marginal kernel of a DPP conditioned on ``include ⊆ sample``.
-
-    Uses the identity ``K^Y = K_{~Y,~Y} - K_{~Y,Y} (K_{Y,Y})^{-1} K_{Y,~Y}``
-    applied to the *complement* formulation: conditioning a DPP with kernel
-    ``K`` on containing ``Y`` gives kernel
-    ``K' = K_{~Y,~Y} - K_{~Y,Y} K_{Y,Y}^{-1} K_{Y,~Y}`` **plus** the rank
-    correction... to avoid sign pitfalls we go through the ensemble matrix:
-    ``L = K (I - K)^{-1}``, condition, and convert back.  Matrices with
-    eigenvalue 1 in ``K`` (elements contained almost surely) are handled by a
-    small ridge.
-    """
-    k = check_square(K, "K")
-    n = k.shape[0]
-    inside, outside = _split_indices(n, include)
-    if inside.size == 0:
-        return k.copy(), outside
-    eye = np.eye(n)
-    ridge = 1e-12
-    L = k @ np.linalg.inv(eye - k + ridge * eye)
-    L_cond, remaining = condition_ensemble(L, inside)
-    m = L_cond.shape[0]
-    if m == 0:
-        return np.zeros((0, 0)), remaining
-    K_cond = L_cond @ np.linalg.inv(np.eye(m) + L_cond)
-    return K_cond, remaining

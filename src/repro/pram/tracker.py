@@ -163,12 +163,37 @@ class Tracker:
 # ---------------------------------------------------------------------- #
 # current-tracker plumbing
 # ---------------------------------------------------------------------- #
-_NULL_TRACKER = Tracker()
+class _NullTracker(Tracker):
+    """A tracker whose charges, rounds and merges do nothing.
+
+    It is the default for every thread, so whatever is charged outside
+    :func:`use_tracker` lands here; holding no state keeps those charges from
+    accumulating or racing.  :meth:`spawn` still returns a real tracker.
+    """
+
+    @contextlib.contextmanager
+    def round(self, label: str = "round") -> Iterator["Tracker"]:
+        yield self
+
+    def add_rounds(self, count: int) -> None:
+        pass
+
+    def charge(self, *, work: float = 0.0, machines: float = 0.0, oracle_calls: int = 0) -> None:
+        pass
+
+    def merge_parallel(self, branches: List["Tracker"]) -> None:
+        pass
+
+    def merge_sequential(self, branch: "Tracker") -> None:
+        pass
+
+
+_NULL_TRACKER = _NullTracker()
 _current: ContextVar[Tracker] = ContextVar("repro_current_tracker", default=_NULL_TRACKER)
 
 
 def null_tracker() -> Tracker:
-    """The shared sink tracker used when no sampler installed one."""
+    """The no-op tracker used when no sampler installed one."""
     return _NULL_TRACKER
 
 

@@ -275,10 +275,8 @@ class KernelFactorization:
         """``P[|S| = t]`` of the low-rank DPP — matches
         :meth:`repro.distributions.lowrank.LowRankDPP.cardinality_distribution`."""
         def compute():
-            from repro.linalg.esp import elementary_symmetric_polynomials as esp_table
-
             n, k = self.matrix.shape
-            esp = esp_table(self.lowrank_dual[0], max_order=min(k, n))
+            esp = elementary_symmetric_polynomials(self.lowrank_dual[0], max_order=min(k, n))
             weights = np.zeros(n + 1, dtype=float)
             weights[:esp.size] = np.clip(esp, 0.0, None)
             total = weights.sum()

@@ -12,12 +12,12 @@ from repro.dpp.kernels import (
 )
 from repro.dpp.likelihood import (
     all_principal_minor_sums,
-    batched_joint_marginals,
     dpp_log_unnormalized,
     dpp_unnormalized,
     sum_principal_minors,
 )
 from repro.dpp.exact import exact_dpp_distribution
+from repro.dpp.symmetric import SymmetricDPP
 from repro.workloads import random_npsd_ensemble, random_psd_ensemble
 
 
@@ -128,9 +128,8 @@ class TestLikelihood:
             assert sums[order] == pytest.approx(sum_principal_minors(small_npsd, order), rel=1e-7, abs=1e-9)
 
     def test_batched_joint_marginals_match_exact(self, small_psd):
-        K = ensemble_to_kernel(small_psd)
         exact = exact_dpp_distribution(small_psd)
-        subsets = [(0, 1), (2, 4), (3, 5)]
-        batched = batched_joint_marginals(K, subsets)
-        for subset, value in zip(subsets, batched):
-            assert value == pytest.approx(exact.counting(subset), rel=1e-7)
+        for subsets in ([(0, 1), (2, 4), (3, 5)], [(0, 1), (2,), (3, 4, 5)]):
+            batched = SymmetricDPP(small_psd).joint_marginals_batch(subsets)
+            for subset, value in zip(subsets, batched):
+                assert value == pytest.approx(exact.counting(subset), rel=1e-7)

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
+import repro.dpp.elementary
+from repro import serve
 from repro.dpp.elementary import (
     dpp_size_distribution,
     kdpp_marginals_spectral,
-    kdpp_normalization,
     leave_one_out_esp,
 )
 from repro.dpp.exact import exact_dpp_distribution, exact_kdpp_distribution
@@ -15,20 +16,36 @@ from repro.dpp.spectral import (
     sample_kdpp_spectral,
     select_kdpp_eigenvectors,
 )
+from repro.dpp.symmetric import SymmetricKDPP
 from repro.linalg.esp import elementary_symmetric_polynomials
 from repro.pram.tracker import Tracker, use_tracker
 from repro.utils.subsets import all_subsets_of_size
 from repro.workloads import random_psd_ensemble
 
 
+def reference_leave_one_out_esp(values, order):
+    """The per-``j`` loop the stacked call replaced, kept as its reference."""
+    vals = np.asarray(values, dtype=float).ravel()
+    n = vals.size
+    if order < 0 or order > n - 1:
+        return np.zeros(n)
+    out = np.empty(n, dtype=float)
+    for j in range(n):
+        rest = np.delete(vals, j)
+        out[j] = elementary_symmetric_polynomials(rest, max_order=order)[order]
+    return out
+
+
 class TestElementary:
     def test_size_distribution_matches_exact(self, small_psd):
-        sizes = dpp_size_distribution(small_psd)
-        exact = exact_dpp_distribution(small_psd)
-        expected = np.zeros(7)
-        for subset, prob in exact.items():
-            expected[len(subset)] += prob
-        assert np.allclose(sizes, expected, atol=1e-8)
+        rotation = np.array([[1.0, -2.0], [2.0, 1.0]])  # eigenvalues 1 ± 2i
+        for L in (small_psd, rotation):
+            sizes = dpp_size_distribution(L)
+            exact = exact_dpp_distribution(L)
+            expected = np.zeros(L.shape[0] + 1)
+            for subset, prob in exact.items():
+                expected[len(subset)] += prob
+            assert np.allclose(sizes, expected, atol=1e-8)
 
     def test_kdpp_normalization(self, small_psd):
         for k in range(7):
@@ -36,19 +53,38 @@ class TestElementary:
                 np.linalg.det(small_psd[np.ix_(s, s)]) if s else 1.0
                 for s in all_subsets_of_size(6, k)
             )
-            assert kdpp_normalization(small_psd, k) == pytest.approx(expected, rel=1e-7)
+            assert SymmetricKDPP(small_psd, k).partition_function() == pytest.approx(expected, rel=1e-7)
 
-    def test_kdpp_normalization_out_of_range(self, small_psd):
-        assert kdpp_normalization(small_psd, 7) == 0.0
-        assert kdpp_normalization(small_psd, -1) == 0.0
-
-    def test_leave_one_out_esp(self):
+    def test_leave_one_out_esp(self, rng):
+        for n in (1, 2, 7, 200):
+            values = rng.exponential(size=n)
+            for order in (0, 1, n - 1, n):
+                loo = leave_one_out_esp(values, order)
+                assert np.array_equal(loo, reference_leave_one_out_esp(values, order))
+            assert not np.any(leave_one_out_esp(values, n))
         values = np.array([1.0, 2.0, 3.0, 4.0])
-        loo = leave_one_out_esp(values, 2)
-        for j in range(4):
-            rest = np.delete(values, j)
-            expected = elementary_symmetric_polynomials(rest)[2]
-            assert loo[j] == pytest.approx(expected)
+        assert np.allclose(leave_one_out_esp(values, 2), [26.0, 19.0, 14.0, 11.0])
+
+    def test_theorem10_samples_match_reference_loop(self, monkeypatch):
+        # n = 200 is beyond brute force: hold the served parallel sampler to
+        # the per-j loop instead, seed for seed, on an in-process backend so
+        # the patched loop is the one that runs
+        reference_calls = []
+
+        def reference(values, order):
+            reference_calls.append(order)
+            return reference_leave_one_out_esp(values, order)
+
+        for seed in (0, 1, 2):
+            L = random_psd_ensemble(200, rank=60, seed=seed)
+            with serve(L) as session:
+                fast = session.sample(k=10, method="parallel", seed=seed, backend="vectorized")
+            with monkeypatch.context() as patch:
+                patch.setattr(repro.dpp.elementary, "leave_one_out_esp", reference)
+                with serve(L) as session:
+                    slow = session.sample(k=10, method="parallel", seed=seed, backend="vectorized")
+            assert fast.subset == slow.subset
+        assert reference_calls
 
     def test_kdpp_marginals_spectral_match_exact(self, small_psd):
         for k in (1, 2, 3, 4):

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.linalg.batch import grouped_principal_minors
 from repro.linalg.charpoly import char_poly_coefficients, faddeev_leverrier
 from repro.linalg.determinant import (
-    batched_principal_minors,
     determinant,
     log_determinant,
     principal_minor,
@@ -21,6 +21,22 @@ from repro.linalg.psd import (
 )
 from repro.linalg.schur import condition_ensemble, schur_complement
 from repro.workloads import random_psd_ensemble
+
+#: eigenvalues 1 ± 2i: e = [1, 2, 5], not the [1, 2, 1] of the real parts
+ROTATION = np.array([[1.0, -2.0], [2.0, 1.0]])
+
+
+def reference_esp(values, max_order=None):
+    """The scalar ESP loop the single routine replaced, kept as its reference."""
+    vals = np.asarray(values, dtype=float).ravel()
+    n = vals.size
+    m = n if max_order is None else int(max_order)
+    esp = np.zeros(m + 1, dtype=float)
+    esp[0] = 1.0
+    upper = min(m, n)
+    for x in vals:
+        esp[1:upper + 1] = esp[1:upper + 1] + x * esp[0:upper]
+    return esp
 
 
 class TestCharPoly:
@@ -76,20 +92,16 @@ class TestDeterminants:
             principal_minor(small_psd, (0, 99))
 
     def test_batched_matches_loop(self, small_psd):
-        subsets = [(0, 1), (2, 3), (1, 4)]
-        batched = batched_principal_minors(small_psd, subsets)
-        direct = [principal_minor(small_psd, s) for s in subsets]
-        assert np.allclose(batched, direct)
+        for subsets in ([(0, 1), (2, 3), (1, 4)], [(0,), (1, 2), (), (3, 4, 5), (2,)]):
+            batched = grouped_principal_minors(small_psd, subsets)
+            direct = [principal_minor(small_psd, s) for s in subsets]
+            assert np.allclose(batched, direct)
 
     def test_batched_empty_subsets(self, small_psd):
-        assert np.allclose(batched_principal_minors(small_psd, [(), ()]), [1.0, 1.0])
-
-    def test_batched_requires_equal_sizes(self, small_psd):
-        with pytest.raises(ValueError):
-            batched_principal_minors(small_psd, [(0,), (1, 2)])
+        assert np.allclose(grouped_principal_minors(small_psd, [(), ()]), [1.0, 1.0])
 
     def test_batched_no_subsets(self, small_psd):
-        assert batched_principal_minors(small_psd, []).size == 0
+        assert grouped_principal_minors(small_psd, []).size == 0
 
 
 class TestSchur:
@@ -139,6 +151,28 @@ class TestESP:
     def test_empty_values(self):
         assert np.allclose(elementary_symmetric_polynomials(np.array([])), [1.0])
 
+    def test_one_dimensional_input_matches_reference_bitwise(self, rng):
+        for n in (1, 2, 7, 200):
+            values = rng.exponential(size=n)
+            for max_order in (None, 0, 1, n - 1, n, n + 2):
+                assert np.array_equal(elementary_symmetric_polynomials(values, max_order),
+                                      reference_esp(values, max_order))
+
+    def test_each_stacked_row_matches_reference_bitwise(self, rng):
+        stack = rng.exponential(size=(3, 4, 9))
+        for max_order in (0, 1, 5, 9, 11):
+            table = elementary_symmetric_polynomials(stack, max_order)
+            assert table.shape == (max_order + 1, 3, 4)
+            for i, j in np.ndindex(3, 4):
+                assert np.array_equal(table[:, i, j], reference_esp(stack[i, j], max_order))
+
+    def test_complex_rows_match_numpy_poly(self, rng):
+        # e_j is the coefficient of t^{n-j} in prod (t + x_i)
+        stack = rng.standard_normal((6, 8)) + 1j * rng.standard_normal((6, 8))
+        table = elementary_symmetric_polynomials(stack)
+        for row in range(6):
+            np.testing.assert_allclose(table[:, row], np.poly(-stack[row]), rtol=1e-13)
+
     def test_esp_from_matrix_matches_eigenvalues(self, small_psd):
         eigs = np.linalg.eigvalsh(small_psd)
         expected = elementary_symmetric_polynomials(eigs)
@@ -146,9 +180,10 @@ class TestESP:
         assert np.allclose(via_matrix, expected, rtol=1e-8)
 
     def test_esp_charpoly_route_agrees(self, small_psd):
-        a = esp_from_matrix(small_psd, method="eigenvalues")
-        b = esp_from_matrix(small_psd, method="charpoly")
-        assert np.allclose(a, b, rtol=1e-6, atol=1e-8)
+        for matrix in (small_psd, ROTATION):
+            a = esp_from_matrix(matrix, method="eigenvalues")
+            b = esp_from_matrix(matrix, method="charpoly")
+            assert np.allclose(a, b, rtol=1e-6, atol=1e-8)
 
     def test_esp_sum_of_minors_identity(self, rng):
         # e_j(eigenvalues) equals the sum of j x j principal minors

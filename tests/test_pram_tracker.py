@@ -1,9 +1,16 @@
 """Tests for the PRAM cost model and tracker."""
 
+import os
+import sys
+import threading
+
 import pytest
 
+from repro import serve
+from repro.dpp.symmetric import SymmetricKDPP
 from repro.pram.cost import CostModel
 from repro.pram.tracker import Tracker, current_tracker, null_tracker, use_tracker
+from repro.workloads import random_psd_ensemble
 
 
 class TestCostModel:
@@ -218,6 +225,46 @@ class TestTrackerMerging:
 class TestCurrentTracker:
     def test_default_is_null_tracker(self):
         assert current_tracker() is null_tracker()
+
+    def test_null_tracker_ignores_concurrent_charges(self):
+        zero = {"rounds": 0, "work": 0.0, "oracle_calls": 0, "peak_machines": 0.0}
+        L = random_psd_ensemble(60, rank=20, seed=3)
+        with serve(L) as session:
+            session.warm()
+        kdpp = SymmetricKDPP(L, 5)
+        explicit = Tracker()
+        errors = []
+
+        def charge_outside_any_tracker():
+            try:
+                for _ in range(200):
+                    kdpp.partition_function()
+                    with current_tracker().round():
+                        current_tracker().charge_determinant(60)
+            except Exception as exc:  # surfaced by the assertion below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=charge_outside_any_tracker)
+                   for _ in range(2 * (os.cpu_count() or 1) + 2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            with use_tracker(explicit):
+                for _ in range(200):
+                    kdpp.partition_function()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert null_tracker().snapshot() == zero
+        assert explicit.oracle_calls == 200
+        child = null_tracker().spawn()
+        child.charge(oracle_calls=1)
+        assert child.oracle_calls == 1
 
     def test_use_tracker_installs_and_restores(self):
         t = Tracker()
