@@ -28,7 +28,7 @@ from typing import Iterable, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.distributions.base import HomogeneousDistribution, SubsetDistribution
-from repro.linalg.batch import group_by_size, lowrank_conditioned_gram
+from repro.linalg.batch import conditioned_factor, group_by_size, lowrank_conditioned_gram
 from repro.linalg.esp import elementary_symmetric_polynomials
 from repro.pram.cost import OracleCostHint
 from repro.pram.tracker import current_tracker
@@ -323,27 +323,13 @@ class _LowRankOracleMixin:
         return float(np.linalg.det(block @ block.T))
 
     def _conditioned_factor(self, items: Tuple[int, ...]) -> Tuple[np.ndarray, Tuple[int, ...]]:
-        """Factor of the conditioned ensemble ``L^T`` plus surviving labels.
+        """Factor ``B_O Q`` of the conditioned ensemble ``L^T`` plus surviving labels.
 
-        ``L^T = B_O Q B_Oᵀ`` with the projector
-        ``Q = I - B_Tᵀ (B_T B_Tᵀ)^{-1} B_T``; since ``Q`` is a symmetric
-        idempotent, ``B_O Q`` is itself a factor of ``L^T`` — conditioning
-        stays inside the representation at ``O((n-t)·k + k³)`` cost.
+        Conditioning stays inside the representation
+        (:func:`repro.linalg.batch.conditioned_factor`).
         """
-        idx = list(items)
-        B_T = self.factor[idx]
-        L_TT = B_T @ B_T.T
-        current_tracker().charge_determinant(len(idx))
-        sign, _ = np.linalg.slogdet(L_TT)
-        if sign <= 0:
-            raise ValueError(f"conditioning event {items} has zero probability")
-        X = np.linalg.solve(L_TT, B_T)
-        Q = np.eye(self.rank) - B_T.T @ X
-        mask = np.ones(self.n, dtype=bool)
-        mask[idx] = False
-        remaining = tuple(int(i) for i in np.flatnonzero(mask))
-        labels = tuple(self._labels[i] for i in remaining)
-        return self.factor[mask] @ Q, labels
+        factor, remaining = conditioned_factor(self.factor, items)
+        return factor, tuple(self._labels[i] for i in remaining)
 
 
 class LowRankDPP(_LowRankOracleMixin, SubsetDistribution):
@@ -543,34 +529,21 @@ class LowRankKDPP(_LowRankOracleMixin, HomogeneousDistribution):
         return np.clip(values, 0.0, None)
 
     def marginal_vector(self, given: Iterable[int] = ()) -> np.ndarray:
-        """Spectral k-DPP marginals in factor space (``O(n k + k²·k)``)."""
-        from repro.dpp.elementary import leave_one_out_esp
+        """Spectral k-DPP marginals in factor space (``O(n·rank²)``)."""
+        # imported here: repro.dpp imports this module through repro.distributions
+        from repro.dpp.elementary import kdpp_marginals_from_factor
 
         items = check_subset(given, self.n)
         tracker = current_tracker()
         with tracker.round("lowrank-kdpp-marginals"):
-            if items:
-                conditioned = self.condition(items)
-                marginals = np.ones(self.n, dtype=float)
-                remaining = [i for i in range(self.n) if i not in items]
-                marginals[remaining] = (conditioned.marginal_vector(())
-                                        if conditioned.k > 0
-                                        else np.zeros(len(remaining)))
-                return marginals
-            eigenvalues = self.dual_eigenvalues
-            ek = elementary_symmetric_polynomials(eigenvalues, max_order=self.k)[self.k]
-            if ek <= 0:
-                raise ValueError(
-                    f"k-DPP with k={self.k} has zero partition function (rank deficient)")
-            loo = leave_one_out_esp(eigenvalues, self.k - 1)
-            weights = eigenvalues * loo / ek   # P[eigenvector j selected]
-            # eigenvector matrix of L: U = B V Λ^{-1/2}; marginal_i = Σ_j w_j U_ij²
-            positive = eigenvalues > 0
-            W = self.factor @ self.dual_vectors[:, positive]
-            scale = np.zeros(int(positive.sum()))
-            np.divide(weights[positive], eigenvalues[positive], out=scale)
-            marginals = (W * W) @ scale
-        return np.clip(marginals, 0.0, 1.0)
+            if not items:
+                return kdpp_marginals_from_factor(
+                    self.dual_eigenvalues, self.factor @ self.dual_vectors, self.k)
+            conditioned = self.condition(items)
+            marginals = np.ones(self.n, dtype=float)
+            remaining = [i for i in range(self.n) if i not in items]
+            marginals[remaining] = conditioned.marginal_vector()
+        return marginals
 
     # ------------------------------------------------------------------ #
     def condition(self, include: Iterable[int]) -> "LowRankKDPP":

@@ -7,9 +7,15 @@ For an ensemble matrix ``L`` with eigenvalues ``λ``:
 * the k-DPP's marginals admit the spectral formula
   ``P[i ∈ S] = Σ_j (v_{ji}^2 λ_j e_{k-1}(λ_{-j})) / e_k(λ)``.
 
+Marginals are computed in factor space: for ``L = F Fᵀ`` with ``F`` of
+``r`` columns, one ``r x r`` eigendecomposition ``FᵀF = V diag(s) Vᵀ`` gives
+the nonzero spectrum ``s`` of ``L`` and, in ``F V``, its eigenvectors scaled
+by ``√s`` (:func:`kdpp_marginals_from_factor`).  Both symmetric k-DPP
+classes, dense and low-rank, answer marginals through that one routine.
+
 The ``e_{k-1}(λ_{-j})`` terms are computed with a leave-one-out dynamic program
 that recomputes the ESP table with one eigenvalue removed (numerically safer
-than the division recurrence when eigenvalues repeat or vanish); all ``n``
+than the division recurrence when eigenvalues repeat or vanish); all
 leave-one-out spectra go through one stacked ESP call.
 """
 
@@ -52,28 +58,30 @@ def leave_one_out_esp(values: np.ndarray, order: int) -> np.ndarray:
     return elementary_symmetric_polynomials(rest, max_order=order)[order]
 
 
-def kdpp_marginals_spectral(L: np.ndarray, k: int) -> np.ndarray:
-    """All marginals ``P[i ∈ S]`` of the k-DPP with symmetric PSD ensemble ``L``.
+def kdpp_marginals_from_factor(spectrum: np.ndarray, rotated: np.ndarray,
+                               k: int) -> np.ndarray:
+    """All marginals ``P[i ∈ S]`` of the k-DPP with ensemble ``L = F Fᵀ``.
 
-    One eigendecomposition plus an ``O(n^2 k)`` post-processing; charged as a
-    single batched-oracle round.
+    ``spectrum`` and ``rotated`` come from one eigendecomposition of the
+    ``r x r`` Gram ``FᵀF = V diag(s) Vᵀ``: ``spectrum`` is the clipped ``s``
+    and ``rotated = F V``, whose column ``j`` is an eigenvector of ``L``
+    scaled by ``√s_j``.  So ``P[i ∈ S] = Σ_j (F V)_{ij}² e_{k-1}(s_{-j}) /
+    e_k(s)``: the spectral formula with the eigenvector's ``1/s_j`` cancelled
+    against the selection weight's ``s_j``, which leaves zero eigenvalues
+    nothing to divide by.  ``O(n·r + r²·k)`` after the decomposition, which
+    the caller owns (and charges).
     """
-    a = check_square(L, "L")
-    n = a.shape[0]
+    s = np.asarray(spectrum, dtype=float)
+    W = np.asarray(rotated, dtype=float)
+    n = W.shape[0]
     if not (0 <= k <= n):
         raise ValueError(f"k must lie in [0, {n}], got {k}")
-    tracker = current_tracker()
-    tracker.charge_determinant(n)
     if k == 0:
         return np.zeros(n)
     if k == n:
         return np.ones(n)
-    eigenvalues, vectors = np.linalg.eigh(0.5 * (a + a.T))
-    eigenvalues = np.clip(eigenvalues, 0.0, None)
-    ek = elementary_symmetric_polynomials(eigenvalues, max_order=k)[k]
+    ek = elementary_symmetric_polynomials(s, max_order=k)[k]
     if ek <= 0:
         raise ValueError(f"k-DPP with k={k} has zero partition function (rank too small)")
-    loo = leave_one_out_esp(eigenvalues, k - 1)
-    weights = eigenvalues * loo / ek  # probability eigenvector j is selected
-    marginals = (vectors ** 2) @ weights
-    return np.clip(marginals, 0.0, 1.0)
+    weights = leave_one_out_esp(s, k - 1) / ek  # P[eigenvector j selected] / s_j
+    return np.clip((W * W) @ weights, 0.0, 1.0)

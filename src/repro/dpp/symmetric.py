@@ -10,6 +10,10 @@ Both classes expose the counting-oracle / self-reducibility interface of
   ``Σ_{S ⊇ T, |S| = k} det(L_S) = det(L_T) · e_{k-|T|}(λ(L^T))``.
 
 Conditioning maps to Schur complements of the ensemble matrix (Section 3.2).
+A conditioned ``SymmetricKDPP`` also receives a factor of its Schur
+complement (:func:`repro.linalg.batch.conditioned_factor`), so its spectrum,
+marginals and counting queries come from ``r x r`` Gram matrices, never from
+an ``n x n`` decomposition.
 """
 
 from __future__ import annotations
@@ -19,10 +23,11 @@ from typing import Iterable, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.distributions.base import HomogeneousDistribution, SubsetDistribution
-from repro.dpp.elementary import dpp_size_distribution, kdpp_marginals_spectral
+from repro.dpp.elementary import dpp_size_distribution, kdpp_marginals_from_factor
 from repro.dpp.kernels import ensemble_to_kernel, validate_ensemble
 from repro.dpp.likelihood import dpp_unnormalized
 from repro.linalg.batch import (
+    conditioned_factor,
     group_by_size,
     grouped_principal_minors,
     lowrank_conditioned_gram,
@@ -201,6 +206,7 @@ class SymmetricKDPP(HomogeneousDistribution):
         self._eigenvalues: Optional[np.ndarray] = None
         self._factor: Optional[np.ndarray] = None
         self._factor_gram: Optional[np.ndarray] = None
+        self._gram_eigh: Optional[Tuple[np.ndarray, np.ndarray]] = None
         if validate and self.k > 0:
             eigs = self.eigenvalues
             top = float(eigs.max(initial=0.0))
@@ -217,17 +223,26 @@ class SymmetricKDPP(HomogeneousDistribution):
 
     @property
     def eigenvalues(self) -> np.ndarray:
+        """Clipped spectrum of ``L``, ascending, length ``n`` (cached).
+
+        A kernel built from ``L`` takes it from one ``eigvalsh`` of the
+        symmetrized ``L``.  A kernel made by :meth:`condition` holds its
+        factor's Gram spectrum instead, zero-padded to length ``n``: the same
+        nonzero eigenvalues, with no ``n x n`` decomposition.
+        """
         if self._eigenvalues is None:
             self._eigenvalues = np.clip(np.linalg.eigvalsh(0.5 * (self.L + self.L.T)), 0.0, None)
         return self._eigenvalues
 
     @property
     def factor(self) -> np.ndarray:
-        """Cached rank-revealing factor ``B`` with ``L ≈ B Bᵀ`` (one eigh).
+        """Cached factor ``B`` with ``L ≈ B Bᵀ``.
 
-        Batched counting uses it to reduce every conditioned spectrum to a
-        ``rank(L)``-sized Gram problem (see
-        :func:`repro.linalg.batch.lowrank_conditioned_gram`).
+        A kernel built from ``L`` gets a rank-revealing factor from one eigh
+        (:func:`repro.linalg.batch.psd_factor`); :meth:`condition` hands its
+        child the projected factor ``B_O Q`` of the same width.  Batched
+        counting and the marginals reduce every spectrum to this factor's
+        ``r x r`` Gram (see :func:`repro.linalg.batch.lowrank_conditioned_gram`).
         """
         if self._factor is None:
             self._factor = psd_factor(self.L)
@@ -241,6 +256,19 @@ class SymmetricKDPP(HomogeneousDistribution):
             self._factor_gram = factor.T @ factor
         return self._factor_gram
 
+    def _factor_spectrum(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(s, B V)`` from one eigh ``BᵀB = V diag(s) Vᵀ`` (cached).
+
+        ``s`` is the nonzero spectrum of ``L`` and the columns of ``B V`` its
+        eigenvectors scaled by ``√s``: all the marginals need, at ``r x r``.
+        """
+        if self._gram_eigh is None:
+            gram = self.factor_gram
+            current_tracker().charge_determinant(gram.shape[0])
+            s, V = np.linalg.eigh(0.5 * (gram + gram.T))
+            self._gram_eigh = (np.clip(s, 0.0, None), self.factor @ V)
+        return self._gram_eigh
+
     def attach_precomputed(self, *, eigenvalues: Optional[np.ndarray] = None,
                            factor: Optional[np.ndarray] = None,
                            factor_gram: Optional[np.ndarray] = None,
@@ -251,9 +279,11 @@ class SymmetricKDPP(HomogeneousDistribution):
         symmetrized ensemble, ``factor`` a :func:`repro.linalg.batch.psd_factor`
         output and ``factor_gram`` its Gram companion — exactly what the
         serving layer's factorization cache computes, so fixed-seed samples
-        agree bitwise with the uncached path.  ``check_rank`` re-runs the
-        (now cheap) feasibility check that ``validate=True`` construction
-        would have performed.
+        agree bitwise with the uncached path.  (Kernels made by
+        :meth:`condition` need none of this: their ``eigenvalues`` are the
+        factor's Gram spectrum, zero-padded, installed with the factor.)
+        ``check_rank`` re-runs the (now cheap) feasibility check that
+        ``validate=True`` construction would have performed.
         """
         if eigenvalues is not None:
             if eigenvalues.shape != (self.n,):
@@ -280,11 +310,12 @@ class SymmetricKDPP(HomogeneousDistribution):
     def worker_payload(self):
         """Ship ``L`` plus whichever spectral artifacts are already warm.
 
-        A serving-layer distribution (``attach_precomputed``) ships its
-        eigenvalues / PSD factor / Gram companion through shared memory, so
-        workers skip every eigendecomposition; freshly conditioned kernels
-        ship only ``L`` and let each worker derive the artifacts once (they
-        are cached per kernel fingerprint on the worker side).
+        A serving-layer distribution (``attach_precomputed``) and every
+        conditioned kernel ship their eigenvalues / factor / Gram companion
+        through shared memory, so workers skip every eigendecomposition; a
+        cold kernel ships only ``L`` and lets each worker derive the
+        artifacts once (they are cached per kernel fingerprint on the worker
+        side).
         """
         arrays = {"L": self.L}
         if self._eigenvalues is not None:
@@ -358,36 +389,25 @@ class SymmetricKDPP(HomogeneousDistribution):
         return float(esp[self.k])
 
     def counting(self, given: Iterable[int] = ()) -> float:
-        """``Σ_{S ⊇ T, |S| = k} det(L_S) = det(L_T) · e_{k-|T|}(λ(L^T))``."""
+        """``Σ_{S ⊇ T, |S| = k} det(L_S) = det(L_T) · e_{k-|T|}(λ(L^T))``.
+
+        A one-subset :meth:`counting_batch`, so scalar-loop backends return
+        the vectorized backend's values bit for bit.
+        """
         items = check_subset(given, self.n)
-        t = len(items)
-        if t > self.k:
-            return 0.0
-        if t == 0:
-            return self.partition_function()
-        det_t = principal_minor(self.L, items)
-        if det_t <= 0:
-            return 0.0
-        if t == self.k:
-            return det_t
-        L_cond, _ = condition_ensemble(self.L, items)
-        sym = 0.5 * (L_cond + L_cond.T)
-        eigenvalues = np.clip(np.linalg.eigvalsh(sym), 0.0, None)
-        current_tracker().charge_determinant(self.n - t)
-        esp = elementary_symmetric_polynomials(eigenvalues, max_order=self.k - t)
-        return det_t * float(esp[self.k - t])
+        return float(self.counting_batch([items])[0])
 
     def marginal_vector(self, given: Iterable[int] = ()) -> np.ndarray:
+        """Spectral k-DPP marginals from the factor's ``r x r`` Gram eigh."""
         items = check_subset(given, self.n)
         tracker = current_tracker()
         with tracker.round("kdpp-marginals"):
             if not items:
-                return kdpp_marginals_spectral(self.L, self.k)
+                return kdpp_marginals_from_factor(*self._factor_spectrum(), self.k)
             conditioned = self.condition(items)
             marginals = np.ones(self.n, dtype=float)
             remaining = [i for i in range(self.n) if i not in items]
-            inner = kdpp_marginals_spectral(conditioned.L, conditioned.k) if conditioned.k > 0 else np.zeros(len(remaining))
-            marginals[remaining] = inner
+            marginals[remaining] = conditioned.marginal_vector()
         return marginals
 
     def counting_batch(self, subsets: Sequence[Sequence[int]]) -> np.ndarray:
@@ -398,8 +418,8 @@ class SymmetricKDPP(HomogeneousDistribution):
         ``O((n-t)³)`` eigendecomposition of the Schur complement — the
         rank-``r`` Gram reduction of
         :func:`~repro.linalg.batch.lowrank_conditioned_gram` followed by a
-        batched ESP evaluation.  For low-rank ensembles this is an order of
-        magnitude faster than looping :meth:`counting`, with matching values.
+        batched ESP evaluation.  Stacked slices are computed independently,
+        so a query's value does not depend on what it is batched with.
         """
         values = np.zeros(len(subsets), dtype=float)
         tracker = current_tracker()
@@ -440,5 +460,14 @@ class SymmetricKDPP(HomogeneousDistribution):
             raise ValueError(f"cannot condition a {self.k}-DPP on {len(items)} inclusions")
         L_cond, remaining = condition_ensemble(self.L, items)
         labels = tuple(self._labels[i] for i in remaining)
-        return SymmetricKDPP(0.5 * (L_cond + L_cond.T), self.k - len(items),
-                             validate=False, labels=labels)
+        child = SymmetricKDPP(0.5 * (L_cond + L_cond.T), self.k - len(items),
+                              validate=False, labels=labels)
+        # Carry the factor down instead of decomposing L^T: F = B_O Q factors
+        # it, and one r x r eigh of C = FᵀF yields the child's whole nonzero
+        # spectrum and the eigenvectors its marginals need.
+        child._factor, _ = conditioned_factor(self.factor, items)
+        child._factor_gram = lowrank_conditioned_gram(self.factor, self.factor_gram, [items])[1][0]
+        s, _ = child._factor_spectrum()
+        nonzero = s[max(s.size - child.n, 0):]  # rank(C) <= n - t
+        child._eigenvalues = np.concatenate([np.zeros(child.n - nonzero.size), nonzero])
+        return child

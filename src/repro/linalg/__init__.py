@@ -17,6 +17,7 @@ from repro.linalg.schur import schur_complement, condition_ensemble
 from repro.linalg.esp import elementary_symmetric_polynomials, esp_from_matrix
 from repro.linalg.batch import (
     batched_schur_complements,
+    conditioned_factor,
     grouped_log_principal_minors,
     grouped_principal_minors,
     lowrank_conditioned_gram,
@@ -58,6 +59,7 @@ __all__ = [
     "elementary_symmetric_polynomials",
     "esp_from_matrix",
     "batched_schur_complements",
+    "conditioned_factor",
     "grouped_log_principal_minors",
     "grouped_principal_minors",
     "lowrank_conditioned_gram",

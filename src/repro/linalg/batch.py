@@ -11,11 +11,14 @@ those queries out with:
   mixed-size) index subsets via stacked ``det`` / ``slogdet`` calls;
 * :func:`batched_schur_complements` — Schur complements ``M^T`` for many
   equal-size blocks ``T`` in one stacked ``solve``;
-* :func:`lowrank_conditioned_gram` — the rank-``r`` Gram reduction: for a PSD
-  ``L = B Bᵀ`` the nonzero spectrum of the Schur complement ``L^T`` equals the
-  spectrum of the ``r x r`` matrix ``Q (BᵀB - B_TᵀB_T) Q`` with
-  ``Q = I - B_Tᵀ L_{T,T}^{-1} B_T``, collapsing a per-query
-  ``O((n-t)³)`` eigendecomposition to ``O(r³)``.
+* :func:`conditioned_factor` / :func:`lowrank_conditioned_gram` — conditioning
+  in factor space: for a PSD ``L = B Bᵀ`` the Schur complement is
+  ``L^T = F Fᵀ`` with ``F = B_O Q`` and the projector
+  ``Q = I - B_Tᵀ L_{T,T}^{-1} B_T``, so the nonzero spectrum of ``L^T`` is
+  the spectrum of the ``r x r`` Gram ``C = FᵀF = Q (BᵀB) Q``.  A conditioned
+  symmetric k-DPP keeps ``(F, C)`` and decomposes only ``C``: one
+  ``O(r³)`` eigendecomposition per conditioning instead of several
+  ``O((n-t)³)`` ones, and ``O(t·r²)`` per counting query to form ``C``.
 
 All routines charge the current PRAM tracker exactly like their scalar
 counterparts in :mod:`repro.linalg.determinant` and :mod:`repro.linalg.schur`:
@@ -36,6 +39,7 @@ __all__ = [
     "grouped_principal_minors",
     "grouped_log_principal_minors",
     "batched_schur_complements",
+    "conditioned_factor",
     "lowrank_conditioned_gram",
     "psd_factor",
     "group_by_size",
@@ -157,15 +161,48 @@ def psd_factor(L: np.ndarray, *, tol: float = 1e-12) -> np.ndarray:
     return vec[:, keep] * np.sqrt(lam[keep])
 
 
+def conditioned_factor(factor: np.ndarray, items: Sequence[int]
+                       ) -> Tuple[np.ndarray, np.ndarray]:
+    """Factor of the conditioned ensemble ``L^T`` for ``L = B Bᵀ``.
+
+    ``L^T = B_O Q B_Oᵀ`` with the projector
+    ``Q = I - B_Tᵀ (B_T B_Tᵀ)^{-1} B_T``; since ``Q`` is a symmetric
+    idempotent, ``F = B_O Q`` is itself a factor of ``L^T``.  It keeps the
+    ``r`` columns of ``B`` (its rank drops by ``|T|``) and costs
+    ``O((n-t)·r² + t³)``, with no ``n x n`` intermediate.
+
+    Returns ``(F, remaining)``, where ``remaining`` lists the surviving rows
+    of ``B`` in ascending order.  Raises ``ValueError`` when
+    ``det(L_{T,T}) <= 0``: the conditioning event has zero probability.
+    """
+    B = np.asarray(factor, dtype=float)
+    n, r = B.shape
+    idx = [int(i) for i in items]
+    B_T = B[idx]
+    L_TT = B_T @ B_T.T
+    current_tracker().charge_determinant(len(idx))
+    sign, _ = np.linalg.slogdet(L_TT)
+    if sign <= 0:
+        raise ValueError(f"conditioning event {tuple(idx)} has zero probability")
+    X = np.linalg.solve(L_TT, B_T)
+    Q = np.eye(r) - B_T.T @ X
+    mask = np.ones(n, dtype=bool)
+    mask[idx] = False
+    return B[mask] @ Q, np.flatnonzero(mask)
+
+
 def lowrank_conditioned_gram(factor: np.ndarray, gram: np.ndarray,
                              subsets: Sequence[Sequence[int]]
                              ) -> Tuple[np.ndarray, np.ndarray]:
     """Batched rank-``r`` reduction of conditioned PSD spectra.
 
-    For ``L = B Bᵀ`` (``B = factor``, ``gram = BᵀB``) and equal-size blocks
-    ``T``, the Schur complement satisfies ``L^T = B_O Q B_Oᵀ`` with the
-    projector ``Q = I - B_Tᵀ (B_T B_Tᵀ)^{-1} B_T``, so its nonzero spectrum
-    equals that of the ``r x r`` matrix ``C_T = Q (BᵀB - B_TᵀB_T) Q``.
+    For ``L = B Bᵀ`` (``B = factor``, ``gram = G = BᵀB``) and equal-size
+    blocks ``T``, the Schur complement is ``L^T = F Fᵀ`` with
+    ``F = B_O Q`` (:func:`conditioned_factor`), so its nonzero spectrum is
+    that of the ``r x r`` Gram ``C_T = FᵀF = Q (G - B_TᵀB_T) Q``.  Because
+    ``Q B_Tᵀ = 0`` this equals ``Q G Q``, which with ``X = L_{T,T}^{-1} B_T``
+    and ``Y = X G`` expands to ``G - B_TᵀY - YᵀB_T + B_Tᵀ (Y Xᵀ) B_T``:
+    every product is ``O(t·r²)``, so ``Q`` is never formed.
 
     Returns ``(det_T, C)`` where ``det_T[b] = det(L_{T_b,T_b})`` and ``C[b]``
     is the symmetrized ``r x r`` reduction (rows with ``det_T <= 0`` hold
@@ -181,15 +218,15 @@ def lowrank_conditioned_gram(factor: np.ndarray, gram: np.ndarray,
         C = np.broadcast_to(gram, (batch, r, r)).copy()
         return np.ones(batch), C
     B_T = B[idx]                                    # (batch, t, r)
-    L_TT = B_T @ B_T.transpose(0, 2, 1)             # (batch, t, t)
+    B_Tt = B_T.transpose(0, 2, 1)                   # (batch, r, t)
+    L_TT = B_T @ B_Tt                               # (batch, t, t)
     det_T = np.linalg.det(L_TT)
     ok = det_T > 0
     safe_L_TT = np.where(ok[:, None, None], L_TT, np.eye(t)[None])
     X = np.linalg.solve(safe_L_TT, B_T)             # (batch, t, r)
-    P = B_T.transpose(0, 2, 1) @ X                  # (batch, r, r) projector onto rowspace(B_T)
-    G_O = gram[None] - B_T.transpose(0, 2, 1) @ B_T  # (batch, r, r) = B_OᵀB_O
-    QG = G_O - P @ G_O
-    C = QG - QG @ P
+    Y = X @ gram                                    # (batch, t, r)
+    BY = B_Tt @ Y                                   # (batch, r, r) = B_Tᵀ X G
+    C = gram[None] - BY - BY.transpose(0, 2, 1) + B_Tt @ ((Y @ X.transpose(0, 2, 1)) @ B_T)
     C = 0.5 * (C + C.transpose(0, 2, 1))
     return det_T, C
 

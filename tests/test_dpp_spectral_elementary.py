@@ -7,7 +7,7 @@ import repro.dpp.elementary
 from repro import serve
 from repro.dpp.elementary import (
     dpp_size_distribution,
-    kdpp_marginals_spectral,
+    kdpp_marginals_from_factor,
     leave_one_out_esp,
 )
 from repro.dpp.exact import exact_dpp_distribution, exact_kdpp_distribution
@@ -17,6 +17,7 @@ from repro.dpp.spectral import (
     select_kdpp_eigenvectors,
 )
 from repro.dpp.symmetric import SymmetricKDPP
+from repro.linalg.batch import psd_factor
 from repro.linalg.esp import elementary_symmetric_polynomials
 from repro.pram.tracker import Tracker, use_tracker
 from repro.utils.subsets import all_subsets_of_size
@@ -34,6 +35,13 @@ def reference_leave_one_out_esp(values, order):
         rest = np.delete(vals, j)
         out[j] = elementary_symmetric_polynomials(rest, max_order=order)[order]
     return out
+
+
+def factor_marginals(L, k):
+    """Marginals through the factor-space routine, from ``psd_factor(L)``."""
+    B = psd_factor(L)
+    s, V = np.linalg.eigh(B.T @ B)
+    return kdpp_marginals_from_factor(np.clip(s, 0.0, None), B @ V, k)
 
 
 class TestElementary:
@@ -86,15 +94,22 @@ class TestElementary:
             assert fast.subset == slow.subset
         assert reference_calls
 
-    def test_kdpp_marginals_spectral_match_exact(self, small_psd):
-        for k in (1, 2, 3, 4):
-            marginals = kdpp_marginals_spectral(small_psd, k)
-            exact = exact_kdpp_distribution(small_psd, k).marginal_vector()
-            assert np.allclose(marginals, exact, atol=1e-8)
+    def test_kdpp_marginals_spectral_match_exact(self, small_psd, small_low_rank_psd):
+        # full rank (r = n = 6) and a rank-4 factor of a 7x7 ensemble
+        for L, orders in ((small_psd, (1, 2, 3, 4, 5)), (small_low_rank_psd, (1, 2, 3, 4))):
+            for k in orders:
+                marginals = factor_marginals(L, k)
+                exact = exact_kdpp_distribution(L, k).marginal_vector()
+                assert np.allclose(marginals, exact, atol=1e-8)
+                assert marginals.sum() == pytest.approx(k)
 
-    def test_kdpp_marginals_edge_cases(self, small_psd):
-        assert np.allclose(kdpp_marginals_spectral(small_psd, 0), np.zeros(6))
-        assert np.allclose(kdpp_marginals_spectral(small_psd, 6), np.ones(6))
+    def test_kdpp_marginals_edge_cases(self, small_psd, small_low_rank_psd):
+        assert np.allclose(factor_marginals(small_psd, 0), np.zeros(6))
+        assert np.allclose(factor_marginals(small_psd, 6), np.ones(6))
+        with pytest.raises(ValueError, match="zero partition function"):
+            factor_marginals(small_low_rank_psd, 5)  # k above the rank
+        with pytest.raises(ValueError):
+            factor_marginals(small_psd, 7)
 
 
 class TestSpectralSamplers:

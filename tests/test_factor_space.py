@@ -1,0 +1,264 @@
+"""Factor-space conditioning of symmetric k-DPPs (Theorem-10 rounds).
+
+Conditioning ``L = B Bᵀ`` on ``T`` keeps a factor: ``F = B_O Q`` factors the
+Schur complement ``L^T``, and the ``r x r`` Gram ``FᵀF`` carries its whole
+nonzero spectrum.  These tests hold the factor-space artifacts to the dense
+``n x n`` quantities they replace, and hold the served Theorem-10 sampler to
+the dense route it replaced, seed for seed.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import repro.service.session
+from repro import KernelRegistry, serve
+from repro.dpp.elementary import leave_one_out_esp
+from repro.dpp.symmetric import SymmetricKDPP
+from repro.engine import OracleBatch, resolve_backend
+from repro.linalg.batch import conditioned_factor, lowrank_conditioned_gram, psd_factor
+from repro.linalg.determinant import principal_minor
+from repro.linalg.esp import elementary_symmetric_polynomials
+from repro.linalg.schur import condition_ensemble
+from repro.pram.tracker import Tracker
+from repro.utils.validation import check_subset
+from repro.workloads import random_psd_ensemble
+
+EPS = np.finfo(float).eps
+
+
+def reference_conditioned_gram(B, G, subsets):
+    """The ``O(r³)`` route: form ``Q``, then ``Q (G - B_TᵀB_T) Q``."""
+    idx = np.asarray([sorted(s) for s in subsets], dtype=int)
+    B_T = B[idx]
+    X = np.linalg.solve(B_T @ B_T.transpose(0, 2, 1), B_T)
+    P = B_T.transpose(0, 2, 1) @ X
+    G_O = G[None] - B_T.transpose(0, 2, 1) @ B_T
+    QG = G_O - P @ G_O
+    C = QG - QG @ P
+    return 0.5 * (C + C.transpose(0, 2, 1))
+
+
+def dense_kdpp_marginals(L, k):
+    """k-DPP marginals from an ``n x n`` eigh of ``L`` (the replaced route)."""
+    n = L.shape[0]
+    if k == 0:
+        return np.zeros(n)
+    if k == n:
+        return np.ones(n)
+    lam, U = np.linalg.eigh(0.5 * (L + L.T))
+    lam = np.clip(lam, 0.0, None)
+    ek = elementary_symmetric_polynomials(lam, max_order=k)[k]
+    weights = lam * leave_one_out_esp(lam, k - 1) / ek
+    return np.clip((U ** 2) @ weights, 0.0, 1.0)
+
+
+class DenseRouteKDPP(SymmetricKDPP):
+    """The oracles before factor-space conditioning, kept as the reference.
+
+    Every conditioned kernel is decomposed densely: marginals from an
+    ``n x n`` eigh, the normalizer from an ``n x n`` eigvalsh, batched counting
+    from the kernel's own ``psd_factor``, and scalar counting through an
+    eigvalsh of each query's Schur complement.
+    """
+
+    def counting(self, given=()):
+        items = check_subset(given, self.n)
+        t = len(items)
+        if t > self.k:
+            return 0.0
+        if t == 0:
+            return self.partition_function()
+        det_t = principal_minor(self.L, items)
+        if det_t <= 0:
+            return 0.0
+        if t == self.k:
+            return det_t
+        L_cond, _ = condition_ensemble(self.L, items)
+        spectrum = np.clip(np.linalg.eigvalsh(0.5 * (L_cond + L_cond.T)), 0.0, None)
+        return det_t * float(elementary_symmetric_polynomials(spectrum, max_order=self.k - t)[self.k - t])
+
+    def marginal_vector(self, given=()):
+        assert not tuple(given)  # Algorithm 1 conditions first, then asks
+        return dense_kdpp_marginals(self.L, self.k)
+
+    def condition(self, include):
+        items = check_subset(include, self.n)
+        if not items:
+            return self
+        L_cond, remaining = condition_ensemble(self.L, items)
+        labels = tuple(self._labels[i] for i in remaining)
+        return DenseRouteKDPP(0.5 * (L_cond + L_cond.T), self.k - len(items),
+                              validate=False, labels=labels)
+
+
+def _random_subsets(rng, n, t, count):
+    return [tuple(sorted(int(i) for i in rng.choice(n, size=t, replace=False)))
+            for _ in range(count)]
+
+
+# ---------------------------------------------------------------------- #
+# linalg: the conditioned factor and its Gram
+# ---------------------------------------------------------------------- #
+class TestConditionedFactor:
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(n=st.integers(3, 30), rank_gap=st.integers(0, 12), t=st.integers(1, 4),
+           seed=st.integers(0, 2 ** 16))
+    def test_factor_reproduces_schur_complement(self, n, rank_gap, t, seed):
+        # rank_gap = 0 is the full-rank case r = n
+        t = min(t, n - 1)
+        r = max(n - rank_gap, t)
+        L = random_psd_ensemble(n, rank=r, seed=seed)
+        B = psd_factor(L)
+        T = _random_subsets(np.random.default_rng(seed), n, t, 1)[0]
+        F, remaining = conditioned_factor(B, T)
+        L_cond, expected_remaining = condition_ensemble(L, T)
+        assert np.array_equal(remaining, expected_remaining)
+        assert F.shape == (n - t, B.shape[1])
+        # both sides carry the backward error of solving with L_TT
+        kappa = np.linalg.cond(L[np.ix_(T, T)])
+        np.testing.assert_allclose(F @ F.T, L_cond, rtol=0,
+                                   atol=100 * EPS * kappa * np.abs(L).max())
+
+    @pytest.mark.parametrize("rank", [12, 40])
+    def test_ill_conditioned_block(self, rank):
+        # rows 0 and 1 nearly parallel: cond(L_TT) >= 1e8, for r < n and r = n
+        rng = np.random.default_rng(5)
+        B = rng.standard_normal((40, rank))
+        B[1] = B[0] + 1e-4 * rng.standard_normal(rank)
+        L = B @ B.T
+        T = (0, 1, 7)
+        kappa = np.linalg.cond(L[np.ix_(T, T)])
+        assert kappa >= 1e8
+        F, _ = conditioned_factor(B, T)
+        L_cond, _ = condition_ensemble(L, T)
+        np.testing.assert_allclose(F @ F.T, L_cond, rtol=0,
+                                   atol=100 * EPS * kappa * np.abs(L).max())
+
+    def test_zero_probability_event_raises(self):
+        B = np.random.default_rng(1).standard_normal((6, 3))
+        B[2] = 2.0 * B[1]
+        with pytest.raises(ValueError, match="zero probability"):
+            conditioned_factor(B, (1, 2))
+
+    @pytest.mark.parametrize("n, rank", [(200, 60), (40, 40), (12, 5)])
+    @pytest.mark.parametrize("t", [1, 2, 3, 4])
+    def test_gram_matches_cubic_reference(self, n, rank, t):
+        L = random_psd_ensemble(n, rank=rank, seed=n + t)
+        B = psd_factor(L)
+        G = B.T @ B
+        subsets = _random_subsets(np.random.default_rng(t), n, t, 34)
+        det_T, C = lowrank_conditioned_gram(B, G, subsets)
+        np.testing.assert_allclose(C, reference_conditioned_gram(B, G, subsets),
+                                   rtol=1e-12, atol=1e-12 * np.abs(G).max())
+        assert np.array_equal(C, C.transpose(0, 2, 1))
+        np.testing.assert_allclose(det_T, [np.linalg.det(L[np.ix_(s, s)]) for s in subsets],
+                                   rtol=1e-8, atol=1e-12)
+        # C is the Gram of the conditioned factor
+        F, _ = conditioned_factor(B, subsets[0])
+        np.testing.assert_allclose(C[0], F.T @ F, rtol=0, atol=1e-12 * np.abs(G).max())
+
+
+# ---------------------------------------------------------------------- #
+# dpp: conditioned kernels answer from factor-space artifacts
+# ---------------------------------------------------------------------- #
+class TestConditionedKernel:
+    @pytest.mark.parametrize("n, rank, k, T", [
+        (200, 60, 10, (3, 17, 42, 101)),
+        (40, 40, 6, (0, 5)),      # r = n: the Gram has more rows than the child
+        (30, 12, 5, (7,)),
+    ])
+    def test_child_matches_dense_decomposition(self, n, rank, k, T):
+        L = random_psd_ensemble(n, rank=rank, seed=3)
+        child = SymmetricKDPP(L, k).condition(T)
+        k_child = k - len(T)
+        assert child.eigenvalues.shape == (n - len(T),)
+        dense = np.clip(np.linalg.eigvalsh(child.L), 0.0, None)
+        np.testing.assert_allclose(child.eigenvalues, dense, rtol=0,
+                                   atol=1e-12 * dense.max())
+        np.testing.assert_allclose(child.marginal_vector(),
+                                   dense_kdpp_marginals(child.L, k_child),
+                                   rtol=1e-12, atol=1e-15)
+        expected_z = elementary_symmetric_polynomials(dense, max_order=k_child)[k_child]
+        assert child.partition_function() == pytest.approx(expected_z, rel=1e-12)
+
+    def test_nested_conditioning_keeps_factor_width(self):
+        L = random_psd_ensemble(60, rank=20, seed=8)
+        first = SymmetricKDPP(L, 8).condition((4, 9))
+        child = first.condition((0, 30, 31))
+        assert child.factor.shape == (55, 20)
+        # conditioning twice is conditioning once on the union
+        union = (4, 9) + tuple(first.ground_labels[i] for i in (0, 30, 31))
+        L_cond, remaining = condition_ensemble(L, union)
+        assert tuple(remaining) == child.ground_labels
+        np.testing.assert_allclose(child.factor @ child.factor.T, L_cond,
+                                   rtol=0, atol=1e-12 * np.abs(L).max())
+
+    def test_counting_has_one_route(self):
+        # scalar counting is a one-subset counting_batch: equal bit for bit,
+        # on the root and on a conditioned kernel
+        dist = SymmetricKDPP(random_psd_ensemble(200, rank=60, seed=4), 10)
+        child = dist.condition((5, 77))
+        rng = np.random.default_rng(0)
+        for target in (dist, child):
+            for t in (1, 3, 4):
+                subsets = _random_subsets(rng, target.n, t, 34)
+                singles = [target.counting(s) for s in subsets]
+                assert np.array_equal(target.counting_batch(subsets), singles)
+
+    def test_scalar_backends_equal_vectorized_bitwise(self):
+        child = SymmetricKDPP(random_psd_ensemble(120, rank=40, seed=6), 9).condition((2, 50, 99))
+        rng = np.random.default_rng(1)
+        subsets = [s for t in (1, 2, 3, 6) for s in _random_subsets(rng, child.n, t, 8)]
+        reference = resolve_backend("vectorized").execute(
+            OracleBatch.joint_marginals(child, subsets), tracker=Tracker()).values
+        for name in ("serial", "threads"):
+            values = resolve_backend(name).execute(
+                OracleBatch.joint_marginals(child, subsets), tracker=Tracker()).values
+            assert np.array_equal(values, reference), name
+
+
+# ---------------------------------------------------------------------- #
+# end to end: the served Theorem-10 sampler
+# ---------------------------------------------------------------------- #
+def _recording(function, sizes):
+    def wrapper(a, *args, **kwargs):
+        sizes.append(np.shape(a)[-1])
+        return function(a, *args, **kwargs)
+    return wrapper
+
+
+@pytest.mark.parametrize("backend", ["serial", "vectorized"])
+def test_warm_parallel_sample_decomposes_nothing_above_rank(monkeypatch, backend):
+    L = random_psd_ensemble(200, rank=60, seed=0)
+    sizes = []
+    with serve(L, registry=KernelRegistry()) as session:
+        session.sample(k=10, method="parallel", seed=0, backend=backend)  # warm
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "eigh", _recording(np.linalg.eigh, sizes))
+            patch.setattr(np.linalg, "eigvalsh", _recording(np.linalg.eigvalsh, sizes))
+            result = session.sample(k=10, method="parallel", seed=1, backend=backend)
+    assert len(result.subset) == 10
+    assert sizes and max(sizes) <= 60
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_served_samples_match_dense_route(monkeypatch, seed):
+    L = random_psd_ensemble(200, rank=60, seed=seed)
+    with serve(L, registry=KernelRegistry()) as session:
+        factored = session.sample(k=10, method="parallel", seed=seed, backend="vectorized")
+    conditioned = []
+
+    class Recorded(DenseRouteKDPP):
+        def condition(self, include):
+            conditioned.append(tuple(include))
+            return super().condition(include)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(repro.service.session, "SymmetricKDPP", Recorded)
+        with serve(L, registry=KernelRegistry()) as session:
+            dense = session.sample(k=10, method="parallel", seed=seed, backend="vectorized")
+    assert conditioned  # the reference route really ran
+    assert factored.subset == dense.subset
