@@ -158,16 +158,14 @@ class ClusterClient:
             except (NodeUnavailable, KeyError) as exc:
                 # KeyError: the replica exists but never received this kernel
                 # (a join raced the rebalance) — read through to the next one
-                obs.end_span(wire_span, outcome="failover",
-                             error=type(exc).__name__)
+                obs.end_span(wire_span, outcome="failover", error=exc)
                 last_error = exc
                 if position + 1 < len(self.owners(fingerprint)):
                     with self._lock:
                         self.failovers += 1
                     obs.record_failover(fingerprint)
             except BaseException as exc:  # genuine remote error: no failover
-                obs.end_span(wire_span, outcome="error",
-                             error=type(exc).__name__)
+                obs.end_span(wire_span, outcome="error", error=exc)
                 raise
             else:
                 obs.end_span(wire_span, outcome="ok")
@@ -516,9 +514,9 @@ class ClusterSession:
         self._owned_cluster = owned_cluster
         self._lock = threading.Lock()
         self._queue: List[dict] = []
-        #: one ``(span-or-None, submitted_at)`` per queued request, index-
+        #: one request span (``None`` when dark) per queued request, index-
         #: aligned with ``_queue`` (swapped/restored together by drain)
-        self._pending_spans: List[Tuple[Optional[obs.Span], float]] = []
+        self._pending_spans: List[Optional[obs.Span]] = []
         self._submitted = 0
         self._closed = False
         self.samples_served = 0
@@ -587,8 +585,9 @@ class ClusterSession:
                 "backend/tracker are node-side concerns in a cluster: set the "
                 "backend on the ShardNode, read reports from the result"
             )
-        with obs.request("cluster-sample", family=self.kind, kernel=self.name,
-                         method=method, k=-1 if k is None else int(k)):
+        with obs.span("cluster-sample", category="request", family=self.kind,
+                      kernel=self.name, method=method,
+                      k=-1 if k is None else int(k)):
             result = self._client.call(self.entry.route, {
                 "op": "sample", "name": self.name, "k": k,
                 "seed": _wire_seed(seed), "method": method, "delta": delta,
@@ -676,8 +675,9 @@ class ClusterSession:
                       "kwargs": dict(kwargs)}
             # each request is born as a trace root here; its context ships
             # inside the queued dict so the node's drain scheduler parents
-            # the server-side span tree under it (read _entry directly:
-            # the kind/name properties re-acquire this non-reentrant lock)
+            # the server-side span tree under it, and the node never counts
+            # the request again (read _entry directly: the kind/name
+            # properties re-acquire this non-reentrant lock)
             span = obs.start_span("cluster-request", category="request",
                                   family=self._entry.kind,
                                   kernel=self._entry.name,
@@ -685,7 +685,7 @@ class ClusterSession:
             if span is not None:
                 queued["trace"] = span.context.as_wire()
             self._queue.append(queued)
-            self._pending_spans.append((span, time.perf_counter()))
+            self._pending_spans.append(span)
             return index
 
     @property
@@ -699,9 +699,9 @@ class ClusterSession:
         Tracing: the drain itself runs under one ``cluster-drain`` span
         **linked** to every queued request's root span (the wire hop and any
         failover land under it); each request's own span ends here with its
-        queue wait, and its end-to-end latency feeds the per-family SLO
-        stream — one observation per request, exactly like single-node
-        scheduling.
+        queue wait, and, as a root, feeds its end-to-end latency to the
+        per-family SLO stream — one observation per request, exactly like
+        single-node scheduling.
         """
         self._check_open()
         with self._lock:
@@ -710,7 +710,7 @@ class ClusterSession:
         if not queue:
             return []
         started = time.perf_counter()
-        links = [span.context for span, _ in pending if span is not None]
+        links = [span.context for span in pending if span is not None]
         try:
             with obs.span("cluster-drain", category="drain",
                           links=links or None, requests=len(queue)):
@@ -725,11 +725,9 @@ class ClusterSession:
                 self._pending_spans = pending + self._pending_spans
             raise
         finished = time.perf_counter()
-        family = self.kind
-        for span, submitted_at in pending:
-            obs.record_request_latency(family, finished - submitted_at)
-            obs.end_request_span(span, end=finished,
-                                 queue_wait=started - submitted_at)
+        for span in pending:
+            if span is not None:
+                obs.end_span(span, end=finished, queue_wait=started - span.start)
         with self._lock:
             self.samples_served += len(results)
         return results

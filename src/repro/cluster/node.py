@@ -212,9 +212,12 @@ class ShardNode:
         """Execute one request dict and return its value (raises on error).
 
         Frames may carry an optional ``trace`` field (see
-        :mod:`repro.cluster.protocol`): the node then runs the op under a
-        server-side child span of the client's request, so the wire hop and
-        node-side execution land in the same trace tree.
+        :mod:`repro.cluster.protocol`): the node then runs the op inside the
+        client's trace context, under a server-side child span when tracing
+        is on, so the wire hop and node-side execution land in the same
+        trace tree.  The context is activated even when the node span is
+        dark: a request served here continues the client's and is never a
+        root, so SLO tracking counts it once, on the client.
         """
         if not isinstance(request, dict) or "op" not in request:
             raise ClusterError(f"malformed request: {request!r}")
@@ -228,8 +231,8 @@ class ShardNode:
             self.requests_served += 1
         started = time.perf_counter()
         try:
-            with obs.span(f"node-{op}", category="node_op",
-                          parent=trace_context, node=self.node_id):
+            with obs.activate(trace_context), \
+                    obs.span(f"node-{op}", category="node_op", node=self.node_id):
                 return handler(**args)
         finally:
             obs.record_cluster_op(op, time.perf_counter() - started)

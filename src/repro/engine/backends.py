@@ -95,12 +95,14 @@ class ExecutionBackend(abc.ABC):
     name: str = "abstract"
 
     def execute(self, batch: OracleBatch, *, tracker: Optional[Tracker] = None) -> OracleBatchResult:
-        """Answer ``batch`` inside one adaptive round of ``tracker``."""
+        """Answer ``batch`` inside one adaptive round of ``tracker`` and
+        write the round's one record (:func:`repro.obs.record_round`)."""
         trk = tracker if tracker is not None else current_tracker()
         # inside a traced request this round becomes a child span; the
         # context stays active through _dispatch so the process backend can
         # ship it to worker chunks (obs.round_context() is None when off)
         trace_context = obs.round_context()
+        work, oracle_calls = trk.work, trk.oracle_calls
         start = time.perf_counter()
         with trk.round(batch.label):
             trk.charge(machines=float(batch.n_queries))
@@ -116,7 +118,9 @@ class ExecutionBackend(abc.ABC):
             n_queries=batch.n_queries,
             artifacts=artifacts,
         )
-        obs.record_round(batch, result, context=trace_context)
+        obs.record_round(batch, result, work=trk.work - work,
+                         oracle_calls=trk.oracle_calls - oracle_calls,
+                         context=trace_context)
         return result
 
     def traits(self) -> BackendTraits:
@@ -195,33 +199,37 @@ class SerialBackend(ExecutionBackend):
     def traits(self) -> BackendTraits:
         return BackendTraits(name=self.name, scalar_loop=True)
 
+    def _map_chunks(self, worker, items: Sequence, tracker: Tracker) -> List:
+        """The scalar loop every query kind runs; :class:`ThreadPoolBackend`
+        fans it out to worker threads.  Workers charge the current tracker."""
+        return [worker(item) for item in items]
+
     def _counting(self, batch: OracleBatch, tracker: Tracker) -> np.ndarray:
         dist = batch.distribution
         assert dist is not None
-        return np.array([dist.counting(s) for s in batch.subsets], dtype=float)
+        return np.array(self._map_chunks(dist.counting, batch.subsets, tracker), dtype=float)
 
     def _joint_marginals(self, batch: OracleBatch, tracker: Tracker) -> np.ndarray:
         dist = batch.distribution
         assert dist is not None
         z = batch.normalizer()
-        values = np.array([dist.counting(s) for s in batch.subsets], dtype=float)
+        values = np.array(self._map_chunks(dist.counting, batch.subsets, tracker), dtype=float)
         return np.clip(values / z, 0.0, None)
 
     def _log_principal_minors(self, batch: OracleBatch, tracker: Tracker) -> np.ndarray:
         matrix = batch.matrix
         assert matrix is not None
-        values = np.full(len(batch.subsets), -np.inf)
-        for pos, subset in enumerate(batch.subsets):
+
+        def one(subset):
             m = len(subset)
-            tracker.charge_determinant(m)
+            current_tracker().charge_determinant(m)
             if m == 0:
-                values[pos] = 0.0
-                continue
+                return 0.0
             idx = np.asarray(subset, dtype=int)
             sign, logdet = np.linalg.slogdet(matrix[np.ix_(idx, idx)])
-            if sign > 0:
-                values[pos] = logdet
-        return values
+            return logdet if sign > 0 else -np.inf
+
+        return np.array(self._map_chunks(one, batch.subsets, tracker), dtype=float)
 
 
 class VectorizedBackend(ExecutionBackend):
@@ -250,8 +258,9 @@ class VectorizedBackend(ExecutionBackend):
         return grouped_log_principal_minors(batch.matrix, batch.subsets)
 
 
-class ThreadPoolBackend(ExecutionBackend):
-    """``concurrent.futures`` fan-out of scalar queries across worker threads.
+class ThreadPoolBackend(SerialBackend):
+    """``concurrent.futures`` fan-out of :class:`SerialBackend`'s scalar
+    loops across worker threads.
 
     Workers run under private child trackers (the module-level current
     tracker is a :mod:`contextvars` variable, so worker threads would
@@ -331,33 +340,6 @@ class ThreadPoolBackend(ExecutionBackend):
             results.extend(part_values)
             tracker.charge(work=child.work, oracle_calls=child.oracle_calls)
         return results
-
-    def _counting(self, batch: OracleBatch, tracker: Tracker) -> np.ndarray:
-        dist = batch.distribution
-        assert dist is not None
-        return np.array(self._map_chunks(dist.counting, batch.subsets, tracker), dtype=float)
-
-    def _joint_marginals(self, batch: OracleBatch, tracker: Tracker) -> np.ndarray:
-        dist = batch.distribution
-        assert dist is not None
-        z = batch.normalizer()
-        values = np.array(self._map_chunks(dist.counting, batch.subsets, tracker), dtype=float)
-        return np.clip(values / z, 0.0, None)
-
-    def _log_principal_minors(self, batch: OracleBatch, tracker: Tracker) -> np.ndarray:
-        matrix = batch.matrix
-        assert matrix is not None
-
-        def one(subset):
-            m = len(subset)
-            current_tracker().charge_determinant(m)
-            if m == 0:
-                return 0.0
-            idx = np.asarray(subset, dtype=int)
-            sign, logdet = np.linalg.slogdet(matrix[np.ix_(idx, idx)])
-            return logdet if sign > 0 else -np.inf
-
-        return np.array(self._map_chunks(one, batch.subsets, tracker), dtype=float)
 
 
 # ---------------------------------------------------------------------- #
@@ -787,7 +769,7 @@ class ProcessPoolBackend(ExecutionBackend):
             self._broken_pools = 0  # a full batch succeeded: reset the budget
         tracker.charge(work=total_work, oracle_calls=total_calls)
         for span in worker_spans:
-            obs.record_worker_span(span)
+            obs.tracer().record_span(**span)
         values = np.concatenate(parts) if parts else np.empty(0, dtype=float)
         return values, artifacts
 

@@ -5,8 +5,8 @@ One process-wide :class:`~repro.obs.metrics.MetricsRegistry`, one
 :class:`~repro.obs.feedback.ObservedCostFeedback` instance back every
 instrumented layer:
 
-* every engine backend wraps round execution in a span
-  (``repro_rounds_total``, ``repro_round_seconds``, per-round trace records);
+* every engine round leaves one record (``repro_rounds_total``,
+  ``repro_round_seconds``, a ``type="round"`` trace record);
 * the planner records predicted-vs-actual cost per routed round and — when
   the feedback knob is on — folds measurements into an online correction of
   its wall-clock pricing;
@@ -17,18 +17,27 @@ instrumented layer:
 * the intermediate sampler emits acceptance/skip/escalation events with the
   computable acceptance certificate.
 
-PR 10 adds **request-scoped distributed tracing** on top: a deterministic
-:class:`~repro.obs.context.TraceContext` born at
-``SamplerSession.sample()`` / ``ClusterSession.submit()`` flows through
-the fused scheduler (span links from each fused round back to every
-submitter's request span), across cluster protocol frames (optional
-``trace`` field; shard nodes open server-side child spans) and into
-process-pool worker chunks via ``BatchPayload.trace``.  Request latencies
-feed an :class:`~repro.obs.slo.SLOTracker` (streaming p50/p95/p99 per
-kernel family and per cluster op, P² estimator) and a
-:class:`~repro.obs.slo.FlightRecorder` that keeps the complete span tree
-of any request slower than a configurable budget, exportable as Chrome
+**Spans.**  One span API covers requests and everything under them:
+``span(name, category=...)`` scopes a block, and ``start_span`` /
+``end_span`` open and close a span that outlives a block (a cluster
+request queued by ``submit`` and finished by ``drain``).  A span with
+``category="request"`` is a request; it opens when tracing or SLO tracking
+is on.  A deterministic :class:`~repro.obs.context.TraceContext` ties the
+spans of one request into a tree across the fused scheduler (span links
+from each fused round back to every member's request span), cluster
+protocol frames (optional ``trace`` field; shard nodes continue the
+client's context) and process-pool worker chunks (``BatchPayload.trace``).
+A request that continues no context is a **root**: its latency feeds an
+:class:`~repro.obs.slo.SLOTracker` (streaming p50/p95/p99 per kernel
+family, P² estimator; shard nodes add one stream per cluster op) once, and
+a :class:`~repro.obs.slo.FlightRecorder` keeps the complete span tree of
+any root slower than a configurable budget, exportable as Chrome
 trace-event JSON (:mod:`repro.obs.export`).
+
+**Rounds.**  :func:`record_round` is the one record of an engine round:
+``ExecutionBackend.execute`` writes it once per round, with the measured
+seconds and backend next to the PRAM work and oracle calls charged inside
+the round.
 
 Everything is **off by default** and costs one boolean check per hook when
 off.  ``enable()`` / ``disable()`` flip metrics+tracing together;
@@ -54,7 +63,6 @@ import contextlib
 import threading
 import time
 import weakref
-from contextvars import ContextVar
 from typing import Dict, Iterator, List, Optional, Union
 
 from repro.obs.context import (Span, TraceContext, activate, context_from_wire,
@@ -81,8 +89,6 @@ __all__ = [
     "family_of", "shape_bucket",
     "current_context", "activate", "context_from_wire",
     "start_span", "end_span", "span", "round_context",
-    "request", "request_begin", "request_end", "end_request_span",
-    "record_worker_span", "record_request_latency",
     "record_round", "record_plan", "observe_round_cost",
     "record_fusion", "record_queue_wait", "record_drain",
     "record_batch_counts", "record_intermediate",
@@ -299,7 +305,7 @@ def render_prometheus() -> str:
 
 
 # --------------------------------------------------------------------- #
-# request-scoped spans (PR 10)
+# spans: one API for requests and everything under them
 # --------------------------------------------------------------------- #
 def _link_wire(link: Union[TraceContext, Dict[str, str]]) -> Dict[str, str]:
     if isinstance(link, TraceContext):
@@ -312,16 +318,21 @@ def start_span(name: str, *, category: str, family: Optional[str] = None,
                links: Optional[List[Union[TraceContext, Dict[str, str]]]] = None,
                start: Optional[float] = None,
                **attrs: object) -> Optional[Span]:
-    """Open a span (``None`` when tracing is off — every consumer of the
-    return value must tolerate ``None``).
+    """Open a span (``None`` when dark — every consumer of the return value
+    must tolerate ``None``).
 
     The span is a child of ``parent`` when given, else of the ambient
     context from :func:`current_context`, else a fresh trace root.
     ``start`` overrides the start instant (``perf_counter`` clock) for
     spans whose work began before the span object could be created, e.g.
     queue waits measured from a ticket's ``submitted_at``.
+
+    ``category="request"`` marks a request: it opens when tracing *or* SLO
+    tracking is on (the SLO stream needs its start instant and its place in
+    the tree even when no span is recorded), every other category only when
+    tracing is on.  See :func:`end_span` for what a request root feeds.
     """
-    if not _TRACER.enabled:
+    if not (_TRACER.enabled or (_SLO.enabled and category == "request")):
         return None
     parent_context = parent if parent is not None else current_context()
     return Span(
@@ -333,34 +344,63 @@ def start_span(name: str, *, category: str, family: Optional[str] = None,
 
 
 def end_span(span: Optional[Span], *, end: Optional[float] = None,
-             **attrs: object) -> None:
-    """Record a completed span into the tracer (no-op for ``None``)."""
+             error: Optional[BaseException] = None, **attrs: object) -> None:
+    """Record a completed span into the tracer (no-op for ``None``).
+
+    ``error`` stamps the exception's class name as the span's ``error``
+    field.  A request span that is a **root** — it continued no trace
+    context, so no request encloses it, locally or across the wire — also
+    feeds its family's SLO stream and, when armed and over budget, the
+    flight recorder.  Nested requests (a scheduler ticket running
+    ``session.sample``, a shard node serving a client frame) are never
+    roots, so every request is observed exactly once.
+    """
     if span is None:
         return
     finish = time.perf_counter() if end is None else float(end)
+    duration = max(0.0, finish - span.start)
     fields = dict(span.attrs)
     fields.update(attrs)
+    if error is not None:
+        fields["error"] = type(error).__name__
     if span.family is not None:
         fields.setdefault("family", span.family)
+    context = span.context
     _TRACER.record_span(
-        name=span.name, category=span.category,
-        trace_id=span.context.trace_id, span_id=span.context.span_id,
-        parent_id=span.context.parent_id, start=span.start,
-        duration=max(0.0, finish - span.start), links=span.links, **fields)
+        name=span.name, category=span.category, trace_id=context.trace_id,
+        span_id=context.span_id, parent_id=context.parent_id,
+        start=span.start, duration=duration, links=span.links, **fields)
+    if span.category != "request" or context.parent_id is not None:
+        return
+    if span.family is not None:
+        _SLO.observe_request(span.family, duration)
+    budget = _FLIGHT.budget
+    if budget is not None and _TRACER.enabled and duration > budget:
+        # after record_span, so the capture includes the root itself
+        _FLIGHT.capture(
+            trace_id=context.trace_id, root_span_id=context.span_id,
+            name=span.name, family=span.family, duration=duration,
+            records=_TRACER.trace_tree(context.trace_id))
 
 
 @contextlib.contextmanager
 def span(name: str, *, category: str, **kwargs: object) -> Iterator[Optional[Span]]:
-    """``start_span`` + context activation + ``end_span`` around a block."""
+    """:func:`start_span` + context activation + :func:`end_span` around a
+    block; an exception escaping the block is stamped as the span's
+    ``error``."""
     handle = start_span(name, category=category, **kwargs)  # type: ignore[arg-type]
     if handle is None:
         yield None
         return
+    error: Optional[BaseException] = None
     try:
         with activate(handle.context):
             yield handle
+    except BaseException as exc:
+        error = exc
+        raise
     finally:
-        end_span(handle)
+        end_span(handle, error=error)
 
 
 def round_context() -> Optional[TraceContext]:
@@ -377,161 +417,6 @@ def round_context() -> Optional[TraceContext]:
     return parent.child()
 
 
-def record_worker_span(fields: Dict[str, object]) -> None:
-    """Record a span dict reported back by a process-pool worker chunk.
-
-    Workers build plain dicts (their interpreter has its own obs
-    singletons, all dark); the parent process stamps any missing ``start``
-    and records them here once the round result is in hand.
-    """
-    if not _TRACER.enabled:
-        return
-    fields = dict(fields)
-    name = str(fields.pop("name", "worker-chunk"))
-    category = str(fields.pop("category", "worker_chunk"))
-    _TRACER.record_span(
-        name=name, category=category,
-        trace_id=fields.pop("trace_id", None),  # type: ignore[arg-type]
-        span_id=fields.pop("span_id", None),  # type: ignore[arg-type]
-        parent_id=fields.pop("parent_id", None),  # type: ignore[arg-type]
-        start=fields.pop("start", None),  # type: ignore[arg-type]
-        duration=fields.pop("duration", None),  # type: ignore[arg-type]
-        **fields)
-
-
-def record_request_latency(family: str, seconds: float) -> None:
-    """Feed one end-to-end request latency into the family SLO stream."""
-    _SLO.observe_request(family, seconds)
-
-
-def _maybe_capture_flight(span_handle: Span, duration: float) -> None:
-    """Capture the span tree if the recorder is armed and over budget.
-
-    Must run *after* the root span's ``end_span`` so the capture includes
-    it.  Only trace roots capture — a child ending over budget belongs to
-    its root's capture.
-    """
-    budget = _FLIGHT.budget
-    if budget is None or not _TRACER.enabled:
-        return
-    if span_handle.context.parent_id is not None or duration <= budget:
-        return
-    _FLIGHT.capture(
-        trace_id=span_handle.context.trace_id,
-        root_span_id=span_handle.context.span_id,
-        name=span_handle.name, family=span_handle.family, duration=duration,
-        records=_TRACER.trace_tree(span_handle.context.trace_id))
-
-
-def end_request_span(span_handle: Optional[Span], *,
-                     end: Optional[float] = None, **attrs: object) -> None:
-    """End a *request-root* span opened with :func:`start_span`: record it,
-    then offer it to the flight recorder.  SLO accounting is separate
-    (:func:`record_request_latency`) because it must run even when tracing
-    is off and this function received ``None``."""
-    if span_handle is None:
-        return
-    finish = time.perf_counter() if end is None else float(end)
-    end_span(span_handle, end=finish, **attrs)
-    _maybe_capture_flight(span_handle, max(0.0, finish - span_handle.start))
-
-
-#: nesting depth of ``request()`` scopes in the current context — only the
-#: outermost (depth 0 → root) feeds SLO quantiles and the flight recorder,
-#: so ``scheduler._run_one`` wrapping ``session.sample`` counts once.
-_REQUEST_DEPTH: "ContextVar[int]" = ContextVar("repro_obs_request_depth",
-                                               default=0)
-
-
-class _RequestToken:
-    """Handle pairing ``request_begin`` with ``request_end``.
-
-    Owned by the requesting thread; never shared — no lock."""
-
-    __slots__ = ("span", "family", "start", "root", "_depth_token")
-
-    def __init__(self, span: Span, family: Optional[str], start: float,
-                 root: bool, depth_token: object):
-        self.span = span
-        self.family = family
-        self.start = start
-        self.root = root
-        self._depth_token = depth_token
-
-
-def request_begin(name: str, *, family: Optional[str] = None,
-                  start: Optional[float] = None,
-                  parent: Optional[TraceContext] = None,
-                  links: Optional[List[Union[TraceContext, Dict[str, str]]]] = None,
-                  **attrs: object) -> Optional[_RequestToken]:
-    """Open request-level accounting; ``None`` when tracing and SLO are
-    both off.  The caller must pass the token to :func:`request_end` and
-    should execute the request body under ``activate(token.span.context)``
-    (or use the :func:`request` context manager, which does both)."""
-    if not (_TRACER.enabled or _SLO.enabled):
-        return None
-    begin = time.perf_counter() if start is None else float(start)
-    depth = _REQUEST_DEPTH.get()
-    depth_token = _REQUEST_DEPTH.set(depth + 1)
-    parent_context = parent if parent is not None else current_context()
-    span_handle = Span(
-        context=new_context(parent_context), name=name, category="request",
-        start=begin, family=family,
-        links=[_link_wire(link) for link in links] if links else None,
-        attrs=dict(attrs))
-    # root = the user-facing entry point: not nested in another request
-    # scope *and* not continuing a propagated context (a shard node running
-    # a client's request must not SLO-count it a second time)
-    return _RequestToken(span=span_handle, family=family, start=begin,
-                         root=(depth == 0 and parent_context is None),
-                         depth_token=depth_token)
-
-
-def request_end(token: Optional[_RequestToken], *,
-                error: Optional[BaseException] = None,
-                **attrs: object) -> None:
-    """Close request-level accounting: record the span, and — for root
-    requests only — feed the family SLO stream and the flight recorder."""
-    if token is None:
-        return
-    finish = time.perf_counter()
-    duration = max(0.0, finish - token.start)
-    _REQUEST_DEPTH.reset(token._depth_token)
-    if error is not None:
-        token.span.attrs["error"] = type(error).__name__
-    token.span.attrs.update(attrs)
-    if _TRACER.enabled:
-        end_span(token.span, end=finish)
-    if token.root:
-        if token.family is not None:
-            _SLO.observe_request(token.family, duration)
-        if _TRACER.enabled:
-            _maybe_capture_flight(token.span, duration)
-
-
-@contextlib.contextmanager
-def request(name: str, *, family: Optional[str] = None,
-            start: Optional[float] = None,
-            parent: Optional[TraceContext] = None,
-            links: Optional[List[Union[TraceContext, Dict[str, str]]]] = None,
-            **attrs: object) -> Iterator[Optional[_RequestToken]]:
-    """Scope one request: span + ambient context + SLO/flight accounting."""
-    token = request_begin(name, family=family, start=start, parent=parent,
-                          links=links, **attrs)
-    if token is None:
-        yield None
-        return
-    error: Optional[BaseException] = None
-    try:
-        with activate(token.span.context):
-            yield token
-    except BaseException as exc:
-        error = exc
-        raise
-    finally:
-        request_end(token, error=error)
-
-
 # --------------------------------------------------------------------- #
 # hot-path hooks (each starts with one boolean check when disabled)
 # --------------------------------------------------------------------- #
@@ -543,19 +428,20 @@ def family_of(batch) -> str:
     return "matrix"
 
 
-def record_round(batch, result, *, backend: Optional[str] = None,
-                 queue_wait: Optional[float] = None,
-                 predicted_seconds: Optional[float] = None,
+def record_round(batch, result, *, work: float = 0.0, oracle_calls: int = 0,
                  context: Optional[TraceContext] = None) -> None:
-    """Span for one executed engine round (called by every backend).
+    """The one record of an executed engine round.
 
+    :meth:`~repro.engine.backends.ExecutionBackend.execute` writes it once
+    per round, with the PRAM ``work`` and ``oracle_calls`` charged inside
+    the round next to the measured ``result.wall_time`` and backend.
     ``context`` — when the round ran inside a traced request — stamps the
-    round record with trace/span/parent ids so it joins the request tree
-    (the round record *is* the round's span; no duplicate is emitted).
+    record with trace/span/parent ids so it joins the request tree (the
+    round record *is* the round's span; no duplicate is emitted).
     """
     if not (_REGISTRY.enabled or _TRACER.enabled):
         return
-    name = backend if backend is not None else result.backend
+    name = result.backend
     kind = batch.kind
     queries = int(result.n_queries)
     if _REGISTRY.enabled:
@@ -572,8 +458,7 @@ def record_round(batch, result, *, backend: Optional[str] = None,
         _TRACER.record_round(
             label=batch.label, kind=kind, family=family_of(batch),
             backend=name, queries=queries, wall_time=result.wall_time,
-            queue_wait=queue_wait, predicted_seconds=predicted_seconds,
-            **ids)
+            work=work, oracle_calls=oracle_calls, **ids)
 
 
 def record_plan(decision) -> None:

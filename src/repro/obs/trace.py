@@ -1,23 +1,30 @@
-"""Structured per-round tracing.
+"""The trace ring buffer: spans, round records and events.
 
-A :class:`Tracer` keeps a bounded ring buffer of structured records — one
-per executed engine round (``type="round"``) plus discrete events
-(``type="event"``) such as intermediate-sampling acceptances/escalations or
-cluster failovers.  Records are plain dicts of JSON-serializable scalars so
-``json.dumps(tracer.spans())`` always works; numpy scalars are coerced at
+A :class:`Tracer` keeps a bounded ring buffer of three kinds of record:
+
+* ``type="span"`` — one completed span (:func:`repro.obs.end_span`): a
+  name, a category (``request`` for a request; ``queue``, ``fused_round``,
+  ``wire``, ``node_op``, ``worker_chunk`` and so on for its parts), the
+  ``trace_id`` / ``span_id`` / ``parent_id`` of :mod:`repro.obs.context`,
+  and optional **links** to spans of other requests (a fused engine round
+  links back to every member's request span);
+* ``type="round"`` — the one record of an executed engine round
+  (:func:`repro.obs.record_round`): the measured ``wall_time`` and backend
+  next to the PRAM ``work`` and ``oracle_calls`` charged inside the round.
+  Inside a traced request it carries the same id fields as a span, so each
+  request is one connected tree;
+* ``type="event"`` — a discrete event such as an intermediate-sampling
+  acceptance or a cluster failover.
+
+Records are plain dicts of JSON-serializable scalars so
+``json.dumps(tracer.records())`` always works; numpy scalars are coerced at
 record time.
 
 Like the metrics registry, the tracer is gated by ``enabled`` and costs one
-boolean check per round when off.  The ring buffer bounds memory for
-long-running services: old spans fall off the left, and ``dropped_spans``
+boolean check per record when off.  The ring buffer bounds memory for
+long-running services: old records fall off the left, and ``dropped_spans``
 counts every record lost that way so exports can surface the loss instead
 of silently presenting a truncated history.
-
-PR 10 adds request-scoped records (``type="span"``): named spans carrying a
-``trace_id`` / ``span_id`` / ``parent_id`` from :mod:`repro.obs.context`,
-plus optional span **links** (a fused engine round links back to every
-submitter's request span).  Round records may carry the same id fields when
-executed inside a traced request, making each request one connected tree.
 """
 
 from __future__ import annotations
@@ -48,7 +55,7 @@ def _coerce(value: object) -> object:
 
 
 class Tracer:
-    """Bounded, thread-safe buffer of per-round spans and discrete events."""
+    """Bounded, thread-safe buffer of spans, round records and events."""
 
     #: concurrency contract, enforced by ``repro.analysis`` (R2 + race harness)
     _GUARDED_BY = {"_lock": ("_records", "_seq", "_dropped")}
@@ -67,19 +74,15 @@ class Tracer:
     # recording
     # ------------------------------------------------------------------ #
     def record_round(self, *, label: str, kind: str, family: str, backend: str,
-                     queries: int, wall_time: float,
-                     queue_wait: Optional[float] = None,
-                     predicted_seconds: Optional[float] = None,
-                     **extra: object) -> None:
+                     queries: int, wall_time: float, work: float = 0.0,
+                     oracle_calls: int = 0, **extra: object) -> None:
         """Record one executed engine round.
 
         ``label`` is the round label (e.g. ``"counting round"``), ``kind``
         the :class:`OracleBatch` kind, ``family`` the distribution family
         (class name), ``backend`` the executing backend's name, ``queries``
-        the batch width, ``wall_time`` the measured seconds, ``queue_wait``
-        the submit→execute latency for scheduled rounds, and
-        ``predicted_seconds`` the planner's estimate when the round was
-        routed by ``auto``.
+        the batch width, ``wall_time`` the measured seconds, and ``work`` /
+        ``oracle_calls`` the PRAM charges made inside the round.
         """
         if not self.enabled:
             return
@@ -91,12 +94,10 @@ class Tracer:
             "backend": _coerce(backend),
             "queries": int(queries),
             "wall_time": float(wall_time),
+            "work": float(work),
+            "oracle_calls": int(oracle_calls),
             "monotonic": time.perf_counter(),
         }
-        if queue_wait is not None:
-            record["queue_wait"] = float(queue_wait)
-        if predicted_seconds is not None:
-            record["predicted_seconds"] = float(predicted_seconds)
         for field, value in extra.items():
             record[field] = _coerce(value)
         self._append(record)

@@ -17,7 +17,6 @@ from repro.pram.cost import (
     CalibratedCostModel,
     CostModel,
     OracleCostHint,
-    RoundCharge,
     WallClockCoefficients,
     calibrate_wall_clock,
     calibrated_cost_model,
@@ -29,7 +28,6 @@ __all__ = [
     "CalibratedCostModel",
     "CostModel",
     "OracleCostHint",
-    "RoundCharge",
     "WallClockCoefficients",
     "calibrate_wall_clock",
     "calibrated_cost_model",

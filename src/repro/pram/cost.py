@@ -24,16 +24,6 @@ from typing import Optional
 
 
 @dataclass(frozen=True)
-class RoundCharge:
-    """Charges accumulated by a single adaptive round."""
-
-    depth: int = 1
-    work: float = 0.0
-    machines: float = 0.0
-    oracle_calls: int = 0
-
-
-@dataclass(frozen=True)
 class OracleCostHint:
     """Structural cost facts a distribution reports about its oracle batches.
 

@@ -17,41 +17,32 @@ the machines of that round).
 A module-level *current tracker* (:func:`current_tracker`) lets low-level
 oracles charge costs without having a tracker threaded through every call
 signature; samplers install their tracker with :func:`use_tracker`.
+
+A tracker keeps totals only.  The per-round record is written by the engine:
+:meth:`~repro.engine.backends.ExecutionBackend.execute` hands the work and
+oracle calls charged during one round, as deltas of these totals, to
+:func:`repro.obs.record_round`, next to the round's measured seconds.
 """
 
 from __future__ import annotations
 
 import contextlib
 from contextvars import ContextVar
-from dataclasses import dataclass, field
-from typing import Iterator, List, Optional
+from typing import Iterator, List
 
 from repro.pram.cost import CostModel, DEFAULT_COST_MODEL
-
-
-@dataclass
-class RoundRecord:
-    """Summary of a single adaptive round (used for traces/tests)."""
-
-    label: str
-    work: float = 0.0
-    machines: float = 0.0
-    oracle_calls: int = 0
 
 
 class Tracker:
     """Accumulates PRAM depth and work for one sampler execution."""
 
-    def __init__(self, cost_model: CostModel = DEFAULT_COST_MODEL, *, record_rounds: bool = False):
+    def __init__(self, cost_model: CostModel = DEFAULT_COST_MODEL):
         self.cost_model = cost_model
         self.rounds: int = 0
         self.work: float = 0.0
         self.oracle_calls: int = 0
         self.peak_machines: float = 0.0
         self._round_depth: int = 0
-        self._record_rounds = record_rounds
-        self.round_log: List[RoundRecord] = []
-        self._active_record: Optional[RoundRecord] = None
 
     # ------------------------------------------------------------------ #
     # round management
@@ -63,22 +54,15 @@ class Tracker:
         Charges exactly one unit of parallel depth at the outermost nesting
         level; inner rounds are absorbed (they represent the ``Õ(1)``-depth
         subroutines executed by the machines working in this round).
+        ``label`` only names the round at the call site.
         """
-        outermost = self._round_depth == 0
-        self._round_depth += 1
-        record = None
-        if outermost:
+        if self._round_depth == 0:
             self.rounds += 1
-            if self._record_rounds:
-                record = RoundRecord(label=label)
-                self.round_log.append(record)
-                self._active_record = record
+        self._round_depth += 1
         try:
             yield self
         finally:
             self._round_depth -= 1
-            if outermost:
-                self._active_record = None
 
     def add_rounds(self, count: int) -> None:
         """Charge ``count`` rounds of depth directly (used when merging
@@ -96,10 +80,6 @@ class Tracker:
         self.oracle_calls += int(oracle_calls)
         if machines > self.peak_machines:
             self.peak_machines = float(machines)
-        if self._active_record is not None:
-            self._active_record.work += float(work)
-            self._active_record.oracle_calls += int(oracle_calls)
-            self._active_record.machines = max(self._active_record.machines, float(machines))
 
     def charge_determinant(self, n: int, count: int = 1) -> None:
         """Charge ``count`` independent determinant evaluations on ``n x n``
@@ -120,7 +100,7 @@ class Tracker:
     # ------------------------------------------------------------------ #
     def spawn(self) -> "Tracker":
         """Create a child tracker for a parallel branch."""
-        return Tracker(self.cost_model, record_rounds=False)
+        return Tracker(self.cost_model)
 
     def merge_parallel(self, branches: List["Tracker"]) -> None:
         """Merge branch trackers executed *in parallel*: depth is the max of

@@ -447,10 +447,10 @@ class RoundScheduler:
             # recorded as a child span, time-in-queue is separable from
             # execution in the same tree
             with obs.activate(ticket.trace), \
-                    obs.request("scheduled-request",
-                                family=self.session.entry.kind,
-                                start=ticket.submitted_at,
-                                index=ticket.index, method=ticket.method):
+                    obs.span("scheduled-request", category="request",
+                             family=self.session.entry.kind,
+                             start=ticket.submitted_at,
+                             index=ticket.index, method=ticket.method):
                 queue_span = obs.start_span("queue-wait", category="queue",
                                             start=ticket.submitted_at)
                 obs.end_span(queue_span, end=ticket.submitted_at + waited)

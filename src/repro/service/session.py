@@ -268,11 +268,13 @@ class SamplerSession:
         entry = self.entry
         method = self._resolve_method(method, entry)
         # Request-scoped trace: engine rounds executed below become children
-        # of this span.  When called through a RoundScheduler ticket the
-        # scheduler's request is the root; this nested one records the
-        # per-request execution slice without double-counting SLO latency.
-        with obs.request("sample", family=entry.kind, kernel=entry.name,
-                         method=method, k=-1 if k is None else int(k)):
+        # of this span.  When called through a RoundScheduler ticket or a
+        # shard node the caller's request is the root; this nested one
+        # records the per-request execution slice without double-counting
+        # SLO latency.
+        with obs.span("sample", category="request", family=entry.kind,
+                      kernel=entry.name, method=method,
+                      k=-1 if k is None else int(k)):
             if method == "spectral":
                 result = self._sample_spectral(entry, k, seed, tracker, backend)
             elif method == "lowrank":

@@ -204,13 +204,15 @@ class TestTracer:
         tracer = Tracer(enabled=True)
         tracer.record_round(label="phase-1", kind="counting", family="DppKDpp",
                             backend="vectorized", queries=7, wall_time=0.25,
-                            queue_wait=0.01, predicted_seconds=0.2)
+                            work=350.0, oracle_calls=7)
         (span,) = tracer.spans()
         assert span["type"] == "round"
         assert span["label"] == "phase-1"
         assert span["backend"] == "vectorized"
         assert span["queries"] == 7
-        assert span["predicted_seconds"] == pytest.approx(0.2)
+        assert span["wall_time"] == pytest.approx(0.25)
+        assert span["work"] == pytest.approx(350.0)
+        assert span["oracle_calls"] == 7
         json.dumps(span)  # every span must be JSON-safe
 
     def test_numpy_scalars_coerced(self):

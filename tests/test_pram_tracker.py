@@ -6,8 +6,10 @@ import threading
 
 import pytest
 
-from repro import serve
+from repro import obs, serve
 from repro.dpp.symmetric import SymmetricKDPP
+from repro.engine.backends import SerialBackend
+from repro.engine.batch import OracleBatch
 from repro.pram.cost import CostModel
 from repro.pram.tracker import Tracker, current_tracker, null_tracker, use_tracker
 from repro.workloads import random_psd_ensemble
@@ -56,68 +58,101 @@ class TestTrackerRounds:
         with pytest.raises(ValueError):
             t.add_rounds(-1)
 
-    def test_round_log(self):
-        t = Tracker(record_rounds=True)
-        with t.round("alpha"):
-            t.charge(work=2.0, oracle_calls=1)
-        assert len(t.round_log) == 1
-        assert t.round_log[0].label == "alpha"
-        assert t.round_log[0].work == pytest.approx(2.0)
-
 
 class TestRoundRecords:
-    """record_rounds=True keeps one labelled RoundRecord per outermost round."""
+    """ExecutionBackend.execute writes one obs round record per OracleBatch,
+    carrying the PRAM work and oracle calls charged inside that round."""
+
+    @pytest.fixture(autouse=True)
+    def _tracing(self):
+        obs.reset()
+        obs.configure(trace=True)
+        yield
+        obs.reset()
+        obs.disable()
+
+    @staticmethod
+    def _batches():
+        kdpp = SymmetricKDPP(random_psd_ensemble(12, rank=6, seed=1), 3)
+        matrix = random_psd_ensemble(8, seed=2)
+        return [
+            OracleBatch.counting(kdpp, [(0,), (1,), (2,)], label="select"),
+            OracleBatch.log_principal_minors(matrix, [(0, 1), (2,)], label="filter"),
+            OracleBatch.joint_marginals(kdpp, [(0, 1)], label="commit"),
+        ]
+
+    @staticmethod
+    def _execute(batches, tracker):
+        """Run ``batches`` through one backend; the tracker deltas per call."""
+        backend = SerialBackend()
+        deltas = []
+        for batch in batches:
+            before = (tracker.work, tracker.oracle_calls)
+            backend.execute(batch, tracker=tracker)
+            deltas.append((tracker.work - before[0],
+                           tracker.oracle_calls - before[1]))
+        return deltas
 
     def test_labels_in_order(self):
-        t = Tracker(record_rounds=True)
-        for label in ("select", "filter", "commit"):
-            with t.round(label):
-                t.charge(work=1.0)
-        assert [r.label for r in t.round_log] == ["select", "filter", "commit"]
+        deltas = self._execute(self._batches(), Tracker())
+        records = obs.tracer().spans()
+        assert [r["label"] for r in records] == ["select", "filter", "commit"]
+        # each record carries exactly what its execute charged the tracker
+        assert [(r["work"], r["oracle_calls"]) for r in records] == deltas
+        assert all(work > 0 and calls > 0 for work, calls in deltas)
+
+    def test_record_totals_match_tracker(self):
+        tracker = Tracker()
+        self._execute(self._batches(), tracker)
+        records = obs.tracer().spans()
+        assert sum(r["work"] for r in records) == pytest.approx(tracker.work)
+        assert sum(r["oracle_calls"] for r in records) == tracker.oracle_calls
+        assert len(records) == tracker.rounds
 
     def test_nested_charges_attributed_to_outermost_record(self):
-        t = Tracker(record_rounds=True)
-        with t.round("outer"):
-            t.charge(work=1.0, machines=2.0, oracle_calls=1)
-            with t.round("inner"):
-                t.charge(work=4.0, machines=5.0, oracle_calls=2)
-        assert len(t.round_log) == 1
-        record = t.round_log[0]
-        assert record.label == "outer"
-        assert record.work == pytest.approx(5.0)
-        assert record.machines == pytest.approx(5.0)
-        assert record.oracle_calls == 3
+        def counting(subset):
+            with current_tracker().round("inner"):
+                current_tracker().charge(work=4.0, oracle_calls=2)
+            return 1.0
 
-    def test_record_machines_is_per_round_peak(self):
-        t = Tracker(record_rounds=True)
-        with t.round("a"):
-            t.charge(machines=7.0)
-            t.charge(machines=3.0)
-        assert t.round_log[0].machines == pytest.approx(7.0)
-
-    def test_disabled_by_default(self):
-        t = Tracker()
-        with t.round("unlogged"):
-            t.charge(work=1.0)
-        assert t.round_log == []
+        batch = OracleBatch.counting(_Counting(counting), [(0,), (1,)],
+                                     label="outer")
+        tracker = Tracker()
+        self._execute([batch], tracker)
+        (record,) = obs.tracer().spans()
+        assert record["label"] == "outer"
+        assert record["work"] == pytest.approx(8.0)
+        assert record["oracle_calls"] == 4
+        assert tracker.rounds == 1
 
     def test_charges_outside_rounds_not_recorded(self):
-        t = Tracker(record_rounds=True)
-        t.charge(work=9.0)
-        with t.round("only"):
-            pass
-        t.charge(work=9.0)
-        assert t.round_log[0].work == pytest.approx(0.0)
+        matrix = random_psd_ensemble(6, seed=3)
+        tracker = Tracker()
+        tracker.charge(work=9.0, oracle_calls=9)
+        with tracker.round("not-an-engine-round"):
+            tracker.charge(work=9.0, oracle_calls=9)
+        deltas = self._execute(
+            [OracleBatch.log_principal_minors(matrix, [(0,)], label="only")],
+            tracker)
+        tracker.charge(work=9.0, oracle_calls=9)
+        (record,) = obs.tracer().spans()
+        assert (record["work"], record["oracle_calls"]) == deltas[0]
+        assert record["oracle_calls"] == 1
+        assert tracker.oracle_calls == 28
 
-    def test_round_log_totals_match_tracker(self):
-        t = Tracker(record_rounds=True)
-        with t.round("a"):
-            t.charge(work=2.0, oracle_calls=3)
-        with t.round("b"):
-            t.charge(work=5.0, oracle_calls=1)
-        assert sum(r.work for r in t.round_log) == pytest.approx(t.work)
-        assert sum(r.oracle_calls for r in t.round_log) == t.oracle_calls
-        assert len(t.round_log) == t.rounds
+    def test_disabled_by_default(self):
+        obs.disable()
+        tracker = Tracker()
+        self._execute(self._batches(), tracker)
+        assert obs.tracer().records() == []
+        assert tracker.rounds == 3
+
+
+class _Counting:
+    """Minimal distribution whose counting oracle is a given function."""
+
+    def __init__(self, counting):
+        self.counting = counting
 
 
 class TestTrackerCharges:
@@ -201,13 +236,11 @@ class TestTrackerMerging:
         assert parent.peak_machines == pytest.approx(2.0)
 
     def test_spawn_does_not_record_rounds(self):
-        parent = Tracker(record_rounds=True)
+        parent = Tracker()
         child = parent.spawn()
         with child.round("child-round"):
             child.charge(work=1.0)
-        assert child.round_log == []
         parent.merge_parallel([child])
-        assert parent.round_log == []
         assert parent.rounds == 1
 
     def test_merge_sequential_adds_depth(self):

@@ -6,8 +6,9 @@ estimator, per-family SLO rollups in the Prometheus exposition, the
 slow-request flight recorder with its Chrome trace-event export, the
 ``python -m repro.obs`` CLI, and the tracing determinism contract: fixed-seed
 samples are byte-identical with tracing off / on / flight-recorder armed,
-fused or unfused, single-node or cluster — and spans survive ``kill_node``
-failover with the extra hop visible in the trace.
+fused or unfused, single-node or cluster — spans survive ``kill_node``
+failover with the extra hop visible in the trace, and SLO tracking takes one
+observation per request on every entry point, tracing off or on.
 """
 
 from __future__ import annotations
@@ -110,6 +111,14 @@ class TestSpanRecording:
         assert inner["parent_id"] == outer["span_id"]
         assert outer.get("parent_id") is None
 
+    def test_span_stamps_escaping_exception_class(self):
+        obs.enable(trace=True)
+        with pytest.raises(ValueError):
+            with obs.span("boom", category="test"):
+                raise ValueError("boom")
+        (record,) = _spans()
+        assert record["error"] == "ValueError"
+
     def test_dropped_spans_counted_and_exported(self):
         tracer = obs.tracer()
         obs.enable(trace=True)
@@ -172,7 +181,7 @@ class TestSLO:
 class TestFlightRecorder:
     def test_budget_zero_captures_every_root(self):
         obs.enable(trace=True, flight_budget=0.0)
-        with obs.request("slow-thing", family="dpp"):
+        with obs.span("slow-thing", category="request", family="dpp"):
             pass
         recorder = obs.flight_recorder()
         assert recorder.captured_total == 1
@@ -181,13 +190,13 @@ class TestFlightRecorder:
 
     def test_disarmed_recorder_captures_nothing(self):
         obs.enable(trace=True)
-        with obs.request("fast-thing", family="dpp"):
+        with obs.span("fast-thing", category="request", family="dpp"):
             pass
         assert obs.flight_recorder().captured_total == 0
 
     def test_capture_converts_to_valid_chrome_trace(self):
         obs.enable(trace=True, flight_budget=0.0)
-        with obs.request("root", family="dpp"):
+        with obs.span("root", category="request", family="dpp"):
             with obs.span("child", category="test"):
                 pass
         capture = obs.flight_recorder().captures()[0]
@@ -283,7 +292,7 @@ class TestSingleNodeTracing:
         subsets = [(0, 1), (2, 3), (4, 5), (6, 7)]
         backend = ProcessPoolBackend(max_workers=2, chunk_size=2)
         try:
-            with obs.request("probe", family="kdpp"):
+            with obs.span("probe", category="request", family="kdpp"):
                 backend.execute(OracleBatch.counting(kdpp, subsets),
                                 tracker=Tracker())
         finally:
@@ -392,6 +401,54 @@ class TestClusterTracing:
         outcomes = [s.get("outcome") for s in wire]
         # the dead primary shows up as a failover hop, the replica as ok
         assert "failover" in outcomes and "ok" in outcomes
+        # the failed hop names the exception class that caused it
+        failover = next(s for s in wire if s.get("outcome") == "failover")
+        assert failover["error"] == "NodeUnavailable"
+
+
+class TestSLOOncePerRequest:
+    """Four requests are four SLO observations on every entry point, with
+    tracing off or on: a request nested in another (a scheduler ticket
+    running ``session.sample``, a shard node serving a client frame) is
+    never a root, so it is never observed a second time."""
+
+    REQUESTS = 4
+
+    def _session_sample(self, matrix):
+        with repro.serve(matrix) as session:
+            for seed in range(self.REQUESTS):
+                session.sample(3, seed=seed)
+
+    def _scheduler_drain(self, matrix):
+        with repro.serve(matrix) as session:
+            scheduler = session.scheduler(seed=7)
+            for _ in range(self.REQUESTS):
+                scheduler.submit(3)
+            scheduler.drain()
+
+    def _cluster_sample(self, matrix):
+        with LocalCluster(nodes=3, replication=2, backend="serial") as cluster:
+            session = repro.serve_cluster(matrix, cluster=cluster)
+            for seed in range(self.REQUESTS):
+                session.sample(3, seed=seed)
+
+    def _cluster_drain(self, matrix):
+        with LocalCluster(nodes=3, replication=2, backend="serial") as cluster:
+            session = repro.serve_cluster(matrix, cluster=cluster,
+                                          scheduler_seed=3)
+            for _ in range(self.REQUESTS):
+                session.submit(3)
+            session.drain()
+
+    @pytest.mark.parametrize("trace", [False, True],
+                             ids=["trace-off", "trace-on"])
+    @pytest.mark.parametrize("entry", ["session-sample", "scheduler-drain",
+                                       "cluster-sample", "cluster-drain"])
+    def test_each_request_observed_once(self, entry, trace):
+        obs.configure(trace=trace, slo=True)
+        getattr(self, "_" + entry.replace("-", "_"))(_psd())
+        latency = obs.slo().slo_state()["request_latency"]
+        assert sum(row["count"] for row in latency.values()) == self.REQUESTS
 
 
 # ---------------------------------------------------------------------- #
