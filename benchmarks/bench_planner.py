@@ -3,12 +3,14 @@
 Two questions, answered with machine-readable JSON lines:
 
 1. **Routing quality.**  On a small/large × pure-Python/LAPACK grid of
-   counting rounds, is ``backend="auto"`` ever meaningfully slower than the
-   best *forced* backend?  The planner's whole job is to make hand-picking
-   backends unnecessary, so the acceptance pin is relative — ``auto`` must
-   land within ``TOLERANCE`` (plus a small absolute slack for timer noise)
-   of the per-cell winner.  Being a same-host ratio, the pin is robust to
-   slow CI machines in a way absolute wall-clock targets are not.
+   counting rounds, plus (full grid only) warm samples of the paper's
+   Theorem-10 sampler, is ``backend="auto"`` ever meaningfully slower than
+   the best *forced* backend?  The planner's whole job is to make
+   hand-picking backends unnecessary, so the acceptance pin is relative —
+   ``auto`` must land within ``TOLERANCE`` (plus a small absolute slack for
+   timer noise) of the per-cell winner.  Being a same-host ratio, the pin
+   is robust to slow CI machines in a way absolute wall-clock targets are
+   not.
 
 2. **Spectral fusion.**  Concurrent same-kernel HKPV requests drained
    through the ``RoundScheduler`` run phase 2 in lockstep, and their
@@ -46,12 +48,13 @@ from repro.engine import (
     ThreadPoolBackend,
     VectorizedBackend,
 )
+from repro.engine.planner import PLANNED_KINDS
 from repro.pram.tracker import Tracker
 from repro.service import KernelRegistry
 from repro.workloads import random_psd_ensemble
 
 WORKERS = 4
-REPEATS = 3
+REPEATS = 5
 #: auto may be at most this factor above the best forced backend per cell
 TOLERANCE = 1.10
 #: absolute slack (seconds) so microsecond-scale cells cannot flake the ratio
@@ -60,6 +63,10 @@ ABSOLUTE_SLACK_S = 5e-3
 #: spectral-fusion workload: G lockstep requests on one warm kernel
 FUSION_N, FUSION_K, FUSION_REQUESTS = 150, 12, 24
 FUSION_TARGET = 1.05
+
+#: Theorem-10 cell: THM10_SAMPLES warm samples, k = THM10_K, of an n =
+#: THM10_N, rank THM10_RANK kernel (the shape of perfbench's thm10-serve)
+THM10_N, THM10_RANK, THM10_K, THM10_SAMPLES = 200, 60, 10, 4
 
 
 def _subsets(rng, n: int, sizes, count: int) -> List[tuple]:
@@ -91,25 +98,33 @@ def _best_of(run, repeats: int = REPEATS) -> float:
     return best_of(run, repeats)
 
 
-def _measure_cell(name, dist, subsets, backends, auto) -> Dict[str, object]:
-    batch = lambda: OracleBatch.counting(dist, subsets)  # noqa: E731
-    timings: Dict[str, float] = {}
-    values: Dict[str, np.ndarray] = {}
-    for backend_name, backend in list(backends.items()) + [("auto", auto)]:
-        values[backend_name] = backend.execute(batch(), tracker=Tracker()).values  # warm
-        timings[backend_name] = _best_of(
-            lambda b=backend: b.execute(batch(), tracker=Tracker()))
+def _measure(name, run, backends, auto, **fields) -> Dict[str, object]:
+    """Time ``run(backend)`` (which returns the values it computed) on every
+    forced backend and on ``auto``, and gate ``auto`` against the best.
+
+    Each of the ``REPEATS`` passes times every backend once, and each
+    backend keeps its best pass: a slow spell on a shared host then hits
+    every backend alike instead of whichever one it happened to overlap.
+    """
+    named = list(backends.items()) + [("auto", auto)]
+    values = {backend_name: run(backend) for backend_name, backend in named}  # warm
+    timings = {backend_name: float("inf") for backend_name, _ in named}
+    for _ in range(REPEATS):
+        for backend_name, backend in named:
+            start = time.perf_counter()
+            run(backend)
+            timings[backend_name] = min(timings[backend_name], time.perf_counter() - start)
     reference = values["vectorized"]
     identical = all(np.allclose(v, reference, rtol=1e-9, atol=1e-12)
                     for v in values.values())
     forced = {k: v for k, v in timings.items() if k != "auto"}
     best_forced = min(forced, key=lambda k: forced[k])
-    decision = auto.planner.last_decision
+    decision = next((d for d in reversed(auto.planner.decisions)
+                     if d.kind in PLANNED_KINDS), None)
     return {
         "bench": "planner",
         "cell": name,
-        "n": dist.n,
-        "queries": len(subsets),
+        **fields,
         "workers": WORKERS,
         "cpu_count": os.cpu_count(),
         **{f"{k}_s": v for k, v in timings.items()},
@@ -122,6 +137,28 @@ def _measure_cell(name, dist, subsets, backends, auto) -> Dict[str, object]:
     }
 
 
+def _measure_cell(name, dist, subsets, backends, auto) -> Dict[str, object]:
+    def run(backend):
+        return backend.execute(OracleBatch.counting(dist, subsets), tracker=Tracker()).values
+
+    return _measure(name, run, backends, auto, n=dist.n, queries=len(subsets))
+
+
+def _measure_theorem10(backends, auto) -> Dict[str, object]:
+    """Warm Theorem-10 samples through a served session: the paper's sampler."""
+    L = random_psd_ensemble(THM10_N, rank=THM10_RANK, seed=0)
+    with repro.serve(L, registry=KernelRegistry()) as session:
+        session.warm()
+
+        def run(backend):
+            return np.array([session.sample(k=THM10_K, seed=seed, method="parallel",
+                                            backend=backend).subset
+                             for seed in range(THM10_SAMPLES)])
+
+        return _measure("theorem10", run, backends, auto, n=THM10_N,
+                        samples=THM10_SAMPLES)
+
+
 def planner_report(small: bool = False) -> List[Dict[str, object]]:
     """One JSON-serializable report per routing cell."""
     backends = {
@@ -131,8 +168,11 @@ def planner_report(small: bool = False) -> List[Dict[str, object]]:
     }
     auto = AutoBackend(RoundPlanner(backends=backends))
     try:
-        return [_measure_cell(name, dist, subsets, backends, auto)
-                for name, dist, subsets in _grid(small=small)]
+        reports = [_measure_cell(name, dist, subsets, backends, auto)
+                   for name, dist, subsets in _grid(small=small)]
+        if not small:
+            reports.append(_measure_theorem10(backends, auto))
+        return reports
     finally:
         backends["threads"].close()
         backends["process"].close()

@@ -22,7 +22,8 @@ Baselines: :func:`repro.core.sequential_sample` (JVV reduction),
 
 Execution engine: every sampler expresses each adaptive round as an
 :class:`~repro.engine.batch.OracleBatch` executed by a pluggable backend —
-select it globally with :func:`repro.configure_backend` (``"serial"``,
+select it globally with :func:`repro.configure_backend` (``"auto"``, the
+default, routes each round on measured round times; or ``"serial"``,
 ``"vectorized"``, ``"threads"``, ``"process"``), scope it with
 :func:`repro.use_backend`, or pass ``backend=...`` to any sampler call.
 
@@ -50,8 +51,7 @@ candidate set (memory ``O(n·k)``), and ``repro.serve(LowRankKernel(B))`` /
 Observability: :mod:`repro.obs` — process-wide metrics + per-round tracing
 across backends, planner, scheduler, caches and cluster (off by default;
 ``repro.obs.enable()``), exported via :func:`repro.obs.snapshot` (JSON) and
-:func:`repro.obs.render_prometheus` (Prometheus text), plus the planner's
-measured-cost feedback loop (``repro.obs.configure(feedback=True)``).
+:func:`repro.obs.render_prometheus` (Prometheus text).
 
 Substrates: :mod:`repro.dpp` (kernels, counting oracles),
 :mod:`repro.planar` (Kasteleyn counting, separators), :mod:`repro.linalg`

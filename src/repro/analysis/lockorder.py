@@ -11,8 +11,8 @@ state last):
 * ``RoundScheduler.drain`` executes batches whose oracles consult the
   ``KernelRegistry`` which invalidates the ``FactorizationCache`` which
   touches per-kernel ``KernelFactorization`` state;
-* observability locks (metrics/trace/feedback) are leaves — nothing may be
-  acquired while holding them, so they get the highest ranks.
+* observability locks (metrics/trace/SLO/flight) are leaves — nothing may
+  be acquired while holding them, so they get the highest ranks.
 
 Both enforcement layers read this table: the static R2 ``lock-order`` check
 (:mod:`repro.analysis.locks`) for nested acquisitions visible in one method,
@@ -46,7 +46,6 @@ LOCK_ORDER: Tuple[Tuple[str, str], ...] = (
     ("Gauge", "_lock"),
     ("Histogram", "_lock"),
     ("Tracer", "_lock"),
-    ("ObservedCostFeedback", "_lock"),
     ("SLOTracker", "_lock"),
     ("FlightRecorder", "_lock"),
     ("_IdAllocator", "_lock"),

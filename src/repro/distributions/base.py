@@ -146,21 +146,19 @@ class SubsetDistribution(abc.ABC):
         return None
 
     # ------------------------------------------------------------------ #
-    # execution-cost hint (the engine's cost-aware planner)
+    # execution-cost hint (the engine's planner and update policy)
     # ------------------------------------------------------------------ #
     def oracle_cost_hint(self) -> OracleCostHint:
         """Structural cost facts about this distribution's oracle batches.
 
-        The :class:`~repro.engine.planner.RoundPlanner` combines the hint
-        with the calibrated PRAM cost model to route each
-        :class:`~repro.engine.batch.OracleBatch` to the cheapest backend.
-        The default is honest about the generic implementation: queries cost
-        a ``matrix_order``-sized computation of GIL-bound Python (the scalar
-        ``counting`` loop), and ``counting_batch`` does not vectorize.
-        Structured subclasses override with their real profile.
+        The :class:`~repro.engine.planner.RoundPlanner` reads
+        ``python_fraction`` to guess whether worker processes could beat a
+        measured in-process round before it has measured them.  The default
+        is honest about the generic implementation: ``counting_batch`` is
+        the scalar ``counting`` loop, all GIL-bound Python.  Structured
+        subclasses override with their real profile.
         """
         return OracleCostHint(matrix_order=self.n, python_fraction=1.0,
-                              batch_vectorized=False,
                               update_depth=self.update_depth)
 
     # ------------------------------------------------------------------ #

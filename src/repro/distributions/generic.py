@@ -86,7 +86,6 @@ class ExplicitDistribution(SubsetDistribution):
     def oracle_cost_hint(self) -> OracleCostHint:
         """Table batches are one mask matmul: vectorized, no Python lane."""
         return OracleCostHint(matrix_order=self.n, python_fraction=0.1,
-                              batch_vectorized=True,
                               update_depth=self.update_depth)
 
     # ------------------------------------------------------------------ #

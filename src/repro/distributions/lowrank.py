@@ -299,14 +299,11 @@ class _LowRankOracleMixin:
     def oracle_cost_hint(self) -> OracleCostHint:
         """Factor-space oracles: LAPACK-dominated, priced at reduced rank.
 
-        ``rank`` tells the planner a query costs ``O(n·k + k³)``, not
-        ``O(n^ω)`` — without it, ``backend="auto"`` would treat an
-        ``n = 10^5`` low-rank round as astronomically expensive and always
-        pay the process pool's dispatch overhead.
+        ``rank`` says a query (and a refactorization) costs
+        ``O(n·k + k³)``, not ``O(n^ω)``, and that factor patches are exact.
         """
         return OracleCostHint(matrix_order=self.n, python_fraction=0.05,
-                              batch_vectorized=True, rank=self.rank,
-                              update_depth=self.update_depth)
+                              rank=self.rank, update_depth=self.update_depth)
 
     # ------------------------------------------------------------------ #
     # shared numerical pieces

@@ -107,7 +107,6 @@ class NonsymmetricDPP(SubsetDistribution):
     def oracle_cost_hint(self) -> OracleCostHint:
         """Marginal-kernel minors, exactly like the symmetric DPP."""
         return OracleCostHint(matrix_order=self.n, python_fraction=0.05,
-                              batch_vectorized=True,
                               update_depth=self.update_depth)
 
     # ------------------------------------------------------------------ #
@@ -217,7 +216,6 @@ class NonsymmetricKDPP(HomogeneousDistribution):
         workloads the process backend was built for.
         """
         return OracleCostHint(matrix_order=self.n, python_fraction=0.5,
-                              batch_vectorized=True,
                               update_depth=self.update_depth)
 
     def unnormalized(self, subset: Iterable[int]) -> float:

@@ -119,7 +119,6 @@ class PartitionDPP(HomogeneousDistribution):
         lane dominates.  This is the flagship process-backend workload.
         """
         return OracleCostHint(matrix_order=self.n, python_fraction=0.8,
-                              batch_vectorized=True,
                               update_depth=self.update_depth)
 
     # ------------------------------------------------------------------ #

@@ -12,7 +12,7 @@ numerics live in :func:`repro.linalg.batch.hkpv_projection_step`): project
 out the previously selected element, re-orthonormalize, return the squared
 row norms the next selection draws from.  Routing the round through the
 engine keeps the sampler's depth accounting where every other sampler's is
-(one adaptive round per batch), lets the cost-aware planner see it, and —
+(one adaptive round per batch), lets the planner see it, and —
 the real payoff — makes it fusable: the serving layer's
 :class:`~repro.service.scheduler.RoundScheduler` stacks the lockstep steps
 of concurrent same-kernel requests into single batched QR rounds.  The

@@ -120,7 +120,6 @@ class SymmetricDPP(SubsetDistribution):
     def oracle_cost_hint(self) -> OracleCostHint:
         """Marginal-kernel minors: stacked LAPACK, negligible Python lane."""
         return OracleCostHint(matrix_order=self.n, python_fraction=0.05,
-                              batch_vectorized=True,
                               update_depth=self.update_depth)
 
     # ------------------------------------------------------------------ #
@@ -373,7 +372,6 @@ class SymmetricKDPP(HomogeneousDistribution):
         order), so only a thin Python lane remains.
         """
         return OracleCostHint(matrix_order=self.n, python_fraction=0.1,
-                              batch_vectorized=True,
                               update_depth=self.update_depth)
 
     # ------------------------------------------------------------------ #

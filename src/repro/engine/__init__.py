@@ -24,10 +24,10 @@ a first-class object and separates the *what* from the *how*:
   a :mod:`multiprocessing.shared_memory` kernel store —
   :mod:`repro.engine.shm` — so GIL-bound oracle paths scale across cores).
 * :class:`~repro.engine.planner.AutoBackend` / ``backend="auto"`` (the
-  default) — the cost-aware :class:`~repro.engine.planner.RoundPlanner`
-  prices every batch on every eligible backend (calibrated PRAM cost model
-  × per-backend :meth:`~repro.engine.backends.ExecutionBackend.traits`
-  descriptors × per-distribution cost hints) and routes it to the cheapest.
+  default) — the :class:`~repro.engine.planner.RoundPlanner` routes every
+  batch on the round times the engine measures: rounds start on
+  ``vectorized``, and another candidate runs only when it has measured, or
+  is guessed, faster than the measured reference.
 * :func:`~repro.engine.config.configure_backend` /
   :func:`~repro.engine.config.use_backend` — process-wide / scoped selection;
   every sampler additionally accepts ``backend=...`` per call, which always
@@ -48,7 +48,7 @@ from repro.engine.backends import (
     ThreadPoolBackend,
     VectorizedBackend,
 )
-from repro.engine.planner import AutoBackend, PlanDecision, RoundPlanner, probe_dispatch_overhead
+from repro.engine.planner import AutoBackend, PlanDecision, RoundPlanner
 from repro.engine.shm import ArrayRef, SharedArrayStore, shared_memory_available
 from repro.engine.config import (
     BACKEND_REGISTRY,
@@ -86,7 +86,6 @@ __all__ = [
     "VectorizedBackend",
     "ThreadPoolBackend",
     "ProcessPoolBackend",
-    "probe_dispatch_overhead",
     "shared_memory_available",
     "BACKEND_REGISTRY",
     "BackendLike",

@@ -49,11 +49,9 @@ from repro.pram.tracker import Tracker, current_tracker, use_tracker
 class BackendTraits:
     """Capability/overhead descriptor a backend reports to the planner.
 
-    The overhead fields are *priors*: the
-    :class:`~repro.engine.planner.RoundPlanner` replaces
-    ``dispatch_overhead_s`` with a per-process calibrated probe the first
-    time it seriously considers the backend, so the traits only need to land
-    in the right decade.
+    The :class:`~repro.engine.planner.RoundPlanner` reads the traits only to
+    guess what a round would cost on a backend it has not yet measured in
+    that round's regime; once measured, the measurement wins.
 
     Attributes
     ----------
@@ -64,24 +62,15 @@ class BackendTraits:
         Whether GIL-bound (pure-Python) oracle work actually runs on
         ``parallelism`` lanes — only true for worker *processes*; thread
         lanes serialize the Python-lane share of a batch.
-    scalar_loop:
-        Whether queries are answered through scalar ``counting()`` calls
-        (serial/threads) instead of the distributions' stacked batch
-        oracles, forfeiting the vectorized fan-out.
     dispatch_overhead_s:
         Fixed cost of launching one batch (thread-pool handoff, or the
         process backend's IPC round trip + payload publication).
-    per_query_overhead_s:
-        Marginal per-query dispatch cost (future bookkeeping, pickling of
-        query indices).
     """
 
     name: str
     parallelism: int = 1
     escapes_gil: bool = False
-    scalar_loop: bool = False
     dispatch_overhead_s: float = 0.0
-    per_query_overhead_s: float = 0.0
 
 
 #: a ``_dispatch`` return: plain values, or ``(values, artifacts)``
@@ -126,17 +115,6 @@ class ExecutionBackend(abc.ABC):
     def traits(self) -> BackendTraits:
         """This backend's capability/overhead descriptor (see :class:`BackendTraits`)."""
         return BackendTraits(name=self.name)
-
-    def shipping_bytes(self, batch: OracleBatch) -> int:
-        """Payload bytes executing ``batch`` would move out of this process.
-
-        In-process backends move nothing.  The process backend estimates the
-        not-yet-published share of the batch's kernel payload so the planner
-        can price shm/pickle publication explicitly (wide matrix-backed
-        rounds pay it on their first shipment only — repeated rounds against
-        the same arrays ship just query indices).
-        """
-        return 0
 
     # ------------------------------------------------------------------ #
     def _dispatch(self, batch: OracleBatch, tracker: Tracker) -> _DispatchReturn:
@@ -196,9 +174,6 @@ class SerialBackend(ExecutionBackend):
 
     name = "serial"
 
-    def traits(self) -> BackendTraits:
-        return BackendTraits(name=self.name, scalar_loop=True)
-
     def _map_chunks(self, worker, items: Sequence, tracker: Tracker) -> List:
         """The scalar loop every query kind runs; :class:`ThreadPoolBackend`
         fans it out to worker threads.  Workers charge the current tracker."""
@@ -236,12 +211,6 @@ class VectorizedBackend(ExecutionBackend):
     """One stacked NumPy call per batch via the distributions' batch oracles."""
 
     name = "vectorized"
-
-    def traits(self) -> BackendTraits:
-        # single-threaded in-process execution: no dispatch cost at all, and
-        # the stacked batch oracles are the baseline every other backend's
-        # overhead is weighed against
-        return BackendTraits(name=self.name)
 
     def _counting(self, batch: OracleBatch, tracker: Tracker) -> np.ndarray:
         dist = batch.distribution
@@ -294,9 +263,7 @@ class ThreadPoolBackend(SerialBackend):
         # overlaps nothing, and the planner must know that
         return BackendTraits(
             name=self.name, parallelism=min(self.workers, os.cpu_count() or 1),
-            escapes_gil=False, scalar_loop=True,
-            dispatch_overhead_s=5e-4, per_query_overhead_s=1e-5,
-        )
+            dispatch_overhead_s=5e-4)
 
     def _ensure_pool(self) -> ThreadPoolExecutor:
         with self._pool_lock:
@@ -489,9 +456,6 @@ class ProcessPoolBackend(ExecutionBackend):
 
     name = "process"
 
-    #: bound on the remembered already-shipped array identities
-    SHIPPED_MEMO_CAPACITY = 256
-
     def __init__(self, max_workers: Optional[int] = None, *,
                  chunk_size: Optional[int] = None, start_method: str = "spawn",
                  shm_capacity: int = 64, pin_blas_threads: bool = True,
@@ -521,9 +485,6 @@ class ProcessPoolBackend(ExecutionBackend):
         self._degraded: Optional[str] = None  # reason, once permanently degraded
         self._broken_pools = 0  # consecutive pool deaths; bounded rebuild retries
         self._warned_specs: set = set()
-        #: ``id -> weakref`` memo of arrays already published to workers,
-        #: behind the planner-facing :meth:`shipping_bytes` estimate
-        self._shipped: "OrderedDict[int, object]" = OrderedDict()
         self._atexit_registered = False
 
     @property
@@ -535,9 +496,7 @@ class ProcessPoolBackend(ExecutionBackend):
         # effective lanes are host-capped (see ThreadPoolBackend.traits)
         return BackendTraits(
             name=self.name, parallelism=min(self.workers, os.cpu_count() or 1),
-            escapes_gil=True, scalar_loop=False,
-            dispatch_overhead_s=2e-3, per_query_overhead_s=5e-6,
-        )
+            escapes_gil=True, dispatch_overhead_s=2e-3)
 
     # ------------------------------------------------------------------ #
     # pool / store lifecycle
@@ -584,9 +543,6 @@ class ProcessPoolBackend(ExecutionBackend):
         with self._lock:
             pool, self._pool = self._pool, None
             store, self._store = self._store, None
-            # every published segment is about to be unlinked: forgetting the
-            # memo keeps shipping_bytes() honest about full republication
-            self._shipped.clear()
         if pool is not None:
             pool.shutdown(wait=True)
         if store is not None:
@@ -603,58 +559,6 @@ class ProcessPoolBackend(ExecutionBackend):
     # ------------------------------------------------------------------ #
     # shipping
     # ------------------------------------------------------------------ #
-    @staticmethod
-    def _payload_arrays(batch: OracleBatch) -> List[np.ndarray]:
-        """The heavy arrays shipping ``batch`` would publish (best effort)."""
-        arrays: List[np.ndarray] = []
-        if batch.matrix is not None:
-            arrays.append(batch.matrix)
-        if batch.distribution is not None:
-            try:
-                described = batch.distribution.worker_payload()
-            except Exception:
-                described = None
-            if described is not None:
-                arrays.extend(described[0].values())
-            else:
-                matrix = getattr(batch.distribution, "L", None)
-                if isinstance(matrix, np.ndarray):
-                    arrays.append(matrix)  # pickled whole; L dominates
-        return arrays
-
-    def shipping_bytes(self, batch: OracleBatch) -> int:
-        """Bytes of ``batch``'s payload not yet published to this backend.
-
-        The shm store ships each distinct array once, so only arrays this
-        backend has never shipped count; repeated rounds against the same
-        kernel objects estimate (correctly) as free.  The planner multiplies
-        this by the calibrated per-byte shipping coefficient to price very
-        wide matrix-backed rounds honestly.
-        """
-        total = 0
-        with self._lock:
-            for array in self._payload_arrays(batch):
-                ref = self._shipped.get(id(array))
-                if ref is None or ref() is not array:
-                    total += int(np.asarray(array).nbytes)
-        return total
-
-    def _mark_shipped(self, batch: OracleBatch) -> None:
-        import weakref
-
-        # the memo may not outlive the shm store's own LRU: once the store
-        # evicts a segment the array must count as unpublished again, so the
-        # memo is bounded by the store's capacity (FIFO approximates its LRU)
-        bound = min(self.SHIPPED_MEMO_CAPACITY, self.shm_capacity)
-        with self._lock:
-            for array in self._payload_arrays(batch):
-                try:
-                    self._shipped[id(array)] = weakref.ref(array)
-                except TypeError:  # pragma: no cover - non-weakrefable token
-                    continue
-            while len(self._shipped) > bound:
-                self._shipped.popitem(last=False)
-
     def _payload(self, batch: OracleBatch,
                  tracker: Optional[Tracker] = None) -> Optional[BatchPayload]:
         """Shippable payload for ``batch``, or ``None`` to fall back.
@@ -675,11 +579,9 @@ class ProcessPoolBackend(ExecutionBackend):
         if tracker is not None and tracker.cost_model is not DEFAULT_COST_MODEL:
             cost_model = tracker.cost_model
         try:
-            payload = batch.to_payload(publish=self._ensure_store().publish,
-                                       cost_model=cost_model,
-                                       want_artifacts=self.write_back)
-            self._mark_shipped(batch)
-            return payload
+            return batch.to_payload(publish=self._ensure_store().publish,
+                                    cost_model=cost_model,
+                                    want_artifacts=self.write_back)
         except Exception as exc:
             kind = type(batch.distribution).__name__ if batch.distribution is not None else "matrix"
             if kind not in self._warned_specs:

@@ -71,19 +71,19 @@ def _construct(spec: BackendLike, **options) -> ExecutionBackend:
     raise TypeError(f"backend must be a name or ExecutionBackend, got {type(spec).__name__}")
 
 
-#: the process-wide default: the cost-aware planner routes every round to
-#: the cheapest estimated backend (see :mod:`repro.engine.planner`); forcing
-#: a specific backend via ``configure_backend``/``use_backend``/``backend=``
-#: is always honored and bypasses the planner entirely.  Built through the
-#: name memo so ``resolve_backend("auto")`` and the default share ONE
-#: planner (one overhead cache, one probe run, one decision log).
+#: the process-wide default: the planner routes every round on measured
+#: round times (see :mod:`repro.engine.planner`); forcing a specific
+#: backend via ``configure_backend``/``use_backend``/``backend=`` is always
+#: honored and bypasses the planner entirely.  Built through the name memo
+#: so ``resolve_backend("auto")`` and the default share ONE planner (one set
+#: of measurements, one decision log).
 _default_backend: ExecutionBackend = _construct("auto")
 
 
 def configure_backend(backend: BackendLike = "auto", **options) -> ExecutionBackend:
     """Set the process-wide default execution backend.
 
-    ``backend`` is a name (``"auto"`` — the cost-aware planner and initial
+    ``backend`` is a name (``"auto"`` — the measured planner and initial
     default — ``"serial"``, ``"vectorized"``, ``"threads"``, ``"process"``)
     or a ready :class:`ExecutionBackend` instance; ``options`` are forwarded
     to the named backend's constructor (e.g. ``max_workers`` for

@@ -1,126 +1,96 @@
-"""Cost-aware execution planning: ``backend="auto"``.
+"""Measured execution planning: ``backend="auto"``.
 
-The paper states its speedup in a work/depth cost model, and the repo tracks
-that model (:mod:`repro.pram`) — but until this module, the *engine* ignored
-it when deciding how to run a round: callers hand-picked
-``serial``/``vectorized``/``threads``/``process``, and small rounds dispatched
-to ``process`` lost to the ~ms IPC round trip (a PR 3 discovery).  This is
-the same preprocessing-vs-per-sample cost tradeoff that motivates the
-amortized samplers in PAPERS.md, applied one level down: *per adaptive
-round*, pay a backend's dispatch overhead only when the round's compute
-dwarfs it.
+The paper's cost is the adaptive round, and every engine round already
+measures its own wall time (:attr:`~repro.engine.batch.OracleBatchResult.wall_time`).
+:class:`RoundPlanner` routes rounds on those measurements instead of on a
+modelled price.
 
-:class:`RoundPlanner` unifies the two cost vocabularies:
+* A **regime** is ``(kind, family, shape_bucket(n), shape_bucket(queries))``
+  — one process-wide planner serves every kernel, so rounds of different
+  sizes keep separate books.  For each regime and candidate backend the
+  planner keeps the last wall time :meth:`RoundPlanner.observe` received,
+  except for the first round a backend runs in a regime: that round pays
+  one-time set-up (pool start-up, lazily built artifacts).
+* The **reference** backend is ``vectorized`` when it is a candidate, else
+  the first candidate.  Fixed-route kinds (``marginal_vector``,
+  ``projection_step``: one numerical route on every backend), empty
+  batches, and regimes whose reference has no measurement yet
+  (``reason="unmeasured"``) run on the reference.
+* Any other candidate costs its own measurement when it has one in the
+  regime, else the reference's measured time ``T`` with its GIL-bound share
+  divided over the lanes the candidate escapes the GIL on, plus the
+  candidate's dispatch-overhead prior::
 
-* the PRAM :class:`~repro.pram.cost.CostModel` prices a batch in abstract
-  work units (``queries x matrix_order^omega``);
-* :func:`~repro.pram.cost.calibrate_wall_clock` converts units to seconds
-  with per-process microbenchmarks (a LAPACK lane and an interpreted-Python
-  lane — the distinction that decides whether thread fan-out helps at all);
-* each :class:`~repro.engine.backends.ExecutionBackend` reports a
-  :class:`~repro.engine.backends.BackendTraits` descriptor (parallel lanes,
-  whether the Python lane escapes the GIL, dispatch overhead), whose
-  overhead field the planner replaces with a measured probe — executing a
-  trivial two-query batch through the backend — the first time the backend
-  is seriously considered (probing the process backend spins up its worker
-  pool, so the probe is deferred until a batch is plausibly heavy enough to
-  want it).
+      T · (1 − f + f / lanes) + dispatch_overhead_s
 
-For every :class:`~repro.engine.batch.OracleBatch` the planner combines the
-distribution's :meth:`~repro.distributions.base.SubsetDistribution.oracle_cost_hint`
-with the calibrated model, estimates wall-clock on every eligible backend,
-and picks the cheapest.  ``marginal_vector`` and ``projection_step`` rounds
-are *fixed-route* kinds (one numerical route on every backend), so the
-planner sends them to the zero-overhead in-process backend unconditionally.
+  where ``f`` is the distribution's
+  :meth:`~repro.distributions.base.SubsetDistribution.oracle_cost_hint`
+  ``python_fraction`` (``0`` for matrix-backed minors) and ``lanes`` is
+  ``min(parallelism, queries)`` for a backend that escapes the GIL, ``1``
+  otherwise.  The cheapest estimate wins; ties keep the reference.
+
+So a backend is only tried when its guess beats a measured reference round,
+and kept only while it measures faster; a pool that measures slower —
+including one that cannot start and falls back — is not chosen again in
+that regime.
 
 Backend choice never changes *what* a round computes, so ``backend="auto"``
 — the process-wide default installed by :mod:`repro.engine.config` —
-produces byte-identical fixed-seed samples to every forced backend; the
-planner is pure wall-clock engineering, exactly like the backends it
-arbitrates.
+produces byte-identical fixed-seed samples to every forced backend.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro import obs
-from repro.engine.backends import BackendTraits, ExecutionBackend
+from repro.engine.backends import ExecutionBackend
 from repro.engine.batch import OracleBatch, OracleBatchResult
-from repro.pram.cost import (
-    CalibratedCostModel,
-    CostModel,
-    DEFAULT_COST_MODEL,
-    OracleCostHint,
-    calibrated_cost_model,
-)
+from repro.pram.cost import CostModel, DEFAULT_COST_MODEL, OracleCostHint
 from repro.pram.tracker import Tracker
 
-__all__ = ["PlanDecision", "RoundPlanner", "AutoBackend", "probe_dispatch_overhead",
-           "should_refactorize"]
+__all__ = ["PlanDecision", "RoundPlanner", "AutoBackend", "should_refactorize"]
 
 #: batch kinds the planner arbitrates; the other kinds are fixed-route
 PLANNED_KINDS = ("counting", "joint_marginals", "log_principal_minors")
 
-#: default candidate backends, cheapest-dispatch first (tie-break order)
-DEFAULT_CANDIDATES = ("vectorized", "threads", "process")
+#: default candidate backends (``threads`` stays forceable, but never
+#: escapes the GIL, so it could only ever be guessed slower)
+DEFAULT_CANDIDATES = ("vectorized", "process")
 
-#: interpreter overhead prior for one scalar ``counting()`` call (seconds);
-#: only the scalar-loop backends (serial/threads) pay it per query
-_SCALAR_CALL_OVERHEAD_S = 2e-5
+#: the preferred reference backend
+REFERENCE = "vectorized"
 
-#: a pooled backend is only *probed* (which may spin up its pool) once the
-#: estimate built from its traits prior says it would win a batch at least
-#: this expensive (seconds)
-_PROBE_FLOOR_S = 1e-3
+#: ``(kind, family, shape_bucket(n), shape_bucket(queries))``
+Regime = Tuple[str, str, int, int]
 
 
-def probe_dispatch_overhead(backend: ExecutionBackend, repeats: int = 3) -> float:
-    """Measured seconds to round-trip a trivial batch through ``backend``.
-
-    The probe batch is two ``1x1`` principal minors of a tiny matrix: its
-    compute is nanoseconds, so the best-of-``repeats`` wall time is almost
-    purely the backend's dispatch cost (thread-pool handoff; for the process
-    backend, payload publication plus one IPC round trip).  The first call
-    also pays pool spin-up — executing one warm-up batch before timing keeps
-    that out of the measurement.
-    """
-    matrix = np.eye(2)
-    batch = lambda: OracleBatch.log_principal_minors(  # noqa: E731
-        matrix, [(0,), (1,)], label="planner-probe")
-    backend.execute(batch(), tracker=Tracker())  # warm-up (pool spin-up, imports)
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        backend.execute(batch(), tracker=Tracker())
-        best = min(best, time.perf_counter() - start)
-    return best
+def shape_bucket(size: int) -> int:
+    """Bucket a size to the next power of two (1, 2, 4, ... 1024, ...)."""
+    q = max(1, int(size))
+    return 1 << (q - 1).bit_length()
 
 
 def should_refactorize(hint: OracleCostHint, *,
-                       model: Optional[CalibratedCostModel] = None,
+                       model: Optional[CostModel] = None,
                        cap: int = 64) -> bool:
     """Patch-vs-recompute policy for incremental kernel updates.
 
     ``True`` when ``hint.update_depth`` (the mutation's position in the
-    fingerprint chain) has reached the calibrated break-even depth — the
-    point where the cumulative cost of ``O(n²)`` secular patches has paid
-    for one cold ``O(n³)`` refactorization, making the refresh (which also
-    resets accumulated patch rounding) amortized-free.  Factor-backed
+    fingerprint chain) has reached the break-even depth — the point where
+    the cumulative work of ``O(n²)`` secular patches has paid for one cold
+    ``O(n³)`` refactorization, making the refresh (which also resets
+    accumulated patch rounding) amortized-free.  Factor-backed
     (``rank``-set) kernels patch exactly, so they refactorize only at the
     ``cap``.  This is the decision behind ``refactor="auto"`` on
     :meth:`repro.service.registry.KernelRegistry.apply_update` and the
     session/cluster ``update()`` facades.
     """
-    calibrated = calibrated_cost_model(model if model is not None
-                                       else DEFAULT_COST_MODEL)
-    return int(hint.update_depth) >= calibrated.update_break_even_depth(hint, cap=cap)
+    model = model if model is not None else DEFAULT_COST_MODEL
+    return int(hint.update_depth) >= model.update_break_even_depth(hint, cap=cap)
 
 
 @dataclass(frozen=True)
@@ -131,81 +101,43 @@ class PlanDecision:
     label: str
     queries: int
     chosen: str
-    #: estimated seconds per candidate backend (empty for fixed-route kinds)
+    #: estimated seconds per candidate backend (empty unless the regime's
+    #: reference has been measured)
     estimates: Dict[str, float] = field(default_factory=dict)
-    #: why the batch skipped estimation ("fixed-route", "empty", ...) if it did
+    #: why the batch skipped estimation ("fixed-route", "empty", "unmeasured")
     reason: str = ""
-    #: distribution family label (class name, or "matrix" for minor batches)
-    family: str = ""
+    #: the regime whose measurements this round feeds (``None`` when the
+    #: kind is fixed-route or the batch is empty)
+    regime: Optional[Regime] = None
 
 
 class RoundPlanner:
-    """Estimates per-backend wall-clock for a batch and picks the cheapest.
+    """Routes each batch to the candidate with the cheapest measured cost.
 
     Parameters
     ----------
-    cost_model:
-        The PRAM model to extend with wall-clock coefficients; a plain
-        :class:`CostModel` is calibrated on first use (cached per process),
-        a :class:`CalibratedCostModel` is used as-is — tests inject
-        hand-built coefficients this way.
     candidates:
         Backend names considered for planned kinds, resolved through the
         shared name registry so pooled candidates reuse the same executors
         as explicit ``backend="threads"``/``"process"`` callers.
     backends:
         Optional explicit ``name -> ExecutionBackend`` mapping overriding
-        name resolution (tests inject recording stubs here).
-    overheads:
-        Optional pre-seeded ``name -> seconds`` dispatch overheads,
-        bypassing the lazy probes (tests, or operators with known numbers).
-    feedback:
-        The :class:`~repro.obs.feedback.ObservedCostFeedback` whose learned
-        corrections rescale every candidate estimate (and which
-        :meth:`observe` feeds measured wall-times into).  ``None`` — the
-        default — resolves lazily to the process-wide ``repro.obs``
-        instance, which is disabled unless the operator arms it with
-        ``repro.obs.configure(feedback=True)``; tests inject their own.
+        name resolution (tests inject scripted stubs here).
     """
 
-    #: concurrency contract, enforced by ``repro.analysis`` (R2 + race
-    #: harness); the two documented benign races below carry R2 pragmas
-    _GUARDED_BY = {"_lock": ("_calibrated", "_overheads", "decisions")}
+    #: concurrency contract, enforced by ``repro.analysis`` (R2 + race harness)
+    _GUARDED_BY = {"_lock": ("_measured", "decisions")}
 
-    def __init__(self, cost_model: Optional[CostModel] = None, *,
-                 candidates: Sequence[str] = DEFAULT_CANDIDATES,
-                 backends: Optional[Dict[str, ExecutionBackend]] = None,
-                 overheads: Optional[Dict[str, float]] = None,
-                 feedback=None, record: int = 64):
-        self._cost_model_input = cost_model if cost_model is not None else DEFAULT_COST_MODEL
-        self._calibrated: Optional[CalibratedCostModel] = (
-            self._cost_model_input if isinstance(self._cost_model_input, CalibratedCostModel)
-            else None)
+    def __init__(self, *, candidates: Sequence[str] = DEFAULT_CANDIDATES,
+                 backends: Optional[Dict[str, ExecutionBackend]] = None):
         self.candidates = tuple(candidates)
+        self.reference = REFERENCE if REFERENCE in self.candidates else self.candidates[0]
         self._backends = dict(backends) if backends is not None else None
-        self._overheads: Dict[str, float] = dict(overheads or {})
-        self._feedback = feedback
         self._lock = threading.Lock()
-        self.decisions: Deque[PlanDecision] = deque(maxlen=record)
-
-    @property
-    def feedback(self):
-        """The measured-cost feedback in effect (process-wide by default)."""
-        return self._feedback if self._feedback is not None else obs.feedback()
-
-    # ------------------------------------------------------------------ #
-    # lazily calibrated pieces
-    # ------------------------------------------------------------------ #
-    @property
-    def cost_model(self) -> CalibratedCostModel:
-        """The wall-clock-calibrated cost model (probes run on first access)."""
-        # repro: allow[R2] -- benign double-checked read: _calibrated only transitions None -> value, once, under the lock below
-        if self._calibrated is None:
-            with self._lock:
-                if self._calibrated is None:
-                    self._calibrated = calibrated_cost_model(self._cost_model_input)
-        # repro: allow[R2] -- benign unlocked read: monotonic None -> value transition committed above makes this stable
-        return self._calibrated
+        #: ``(regime, backend) -> last measured seconds``; ``None`` after the
+        #: backend's first (set-up) round in the regime
+        self._measured: Dict[Tuple[Regime, str], Optional[float]] = {}
+        self.decisions: Deque[PlanDecision] = deque(maxlen=64)
 
     def _backend(self, name: str) -> ExecutionBackend:
         if self._backends is not None:
@@ -214,182 +146,92 @@ class RoundPlanner:
 
         return resolve_backend(name)
 
-    def _overhead(self, name: str, traits: BackendTraits, single_lane_s: float) -> float:
-        """Dispatch overhead for ``name``: measured when warranted, prior otherwise.
-
-        Probing a pooled backend spins up its pool, so the probe only runs
-        once the traits-prior estimate says the backend could plausibly win
-        a batch of at least ``_PROBE_FLOOR_S`` single-lane seconds; until
-        then the prior stands in (which can only make the planner *more*
-        conservative about leaving the in-process backend).
-        """
-        cached = self._overheads.get(name)  # repro: allow[R2] -- benign racy read: a miss only risks one duplicate probe; setdefault under the lock commits the first measurement
-        if cached is not None:
-            return cached
-        if traits.dispatch_overhead_s == 0.0:
-            self._overheads[name] = 0.0  # repro: allow[R2] -- idempotent constant write (GIL-atomic dict store); every racer writes the same 0.0
-            return 0.0
-        if single_lane_s < max(_PROBE_FLOOR_S, traits.dispatch_overhead_s):
-            return traits.dispatch_overhead_s  # prior; not worth probing yet
-        # Probe WITHOUT holding the planner lock: the first process-backend
-        # probe spins up its worker pool (hundreds of ms), and concurrent
-        # choose() calls — even cheap fixed-route ones that only _record() —
-        # must not stall behind it.  A rare racing duplicate probe costs one
-        # extra trivial batch on the shared pool; setdefault keeps the first
-        # committed measurement authoritative.
-        try:
-            measured = probe_dispatch_overhead(self._backend(name))
-        except Exception:
-            measured = traits.dispatch_overhead_s
-        with self._lock:
-            return self._overheads.setdefault(name, measured)
-
-    # ------------------------------------------------------------------ #
-    # estimation
-    # ------------------------------------------------------------------ #
     @staticmethod
-    def _hint_for(batch: OracleBatch) -> OracleCostHint:
+    def _regime(batch: OracleBatch) -> Regime:
         if batch.distribution is not None:
-            return batch.distribution.oracle_cost_hint()
-        # matrix-backed minors: stacked LAPACK over the largest subset order
-        assert batch.matrix is not None
-        order = max((len(s) for s in batch.subsets), default=1)
-        return OracleCostHint(matrix_order=max(order, 1), python_fraction=0.0,
-                              batch_vectorized=True)
+            n = batch.distribution.n
+        else:
+            assert batch.matrix is not None
+            n = batch.matrix.shape[-1]
+        return (batch.kind, obs.family_of(batch), shape_bucket(n),
+                shape_bucket(len(batch.subsets)))
 
-    def estimate(self, batch: OracleBatch) -> Dict[str, float]:
-        """Estimated wall-clock seconds per candidate backend for ``batch``.
+    @staticmethod
+    def _python_fraction(batch: OracleBatch) -> float:
+        if batch.distribution is None:
+            return 0.0  # matrix-backed minors: stacked LAPACK
+        fraction = batch.distribution.oracle_cost_hint().python_fraction
+        return min(max(fraction, 0.0), 1.0)
 
-        Each candidate's static (calibrated-model) estimate is rescaled by
-        the measured-cost feedback correction for its
-        ``(backend, family, shape bucket)`` regime — a no-op multiplier of
-        1.0 until feedback is armed and that regime has been observed.
-        """
-        hint = self._hint_for(batch)
-        model = self.cost_model
-        queries = len(batch.subsets)
-        feedback = self.feedback
-        family = obs.family_of(batch)
-        total_s = model.estimate_batch_seconds(hint, queries)
-        python_s = model.python_seconds(hint, queries)
-        lapack_s = total_s - python_s
-        estimates: Dict[str, float] = {}
-        for name in self.candidates:
-            try:
-                backend = self._backend(name)
-                traits = backend.traits()
-            except Exception:
-                continue  # unknown/unconstructible candidate: skip it
-            lanes = max(1, min(traits.parallelism, queries))
-            if traits.name == "serial" or (traits.scalar_loop and lanes == 1):
-                cost = total_s + queries * _SCALAR_CALL_OVERHEAD_S
-            elif traits.scalar_loop:
-                # thread fan-out: LAPACK overlaps, but the Python lane —
-                # including the per-call interpreter overhead of the scalar
-                # loop — serializes on the GIL, so neither divides by lanes
-                cost = python_s + lapack_s / lanes + queries * _SCALAR_CALL_OVERHEAD_S
-            elif traits.escapes_gil:
-                # worker processes parallelize the GIL-bound share; the
-                # LAPACK share is priced at parity with in-process execution
-                # (workers pin BLAS to one thread each, while the parent's
-                # stacked calls may use a multithreaded BLAS — crediting the
-                # pool a lanes-fold LAPACK speedup would steal LAPACK-bound
-                # rounds that in-process execution serves at least as fast)
-                cost = python_s / lanes + lapack_s
-            else:
-                cost = total_s
-            if not hint.batch_vectorized and not traits.scalar_loop:
-                # the batch oracle is the generic scalar loop anyway: the
-                # "vectorized" backend degenerates to serial per-call costs,
-                # while worker processes run that loop on parallel lanes
-                cost += queries * _SCALAR_CALL_OVERHEAD_S / (
-                    lanes if traits.escapes_gil else 1)
-            single_lane = total_s + (queries * _SCALAR_CALL_OVERHEAD_S
-                                     if traits.scalar_loop else 0.0)
-            cost += self._overhead(name, traits, single_lane)
-            cost += queries * traits.per_query_overhead_s
-            if traits.escapes_gil:
-                # out-of-process execution publishes the batch's payload:
-                # charge the calibrated per-byte shipping coefficient for the
-                # not-yet-published share (the backend's shm store ships each
-                # distinct array once, so warm kernels estimate as free and
-                # only very wide first-shipment rounds pay real seconds here)
-                shipping = getattr(backend, "shipping_bytes", None)
-                if shipping is not None:
-                    try:
-                        cost += model.shipping_seconds(shipping(batch))
-                    except Exception:
-                        pass  # estimation must never fail a round
-            estimates[name] = cost * feedback.correction(name, family, queries)
+    def _estimate(self, batch: OracleBatch,
+                  measured: Dict[str, Optional[float]]) -> Dict[str, float]:
+        """Seconds per candidate, reference first (so ties keep it)."""
+        reference_s = measured[self.reference]
+        assert reference_s is not None
+        fraction = self._python_fraction(batch)
+        estimates = {self.reference: reference_s}
+        for name, seconds in measured.items():
+            if name == self.reference:
+                continue
+            if seconds is None:
+                try:
+                    traits = self._backend(name).traits()
+                except Exception:
+                    continue  # unknown/unconstructible candidate: skip it
+                lanes = (max(1, min(traits.parallelism, len(batch.subsets)))
+                         if traits.escapes_gil else 1)
+                seconds = (reference_s * (1.0 - fraction + fraction / lanes)
+                           + traits.dispatch_overhead_s)
+            estimates[name] = seconds
         return estimates
 
     # ------------------------------------------------------------------ #
     def plan(self, batch: OracleBatch) -> Tuple[ExecutionBackend, PlanDecision]:
-        """The cheapest eligible backend for ``batch``, with its decision.
-
-        Fixed-route kinds and empty batches go straight to the in-process
-        backend; everything else is estimated.  Candidate order breaks ties
-        (``vectorized`` first), so an overhead-free in-process answer is
-        never abandoned for a same-cost pooled one.
-        """
-        family = obs.family_of(batch)
-        fallback = self._backend(self.candidates[0])
+        """The backend to run ``batch`` on, with its decision."""
+        chosen, reason = self.reference, ""
+        estimates: Dict[str, float] = {}
+        regime: Optional[Regime] = None
         if batch.kind not in PLANNED_KINDS:
-            decision = PlanDecision(kind=batch.kind, label=batch.label,
-                                    queries=batch.n_queries, chosen=fallback.name,
-                                    reason="fixed-route", family=family)
-            self._record(decision)
-            return fallback, decision
-        if not batch.subsets:
-            decision = PlanDecision(kind=batch.kind, label=batch.label, queries=0,
-                                    chosen=fallback.name, reason="empty",
-                                    family=family)
-            self._record(decision)
-            return fallback, decision
-        estimates = self.estimate(batch)
-        if not estimates:
-            decision = PlanDecision(kind=batch.kind, label=batch.label,
-                                    queries=len(batch.subsets),
-                                    chosen=fallback.name,
-                                    reason="no-candidates", family=family)
-            self._record(decision)
-            return fallback, decision
-        chosen = min(estimates, key=lambda name: estimates[name])
+            reason = "fixed-route"
+        elif not batch.subsets:
+            reason = "empty"
+        else:
+            regime = self._regime(batch)
+            with self._lock:
+                measured = {name: self._measured.get((regime, name))
+                            for name in self.candidates}
+            if measured[self.reference] is None:
+                reason = "unmeasured"
+            else:
+                estimates = self._estimate(batch, measured)
+                chosen = min(estimates, key=estimates.__getitem__)
         decision = PlanDecision(kind=batch.kind, label=batch.label,
-                                queries=len(batch.subsets), chosen=chosen,
-                                estimates=estimates, family=family)
-        self._record(decision)
-        return self._backend(chosen), decision
-
-    def choose(self, batch: OracleBatch) -> ExecutionBackend:
-        """The cheapest eligible backend for ``batch`` (see :meth:`plan`)."""
-        return self.plan(batch)[0]
-
-    def observe(self, decision: PlanDecision, result: OracleBatchResult) -> None:
-        """Feed a routed round's measured wall time back into pricing.
-
-        Records predicted-vs-actual in the metrics registry and — when the
-        feedback knob is armed — updates the EWMA correction for the
-        decision's ``(backend, family, shape bucket)`` regime.  Only
-        estimated decisions carry a prediction; fixed-route/empty rounds
-        have nothing to compare against.
-        """
-        predicted = decision.estimates.get(decision.chosen)
-        if predicted is None:
-            return
-        obs.observe_round_cost(decision.chosen, decision.family,
-                               decision.queries, predicted, result.wall_time)
-        feedback = self._feedback
-        if feedback is not None and feedback is not obs.feedback():
-            # an injected feedback object learns too (obs.observe_round_cost
-            # only feeds the process-wide instance)
-            feedback.observe(decision.chosen, decision.family,
-                             decision.queries, predicted, result.wall_time)
-
-    def _record(self, decision: PlanDecision) -> None:
+                                queries=batch.n_queries, chosen=chosen,
+                                estimates=estimates, reason=reason, regime=regime)
         with self._lock:
             self.decisions.append(decision)
         obs.record_plan(decision)
+        return self._backend(chosen), decision
+
+    def choose(self, batch: OracleBatch) -> ExecutionBackend:
+        """The backend to run ``batch`` on (see :meth:`plan`)."""
+        return self.plan(batch)[0]
+
+    def observe(self, decision: PlanDecision, result: OracleBatchResult) -> None:
+        """Record a routed round's measured wall time for its regime.
+
+        The first round each backend runs in a regime only marks it seen;
+        later rounds replace the backend's measurement.  Estimated rounds
+        also record measured-over-predicted in the metrics registry.
+        """
+        predicted = decision.estimates.get(decision.chosen)
+        if predicted is not None:
+            obs.observe_round_cost(decision.chosen, predicted, result.wall_time)
+        if decision.regime is None:
+            return
+        key = (decision.regime, decision.chosen)
+        with self._lock:
+            self._measured[key] = result.wall_time if key in self._measured else None
 
     @property
     def last_decision(self) -> Optional[PlanDecision]:
@@ -398,7 +240,7 @@ class RoundPlanner:
 
 
 class AutoBackend(ExecutionBackend):
-    """The planner as a backend: every batch runs on the cheapest estimate.
+    """The planner as a backend: every batch runs where :meth:`RoundPlanner.plan` says.
 
     This is what ``backend="auto"`` (the process-wide default) resolves to.
     Explicit ``backend=`` arguments bypass it entirely — forcing a backend
@@ -410,12 +252,11 @@ class AutoBackend(ExecutionBackend):
     name = "auto"
 
     def __init__(self, planner: Optional[RoundPlanner] = None, *,
-                 cost_model: Optional[CostModel] = None,
                  candidates: Optional[Sequence[str]] = None):
-        if planner is not None and (cost_model is not None or candidates is not None):
+        if planner is not None and candidates is not None:
             raise ValueError("pass either a ready planner or its options, not both")
         self.planner = planner if planner is not None else RoundPlanner(
-            cost_model, candidates=tuple(candidates) if candidates is not None
+            candidates=tuple(candidates) if candidates is not None
             else DEFAULT_CANDIDATES)
 
     def execute(self, batch: OracleBatch, *, tracker: Optional[Tracker] = None) -> OracleBatchResult:
@@ -423,9 +264,6 @@ class AutoBackend(ExecutionBackend):
         result = backend.execute(batch, tracker=tracker)
         self.planner.observe(decision, result)
         return result
-
-    def traits(self) -> BackendTraits:
-        return BackendTraits(name=self.name)
 
     # the abstract hooks are never reached — execute() is fully delegated
     def _counting(self, batch, tracker):  # pragma: no cover

@@ -1,15 +1,12 @@
 """``repro.obs`` — unified observability for the whole serving stack.
 
-One process-wide :class:`~repro.obs.metrics.MetricsRegistry`, one
-:class:`~repro.obs.trace.Tracer`, and one
-:class:`~repro.obs.feedback.ObservedCostFeedback` instance back every
-instrumented layer:
+One process-wide :class:`~repro.obs.metrics.MetricsRegistry` and one
+:class:`~repro.obs.trace.Tracer` back every instrumented layer:
 
 * every engine round leaves one record (``repro_rounds_total``,
   ``repro_round_seconds``, a ``type="round"`` trace record);
-* the planner records predicted-vs-actual cost per routed round and — when
-  the feedback knob is on — folds measurements into an online correction of
-  its wall-clock pricing;
+* the planner records its routing decisions and predicted-vs-actual cost
+  per estimated round;
 * the scheduler reports fusion width, queue wait, and drain latency;
 * the factorization caches and kernel registries re-export their existing
   counters through registry *collectors* (no double bookkeeping);
@@ -41,9 +38,6 @@ the round.
 
 Everything is **off by default** and costs one boolean check per hook when
 off.  ``enable()`` / ``disable()`` flip metrics+tracing together;
-``configure(feedback=True)`` additionally arms the planner feedback loop
-(a separate switch because feedback may change *routing* — never sampled
-values — and operators may want visibility without self-tuning);
 ``configure(slo=True)`` arms latency quantiles and
 ``configure(flight_budget=0.040)`` arms the flight recorder at 40 ms.
 
@@ -69,7 +63,6 @@ from repro.obs.context import (Span, TraceContext, activate, context_from_wire,
                                current_context, new_context, reset_ids)
 from repro.obs.export import (chrome_trace, chrome_trace_events,
                               dump_chrome_trace)
-from repro.obs.feedback import ObservedCostFeedback, shape_bucket
 from repro.obs.metrics import (CollectedMetric, Counter, Gauge, Histogram,
                                MetricsRegistry, RATIO_BUCKETS, SIZE_BUCKETS,
                                TIME_BUCKETS)
@@ -78,15 +71,15 @@ from repro.obs.slo import FlightRecorder, SLOTracker
 from repro.obs.trace import Tracer
 
 __all__ = [
-    "MetricsRegistry", "Tracer", "ObservedCostFeedback",
+    "MetricsRegistry", "Tracer",
     "SLOTracker", "FlightRecorder", "TraceContext", "Span",
     "Counter", "Gauge", "Histogram", "CollectedMetric",
-    "registry", "tracer", "feedback", "slo", "flight_recorder",
+    "registry", "tracer", "slo", "flight_recorder",
     "enabled", "tracing", "enable", "disable", "configure", "reset",
     "snapshot", "render_prometheus",
     "chrome_trace", "chrome_trace_events", "dump_chrome_trace",
     "session_stats", "cluster_rollup", "CACHE_TOTAL_KEYS",
-    "family_of", "shape_bucket",
+    "family_of",
     "current_context", "activate", "context_from_wire",
     "start_span", "end_span", "span", "round_context",
     "record_round", "record_plan", "observe_round_cost",
@@ -99,7 +92,6 @@ __all__ = [
 
 _REGISTRY = MetricsRegistry(enabled=False)
 _TRACER = Tracer(capacity=1024, enabled=False)
-_FEEDBACK = ObservedCostFeedback(enabled=False)
 _SLO = SLOTracker(enabled=False)
 _FLIGHT = FlightRecorder(capacity=16)
 
@@ -193,11 +185,6 @@ def tracer() -> Tracer:
     return _TRACER
 
 
-def feedback() -> ObservedCostFeedback:
-    """The process-wide measured-cost feedback state."""
-    return _FEEDBACK
-
-
 def slo() -> SLOTracker:
     """The process-wide streaming SLO quantile tracker."""
     return _SLO
@@ -222,32 +209,24 @@ def tracing() -> bool:
 _UNSET = object()
 
 
-def enable(*, trace: bool = True, feedback: Optional[bool] = None,
-           slo: Optional[bool] = None,
+def enable(*, trace: bool = True, slo: Optional[bool] = None,
            flight_budget: object = _UNSET) -> None:
-    """Turn on metrics (and by default tracing); optionally arm feedback,
-    SLO quantiles, and the flight recorder."""
-    configure(metrics=True, trace=trace, feedback=feedback, slo=slo,
-              flight_budget=flight_budget)
+    """Turn on metrics (and by default tracing); optionally arm SLO
+    quantiles and the flight recorder."""
+    configure(metrics=True, trace=trace, slo=slo, flight_budget=flight_budget)
 
 
 def disable() -> None:
-    """Turn off metrics, tracing, feedback, SLO, and the flight recorder."""
-    configure(metrics=False, trace=False, feedback=False, slo=False,
-              flight_budget=None)
+    """Turn off metrics, tracing, SLO, and the flight recorder."""
+    configure(metrics=False, trace=False, slo=False, flight_budget=None)
 
 
 def configure(*, metrics: Optional[bool] = None, trace: Optional[bool] = None,
-              feedback: Optional[bool] = None, slo: Optional[bool] = None,
+              slo: Optional[bool] = None,
               flight_budget: object = _UNSET) -> Dict[str, object]:
     """Flip individual observability switches; ``None`` leaves one as-is.
 
-    Returns the resulting switch state.  ``feedback`` is deliberately a
-    separate knob: it lets the planner re-price routes from measured round
-    wall-times, which may change *which backend runs a round* but — by the
-    engine's seed-identity invariant — never the sampled values.
-
-    ``slo`` arms streaming request/op latency quantiles.  ``flight_budget``
+    Returns the resulting switch state.  ``slo`` arms streaming request/op latency quantiles.  ``flight_budget``
     arms the flight recorder at a latency budget in seconds (``0.0``
     captures every traced request); pass ``None`` to disarm; leave unset to
     keep the current budget.
@@ -257,8 +236,6 @@ def configure(*, metrics: Optional[bool] = None, trace: Optional[bool] = None,
             _REGISTRY.enabled = bool(metrics)
         if trace is not None:
             _TRACER.enabled = bool(trace)
-        if feedback is not None:
-            _FEEDBACK.enabled = bool(feedback)
         if slo is not None:
             _SLO.enabled = bool(slo)
         if flight_budget is not _UNSET:
@@ -267,20 +244,18 @@ def configure(*, metrics: Optional[bool] = None, trace: Optional[bool] = None,
             else:
                 _FLIGHT.arm(float(flight_budget))  # type: ignore[arg-type]
         return {"metrics": _REGISTRY.enabled, "trace": _TRACER.enabled,
-                "feedback": _FEEDBACK.enabled, "slo": _SLO.enabled,
-                "flight_budget": _FLIGHT.budget}
+                "slo": _SLO.enabled, "flight_budget": _FLIGHT.budget}
 
 
 def reset() -> None:
-    """Zero all metric values, trace records, feedback/SLO state, flight
-    captures, and the deterministic trace-id counter.
+    """Zero all metric values, trace records, SLO state, flight captures,
+    and the deterministic trace-id counter.
 
     Switches (including the flight budget) and registered
     instruments/collectors are left untouched.
     """
     _REGISTRY.reset()
     _TRACER.clear()
-    _FEEDBACK.reset()
     _SLO.reset()
     _FLIGHT.clear()
     reset_ids()
@@ -293,7 +268,6 @@ def snapshot() -> Dict[str, object]:
         "trace": {"enabled": _TRACER.enabled, "capacity": _TRACER.capacity,
                   "dropped_spans": _TRACER.dropped_spans,
                   "records": _TRACER.records()},
-        "feedback": _FEEDBACK.snapshot(),
         "slo": _SLO.slo_state(),
         "flight": _FLIGHT.flight_state(),
     }
@@ -472,18 +446,12 @@ def record_plan(decision) -> None:
                       estimates=dict(decision.estimates))
 
 
-def observe_round_cost(backend: str, family: str, queries: int,
-                       predicted_seconds: float, actual_seconds: float) -> None:
-    """Predicted-vs-actual for one planner-routed round.
-
-    Feeds both the prediction-error histogram and — when armed — the
-    measured-cost feedback correction.
-    """
+def observe_round_cost(backend: str, predicted_seconds: float,
+                       actual_seconds: float) -> None:
+    """Predicted-vs-actual for one planner-estimated round."""
     if _REGISTRY.enabled and predicted_seconds > 0 and actual_seconds >= 0:
         _PLANNER_RATIO.observe(actual_seconds / predicted_seconds,
                                backend=backend)
-    _FEEDBACK.observe(backend, family, queries, predicted_seconds,
-                      actual_seconds)
 
 
 def record_fusion(width: int) -> None:

@@ -1,9 +1,8 @@
 """Tests for the observability layer (:mod:`repro.obs`).
 
-Covers the metrics registry / tracer / feedback primitives, the Prometheus
-and JSON exports, the planner's measured-cost feedback loop, the stable
-stats rollup schemas, and the determinism contract: enabling observability
-(metrics, tracing, even routing feedback) never changes sampled values.
+Covers the metrics registry / tracer primitives, the Prometheus and JSON
+exports, the stable stats rollup schemas, and the determinism contract:
+enabling observability (metrics, tracing) never changes sampled values.
 """
 
 from __future__ import annotations
@@ -17,12 +16,9 @@ import pytest
 
 import repro
 from repro import obs
-from repro.engine.backends import BackendTraits, ExecutionBackend
 from repro.engine.batch import OracleBatch, OracleBatchResult
-from repro.obs.feedback import ObservedCostFeedback, shape_bucket
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
-from repro.pram.cost import CalibratedCostModel, OracleCostHint, WallClockCoefficients
 
 
 @pytest.fixture(autouse=True)
@@ -225,170 +221,25 @@ class TestTracer:
 
 
 # ---------------------------------------------------------------------- #
-# measured-cost feedback
-# ---------------------------------------------------------------------- #
-class TestObservedCostFeedback:
-    def test_shape_bucket_powers_of_two(self):
-        assert shape_bucket(1) == 1
-        assert shape_bucket(2) == 2
-        assert shape_bucket(3) == 4
-        assert shape_bucket(100) == 128
-
-    def test_disabled_correction_is_identity(self):
-        fb = ObservedCostFeedback(enabled=False)
-        fb.observe("vectorized", "F", 8, predicted_seconds=0.1, actual_seconds=1.0)
-        assert fb.correction("vectorized", "F", 8) == pytest.approx(1.0)
-
-    def test_first_observation_seeds_directly(self):
-        fb = ObservedCostFeedback(enabled=True)
-        fb.observe("vectorized", "F", 8, predicted_seconds=0.1, actual_seconds=0.4)
-        assert fb.correction("vectorized", "F", 8) == pytest.approx(4.0)
-
-    def test_ewma_moves_toward_new_ratio(self):
-        fb = ObservedCostFeedback(alpha=0.5, enabled=True)
-        fb.observe("b", "F", 4, predicted_seconds=1.0, actual_seconds=4.0)
-        fb.observe("b", "F", 4, predicted_seconds=1.0, actual_seconds=1.0)
-        correction = fb.correction("b", "F", 4)
-        assert 1.0 < correction < 4.0
-
-    def test_clamped_to_bounds(self):
-        fb = ObservedCostFeedback(clamp=64.0, enabled=True)
-        fb.observe("b", "F", 4, predicted_seconds=1e-9, actual_seconds=10.0)
-        assert fb.correction("b", "F", 4) == pytest.approx(64.0)
-
-    def test_regimes_are_independent(self):
-        fb = ObservedCostFeedback(enabled=True)
-        fb.observe("b", "F", 4, predicted_seconds=1.0, actual_seconds=2.0)
-        assert fb.correction("b", "F", 400) == pytest.approx(1.0)
-        assert fb.correction("other", "F", 4) == pytest.approx(1.0)
-
-    def test_snapshot_is_json_serializable(self):
-        fb = ObservedCostFeedback(enabled=True)
-        fb.observe("b", "F", 4, predicted_seconds=1.0, actual_seconds=2.0)
-        snap = fb.snapshot()
-        json.dumps(snap)
-        (entry,) = snap["corrections"]
-        assert entry["backend"] == "b"
-        assert entry["shape_bucket"] == 4
-
-
-# ---------------------------------------------------------------------- #
-# planner feedback loop: mis-calibration converges to the fast backend
-# ---------------------------------------------------------------------- #
-class _StubBackend(ExecutionBackend):
-    """Backend whose reported wall time is scripted, not measured."""
-
-    def __init__(self, name, wall_time, **traits):
-        self.name = name
-        self._wall = wall_time
-        self._traits = BackendTraits(name=name, **traits)
-        self.calls = 0
-
-    def execute(self, batch, *, tracker=None):
-        self.calls += 1
-        return OracleBatchResult(values=np.zeros(batch.n_queries),
-                                 backend=self.name, wall_time=self._wall,
-                                 n_queries=batch.n_queries)
-
-    def traits(self):
-        return self._traits
-
-    def _counting(self, batch, tracker):  # pragma: no cover
-        raise NotImplementedError
-
-    def _joint_marginals(self, batch, tracker):  # pragma: no cover
-        raise NotImplementedError
-
-    def _log_principal_minors(self, batch, tracker):  # pragma: no cover
-        raise NotImplementedError
-
-
-class TestPlannerFeedbackLoop:
-    def _batch(self):
-        matrix = np.eye(8)
-        subsets = [(i,) for i in range(8)] * 4  # 32 queries
-        return OracleBatch.log_principal_minors(matrix, subsets, label="loop")
-
-    def test_miscalibrated_model_converges_to_fast_backend(self):
-        """A cost model that flatters the slow backend loses to measurement.
-
-        The hand-built coefficients price everything identically, so the
-        planner's static estimates tie and the candidate order makes it
-        start on ``vectorized``.  The scripted wall times then say
-        ``vectorized`` is ~16x slower than predicted (inside the clamp, so
-        the regimes stay distinguishable) while ``process`` is far faster;
-        the EWMA corrections must reroute the round to ``process`` within a
-        few observations — the acceptance criterion of the feedback loop.
-        """
-        model = CalibratedCostModel(coefficients=WallClockCoefficients(
-            seconds_per_flop_unit=1e-3, seconds_per_python_unit=1e-3,
-            seconds_per_shipped_byte=0.0))
-        slow = _StubBackend("vectorized", wall_time=0.5)
-        fast = _StubBackend("process", wall_time=1e-4, parallelism=4,
-                            escapes_gil=True)
-        planner = repro.RoundPlanner(
-            model, candidates=("vectorized", "process"),
-            backends={"vectorized": slow, "process": fast},
-            overheads={"vectorized": 0.0, "process": 0.0},
-            feedback=ObservedCostFeedback(enabled=True))
-        auto = repro.AutoBackend(planner)
-
-        chosen = []
-        for _ in range(8):
-            auto.execute(self._batch())
-            chosen.append(planner.last_decision.chosen)
-        assert chosen[0] == "vectorized"          # mis-calibration wins round 1
-        assert "process" in chosen, f"never rerouted: {chosen}"
-        switched = chosen.index("process")
-        assert switched <= 4, f"took too long to converge: {chosen}"
-        assert all(c == "process" for c in chosen[switched:]), chosen
-
-    def test_feedback_disabled_keeps_static_routing(self):
-        model = CalibratedCostModel(coefficients=WallClockCoefficients(
-            seconds_per_flop_unit=1e-3, seconds_per_python_unit=1e-3,
-            seconds_per_shipped_byte=0.0))
-        slow = _StubBackend("vectorized", wall_time=0.5)
-        fast = _StubBackend("process", wall_time=1e-4, parallelism=4,
-                            escapes_gil=True)
-        planner = repro.RoundPlanner(
-            model, candidates=("vectorized", "process"),
-            backends={"vectorized": slow, "process": fast},
-            overheads={"vectorized": 0.0, "process": 0.0},
-            feedback=ObservedCostFeedback(enabled=False))
-        auto = repro.AutoBackend(planner)
-        for _ in range(4):
-            auto.execute(self._batch())
-        assert fast.calls == 0  # without feedback the tie never breaks
-
-
-# ---------------------------------------------------------------------- #
 # process-wide switches and exports
 # ---------------------------------------------------------------------- #
 class TestObsFacade:
     def test_disabled_by_default(self):
         assert not obs.enabled()
         assert not obs.tracer().enabled
-        assert not obs.feedback().enabled
 
     def test_enable_disable_cycle(self):
         obs.enable()
         assert obs.enabled() and obs.tracer().enabled
-        assert not obs.feedback().enabled  # routing knob stays separate
         obs.disable()
         assert not obs.enabled() and not obs.tracer().enabled
-
-    def test_configure_feedback_knob(self):
-        state = obs.configure(feedback=True)
-        assert state["feedback"] is True
-        assert obs.feedback().enabled
-        assert not obs.enabled()  # metrics stay dark unless asked
 
     def test_snapshot_shape_and_json(self):
         obs.enable()
         obs.record_fusion(3)
         snap = obs.snapshot()
         json.dumps(snap)
-        assert set(snap) == {"metrics", "trace", "feedback", "slo", "flight"}
+        assert set(snap) == {"metrics", "trace", "slo", "flight"}
         assert snap["metrics"]["enabled"] is True
 
     def test_record_round_populates_metrics_and_trace(self):
@@ -498,10 +349,7 @@ class TestByteIdentity:
         baseline = self._draws(small_psd, backend)
         obs.enable()
         with_obs = self._draws(small_psd, backend)
-        obs.configure(feedback=True)
-        with_feedback = self._draws(small_psd, backend)
         assert with_obs == baseline
-        assert with_feedback == baseline
 
     def test_fused_and_unfused_identical_under_obs(self, small_psd):
         def fused_draws():
@@ -521,7 +369,6 @@ class TestByteIdentity:
         base_fused, base_unfused = fused_draws(), unfused_draws()
         assert base_fused == base_unfused
         obs.enable()
-        obs.configure(feedback=True)
         assert fused_draws() == base_fused
         assert unfused_draws() == base_unfused
 
@@ -533,7 +380,6 @@ class TestByteIdentity:
 
         baseline = draws()
         obs.enable()
-        obs.configure(feedback=True)
         assert draws() == baseline
 
     def test_intermediate_sampler_identical_and_traced(self):

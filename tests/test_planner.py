@@ -1,18 +1,21 @@
-"""Tests for the cost-aware execution planner (``backend="auto"``).
+"""Tests for the measured execution planner (``backend="auto"``).
 
-Covers the ISSUE-4 routing contract: small rounds stay on the in-process
-vectorized backend, large pure-Python rounds route to the process backend,
-explicit ``backend=`` choices are always honored, fixed-seed samples are
-identical under ``auto`` and every forced backend (including the spectral
-sampler now routed through the engine), and the parent cost model ships to
-process workers for exact work parity.
+Covers the routing contract on scripted backends (rounds start on the
+reference, another candidate runs only when guessed or measured faster,
+a backend's first round in a regime decides nothing), default ``auto`` on
+the paper's Theorem-10 sampler, explicit ``backend=`` choices always being
+honored, fixed-seed samples identical under ``auto`` and every forced
+backend (including the spectral sampler routed through the engine), and the
+parent cost model shipping to process workers for exact work parity.
 """
 
 import os
+import threading
 
 import numpy as np
 import pytest
 
+import repro
 from repro.distributions.generic import ExplicitDistribution
 from repro.dpp.partition import PartitionDPP
 from repro.dpp.spectral import sample_dpp_spectral, sample_kdpp_spectral
@@ -20,7 +23,9 @@ from repro.dpp.symmetric import SymmetricKDPP
 from repro.engine import (
     AutoBackend,
     BackendTraits,
+    ExecutionBackend,
     OracleBatch,
+    OracleBatchResult,
     ProcessPoolBackend,
     RoundPlanner,
     SerialBackend,
@@ -31,17 +36,10 @@ from repro.engine import (
     use_backend,
 )
 from repro.engine.backends import _pin_worker_blas_threads, _WORKER_BLAS_ENV_VARS
-from repro.engine.planner import PLANNED_KINDS
+from repro.engine.planner import PLANNED_KINDS, shape_bucket
 from repro.core.symmetric import sample_symmetric_kdpp_parallel
 from repro.core.partition import sample_partition_dpp_parallel
-from repro.pram.cost import (
-    CalibratedCostModel,
-    CostModel,
-    OracleCostHint,
-    WallClockCoefficients,
-    calibrate_wall_clock,
-    calibrated_cost_model,
-)
+from repro.pram.cost import CostModel
 from repro.pram.tracker import Tracker, use_tracker
 from repro.workloads import random_psd_ensemble
 
@@ -49,97 +47,80 @@ pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
 
 # ---------------------------------------------------------------------- #
-# traits and the calibrated cost model
+# backend traits
 # ---------------------------------------------------------------------- #
 class TestTraitsAndCalibration:
     def test_backend_traits_shapes(self):
         cores = os.cpu_count() or 1
         vec = VectorizedBackend().traits()
-        assert vec.dispatch_overhead_s == 0.0 and not vec.scalar_loop
+        assert vec.dispatch_overhead_s == 0.0 and vec.parallelism == 1
         ser = SerialBackend().traits()
-        assert ser.scalar_loop and ser.parallelism == 1
+        assert ser.parallelism == 1 and not ser.escapes_gil
         thr = ThreadPoolBackend(max_workers=3).traits()
-        assert thr.scalar_loop and not thr.escapes_gil
+        assert not thr.escapes_gil
         assert thr.parallelism == min(3, cores)  # effective lanes are host-capped
         proc = ProcessPoolBackend(max_workers=2).traits()
         assert proc.escapes_gil and proc.parallelism == min(2, cores)
         assert proc.dispatch_overhead_s > thr.dispatch_overhead_s
 
-    def test_calibration_cached_per_process(self):
-        first = calibrate_wall_clock()
-        second = calibrate_wall_clock()
-        assert first is second
-        assert first.seconds_per_flop_unit > 0
-        # interpreted python is far slower per work unit than LAPACK
-        assert first.seconds_per_python_unit > first.seconds_per_flop_unit
-
-    def test_calibrated_model_preserves_pram_schedule(self):
-        base = CostModel(determinant_exponent=2.5)
-        model = calibrated_cost_model(base)
-        assert isinstance(model, CalibratedCostModel)
-        assert model.determinant_work(10) == base.determinant_work(10)
-        # already-calibrated models pass through untouched
-        assert calibrated_cost_model(model) is model
-
-    def test_estimate_batch_seconds_splits_lanes(self):
-        model = CalibratedCostModel(coefficients=WallClockCoefficients(
-            seconds_per_flop_unit=1e-9, seconds_per_python_unit=1e-6))
-        lapack = OracleCostHint(matrix_order=20, python_fraction=0.0)
-        scalar_python = OracleCostHint(matrix_order=20, python_fraction=1.0,
-                                       batch_vectorized=False)
-        # a fully interpreted scalar loop prices the full n^omega work at the
-        # (1000x dearer) python coefficient
-        assert model.estimate_batch_seconds(scalar_python, 10) == pytest.approx(
-            1000 * model.estimate_batch_seconds(lapack, 10))
-        assert model.python_seconds(lapack, 10) == 0.0
-        assert model.python_seconds(scalar_python, 10) == pytest.approx(
-            model.estimate_batch_seconds(scalar_python, 10))
-        # a vectorized oracle's interpreted share sits one order below the
-        # determinant work (bookkeeping around stacked LAPACK calls)
-        vector_python = OracleCostHint(matrix_order=20, python_fraction=1.0)
-        assert model.python_seconds(vector_python, 10) == pytest.approx(
-            model.python_seconds(scalar_python, 10) / 20)
-
 
 # ---------------------------------------------------------------------- #
 # planner routing decisions
 # ---------------------------------------------------------------------- #
-class _FakeThreads(VectorizedBackend):
-    """Thread-shaped traits with in-process execution (host-independent tests)."""
+class _StubBackend(ExecutionBackend):
+    """Backend whose reported wall time is scripted, not measured.
 
-    name = "threads"
+    ``walls`` is one time for every call, or a sequence whose last entry
+    repeats (a slow first entry scripts a pool's start-up round).
+    """
+
+    def __init__(self, name, walls, **traits):
+        self.name = name
+        self._walls = list(walls) if isinstance(walls, (list, tuple)) else [walls]
+        self._traits = BackendTraits(name=name, **traits)
+        self.calls = 0
+
+    def execute(self, batch, *, tracker=None):
+        wall = self._walls[min(self.calls, len(self._walls) - 1)]
+        self.calls += 1
+        return OracleBatchResult(values=np.zeros(batch.n_queries),
+                                 backend=self.name, wall_time=wall,
+                                 n_queries=batch.n_queries)
 
     def traits(self):
-        return BackendTraits(name=self.name, parallelism=4, scalar_loop=True,
-                             dispatch_overhead_s=5e-4, per_query_overhead_s=1e-5)
+        return self._traits
+
+    def _counting(self, batch, tracker):  # pragma: no cover
+        raise NotImplementedError
+
+    def _joint_marginals(self, batch, tracker):  # pragma: no cover
+        raise NotImplementedError
+
+    def _log_principal_minors(self, batch, tracker):  # pragma: no cover
+        raise NotImplementedError
 
 
-class _FakeProcess(VectorizedBackend):
-    """Process-shaped traits with in-process execution (no pools in tests)."""
+def _make_planner(vectorized=0.05, process=0.01, *, lanes=4):
+    """A planner over scripted pooled backends (``lanes`` each): no pools
+    spin up, and decisions depend only on the routing rule, not the host."""
+    backends = {
+        "vectorized": _StubBackend("vectorized", vectorized),
+        "threads": _StubBackend("threads", 1e-6, parallelism=lanes,
+                                dispatch_overhead_s=5e-4),
+        "process": _StubBackend("process", process, parallelism=lanes,
+                                escapes_gil=True, dispatch_overhead_s=2e-3),
+    }
+    return RoundPlanner(candidates=tuple(backends), backends=backends), backends
 
-    name = "process"
 
-    def traits(self):
-        return BackendTraits(name=self.name, parallelism=4, escapes_gil=True,
-                             dispatch_overhead_s=2e-3, per_query_overhead_s=5e-6)
-
-
-def _make_planner(**overrides):
-    """A planner with deterministic coefficients, stubbed 4-lane pooled
-    backends, and pre-seeded overheads — no probes run, no pools spin up,
-    and decisions depend only on the math, not the host's core count."""
-    model = CalibratedCostModel(coefficients=WallClockCoefficients(
-        seconds_per_flop_unit=1e-9, seconds_per_python_unit=1e-6))
-    options = dict(
-        backends={
-            "vectorized": VectorizedBackend(),
-            "threads": _FakeThreads(),
-            "process": _FakeProcess(),
-        },
-        overheads={"vectorized": 0.0, "threads": 5e-4, "process": 2e-3},
-    )
-    options.update(overrides)
-    return RoundPlanner(model, **options)
+def _route(planner, batch, rounds):
+    """Run ``batch`` ``rounds`` times through ``planner``; the chosen names."""
+    auto = AutoBackend(planner)
+    chosen = []
+    for _ in range(rounds):
+        auto.execute(batch)
+        chosen.append(planner.last_decision.chosen)
+    return chosen
 
 
 @pytest.fixture(scope="module")
@@ -153,32 +134,85 @@ def partition_dpp():
     return PartitionDPP(L, [list(range(15)), list(range(15, 30))], [3, 2])
 
 
+def _gil_bound_batch(partition_dpp):
+    """Partition-DPP counting round: ``python_fraction`` 0.8."""
+    return OracleBatch.counting(partition_dpp, [(i,) for i in range(8)])
+
+
+def _lapack_batch():
+    """Matrix-backed minors: no GIL-bound share at all."""
+    return OracleBatch.log_principal_minors(np.eye(8), [(i,) for i in range(8)])
+
+
 class TestPlannerRouting:
+    def test_shape_bucket_powers_of_two(self):
+        assert shape_bucket(1) == 1
+        assert shape_bucket(2) == 2
+        assert shape_bucket(3) == 4
+        assert shape_bucket(100) == 128
+
     def test_small_round_stays_vectorized(self, small_kdpp):
-        planner = _make_planner()
+        # a regime's first planned rounds run on the reference until it has
+        # a measurement that is not a set-up round...
+        planner, backends = _make_planner(vectorized=1e-3)
         batch = OracleBatch.counting(small_kdpp, [(0,), (1,), (2, 3)])
-        assert planner.choose(batch).name == "vectorized"
+        assert _route(planner, batch, 2) == ["vectorized", "vectorized"]
+        assert planner.last_decision.reason == "unmeasured"
+        assert planner.last_decision.estimates == {}
+        # ...and a measured round below break-even stays there
+        assert _route(planner, batch, 3) == ["vectorized"] * 3
         decision = planner.last_decision
-        assert decision.chosen == "vectorized"
+        assert decision.reason == ""
         assert set(decision.estimates) == {"vectorized", "threads", "process"}
+        assert decision.estimates["vectorized"] == pytest.approx(1e-3)
+        assert backends["threads"].calls == backends["process"].calls == 0
 
     def test_large_python_bound_round_goes_to_process(self, partition_dpp):
-        planner = _make_planner()
-        subsets = [(i % partition_dpp.n,) for i in range(400)]
-        batch = OracleBatch.counting(partition_dpp, subsets)
-        assert planner.choose(batch).name == "process"
+        planner, _ = _make_planner(vectorized=0.05)
+        chosen = _route(planner, _gil_bound_batch(partition_dpp), 3)
+        assert chosen == ["vectorized", "vectorized", "process"]
+        # T · (1 − f + f / lanes) + overhead at f = 0.8 on 4 lanes
         estimates = planner.last_decision.estimates
-        assert estimates["process"] < estimates["vectorized"]
+        assert estimates["process"] == pytest.approx(0.05 * 0.4 + 2e-3)
+        assert estimates["threads"] > estimates["vectorized"]  # never escapes the GIL
 
-    def test_large_lapack_round_prefers_in_process(self, small_kdpp):
-        # plenty of queries, but all LAPACK-bound on a tiny kernel: the
-        # process pool's IPC overhead cannot pay for itself
-        planner = _make_planner()
-        batch = OracleBatch.counting(small_kdpp, [(0,), (1,)] * 50)
-        assert planner.choose(batch).name == "vectorized"
+    @pytest.mark.parametrize("process, kept", [(0.01, "process"), (0.08, "vectorized")],
+                             ids=["process-faster", "reference-faster"])
+    def test_measured_faster_backend_is_kept(self, partition_dpp, process, kept):
+        planner, backends = _make_planner(vectorized=0.05, process=process)
+        chosen = _route(planner, _gil_bound_batch(partition_dpp), 10)
+        # two reference rounds (set-up, then measured), two process rounds
+        # (set-up, then measured), then whichever measured faster, for good
+        assert chosen[:4] == ["vectorized", "vectorized", "process", "process"]
+        assert chosen[4:] == [kept] * 6
+        assert backends["process"].calls == (8 if kept == "process" else 2)
+
+    def test_large_lapack_round_prefers_in_process(self):
+        # a whole second per round, but all of it LAPACK: no lanes to gain,
+        # so every guess is the reference plus dispatch overhead
+        planner, backends = _make_planner(vectorized=1.0, process=1e-6)
+        assert _route(planner, _lapack_batch(), 8) == ["vectorized"] * 8
+        assert backends["process"].calls == 0
+
+    def test_single_lane_process_is_never_tried(self, partition_dpp):
+        planner, backends = _make_planner(vectorized=1.0, process=1e-6, lanes=1)
+        assert _route(planner, _gil_bound_batch(partition_dpp), 8) == ["vectorized"] * 8
+        assert backends["process"].calls == 0
+
+    def test_pool_startup_round_does_not_decide_regime(self, partition_dpp):
+        planner, _ = _make_planner(vectorized=0.05, process=(5.0, 0.01))
+        chosen = _route(planner, _gil_bound_batch(partition_dpp), 8)
+        assert chosen[2:] == ["process"] * 6
+
+    def test_regimes_keep_separate_measurements(self, partition_dpp):
+        planner, _ = _make_planner(vectorized=0.05)
+        _route(planner, _gil_bound_batch(partition_dpp), 4)
+        wide = OracleBatch.counting(partition_dpp, [(i,) for i in range(30)])
+        assert _route(planner, wide, 1) == ["vectorized"]
+        assert planner.last_decision.reason == "unmeasured"
 
     def test_fixed_route_kinds_skip_estimation(self, small_kdpp):
-        planner = _make_planner()
+        planner, _ = _make_planner()
         marginal = OracleBatch.marginal_vector(small_kdpp)
         assert planner.choose(marginal).name == "vectorized"
         assert planner.last_decision.reason == "fixed-route"
@@ -188,26 +222,95 @@ class TestPlannerRouting:
         assert projection.kind not in PLANNED_KINDS
 
     def test_empty_batch_short_circuits(self, small_kdpp):
-        planner = _make_planner()
+        planner, _ = _make_planner()
         batch = OracleBatch.counting(small_kdpp, [])
         assert planner.choose(batch).name == "vectorized"
         assert planner.last_decision.reason == "empty"
 
+    def test_reference_is_vectorized_among_in_process_candidates(self, small_kdpp):
+        auto = AutoBackend(candidates=("serial", "vectorized"))
+        assert auto.planner.reference == "vectorized"
+        batch = lambda: OracleBatch.counting(small_kdpp, [(0,), (1,), (2, 3)])  # noqa: E731
+        marginal = OracleBatch.marginal_vector(small_kdpp)
+        for _ in range(4):
+            assert auto.execute(batch(), tracker=Tracker()).backend == "vectorized"
+            assert auto.execute(marginal, tracker=Tracker()).backend == "vectorized"
+        # serial is guessed at exactly the reference's time: ties keep it
+        estimates = auto.planner.decisions[-2].estimates
+        assert estimates["serial"] == estimates["vectorized"]
+
     def test_generic_distribution_hint_is_python_bound(self):
         table = {(0, 1): 1.0, (0, 2): 2.0, (1, 2): 0.5}
         dist = ExplicitDistribution(3, table, cardinality=2)
-        hint = dist.oracle_cost_hint()
-        assert hint.batch_vectorized  # explicit tables vectorize in one pass
+        # explicit tables answer a batch in one mask matmul
+        assert dist.oracle_cost_hint().python_fraction < 1.0
         from repro.distributions.base import SubsetDistribution
 
         default = SubsetDistribution.oracle_cost_hint(dist)
-        assert default.python_fraction == 1.0 and not default.batch_vectorized
+        assert default.python_fraction == 1.0
 
-    def test_seeded_overheads_prevent_probes(self, small_kdpp):
-        planner = _make_planner()
-        planner.choose(OracleBatch.counting(small_kdpp, [(0,)]))
-        # overheads were injected, so nothing was measured/overwritten
-        assert planner._overheads["process"] == 2e-3
+
+class TestPlannerConcurrency:
+    def test_concurrent_rounds_keep_lock_discipline(self, partition_dpp):
+        """Eight threads (more than this host's cores) route one regime
+        under seeded chaos: the runtime harness sees every measurement and
+        decision touched under the planner's lock, and the regime still
+        settles on the backend that measured faster."""
+        from repro.analysis.runtime import ChaosScheduler, guard_instance
+
+        collector = []
+        planner, _ = _make_planner(vectorized=0.05, process=0.01)
+        batch = _gil_bound_batch(partition_dpp)
+        with ChaosScheduler(7) as chaos:
+            guard_instance(planner, collector=collector, chaos=chaos)
+            auto = AutoBackend(planner)
+
+            def route():
+                for _ in range(25):
+                    chaos.maybe_switch()
+                    auto.execute(batch)
+
+            threads = [threading.Thread(target=route) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not collector, [v.render() for v in collector]
+        assert _route(planner, batch, 1) == ["process"]
+        assert planner.last_decision.estimates == pytest.approx(
+            {"vectorized": 0.05, "threads": 0.05 + 5e-4, "process": 0.01})
+
+
+class TestDefaultAutoOnTheorem10:
+    def test_default_auto_keeps_theorem10_in_process(self):
+        """Default candidates keep the paper's sampler on ``vectorized``.
+
+        A Theorem-10 round is LAPACK-bound (``python_fraction`` 0.1) and
+        takes milliseconds, far below what a process pool could win back,
+        so no planned round leaves the reference and no pool starts.
+        """
+        backends = {"vectorized": VectorizedBackend(),
+                    "threads": ThreadPoolBackend(),
+                    "process": ProcessPoolBackend()}
+        planner = RoundPlanner(backends=backends)
+        auto = AutoBackend(planner)
+        L = random_psd_ensemble(200, rank=60, seed=0)
+        decisions = []
+        try:
+            with repro.serve(L, registry=repro.KernelRegistry()) as session:
+                session.warm()
+                for seed in range(4):
+                    session.sample(k=10, seed=seed, method="parallel", backend=auto)
+                    decisions += list(planner.decisions)
+                    planner.decisions.clear()
+            started = backends["process"]._pool is not None
+        finally:
+            backends["threads"].close()
+            backends["process"].close()
+        planned = [d.chosen for d in decisions if d.kind in PLANNED_KINDS]
+        assert planned and set(planned) == {"vectorized"}, planned
+        assert not started
 
 
 # ---------------------------------------------------------------------- #
@@ -221,16 +324,16 @@ class TestAutoBackend:
 
     def test_auto_rejects_conflicting_construction(self):
         with pytest.raises(ValueError, match="not both"):
-            AutoBackend(RoundPlanner(), cost_model=CostModel())
+            AutoBackend(RoundPlanner(), candidates=("vectorized",))
 
     def test_result_reports_inner_backend(self, small_kdpp):
-        auto = AutoBackend(_make_planner())
+        auto = AutoBackend(candidates=("vectorized", "serial"))
         result = auto.execute(OracleBatch.counting(small_kdpp, [(0,), (1,)]),
                               tracker=Tracker())
         assert result.backend == "vectorized"
 
     def test_explicit_backend_bypasses_planner(self, small_kdpp):
-        auto = AutoBackend(_make_planner())
+        auto = AutoBackend(_make_planner()[0])
         with use_backend(auto):
             before = len(auto.planner.decisions)
             result = resolve_backend("serial").execute(
@@ -239,22 +342,12 @@ class TestAutoBackend:
             assert len(auto.planner.decisions) == before
 
     def test_routed_batch_executes_on_chosen_backend(self, partition_dpp):
-        executed = []
-
-        class Recording(_FakeProcess):
-            def execute(self, batch, *, tracker=None):
-                executed.append(batch.kind)
-                return super().execute(batch, tracker=tracker)
-
-        planner = _make_planner(backends={
-            "vectorized": VectorizedBackend(),
-            "threads": _FakeThreads(),
-            "process": Recording(),
-        })
+        planner, backends = _make_planner(vectorized=0.05)
         auto = AutoBackend(planner)
-        subsets = [(i % partition_dpp.n,) for i in range(400)]
-        auto.execute(OracleBatch.counting(partition_dpp, subsets), tracker=Tracker())
-        assert executed == ["counting"]
+        batch = _gil_bound_batch(partition_dpp)
+        results = [auto.execute(batch, tracker=Tracker()) for _ in range(3)]
+        assert [r.backend for r in results] == ["vectorized", "vectorized", "process"]
+        assert backends["vectorized"].calls == 2 and backends["process"].calls == 1
 
     @pytest.mark.parametrize("forced", ["serial", "vectorized", "threads"])
     def test_auto_identical_to_forced_symmetric(self, forced):
@@ -384,79 +477,3 @@ class TestProcessBackendSatellites:
         # fell back in-process (same tracker): either way the custom
         # exponent prices every determinant
         assert shipped.work == pytest.approx(reference.work)
-
-
-# ---------------------------------------------------------------------- #
-# the per-byte shipping coefficient (payload-publication pricing)
-# ---------------------------------------------------------------------- #
-class TestShippingCoefficient:
-    def test_shipping_seconds_prices_bytes_linearly(self):
-        model = CalibratedCostModel(coefficients=WallClockCoefficients(
-            seconds_per_shipped_byte=1e-6))
-        assert model.shipping_seconds(1000) == pytest.approx(1e-3)
-        assert model.shipping_seconds(0) == 0.0
-        assert model.shipping_seconds(-5) == 0.0
-
-    def test_calibration_measures_a_positive_coefficient(self):
-        coefficients = calibrate_wall_clock()
-        assert coefficients.seconds_per_shipped_byte > 0.0
-        # sanity decade: publication cannot plausibly be slower than 1 ms/KB
-        assert coefficients.seconds_per_shipped_byte < 1e-6
-
-    def test_first_shipment_penalty_keeps_wide_rounds_in_process(self, partition_dpp):
-        class _ShippingProcess(_FakeProcess):
-            """Process-shaped backend reporting a huge unpublished payload."""
-
-            def shipping_bytes(self, batch):
-                return 1 << 30
-
-        shipping_model = CalibratedCostModel(coefficients=WallClockCoefficients(
-            seconds_per_flop_unit=1e-9, seconds_per_python_unit=1e-6,
-            seconds_per_shipped_byte=1e-6))
-        subsets = [(i % partition_dpp.n,) for i in range(400)]
-        batch = OracleBatch.counting(partition_dpp, subsets)
-        # without the penalty this batch routes to process (see
-        # test_large_python_bound_round_goes_to_process)...
-        assert _make_planner().choose(batch).name == "process"
-        # ...with a 1 GiB unpublished payload priced at 1 µs/byte it cannot
-        planner = _make_planner(backends={
-            "vectorized": VectorizedBackend(),
-            "threads": _FakeThreads(),
-            "process": _ShippingProcess(),
-        })
-        planner._calibrated = shipping_model
-        assert planner.choose(batch).name != "process"
-        estimates = planner.last_decision.estimates
-        assert estimates["process"] > 1000.0  # the publication term dominates
-
-    def test_already_published_payloads_are_free(self, partition_dpp):
-        # the stub inherits shipping_bytes() == 0, so with an explicit zero
-        # payload the penalty vanishes and the process route wins again
-        planner = _make_planner()
-        subsets = [(i % partition_dpp.n,) for i in range(400)]
-        batch = OracleBatch.counting(partition_dpp, subsets)
-        assert planner.choose(batch).name == "process"
-        assert planner.last_decision.estimates["process"] < \
-            planner.last_decision.estimates["vectorized"]
-
-    def test_process_backend_estimates_unpublished_bytes(self, small_kdpp):
-        backend = ProcessPoolBackend(max_workers=1)
-        matrix = np.eye(20)
-        batch = OracleBatch.log_principal_minors(matrix, [(0,), (1,)])
-        assert backend.shipping_bytes(batch) == matrix.nbytes
-        backend._mark_shipped(batch)
-        assert backend.shipping_bytes(batch) == 0  # same object: already shipped
-        other = OracleBatch.log_principal_minors(np.eye(20), [(0,)])
-        assert backend.shipping_bytes(other) == other.matrix.nbytes  # new object
-
-    def test_distribution_payload_bytes_track_warm_artifacts(self):
-        kdpp = SymmetricKDPP(random_psd_ensemble(12, seed=0), 4, validate=False)
-        backend = ProcessPoolBackend(max_workers=1)
-        batch = OracleBatch.counting(kdpp, [(0,)])
-        cold_bytes = backend.shipping_bytes(batch)
-        assert cold_bytes >= kdpp.L.nbytes
-        kdpp.factor_gram  # warming enlarges the payload...
-        warm_bytes = backend.shipping_bytes(batch)
-        assert warm_bytes > cold_bytes
-        backend._mark_shipped(batch)  # ...until it has shipped once
-        assert backend.shipping_bytes(batch) == 0
