@@ -12,8 +12,10 @@ foundation: a first-class factor representation
 * :class:`LowRankDPP` / :class:`LowRankKDPP` — the Definition 3/6
   distributions over that representation, with all counting-oracle routes in
   factor space: the dual ``k x k`` Gram ``C = BᵀB`` carries the nonzero
-  spectrum of ``L``, conditioned spectra reduce through
-  :func:`repro.linalg.batch.lowrank_conditioned_gram`, and marginals cost
+  spectrum of ``L``, the DPP's conditioned spectra reduce through
+  :func:`repro.linalg.batch.lowrank_conditioned_gram`, the k-DPP's counts
+  come from the dual spectrum alone
+  (:func:`repro.linalg.esp.kdpp_counts_from_factor`), and marginals cost
   ``O(n k)`` via the push-through identity ``K = B (I + C)^{-1} Bᵀ``.
 
 Memory is ``O(n k)`` throughout and no routine touches an ``n x n``
@@ -29,7 +31,7 @@ import numpy as np
 
 from repro.distributions.base import HomogeneousDistribution, SubsetDistribution
 from repro.linalg.batch import conditioned_factor, group_by_size, lowrank_conditioned_gram
-from repro.linalg.esp import elementary_symmetric_polynomials
+from repro.linalg.esp import elementary_symmetric_polynomials, kdpp_counts_from_factor
 from repro.pram.cost import OracleCostHint
 from repro.pram.tracker import current_tracker
 from repro.utils.fingerprint import kernel_fingerprint
@@ -441,10 +443,12 @@ class LowRankDPP(_LowRankOracleMixin, SubsetDistribution):
 class LowRankKDPP(_LowRankOracleMixin, HomogeneousDistribution):
     """k-DPP ``P[Y] ∝ det(L_Y) · 1[|Y| = k]`` with ``L = B Bᵀ`` held as ``B``.
 
-    Counting oracle ``det(L_T) · e_{k-|T|}(λ(L^T))`` with the conditioned
-    spectrum reduced to the ``r x r`` dual Gram — zero eigenvalues contribute
-    nothing to elementary symmetric polynomials, so the dual spectrum is
-    exactly enough.
+    Counting oracle ``[z^k] det(I + zL) · det(K(z)_T)`` with
+    ``K(z) = zL (I + zL)^{-1}``: with the dual eigendecomposition
+    ``BᵀB = V diag(λ) Vᵀ`` and ``W = B V``, both factors depend on ``λ`` and
+    the rows ``W_T`` only, so
+    :func:`~repro.linalg.esp.kdpp_counts_from_factor` reads the count off
+    ``r + 1`` points on a circle with no per-query decomposition.
     """
 
     def __init__(self, kernel, k: int, *, validate: bool = True,
@@ -491,7 +495,7 @@ class LowRankKDPP(_LowRankOracleMixin, HomogeneousDistribution):
         return float(self.counting_batch([items])[0])
 
     def counting_batch(self, subsets: Sequence[Sequence[int]]) -> np.ndarray:
-        """``det(L_T) · e_{k-|T|}(λ(L^T))`` for many (mixed-size) ``T`` at once."""
+        """``Σ_{S ⊇ T, |S| = k} det(L_S)`` for many (mixed-size) ``T`` at once."""
         values = np.zeros(len(subsets), dtype=float)
         tracker = current_tracker()
         for t, positions in group_by_size(subsets).items():
@@ -508,11 +512,8 @@ class LowRankKDPP(_LowRankOracleMixin, HomogeneousDistribution):
                 dets = np.linalg.det(blocks @ blocks.transpose(0, 2, 1))
                 values[positions] = np.where(dets > 0, dets, 0.0)
                 continue
-            det_T, reduced = lowrank_conditioned_gram(self.factor, self.gram, group)
-            tracker.charge_determinant(self.rank, count=len(group))
-            spectra = np.clip(np.linalg.eigvalsh(reduced), 0.0, None)
-            esp = elementary_symmetric_polynomials(spectra, max_order=self.k - t)
-            values[positions] = np.where(det_T > 0, det_T * esp[self.k - t], 0.0)
+            values[positions] = kdpp_counts_from_factor(
+                self.dual_eigenvalues, self.factor @ self.dual_vectors, group, self.k)
         return values
 
     def joint_marginals_batch(self, subsets: Sequence[Sequence[int]]) -> np.ndarray:

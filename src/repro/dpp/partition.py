@@ -16,6 +16,7 @@ counts (Section 3.2 of the paper).
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -34,6 +35,19 @@ from repro.linalg.schur import condition_ensemble
 from repro.pram.cost import OracleCostHint
 from repro.pram.tracker import current_tracker
 from repro.utils.validation import check_subset
+
+
+#: largest stacked ``(nodes, n, n)`` interpolation grid, in bytes, an oracle may allocate
+_GRID_BUDGET_BYTES = 1 << 30
+
+
+class InterpolationGridTooLarge(ValueError):
+    """The tensor interpolation grid of a counting query exceeds the memory budget.
+
+    The grid has ``∏ (|P_i| + 1)`` nodes, each an ``n x n`` determinant, so a
+    few large parts already ask for more memory than any host has.  Raised
+    before anything is allocated.
+    """
 
 
 class PartitionDPP(HomogeneousDistribution):
@@ -146,7 +160,8 @@ class PartitionDPP(HomogeneousDistribution):
 
         All grid evaluations of the generating polynomial are one stacked
         determinant call (one batched ``Õ(1)``-depth round), followed by the
-        tensor-product Vandermonde solve.
+        tensor-product Vandermonde solve.  A grid whose stack would exceed
+        ``_GRID_BUDGET_BYTES`` raises :class:`InterpolationGridTooLarge`.
         """
         n = L.shape[0]
         if any(c < 0 for c in counts):
@@ -157,6 +172,13 @@ class PartitionDPP(HomogeneousDistribution):
             return 1.0 if all(c == 0 for c in counts) else 0.0
         node_sets = tensor_product_nodes(part_sizes, node_scale=1.0)
         grid_shape = tuple(len(nodes) for nodes in node_sets)
+        grid_nodes = math.prod(grid_shape)
+        grid_bytes = grid_nodes * n * n * np.dtype(float).itemsize
+        if grid_bytes > _GRID_BUDGET_BYTES:
+            raise InterpolationGridTooLarge(
+                f"interpolation grid {grid_shape} has {grid_nodes} nodes: its stacked "
+                f"({grid_nodes}, {n}, {n}) determinants need {grid_bytes} bytes, "
+                f"over the budget of {_GRID_BUDGET_BYTES} bytes")
         # row-major grid of evaluation points, one row per grid node
         points = np.stack(np.meshgrid(*node_sets, indexing="ij"), axis=-1).reshape(-1, len(node_sets))
         weights = points[:, part_of]                      # (grid, n) column scalings

@@ -7,13 +7,16 @@ Both classes expose the counting-oracle / self-reducibility interface of
 * ``SymmetricDPP``:  ``μ(S) ∝ det(L_S)``; counting oracle
   ``Σ_{S ⊇ T} det(L_S) = det(K_T) · det(I + L)``.
 * ``SymmetricKDPP``: ``μ(S) ∝ det(L_S) · 1[|S| = k]``; counting oracle
-  ``Σ_{S ⊇ T, |S| = k} det(L_S) = det(L_T) · e_{k-|T|}(λ(L^T))``.
+  ``Σ_{S ⊇ T, |S| = k} det(L_S) = [z^k] det(I + zL) · det(K(z)_T)`` with
+  ``K(z) = zL (I + zL)^{-1}``, read off ``r + 1`` points on a circle
+  (:func:`repro.linalg.esp.kdpp_counts_from_factor`).
 
 Conditioning maps to Schur complements of the ensemble matrix (Section 3.2).
 A conditioned ``SymmetricKDPP`` also receives a factor of its Schur
-complement (:func:`repro.linalg.batch.conditioned_factor`), so its spectrum,
-marginals and counting queries come from ``r x r`` Gram matrices, never from
-an ``n x n`` decomposition.
+complement (:func:`repro.linalg.batch.conditioned_factor`), so its spectrum
+and marginals come from one ``r x r`` Gram eigendecomposition and its
+counting queries from that decomposition's factor spectrum, never from an
+``n x n`` decomposition.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from repro.linalg.batch import (
     stacked_principal_submatrices,
 )
 from repro.linalg.determinant import principal_minor
-from repro.linalg.esp import elementary_symmetric_polynomials
+from repro.linalg.esp import elementary_symmetric_polynomials, kdpp_counts_from_factor
 from repro.linalg.schur import condition_ensemble
 from repro.pram.cost import OracleCostHint
 from repro.pram.tracker import current_tracker
@@ -240,8 +243,8 @@ class SymmetricKDPP(HomogeneousDistribution):
         A kernel built from ``L`` gets a rank-revealing factor from one eigh
         (:func:`repro.linalg.batch.psd_factor`); :meth:`condition` hands its
         child the projected factor ``B_O Q`` of the same width.  Batched
-        counting and the marginals reduce every spectrum to this factor's
-        ``r x r`` Gram (see :func:`repro.linalg.batch.lowrank_conditioned_gram`).
+        counting and the marginals work from this factor's ``r x r`` Gram
+        (see :meth:`_factor_spectrum`).
         """
         if self._factor is None:
             self._factor = psd_factor(self.L)
@@ -259,7 +262,8 @@ class SymmetricKDPP(HomogeneousDistribution):
         """``(s, B V)`` from one eigh ``BᵀB = V diag(s) Vᵀ`` (cached).
 
         ``s`` is the nonzero spectrum of ``L`` and the columns of ``B V`` its
-        eigenvectors scaled by ``√s``: all the marginals need, at ``r x r``.
+        eigenvectors scaled by ``√s``: all the marginals and the counting
+        queries need, at ``r x r``.
         """
         if self._gram_eigh is None:
             gram = self.factor_gram
@@ -311,6 +315,7 @@ class SymmetricKDPP(HomogeneousDistribution):
 
         A serving-layer distribution (``attach_precomputed``) and every
         conditioned kernel ship their eigenvalues / factor / Gram companion
+        (and the factor spectrum that counting reads, once computed)
         through shared memory, so workers skip every eigendecomposition; a
         cold kernel ships only ``L`` and lets each worker derive the
         artifacts once (they are cached per kernel fingerprint on the worker
@@ -323,6 +328,9 @@ class SymmetricKDPP(HomogeneousDistribution):
             arrays["factor"] = self._factor
         if self._factor_gram is not None:
             arrays["factor_gram"] = self._factor_gram
+        if self._gram_eigh is not None:
+            arrays["factor_spectrum"] = self._gram_eigh[0]
+            arrays["factor_rotated"] = self._gram_eigh[1]
         return arrays, {"k": self.k, "labels": self._labels}
 
     @classmethod
@@ -334,6 +342,8 @@ class SymmetricKDPP(HomogeneousDistribution):
             dist._factor = arrays["factor"]
             if "factor_gram" in arrays:
                 dist._factor_gram = arrays["factor_gram"]
+            if "factor_spectrum" in arrays:
+                dist._gram_eigh = (arrays["factor_spectrum"], arrays["factor_rotated"])
         return dist
 
     def absorb_worker_arrays(self, arrays: dict) -> None:
@@ -366,10 +376,11 @@ class SymmetricKDPP(HomogeneousDistribution):
         return kernel_fingerprint(self.L, kind="symmetric")
 
     def oracle_cost_hint(self) -> OracleCostHint:
-        """Rank-r Gram reductions + batched ESPs: LAPACK-dominated.
+        """Stacked matmuls and small determinants: LAPACK-dominated.
 
-        The ESP recursion is vectorized across the batch (one NumPy pass per
-        order), so only a thin Python lane remains.
+        A counting round is one stacked matmul plus ``|T| x |T|``
+        determinants at ``⌊(r + 1)/2⌋ + 1`` nodes per query, so only a thin
+        Python lane remains.
         """
         return OracleCostHint(matrix_order=self.n, python_fraction=0.1,
                               update_depth=self.update_depth)
@@ -382,8 +393,14 @@ class SymmetricKDPP(HomogeneousDistribution):
         return max(dpp_unnormalized(self.L, items), 0.0)
 
     def partition_function(self) -> float:
+        """``e_k(λ(L))`` over the positive eigenvalues.
+
+        An exact zero leaves every ``e_j`` unchanged bit for bit, so a
+        conditioned kernel's zero-padded spectrum costs only its factor width.
+        """
         current_tracker().charge_determinant(self.n)
-        esp = elementary_symmetric_polynomials(self.eigenvalues, max_order=self.k)
+        eigenvalues = self.eigenvalues
+        esp = elementary_symmetric_polynomials(eigenvalues[eigenvalues > 0], max_order=self.k)
         return float(esp[self.k])
 
     def counting(self, given: Iterable[int] = ()) -> float:
@@ -411,13 +428,13 @@ class SymmetricKDPP(HomogeneousDistribution):
     def counting_batch(self, subsets: Sequence[Sequence[int]]) -> np.ndarray:
         """``Σ_{S ⊇ T, |S| = k} det(L_S)`` for many (mixed-size) ``T`` at once.
 
-        Equal-size groups are answered with stacked linear algebra: one
-        batched determinant for ``det(L_T)``, then — instead of a per-query
-        ``O((n-t)³)`` eigendecomposition of the Schur complement — the
-        rank-``r`` Gram reduction of
-        :func:`~repro.linalg.batch.lowrank_conditioned_gram` followed by a
-        batched ESP evaluation.  Stacked slices are computed independently,
-        so a query's value does not depend on what it is batched with.
+        Equal-size groups with ``0 < |T| < k`` are read off the generating
+        polynomial ``det(I + zL) · det(K(z)_T)`` on a circle by
+        :func:`~repro.linalg.esp.kdpp_counts_from_factor`, from the cached
+        factor spectrum: no query decomposes anything.  ``|T| = k`` is one
+        stacked determinant of ``L_T``.  Stacked slices are computed
+        independently, so a query's value does not depend on what it is
+        batched with.
         """
         values = np.zeros(len(subsets), dtype=float)
         tracker = current_tracker()
@@ -433,11 +450,7 @@ class SymmetricKDPP(HomogeneousDistribution):
                 dets = np.linalg.det(stacked_principal_submatrices(self.L, group))
                 values[positions] = np.where(dets > 0, dets, 0.0)
                 continue
-            det_T, reduced = lowrank_conditioned_gram(self.factor, self.factor_gram, group)
-            tracker.charge_determinant(self.n - t, count=len(group))
-            spectra = np.clip(np.linalg.eigvalsh(reduced), 0.0, None)
-            esp = elementary_symmetric_polynomials(spectra, max_order=self.k - t)
-            values[positions] = np.where(det_T > 0, det_T * esp[self.k - t], 0.0)
+            values[positions] = kdpp_counts_from_factor(*self._factor_spectrum(), group, self.k)
         return values
 
     def joint_marginals_batch(self, subsets: Sequence[Sequence[int]]) -> np.ndarray:

@@ -191,9 +191,11 @@ def _drop_attachment(segment) -> None:
 
     Views into the segment may still be referenced by worker-cached
     distributions; calling ``segment.close()`` would unmap memory under
-    them and crash the worker on next use.  The mapping is freed by the
-    garbage collector with the last referencing view — only the (duplicated)
-    descriptor is released eagerly so cache churn cannot exhaust fds.
+    them and crash the worker on next use.  The segment's finalizer closes
+    it too, so the segment lets go of its buffer and mapping here: the views
+    keep the mapping alive through the buffer, and the garbage collector
+    frees it with the last of them.  Only the (duplicated) descriptor is
+    released eagerly so cache churn cannot exhaust fds.
     """
     fd = getattr(segment, "_fd", -1)
     if isinstance(fd, int) and fd >= 0:
@@ -202,6 +204,8 @@ def _drop_attachment(segment) -> None:
             segment._fd = -1
         except OSError:  # pragma: no cover - already closed elsewhere
             pass
+    segment._buf = None
+    segment._mmap = None
 
 
 def attach_shared_array(ref: ArrayRef) -> np.ndarray:

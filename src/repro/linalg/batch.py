@@ -18,7 +18,10 @@ those queries out with:
   the spectrum of the ``r x r`` Gram ``C = FᵀF = Q (BᵀB) Q``.  A conditioned
   symmetric k-DPP keeps ``(F, C)`` and decomposes only ``C``: one
   ``O(r³)`` eigendecomposition per conditioning instead of several
-  ``O((n-t)³)`` ones, and ``O(t·r²)`` per counting query to form ``C``.
+  ``O((n-t)³)`` ones.  Forming ``C`` costs ``O(t·r²)``, once per
+  conditioning and once per :class:`~repro.distributions.lowrank.LowRankDPP`
+  counting query; k-DPP counting queries form no Gram
+  (:func:`repro.linalg.esp.kdpp_counts_from_factor`).
 
 All routines charge the current PRAM tracker exactly like their scalar
 counterparts in :mod:`repro.linalg.determinant` and :mod:`repro.linalg.schur`:

@@ -8,11 +8,16 @@ polynomial-interpolation counting oracle for Partition-DPPs [Cel+16].
 We compute them with the standard stable dynamic program (equivalent to
 expanding ``∏ (1 + λ_i t)``) and, as an ``NC``-flavoured alternative, from the
 characteristic polynomial of the matrix.
+
+A symmetric k-DPP's counting queries need no spectrum of their own:
+:func:`kdpp_counts_from_factor` reads ``Σ_{S ⊇ T, |S| = k} det(L_S)`` off
+the generating polynomial of the sets containing ``T``, evaluated on a
+circle from the factor spectrum of ``L`` alone.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -84,3 +89,121 @@ def esp_from_matrix(matrix: np.ndarray, max_order: Optional[int] = None,
             return esp[: max_order + 1]
         return np.concatenate([esp, np.zeros(max_order + 1 - esp.size)])
     return esp
+
+
+#: a counting coefficient below ``-_NEGATIVE_TOL`` times the polynomial's mean
+#: modulus on the circle is a broken oracle, not rounding
+_NEGATIVE_TOL = 1e-12
+
+
+def _saddle_radius(spectrum: np.ndarray, k: int) -> float:
+    """The ``ρ`` with ``Σ_j ρ s_j / (1 + ρ s_j) = k`` over the positive ``s_j``.
+
+    There ``∏_j (1 + ρ s_j) / ρ^k`` is smallest, so the circle of radius
+    ``ρ`` keeps the generating polynomial within a small factor of its
+    ``z^k`` term.  The target is clamped to ``rank - ½`` so that ``k = rank``
+    (an infinite saddle point) still gets a finite radius.  Solved for
+    ``u = log ρ`` by Newton's method on a bracket, since the left side is a
+    sum of logistic functions of ``u``.
+    """
+    log_s = np.log(spectrum[spectrum > 0])
+    rank = log_s.size
+    target = min(float(k), rank - 0.5)
+    # every term is below e^{u + log s_max}, and each misses 1 by at most e^{-u - log s_min}
+    lo = float(np.log(target / rank) - log_s.max())
+    hi = float(np.log(rank / (rank - target)) - log_s.min())
+    u = 0.5 * (lo + hi)
+    for _ in range(100):
+        p = 0.5 * (1.0 + np.tanh(0.5 * (u + log_s)))
+        excess = float(p.sum()) - target
+        if excess > 0:
+            hi = u
+        else:
+            lo = u
+        step = excess / max(float(np.sum(p * (1.0 - p))), 1e-300)
+        u_next = u - step if lo < u - step < hi else 0.5 * (lo + hi)
+        if abs(u_next - u) <= 1e-12 * max(1.0, abs(u)):
+            break
+        u = u_next
+    return float(np.exp(u))
+
+
+def kdpp_counts_from_factor(spectrum: np.ndarray, rotated: np.ndarray,
+                            subsets: Sequence[Sequence[int]], k: int) -> np.ndarray:
+    """``Σ_{S ⊇ T, |S| = k} det(L_S)`` for equal-size sets ``T``, with no eigensolve.
+
+    ``spectrum`` and ``rotated`` are the factor spectrum of
+    :func:`repro.dpp.elementary.kdpp_marginals_from_factor`: ``L = W Wᵀ``
+    with ``W = rotated`` (``n x r``), whose columns are orthogonal with
+    squared norms ``s = spectrum``.  Then ``K(z) = z L (I + z L)^{-1}`` is
+    ``W diag(z / (1 + z s_j)) Wᵀ``, and the generating polynomial of the sets
+    containing ``T`` is
+
+    ``P_T(z) = Σ_{S ⊇ T} z^{|S|} det(L_S) = ∏_j (1 + z s_j) · det(K(z)_T)``.
+
+    It has degree at most ``r``, so its values at the ``N = r + 1`` points
+    ``z_m = ρ e^{2πim/N}`` determine it, and ``[z^k] P_T`` is one DFT
+    coefficient.  Its coefficients are real, so only the ``⌊N/2⌋ + 1``
+    nodes of the upper half-plane are evaluated; the radius is the saddle
+    point of :func:`_saddle_radius`.  A set is one row of a stacked matmul
+    and ``⌊N/2⌋ + 1`` determinants of order ``|T|``, and every stacked call
+    has a per-set shape that does not depend on the batch: a set's count
+    does not depend on what it is batched with.
+
+    Sets with ``det(L_T) <= 0`` count exactly 0.  A coefficient below
+    ``-1e-12`` times the mean of ``|P_T(z_m)| / ρ^k`` raises
+    :class:`~repro.distributions.base.CountingOracleError`; smaller
+    negatives are rounding and clip to 0.  Charged as one oracle call per
+    set.
+    """
+    s = np.asarray(spectrum, dtype=float)
+    W = np.asarray(rotated, dtype=float)
+    n, r = W.shape
+    idx = np.sort(np.asarray(subsets, dtype=int), axis=1)
+    if idx.size and (idx.min() < 0 or idx.max() >= n):
+        raise ValueError(f"subset index out of range for a ground set of size {n}")
+    batch, t = idx.shape
+    nodes = (r + 1) // 2 + 1
+    current_tracker().charge(work=float(batch) * nodes * (t * t * r + t ** 3),
+                             machines=float(batch), oracle_calls=batch)
+    if not np.any(s > 0):
+        return np.zeros(batch)
+    rho = _saddle_radius(s, k)
+    m = np.arange(nodes)
+    angles = 2.0 * np.pi * m / (r + 1)
+    z = rho * (np.cos(angles) + 1j * np.sin(angles))
+    # ∏_j (1 + z s_j), divided by its value at z = ρ: modulus at most 1
+    prefactor = np.prod((1.0 + np.outer(z, s)) / (1.0 + rho * s), axis=1)
+    scale = float(np.exp(np.sum(np.log1p(rho * s)) - k * np.log(rho)))
+    weights = z / (1.0 + np.outer(s, z))                         # (r, nodes)
+    # one row per entry of the symmetric t x t blocks: against the table's
+    # columns it gives K(z_m)_T (real, imaginary parts) and, last, W_T W_Tᵀ
+    iu, ju = np.triu_indices(t)
+    rows = W[idx]                                                # (batch, t, r)
+    products = rows[:, iu, :] * rows[:, ju, :]                   # (batch, t(t+1)/2, r)
+    table = np.concatenate([weights.real, weights.imag, np.ones((r, 1))], axis=1)
+    entries = products @ table
+    gram = np.empty((batch, t, t))
+    gram[:, iu, ju] = gram[:, ju, iu] = entries[:, :, -1]
+    K_T = np.empty((batch, nodes, t, t), dtype=complex)
+    K_T[:, :, iu, ju] = K_T[:, :, ju, iu] = \
+        (entries[:, :, :nodes] + 1j * entries[:, :, nodes:-1]).transpose(0, 2, 1)
+    det_T = np.linalg.det(gram)
+    values = np.linalg.det(K_T) * prefactor                      # P_T(z_m) / ∏(1 + ρ s)
+    # node m stands for itself and its conjugate N - m
+    fold = np.where((m == 0) | (2 * m == r + 1), 1.0, 2.0) / (r + 1)
+    dft = fold * np.exp(-1j * k * angles)
+    parts = np.concatenate([values.real, values.imag], axis=1)[:, None, :]
+    coeff = (parts @ np.concatenate([dft.real, -dft.imag])[:, None])[:, 0, 0]
+    ok = det_T > 0
+    mean_modulus = (np.abs(values)[:, None, :] @ fold[:, None])[:, 0, 0]
+    broken = np.flatnonzero(ok & (coeff < -_NEGATIVE_TOL * mean_modulus))
+    if broken.size:
+        # imported here: repro.distributions imports this module
+        from repro.distributions.base import CountingOracleError
+
+        worst = broken[np.argmin(coeff[broken])]
+        raise CountingOracleError(
+            f"k-DPP count for {tuple(idx[worst].tolist())} is {coeff[worst] * scale:.6g}, "
+            f"below the rounding of its generating polynomial")
+    return np.where(ok, np.clip(coeff, 0.0, None) * scale, 0.0)

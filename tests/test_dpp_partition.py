@@ -1,12 +1,14 @@
 """Tests for Partition-DPPs (Definition 7) and their interpolation oracle."""
 
+import time
+
 import numpy as np
 import pytest
 
 from repro.dpp.exact import exact_partition_dpp_distribution
-from repro.dpp.partition import PartitionDPP
+from repro.dpp.partition import InterpolationGridTooLarge, PartitionDPP
 from repro.utils.subsets import all_subsets_of_size
-from repro.workloads import clustered_ensemble
+from repro.workloads import clustered_ensemble, random_psd_ensemble
 
 
 @pytest.fixture
@@ -126,6 +128,17 @@ class TestPartitionDPPValidation:
         _, parts, counts = partition_setup
         with pytest.raises(ValueError):
             PartitionDPP(np.diag([1.0] * 7 + [-1.0]), parts, counts)
+
+    def test_oversize_grid_refused_before_allocating(self):
+        # 4 parts of 25: 26^4 = 456976 nodes of 100 x 100 determinants, 36.6 GB
+        L = random_psd_ensemble(100, seed=0)
+        parts = [list(range(i, i + 25)) for i in range(0, 100, 25)]
+        start = time.perf_counter()
+        with pytest.raises(InterpolationGridTooLarge,
+                           match=r"\(26, 26, 26, 26\) has 456976 nodes.* 36558080000 bytes"):
+            PartitionDPP(L, parts, [2, 2, 2, 2])
+        assert time.perf_counter() - start < 1.0
+        assert issubclass(InterpolationGridTooLarge, ValueError)
 
     def test_single_part_reduces_to_kdpp(self, clustered):
         # A Partition-DPP with one part is exactly a k-DPP.

@@ -1,11 +1,15 @@
-"""Factor-space conditioning of symmetric k-DPPs (Theorem-10 rounds).
+"""Factor-space oracles of symmetric k-DPPs (Theorem-10 rounds).
 
 Conditioning ``L = B Bᵀ`` on ``T`` keeps a factor: ``F = B_O Q`` factors the
 Schur complement ``L^T``, and the ``r x r`` Gram ``FᵀF`` carries its whole
-nonzero spectrum.  These tests hold the factor-space artifacts to the dense
-``n x n`` quantities they replace, and hold the served Theorem-10 sampler to
-the dense route it replaced, seed for seed.
+nonzero spectrum.  Counting queries read ``[z^k]`` of the generating
+polynomial off ``r + 1`` points on a circle.  These tests hold the
+factor-space artifacts to the dense ``n x n`` quantities they replace, the
+counts to brute force and to the per-query eigendecomposition they replace,
+and the served Theorem-10 sampler to both replaced routes, seed for seed.
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -14,14 +18,21 @@ from hypothesis import strategies as st
 
 import repro.service.session
 from repro import KernelRegistry, serve
+from repro.distributions.base import CountingOracleError
+from repro.distributions.lowrank import LowRankKDPP
 from repro.dpp.elementary import leave_one_out_esp
 from repro.dpp.symmetric import SymmetricKDPP
 from repro.engine import OracleBatch, resolve_backend
-from repro.linalg.batch import conditioned_factor, lowrank_conditioned_gram, psd_factor
+from repro.linalg.batch import (
+    conditioned_factor,
+    group_by_size,
+    lowrank_conditioned_gram,
+    psd_factor,
+)
 from repro.linalg.determinant import principal_minor
-from repro.linalg.esp import elementary_symmetric_polynomials
+from repro.linalg.esp import elementary_symmetric_polynomials, kdpp_counts_from_factor
 from repro.linalg.schur import condition_ensemble
-from repro.pram.tracker import Tracker
+from repro.pram.tracker import Tracker, use_tracker
 from repro.utils.validation import check_subset
 from repro.workloads import random_psd_ensemble
 
@@ -54,13 +65,46 @@ def dense_kdpp_marginals(L, k):
     return np.clip((U ** 2) @ weights, 0.0, 1.0)
 
 
-class DenseRouteKDPP(SymmetricKDPP):
+def gram_route_counts(factor, gram, subsets, k):
+    """Counts by the route the circle replaced: one ``r x r`` eigvalsh per query.
+
+    Each ``T`` forms its conditioned Gram (``lowrank_conditioned_gram``),
+    whose spectrum is the nonzero spectrum of ``L^T``, and reads
+    ``det(L_T) · e_{k-t}(λ(L^T))`` off its ESPs.
+    """
+    t = len(subsets[0])
+    det_T, reduced = lowrank_conditioned_gram(factor, gram, subsets)
+    spectra = np.clip(np.linalg.eigvalsh(reduced), 0.0, None)
+    esp = elementary_symmetric_polynomials(spectra, max_order=k - t)
+    return np.where(det_T > 0, det_T * esp[k - t], 0.0)
+
+
+class GramRouteKDPP(SymmetricKDPP):
+    """Factor-space oracles, with batched counting on :func:`gram_route_counts`."""
+
+    def counting_batch(self, subsets):
+        values = np.zeros(len(subsets))
+        for t, positions in group_by_size(subsets).items():
+            group = [subsets[p] for p in positions]
+            if 0 < t < self.k:
+                values[positions] = gram_route_counts(self.factor, self.factor_gram, group, self.k)
+            else:
+                values[positions] = super().counting_batch(group)
+        return values
+
+    def condition(self, include):
+        child = super().condition(include)
+        child.__class__ = type(self)
+        return child
+
+
+class DenseRouteKDPP(GramRouteKDPP):
     """The oracles before factor-space conditioning, kept as the reference.
 
     Every conditioned kernel is decomposed densely: marginals from an
     ``n x n`` eigh, the normalizer from an ``n x n`` eigvalsh, batched counting
-    from the kernel's own ``psd_factor``, and scalar counting through an
-    eigvalsh of each query's Schur complement.
+    from the kernel's own ``psd_factor`` by :func:`gram_route_counts`, and
+    scalar counting through an eigvalsh of each query's Schur complement.
     """
 
     def counting(self, given=()):
@@ -221,6 +265,131 @@ class TestConditionedKernel:
 
 
 # ---------------------------------------------------------------------- #
+# counting: [z^k] of the generating polynomial, read off a circle
+# ---------------------------------------------------------------------- #
+#: relative error bound of a count against an independent reference
+COUNT_RTOL = 1e-12
+
+
+def _orthonormal_factor(n, spectrum, seed):
+    """``B = U diag(√s)`` with orthonormal ``U``: ``L = B Bᵀ`` has spectrum ``s``."""
+    U, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, len(spectrum))))
+    return U * np.sqrt(spectrum), U
+
+
+def _both_classes(B, k):
+    """The dense-kernel and the low-rank k-DPP over the same factor."""
+    dense = SymmetricKDPP(B @ B.T, k).attach_precomputed(factor=B, factor_gram=B.T @ B)
+    # unvalidated: a 12-decade factor is column-rank-deficient at the default tolerance
+    return dense, LowRankKDPP(B, k, validate=False)
+
+
+class TestCircleCounts:
+    @pytest.mark.parametrize("n, rank, k", [
+        (10, 10, 10),   # r = n and k = rank
+        (12, 12, 6),    # r = n
+        (12, 5, 5),     # k = rank < n
+        (11, 7, 4),
+    ])
+    def test_matches_brute_force(self, n, rank, k):
+        spectrum = np.random.default_rng(n + rank + k).uniform(0.5, 3.0, rank)
+        B, _ = _orthonormal_factor(n, spectrum, seed=k)
+        L = B @ B.T
+        minors = {S: np.linalg.det(L[np.ix_(S, S)]) for S in itertools.combinations(range(n), k)}
+        rng = np.random.default_rng(0)
+        for dist in _both_classes(B, k):
+            for t in range(1, k):   # up to t = k - 1
+                subsets = _random_subsets(rng, n, t, 12)
+                expected = [sum(v for S, v in minors.items() if set(T) <= set(S)) for T in subsets]
+                np.testing.assert_allclose(dist.counting_batch(subsets), expected,
+                                           rtol=COUNT_RTOL, atol=0)
+
+    def test_matches_gram_route_on_root_and_children(self):
+        root = SymmetricKDPP(random_psd_ensemble(200, rank=60, seed=11), 10)
+        rng = np.random.default_rng(2)
+        for dist in (root, root.condition((4, 90)), root.condition((0, 13, 150))):
+            for t in (1, 2, 3, 4):
+                subsets = _random_subsets(rng, dist.n, t, 30)
+                expected = gram_route_counts(dist.factor, dist.factor_gram, subsets, dist.k)
+                np.testing.assert_allclose(dist.counting_batch(subsets), expected,
+                                           rtol=COUNT_RTOL, atol=0)
+
+    def test_twelve_decade_spectrum(self):
+        # exact counts from Cauchy–Binet: a sum of nonnegative terms
+        #   Σ_{|J| = t} det(U_{T,J})² s_J e_{k-t}(s without J),
+        # so the reference itself cannot cancel
+        n, k = 200, 10
+        s = np.logspace(-6, 6, 60)
+        B, U = _orthonormal_factor(n, s, seed=3)
+        rng = np.random.default_rng(4)
+        singles = _random_subsets(rng, n, 1, 20)
+        pairs = _random_subsets(rng, n, 2, 20)
+        expected_singles = [(U[T[0]] ** 2 * s) @ leave_one_out_esp(s, k - 1) for T in singles]
+        J = np.array(list(itertools.combinations(range(s.size), 2)))
+        keep = np.ones((len(J), s.size), dtype=bool)
+        keep[np.arange(len(J))[:, None], J] = False
+        rest = np.broadcast_to(s, keep.shape)[keep].reshape(len(J), -1)
+        tails = s[J].prod(axis=1) * elementary_symmetric_polynomials(rest, max_order=k - 2)[k - 2]
+        expected_pairs = []
+        for a, b in pairs:
+            minors = U[a, J[:, 0]] * U[b, J[:, 1]] - U[a, J[:, 1]] * U[b, J[:, 0]]
+            expected_pairs.append(np.sum(minors ** 2 * tails))
+        for dist in _both_classes(B, k):
+            np.testing.assert_allclose(dist.counting_batch(singles), expected_singles,
+                                       rtol=COUNT_RTOL, atol=0)
+            np.testing.assert_allclose(dist.counting_batch(pairs), expected_pairs,
+                                       rtol=COUNT_RTOL, atol=0)
+
+    def test_zero_probability_set_counts_exactly_zero(self):
+        B = np.random.default_rng(6).standard_normal((15, 6))
+        B[4] = B[9]
+        for dist in _both_classes(B, 4):
+            values = dist.counting_batch([(4, 9), (4, 5), (1, 4, 9), (2, 3, 4)])
+            assert values[0] == 0.0 and values[2] == 0.0
+            assert values[1] > 0 and values[3] > 0
+            assert dist.counting((4, 9)) == 0.0
+
+    def test_lowrank_batched_equals_single_bitwise(self):
+        B, _ = _orthonormal_factor(150, np.random.default_rng(7).uniform(0.2, 5.0, 40), seed=8)
+        root = LowRankKDPP(B, 9)
+        rng = np.random.default_rng(9)
+        for dist in (root, root.condition((3, 70, 149))):
+            for t in (1, 2, 4):
+                subsets = _random_subsets(rng, dist.n, t, 25)
+                singles = [dist.counting(s) for s in subsets]
+                assert np.array_equal(dist.counting_batch(subsets), singles)
+                assert np.array_equal(dist.counting_batch(subsets[7:9]), singles[7:9])
+
+    def test_rounding_below_zero_clips(self):
+        # k above the rank: every z^k coefficient is 0 up to rounding
+        B, _ = _orthonormal_factor(9, np.array([0.5, 1.0, 2.0]), seed=1)
+        values = kdpp_counts_from_factor(np.array([0.5, 1.0, 2.0]), B, [(0,), (3,), (8,)], 4)
+        assert np.all(values >= 0.0)
+        assert np.all(values <= 1e-12 * np.prod([1.5, 2.0, 3.0]))
+
+    def test_negative_coefficient_raises(self, monkeypatch):
+        # a broken evaluation that negates P_T: its count must raise, not clip to 0
+        dist = SymmetricKDPP(random_psd_ensemble(30, rank=10, seed=2), 4)
+        det = np.linalg.det
+
+        def negated(a):
+            return -det(a) if np.iscomplexobj(a) else det(a)
+
+        monkeypatch.setattr(np.linalg, "det", negated)
+        with pytest.raises(CountingOracleError, match="k-DPP count"):
+            dist.counting_batch([(1, 2)])
+
+    def test_one_oracle_call_per_query(self):
+        dist = SymmetricKDPP(random_psd_ensemble(60, rank=20, seed=5), 6)
+        subsets = _random_subsets(np.random.default_rng(3), 60, 2, 17)
+        dist._factor_spectrum()   # warm: the decomposition is charged once, elsewhere
+        tracker = Tracker()
+        with use_tracker(tracker):
+            dist.counting_batch(subsets)
+        assert tracker.oracle_calls == 17
+
+
+# ---------------------------------------------------------------------- #
 # end to end: the served Theorem-10 sampler
 # ---------------------------------------------------------------------- #
 def _recording(function, sizes):
@@ -262,3 +431,23 @@ def test_served_samples_match_dense_route(monkeypatch, seed):
             dense = session.sample(k=10, method="parallel", seed=seed, backend="vectorized")
     assert conditioned  # the reference route really ran
     assert factored.subset == dense.subset
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_served_samples_match_gram_route(monkeypatch, seed):
+    L = random_psd_ensemble(200, rank=60, seed=seed)
+    with serve(L, registry=KernelRegistry()) as session:
+        circle = session.sample(k=10, method="parallel", seed=seed, backend="vectorized")
+    queried = []
+
+    class Recorded(GramRouteKDPP):
+        def counting_batch(self, subsets):
+            queried.append(len(subsets))
+            return super().counting_batch(subsets)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(repro.service.session, "SymmetricKDPP", Recorded)
+        with serve(L, registry=KernelRegistry()) as session:
+            reference = session.sample(k=10, method="parallel", seed=seed, backend="vectorized")
+    assert queried  # the reference route really ran
+    assert circle.subset == reference.subset

@@ -4,6 +4,7 @@ backends (``serial`` / ``vectorized`` / ``threads`` / ``process`` / the
 planner-driven ``auto``) on every theorem sampler — spectral included,
 fused and unfused."""
 
+import gc
 import pickle
 import warnings
 
@@ -360,6 +361,24 @@ class TestPayloadRoundTrip:
         finally:
             from repro.engine.shm import release_worker_caches
 
+            release_worker_caches()
+            store.close()
+
+    def test_evicted_attachment_keeps_its_views_mapped(self):
+        # a worker-cached distribution can outlive its arrays' attach-cache
+        # entries: views of evicted segments must stay readable
+        from repro.engine.shm import _ATTACH_CAPACITY, release_worker_caches
+
+        if not shared_memory_available():  # pragma: no cover - sandboxed hosts
+            pytest.skip("shared memory unavailable")
+        store = SharedArrayStore(capacity=_ATTACH_CAPACITY + 4)
+        try:
+            arrays = [np.full(16, float(i)) for i in range(_ATTACH_CAPACITY + 2)]
+            views = [attach_shared_array(store.publish(a)) for a in arrays]
+            gc.collect()
+            for view, a in zip(views, arrays):
+                np.testing.assert_array_equal(view, a)
+        finally:
             release_worker_caches()
             store.close()
 
