@@ -12,11 +12,18 @@ import numpy as np
 from test_factor_space import gram_route_counts
 
 from repro import KernelRegistry, serve
+from repro.distributions.lowrank import LowRankKDPP, LowRankKernel
+from repro.dpp.intermediate import (
+    lowrank_intermediate_basis,
+    sample_dpp_intermediate,
+    sample_kdpp_intermediate,
+)
 from repro.dpp.symmetric import SymmetricKDPP
-from repro.workloads import random_psd_ensemble
+from repro.workloads import random_low_rank_factor_ensemble, random_psd_ensemble
 
 #: two-sided Bonferroni bound for 120 z-scores at family-wise level 1e-3
-#: (per-score level 8.3e-6, normal quantile 4.46)
+#: (per-score level 8.3e-6, normal quantile 4.46); 220 scores at the same
+#: bound stay under family-wise level 2e-3
 MAX_ABS_Z = 4.5
 
 
@@ -52,3 +59,57 @@ def test_served_theorem10_inclusions_match_exact_marginals():
     pair_z = _z_scores(pair_hits, pair_marginals[top], draws)
     assert np.abs(item_z).max() <= MAX_ABS_Z, np.abs(item_z).max()
     assert np.abs(pair_z).max() <= MAX_ABS_Z, np.abs(pair_z).max()
+
+
+# --------------------------------------------------------------------------- #
+# low-rank intermediate samplers: every item and the 20 most repulsive pairs
+# --------------------------------------------------------------------------- #
+LOWRANK_N, LOWRANK_RANK, LOWRANK_K, LOWRANK_DRAWS = 200, 16, 8, 8000
+
+
+def _lowrank_max_z(sample, marginals, pair_marginals):
+    """Worst |z| over all item frequencies and over the 20 most repulsive pairs.
+
+    ``pair_marginals`` lists ``P[i, j ∈ S]`` for the pairs of
+    ``itertools.combinations(range(n), 2)``; repulsion is ``p_i·p_j − p_ij``.
+    """
+    n = marginals.size
+    pairs = np.array(list(itertools.combinations(range(n), 2)))
+    repulsion = marginals[pairs[:, 0]] * marginals[pairs[:, 1]] - pair_marginals
+    top = np.argsort(repulsion)[::-1][:20]
+    rng = np.random.default_rng(2024)
+    included = np.zeros((LOWRANK_DRAWS, n), dtype=bool)
+    for row in included:
+        row[list(sample(rng))] = True
+    first, second = pairs[top].T
+    pair_hits = (included[:, first] & included[:, second]).sum(axis=0)
+    item_z = _z_scores(included.sum(axis=0), marginals, LOWRANK_DRAWS)
+    pair_z = _z_scores(pair_hits, pair_marginals[top], LOWRANK_DRAWS)
+    return np.abs(item_z).max(), np.abs(pair_z).max()
+
+
+def test_lowrank_kdpp_inclusions_match_exact_marginals():
+    factor, _ = random_low_rank_factor_ensemble(LOWRANK_N, LOWRANK_RANK, seed=5)
+    dist = LowRankKDPP(LowRankKernel(factor), LOWRANK_K)
+    pairs = list(itertools.combinations(range(LOWRANK_N), 2))
+    pair_marginals = dist.counting_batch(pairs) / dist.partition_function()
+    whitened = lowrank_intermediate_basis(factor)
+    item_z, pair_z = _lowrank_max_z(
+        lambda rng: sample_kdpp_intermediate(factor, LOWRANK_K, rng, whitened=whitened),
+        dist.marginal_vector(), pair_marginals)
+    assert item_z <= MAX_ABS_Z, item_z
+    assert pair_z <= MAX_ABS_Z, pair_z
+
+
+def test_lowrank_dpp_inclusions_match_exact_marginals():
+    factor, _ = random_low_rank_factor_ensemble(LOWRANK_N, LOWRANK_RANK, seed=5)
+    L = factor @ factor.T
+    K = np.linalg.solve(np.eye(LOWRANK_N) + L, L)     # marginal kernel
+    first, second = np.array(list(itertools.combinations(range(LOWRANK_N), 2))).T
+    pair_marginals = K[first, first] * K[second, second] - K[first, second] ** 2
+    whitened = lowrank_intermediate_basis(factor)
+    item_z, pair_z = _lowrank_max_z(
+        lambda rng: sample_dpp_intermediate(factor, rng, whitened=whitened),
+        np.diag(K).copy(), pair_marginals)
+    assert item_z <= MAX_ABS_Z, item_z
+    assert pair_z <= MAX_ABS_Z, pair_z
