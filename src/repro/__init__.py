@@ -44,8 +44,9 @@ the same ``sample/warm/close`` surface and byte-identical fixed-seed samples.
 Sublinear tier: :class:`repro.LowRankKernel` holds an ``n x k`` factor ``B``
 for ``L = B Bᵀ`` and never materializes the ``n x n`` kernel;
 :func:`repro.sample_dpp_intermediate` / :func:`repro.sample_kdpp_intermediate`
-draw *exact* DPP / k-DPP samples through an ``O(k log k)``-sized intermediate
-candidate set (memory ``O(n·k)``), and ``repro.serve(LowRankKernel(B))`` /
+draw *exact* DPP / k-DPP samples by running the projection DPP's chain rule
+by rejection against leverage scores (``O(n·k + k³ log k)`` work a draw,
+memory ``O(n·k)``), and ``repro.serve(LowRankKernel(B))`` /
 ``serve_cluster(...)`` serve the factor with ``k``-sized cached artifacts.
 
 Observability: :mod:`repro.obs` — process-wide metrics + per-round tracing

@@ -329,15 +329,20 @@ _WORKER_BLAS_ENV_VARS = (
 
 
 def _pin_worker_blas_threads() -> None:
-    """Worker-process initializer: pin BLAS/OpenMP pools to one thread.
+    """Pin the BLAS/OpenMP pools of worker processes to one thread.
 
     The process backend already fans out across ``max_workers`` processes;
     letting each worker's LAPACK additionally spawn ``cpu_count`` BLAS
     threads oversubscribes wide hosts ``workers x cores``-fold and thrashes
-    caches.  Under ``spawn`` this runs before the first task unpickles (and
-    therefore before NumPy loads its BLAS), so the pin takes effect at
-    library initialization.  ``setdefault`` keeps explicit operator settings
-    (inherited through the environment) authoritative.
+    caches.  BLAS reads these variables once, when NumPy loads it, and a
+    spawned worker loads NumPy while unpickling its entry point, before any
+    pool initializer could run.  So the pin goes into the environment the
+    workers are spawned with: this runs in the parent before its pool starts,
+    and afterwards the parent's ``os.environ`` holds ``"1"`` for every
+    variable of ``_WORKER_BLAS_ENV_VARS`` that it did not set before.  The
+    parent's own BLAS, already loaded, keeps its threads; processes it starts
+    later inherit the pin.  ``setdefault`` keeps an operator's explicit
+    setting authoritative.
     """
     for var in _WORKER_BLAS_ENV_VARS:
         os.environ.setdefault(var, "1")
@@ -515,10 +520,10 @@ class ProcessPoolBackend(ExecutionBackend):
                 from concurrent.futures import ProcessPoolExecutor
 
                 context = multiprocessing.get_context(self.start_method)
-                initializer = _pin_worker_blas_threads if self.pin_blas_threads else None
+                if self.pin_blas_threads:
+                    _pin_worker_blas_threads()
                 self._pool = ProcessPoolExecutor(max_workers=self.workers,
-                                                 mp_context=context,
-                                                 initializer=initializer)
+                                                 mp_context=context)
                 self._register_atexit_locked()
             return self._pool
 

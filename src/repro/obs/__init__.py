@@ -10,9 +10,7 @@ One process-wide :class:`~repro.obs.metrics.MetricsRegistry` and one
 * the scheduler reports fusion width, queue wait, and drain latency;
 * the factorization caches and kernel registries re-export their existing
   counters through registry *collectors* (no double bookkeeping);
-* cluster nodes time every wire op and clients count replica failovers;
-* the intermediate sampler emits acceptance/skip/escalation events with the
-  computable acceptance certificate.
+* cluster nodes time every wire op and clients count replica failovers.
 
 **Spans.**  One span API covers requests and everything under them:
 ``span(name, category=...)`` scopes a block, and ``start_span`` /
@@ -84,7 +82,7 @@ __all__ = [
     "start_span", "end_span", "span", "round_context",
     "record_round", "record_plan", "observe_round_cost",
     "record_fusion", "record_queue_wait", "record_drain",
-    "record_batch_counts", "record_intermediate",
+    "record_batch_counts",
     "record_cluster_op", "record_failover",
     "record_kernel_update", "record_update_delta",
     "register_cache", "register_kernel_registry",
@@ -132,19 +130,6 @@ _QUEUE_WAIT = _REGISTRY.histogram(
 _DRAIN_SECONDS = _REGISTRY.histogram(
     "repro_scheduler_drain_seconds", "Wall time per scheduler drain", (),
     TIME_BUCKETS)
-_INTER_PROPOSALS = _REGISTRY.counter(
-    "repro_intermediate_proposals_total",
-    "Intermediate-sampling proposal outcomes", ("outcome",))
-_INTER_ESCALATIONS = _REGISTRY.counter(
-    "repro_intermediate_escalations_total",
-    "Candidate-pool escalations (beta doublings)")
-_INTER_CERT = _REGISTRY.histogram(
-    "repro_intermediate_acceptance_certificate",
-    "Computable acceptance certificate exp(-logdet) per proposal", (),
-    RATIO_BUCKETS)
-_INTER_POOL = _REGISTRY.histogram(
-    "repro_intermediate_pool_size", "Candidate pool size per proposal", (),
-    SIZE_BUCKETS)
 _CLUSTER_OP_SECONDS = _REGISTRY.histogram(
     "repro_cluster_node_op_seconds", "Shard-node handler latency per op",
     ("op",), TIME_BUCKETS)
@@ -484,30 +469,6 @@ def record_batch_counts(submitted: int, executed: int) -> None:
         _SCHED_SUBMITTED.inc(submitted)
     if executed:
         _SCHED_EXECUTED.inc(executed)
-
-
-def record_intermediate(outcome: str, *, certificate: Optional[float] = None,
-                        pool: Optional[int] = None,
-                        beta: Optional[float] = None,
-                        attempt: Optional[int] = None) -> None:
-    """One intermediate-sampling proposal outcome.
-
-    ``outcome`` ∈ {accepted, rejected, skipped_trace, skipped_certificate,
-    direct}; escalations (beta doublings) are counted whenever a
-    skip/rejection escalates the pool.  Recording never touches the
-    sampler's random stream.
-    """
-    if _REGISTRY.enabled:
-        _INTER_PROPOSALS.inc(outcome=outcome)
-        if outcome in ("rejected", "skipped_trace", "skipped_certificate"):
-            _INTER_ESCALATIONS.inc()
-        if certificate is not None:
-            _INTER_CERT.observe(certificate)
-        if pool is not None:
-            _INTER_POOL.observe(float(pool))
-    if _TRACER.enabled:
-        _TRACER.event("intermediate", outcome=outcome, certificate=certificate,
-                      pool=pool, beta=beta, attempt=attempt)
 
 
 def record_cluster_op(op: str, seconds: float) -> None:

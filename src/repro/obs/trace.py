@@ -13,8 +13,8 @@ A :class:`Tracer` keeps a bounded ring buffer of three kinds of record:
   next to the PRAM ``work`` and ``oracle_calls`` charged inside the round.
   Inside a traced request it carries the same id fields as a span, so each
   request is one connected tree;
-* ``type="event"`` — a discrete event such as an intermediate-sampling
-  acceptance or a cluster failover.
+* ``type="event"`` — a discrete event such as a scheduler drain or a
+  cluster failover.
 
 Records are plain dicts of JSON-serializable scalars so
 ``json.dumps(tracer.records())`` always works; numpy scalars are coerced at
@@ -103,7 +103,7 @@ class Tracer:
         self._append(record)
 
     def event(self, category: str, **fields: object) -> None:
-        """Record a discrete event (acceptance, escalation, failover...)."""
+        """Record a discrete event (plan, drain, kernel update, failover...)."""
         if not self.enabled:
             return
         record: Dict[str, object] = {

@@ -251,7 +251,7 @@ class SamplerSession:
     # ------------------------------------------------------------------ #
     def sample(self, k: Optional[int] = None, *, seed: SeedLike = None,
                method: Optional[str] = None, backend: BackendLike = None,
-               delta: float = 1e-2, oversample: Optional[float] = None,
+               delta: float = 1e-2,
                config: Optional[Union[BatchedSamplerConfig, EntropicSamplerConfig]] = None,
                tracker: Optional[Tracker] = None) -> SampleResult:
         """Draw one sample, reusing every cached artifact.
@@ -259,8 +259,8 @@ class SamplerSession:
         Fixed-seed draws are identical to the corresponding cold-path entry
         point (``sample_kdpp_spectral`` / ``sample_symmetric_kdpp_parallel``
         / ``sample_dpp_intermediate`` / ...): the cache changes wall-clock,
-        never the sample.  ``oversample`` is the low-rank intermediate
-        sampler's candidate-set β knob (``method="lowrank"`` only).
+        never the sample.  ``method="lowrank"`` runs no engine round, so
+        ``backend`` does not apply to it.
         """
         self._check_open()
         # One coherent snapshot per draw: a concurrent update() swaps the
@@ -278,7 +278,7 @@ class SamplerSession:
             if method == "spectral":
                 result = self._sample_spectral(entry, k, seed, tracker, backend)
             elif method == "lowrank":
-                result = self._sample_lowrank(entry, k, seed, tracker, backend, oversample)
+                result = self._sample_lowrank(entry, k, seed, tracker)
             else:
                 result = self._sample_parallel(entry, k, seed, tracker, backend, delta, config)
         if entry.epoch > 0:
@@ -322,9 +322,7 @@ class SamplerSession:
         return SampleResult(subset=subset, report=SamplerReport.from_tracker(trk))
 
     def _sample_lowrank(self, entry: RegisteredKernel, k: Optional[int],
-                        seed: SeedLike, tracker: Optional[Tracker],
-                        backend: BackendLike,
-                        oversample: Optional[float]) -> SampleResult:
+                        seed: SeedLike, tracker: Optional[Tracker]) -> SampleResult:
         """The sublinear intermediate sampler over the cached whitened basis.
 
         Exactly the cold-path :func:`repro.dpp.intermediate.sample_dpp_intermediate`
@@ -333,17 +331,13 @@ class SamplerSession:
         the per-sample randomness.
         """
         whitened = self._factorization_for(entry).lowrank_whitened
-        backend = backend if backend is not None else self.backend
         trk = tracker if tracker is not None else Tracker()
         with use_tracker(trk):
             if k is None:
-                subset = sample_dpp_intermediate(
-                    entry.matrix, seed, oversample=oversample,
-                    whitened=whitened, backend=backend)
+                subset = sample_dpp_intermediate(entry.matrix, seed, whitened=whitened)
             else:
-                subset = sample_kdpp_intermediate(
-                    entry.matrix, int(k), seed, oversample=oversample,
-                    whitened=whitened, backend=backend)
+                subset = sample_kdpp_intermediate(entry.matrix, int(k), seed,
+                                                  whitened=whitened)
         return SampleResult(subset=subset, report=SamplerReport.from_tracker(trk))
 
     def _sample_parallel(self, entry: RegisteredKernel, k: Optional[int],

@@ -5,8 +5,9 @@ Three layers of pins:
 * **exactness** — the intermediate sampler's output law is *exactly*
   ``DPP(B Bᵀ)``: total-variation distance against brute-force enumeration at
   small ``n`` stays under the sampling-noise floor (the accuracy-bench idiom
-  of ``benchmarks/bench_accuracy_tv.py``), including when the candidate pool
-  is deliberately undersized so the rejection/escalation path exercises;
+  of ``benchmarks/bench_accuracy_tv.py``), including where the projection
+  chain's acceptance step rejects the most: ``k`` equal to the rank (every
+  eigenvector selected) and a factor with two equal rows;
 * **serving identity** — ``repro.serve(LowRankKernel(B))`` and
   ``repro.serve_cluster(...)`` draw byte-identical fixed-seed samples across
   every execution backend, fused and unfused, warm and cold, and their cache
@@ -79,27 +80,30 @@ class TestIntermediateExactness:
                            exact, NUM_SAMPLES, seed=12)
         assert tv < NOISE_FLOOR
 
-    def test_escalation_path_stays_exact(self):
-        # deliberately undersized candidate pool: most phase-1 draws reject,
-        # the oversampling factor escalates, and the law must not budge
+    def test_full_rank_kdpp_tv(self):
+        # k = rank selects every column, so the chain runs all of its steps
+        # and its last ones reject most proposals
         B = _factor(9, 3, seed=9)
-        exact = exact_dpp_distribution(B @ B.T)
-        tv = _empirical_tv(
-            lambda rng: sample_dpp_intermediate(B, rng, oversample=0.1, max_rounds=3),
-            exact, NUM_SAMPLES, seed=13)
+        exact = exact_kdpp_distribution(B @ B.T, 3)
+        tv = _empirical_tv(lambda rng: sample_kdpp_intermediate(B, 3, rng),
+                           exact, NUM_SAMPLES, seed=13)
         assert tv < NOISE_FLOOR
 
-    def test_projection_chain_phase2_stays_exact(self, monkeypatch):
-        # force the large-pool phase 2 (Gram–Schmidt projection chain) at a
-        # brute-forceable size: same law as the dense reduced sampler
-        from repro.dpp import intermediate
+    def test_equal_rows_tv_and_never_drawn_together(self):
+        # once one of two equal rows is chosen the other's residual is zero:
+        # its proposals must all reject
+        B = _factor(9, 3, seed=10)
+        B[1] = B[0]
+        exact = exact_kdpp_distribution(B @ B.T, 3)
+        draws = []
 
-        monkeypatch.setattr(intermediate, "_REDUCED_DENSE_MAX", 0)
-        B = _factor(9, 3, seed=7)
-        exact = exact_dpp_distribution(B @ B.T)
-        tv = _empirical_tv(lambda rng: sample_dpp_intermediate(B, rng),
-                           exact, NUM_SAMPLES, seed=15)
+        def sample(rng):
+            draws.append(sample_kdpp_intermediate(B, 3, rng))
+            return draws[-1]
+
+        tv = _empirical_tv(sample, exact, NUM_SAMPLES, seed=15)
         assert tv < NOISE_FLOOR
+        assert not any({0, 1} <= set(subset) for subset in draws)
 
     def test_rbf_factor_kdpp_tv(self):
         B, _ = rbf_factor_ensemble(8, 4, seed=21)

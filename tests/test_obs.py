@@ -390,7 +390,3 @@ class TestByteIdentity:
         obs.enable()
         again = repro.sample_kdpp_intermediate(kernel, 3, seed=11)
         assert again == baseline
-        outcomes = [e["outcome"] for e in obs.tracer().events("intermediate")]
-        assert outcomes, "intermediate sampler emitted no acceptance events"
-        assert set(outcomes) <= {"direct", "accepted", "rejected",
-                                 "skipped_trace", "skipped_certificate"}

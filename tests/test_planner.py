@@ -11,6 +11,8 @@ parent cost model shipping to process workers for exact work parity.
 
 import os
 import threading
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -459,6 +461,28 @@ class TestProcessBackendSatellites:
         assert ProcessPoolBackend(max_workers=1).pin_blas_threads is True
         assert ProcessPoolBackend(max_workers=1,
                                   pin_blas_threads=False).pin_blas_threads is False
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status")
+                        or (os.cpu_count() or 1) < 2,
+                        reason="needs Linux /proc and at least 2 CPUs")
+    def test_pool_workers_run_one_blas_thread(self):
+        # a worker's thread count after a LAPACK call, with no BLAS variable
+        # set when the pool starts: unpinned, OpenBLAS runs one per CPU
+        with mock.patch.dict(os.environ):
+            for var in _WORKER_BLAS_ENV_VARS:
+                os.environ.pop(var, None)
+            backend = ProcessPoolBackend(max_workers=1)
+            try:
+                pool = backend._ensure_pool()
+                matrix = np.eye(64) + np.ones((64, 64))
+                pool.submit(np.linalg.eigh, matrix).result(timeout=120)
+                status = pool.submit(Path.read_text,
+                                     Path("/proc/self/status")).result(timeout=60)
+            finally:
+                backend.close()
+        threads = next(int(line.split()[1]) for line in status.splitlines()
+                       if line.startswith("Threads:"))
+        assert threads == 1
 
     @pytest.mark.skipif(not shared_memory_available(),
                         reason="multiprocessing.shared_memory unavailable")
