@@ -33,7 +33,7 @@ def _z_scores(hits, probabilities, draws):
 
 
 def test_served_theorem10_inclusions_match_exact_marginals():
-    n, k, draws = 100, 6, 600
+    n, k, draws = 100, 6, 1500
     L = random_psd_ensemble(n, rank=30, seed=0)
     dist = SymmetricKDPP(L, k)
     pairs = list(itertools.combinations(range(n), 2))

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 import repro.service.session
 from repro import KernelRegistry, serve
 from repro.distributions.base import CountingOracleError
-from repro.distributions.lowrank import LowRankKDPP
+from repro.distributions.lowrank import LowRankKDPP, LowRankKernel
 from repro.dpp.elementary import leave_one_out_esp
 from repro.dpp.symmetric import SymmetricKDPP
 from repro.engine import OracleBatch, resolve_backend
@@ -451,3 +451,15 @@ def test_served_samples_match_gram_route(monkeypatch, seed):
             reference = session.sample(k=10, method="parallel", seed=seed, backend="vectorized")
     assert queried  # the reference route really ran
     assert circle.subset == reference.subset
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_lowrank_served_samples_match_dense_served(seed):
+    # the same kernel registered as a factor answers from the same factor
+    # spectrum, so the parallel sampler's draws agree seed for seed
+    L = random_psd_ensemble(200, rank=60, seed=seed)
+    with serve(L, registry=KernelRegistry()) as session:
+        dense = session.sample(k=10, method="parallel", seed=seed, backend="vectorized")
+    with serve(LowRankKernel(psd_factor(L)), registry=KernelRegistry()) as session:
+        lowrank = session.sample(k=10, method="parallel", seed=seed, backend="vectorized")
+    assert lowrank.subset == dense.subset

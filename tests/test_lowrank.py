@@ -143,6 +143,17 @@ class TestLowRankOracle:
                 expected[i] += p
         np.testing.assert_allclose(marginals, expected, rtol=1e-8, atol=1e-10)
 
+    def test_parallel_sample_work_does_not_grow_with_n(self):
+        # a factor-only kernel decomposes r x r Grams, so the PRAM work it
+        # charges per served parallel sample is independent of n
+        work = []
+        for n in (500, 20_000):
+            B = _factor(n, 16, seed=1)
+            with repro.serve(LowRankKernel(B), registry=KernelRegistry()) as session:
+                result = session.sample(k=8, method="parallel", seed=1, backend="vectorized")
+            work.append(result.report.work)
+        assert max(work) <= 2 * min(work), work
+
     def test_whitened_basis_spans_factor(self):
         B = _factor(20, 5, seed=6)
         eigenvalues, coords = lowrank_intermediate_basis(B)
