@@ -9,14 +9,16 @@ foundation: a first-class factor representation
   ``L = B Bᵀ`` (validated eagerly, fingerprinted as the factor pair, never
   materialized unless explicitly asked), with a Nyström / ridge-leverage-score
   sketch constructor for dense inputs;
-* :class:`LowRankDPP` / :class:`LowRankKDPP` — the Definition 3/6
-  distributions over that representation, with all counting-oracle routes in
-  factor space: the dual ``k x k`` Gram ``C = BᵀB`` carries the nonzero
-  spectrum of ``L``, the DPP's conditioned spectra reduce through
-  :func:`repro.linalg.batch.lowrank_conditioned_gram`, the k-DPP's counts
-  come from the dual spectrum alone
-  (:func:`repro.linalg.esp.kdpp_counts_from_factor`), and marginals cost
-  ``O(n k)`` via the push-through identity ``K = B (I + C)^{-1} Bᵀ``.
+* :class:`LowRankDPP` — the Definition 3 distribution over that
+  representation, with all counting-oracle routes in factor space: the dual
+  ``k x k`` Gram ``C = BᵀB`` carries the nonzero spectrum of ``L``,
+  conditioned spectra reduce through
+  :func:`repro.linalg.batch.lowrank_conditioned_gram`, and marginals cost
+  ``O(n k)`` via the push-through identity ``K = B (I + C)^{-1} Bᵀ``;
+* :class:`LowRankKDPP` — the Definition 6 distribution: a
+  :class:`~repro.dpp.symmetric.SymmetricKDPP` that holds ``B`` and never
+  ``L``, so its counts, marginals and conditioning are that class's
+  factor-space oracles, which every conditioned symmetric k-DPP runs.
 
 Memory is ``O(n k)`` throughout and no routine touches an ``n x n``
 intermediate, so ``n = 10^5``–``10^6`` ground sets are served in factor-sized
@@ -29,9 +31,10 @@ from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.distributions.base import HomogeneousDistribution, SubsetDistribution
+from repro.distributions.base import SubsetDistribution
+from repro.dpp.symmetric import SymmetricKDPP
 from repro.linalg.batch import conditioned_factor, group_by_size, lowrank_conditioned_gram
-from repro.linalg.esp import elementary_symmetric_polynomials, kdpp_counts_from_factor
+from repro.linalg.esp import elementary_symmetric_polynomials
 from repro.pram.cost import OracleCostHint
 from repro.pram.tracker import current_tracker
 from repro.utils.fingerprint import kernel_fingerprint
@@ -179,15 +182,18 @@ def _as_factor(kernel, name: str = "kernel", *, validate: bool = True) -> np.nda
         else np.ascontiguousarray(kernel, dtype=float)
 
 
-class _LowRankOracleMixin:
-    """Shared factor-space state and artifacts of the two distributions."""
+class LowRankDPP(SubsetDistribution):
+    """Unconstrained DPP ``P[Y] ∝ det(L_Y)`` with ``L = B Bᵀ`` held as ``B``.
 
-    factor: np.ndarray
-    n: int
-    rank: int
+    Counting oracle in factor space:
+    ``Σ_{S ⊇ T} det(L_S) = det(L_T) · det(I_k + C_T)`` where ``C_T`` is the
+    rank-``k`` Gram reduction of the conditioned spectrum
+    (:func:`repro.linalg.batch.lowrank_conditioned_gram`) — ``det(I + L^T)``
+    equals ``det(I_k + C_T)`` because zero eigenvalues contribute factors of 1.
+    """
 
-    def _init_factor(self, kernel, validate: bool,
-                     labels: Optional[Sequence[int]]) -> None:
+    def __init__(self, kernel, *, validate: bool = True,
+                 labels: Optional[Sequence[int]] = None):
         self.factor = _as_factor(kernel, validate=validate)
         self.n = int(self.factor.shape[0])
         self.rank = int(self.factor.shape[1])
@@ -196,6 +202,7 @@ class _LowRankOracleMixin:
         self._gram: Optional[np.ndarray] = None
         self._dual_eigenvalues: Optional[np.ndarray] = None
         self._dual_vectors: Optional[np.ndarray] = None
+        self._z: Optional[float] = None
 
     # ------------------------------------------------------------------ #
     @property
@@ -232,7 +239,7 @@ class _LowRankOracleMixin:
 
     def attach_precomputed(self, *, gram: Optional[np.ndarray] = None,
                            dual_eigenvalues: Optional[np.ndarray] = None,
-                           dual_vectors: Optional[np.ndarray] = None):
+                           dual_vectors: Optional[np.ndarray] = None) -> "LowRankDPP":
         """Install serving-layer artifacts so later queries skip the dual eigh.
 
         The :class:`~repro.service.cache.FactorizationCache` computes these
@@ -272,7 +279,18 @@ class _LowRankOracleMixin:
             arrays["dual_eigenvalues"] = self._dual_eigenvalues
         if self._dual_vectors is not None:
             arrays["dual_vectors"] = self._dual_vectors
-        return arrays, self._payload_params()
+        return arrays, {"labels": self._labels, "z": self._z}
+
+    @classmethod
+    def from_worker_payload(cls, arrays, params):
+        dist = cls(arrays["factor"], validate=False, labels=params["labels"])
+        dist.attach_precomputed(
+            gram=arrays.get("gram"),
+            dual_eigenvalues=arrays.get("dual_eigenvalues"),
+            dual_vectors=arrays.get("dual_vectors"))
+        if params["z"] is not None:
+            dist._z = float(params["z"])
+        return dist
 
     def absorb_worker_arrays(self, arrays: dict) -> None:
         """Write back worker-derived dual artifacts (cold parent only)."""
@@ -308,62 +326,16 @@ class _LowRankOracleMixin:
                               rank=self.rank, update_depth=self.update_depth)
 
     # ------------------------------------------------------------------ #
-    # shared numerical pieces
-    # ------------------------------------------------------------------ #
-    def _minor(self, items: Tuple[int, ...]) -> float:
-        """``det(L_S) = det(B_S B_Sᵀ)`` without touching ``L`` (0 beyond rank)."""
-        s = len(items)
-        if s == 0:
-            return 1.0
-        if s > self.rank:
-            return 0.0
-        current_tracker().charge_determinant(s)
-        block = self.factor[list(items)]
-        return float(np.linalg.det(block @ block.T))
-
-    def _conditioned_factor(self, items: Tuple[int, ...]) -> Tuple[np.ndarray, Tuple[int, ...]]:
-        """Factor ``B_O Q`` of the conditioned ensemble ``L^T`` plus surviving labels.
-
-        Conditioning stays inside the representation
-        (:func:`repro.linalg.batch.conditioned_factor`).
-        """
-        factor, remaining = conditioned_factor(self.factor, items)
-        return factor, tuple(self._labels[i] for i in remaining)
-
-
-class LowRankDPP(_LowRankOracleMixin, SubsetDistribution):
-    """Unconstrained DPP ``P[Y] ∝ det(L_Y)`` with ``L = B Bᵀ`` held as ``B``.
-
-    Counting oracle in factor space:
-    ``Σ_{S ⊇ T} det(L_S) = det(L_T) · det(I_k + C_T)`` where ``C_T`` is the
-    rank-``k`` Gram reduction of the conditioned spectrum
-    (:func:`repro.linalg.batch.lowrank_conditioned_gram`) — ``det(I + L^T)``
-    equals ``det(I_k + C_T)`` because zero eigenvalues contribute factors of 1.
-    """
-
-    def __init__(self, kernel, *, validate: bool = True,
-                 labels: Optional[Sequence[int]] = None):
-        self._init_factor(kernel, validate, labels)
-        self._z: Optional[float] = None
-
-    def _payload_params(self) -> dict:
-        return {"labels": self._labels, "z": self._z}
-
-    @classmethod
-    def from_worker_payload(cls, arrays, params):
-        dist = cls(arrays["factor"], validate=False, labels=params["labels"])
-        dist.attach_precomputed(
-            gram=arrays.get("gram"),
-            dual_eigenvalues=arrays.get("dual_eigenvalues"),
-            dual_vectors=arrays.get("dual_vectors"))
-        if params["z"] is not None:
-            dist._z = float(params["z"])
-        return dist
-
-    # ------------------------------------------------------------------ #
     def unnormalized(self, subset: Iterable[int]) -> float:
+        """``det(L_S) = det(B_S B_Sᵀ)`` without touching ``L`` (0 beyond rank)."""
         items = check_subset(subset, self.n)
-        return max(self._minor(items), 0.0)
+        if not items:
+            return 1.0
+        if len(items) > self.rank:
+            return 0.0
+        current_tracker().charge_determinant(len(items))
+        block = self.factor[list(items)]
+        return max(float(np.linalg.det(block @ block.T)), 0.0)
 
     def partition_function(self) -> float:
         """``det(I + L) = Π_j (1 + λ_j(BᵀB))`` — one ``k x k`` eigh, cached."""
@@ -429,127 +401,42 @@ class LowRankDPP(_LowRankOracleMixin, SubsetDistribution):
         items = check_subset(include, self.n)
         if not items:
             return self
-        conditioned, labels = self._conditioned_factor(items)
-        # the projected factor is deliberately column-rank-deficient (rank
-        # drops by |T|): skip the full-rank gate, the oracles handle it
-        return LowRankDPP(LowRankKernel(conditioned, validate=False),
-                          validate=False, labels=labels)
+        # conditioning stays inside the representation; the projected factor
+        # is deliberately column-rank-deficient (rank drops by |T|): skip the
+        # full-rank gate, the oracles handle it
+        conditioned, remaining = conditioned_factor(self.factor, items)
+        return LowRankDPP(LowRankKernel(conditioned, validate=False), validate=False,
+                          labels=[self._labels[i] for i in remaining])
 
     def restrict_to_size(self, k: int) -> "LowRankKDPP":
         """The k-DPP obtained by conditioning on ``|Y| = k`` (Definition 6)."""
         return LowRankKDPP(LowRankKernel(self.factor, validate=False), k)
 
 
-class LowRankKDPP(_LowRankOracleMixin, HomogeneousDistribution):
+class LowRankKDPP(SymmetricKDPP):
     """k-DPP ``P[Y] ∝ det(L_Y) · 1[|Y| = k]`` with ``L = B Bᵀ`` held as ``B``.
 
-    Counting oracle ``[z^k] det(I + zL) · det(K(z)_T)`` with
-    ``K(z) = zL (I + zL)^{-1}``: with the dual eigendecomposition
-    ``BᵀB = V diag(λ) Vᵀ`` and ``W = B V``, both factors depend on ``λ`` and
-    the rows ``W_T`` only, so
-    :func:`~repro.linalg.esp.kdpp_counts_from_factor` reads the count off
-    ``r + 1`` points on a circle with no per-query decomposition.
+    A :class:`~repro.dpp.symmetric.SymmetricKDPP` without a dense ``L``: the
+    counts ``[z^k] det(I + zL) · det(K(z)_T)``, the marginals and the
+    normalizer come from one eigendecomposition of the dual Gram
+    ``BᵀB = V diag(λ) Vᵀ``, ``|T| = k`` is ``det(B_T B_Tᵀ)``, and
+    conditioning keeps the projected factor.  This class adds only the
+    construction from a factor and a cost hint priced at its rank.
     """
 
     def __init__(self, kernel, k: int, *, validate: bool = True,
                  labels: Optional[Sequence[int]] = None):
-        self._init_factor(kernel, validate, labels)
-        self.k = check_positive_int(k, "k", minimum=0) if k else 0
-        if self.k > self.n:
-            raise ValueError(f"k={k} exceeds ground set size {self.n}")
-        if self.k > self.rank:
+        self._setup(None, _as_factor(kernel, validate=validate), k, labels)
+        rank = self.factor.shape[1]
+        if self.k > rank:
             raise ValueError(
-                f"k-DPP with k={self.k} has zero mass: factor rank is {self.rank} < k")
+                f"k-DPP with k={self.k} has zero mass: factor rank is {rank} < k")
 
-    def _payload_params(self) -> dict:
-        return {"labels": self._labels, "k": self.k}
+    def oracle_cost_hint(self) -> OracleCostHint:
+        """Factor-space oracles: LAPACK-dominated, priced at reduced rank.
 
-    @classmethod
-    def from_worker_payload(cls, arrays, params):
-        dist = cls(arrays["factor"], params["k"], validate=False,
-                   labels=params["labels"])
-        return dist.attach_precomputed(
-            gram=arrays.get("gram"),
-            dual_eigenvalues=arrays.get("dual_eigenvalues"),
-            dual_vectors=arrays.get("dual_vectors"))
-
-    # ------------------------------------------------------------------ #
-    def unnormalized(self, subset: Iterable[int]) -> float:
-        items = check_subset(subset, self.n)
-        if len(items) != self.k:
-            return 0.0
-        return max(self._minor(items), 0.0)
-
-    def partition_function(self) -> float:
-        """``e_k(λ(L)) = e_k(λ(BᵀB))`` — ESPs over the dual spectrum."""
-        current_tracker().charge_determinant(self.rank)
-        esp = elementary_symmetric_polynomials(self.dual_eigenvalues, max_order=self.k)
-        return float(esp[self.k])
-
-    def counting(self, given: Iterable[int] = ()) -> float:
-        items = check_subset(given, self.n)
-        if len(items) > self.k:
-            return 0.0
-        if not items:
-            return self.partition_function()
-        return float(self.counting_batch([items])[0])
-
-    def counting_batch(self, subsets: Sequence[Sequence[int]]) -> np.ndarray:
-        """``Σ_{S ⊇ T, |S| = k} det(L_S)`` for many (mixed-size) ``T`` at once."""
-        values = np.zeros(len(subsets), dtype=float)
-        tracker = current_tracker()
-        for t, positions in group_by_size(subsets).items():
-            group = [subsets[p] for p in positions]
-            if t > self.k or t > self.rank:
-                continue
-            if t == 0:
-                values[positions] = self.partition_function()
-                continue
-            if t == self.k:
-                tracker.charge_determinant(t, count=len(group))
-                idx = np.asarray([sorted(int(i) for i in s) for s in group], dtype=int)
-                blocks = self.factor[idx]                     # (batch, t, k)
-                dets = np.linalg.det(blocks @ blocks.transpose(0, 2, 1))
-                values[positions] = np.where(dets > 0, dets, 0.0)
-                continue
-            values[positions] = kdpp_counts_from_factor(
-                self.dual_eigenvalues, self.factor @ self.dual_vectors, group, self.k)
-        return values
-
-    def joint_marginals_batch(self, subsets: Sequence[Sequence[int]]) -> np.ndarray:
-        z = self.partition_function()
-        if z <= 0:
-            raise ValueError("distribution has zero total mass")
-        tracker = current_tracker()
-        with tracker.round("lowrank-kdpp-joint-marginals"):
-            tracker.charge(machines=float(len(subsets)))
-            values = self.counting_batch(subsets) / z
-        return np.clip(values, 0.0, None)
-
-    def marginal_vector(self, given: Iterable[int] = ()) -> np.ndarray:
-        """Spectral k-DPP marginals in factor space (``O(n·rank²)``)."""
-        # imported here: repro.dpp imports this module through repro.distributions
-        from repro.dpp.elementary import kdpp_marginals_from_factor
-
-        items = check_subset(given, self.n)
-        tracker = current_tracker()
-        with tracker.round("lowrank-kdpp-marginals"):
-            if not items:
-                return kdpp_marginals_from_factor(
-                    self.dual_eigenvalues, self.factor @ self.dual_vectors, self.k)
-            conditioned = self.condition(items)
-            marginals = np.ones(self.n, dtype=float)
-            remaining = [i for i in range(self.n) if i not in items]
-            marginals[remaining] = conditioned.marginal_vector()
-        return marginals
-
-    # ------------------------------------------------------------------ #
-    def condition(self, include: Iterable[int]) -> "LowRankKDPP":
-        items = check_subset(include, self.n)
-        if not items:
-            return self
-        if len(items) > self.k:
-            raise ValueError(f"cannot condition a {self.k}-DPP on {len(items)} inclusions")
-        conditioned, labels = self._conditioned_factor(items)
-        return LowRankKDPP(LowRankKernel(conditioned, validate=False),
-                           self.k - len(items), validate=False, labels=labels)
+        ``rank`` says a query (and a refactorization) costs
+        ``O(n·k + k³)``, not ``O(n^ω)``, and that factor patches are exact.
+        """
+        return OracleCostHint(matrix_order=self.n, python_fraction=0.05,
+                              rank=self.factor.shape[1], update_depth=self.update_depth)

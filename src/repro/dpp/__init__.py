@@ -15,6 +15,11 @@ with their ``NC``-style counting oracles:
 * :mod:`repro.dpp.exact` — brute-force enumeration for ground truth.
 """
 
+# Import repro.distributions before repro.dpp.symmetric: its lowrank module
+# subclasses SymmetricKDPP, and dpp.symmetric imports repro.distributions.base.
+# Started from here, repro.distributions would otherwise reach lowrank while
+# dpp.symmetric is only half-initialized.
+import repro.distributions  # noqa: F401
 from repro.dpp.kernels import (
     ensemble_to_kernel,
     kernel_to_ensemble,

@@ -10,8 +10,10 @@ For an ensemble matrix ``L`` with eigenvalues ``λ``:
 Marginals are computed in factor space: for ``L = F Fᵀ`` with ``F`` of
 ``r`` columns, one ``r x r`` eigendecomposition ``FᵀF = V diag(s) Vᵀ`` gives
 the nonzero spectrum ``s`` of ``L`` and, in ``F V``, its eigenvectors scaled
-by ``√s`` (:func:`kdpp_marginals_from_factor`).  Both symmetric k-DPP
-classes, dense and low-rank, answer marginals through that one routine.
+by ``√s`` (:func:`kdpp_marginals_from_factor`).
+:class:`~repro.dpp.symmetric.SymmetricKDPP` answers marginals through that
+one routine, with a dense ``L`` and without one (a conditioned child, or a
+:class:`~repro.distributions.lowrank.LowRankKDPP`).
 
 The ``e_{k-1}(λ_{-j})`` terms are computed with a leave-one-out dynamic program
 that recomputes the ESP table with one eigenvalue removed (numerically safer

@@ -12,11 +12,13 @@ Both classes expose the counting-oracle / self-reducibility interface of
   (:func:`repro.linalg.esp.kdpp_counts_from_factor`).
 
 Conditioning maps to Schur complements of the ensemble matrix (Section 3.2).
-A conditioned ``SymmetricKDPP`` also receives a factor of its Schur
-complement (:func:`repro.linalg.batch.conditioned_factor`), so its spectrum
-and marginals come from one ``r x r`` Gram eigendecomposition and its
-counting queries from that decomposition's factor spectrum, never from an
-``n x n`` decomposition.
+``SymmetricDPP`` forms that Schur complement.  A conditioned
+``SymmetricKDPP`` holds only a factor of it, the projected factor
+``F = B_O Q`` (:func:`repro.linalg.batch.conditioned_factor`), and the
+factor's ``r x r`` Gram: its spectrum, marginals and counts come from one
+``r x r`` eigendecomposition, and no ``(n - t) x (n - t)`` matrix is formed.
+:class:`repro.distributions.lowrank.LowRankKDPP` is the same factor-only
+kernel, built from a factor.
 """
 
 from __future__ import annotations
@@ -195,28 +197,51 @@ class SymmetricDPP(SubsetDistribution):
 
 
 class SymmetricKDPP(HomogeneousDistribution):
-    """Symmetric k-DPP ``P[Y] ∝ det(L_Y) · 1[|Y| = k]`` with PSD ``L``."""
+    """Symmetric k-DPP ``P[Y] ∝ det(L_Y) · 1[|Y| = k]`` with PSD ``L``.
+
+    A kernel made by :meth:`condition`, like every
+    :class:`~repro.distributions.lowrank.LowRankKDPP`, holds no dense ``L``
+    (``L is None``): only a factor ``F`` with ``L = F Fᵀ`` and that factor's
+    ``r x r`` Gram, from which every oracle answers.
+    """
 
     def __init__(self, L: np.ndarray, k: int, *, validate: bool = True,
                  labels: Optional[Sequence[int]] = None):
-        self.L = validate_ensemble(L, symmetric=True) if validate else np.asarray(L, dtype=float)
-        self.n = self.L.shape[0]
+        L = validate_ensemble(L, symmetric=True) if validate else np.asarray(L, dtype=float)
+        self._setup(L, None, k, labels)
+        if validate and self.k > 0:
+            self._check_rank()
+
+    def _setup(self, L: Optional[np.ndarray], factor: Optional[np.ndarray], k: int,
+               labels: Optional[Sequence[int]]) -> None:
+        """State of a kernel given by its dense ``L``, or by a factor alone (``L=None``)."""
+        self.L = L
+        self.n = (factor if L is None else L).shape[0]
         self.k = check_positive_int(k, "k", minimum=0) if k else 0
         if self.k > self.n:
             raise ValueError(f"k={k} exceeds ground set size {self.n}")
         self._labels = tuple(int(i) for i in labels) if labels is not None else tuple(range(self.n))
         self._eigenvalues: Optional[np.ndarray] = None
-        self._factor: Optional[np.ndarray] = None
+        self._factor: Optional[np.ndarray] = factor
         self._factor_gram: Optional[np.ndarray] = None
         self._gram_eigh: Optional[Tuple[np.ndarray, np.ndarray]] = None
-        if validate and self.k > 0:
-            eigs = self.eigenvalues
-            top = float(eigs.max(initial=0.0))
-            numerical_rank = int(np.sum(eigs > 1e-10 * max(top, 1.0)))
-            if numerical_rank < self.k:
-                raise ValueError(
-                    f"k-DPP with k={self.k} has zero mass: rank of L is {numerical_rank} < k"
-                )
+
+    @classmethod
+    def _from_factor(cls, factor: np.ndarray, k: int,
+                     labels: Sequence[int]) -> "SymmetricKDPP":
+        """A kernel holding only the factor ``F`` of ``L = F Fᵀ``, never ``L``."""
+        dist = cls.__new__(cls)
+        dist._setup(None, factor, k, labels)
+        return dist
+
+    def _check_rank(self) -> None:
+        eigs = self.eigenvalues
+        top = float(eigs.max(initial=0.0))
+        numerical_rank = int(np.sum(eigs > 1e-10 * max(top, 1.0)))
+        if numerical_rank < self.k:
+            raise ValueError(
+                f"k-DPP with k={self.k} has zero mass: rank of L is {numerical_rank} < k"
+            )
 
     # ------------------------------------------------------------------ #
     @property
@@ -225,25 +250,32 @@ class SymmetricKDPP(HomogeneousDistribution):
 
     @property
     def eigenvalues(self) -> np.ndarray:
-        """Clipped spectrum of ``L``, ascending, length ``n`` (cached).
+        """Clipped spectrum of ``L``, ascending (cached).
 
-        A kernel built from ``L`` takes it from one ``eigvalsh`` of the
-        symmetrized ``L``.  A kernel made by :meth:`condition` holds its
-        factor's Gram spectrum instead, zero-padded to length ``n``: the same
-        nonzero eigenvalues, with no ``n x n`` decomposition.
+        A kernel with a dense ``L`` takes it from one ``eigvalsh`` of the
+        symmetrized ``L``: ``n`` values.  A kernel without one returns the
+        spectrum of its factor's ``r x r`` Gram, which holds every nonzero
+        eigenvalue of ``L``, with no ``n x n`` decomposition.  It keeps at
+        most ``n`` values: ``rank(L) <= n``, so any further Gram eigenvalues
+        are rounding.
         """
         if self._eigenvalues is None:
+            if self.L is None:
+                s = self._factor_spectrum()[0]
+                return s[max(s.size - self.n, 0):]
             self._eigenvalues = np.clip(np.linalg.eigvalsh(0.5 * (self.L + self.L.T)), 0.0, None)
         return self._eigenvalues
 
     @property
     def factor(self) -> np.ndarray:
-        """Cached factor ``B`` with ``L ≈ B Bᵀ``.
+        """Factor ``F`` with ``L = F Fᵀ`` (cached).
 
-        A kernel built from ``L`` gets a rank-revealing factor from one eigh
-        (:func:`repro.linalg.batch.psd_factor`); :meth:`condition` hands its
-        child the projected factor ``B_O Q`` of the same width.  Batched
-        counting and the marginals work from this factor's ``r x r`` Gram
+        A dense ``L`` gets a rank-revealing factor from one eigh
+        (:func:`repro.linalg.batch.psd_factor`) on first use.  A kernel
+        without a dense ``L`` is given its factor: :meth:`condition` hands its
+        child the projected factor ``B_O Q`` of the parent's width, and a
+        :class:`~repro.distributions.lowrank.LowRankKDPP` holds its ``B``.
+        Counting and the marginals work from this factor's ``r x r`` Gram
         (see :meth:`_factor_spectrum`).
         """
         if self._factor is None:
@@ -252,16 +284,16 @@ class SymmetricKDPP(HomogeneousDistribution):
 
     @property
     def factor_gram(self) -> np.ndarray:
-        """Cached ``BᵀB`` companion of :attr:`factor`."""
+        """Cached ``FᵀF`` companion of :attr:`factor`."""
         if self._factor_gram is None:
             factor = self.factor
             self._factor_gram = factor.T @ factor
         return self._factor_gram
 
     def _factor_spectrum(self) -> Tuple[np.ndarray, np.ndarray]:
-        """``(s, B V)`` from one eigh ``BᵀB = V diag(s) Vᵀ`` (cached).
+        """``(s, F V)`` from one eigh ``FᵀF = V diag(s) Vᵀ`` (cached).
 
-        ``s`` is the nonzero spectrum of ``L`` and the columns of ``B V`` its
+        ``s`` is the nonzero spectrum of ``L`` and the columns of ``F V`` its
         eigenvectors scaled by ``√s``: all the marginals and the counting
         queries need, at ``r x r``.
         """
@@ -275,18 +307,20 @@ class SymmetricKDPP(HomogeneousDistribution):
     def attach_precomputed(self, *, eigenvalues: Optional[np.ndarray] = None,
                            factor: Optional[np.ndarray] = None,
                            factor_gram: Optional[np.ndarray] = None,
+                           gram_eigh: Optional[Tuple[np.ndarray, np.ndarray]] = None,
                            check_rank: bool = True) -> "SymmetricKDPP":
         """Install cached spectral artifacts so sampling skips preprocessing.
 
         ``eigenvalues`` must be the clipped ``eigvalsh`` spectrum of the
-        symmetrized ensemble, ``factor`` a :func:`repro.linalg.batch.psd_factor`
-        output and ``factor_gram`` its Gram companion — exactly what the
-        serving layer's factorization cache computes, so fixed-seed samples
-        agree bitwise with the uncached path.  (Kernels made by
-        :meth:`condition` need none of this: their ``eigenvalues`` are the
-        factor's Gram spectrum, zero-padded, installed with the factor.)
-        ``check_rank`` re-runs the (now cheap) feasibility check that
-        ``validate=True`` construction would have performed.
+        symmetrized dense ``L``, ``factor`` a
+        :func:`repro.linalg.batch.psd_factor` output, ``factor_gram`` the
+        factor's Gram ``FᵀF`` and ``gram_eigh`` the clipped ``eigh`` pair
+        ``(s, V)`` of the symmetrized Gram — exactly what the serving layer's
+        factorization cache computes (for a low-rank registration, its
+        ``lowrank_gram`` and ``lowrank_dual``), so fixed-seed samples agree
+        bitwise with the uncached path.  ``check_rank`` re-runs the (now
+        cheap) feasibility check that ``validate=True`` construction would
+        have performed.
         """
         if eigenvalues is not None:
             if eigenvalues.shape != (self.n,):
@@ -296,32 +330,33 @@ class SymmetricKDPP(HomogeneousDistribution):
             if factor.ndim != 2 or factor.shape[0] != self.n:
                 raise ValueError("precomputed factor has mismatched shape")
             self._factor = factor
+        gram_shape = None if self._factor is None else (self._factor.shape[1],) * 2
         if factor_gram is not None:
-            if self._factor is None or factor_gram.shape != (self._factor.shape[1],) * 2:
+            if factor_gram.shape != gram_shape:
                 raise ValueError("factor_gram requires a matching precomputed factor")
             self._factor_gram = factor_gram
+        if gram_eigh is not None:
+            spectrum, vectors = gram_eigh
+            if vectors.shape != gram_shape:
+                raise ValueError("gram_eigh requires a matching precomputed factor")
+            self._gram_eigh = (spectrum, self._factor @ vectors)
         if check_rank and self.k > 0:
-            eigs = self.eigenvalues
-            top = float(eigs.max(initial=0.0))
-            numerical_rank = int(np.sum(eigs > 1e-10 * max(top, 1.0)))
-            if numerical_rank < self.k:
-                raise ValueError(
-                    f"k-DPP with k={self.k} has zero mass: rank of L is {numerical_rank} < k"
-                )
+            self._check_rank()
         return self
 
     def worker_payload(self):
-        """Ship ``L`` plus whichever spectral artifacts are already warm.
+        """Ship ``L`` (or, without one, the factor) plus the warm spectral artifacts.
 
         A serving-layer distribution (``attach_precomputed``) and every
-        conditioned kernel ship their eigenvalues / factor / Gram companion
-        (and the factor spectrum that counting reads, once computed)
-        through shared memory, so workers skip every eigendecomposition; a
-        cold kernel ships only ``L`` and lets each worker derive the
+        conditioned kernel ship their factor / Gram companion (and the
+        factor spectrum that counting reads, once computed) through shared
+        memory, so workers skip every eigendecomposition.  A kernel without a
+        dense ``L`` ships nothing larger than its ``n x r`` factor.  A cold
+        dense kernel ships only ``L`` and lets each worker derive the
         artifacts once (they are cached per kernel fingerprint on the worker
         side).
         """
-        arrays = {"L": self.L}
+        arrays = {} if self.L is None else {"L": self.L}
         if self._eigenvalues is not None:
             arrays["eigenvalues"] = self._eigenvalues
         if self._factor is not None:
@@ -335,7 +370,10 @@ class SymmetricKDPP(HomogeneousDistribution):
 
     @classmethod
     def from_worker_payload(cls, arrays, params):
-        dist = cls(arrays["L"], params["k"], validate=False, labels=params["labels"])
+        if "L" in arrays:
+            dist = cls(arrays["L"], params["k"], validate=False, labels=params["labels"])
+        else:
+            dist = cls._from_factor(arrays["factor"], params["k"], params["labels"])
         if "eigenvalues" in arrays:
             dist._eigenvalues = arrays["eigenvalues"]
         if "factor" in arrays:
@@ -370,7 +408,10 @@ class SymmetricKDPP(HomogeneousDistribution):
             # Gram-cold parent ships the factor and gets only the Gram back
             self._factor_gram = np.asarray(gram, dtype=float)
 
-    def artifact_cache_key(self) -> str:
+    def artifact_cache_key(self) -> Optional[str]:
+        """The registry fingerprint of a dense ``L``; without one, no cache entry."""
+        if self.L is None:
+            return None
         from repro.utils.fingerprint import kernel_fingerprint
 
         return kernel_fingerprint(self.L, kind="symmetric")
@@ -387,18 +428,19 @@ class SymmetricKDPP(HomogeneousDistribution):
 
     # ------------------------------------------------------------------ #
     def unnormalized(self, subset: Iterable[int]) -> float:
+        """``det(L_S)`` for ``|S| = k``: the ``|T| = k`` count of :meth:`counting_batch`."""
         items = check_subset(subset, self.n)
-        if len(items) != self.k:
-            return 0.0
-        return max(dpp_unnormalized(self.L, items), 0.0)
+        return self.counting(items) if len(items) == self.k else 0.0
 
     def partition_function(self) -> float:
         """``e_k(λ(L))`` over the positive eigenvalues.
 
-        An exact zero leaves every ``e_j`` unchanged bit for bit, so a
-        conditioned kernel's zero-padded spectrum costs only its factor width.
+        Charged as the decomposition the spectrum comes from: ``n x n`` for a
+        dense ``L``, the factor's ``r x r`` Gram without one.  An exact zero
+        leaves every ``e_j`` unchanged bit for bit.
         """
-        current_tracker().charge_determinant(self.n)
+        order = self.n if self.L is not None else self.factor.shape[1]
+        current_tracker().charge_determinant(order)
         eigenvalues = self.eigenvalues
         esp = elementary_symmetric_polynomials(eigenvalues[eigenvalues > 0], max_order=self.k)
         return float(esp[self.k])
@@ -432,9 +474,9 @@ class SymmetricKDPP(HomogeneousDistribution):
         polynomial ``det(I + zL) · det(K(z)_T)`` on a circle by
         :func:`~repro.linalg.esp.kdpp_counts_from_factor`, from the cached
         factor spectrum: no query decomposes anything.  ``|T| = k`` is one
-        stacked determinant of ``L_T``.  Stacked slices are computed
-        independently, so a query's value does not depend on what it is
-        batched with.
+        stacked determinant of ``L_T``, or of ``F_T F_Tᵀ`` without a dense
+        ``L``.  Stacked slices are computed independently, so a query's value
+        does not depend on what it is batched with.
         """
         values = np.zeros(len(subsets), dtype=float)
         tracker = current_tracker()
@@ -447,7 +489,12 @@ class SymmetricKDPP(HomogeneousDistribution):
                 continue
             if t == self.k:
                 tracker.charge_determinant(t, count=len(group))
-                dets = np.linalg.det(stacked_principal_submatrices(self.L, group))
+                if self.L is None:
+                    idx = np.asarray([sorted(int(i) for i in s) for s in group], dtype=int)
+                    rows = self.factor[idx]                    # (batch, k, r)
+                    dets = np.linalg.det(rows @ rows.transpose(0, 2, 1))
+                else:
+                    dets = np.linalg.det(stacked_principal_submatrices(self.L, group))
                 values[positions] = np.where(dets > 0, dets, 0.0)
                 continue
             values[positions] = kdpp_counts_from_factor(*self._factor_spectrum(), group, self.k)
@@ -456,6 +503,8 @@ class SymmetricKDPP(HomogeneousDistribution):
     def joint_marginals_batch(self, subsets: Sequence[Sequence[int]]) -> np.ndarray:
         """``P[T ⊆ Y]`` for many (mixed-size) ``T`` in one batched round."""
         z = self.partition_function()
+        if z <= 0:
+            raise ValueError("distribution has zero total mass")
         tracker = current_tracker()
         with tracker.round("kdpp-joint-marginals"):
             tracker.charge(machines=float(len(subsets)))
@@ -464,21 +513,22 @@ class SymmetricKDPP(HomogeneousDistribution):
 
     # ------------------------------------------------------------------ #
     def condition(self, include: Iterable[int]) -> "SymmetricKDPP":
+        """The ``(k - |T|)``-DPP given ``T ⊆ Y``, held as a factor alone.
+
+        ``F = B_O Q`` factors the Schur complement ``L^T``
+        (:func:`~repro.linalg.batch.conditioned_factor`, which raises on a
+        zero-probability event) and
+        :func:`~repro.linalg.batch.lowrank_conditioned_gram` gives its
+        ``r x r`` Gram, so the child never forms an ``(n - t) x (n - t)``
+        matrix.
+        """
         items = check_subset(include, self.n)
         if not items:
             return self
         if len(items) > self.k:
             raise ValueError(f"cannot condition a {self.k}-DPP on {len(items)} inclusions")
-        L_cond, remaining = condition_ensemble(self.L, items)
-        labels = tuple(self._labels[i] for i in remaining)
-        child = SymmetricKDPP(0.5 * (L_cond + L_cond.T), self.k - len(items),
-                              validate=False, labels=labels)
-        # Carry the factor down instead of decomposing L^T: F = B_O Q factors
-        # it, and one r x r eigh of C = FᵀF yields the child's whole nonzero
-        # spectrum and the eigenvectors its marginals need.
-        child._factor, _ = conditioned_factor(self.factor, items)
+        factor, remaining = conditioned_factor(self.factor, items)
+        child = self._from_factor(factor, self.k - len(items),
+                                  [self._labels[i] for i in remaining])
         child._factor_gram = lowrank_conditioned_gram(self.factor, self.factor_gram, [items])[1][0]
-        s, _ = child._factor_spectrum()
-        nonzero = s[max(s.size - child.n, 0):]  # rank(C) <= n - t
-        child._eigenvalues = np.concatenate([np.zeros(child.n - nonzero.size), nonzero])
         return child

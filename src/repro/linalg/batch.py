@@ -16,11 +16,11 @@ those queries out with:
   ``L^T = F Fᵀ`` with ``F = B_O Q`` and the projector
   ``Q = I - B_Tᵀ L_{T,T}^{-1} B_T``, so the nonzero spectrum of ``L^T`` is
   the spectrum of the ``r x r`` Gram ``C = FᵀF = Q (BᵀB) Q``.  A conditioned
-  symmetric k-DPP keeps ``(F, C)`` and decomposes only ``C``: one
-  ``O(r³)`` eigendecomposition per conditioning instead of several
-  ``O((n-t)³)`` ones.  Forming ``C`` costs ``O(t·r²)``, once per
-  conditioning and once per :class:`~repro.distributions.lowrank.LowRankDPP`
-  counting query; k-DPP counting queries form no Gram
+  symmetric k-DPP keeps only ``(F, C)``, never the ``(n-t) x (n-t)`` Schur
+  complement, and decomposes only ``C``: one ``O(r³)`` eigendecomposition
+  per conditioning.  Forming ``C`` costs ``O(t·r²)``, once per conditioning
+  and once per :class:`~repro.distributions.lowrank.LowRankDPP` counting
+  query; k-DPP counting queries form no Gram
   (:func:`repro.linalg.esp.kdpp_counts_from_factor`).
 
 All routines charge the current PRAM tracker exactly like their scalar

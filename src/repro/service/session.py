@@ -228,16 +228,15 @@ class SamplerSession:
             return NonsymmetricKDPP(entry.matrix, int(k), validate=False,
                                     partition_function=max(fact.minor_sum(int(k)), 0.0))
         if entry.kind == "lowrank":
-            # entry.matrix is the (n, k) factor; thread the cached k x k duals
+            # entry.matrix is the (n, r) factor; thread the cached r x r duals
             kernel = LowRankKernel(entry.matrix, validate=False)
+            if k is not None:
+                return LowRankKDPP(kernel, int(k), validate=False).attach_precomputed(
+                    factor_gram=fact.lowrank_gram, gram_eigh=fact.lowrank_dual)
             dual_eigenvalues, dual_vectors = fact.lowrank_dual
-            if k is None:
-                dist = LowRankDPP(kernel, validate=False)
-            else:
-                dist = LowRankKDPP(kernel, int(k), validate=False)
-            return dist.attach_precomputed(gram=fact.lowrank_gram,
-                                           dual_eigenvalues=dual_eigenvalues,
-                                           dual_vectors=dual_vectors)
+            return LowRankDPP(kernel, validate=False).attach_precomputed(
+                gram=fact.lowrank_gram, dual_eigenvalues=dual_eigenvalues,
+                dual_vectors=dual_vectors)
         # partition
         if k is not None and k != sum(entry.counts):
             raise ValueError(

@@ -218,15 +218,39 @@ class TestConditionedKernel:
         L = random_psd_ensemble(n, rank=rank, seed=3)
         child = SymmetricKDPP(L, k).condition(T)
         k_child = k - len(T)
-        assert child.eigenvalues.shape == (n - len(T),)
-        dense = np.clip(np.linalg.eigvalsh(child.L), 0.0, None)
-        np.testing.assert_allclose(child.eigenvalues, dense, rtol=0,
+        L_cond, _ = condition_ensemble(L, T)
+        dense = np.clip(np.linalg.eigvalsh(L_cond), 0.0, None)
+        # the child holds its factor's Gram spectrum: at most n - t values,
+        # the top of the dense spectrum, with the rest of it zero
+        width = min(rank, n - len(T))
+        assert child.eigenvalues.shape == (width,)
+        np.testing.assert_allclose(child.eigenvalues, dense[dense.size - width:], rtol=0,
+                                   atol=1e-12 * dense.max())
+        np.testing.assert_allclose(dense[:dense.size - width], 0.0, rtol=0,
                                    atol=1e-12 * dense.max())
         np.testing.assert_allclose(child.marginal_vector(),
-                                   dense_kdpp_marginals(child.L, k_child),
+                                   dense_kdpp_marginals(L_cond, k_child),
                                    rtol=1e-12, atol=1e-15)
         expected_z = elementary_symmetric_polynomials(dense, max_order=k_child)[k_child]
         assert child.partition_function() == pytest.approx(expected_z, rel=1e-12)
+
+    def test_child_holds_and_ships_only_factor_space_arrays(self):
+        n, rank, T = 200, 60, (3, 50)
+        child = SymmetricKDPP(random_psd_ensemble(n, rank=rank, seed=2), 10).condition(T)
+        child.marginal_vector()  # warm every artifact the child ships
+        bound = (n - len(T)) * rank
+        assert child.L is None
+        held = [a for value in vars(child).values()
+                for a in (value if isinstance(value, tuple) else (value,))
+                if isinstance(a, np.ndarray)]
+        assert held and max(a.size for a in held) <= bound
+        arrays, params = child.worker_payload()
+        assert {"factor", "factor_gram"} <= set(arrays)
+        assert max(a.size for a in arrays.values()) <= bound
+        rebuilt = SymmetricKDPP.from_worker_payload(arrays, params)
+        assert rebuilt.L is None
+        subsets = _random_subsets(np.random.default_rng(3), child.n, 2, 10) + [tuple(range(8))]
+        assert np.array_equal(rebuilt.counting_batch(subsets), child.counting_batch(subsets))
 
     def test_nested_conditioning_keeps_factor_width(self):
         L = random_psd_ensemble(60, rank=20, seed=8)
