@@ -243,13 +243,15 @@ class KernelFactorization:
     @property
     def lowrank_gram(self) -> np.ndarray:
         """Dual ``k x k`` Gram ``BᵀB`` — the exact array
-        :attr:`repro.distributions.lowrank.LowRankDPP.gram` computes."""
+        :attr:`repro.distributions.lowrank.LowRankDPP.gram` and a
+        ``LowRankKDPP``'s ``factor_gram`` compute."""
         return self._get("lowrank_gram", lambda: self.matrix.T @ self.matrix)
 
     @property
     def lowrank_dual(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Clipped ``eigh`` pair of the symmetrized dual Gram — matches the
-        low-rank distributions' ``_compute_dual`` numerics bitwise."""
+        """Clipped ``eigh`` pair of the symmetrized dual Gram — matches
+        ``LowRankDPP._compute_dual`` and ``SymmetricKDPP._factor_spectrum``
+        numerics bitwise."""
         def compute():
             gram = self.lowrank_gram
             eigenvalues, vectors = np.linalg.eigh(0.5 * (gram + gram.T))
@@ -358,8 +360,8 @@ class KernelFactorization:
         "factor": "factor",
         "factor_gram": "factor_gram",
         "kernel": "kernel",
-        # low-rank distributions ship back the worker-computed dual Gram of
-        # their factor (worker: B.T @ B — byte-identical to lowrank_gram)
+        # LowRankDPP ships back the worker-computed dual Gram of its factor
+        # (worker: B.T @ B — byte-identical to lowrank_gram)
         "gram": "lowrank_gram",
     }
 
