@@ -113,38 +113,6 @@ class SubsetDistribution(abc.ABC):
             f"{cls.__name__} does not implement the worker-payload contract"
         )
 
-    def absorb_worker_arrays(self, arrays: dict) -> None:
-        """Install artifact arrays a worker process materialized and shipped back.
-
-        The process backend's write-back path: when this (cold) distribution
-        is shipped via :meth:`worker_payload`, workers derive the lazy
-        artifacts (eigendecompositions, PSD factors, marginal kernels) the
-        parent never computed, and return the ones missing from the shipped
-        payload.  Absorbing them makes the parent warm — later rounds (the
-        batch normalizer, a planner re-route to in-process execution, the
-        next ``worker_payload`` shipment) skip the recomputation.
-
-        Implementations must only accept arrays their own lazy getters would
-        have produced bit-identically (the :meth:`worker_payload` round-trip
-        contract), and must ignore names they do not recognize — a stale or
-        foreign entry must never corrupt state.  The default accepts
-        nothing, which is always safe.
-        """
-
-    def artifact_cache_key(self) -> Optional[str]:
-        """Factorization-cache fingerprint for this distribution's kernel.
-
-        Must equal what :meth:`repro.service.registry.KernelRegistry.register`
-        would derive for the same ensemble (``utils/fingerprint.kernel_fingerprint``
-        with the right ``kind``) — that key, not the bare array digest, is
-        how the serving layer addresses the shared
-        :class:`~repro.service.cache.FactorizationCache`, and the process
-        backend's artifact write-back seeds entries under it so a later
-        registration of the same kernel starts warm.  ``None`` (the default)
-        opts out of cache seeding.
-        """
-        return None
-
     # ------------------------------------------------------------------ #
     # execution-cost hint (the engine's planner and update policy)
     # ------------------------------------------------------------------ #

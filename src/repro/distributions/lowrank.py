@@ -263,7 +263,7 @@ class LowRankDPP(SubsetDistribution):
         return self
 
     # ------------------------------------------------------------------ #
-    # engine contracts: shipping, cache key, planner hint
+    # engine contracts: shipping and planner hint
     # ------------------------------------------------------------------ #
     def worker_payload(self):
         """Ship only ``B`` (``n·k`` floats) plus whichever duals are warm.
@@ -291,30 +291,6 @@ class LowRankDPP(SubsetDistribution):
         if params["z"] is not None:
             dist._z = float(params["z"])
         return dist
-
-    def absorb_worker_arrays(self, arrays: dict) -> None:
-        """Write back worker-derived dual artifacts (cold parent only)."""
-        k = self.rank
-        gram = arrays.get("gram")
-        if self._gram is None and gram is not None and gram.shape == (k, k):
-            self._gram = np.asarray(gram, dtype=float)
-        eigenvalues = arrays.get("dual_eigenvalues")
-        if self._dual_eigenvalues is None and eigenvalues is not None \
-                and eigenvalues.shape == (k,):
-            self._dual_eigenvalues = np.asarray(eigenvalues, dtype=float)
-        vectors = arrays.get("dual_vectors")
-        if self._dual_vectors is None and vectors is not None \
-                and vectors.shape == (k, k):
-            self._dual_vectors = np.asarray(vectors, dtype=float)
-
-    def artifact_cache_key(self) -> str:
-        """The registry's factor-pair fingerprint (``kind="lowrank"`` over ``B``)."""
-        return kernel_fingerprint(self.factor, kind="lowrank")
-
-    @property
-    def artifact_cache_matrix(self) -> np.ndarray:
-        """The array the factorization cache keys this distribution's entry by."""
-        return self.factor
 
     def oracle_cost_hint(self) -> OracleCostHint:
         """Factor-space oracles: LAPACK-dominated, priced at reduced rank.

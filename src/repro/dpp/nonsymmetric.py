@@ -93,17 +93,6 @@ class NonsymmetricDPP(SubsetDistribution):
             dist._z = float(params["z"])
         return dist
 
-    def absorb_worker_arrays(self, arrays: dict) -> None:
-        """Write back a worker-derived marginal kernel (cold parent only)."""
-        kernel = arrays.get("kernel")
-        if self._kernel is None and kernel is not None and kernel.shape == self.L.shape:
-            self._kernel = np.asarray(kernel, dtype=float)
-
-    def artifact_cache_key(self) -> str:
-        from repro.utils.fingerprint import kernel_fingerprint
-
-        return kernel_fingerprint(self.L, kind="nonsymmetric")
-
     def oracle_cost_hint(self) -> OracleCostHint:
         """Marginal-kernel minors, exactly like the symmetric DPP."""
         return OracleCostHint(matrix_order=self.n, python_fraction=0.05,

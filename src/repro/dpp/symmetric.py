@@ -111,17 +111,6 @@ class SymmetricDPP(SubsetDistribution):
             dist._z = float(params["z"])
         return dist
 
-    def absorb_worker_arrays(self, arrays: dict) -> None:
-        """Write back a worker-derived marginal kernel (cold parent only)."""
-        kernel = arrays.get("kernel")
-        if self._kernel is None and kernel is not None and kernel.shape == self.L.shape:
-            self._kernel = np.asarray(kernel, dtype=float)
-
-    def artifact_cache_key(self) -> str:
-        from repro.utils.fingerprint import kernel_fingerprint
-
-        return kernel_fingerprint(self.L, kind="symmetric")
-
     def oracle_cost_hint(self) -> OracleCostHint:
         """Marginal-kernel minors: stacked LAPACK, negligible Python lane."""
         return OracleCostHint(matrix_order=self.n, python_fraction=0.05,
@@ -383,38 +372,6 @@ class SymmetricKDPP(HomogeneousDistribution):
             if "factor_spectrum" in arrays:
                 dist._gram_eigh = (arrays["factor_spectrum"], arrays["factor_rotated"])
         return dist
-
-    def absorb_worker_arrays(self, arrays: dict) -> None:
-        """Write back worker-derived spectral artifacts (cold parent only).
-
-        Workers answering a cold batch materialize the clipped spectrum / PSD
-        factor / Gram companion with the identical routines the lazy
-        properties above run, so installing them here changes wall-clock
-        (this object's next :meth:`partition_function` or shipped payload is
-        already warm), never values.
-        """
-        eigenvalues = arrays.get("eigenvalues")
-        if self._eigenvalues is None and eigenvalues is not None \
-                and eigenvalues.shape == (self.n,):
-            self._eigenvalues = np.asarray(eigenvalues, dtype=float)
-        factor = arrays.get("factor")
-        if self._factor is None and factor is not None \
-                and factor.ndim == 2 and factor.shape[0] == self.n:
-            self._factor = np.asarray(factor, dtype=float)
-        gram = arrays.get("factor_gram")
-        if self._factor_gram is None and gram is not None and self._factor is not None \
-                and gram.shape == (self._factor.shape[1],) * 2:
-            # independent of where the factor came from: a factor-warm /
-            # Gram-cold parent ships the factor and gets only the Gram back
-            self._factor_gram = np.asarray(gram, dtype=float)
-
-    def artifact_cache_key(self) -> Optional[str]:
-        """The registry fingerprint of a dense ``L``; without one, no cache entry."""
-        if self.L is None:
-            return None
-        from repro.utils.fingerprint import kernel_fingerprint
-
-        return kernel_fingerprint(self.L, kind="symmetric")
 
     def oracle_cost_hint(self) -> OracleCostHint:
         """Stacked matmuls and small determinants: LAPACK-dominated.

@@ -348,41 +348,17 @@ def _pin_worker_blas_threads() -> None:
         os.environ.setdefault(var, "1")
 
 
-def _worker_new_arrays(payload: BatchPayload, distribution) -> Dict[str, np.ndarray]:
-    """Payload arrays ``distribution`` materialized that the parent never shipped.
-
-    The write-back half of the :meth:`~repro.engine.batch.OracleBatch.to_payload`
-    contract: re-describing the (now answered) distribution through
-    ``worker_payload()`` exposes every lazily derived artifact, and the names
-    missing from the shipped spec are exactly what the parent is still cold
-    on.  A warm parent ships everything, so this returns ``{}`` — zero
-    steady-state overhead.
-    """
-    if payload.spec is None:
-        return {}
-    described = distribution.worker_payload()
-    if described is None:
-        return {}
-    arrays, _params = described
-    shipped = set(payload.spec["arrays"])
-    return {name: np.asarray(value) for name, value in arrays.items()
-            if name not in shipped}
-
-
 def _process_worker_run(payload: BatchPayload, subsets: Sequence,
                         chunk_index: int = 0,
                         ) -> Tuple[np.ndarray, float, int,
-                                   Dict[str, np.ndarray],
                                    Optional[Dict[str, object]]]:
     """Answer one chunk of a shipped batch inside a worker process.
 
     Runs under a private tracker — built from the parent's shipped
     :class:`~repro.pram.cost.CostModel` when one travels with the payload,
     so work parity holds under custom models — and returns ``(values, work,
-    oracle_calls, new_arrays, span)`` so the parent can merge PRAM
-    accounting exactly like the thread backend merges its child trackers
-    and absorb worker-materialized artifacts (``new_arrays``; empty unless
-    the payload asks with ``want_artifacts``).  Kernels arrive as
+    oracle_calls, span)`` so the parent can merge PRAM accounting exactly
+    like the thread backend merges its child trackers.  Kernels arrive as
     shared-memory refs and are rebuilt once per process (see
     :mod:`repro.engine.shm`).
 
@@ -397,7 +373,6 @@ def _process_worker_run(payload: BatchPayload, subsets: Sequence,
 
     chunk = tuple(tuple(s) for s in subsets)
     child = Tracker(payload.cost_model) if payload.cost_model is not None else Tracker()
-    new_arrays: Dict[str, np.ndarray] = {}
     started = time.perf_counter()
     with use_tracker(child):
         if payload.kind == "log_principal_minors":
@@ -409,8 +384,6 @@ def _process_worker_run(payload: BatchPayload, subsets: Sequence,
             while len(_worker_distributions) > _WORKER_DISTRIBUTION_CAPACITY:
                 _worker_distributions.popitem(last=False)
             values = np.asarray(distribution.counting_batch(list(chunk)), dtype=float)
-            if payload.want_artifacts:
-                new_arrays = _worker_new_arrays(payload, distribution)
     span: Optional[Dict[str, object]] = None
     if payload.trace is not None:
         trace_id, parent_span = payload.trace
@@ -425,8 +398,7 @@ def _process_worker_run(payload: BatchPayload, subsets: Sequence,
             "queries": len(chunk),
             "pid": os.getpid(),
         }
-    return (np.asarray(values, dtype=float), child.work, child.oracle_calls,
-            new_arrays, span)
+    return np.asarray(values, dtype=float), child.work, child.oracle_calls, span
 
 
 class ProcessPoolBackend(ExecutionBackend):
@@ -440,8 +412,8 @@ class ProcessPoolBackend(ExecutionBackend):
     both sides — see :mod:`repro.engine.shm`), so repeated rounds against the
     same kernel ship only query indices.
 
-    * ``max_workers`` / ``chunk_size`` — fan-out knobs (defaults: CPU count,
-      one chunk per worker).
+    * ``max_workers`` — the worker-process count (default: CPU count); a
+      batch splits into one chunk per worker.
     * ``start_method`` — ``"spawn"`` by default: fork duplicates the parent's
       locks/threads (the serving layer runs schedulers on threads) and is
       unsafe with most BLAS implementations.
@@ -462,27 +434,11 @@ class ProcessPoolBackend(ExecutionBackend):
     name = "process"
 
     def __init__(self, max_workers: Optional[int] = None, *,
-                 chunk_size: Optional[int] = None, start_method: str = "spawn",
-                 shm_capacity: int = 64, pin_blas_threads: bool = True,
-                 write_back: bool = True, artifact_cache=None):
+                 start_method: str = "spawn"):
         if max_workers is not None and max_workers < 1:
             raise ValueError(f"max_workers must be positive, got {max_workers}")
-        if chunk_size is not None and chunk_size < 1:
-            raise ValueError(f"chunk_size must be positive, got {chunk_size}")
         self.max_workers = max_workers
-        self.chunk_size = chunk_size
         self.start_method = start_method
-        self.shm_capacity = int(shm_capacity)
-        self.pin_blas_threads = bool(pin_blas_threads)
-        #: ship worker-materialized artifacts back and absorb them into the
-        #: parent's distribution objects (see ``absorb_worker_arrays``)
-        self.write_back = bool(write_back)
-        #: optional :class:`~repro.service.cache.FactorizationCache`-like
-        #: object (anything with ``factorization(matrix).seed(name, value)``)
-        #: that written-back artifacts additionally warm, keyed by kernel
-        #: content — so the expensive eigendecompositions workers computed
-        #: outlive the distribution object that triggered them
-        self.artifact_cache = artifact_cache
         self._lock = threading.Lock()
         self._pool = None
         self._store = None
@@ -520,8 +476,7 @@ class ProcessPoolBackend(ExecutionBackend):
                 from concurrent.futures import ProcessPoolExecutor
 
                 context = multiprocessing.get_context(self.start_method)
-                if self.pin_blas_threads:
-                    _pin_worker_blas_threads()
+                _pin_worker_blas_threads()
                 self._pool = ProcessPoolExecutor(max_workers=self.workers,
                                                  mp_context=context)
                 self._register_atexit_locked()
@@ -532,7 +487,7 @@ class ProcessPoolBackend(ExecutionBackend):
 
         with self._lock:
             if self._store is None:
-                self._store = SharedArrayStore(capacity=self.shm_capacity)
+                self._store = SharedArrayStore()
                 self._register_atexit_locked()
             return self._store
 
@@ -585,8 +540,7 @@ class ProcessPoolBackend(ExecutionBackend):
             cost_model = tracker.cost_model
         try:
             return batch.to_payload(publish=self._ensure_store().publish,
-                                    cost_model=cost_model,
-                                    want_artifacts=self.write_back)
+                                    cost_model=cost_model)
         except Exception as exc:
             kind = type(batch.distribution).__name__ if batch.distribution is not None else "matrix"
             if kind not in self._warned_specs:
@@ -598,15 +552,10 @@ class ProcessPoolBackend(ExecutionBackend):
             return None
 
     def _fan_out(self, payload: BatchPayload, subsets: Sequence,
-                 tracker: Tracker) -> Optional[Tuple[np.ndarray, Dict[str, np.ndarray]]]:
+                 tracker: Tracker) -> Optional[np.ndarray]:
         """Chunked worker execution; ``None`` on failure (caller falls back).
 
-        Returns the concatenated values plus any worker-materialized
-        write-back arrays, merged across chunks (chunks with different
-        subset sizes exercise different oracle routes and therefore
-        materialize *different* artifact sets — a normalizer-only chunk
-        returns the spectrum, a conditioned chunk the PSD factor; first
-        value per name wins, equal-content duplicates are dropped).  Worker
+        Returns the concatenated values of one chunk per worker.  Worker
         charges are committed to ``tracker`` only after every chunk succeeds
         — a mid-batch failure must not leave partial charges behind, or the
         vectorized fallback would double-charge the round's work.
@@ -621,7 +570,7 @@ class ProcessPoolBackend(ExecutionBackend):
                                      round_context.span_id))
         else:
             shipped = replace(payload, subsets=())
-        step = self.chunk_size or max(1, int(math.ceil(len(subsets) / self.workers)))
+        step = max(1, int(math.ceil(len(subsets) / self.workers)))
         chunks = [subsets[i:i + step] for i in range(0, len(subsets), step)]
         try:
             pool = self._ensure_pool()
@@ -630,17 +579,14 @@ class ProcessPoolBackend(ExecutionBackend):
             parts: List[np.ndarray] = []
             total_work = 0.0
             total_calls = 0
-            artifacts: Dict[str, np.ndarray] = {}
             worker_spans: List[Dict[str, object]] = []
             for future in futures:
-                values, work, oracle_calls, new_arrays, span = future.result()
+                values, work, oracle_calls, span = future.result()
                 parts.append(values)
                 total_work += work
                 total_calls += oracle_calls
                 if span is not None:
                     worker_spans.append(span)
-                for name, value in new_arrays.items():
-                    artifacts.setdefault(name, value)
         except BrokenProcessPool as exc:
             # the pool is dead, but a fresh one may be fine (e.g. one worker
             # OOM-killed): rebuild on the next batch, degrading permanently
@@ -677,39 +623,7 @@ class ProcessPoolBackend(ExecutionBackend):
         tracker.charge(work=total_work, oracle_calls=total_calls)
         for span in worker_spans:
             obs.tracer().record_span(**span)
-        values = np.concatenate(parts) if parts else np.empty(0, dtype=float)
-        return values, artifacts
-
-    def _absorb_artifacts(self, batch: OracleBatch,
-                          artifacts: Dict[str, np.ndarray]) -> None:
-        """Install worker write-back arrays on the parent side.
-
-        The distribution object absorbs them directly (its next normalizer
-        query, planner re-route, or payload shipment is warm), and when an
-        ``artifact_cache`` is configured the arrays also seed the
-        factorization entry for the distribution's ensemble matrix — under
-        the distribution's own ``artifact_cache_key()``, i.e. the same
-        kind-tagged fingerprint :meth:`KernelRegistry.register` derives, so
-        the serving layer's sessions actually *hit* the seeded entry.
-        Warming therefore outlives the distribution object.
-        """
-        distribution = batch.distribution
-        if distribution is None or not artifacts:
-            return
-        distribution.absorb_worker_arrays(artifacts)
-        cache = self.artifact_cache
-        if cache is None:
-            return
-        key = distribution.artifact_cache_key()
-        # factor-backed distributions cache under their (n, k) factor, dense
-        # ones under the ensemble matrix L — ask the distribution first
-        matrix = getattr(distribution, "artifact_cache_matrix", None)
-        if matrix is None:
-            matrix = getattr(distribution, "L", None)
-        if key is not None and isinstance(matrix, np.ndarray) and matrix.ndim == 2:
-            factorization = cache.factorization(matrix, fingerprint=key)
-            for name, value in artifacts.items():
-                factorization.seed(name, value)
+        return np.concatenate(parts) if parts else np.empty(0, dtype=float)
 
     # ------------------------------------------------------------------ #
     # batch kinds (one shared skeleton: ship, fan out, or fall back whole)
@@ -725,10 +639,8 @@ class ProcessPoolBackend(ExecutionBackend):
             return np.empty(0, dtype=float)
         payload = self._payload(batch, tracker)
         if payload is not None:
-            answered = self._fan_out(payload, batch.subsets, tracker)
-            if answered is not None:
-                values, artifacts = answered
-                self._absorb_artifacts(batch, artifacts)
+            values = self._fan_out(payload, batch.subsets, tracker)
+            if values is not None:
                 return finish(values) if finish is not None else values
         return fallback(batch, tracker)
 

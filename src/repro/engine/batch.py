@@ -157,8 +157,7 @@ class OracleBatch:
     # ------------------------------------------------------------------ #
     def to_payload(self, publish: Optional[Callable[[np.ndarray], object]] = None,
                    *, normalizer: Optional[float] = None,
-                   cost_model: Optional["CostModel"] = None,
-                   want_artifacts: bool = False) -> "BatchPayload":
+                   cost_model: Optional["CostModel"] = None) -> "BatchPayload":
         """Picklable description of this batch for out-of-process execution.
 
         ``publish`` maps each heavy array to a transport token (the process
@@ -177,11 +176,6 @@ class OracleBatch:
         worker-side trackers charge determinant work with the parent's
         schedule — exact work parity under custom models (workers used to
         fall back to the default model).
-
-        ``want_artifacts`` asks workers to ship back any payload arrays they
-        materialize while answering (the write-back half of the contract —
-        see :meth:`~repro.distributions.base.SubsetDistribution.absorb_worker_arrays`);
-        it only applies to spec-shipped distributions.
         """
         publish = publish if publish is not None else (lambda a: a)
         matrix_token = publish(self.matrix) if self.matrix is not None else None
@@ -221,7 +215,6 @@ class OracleBatch:
             normalizer=normalizer if normalizer is not None else self._normalizer,
             matrix=matrix_token, spec=spec, pickled_distribution=blob,
             cost_model=cost_model,
-            want_artifacts=bool(want_artifacts and spec is not None),
         )
 
 
@@ -245,9 +238,6 @@ class BatchPayload:
     pickled_distribution: Optional[bytes] = None
     #: the parent tracker's cost model (``None`` -> workers use the default)
     cost_model: Optional["CostModel"] = None
-    #: whether workers should return payload arrays they materialize (the
-    #: artifact write-back; only meaningful for spec-shipped distributions)
-    want_artifacts: bool = False
     #: ``(trace_id, parent_span_id)`` of the traced engine round shipping
     #: this payload, so worker chunks can report spans that join the
     #: request's tree; ``None`` when tracing is off or the round is untraced

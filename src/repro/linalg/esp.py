@@ -95,6 +95,10 @@ def esp_from_matrix(matrix: np.ndarray, max_order: Optional[int] = None,
 #: modulus on the circle is a broken oracle, not rounding
 _NEGATIVE_TOL = 1e-12
 
+#: a set whose Gram ``W_T W_Tᵀ`` has ``det <= _SINGULAR_TOL · ∏ diag`` (a
+#: fraction of its Hadamard bound) is singular up to rounding and counts 0
+_SINGULAR_TOL = 1e-13
+
 
 def _saddle_radius(spectrum: np.ndarray, k: int) -> float:
     """The ``ρ`` with ``Σ_j ρ s_j / (1 + ρ s_j) = k`` over the positive ``s_j``.
@@ -150,7 +154,10 @@ def kdpp_counts_from_factor(spectrum: np.ndarray, rotated: np.ndarray,
     has a per-set shape that does not depend on the batch: a set's count
     does not depend on what it is batched with.
 
-    Sets with ``det(L_T) <= 0`` count exactly 0.  A coefficient below
+    Sets whose ``det(L_T)`` is at most ``1e-13`` of its Hadamard bound
+    ``∏_i L_ii`` (``_SINGULAR_TOL``) count exactly 0: an ``eigh``-derived
+    factor leaves rounding, not 0, in the determinant of a singular ``L_T``
+    such as two identical rows.  A coefficient below
     ``-1e-12`` times the mean of ``|P_T(z_m)| / ρ^k`` raises
     :class:`~repro.distributions.base.CountingOracleError`; smaller
     negatives are rounding and clip to 0.  Charged as one oracle call per
@@ -195,7 +202,7 @@ def kdpp_counts_from_factor(spectrum: np.ndarray, rotated: np.ndarray,
     dft = fold * np.exp(-1j * k * angles)
     parts = np.concatenate([values.real, values.imag], axis=1)[:, None, :]
     coeff = (parts @ np.concatenate([dft.real, -dft.imag])[:, None])[:, 0, 0]
-    ok = det_T > 0
+    ok = det_T > _SINGULAR_TOL * np.prod(np.diagonal(gram, axis1=1, axis2=2), axis=1)
     mean_modulus = (np.abs(values)[:, None, :] @ fold[:, None])[:, 0, 0]
     broken = np.flatnonzero(ok & (coeff < -_NEGATIVE_TOL * mean_modulus))
     if broken.size:

@@ -101,7 +101,7 @@ class KernelFactorization:
     _GUARDED_BY = {"_lock": ("_values", "_inflight", "_stats")}
 
     #: per-artifact counter slots (see :meth:`artifact_stats`)
-    _STAT_FIELDS = ("hits", "misses", "patched", "seeded")
+    _STAT_FIELDS = ("hits", "misses", "patched")
 
     def __init__(self, matrix: np.ndarray, fingerprint: Optional[str] = None):
         a = np.asarray(matrix, dtype=float)
@@ -117,12 +117,12 @@ class KernelFactorization:
         self._lock = threading.Lock()
         self._values: Dict[object, object] = {}
         self._inflight: Dict[object, threading.Event] = {}
-        #: per-artifact-kind [hits, misses, patched, seeded] counters
+        #: per-artifact-kind [hits, misses, patched] counters
         self._stats: Dict[str, List[int]] = {}
 
     def _bump_locked(self, key: object, event: str) -> None:
         name = key if isinstance(key, str) else str(key[0])
-        self._stats.setdefault(name, [0, 0, 0, 0])[
+        self._stats.setdefault(name, [0, 0, 0])[
             self._STAT_FIELDS.index(event)] += 1
 
     def _get(self, key: object, compute: Callable[[], object]):
@@ -351,46 +351,6 @@ class KernelFactorization:
             raise ValueError(f"unknown kernel kind {kind!r}")
         return self
 
-    #: worker write-back array names accepted by :meth:`seed`, mapped to the
-    #: memo keys the lazy getters store under.  Only artifacts whose worker
-    #: routine is bit-identical to the lazy getter's routine are listed —
-    #: seeding anything else could silently change warm-path samples.
-    SEEDABLE_ARTIFACTS = {
-        "eigenvalues": "eigenvalues",
-        "factor": "factor",
-        "factor_gram": "factor_gram",
-        "kernel": "kernel",
-        # LowRankDPP ships back the worker-computed dual Gram of its factor
-        # (worker: B.T @ B — byte-identical to lowrank_gram)
-        "gram": "lowrank_gram",
-    }
-
-    def seed(self, name: str, value: np.ndarray) -> bool:
-        """Install a worker-materialized artifact under its memo key.
-
-        The process backend's artifact write-back
-        (:class:`~repro.engine.backends.ProcessPoolBackend` with an
-        ``artifact_cache``) calls this with arrays workers computed with the
-        *identical* routines the lazy getters run (the
-        :meth:`~repro.distributions.base.SubsetDistribution.worker_payload`
-        contract guarantees value equality), so warming through write-back
-        can never change a sample.  Unknown names and already-materialized
-        keys are ignored; returns ``True`` only when the value was stored.
-        """
-        key = self.SEEDABLE_ARTIFACTS.get(name)
-        if key is None:
-            return False
-        array = np.asarray(value, dtype=float)
-        if array.flags.writeable:
-            array = array.copy()
-            array.flags.writeable = False
-        with self._lock:
-            if key in self._values:
-                return False
-            self._values[key] = array
-            self._bump_locked(key, "seeded")
-            return True
-
     # ------------------------------------------------------------------ #
     # incremental updates (streaming kernels)
     # ------------------------------------------------------------------ #
@@ -500,13 +460,12 @@ class KernelFactorization:
                     self._bump_locked(key, "patched")
 
     def artifact_stats(self) -> Dict[str, Dict[str, int]]:
-        """Per-artifact-kind counters: hits/misses/patched/seeded.
+        """Per-artifact-kind counters: hits/misses/patched.
 
         ``patched`` counts artifacts installed by :meth:`apply_update`
-        (carried over incrementally), ``seeded`` counts worker write-backs,
-        ``misses`` counts genuine cold computations — the breakdown that
-        makes update-patched vs recomputed artifacts distinguishable in
-        dashboards (surfaced through
+        (carried over incrementally), ``misses`` counts genuine cold
+        computations — the breakdown that makes update-patched vs recomputed
+        artifacts distinguishable in dashboards (surfaced through
         :meth:`FactorizationCache.cache_info`).
         """
         with self._lock:
@@ -746,7 +705,7 @@ class FactorizationCache:
 
         ``"artifacts"`` breaks the counters down per artifact kind
         (``eigh``, ``factor``, ``lowrank_gram``, ...) with
-        hits/misses/patched/seeded slots aggregated across live entries —
+        hits/misses/patched slots aggregated across live entries —
         the view that distinguishes update-patched artifacts from cold
         recomputes in dashboards.
         """

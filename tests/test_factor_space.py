@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import repro.service.session
-from repro import KernelRegistry, serve
+from repro import KernelRegistry, sample_symmetric_kdpp_parallel, serve
 from repro.distributions.base import CountingOracleError
 from repro.distributions.lowrank import LowRankKDPP, LowRankKernel
 from repro.dpp.elementary import leave_one_out_esp
@@ -367,7 +367,8 @@ class TestCircleCounts:
     def test_zero_probability_set_counts_exactly_zero(self):
         B = np.random.default_rng(6).standard_normal((15, 6))
         B[4] = B[9]
-        for dist in _both_classes(B, 4):
+        # the last kernel factors L by eigh, leaving rounding in det(L_{4,9})
+        for dist in (*_both_classes(B, 4), SymmetricKDPP(B @ B.T, 4)):
             values = dist.counting_batch([(4, 9), (4, 5), (1, 4, 9), (2, 3, 4)])
             assert values[0] == 0.0 and values[2] == 0.0
             assert values[1] > 0 and values[3] > 0
@@ -435,6 +436,20 @@ def test_warm_parallel_sample_decomposes_nothing_above_rank(monkeypatch, backend
             result = session.sample(k=10, method="parallel", seed=1, backend=backend)
     assert len(result.subset) == 10
     assert sizes and max(sizes) <= 60
+
+
+@pytest.mark.parametrize("route", ["direct", "served"])
+def test_identical_items_are_never_sampled_together(route):
+    B = np.random.default_rng(6).standard_normal((15, 6))
+    B[4] = B[9]
+    L = B @ B.T
+    if route == "direct":
+        subsets = [sample_symmetric_kdpp_parallel(L, 4, seed=s).subset for s in range(200)]
+    else:
+        with serve(L, registry=KernelRegistry()) as session:
+            subsets = [session.sample(k=4, method="parallel", seed=s).subset
+                       for s in range(200)]
+    assert all(len(s) == 4 and not {4, 9} <= set(s) for s in subsets)
 
 
 @pytest.mark.parametrize("seed", range(5))

@@ -457,11 +457,6 @@ class TestProcessBackendSatellites:
         assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
         assert os.environ["MKL_NUM_THREADS"] == "7"
 
-    def test_pinning_knob_controls_initializer(self):
-        assert ProcessPoolBackend(max_workers=1).pin_blas_threads is True
-        assert ProcessPoolBackend(max_workers=1,
-                                  pin_blas_threads=False).pin_blas_threads is False
-
     @pytest.mark.skipif(not os.path.exists("/proc/self/status")
                         or (os.cpu_count() or 1) < 2,
                         reason="needs Linux /proc and at least 2 CPUs")

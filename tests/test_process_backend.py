@@ -138,15 +138,14 @@ class TestProcessBatchEquivalence:
         assert tracker.peak_machines == 3.0
         assert tracker.work > 0.0  # worker-side charges merged into the round
 
-    def test_chunk_size_knob_preserves_values(self, kdpp):
+    def test_multi_chunk_batch_preserves_values(self, kdpp, process_backend):
+        # 12 queries on 2 workers: two chunks of 6, mixing subset sizes
         subsets = _random_subsets(np.random.default_rng(9), kdpp.n, [1, 2, 3], per_size=4)
+        assert len(subsets) == 12 and process_backend.workers == 2
         reference = SerialBackend().execute(OracleBatch.counting(kdpp, subsets),
                                             tracker=Tracker())
-        backend = ProcessPoolBackend(max_workers=2, chunk_size=2)
-        try:
-            result = backend.execute(OracleBatch.counting(kdpp, subsets), tracker=Tracker())
-        finally:
-            backend.close()
+        result = process_backend.execute(OracleBatch.counting(kdpp, subsets),
+                                         tracker=Tracker())
         np.testing.assert_allclose(result.values, reference.values, rtol=1e-9, atol=1e-12)
 
 
@@ -267,6 +266,13 @@ class TestFourBackendSamplerIdentity:
         assert stats["executed_batches"] < stats["submitted_batches"]
 
 
+def _recording(function, calls):
+    def wrapper(*args, **kwargs):
+        calls.append(function.__name__)
+        return function(*args, **kwargs)
+    return wrapper
+
+
 # ---------------------------------------------------------------------- #
 # payload round-trip contract
 # ---------------------------------------------------------------------- #
@@ -297,6 +303,22 @@ class TestPayloadRoundTrip:
         payload = pickle.loads(pickle.dumps(batch.to_payload()))
         assert payload.normalizer == z
         assert payload.to_batch().normalizer() == z
+
+    def test_warm_payload_spares_workers_every_decomposition(self, monkeypatch):
+        # a warm kernel ships its spectra, so a worker rebuilding it from the
+        # payload runs no eigh / eigvalsh and answers with the same bits
+        root = SymmetricKDPP(random_psd_ensemble(14, seed=3), 6)
+        queries = [(0,), (1, 5), ()]
+        for dist in (root, root.condition((2,))):
+            expected = dist.counting_batch(queries)  # warms what these queries read
+            calls = []
+            with monkeypatch.context() as patch:
+                for name in ("eigh", "eigvalsh"):
+                    patch.setattr(np.linalg, name, _recording(getattr(np.linalg, name), calls))
+                payload = OracleBatch.counting(dist, queries).to_payload()
+                values = payload.build_distribution().counting_batch(queries)
+            assert calls == []
+            np.testing.assert_array_equal(values, expected)
 
     def test_matrix_batch_round_trip(self):
         L = random_psd_ensemble(8, seed=12)
@@ -434,144 +456,3 @@ class TestFallback:
         assert resolve_backend("process") is resolve_backend("process")
         assert resolve_backend("threads") is resolve_backend("threads")
         assert resolve_backend("process").workers >= 1
-
-
-# ---------------------------------------------------------------------- #
-# worker artifact write-back
-# ---------------------------------------------------------------------- #
-class TestArtifactWriteBack:
-    def _cold_kdpp(self, n=12, k=4, seed=8):
-        L = random_psd_ensemble(n, seed=seed)
-        dist = SymmetricKDPP(L, k, validate=False)  # stays cold: no eigvalsh yet
-        assert dist._eigenvalues is None and dist._factor is None
-        return L, dist
-
-    def test_cold_parent_absorbs_worker_artifacts(self):
-        if not shared_memory_available():
-            pytest.skip("no shared memory on this host")
-        L, dist = self._cold_kdpp()
-        backend = ProcessPoolBackend(max_workers=2)
-        try:
-            # () forces the normalizer (eigenvalues); size-1 subsets force
-            # the factor/Gram route — all materialized worker-side only
-            batch = OracleBatch.counting(dist, [(), (0,), (1, 2)])
-            backend.execute(batch, tracker=Tracker())
-            if backend._degraded is not None:
-                pytest.skip(f"process backend degraded: {backend._degraded}")
-            assert dist._eigenvalues is not None
-            assert dist._factor is not None and dist._factor_gram is not None
-            reference = SymmetricKDPP(L, 4, validate=False)
-            np.testing.assert_allclose(dist._eigenvalues, reference.eigenvalues,
-                                       rtol=1e-12, atol=1e-12)
-            np.testing.assert_allclose(dist._factor, reference.factor,
-                                       rtol=1e-12, atol=1e-12)
-            np.testing.assert_allclose(dist._factor_gram, reference.factor_gram,
-                                       rtol=1e-12, atol=1e-12)
-        finally:
-            backend.close()
-
-    def test_write_back_knob_off_keeps_parent_cold(self):
-        if not shared_memory_available():
-            pytest.skip("no shared memory on this host")
-        _L, dist = self._cold_kdpp(seed=9)
-        backend = ProcessPoolBackend(max_workers=2, write_back=False)
-        try:
-            backend.execute(OracleBatch.counting(dist, [(), (0,)]), tracker=Tracker())
-            if backend._degraded is not None:
-                pytest.skip(f"process backend degraded: {backend._degraded}")
-            assert dist._eigenvalues is None and dist._factor is None
-        finally:
-            backend.close()
-
-    def test_artifact_cache_is_warmed_under_the_serving_key(self):
-        if not shared_memory_available():
-            pytest.skip("no shared memory on this host")
-        from repro.service import FactorizationCache, KernelRegistry
-
-        cache = FactorizationCache()
-        L, dist = self._cold_kdpp(seed=10)
-        backend = ProcessPoolBackend(max_workers=2, artifact_cache=cache)
-        try:
-            backend.execute(OracleBatch.counting(dist, [(), (0,), (1,)]),
-                            tracker=Tracker())
-            if backend._degraded is not None:
-                pytest.skip(f"process backend degraded: {backend._degraded}")
-            # the write-back must land on the SAME entry the serving layer
-            # addresses (the kind-tagged registry fingerprint), so a later
-            # registration of this kernel starts warm
-            registry = KernelRegistry(cache)
-            entry = registry.register("written-back", L)
-            session = registry.session("written-back")
-            materialized = set(session.factorization.materialized)
-            assert {"eigenvalues", "factor"} <= materialized
-            assert len(cache) == 1  # no duplicate array-only-keyed entry
-            np.testing.assert_allclose(
-                session.factorization.eigenvalues,
-                np.clip(np.linalg.eigvalsh(0.5 * (L + L.T)), 0.0, None),
-                rtol=1e-12, atol=1e-12)
-            assert entry.fingerprint == dist.artifact_cache_key()
-        finally:
-            backend.close()
-
-    def test_chunked_artifacts_merge_across_routes(self):
-        if not shared_memory_available():
-            pytest.skip("no shared memory on this host")
-        L, dist = self._cold_kdpp(seed=13)
-        # chunk_size=1: the normalizer-only chunk materializes the spectrum,
-        # the size-1 chunks the PSD factor — the parent must absorb BOTH
-        backend = ProcessPoolBackend(max_workers=2, chunk_size=1)
-        try:
-            backend.execute(OracleBatch.counting(dist, [(), (0,)]), tracker=Tracker())
-            if backend._degraded is not None:
-                pytest.skip(f"process backend degraded: {backend._degraded}")
-            assert dist._eigenvalues is not None
-            assert dist._factor is not None and dist._factor_gram is not None
-        finally:
-            backend.close()
-
-    def test_gram_absorbs_onto_a_factor_warm_parent(self):
-        L = random_psd_ensemble(10, seed=14)
-        dist = SymmetricKDPP(L, 3, validate=False)
-        dist.factor  # factor warm, Gram cold: workers would return only the Gram
-        gram = dist._factor.T @ dist._factor
-        dist.absorb_worker_arrays({"factor_gram": gram})
-        np.testing.assert_array_equal(dist._factor_gram, gram)
-
-    def test_warm_parent_ships_everything_and_absorbs_nothing_new(self, kdpp):
-        # a warm distribution's payload already carries the artifacts, so
-        # workers have nothing to return (zero steady-state overhead)
-        kdpp.factor_gram  # materialize everything the payload ships
-        kdpp.eigenvalues
-        payload = OracleBatch.counting(kdpp, [(0,)]).to_payload(want_artifacts=True)
-        from repro.engine.backends import _worker_new_arrays
-
-        rebuilt = payload.build_distribution()
-        rebuilt.counting_batch([(0,), ()])
-        assert _worker_new_arrays(payload, rebuilt) == {}
-
-    def test_payload_want_artifacts_requires_spec(self, explicit):
-        payload = OracleBatch.counting(explicit, [(0, 1, 2)]).to_payload(
-            want_artifacts=True)
-        assert payload.spec is None and not payload.want_artifacts
-
-    def test_factorization_seed_is_guarded(self):
-        from repro.service import FactorizationCache
-
-        L = random_psd_ensemble(6, seed=11)
-        factorization = FactorizationCache().factorization(L)
-        eigs = np.clip(np.linalg.eigvalsh(0.5 * (L + L.T)), 0.0, None)
-        assert factorization.seed("eigenvalues", eigs)
-        assert not factorization.seed("eigenvalues", eigs + 1)  # no overwrite
-        assert not factorization.seed("unknown-name", eigs)
-        np.testing.assert_array_equal(factorization.eigenvalues, eigs)
-
-    def test_absorb_ignores_foreign_and_mismatched_arrays(self):
-        L = random_psd_ensemble(8, seed=12)
-        dist = SymmetricKDPP(L, 3, validate=False)
-        dist.absorb_worker_arrays({"eigenvalues": np.zeros(3),  # wrong shape
-                                   "garbage": np.zeros(8)})
-        assert dist._eigenvalues is None
-        from repro.distributions.base import SubsetDistribution
-
-        SubsetDistribution.absorb_worker_arrays(dist, {"anything": np.ones(2)})
-        assert dist._eigenvalues is None  # base default is a no-op

@@ -290,7 +290,7 @@ class TestSingleNodeTracing:
         obs.enable(trace=True)
         kdpp = SymmetricKDPP(random_psd_ensemble(14, seed=0), 6)
         subsets = [(0, 1), (2, 3), (4, 5), (6, 7)]
-        backend = ProcessPoolBackend(max_workers=2, chunk_size=2)
+        backend = ProcessPoolBackend(max_workers=2)  # 4 queries: 2 chunks
         try:
             with obs.span("probe", category="request", family="kdpp"):
                 backend.execute(OracleBatch.counting(kdpp, subsets),
