@@ -215,20 +215,36 @@ class TestCacheDecisions:
         artifacts = info["artifacts"]
         assert any(stats["patched"] > 0 for stats in artifacts.values())
 
-    def test_break_even_depth_flips_to_refactorization(self):
-        # n=4 dense: break-even depth is n, so the 4th auto update recomputes
-        psd = random_psd_ensemble(4, seed=1)
+    @pytest.mark.parametrize("case, flip", [
+        ("sym-n4", 4),      # dense: the depth limit is min(n, 64)
+        ("sym-n100", 64),
+        ("lowrank", 64),    # factor edits run to the limit whatever n is
+    ], ids=["sym-n4", "sym-n100", "lowrank"])
+    def test_break_even_depth_flips_to_refactorization(self, case, flip):
+        rng = np.random.default_rng(500)
+        if case == "lowrank":
+            matrix, kind = rng.standard_normal((30, 3)) / 2.0, "lowrank"
+        elif case == "sym-n4":
+            matrix, kind = random_psd_ensemble(4, seed=1), "symmetric"
+        else:
+            matrix, kind = random_psd_ensemble(100, rank=10, seed=1), "symmetric"
         registry = KernelRegistry()
-        registry.register("tiny", psd)
-        session = registry.session("tiny")
+        registry.register("stream", matrix, kind=kind)
+        session = registry.session("stream")
         decisions = []
-        for step in range(4):
+        for step in range(flip + 1):
             session.sample(k=2, seed=0)  # keep each epoch warm
-            u, _ = _vectors(4, seed=500 + step)
-            entry = session.update(u, weight=0.05)
+            if kind == "lowrank" and step % 2 == 0:
+                entry = session.append_items(rng.standard_normal((1, 3)) / 2.0)
+            elif kind == "lowrank":
+                entry = session.delete_items([0])
+            else:
+                u, _ = _vectors(matrix.shape[0], seed=500 + step)
+                entry = session.update(u, weight=0.05)
             decisions.append(entry.update_log[-1].decision)
-        assert decisions[:3] == ["patched"] * 3
-        assert decisions[3] == "recomputed"
+        assert decisions[:flip - 1] == ["patched"] * (flip - 1)
+        # the flip, and the update after it: the depth never resets
+        assert decisions[flip - 1:] == ["recomputed"] * 2
 
     def test_refactor_flag_forces_either_path(self, psd):
         session = _cold(psd)
