@@ -99,7 +99,7 @@ def _delta_leg(n: int, rank: int) -> Dict[str, float]:
     update = KernelUpdate.append_rows(_factor(1, rank, seed=3))
     update_frame = pickle.dumps(
         {"op": "update", "name": "stream", "update": update,
-         "prev": "0" * 64, "refactor": "auto"}, protocol=5)
+         "prev": "0" * 64}, protocol=5)
     register_frame = pickle.dumps(
         {"op": "register", "name": "stream", "matrix": factor,
          "kind": "lowrank", "parts": None, "counts": None,

@@ -278,7 +278,7 @@ class ClusterClient:
             "method": method, "delta": delta,
         })
 
-    def update(self, name: str, update, *, refactor: object = "auto") -> _CatalogEntry:
+    def update(self, name: str, update) -> _CatalogEntry:
         """Apply an incremental kernel update on every owner — shipping only
         the delta (``update.delta_nbytes`` bytes of arrays), never the
         mutated matrix.
@@ -295,7 +295,7 @@ class ClusterClient:
         entry = self.lookup(name)
         expected = update.chained_fingerprint(entry.fingerprint)
         request = {"op": "update", "name": name, "update": update,
-                   "prev": entry.fingerprint, "refactor": refactor}
+                   "prev": entry.fingerprint}
         obs.record_update_delta(update.delta_nbytes)
         accepted = 0
         new_n = entry.n
@@ -606,7 +606,7 @@ class ClusterSession:
     # streaming kernels: ship deltas, never the mutated matrix
     # ------------------------------------------------------------------ #
     def update(self, u: np.ndarray, v: Optional[np.ndarray] = None, *,
-               weight: float = 1.0, refactor: object = "auto") -> _CatalogEntry:
+               weight: float = 1.0) -> _CatalogEntry:
         """Rank-1 update ``L += weight * u v^T`` on every owning shard.
 
         Only the update vectors cross the wire (O(n) bytes, not the O(n²)
@@ -617,25 +617,23 @@ class ClusterSession:
         """
         from repro.linalg.updates import KernelUpdate
 
-        return self._apply_update(KernelUpdate.rank_one(u, v, weight=weight),
-                                  refactor)
+        return self._apply_update(KernelUpdate.rank_one(u, v, weight=weight))
 
-    def append_items(self, rows: np.ndarray, *,
-                     refactor: object = "auto") -> _CatalogEntry:
+    def append_items(self, rows: np.ndarray) -> _CatalogEntry:
         """Grow a low-rank kernel's ground set on every owning shard."""
         from repro.linalg.updates import KernelUpdate
 
-        return self._apply_update(KernelUpdate.append_rows(rows), refactor)
+        return self._apply_update(KernelUpdate.append_rows(rows))
 
-    def delete_items(self, indices, *, refactor: object = "auto") -> _CatalogEntry:
+    def delete_items(self, indices) -> _CatalogEntry:
         """Shrink a low-rank kernel's ground set on every owning shard."""
         from repro.linalg.updates import KernelUpdate
 
-        return self._apply_update(KernelUpdate.delete_rows(indices), refactor)
+        return self._apply_update(KernelUpdate.delete_rows(indices))
 
-    def _apply_update(self, update, refactor: object) -> _CatalogEntry:
+    def _apply_update(self, update) -> _CatalogEntry:
         self._check_open()
-        entry = self._client.update(self.name, update, refactor=refactor)
+        entry = self._client.update(self.name, update)
         with self._lock:
             if entry.epoch >= self._entry.epoch:
                 self._entry = entry

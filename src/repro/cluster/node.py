@@ -263,8 +263,7 @@ class ShardNode:
                 "epoch": entry.epoch,
                 "kind": entry.kind, "n": entry.n, "node": self.node_id}
 
-    def _op_update(self, name: str, update, prev: Optional[str] = None,
-                   refactor: object = "auto"):
+    def _op_update(self, name: str, update, prev: Optional[str] = None):
         """Apply one kernel delta to this node's replica.
 
         ``prev`` is the client's view of the current chain tip; a replica
@@ -273,8 +272,7 @@ class ShardNode:
         The node's live session for the kernel adopts the new epoch, so
         queued/fused draws pick it up exactly like a local session would.
         """
-        entry = self.registry.apply_update(name, update, refactor=refactor,
-                                           expect_fingerprint=prev)
+        entry = self.registry.apply_update(name, update, expect_fingerprint=prev)
         with self._lock:
             session = self._sessions.get(name)
         if session is not None and not session.closed:

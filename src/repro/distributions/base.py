@@ -24,7 +24,6 @@ from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.pram.cost import OracleCostHint
 from repro.pram.tracker import current_tracker
 from repro.utils.subsets import Subset, all_subsets_of_size, subset_key
 from repro.utils.validation import check_subset
@@ -53,11 +52,6 @@ class SubsetDistribution(abc.ABC):
 
     #: ground set size
     n: int
-
-    #: fingerprint-chain depth of the backing kernel (0 = cold registration);
-    #: the serving layer stamps it so the planner can price the incremental
-    #: update path against a full refactorization (``OracleCostHint.update_depth``)
-    update_depth: int = 0
 
     # ------------------------------------------------------------------ #
     # the two structural primitives
@@ -114,20 +108,20 @@ class SubsetDistribution(abc.ABC):
         )
 
     # ------------------------------------------------------------------ #
-    # execution-cost hint (the engine's planner and update policy)
+    # execution-cost hint (the engine's planner)
     # ------------------------------------------------------------------ #
-    def oracle_cost_hint(self) -> OracleCostHint:
-        """Structural cost facts about this distribution's oracle batches.
+    def oracle_cost_hint(self) -> float:
+        """Share of one oracle query spent in GIL-bound interpreted Python.
 
-        The :class:`~repro.engine.planner.RoundPlanner` reads
-        ``python_fraction`` to guess whether worker processes could beat a
-        measured in-process round before it has measured them.  The default
-        is honest about the generic implementation: ``counting_batch`` is
-        the scalar ``counting`` loop, all GIL-bound Python.  Structured
-        subclasses override with their real profile.
+        ``0`` means pure stacked linear algebra, ``1`` a pure-Python loop.
+        The :class:`~repro.engine.planner.RoundPlanner` reads it to guess
+        whether worker processes could beat a measured in-process round
+        before it has measured them.  The default is honest about the
+        generic implementation: ``counting_batch`` is the scalar
+        ``counting`` loop, all GIL-bound Python.  Structured subclasses
+        override with their real profile.
         """
-        return OracleCostHint(matrix_order=self.n, python_fraction=1.0,
-                              update_depth=self.update_depth)
+        return 1.0
 
     # ------------------------------------------------------------------ #
     # derived quantities

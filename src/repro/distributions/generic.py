@@ -19,7 +19,6 @@ from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.distributions.base import SubsetDistribution
-from repro.pram.cost import OracleCostHint
 from repro.utils.rng import SeedLike, as_generator
 from repro.utils.subsets import Subset, all_subsets_of_size, binomial, subset_key
 from repro.utils.validation import check_subset
@@ -83,10 +82,9 @@ class ExplicitDistribution(SubsetDistribution):
             self._support_cache = (mask, weights)
         return self._support_cache
 
-    def oracle_cost_hint(self) -> OracleCostHint:
+    def oracle_cost_hint(self) -> float:
         """Table batches are one mask matmul: vectorized, no Python lane."""
-        return OracleCostHint(matrix_order=self.n, python_fraction=0.1,
-                              update_depth=self.update_depth)
+        return 0.1
 
     # ------------------------------------------------------------------ #
     # SubsetDistribution interface

@@ -35,7 +35,6 @@ from repro.distributions.base import SubsetDistribution
 from repro.dpp.symmetric import SymmetricKDPP
 from repro.linalg.batch import conditioned_factor, group_by_size, lowrank_conditioned_gram
 from repro.linalg.esp import elementary_symmetric_polynomials
-from repro.pram.cost import OracleCostHint
 from repro.pram.tracker import current_tracker
 from repro.utils.fingerprint import kernel_fingerprint
 from repro.utils.rng import SeedLike, as_generator
@@ -292,14 +291,9 @@ class LowRankDPP(SubsetDistribution):
             dist._z = float(params["z"])
         return dist
 
-    def oracle_cost_hint(self) -> OracleCostHint:
-        """Factor-space oracles: LAPACK-dominated, priced at reduced rank.
-
-        ``rank`` says a query (and a refactorization) costs
-        ``O(n·k + k³)``, not ``O(n^ω)``, and that factor patches are exact.
-        """
-        return OracleCostHint(matrix_order=self.n, python_fraction=0.05,
-                              rank=self.rank, update_depth=self.update_depth)
+    def oracle_cost_hint(self) -> float:
+        """Factor-space oracles: reduced-rank LAPACK, a thin Python lane."""
+        return 0.05
 
     # ------------------------------------------------------------------ #
     def unnormalized(self, subset: Iterable[int]) -> float:
@@ -397,7 +391,7 @@ class LowRankKDPP(SymmetricKDPP):
     normalizer come from one eigendecomposition of the dual Gram
     ``BᵀB = V diag(λ) Vᵀ``, ``|T| = k`` is ``det(B_T B_Tᵀ)``, and
     conditioning keeps the projected factor.  This class adds only the
-    construction from a factor and a cost hint priced at its rank.
+    construction from a factor and its own cost hint.
     """
 
     def __init__(self, kernel, k: int, *, validate: bool = True,
@@ -408,11 +402,6 @@ class LowRankKDPP(SymmetricKDPP):
             raise ValueError(
                 f"k-DPP with k={self.k} has zero mass: factor rank is {rank} < k")
 
-    def oracle_cost_hint(self) -> OracleCostHint:
-        """Factor-space oracles: LAPACK-dominated, priced at reduced rank.
-
-        ``rank`` says a query (and a refactorization) costs
-        ``O(n·k + k³)``, not ``O(n^ω)``, and that factor patches are exact.
-        """
-        return OracleCostHint(matrix_order=self.n, python_fraction=0.05,
-                              rank=self.factor.shape[1], update_depth=self.update_depth)
+    def oracle_cost_hint(self) -> float:
+        """Factor-space oracles: reduced-rank LAPACK, a thin Python lane."""
+        return 0.05

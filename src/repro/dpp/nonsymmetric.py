@@ -34,7 +34,6 @@ from repro.linalg.batch import (
 from repro.linalg.determinant import principal_minor
 from repro.linalg.esp import elementary_symmetric_polynomials
 from repro.linalg.schur import condition_ensemble
-from repro.pram.cost import OracleCostHint
 from repro.pram.tracker import current_tracker
 from repro.utils.validation import check_positive_int, check_subset
 
@@ -93,10 +92,9 @@ class NonsymmetricDPP(SubsetDistribution):
             dist._z = float(params["z"])
         return dist
 
-    def oracle_cost_hint(self) -> OracleCostHint:
+    def oracle_cost_hint(self) -> float:
         """Marginal-kernel minors, exactly like the symmetric DPP."""
-        return OracleCostHint(matrix_order=self.n, python_fraction=0.05,
-                              update_depth=self.update_depth)
+        return 0.05
 
     # ------------------------------------------------------------------ #
     def unnormalized(self, subset: Iterable[int]) -> float:
@@ -196,7 +194,7 @@ class NonsymmetricKDPP(HomogeneousDistribution):
                    labels=params["labels"], partition_function=params["z"])
 
     # ------------------------------------------------------------------ #
-    def oracle_cost_hint(self) -> OracleCostHint:
+    def oracle_cost_hint(self) -> float:
         """Charpoly minor sums: a substantial GIL-bound Python lane.
 
         The batch route stacks determinants/Schur complements, but the
@@ -204,8 +202,7 @@ class NonsymmetricKDPP(HomogeneousDistribution):
         normalizer keep a sizable interpreted share — this is one of the two
         workloads the process backend was built for.
         """
-        return OracleCostHint(matrix_order=self.n, python_fraction=0.5,
-                              update_depth=self.update_depth)
+        return 0.5
 
     def unnormalized(self, subset: Iterable[int]) -> float:
         items = check_subset(subset, self.n)

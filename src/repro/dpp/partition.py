@@ -32,7 +32,6 @@ from repro.linalg.batch import (
 from repro.linalg.determinant import principal_minor
 from repro.linalg.interpolation import tensor_product_nodes, tensor_vandermonde_solve
 from repro.linalg.schur import condition_ensemble
-from repro.pram.cost import OracleCostHint
 from repro.pram.tracker import current_tracker
 from repro.utils.validation import check_subset
 
@@ -123,7 +122,7 @@ class PartitionDPP(HomogeneousDistribution):
         return cls(arrays["L"], params["parts"], params["counts"], validate=False,
                    labels=params["labels"], partition_function=params["z"])
 
-    def oracle_cost_hint(self) -> OracleCostHint:
+    def oracle_cost_hint(self) -> float:
         """Interpolation grids: heavily GIL-bound.
 
         Each surviving subset of a batch evaluates its own tensor-product
@@ -132,8 +131,7 @@ class PartitionDPP(HomogeneousDistribution):
         the effective per-query order is well above ``n`` and the Python
         lane dominates.  This is the flagship process-backend workload.
         """
-        return OracleCostHint(matrix_order=self.n, python_fraction=0.8,
-                              update_depth=self.update_depth)
+        return 0.8
 
     # ------------------------------------------------------------------ #
     # densities

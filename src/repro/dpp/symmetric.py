@@ -42,7 +42,6 @@ from repro.linalg.batch import (
 from repro.linalg.determinant import principal_minor
 from repro.linalg.esp import elementary_symmetric_polynomials, kdpp_counts_from_factor
 from repro.linalg.schur import condition_ensemble
-from repro.pram.cost import OracleCostHint
 from repro.pram.tracker import current_tracker
 from repro.utils.validation import check_positive_int, check_subset
 
@@ -111,10 +110,9 @@ class SymmetricDPP(SubsetDistribution):
             dist._z = float(params["z"])
         return dist
 
-    def oracle_cost_hint(self) -> OracleCostHint:
+    def oracle_cost_hint(self) -> float:
         """Marginal-kernel minors: stacked LAPACK, negligible Python lane."""
-        return OracleCostHint(matrix_order=self.n, python_fraction=0.05,
-                              update_depth=self.update_depth)
+        return 0.05
 
     # ------------------------------------------------------------------ #
     # counting oracle and densities
@@ -373,15 +371,14 @@ class SymmetricKDPP(HomogeneousDistribution):
                 dist._gram_eigh = (arrays["factor_spectrum"], arrays["factor_rotated"])
         return dist
 
-    def oracle_cost_hint(self) -> OracleCostHint:
+    def oracle_cost_hint(self) -> float:
         """Stacked matmuls and small determinants: LAPACK-dominated.
 
         A counting round is one stacked matmul plus ``|T| x |T|``
         determinants at ``⌊(r + 1)/2⌋ + 1`` nodes per query, so only a thin
         Python lane remains.
         """
-        return OracleCostHint(matrix_order=self.n, python_fraction=0.1,
-                              update_depth=self.update_depth)
+        return 0.1
 
     # ------------------------------------------------------------------ #
     def unnormalized(self, subset: Iterable[int]) -> float:

@@ -24,8 +24,8 @@ modelled price.
       T · (1 − f + f / lanes) + dispatch_overhead_s
 
   where ``f`` is the distribution's
-  :meth:`~repro.distributions.base.SubsetDistribution.oracle_cost_hint`
-  ``python_fraction`` (``0`` for matrix-backed minors) and ``lanes`` is
+  :meth:`~repro.distributions.base.SubsetDistribution.oracle_cost_hint`,
+  its GIL-bound share (``0`` for matrix-backed minors) and ``lanes`` is
   ``min(parallelism, queries)`` for a backend that escapes the GIL, ``1``
   otherwise.  The cheapest estimate wins; ties keep the reference.
 
@@ -49,10 +49,9 @@ from typing import Deque, Dict, Optional, Sequence, Tuple
 from repro import obs
 from repro.engine.backends import ExecutionBackend
 from repro.engine.batch import OracleBatch, OracleBatchResult
-from repro.pram.cost import CostModel, DEFAULT_COST_MODEL, OracleCostHint
 from repro.pram.tracker import Tracker
 
-__all__ = ["PlanDecision", "RoundPlanner", "AutoBackend", "should_refactorize"]
+__all__ = ["PlanDecision", "RoundPlanner", "AutoBackend"]
 
 #: batch kinds the planner arbitrates; the other kinds are fixed-route
 PLANNED_KINDS = ("counting", "joint_marginals", "log_principal_minors")
@@ -72,25 +71,6 @@ def shape_bucket(size: int) -> int:
     """Bucket a size to the next power of two (1, 2, 4, ... 1024, ...)."""
     q = max(1, int(size))
     return 1 << (q - 1).bit_length()
-
-
-def should_refactorize(hint: OracleCostHint, *,
-                       model: Optional[CostModel] = None,
-                       cap: int = 64) -> bool:
-    """Patch-vs-recompute policy for incremental kernel updates.
-
-    ``True`` when ``hint.update_depth`` (the mutation's position in the
-    fingerprint chain) has reached the break-even depth — the point where
-    the cumulative work of ``O(n²)`` secular patches has paid for one cold
-    ``O(n³)`` refactorization, making the refresh (which also resets
-    accumulated patch rounding) amortized-free.  Factor-backed
-    (``rank``-set) kernels patch exactly, so they refactorize only at the
-    ``cap``.  This is the decision behind ``refactor="auto"`` on
-    :meth:`repro.service.registry.KernelRegistry.apply_update` and the
-    session/cluster ``update()`` facades.
-    """
-    model = model if model is not None else DEFAULT_COST_MODEL
-    return int(hint.update_depth) >= model.update_break_even_depth(hint, cap=cap)
 
 
 @dataclass(frozen=True)
@@ -160,8 +140,7 @@ class RoundPlanner:
     def _python_fraction(batch: OracleBatch) -> float:
         if batch.distribution is None:
             return 0.0  # matrix-backed minors: stacked LAPACK
-        fraction = batch.distribution.oracle_cost_hint().python_fraction
-        return min(max(fraction, 0.0), 1.0)
+        return min(max(batch.distribution.oracle_cost_hint(), 0.0), 1.0)
 
     def _estimate(self, batch: OracleBatch,
                   measured: Dict[str, Optional[float]]) -> Dict[str, float]:

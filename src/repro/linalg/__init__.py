@@ -26,7 +26,6 @@ from repro.linalg.batch import (
 )
 from repro.linalg.updates import (
     KernelUpdate,
-    cholesky_update,
     factor_from_eigh,
     rank_one_eigh_update,
     rank_one_kernel_update,
@@ -66,7 +65,6 @@ __all__ = [
     "psd_factor",
     "stacked_principal_submatrices",
     "KernelUpdate",
-    "cholesky_update",
     "factor_from_eigh",
     "rank_one_eigh_update",
     "rank_one_kernel_update",

@@ -16,9 +16,6 @@ mutation an ``O(n²)`` (dense) or ``O(n·k)`` (factor) *patch* instead:
 * :func:`rank_one_kernel_update` — Sherman–Morrison patch of the marginal
   kernel ``K = L (I + L)⁻¹`` plus the matrix-determinant-lemma ratio for
   ``det(I + L)``.
-* :func:`cholesky_update` — hyperbolic-rotation rank-1 up/downdate of a
-  Cholesky factor (the Barthelmé–Tremblay–Amblard per-step trick, exposed
-  here for callers that keep triangular factors).
 * :func:`factor_from_eigh` — rebuilds the rank-revealing PSD factor from a
   patched eigenpair with exactly :func:`repro.linalg.batch.psd_factor`'s
   clipping/threshold semantics (minus the tracker charge — patches are
@@ -46,7 +43,6 @@ __all__ = [
     "rank_one_eigh_update",
     "symmetric_rank_one_terms",
     "rank_one_kernel_update",
-    "cholesky_update",
     "factor_from_eigh",
 ]
 
@@ -294,50 +290,6 @@ def rank_one_kernel_update(kernel: np.ndarray, u: np.ndarray,
             "rank-1 update makes I + L numerically singular: the mutated "
             "ensemble no longer defines a DPP")
     return K + np.outer(Mu, vM) * (w / ratio), ratio
-
-
-def cholesky_update(chol: np.ndarray, vector: np.ndarray,
-                    weight: float = 1.0) -> np.ndarray:
-    """Lower Cholesky factor of ``A + weight · z zᵀ`` from that of ``A``.
-
-    Classic ``O(n²)`` Givens (``weight > 0``) / hyperbolic (``weight < 0``)
-    rotation sweep.  Downdates raise :class:`ValueError` when the result is
-    not positive definite.  The input factor is not modified.
-    """
-    L = np.asarray(chol, dtype=float).copy()
-    n = L.shape[0]
-    z = np.asarray(vector, dtype=float).reshape(-1)
-    if L.shape != (n, n) or z.size != n:
-        raise ValueError(f"shape mismatch: chol {L.shape}, vector {z.shape}")
-    w = float(weight)
-    if w == 0.0 or not np.any(z):
-        return L
-    x = z * np.sqrt(abs(w))
-    down = w < 0.0
-    for k in range(n):
-        lkk = L[k, k]
-        if lkk <= 0.0:
-            raise ValueError("chol must be a lower Cholesky factor with a "
-                             "positive diagonal")
-        if down:
-            r2 = lkk * lkk - x[k] * x[k]
-            if r2 <= 0.0:
-                raise ValueError(
-                    "rank-1 downdate leaves the matrix indefinite")
-            r = np.sqrt(r2)
-        else:
-            r = np.hypot(lkk, x[k])
-        c = r / lkk
-        s = x[k] / lkk
-        L[k, k] = r
-        if k + 1 < n:
-            if down:
-                L[k + 1:, k] = (L[k + 1:, k] - s * x[k + 1:]) / c
-                x[k + 1:] = c * x[k + 1:] - s * L[k + 1:, k]
-            else:
-                L[k + 1:, k] = (L[k + 1:, k] + s * x[k + 1:]) / c
-                x[k + 1:] = c * x[k + 1:] - s * L[k + 1:, k]
-    return L
 
 
 def factor_from_eigh(eigenvalues: np.ndarray, eigenvectors: np.ndarray, *,

@@ -485,9 +485,9 @@ def record_kernel_update(kind: str, decision: str, depth: int,
     """One incremental kernel update applied by a registry/session.
 
     ``decision`` ∈ {patched, recomputed}: whether cached artifacts were
-    carried over via the O(n·k)/O(n²) update identities or the planner's
-    break-even policy (or an evicted predecessor) forced a cold
-    refactorization.
+    carried over via the O(n·k)/O(n²) update identities, or rebuilt cold
+    because the update chain reached the registry's rebuild depth (or the
+    predecessor was evicted).
     """
     if _REGISTRY.enabled:
         _KERNEL_UPDATES.inc(kind=kind, decision=decision)

@@ -13,13 +13,12 @@ parallel samplers against sequential baselines, which is exactly the quantity
 Theorem 1/8/9/10/11 bound.
 """
 
-from repro.pram.cost import CostModel, OracleCostHint
+from repro.pram.cost import CostModel
 from repro.pram.tracker import Tracker, current_tracker, use_tracker, null_tracker
 from repro.pram.schedule import parallel_map, parallel_branches
 
 __all__ = [
     "CostModel",
-    "OracleCostHint",
     "Tracker",
     "current_tracker",
     "use_tracker",

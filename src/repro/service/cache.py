@@ -61,8 +61,8 @@ class CacheStats:
 
     ``update_patched`` / ``update_recomputed`` count :meth:`~FactorizationCache.adopt`
     decisions — incremental kernel updates whose artifacts were patched from
-    the predecessor entry versus rebuilt cold (forced, break-even fallback,
-    or predecessor already evicted).
+    the predecessor entry versus rebuilt cold (the update chain reached the
+    registry's rebuild depth, or the predecessor was already evicted).
     """
 
     hits: int = 0
@@ -395,11 +395,8 @@ class KernelFactorization:
             lam, vec = sources["eigh"]
             for z, rho in terms:
                 lam, vec = rank_one_eigh_update(lam, vec, z, rho)
-            floor = float(lam.min(initial=0.0))
-            if floor < -1e-8 * max(1.0, float(np.abs(lam).max(initial=0.0))):
-                raise ValueError(
-                    "rank-1 update drives the ensemble indefinite "
-                    f"(min eigenvalue {floor:.3e}); mutated kernel is not a DPP")
+            # the registry refused any update that leaves the PSD cone, so
+            # only the patch's rounding can dip below zero here
             lam = np.clip(lam, 0.0, None)
             patched["eigh"] = (self._freeze(lam), self._freeze(vec))
             if "eigenvalues" in sources:

@@ -90,16 +90,27 @@ class RegisteredKernel:
         return self.base_fingerprint or self.fingerprint
 
 
-def updated_entry(entry: RegisteredKernel, cache: FactorizationCache, update, *,
-                  refactor: object = "auto") -> Tuple[RegisteredKernel, str]:
+#: update-chain depth from which an update rebuilds its cached artifacts
+#: lazily instead of patching them.  A dense kernel rebuilds from depth
+#: ``min(n, 64)``: each secular patch carries ``O(ε)`` rounding, and ``n``
+#: ``O(n²)`` patches cost one ``O(n³)`` rebuild.  A factor kernel's patches
+#: are exact row edits, so it runs to 64.  The depth counts the whole chain
+#: and never resets.
+_REFACTOR_DEPTH = 64
+
+
+def updated_entry(entry: RegisteredKernel, cache: FactorizationCache,
+                  update) -> Tuple[RegisteredKernel, str]:
     """Apply one :class:`~repro.linalg.updates.KernelUpdate` to ``entry``.
 
     Returns ``(new_entry, decision)`` where ``decision`` is ``"patched"``
     (artifacts carried over incrementally from the predecessor's cache
-    entry) or ``"recomputed"`` (cold lazy factorization — forced via
-    ``refactor=True``, chosen by the planner's break-even policy under
-    ``refactor="auto"``, or unavoidable because the predecessor was already
-    evicted).  The new entry's ``fingerprint`` extends the chain
+    entry) or ``"recomputed"`` (cold lazy factorization: the chain reached
+    the rebuild depth of ``_REFACTOR_DEPTH``, or the predecessor was
+    already evicted).  A dense update that could leave the PSD / nPSD cone
+    (a negative weight, or ``v`` given) is validated like a registration
+    and refused with :class:`ValueError` before anything adopts it.  The
+    new entry's ``fingerprint`` extends the chain
     (:meth:`KernelUpdate.chained_fingerprint`), its ``epoch`` increments,
     and the predecessor's cache entry is left warm for in-flight draws.
 
@@ -112,19 +123,14 @@ def updated_entry(entry: RegisteredKernel, cache: FactorizationCache, update, *,
                          "(their normalizer has no known update identity)")
     update.validate_for(entry.kind, entry.n)
     matrix = update.apply(entry.matrix, entry.kind)
+    if entry.kind != "lowrank" and (update.v is not None or update.weight < 0):
+        validate_ensemble(matrix, symmetric=entry.kind == "symmetric")
     fingerprint = update.chained_fingerprint(entry.fingerprint)
     depth = len(entry.update_log) + 1
-    if refactor == "auto":
-        from repro.engine.planner import should_refactorize
-        from repro.pram.cost import OracleCostHint
-
-        hint = OracleCostHint(
-            matrix_order=matrix.shape[0],
-            rank=matrix.shape[1] if entry.kind == "lowrank" else None,
-            update_depth=depth)
-        recompute = should_refactorize(hint)
+    if entry.kind == "lowrank":
+        recompute = depth >= _REFACTOR_DEPTH
     else:
-        recompute = bool(refactor)
+        recompute = depth >= min(_REFACTOR_DEPTH, matrix.shape[0])
     started = time.perf_counter()
     fact, decision = cache.adopt(
         entry.fingerprint, update, matrix=matrix, fingerprint=fingerprint,
@@ -329,7 +335,7 @@ class KernelRegistry:
                         self._invalidate_unshared_locked(entry.fingerprint)
         return entry
 
-    def apply_update(self, name: str, update, *, refactor: object = "auto",
+    def apply_update(self, name: str, update, *,
                      expect_fingerprint: Optional[str] = None) -> RegisteredKernel:
         """Mutate kernel ``name`` incrementally instead of re-registering.
 
@@ -341,9 +347,8 @@ class KernelRegistry:
         nodes use to detect a replica whose chain has diverged from the
         client's.  The predecessor's cache entry is *not* invalidated:
         sessions still draining on the old epoch keep their warm artifacts,
-        and LRU/TTL pressure reclaims it.  ``refactor`` is ``"auto"``
-        (planner break-even policy), ``True`` (force a cold rebuild) or
-        ``False`` (force the patch path).
+        and LRU/TTL pressure reclaims it.  :func:`updated_entry` decides
+        between patching and a lazy rebuild.
         """
         with self._lock:
             entry = self.get(name)
@@ -352,8 +357,7 @@ class KernelRegistry:
                     f"kernel {name!r} chain is at {entry.fingerprint[:12]}..., "
                     f"update expected predecessor {expect_fingerprint[:12]}... "
                     "(stale or rebased replica)")
-            new_entry, _decision = updated_entry(entry, self.cache, update,
-                                                 refactor=refactor)
+            new_entry, _decision = updated_entry(entry, self.cache, update)
             self._entries[name] = new_entry
             return new_entry
 

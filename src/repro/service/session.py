@@ -198,18 +198,10 @@ class SamplerSession:
         with self._lock:
             dist = self._distributions.get(key)
             if dist is None:
-                dist = self._build_distribution(entry, k)
+                dist = self._construct_distribution(
+                    entry, self._factorization_for(entry), k)
                 self._distributions[key] = dist
             return dist
-
-    def _build_distribution(self, entry: RegisteredKernel,
-                            k: Optional[int]) -> SubsetDistribution:
-        fact = self._factorization_for(entry)
-        dist = self._construct_distribution(entry, fact, k)
-        # Planner break-even input: the oracle's cost hints advertise how deep
-        # this kernel's update chain is (see OracleCostHint.update_depth).
-        dist.update_depth = len(entry.update_log)
-        return dist
 
     def _construct_distribution(self, entry: RegisteredKernel,
                                 fact: KernelFactorization,
@@ -397,36 +389,36 @@ class SamplerSession:
     # streaming kernels: incremental updates instead of O(n^3) recompute
     # ------------------------------------------------------------------ #
     def update(self, u: np.ndarray, v: Optional[np.ndarray] = None, *,
-               weight: float = 1.0, refactor: object = "auto") -> RegisteredKernel:
+               weight: float = 1.0) -> RegisteredKernel:
         """Apply a rank-1 kernel update ``L += weight * u v^T`` in place.
 
         ``v=None`` means the symmetric special case ``L += weight * u u^T``.
         Cached artifacts are *patched* (secular-equation eigen update,
         Sherman-Morrison kernel update — :mod:`repro.linalg.updates`) rather
-        than recomputed, until the planner's break-even policy says a full
-        refactorization is cheaper (``refactor="auto"``; pass ``True`` /
-        ``False`` to force either path).  Fixed-seed draws after the update
-        match cold-registering the mutated matrix.  Returns the new entry.
+        than recomputed, until the chain is deep enough that the registry
+        rebuilds them lazily instead
+        (:func:`~repro.service.registry.updated_entry`).  An update that
+        leaves the PSD / nPSD cone raises :class:`ValueError` and changes
+        nothing.  Fixed-seed draws after the update match cold-registering
+        the mutated matrix.  Returns the new entry.
         """
         from repro.linalg.updates import KernelUpdate
 
-        return self._apply_update(KernelUpdate.rank_one(u, v, weight=weight),
-                                  refactor=refactor)
+        return self._apply_update(KernelUpdate.rank_one(u, v, weight=weight))
 
-    def append_items(self, rows: np.ndarray, *,
-                     refactor: object = "auto") -> RegisteredKernel:
+    def append_items(self, rows: np.ndarray) -> RegisteredKernel:
         """Grow a low-rank kernel's ground set: append factor rows (items)."""
         from repro.linalg.updates import KernelUpdate
 
-        return self._apply_update(KernelUpdate.append_rows(rows), refactor=refactor)
+        return self._apply_update(KernelUpdate.append_rows(rows))
 
-    def delete_items(self, indices, *, refactor: object = "auto") -> RegisteredKernel:
+    def delete_items(self, indices) -> RegisteredKernel:
         """Shrink a low-rank kernel's ground set: delete factor rows (items)."""
         from repro.linalg.updates import KernelUpdate
 
-        return self._apply_update(KernelUpdate.delete_rows(indices), refactor=refactor)
+        return self._apply_update(KernelUpdate.delete_rows(indices))
 
-    def _apply_update(self, update, *, refactor: object) -> RegisteredKernel:
+    def _apply_update(self, update) -> RegisteredKernel:
         from repro.service.registry import updated_entry
 
         with self._lock:
@@ -434,11 +426,9 @@ class SamplerSession:
             if self._registry is not None:
                 # Registry-backed: the registry serializes updates per name
                 # and every session on this kernel can adopt the new epoch.
-                entry = self._registry.apply_update(self._entry.name, update,
-                                                    refactor=refactor)
+                entry = self._registry.apply_update(self._entry.name, update)
             else:
-                entry, _decision = updated_entry(self._entry, self.cache, update,
-                                                 refactor=refactor)
+                entry, _decision = updated_entry(self._entry, self.cache, update)
             self._entry = entry
             self._distributions.clear()
             return entry

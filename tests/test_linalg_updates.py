@@ -17,7 +17,6 @@ from repro.dpp.kernels import ensemble_to_kernel
 from repro.linalg.schur import condition_ensemble, schur_complement
 from repro.linalg.updates import (
     KernelUpdate,
-    cholesky_update,
     factor_from_eigh,
     rank_one_eigh_update,
     rank_one_kernel_update,
@@ -122,7 +121,7 @@ class TestRankOneEighUpdate:
 
 
 # ---------------------------------------------------------------------- #
-# marginal-kernel and Cholesky patches
+# marginal-kernel patches
 # ---------------------------------------------------------------------- #
 class TestKernelAndCholeskyPatches:
     @SETTINGS
@@ -153,29 +152,6 @@ class TestKernelAndCholeskyPatches:
         # drive 1 + w * v M u to zero: u = e0, M00 = 1/(1+L00) = 1/2 => w = -2
         with pytest.raises(ValueError, match="singular"):
             rank_one_kernel_update(K, np.array([1.0, 0.0]), weight=-2.0)
-
-    @SETTINGS
-    @given(eigh_instances(max_n=7))
-    def test_cholesky_update_matches_cold_factorization(self, instance):
-        d, V, z, rho = instance
-        A = V @ np.diag(np.abs(d) + 0.5) @ V.T
-        A = 0.5 * (A + A.T)
-        chol = np.linalg.cholesky(A)
-        target = A + rho * np.outer(z, z)
-        floor = np.linalg.eigvalsh(0.5 * (target + target.T)).min()
-        if floor < 1e-8:
-            with pytest.raises(ValueError):
-                cholesky_update(chol, z, rho)
-            return
-        patched = cholesky_update(chol, z, rho)
-        np.testing.assert_allclose(patched @ patched.T, target,
-                                   rtol=1e-7, atol=1e-7)
-        assert np.all(np.diag(patched) > 0)
-
-    def test_downdate_past_definiteness_raises(self):
-        chol = np.linalg.cholesky(np.eye(3))
-        with pytest.raises(ValueError, match="indefinite"):
-            cholesky_update(chol, np.array([2.0, 0.0, 0.0]), weight=-1.0)
 
 
 # ---------------------------------------------------------------------- #

@@ -137,7 +137,7 @@ def partition_dpp():
 
 
 def _gil_bound_batch(partition_dpp):
-    """Partition-DPP counting round: ``python_fraction`` 0.8."""
+    """Partition-DPP counting round: ``oracle_cost_hint()`` 0.8."""
     return OracleBatch.counting(partition_dpp, [(i,) for i in range(8)])
 
 
@@ -245,11 +245,10 @@ class TestPlannerRouting:
         table = {(0, 1): 1.0, (0, 2): 2.0, (1, 2): 0.5}
         dist = ExplicitDistribution(3, table, cardinality=2)
         # explicit tables answer a batch in one mask matmul
-        assert dist.oracle_cost_hint().python_fraction < 1.0
+        assert dist.oracle_cost_hint() < 1.0
         from repro.distributions.base import SubsetDistribution
 
-        default = SubsetDistribution.oracle_cost_hint(dist)
-        assert default.python_fraction == 1.0
+        assert SubsetDistribution.oracle_cost_hint(dist) == 1.0
 
 
 class TestPlannerConcurrency:
@@ -288,7 +287,7 @@ class TestDefaultAutoOnTheorem10:
     def test_default_auto_keeps_theorem10_in_process(self):
         """Default candidates keep the paper's sampler on ``vectorized``.
 
-        A Theorem-10 round is LAPACK-bound (``python_fraction`` 0.1) and
+        A Theorem-10 round is LAPACK-bound (``oracle_cost_hint()`` 0.1) and
         takes milliseconds, far below what a process pool could win back,
         so no planned round leaves the reference and no pool starts.
         """

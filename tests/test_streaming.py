@@ -4,10 +4,11 @@ The contract under test is byte-identity: after any chain of
 ``update()`` / ``append_items()`` / ``delete_items()`` calls, fixed-seed
 draws from the live session equal draws from a *cold* registration of the
 mutated matrix — on every kernel family, sampling method, execution
-backend, through the fused scheduler, and across cluster replicas.  The
-cache must report honest patched-vs-recomputed decisions, the planner's
-break-even policy must flip long chains back to full refactorization, and
-the cluster must ship O(n·k) deltas over a verified fingerprint chain.
+backend, through the fused scheduler, and across cluster replicas.  An
+update that leaves the PSD / nPSD cone is refused and changes nothing.  The
+cache must report honest patched-vs-recomputed decisions, the registry's
+depth rule must flip long chains to a lazy rebuild, and the cluster must
+ship O(n·k) deltas over a verified fingerprint chain.
 """
 
 import numpy as np
@@ -110,6 +111,39 @@ class TestDenseUpdateIdentity:
             assert session.sample(k=K, seed=seed).subset == \
                 cold.sample(k=K, seed=seed).subset
 
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    @pytest.mark.parametrize("kind", ["symmetric", "nonsymmetric"])
+    def test_update_leaving_the_cone_is_refused(self, npsd, kind, warm):
+        """Refused whether or not the cache holds an ``eigh`` to patch."""
+        if kind == "symmetric":
+            matrix = random_psd_ensemble(12, seed=1)
+            e0 = np.eye(12)[0]
+            args, weight = (e0,), -2.0 * matrix[0, 0]
+        else:
+            matrix = npsd
+            e0 = np.eye(npsd.shape[0])[0]
+            args, weight = (e0, e0), -3.0 * abs(matrix[0, 0]) - 1.0
+        expected = _cold(matrix, kind=kind).sample(k=3, seed=1).subset
+        session = _cold(matrix, kind=kind)
+        if warm:
+            session.warm()
+        with pytest.raises(ValueError):
+            session.update(*args, weight=weight)
+        assert session.entry.epoch == 0
+        assert session.sample(k=3, seed=1).subset == expected
+
+    def test_positive_update_skips_the_cone_check(self, psd, monkeypatch):
+        from test_factor_space import _recording
+
+        session = _cold(psd)
+        session.sample(k=K, seed=0)
+        u, _ = _vectors(psd.shape[0])
+        sizes = []
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "eigvalsh", _recording(np.linalg.eigvalsh, sizes))
+            session.update(u, weight=0.4)
+        assert sizes == []
+
 
 # ---------------------------------------------------------------------- #
 # low-rank kernels: append/delete are exact factor edits
@@ -194,7 +228,7 @@ class TestEpochs:
 
 
 # ---------------------------------------------------------------------- #
-# cache accounting and the break-even policy
+# cache accounting and the update-depth rule
 # ---------------------------------------------------------------------- #
 class TestCacheDecisions:
     def test_warm_update_is_patched_cold_is_recomputed(self, psd):
@@ -245,16 +279,6 @@ class TestCacheDecisions:
         assert decisions[:flip - 1] == ["patched"] * (flip - 1)
         # the flip, and the update after it: the depth never resets
         assert decisions[flip - 1:] == ["recomputed"] * 2
-
-    def test_refactor_flag_forces_either_path(self, psd):
-        session = _cold(psd)
-        session.sample(k=K, seed=0)
-        u, _ = _vectors(psd.shape[0], seed=501)
-        forced = session.update(u, weight=0.1, refactor=True)
-        assert forced.update_log[-1].decision == "recomputed"
-        session.sample(k=K, seed=0)
-        patched = session.update(u, weight=0.1, refactor=False)
-        assert patched.update_log[-1].decision == "patched"
 
     def test_partition_kernels_refuse_updates(self):
         from repro.workloads import clustered_ensemble
@@ -330,8 +354,7 @@ class TestClusterStreaming:
         owner = client.owners(registered.route)[0]
         with pytest.raises(ValueError, match="stale or rebased"):
             client.call_node(owner, {"op": "update", "name": registered.name,
-                                     "update": update, "prev": "0" * 64,
-                                     "refactor": "auto"})
+                                     "update": update, "prev": "0" * 64})
 
     def test_update_replies_carry_chain_metadata(self, cluster, psd):
         client = cluster.client()
@@ -341,8 +364,7 @@ class TestClusterStreaming:
         owner = client.owners(registered.route)[0]
         info = client.call_node(owner, {"op": "update", "name": registered.name,
                                         "update": update,
-                                        "prev": registered.fingerprint,
-                                        "refactor": "auto"})
+                                        "prev": registered.fingerprint})
         assert info["fingerprint"] == update.chained_fingerprint(
             registered.fingerprint)
         assert info["base_fingerprint"] == registered.fingerprint
