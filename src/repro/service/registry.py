@@ -107,10 +107,10 @@ def updated_entry(entry: RegisteredKernel, cache: FactorizationCache,
     (artifacts carried over incrementally from the predecessor's cache
     entry) or ``"recomputed"`` (cold lazy factorization: the chain reached
     the rebuild depth of ``_REFACTOR_DEPTH``, or the predecessor was
-    already evicted).  A dense update that could leave the PSD / nPSD cone
-    (a negative weight, or ``v`` given) is validated like a registration
-    and refused with :class:`ValueError` before anything adopts it.  The
-    new entry's ``fingerprint`` extends the chain
+    already evicted).  A dense update other than ``weight · u uᵀ`` with
+    ``weight >= 0``, which cannot leave the PSD / nPSD cone, is validated
+    like a registration and refused with :class:`ValueError` before
+    anything adopts it.  The new entry's ``fingerprint`` extends the chain
     (:meth:`KernelUpdate.chained_fingerprint`), its ``epoch`` increments,
     and the predecessor's cache entry is left warm for in-flight draws.
 
@@ -123,7 +123,7 @@ def updated_entry(entry: RegisteredKernel, cache: FactorizationCache,
                          "(their normalizer has no known update identity)")
     update.validate_for(entry.kind, entry.n)
     matrix = update.apply(entry.matrix, entry.kind)
-    if entry.kind != "lowrank" and (update.v is not None or update.weight < 0):
+    if entry.kind != "lowrank" and not (update.v is None and update.weight >= 0):
         validate_ensemble(matrix, symmetric=entry.kind == "symmetric")
     fingerprint = update.chained_fingerprint(entry.fingerprint)
     depth = len(entry.update_log) + 1

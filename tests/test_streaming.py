@@ -132,6 +132,13 @@ class TestDenseUpdateIdentity:
         assert session.entry.epoch == 0
         assert session.sample(k=3, seed=1).subset == expected
 
+    def test_nan_weight_is_refused(self, psd):
+        session = _cold(psd)
+        u, _ = _vectors(psd.shape[0])
+        with pytest.raises(ValueError, match="non-finite"):
+            session.update(u, weight=float("nan"))
+        assert session.entry.epoch == 0
+
     def test_positive_update_skips_the_cone_check(self, psd, monkeypatch):
         from test_factor_space import _recording
 
