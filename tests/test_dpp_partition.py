@@ -1,5 +1,6 @@
-"""Tests for Partition-DPPs (Definition 7) and their interpolation oracle."""
+"""Tests for Partition-DPPs (Definition 7) and their counting oracle."""
 
+import itertools
 import time
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from repro.dpp.exact import exact_partition_dpp_distribution
 from repro.dpp.partition import InterpolationGridTooLarge, PartitionDPP
+from repro.service import KernelRegistry, serve
 from repro.utils.subsets import all_subsets_of_size
 from repro.workloads import clustered_ensemble, random_psd_ensemble
 
@@ -154,3 +156,96 @@ class TestPartitionDPPValidation:
         pdpp = PartitionDPP(L, parts, [1, 1, 1])
         exact = exact_partition_dpp_distribution(L, parts, [1, 1, 1])
         assert np.allclose(pdpp.marginal_vector(), exact.marginal_vector(), atol=1e-6)
+
+
+def _quota_sets(parts, counts):
+    """Every set meeting the quotas, one sorted-by-part row each."""
+    rows = np.zeros((1, 0), dtype=int)
+    for part, count in zip(parts, counts):
+        combos = list(itertools.combinations(part, count))
+        block = np.array(combos, dtype=int).reshape(len(combos), count)
+        rows = np.concatenate([np.repeat(rows, len(block), axis=0),
+                               np.tile(block, (len(rows), 1))], axis=1)
+    return rows
+
+
+def _brute_force_count(L, parts, counts, given=()):
+    """``Σ det(L_S)`` over the quota-meeting ``S ⊇ given``, as one stacked call."""
+    rows = _quota_sets(parts, counts)
+    rows = rows[np.isin(rows, given).sum(axis=1) == len(given)]
+    return float(np.linalg.det(L[rows[:, :, None], rows[:, None, :]]).sum())
+
+
+def _relative_errors(pdpp, L, parts, counts):
+    """Error of the normalizer and of every singleton count, relative to the
+    exact count (to the normalizer where the exact count is 0)."""
+    exact = np.array([_brute_force_count(L, parts, counts)]
+                     + [_brute_force_count(L, parts, counts, (i,)) for i in range(len(L))])
+    got = np.concatenate([[pdpp.partition_function()],
+                          pdpp.counting_batch([(i,) for i in range(len(L))])])
+    return np.abs(got - exact) / np.where(exact > 0, exact, exact[0])
+
+
+_HALVES = [list(range(6)), list(range(6, 12))]
+
+
+class TestTorusExactness:
+    """Counts stay exact beyond tiny parts, checked against brute force and
+    against the identities every counting oracle must satisfy."""
+
+    def test_normalizer_at_parts_of_14(self):
+        L, parts = clustered_ensemble([14, 14], within=0.6, across=0.05, scale=1.5, seed=0)
+        exact = _brute_force_count(L, parts, (3, 3))  # all 132,496 sets
+        assert PartitionDPP(L, parts, (3, 3)).partition_function() == pytest.approx(
+            exact, rel=1e-12)
+
+    @pytest.mark.parametrize("sizes, counts", [([20, 20], (4, 4)), ([10, 10, 10], (2, 2, 2))],
+                             ids=["20-20", "10-10-10"])
+    def test_marginal_and_chain_identities(self, sizes, counts):
+        L, parts = clustered_ensemble(sizes, within=0.6, across=0.05, scale=1.5, seed=0)
+        pdpp = PartitionDPP(L, parts, counts)
+        marginals = pdpp.marginal_vector()
+        for part, count in zip(parts, counts):
+            assert marginals[part].sum() == pytest.approx(count, abs=1e-10)
+        # every set containing T has k - |T| one-item extensions of T inside it
+        T = (parts[0][0],)
+        extensions = [tuple(sorted(T + (i,))) for i in range(pdpp.n) if i not in T]
+        assert pdpp.counting_batch(extensions).sum() == pytest.approx(
+            (pdpp.k - len(T)) * pdpp.counting(T), rel=1e-10)
+
+    @pytest.mark.parametrize("L, counts", [
+        (1e-3 * random_psd_ensemble(12, seed=1), (2, 2)),
+        (30.0 * random_psd_ensemble(12, seed=1), (2, 2)),
+        (1e3 * random_psd_ensemble(12, seed=1), (2, 2)),
+        (np.diag([100.0] * 6 + [0.01] * 6), (1, 4)),
+    ], ids=["scale-1e-3", "scale-30", "scale-1e3", "unequal-parts"])
+    def test_scaled_kernels_match_brute_force(self, L, counts):
+        pdpp = PartitionDPP(L, _HALVES, counts)
+        assert _relative_errors(pdpp, L, _HALVES, counts).max() <= 1e-12
+
+    def test_served_sample_at_large_scale(self):
+        L = 1e3 * random_psd_ensemble(12, seed=1)
+        with serve(L, kind="partition", parts=_HALVES, counts=(2, 2),
+                   registry=KernelRegistry(), backend="vectorized") as session:
+            subset = session.sample(seed=1).subset
+        assert [sum(1 for i in subset if i in part) for part in _HALVES] == [2, 2]
+
+    def test_random_sweep_matches_brute_force(self):
+        # n <= 10, up to 3 parts, random rank and counts, per-part scale 10^U(-3, 3)
+        rng = np.random.default_rng(0)
+        worst = 0.0
+        for _ in range(40):
+            n = int(rng.integers(4, 11))
+            r = int(rng.integers(1, 4))
+            cuts = np.sort(rng.choice(np.arange(1, n), size=r - 1, replace=False))
+            parts = [sorted(p.tolist()) for p in np.split(rng.permutation(n), cuts)]
+            rank = int(rng.integers(1, n + 1))
+            B = rng.standard_normal((n, rank))
+            for part, scale in zip(parts, 10.0 ** rng.uniform(-3, 3, size=r)):
+                B[part] *= np.sqrt(scale)
+            L = B @ B.T
+            chosen = rng.choice(n, size=int(rng.integers(1, rank + 1)), replace=False)
+            counts = [int(np.isin(part, chosen).sum()) for part in parts]
+            pdpp = PartitionDPP(L, parts, counts)
+            worst = max(worst, _relative_errors(pdpp, L, parts, counts).max())
+        assert worst <= 1e-6
