@@ -2,8 +2,9 @@
 
 Two questions, answered with machine-readable JSON lines:
 
-1. **Routing quality.**  On a small/large × pure-Python/LAPACK grid of
-   counting rounds, plus (full grid only) warm samples of the paper's
+1. **Routing quality.**  On a small/large × k-DPP/partition-DPP grid of
+   counting rounds (the ``lapack-*`` and ``python-*`` cells; both oracles
+   are stacked LAPACK), plus (full grid only) warm samples of the paper's
    Theorem-10 sampler, is ``backend="auto"`` ever meaningfully slower than
    the best *forced* backend?  The planner's whole job is to make
    hand-picking backends unnecessary, so the acceptance pin is relative —
@@ -75,7 +76,7 @@ def _subsets(rng, n: int, sizes, count: int) -> List[tuple]:
 
 
 def _grid(small: bool = False):
-    """The small/large × LAPACK/pure-Python routing cells."""
+    """The small/large × k-DPP (``lapack-*``) / partition-DPP (``python-*``) cells."""
     rng = np.random.default_rng(0)
     L64 = random_psd_ensemble(64, rank=24, seed=1)
     kdpp = SymmetricKDPP(L64, 8)

@@ -1,9 +1,10 @@
-"""Process backend vs threads on GIL-bound oracle paths.
+"""Process backend vs threads on two oracle paths.
 
-The thread backend only overlaps inside LAPACK: the pure-Python oracle paths
-(the partition sampler's interpolation grids, the nonsymmetric sampler's
-charpoly minor sums) hold the GIL, so thread fan-out cannot use more than one
-core.  This sweep times one large ``counting`` round on both GIL-bound
+The thread backend only overlaps inside LAPACK: a pure-Python oracle path
+(the nonsymmetric sampler's charpoly minor sums) holds the GIL, so thread
+fan-out cannot use more than one core.  The partition sampler's torus oracle
+is stacked LAPACK, so its workload measures what ``process`` wins where the
+GIL is mostly released.  This sweep times one large ``counting`` round on both
 workloads through the ``threads`` and ``process`` backends (same worker
 count) plus the single-process ``vectorized`` reference, verifies the values
 agree bitwise-closely, and reports a machine-readable JSON line per workload.

@@ -2,7 +2,7 @@
 
 Paper claim: for symmetric PSD ensembles with ``r = O(1)`` partition
 constraints, the entropic meta-sampler runs in ``Õ(√k (k/ε)^c)`` rounds using
-the polynomial-interpolation counting oracle of [Cel+16].  The benchmark
+the generating-polynomial counting oracle of [Cel+16], read off a torus DFT.  The benchmark
 sweeps the per-part quotas on a clustered workload.
 """
 
@@ -49,7 +49,7 @@ def test_e6_partition_dpp_depth(benchmark):
 
 
 def test_e6_three_part_constraint(benchmark):
-    """r = 3 parts (the oracle's interpolation grid grows but r stays O(1))."""
+    """r = 3 parts (the oracle's torus grows but r stays O(1))."""
     L, parts = clustered_ensemble([5, 5, 4], within=0.6, across=0.05, scale=1.5, seed=3)
     config = EntropicSamplerConfig(c=0.3, epsilon=0.1)
     counts = (2, 1, 1)

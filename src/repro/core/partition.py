@@ -3,8 +3,9 @@
 Partition-DPPs with a symmetric PSD ensemble matrix and ``r = O(1)`` parts are
 ``Ω(1)``-fractionally log-concave [Ali+21] (Lemma 24.2), hence entropically
 independent; the meta-sampler of Theorem 29 therefore gives an
-``Õ(√k (k/ε)^c)``-depth sampler using the polynomial-interpolation counting
-oracle of [Cel+16] (implemented in :class:`repro.dpp.partition.PartitionDPP`).
+``Õ(√k (k/ε)^c)``-depth sampler using the generating-polynomial counting
+oracle of [Cel+16], read off a torus DFT in
+:class:`repro.dpp.partition.PartitionDPP`.
 """
 
 from __future__ import annotations

@@ -8,8 +8,8 @@ with their ``NC``-style counting oracles:
 * :class:`~repro.dpp.nonsymmetric.NonsymmetricDPP` / ``NonsymmetricKDPP`` —
   nPSD ensemble matrices (Definitions 4–6).
 * :class:`~repro.dpp.partition.PartitionDPP` — partition-constrained DPPs
-  (Definition 7) with the polynomial-interpolation counting oracle of
-  [Cel+16].
+  (Definition 7) with the generating-polynomial counting oracle of
+  [Cel+16], read off a torus DFT.
 * :mod:`repro.dpp.spectral` — the sequential HKPV spectral sampler (the
   DPPy-style baseline).
 * :mod:`repro.dpp.exact` — brute-force enumeration for ground truth.

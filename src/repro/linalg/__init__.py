@@ -31,13 +31,6 @@ from repro.linalg.updates import (
     rank_one_kernel_update,
     symmetric_rank_one_terms,
 )
-from repro.linalg.interpolation import (
-    vandermonde_solve,
-    univariate_coefficients_from_evaluations,
-    multivariate_coefficients_from_evaluations,
-    tensor_product_nodes,
-    tensor_vandermonde_solve,
-)
 from repro.linalg.psd import (
     is_psd,
     is_npsd,
@@ -69,11 +62,6 @@ __all__ = [
     "rank_one_eigh_update",
     "rank_one_kernel_update",
     "symmetric_rank_one_terms",
-    "vandermonde_solve",
-    "univariate_coefficients_from_evaluations",
-    "multivariate_coefficients_from_evaluations",
-    "tensor_product_nodes",
-    "tensor_vandermonde_solve",
     "is_psd",
     "is_npsd",
     "project_psd",

@@ -2,8 +2,8 @@
 
 The k-DPP partition function is ``e_k(λ_1, ..., λ_n)``, the k-th elementary
 symmetric polynomial of the ensemble matrix's eigenvalues [KT12b].  ESPs also
-appear in the size distribution of an unconstrained DPP and in the
-polynomial-interpolation counting oracle for Partition-DPPs [Cel+16].
+appear in the size distribution of an unconstrained DPP, and the saddle-point
+radius below sets the torus of the Partition-DPP counting oracle [Cel+16].
 
 We compute them with the standard stable dynamic program (equivalent to
 expanding ``∏ (1 + λ_i t)``) and, as an ``NC``-flavoured alternative, from the
@@ -100,7 +100,7 @@ _NEGATIVE_TOL = 1e-12
 _SINGULAR_TOL = 1e-13
 
 
-def _saddle_radius(spectrum: np.ndarray, k: int) -> float:
+def _saddle_radius(spectrum: np.ndarray, k: float) -> float:
     """The ``ρ`` with ``Σ_j ρ s_j / (1 + ρ s_j) = k`` over the positive ``s_j``.
 
     There ``∏_j (1 + ρ s_j) / ρ^k`` is smallest, so the circle of radius

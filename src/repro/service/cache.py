@@ -4,7 +4,7 @@ Every sampler in this repository front-loads the same expensive linear
 algebra before any randomness happens: the eigendecomposition of the
 symmetrized ensemble, a rank-revealing PSD factor and its Gram companion, the
 ESP table of the spectrum, characteristic-polynomial minor sums
-(nonsymmetric kernels) and the interpolation-oracle normalizer (partition
+(nonsymmetric kernels) and the torus-oracle node tables (partition
 kernels).  Serving traffic against a registered kernel should pay those costs
 once, not per request — the amortization regime of Barthelmé–Tremblay–Amblard
 and of the preprocess-then-sample line of work in PAPERS.md.
@@ -290,25 +290,18 @@ class KernelFactorization:
     # ------------------------------------------------------------------ #
     # partition-kernel artifacts
     # ------------------------------------------------------------------ #
-    def partition_normalizer(self, parts: Sequence[Sequence[int]],
-                             counts: Sequence[int]) -> float:
-        """Interpolation-oracle normalizer of the Partition-DPP (memoized per
-        ``(parts, counts)``; the interpolation grid evaluation is the
-        dominant preprocessing cost of the partition sampler)."""
-        from repro.dpp.partition import PartitionDPP  # deferred: dpp -> service has no cycle, keep it that way
+    def partition_tables(self, parts: Sequence[Sequence[int]],
+                         counts: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
+        """Node tables of the Partition-DPP torus oracle
+        (:func:`repro.dpp.partition.torus_tables`), memoized per
+        ``(parts, counts)``: their stacked inverses are the dominant
+        preprocessing cost of the partition sampler."""
+        from repro.dpp.partition import torus_tables  # deferred: dpp -> service has no cycle, keep it that way
 
         parts_key = tuple(tuple(sorted(int(i) for i in part)) for part in parts)
         counts_key = tuple(int(c) for c in counts)
-
-        def compute():
-            part_of = np.empty(self.n, dtype=int)
-            for idx, part in enumerate(parts_key):
-                for element in part:
-                    part_of[element] = idx
-            part_sizes = [len(p) for p in parts_key]
-            return PartitionDPP._constrained_count(self.matrix, part_of, part_sizes, counts_key)
-
-        return self._get(("partition_z", parts_key, counts_key), compute)
+        return self._get(("partition_tables", parts_key, counts_key),
+                         lambda: torus_tables(self.matrix, parts_key, counts_key))
 
     # ------------------------------------------------------------------ #
     def warm(self, kind: str = "symmetric",
@@ -346,7 +339,7 @@ class KernelFactorization:
         elif kind == "partition":
             if parts is None or counts is None:
                 raise ValueError("warming a partition kernel requires parts= and counts=")
-            self.partition_normalizer(parts, counts)
+            self.partition_tables(parts, counts)
         else:
             raise ValueError(f"unknown kernel kind {kind!r}")
         return self

@@ -246,8 +246,8 @@ class KernelRegistry:
         if kind == "partition":
             if validate:
                 # structural checks (disjointness, coverage, feasible counts)
-                # without paying the interpolation-grid normalizer here — the
-                # factorization cache computes that lazily.
+                # without building the torus node tables here — the
+                # factorization cache computes them lazily.
                 from repro.dpp.partition import PartitionDPP
                 PartitionDPP(a, parts_key, counts_key, validate=False)
         a.flags.writeable = False

@@ -237,7 +237,7 @@ class SamplerSession:
             )
         return PartitionDPP(
             entry.matrix, entry.parts, entry.counts, validate=False,
-            partition_function=fact.partition_normalizer(entry.parts, entry.counts))
+            tables=fact.partition_tables(entry.parts, entry.counts))
 
     # ------------------------------------------------------------------ #
     def sample(self, k: Optional[int] = None, *, seed: SeedLike = None,

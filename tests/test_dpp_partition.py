@@ -132,12 +132,12 @@ class TestPartitionDPPValidation:
             PartitionDPP(np.diag([1.0] * 7 + [-1.0]), parts, counts)
 
     def test_oversize_grid_refused_before_allocating(self):
-        # 4 parts of 25: 26^4 = 456976 nodes of 100 x 100 determinants, 36.6 GB
+        # 4 parts of 25: 26^4 = 456976 nodes of complex 100 x 100 matrices, 73.1 GB
         L = random_psd_ensemble(100, seed=0)
         parts = [list(range(i, i + 25)) for i in range(0, 100, 25)]
         start = time.perf_counter()
         with pytest.raises(InterpolationGridTooLarge,
-                           match=r"\(26, 26, 26, 26\) has 456976 nodes.* 36558080000 bytes"):
+                           match=r"\(26, 26, 26, 26\) has 456976 nodes.* 73116160000 bytes"):
             PartitionDPP(L, parts, [2, 2, 2, 2])
         assert time.perf_counter() - start < 1.0
         assert issubclass(InterpolationGridTooLarge, ValueError)

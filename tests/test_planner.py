@@ -43,7 +43,7 @@ from repro.core.symmetric import sample_symmetric_kdpp_parallel
 from repro.core.partition import sample_partition_dpp_parallel
 from repro.pram.cost import CostModel
 from repro.pram.tracker import Tracker, use_tracker
-from repro.workloads import random_psd_ensemble
+from repro.workloads import clustered_ensemble, random_psd_ensemble
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
@@ -130,14 +130,21 @@ def small_kdpp():
     return SymmetricKDPP(random_psd_ensemble(12, seed=0), 4)
 
 
+class _GilBoundPartitionDPP(PartitionDPP):
+    """A distribution whose oracle is GIL-bound: ``oracle_cost_hint()`` 0.8."""
+
+    def oracle_cost_hint(self) -> float:
+        return 0.8
+
+
 @pytest.fixture(scope="module")
 def partition_dpp():
     L = random_psd_ensemble(30, rank=10, seed=1)
-    return PartitionDPP(L, [list(range(15)), list(range(15, 30))], [3, 2])
+    return _GilBoundPartitionDPP(L, [list(range(15)), list(range(15, 30))], [3, 2])
 
 
 def _gil_bound_batch(partition_dpp):
-    """Partition-DPP counting round: ``oracle_cost_hint()`` 0.8."""
+    """A GIL-bound counting round: ``oracle_cost_hint()`` 0.8."""
     return OracleBatch.counting(partition_dpp, [(i,) for i in range(8)])
 
 
@@ -308,6 +315,33 @@ class TestDefaultAutoOnTheorem10:
             started = backends["process"]._pool is not None
         finally:
             backends["threads"].close()
+            backends["process"].close()
+        planned = [d.chosen for d in decisions if d.kind in PLANNED_KINDS]
+        assert planned and set(planned) == {"vectorized"}, planned
+        assert not started
+
+
+class TestDefaultAutoOnTheorem9:
+    def test_default_auto_keeps_theorem9_in_process(self):
+        """Theorem-9 rounds stay on ``vectorized`` on a 2-lane pool.
+
+        The torus oracle is stacked LAPACK (``oracle_cost_hint()`` 0.1), so
+        the guess for ``process`` stays above the measured reference and no
+        pool starts over three samples at parts of 10.
+        """
+        backends = {"vectorized": VectorizedBackend(),
+                    "process": ProcessPoolBackend(max_workers=2)}
+        planner = RoundPlanner(backends=backends)
+        auto = AutoBackend(planner)
+        L, parts = clustered_ensemble([10, 10, 10], within=0.6, across=0.05, scale=1.5, seed=0)
+        decisions = []
+        try:
+            for seed in range(3):
+                sample_partition_dpp_parallel(L, parts, [2, 2, 2], seed=seed, backend=auto)
+                decisions += list(planner.decisions)
+                planner.decisions.clear()
+            started = backends["process"]._pool is not None
+        finally:
             backends["process"].close()
         planned = [d.chosen for d in decisions if d.kind in PLANNED_KINDS]
         assert planned and set(planned) == {"vectorized"}, planned

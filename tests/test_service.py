@@ -702,7 +702,7 @@ class TestWarmup:
         entry = registry.register("pwarm", L, kind="partition", parts=parts,
                                   counts=[2, 1], warm=True)
         fact = registry.cache.factorization(entry.matrix, fingerprint=entry.fingerprint)
-        assert any(str(key).startswith("('partition_z'") for key in fact.materialized)
+        assert any(str(key).startswith("('partition_tables'") for key in fact.materialized)
 
     def test_closed_session_rejects_warm(self, registry, psd):
         session = serve(psd, name="m", registry=registry)
