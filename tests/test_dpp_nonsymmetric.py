@@ -1,5 +1,7 @@
 """Tests for NonsymmetricDPP / NonsymmetricKDPP against brute force."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -127,3 +129,88 @@ class TestNonsymmetricKDPP:
         for k in (1, 2, 3):
             kdpp = NonsymmetricKDPP(small_npsd, k)
             assert kdpp.marginal_vector().sum() == pytest.approx(k, rel=1e-5)
+
+
+def _npsd_kernel(rng, n):
+    """An nPSD kernel of random shape: a symmetric part of random rank, a skew
+    part scaled by 10^U(-1, 0.7), the whole scaled by 10^U(-3, 3)."""
+    rank = int(rng.integers(1, n + 1))
+    B = rng.standard_normal((n, rank))
+    G = rng.standard_normal((n, n))
+    skew = 10.0 ** rng.uniform(-1, 0.7)
+    return 10.0 ** rng.uniform(-3, 3) * (B @ B.T / rank + skew * (G - G.T) / 2)
+
+
+def _brute_force_counts(L, k, queries, given=()):
+    """``Σ det(L_S)`` over the k-sets ``S ⊇ given ∪ T`` for each query ``T``,
+    from one stacked determinant call over every k-set."""
+    rows = np.array(list(itertools.combinations(range(len(L)), k)), dtype=int).reshape(-1, k)
+    dets = np.linalg.det(L[rows[:, :, None], rows[:, None, :]])
+    return np.array([dets[np.isin(rows, given + T).sum(axis=1) == len(given) + len(T)].sum()
+                     for T in queries])
+
+
+def _relative_errors(got, exact):
+    """Errors relative to the exact count (to the normalizer, ``exact[0]``,
+    where the exact count is 0)."""
+    return np.abs(got - exact) / np.where(exact > 0, exact, exact[0])
+
+
+class TestNonsymmetricExactness:
+    """Counts stay exact on random, strongly non-normal and larger kernels,
+    at the root and in conditioned children."""
+
+    def test_random_sweep_matches_brute_force(self):
+        # n 4-10, random symmetric rank, skew and scale; normalizer, every
+        # singleton and one pair
+        rng = np.random.default_rng(0)
+        worst = 0.0
+        for _ in range(40):
+            n = int(rng.integers(4, 11))
+            L = _npsd_kernel(rng, n)
+            k = int(rng.integers(1, n + 1))
+            kdpp = NonsymmetricKDPP(L, k)
+            queries = [(i,) for i in range(n)] + [(0, 1)]
+            exact = _brute_force_counts(L, k, [()] + queries)
+            got = np.concatenate([[kdpp.partition_function()], kdpp.counting_batch(queries)])
+            worst = max(worst, _relative_errors(got, exact).max())
+        assert worst <= 1e-10
+
+    def test_children_match_brute_force_at_every_depth(self):
+        L = random_npsd_ensemble(10, skew_scale=3.0, rank=3, seed=1)
+        k = 5
+        chain = (7, 2, 9, 4)
+        dist = NonsymmetricKDPP(L, k)
+        worst = 0.0
+        for depth, item in enumerate(chain, start=1):
+            dist = dist.condition((dist.ground_labels.index(item),))
+            given = chain[:depth]
+            det_given = np.linalg.det(L[np.ix_(given, given)])
+            queries = [(i,) for i in range(dist.n)] + [(0, 1)]
+            in_root = [tuple(dist.ground_labels[i] for i in T) for T in queries]
+            exact = _brute_force_counts(L, k, [()] + in_root, given) / det_given
+            got = np.concatenate([[dist.partition_function()], dist.counting_batch(queries)])
+            worst = max(worst, _relative_errors(got, exact).max())
+        assert worst <= 1e-10
+
+    def test_identities_at_n100(self):
+        L = random_npsd_ensemble(100, seed=0)
+        root = NonsymmetricKDPP(L, 10)
+        rng = np.random.default_rng(1)
+        for given in ((), (3, 40, 77)):
+            dist = root.condition(given)
+            assert dist.marginal_vector().sum() == pytest.approx(dist.k, abs=1e-10)
+            # every set containing T has k - |T| one-item extensions of T inside it
+            T = (5,)
+            extensions = [tuple(sorted(T + (i,))) for i in range(dist.n) if i not in T]
+            assert dist.counting_batch(extensions).sum() == pytest.approx(
+                (dist.k - len(T)) * dist.counting(T), rel=1e-10)
+            # at depth k - 1 a count is a direct sum of determinants
+            det_given = np.linalg.det(L[np.ix_(given, given)]) if given else 1.0
+            sets = [tuple(sorted(rng.choice(dist.n, size=dist.k - 1, replace=False).tolist()))
+                    for _ in range(4)]
+            for T in sets:
+                top = list(given) + [dist.ground_labels[i] for i in T]
+                direct = sum(np.linalg.det(L[np.ix_(top + [j], top + [j])])
+                             for j in range(100) if j not in top) / det_given
+                assert dist.counting(T) == pytest.approx(direct, rel=1e-11)

@@ -249,3 +249,25 @@ class TestTorusExactness:
             pdpp = PartitionDPP(L, parts, counts)
             worst = max(worst, _relative_errors(pdpp, L, parts, counts).max())
         assert worst <= 1e-6
+
+    def test_children_match_brute_force_at_depths_1_to_5(self):
+        L, parts = clustered_ensemble([14, 14], within=0.6, across=0.05, scale=1.5, seed=0)
+        rows = _quota_sets(parts, (3, 3))                     # all 132,496 sets
+        dets = np.linalg.det(L[rows[:, :, None], rows[:, None, :]])
+        member = np.zeros((len(rows), len(L)), dtype=bool)
+        member[np.arange(len(rows))[:, None], rows] = True
+        chain = (parts[0][0], parts[1][0], parts[0][1], parts[1][1], parts[0][2])
+        dist = PartitionDPP(L, parts, (3, 3))
+        worst = 0.0
+        for depth, item in enumerate(chain, start=1):
+            dist = dist.condition((dist.ground_labels.index(item),))
+            given = list(chain[:depth])
+            inside = member[:, given].all(axis=1)
+            # the child's counts are in units of det(L_given), as a Schur complement's
+            exact = np.concatenate([[dets[inside].sum()],
+                                    member[inside][:, dist.ground_labels].T @ dets[inside]])
+            exact /= np.linalg.det(L[np.ix_(given, given)])
+            got = np.concatenate([[dist.partition_function()],
+                                  dist.counting_batch([(i,) for i in range(dist.n)])])
+            worst = max(worst, (np.abs(got - exact) / np.where(exact > 0, exact, exact[0])).max())
+        assert worst <= 1e-10
