@@ -1,13 +1,16 @@
 """Process backend vs threads on two oracle paths.
 
-The thread backend only overlaps inside LAPACK: a pure-Python oracle path
-(the nonsymmetric sampler's charpoly minor sums) holds the GIL, so thread
-fan-out cannot use more than one core.  The partition sampler's torus oracle
-is stacked LAPACK, so its workload measures what ``process`` wins where the
-GIL is mostly released.  This sweep times one large ``counting`` round on both
-workloads through the ``threads`` and ``process`` backends (same worker
-count) plus the single-process ``vectorized`` reference, verifies the values
-agree bitwise-closely, and reports a machine-readable JSON line per workload.
+The thread backend only overlaps inside LAPACK, so a pure-Python oracle path
+holds the GIL and thread fan-out cannot use more than one core.  Both
+workloads here read torus node tables with stacked LAPACK, where the GIL is
+mostly released: the partition sampler, and the nonsymmetric k-DPP (the
+``charpoly`` workload, named for the characteristic-polynomial minor sums it
+ran before it became the one-part partition DPP).  So they measure what
+``process`` wins without a GIL-bound share.  This sweep times one large
+``counting`` round on both workloads through the ``threads`` and ``process``
+backends (same worker count) plus the single-process ``vectorized``
+reference, verifies the values agree bitwise-closely, and reports a
+machine-readable JSON line per workload.
 
 Acceptance target: ``process`` ≥ 2x faster than ``threads`` with 4 workers on
 a ≥ 4-core host.  The pytest entry points warn (rather than flake) when the

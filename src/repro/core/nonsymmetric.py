@@ -4,7 +4,10 @@ Nonsymmetric DPPs are ``O(1)``-fractionally log-concave (Lemma 24), hence
 entropically independent (Lemma 23), so Theorem 29's meta-sampler applies;
 this module provides the two instantiations of Theorem 8:
 
-1. k-DPPs defined by an nPSD matrix (``Õ(√k (k/ε)^c)`` depth);
+1. k-DPPs defined by an nPSD matrix (``Õ(√k (k/ε)^c)`` depth), whose
+   counting oracle reads ``det(I + zL)``'s coefficients off torus tables
+   built once per sample (:class:`repro.dpp.nonsymmetric.NonsymmetricKDPP`,
+   the one-part Partition-DPP; ``n ≤ 406``);
 2. unconstrained nonsymmetric DPPs (sample the cardinality first as in
    Remark 15, then run the k-DPP sampler; ``Õ(√n (n/ε)^c)`` depth).
 """

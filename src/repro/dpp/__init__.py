@@ -6,10 +6,12 @@ with their ``NC``-style counting oracles:
 * :class:`~repro.dpp.symmetric.SymmetricDPP` / ``SymmetricKDPP`` — PSD ensemble
   matrices (Definition 3, 6).
 * :class:`~repro.dpp.nonsymmetric.NonsymmetricDPP` / ``NonsymmetricKDPP`` —
-  nPSD ensemble matrices (Definitions 4–6).
+  nPSD ensemble matrices (Definitions 4–6); the k-DPP is the one-part
+  ``PartitionDPP``.
 * :class:`~repro.dpp.partition.PartitionDPP` — partition-constrained DPPs
   (Definition 7) with the generating-polynomial counting oracle of
-  [Cel+16], read off a torus DFT.
+  [Cel+16], read off a torus DFT; conditioned children read their root's
+  tables.
 * :mod:`repro.dpp.spectral` — the sequential HKPV spectral sampler (the
   DPPy-style baseline).
 * :mod:`repro.dpp.exact` — brute-force enumeration for ground truth.

@@ -1,8 +1,11 @@
 """Partition-constrained DPPs (Definition 7) with a torus counting oracle.
 
-``μ(S) ∝ det(L_S) · ∏_i 1[|S ∩ V_i| = c_i]`` for a symmetric PSD ensemble
-matrix ``L``, a partition ``V_1 ∪ ... ∪ V_r = [n]`` with ``r = O(1)``, and
-target counts ``c_1, ..., c_r``.
+``μ(S) ∝ det(L_S) · ∏_i 1[|S ∩ V_i| = c_i]`` for an ensemble matrix ``L``, a
+partition ``V_1 ∪ ... ∪ V_r = [n]`` with ``r = O(1)``, and target counts
+``c_1, ..., c_r``.  :class:`PartitionDPP` takes a symmetric PSD ``L``.  Nothing
+below needs symmetry, so the nonsymmetric k-DPP
+(:class:`~repro.dpp.nonsymmetric.NonsymmetricKDPP`) is the one-part case over
+an nPSD ``L``.
 
 The counting oracle reads the coefficient of ``∏ z_i^{c_i}`` in the
 ``r``-variate polynomial [Cel+16]
@@ -14,14 +17,22 @@ It has degree at most ``|V_i|`` in ``z_i``, so its values on a torus of
 coefficient: a Vandermonde solve on roots of unity, which cannot amplify
 rounding.  With ``A = I + L · diag(z)``, the sets containing ``T`` have the
 generating polynomial ``det(A) · det(I − A⁻¹[T, T])``, so tables of
-``det A_m`` and ``A_m⁻¹`` at the torus nodes, built once per distribution,
-answer every count with stacked ``|T| x |T|`` determinants.  Conditioning
-on inclusion of ``T`` maps to the Schur complement ``L^T`` together with
-reduced part sizes and counts (Section 3.2 of the paper).
+``det A_m`` and ``A_m⁻¹`` at the torus nodes, built once per root
+distribution, answer every count with stacked ``|T| x |T|`` determinants.
+
+Conditioning on inclusion of ``A`` (Section 3.2 of the paper) keeps the
+root's tables: the child's count of ``T`` is the root's count of ``A ∪ T``
+divided by ``det(L_A)``, which is the count the Schur complement ``L^A``
+with reduced part sizes and counts has.  No child builds tables.
+
+The tables hold ``∏ (|V_i| + 1)`` complex ``n x n`` inverses and may take at
+most ``_GRID_BUDGET_BYTES`` (1 GiB), so a one-part kernel fits up to
+``n = 406``.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from typing import Iterable, List, Optional, Sequence, Tuple
 
@@ -32,7 +43,6 @@ from repro.dpp.kernels import validate_ensemble
 from repro.dpp.likelihood import dpp_unnormalized
 from repro.linalg.batch import group_by_size
 from repro.linalg.esp import _saddle_radius
-from repro.linalg.schur import condition_ensemble
 from repro.pram.tracker import current_tracker
 from repro.utils.validation import check_subset
 
@@ -49,8 +59,8 @@ class InterpolationGridTooLarge(ValueError):
     """The torus grid of a Partition-DPP's counting oracle exceeds the memory budget.
 
     The grid has ``∏ (|P_i| + 1)`` nodes, each an ``n x n`` complex matrix,
-    so a few large parts already ask for more memory than any host has.
-    Raised before anything is allocated.
+    so a few large parts already ask for more memory than any host has, and
+    one part fits up to ``n = 406``.  Raised before anything is allocated.
     """
 
 
@@ -60,15 +70,18 @@ def torus_tables(L: np.ndarray, parts: Sequence[Sequence[int]],
 
     Axis ``i`` of the torus has the ``N_i = |V_i| + 1`` nodes
     ``ρ_i e^{iθ}``, ``θ = 2πj / N_i``, and every element of ``V_i`` takes the
-    axis's value.  The radius ``ρ_i`` is the saddle point of the block
-    ``L[V_i, V_i]`` for ``max(c_i, ½)`` items (1 for a block with no positive
-    eigenvalue), so each axis keeps its own scale.  The weights
+    axis's value.  The radius ``ρ_i`` is the saddle point of the moduli of the
+    eigenvalues of the block ``L[V_i, V_i]`` for ``max(c_i, ½)`` items (1 for
+    a zero block), so each axis keeps its own scale; the moduli serve a
+    nonsymmetric block as well as a symmetric one.  The weights
     ``w_m = e^{−i Σ_i c_i θ_im} / (N ∏_i ρ_i^{c_i})`` over the ``N = ∏ N_i``
     nodes turn a sum of node values into the coefficient of ``∏ z_i^{c_i}``.
     The inverses are stacked node-last, ``inverses[i, j, m] = (A_m⁻¹)_ij``,
     so a set's blocks at every node are one contiguous gather.  A grid whose
     stack would exceed ``_GRID_BUDGET_BYTES`` raises
-    :class:`InterpolationGridTooLarge` before anything is allocated.
+    :class:`InterpolationGridTooLarge` before anything is allocated.  The
+    build is charged as its determinant work on ``nodes`` machines; it
+    answers no query, so it makes no oracle call.
     """
     n = L.shape[0]
     shape = tuple(len(part) + 1 for part in parts)
@@ -84,7 +97,7 @@ def torus_tables(L: np.ndarray, parts: Sequence[Sequence[int]],
     scale = float(nodes)
     grid = np.indices(shape).reshape(len(shape), nodes)     # node m's index on each axis
     for part, count, size, index in zip(parts, counts, shape, grid):
-        spectrum = np.linalg.eigvalsh(L[np.ix_(part, part)])
+        spectrum = np.abs(np.linalg.eigvals(L[np.ix_(part, part)]))
         rho = _saddle_radius(spectrum, max(count, 0.5)) if np.any(spectrum > 0) else 1.0
         theta = 2.0 * np.pi * index / size
         z[:, list(part)] = (rho * np.exp(1j * theta))[:, None]
@@ -92,7 +105,7 @@ def torus_tables(L: np.ndarray, parts: Sequence[Sequence[int]],
         scale *= rho ** count
     tracker = current_tracker()
     with tracker.round("partition-tables"):
-        tracker.charge_determinant(n, count=nodes)
+        tracker.charge(work=nodes * tracker.cost_model.determinant_work(n), machines=float(nodes))
         stack = np.eye(n) + L[None] * z[:, None, :]              # A_m at every node
         weighted = np.linalg.det(stack) * np.exp(-1j * phase) / scale
         stack = np.linalg.inv(stack)  # rebound, so at most two stacks are alive
@@ -141,6 +154,13 @@ class PartitionDPP(HomogeneousDistribution):
         # supply the node tables ``torus_tables`` builds for this kernel, so
         # repeated constructions skip the stacked inverses
         self._tables = tables
+        # a root: ``condition`` hands its children this ``L``, these tables
+        # and this partition, with the conditioned root items ``_given``,
+        # ``det(L_given)`` and each child item's root index
+        self._root = (tuple(self.parts), self.counts, self._labels)
+        self._given: Tuple[int, ...] = ()
+        self._det_given = 1.0
+        self._items = np.arange(self.n)
         if validate or tables is not None:
             if self.partition_function() <= 0:
                 raise ValueError("partition constraints have zero probability under the DPP")
@@ -155,12 +175,11 @@ class PartitionDPP(HomogeneousDistribution):
         return int(self._part_of[int(element)])
 
     def worker_payload(self):
-        """Ship ``L``, the partition structure, and the node tables once built."""
-        params = {
-            "parts": tuple(tuple(part) for part in self.parts),
-            "counts": self.counts,
-            "labels": self._labels,
-        }
+        """Ship the root's ``L``, partition and node tables (once built) and
+        the conditioned root items, so every child of one root shares one
+        set of shipped arrays."""
+        parts, counts, labels = self._root
+        params = {"parts": parts, "counts": counts, "labels": labels, "given": self._given}
         if self._tables is None:
             return {"L": self.L}, params
         weighted, inverses = self._tables
@@ -169,8 +188,9 @@ class PartitionDPP(HomogeneousDistribution):
     @classmethod
     def from_worker_payload(cls, arrays, params):
         tables = (arrays["weighted_dets"], arrays["inverses"]) if "inverses" in arrays else None
-        return cls(arrays["L"], params["parts"], params["counts"], validate=False,
+        root = cls(arrays["L"], params["parts"], params["counts"], validate=False,
                    labels=params["labels"], tables=tables)
+        return root.condition(params["given"])
 
     def oracle_cost_hint(self) -> float:
         """Stacked LAPACK, like :func:`~repro.linalg.esp.kdpp_counts_from_factor`.
@@ -190,22 +210,32 @@ class PartitionDPP(HomogeneousDistribution):
             tallies[self._part_of[item]] += 1
         return tuple(tallies) == self.counts
 
+    def _in_root(self, idx: np.ndarray) -> np.ndarray:
+        """Sorted root indices of ``given ∪ T`` for each row ``T`` of ``idx``."""
+        if not self._given:
+            return idx
+        given = np.broadcast_to(self._given, (len(idx), len(self._given)))
+        return np.sort(np.concatenate([given, self._items[idx]], axis=1), axis=1)
+
     def unnormalized(self, subset: Iterable[int]) -> float:
         items = check_subset(subset, self.n)
         if len(items) != self.k or not self._satisfies_constraints(items):
             return 0.0
-        return max(dpp_unnormalized(self.L, items), 0.0)
+        union = self._in_root(np.array([items], dtype=int))[0]
+        return max(dpp_unnormalized(self.L, union), 0.0) / self._det_given
 
     # ------------------------------------------------------------------ #
     # counting oracle on the torus
     # ------------------------------------------------------------------ #
     def _node_tables(self) -> Tuple[np.ndarray, np.ndarray]:
-        # built once: every count of this distribution reads them
+        # built once per root: every count of it and of its children reads them
         if self._tables is None:
             self._tables = torus_tables(self.L, self.parts, self.counts)
         return self._tables
 
     def partition_function(self) -> float:
+        if self._given:
+            return self.counting(())
         weighted, _ = self._node_tables()
         return max(float(np.sum(weighted).real), 0.0)
 
@@ -228,40 +258,47 @@ class PartitionDPP(HomogeneousDistribution):
         return np.clip(marginals, 0.0, 1.0)
 
     def counting_batch(self, subsets: Sequence[Sequence[int]]) -> np.ndarray:
-        """Batched counting off the node tables, one stacked call per size group.
+        """Batched counting off the root's node tables, one stacked call per size group.
 
-        Sets that break a quota or have ``det(L_T) <= 0`` count 0, and sets of
-        size ``k`` count ``det(L_T)``.  Every other set counts
-        ``Re Σ_m w_m det A_m · det(I − A_m⁻¹[T, T])``, clipped at 0, from
-        ``|T| x |T|`` blocks gathered in chunks of at most
+        A set ``T`` is read as the root set ``U = A ∪ T``, where ``A`` holds
+        the conditioned root items (none at a root).  Sets that break a quota
+        or have ``det(L_U) <= 0`` count 0, and sets of size ``k`` count
+        ``det(L_U) / det(L_A)``.  Every other set counts
+        ``Re Σ_m w_m det A_m · det(I − A_m⁻¹[U, U]) / det(L_A)``, clipped at
+        0, from ``|U| x |U|`` blocks gathered in chunks of at most
         ``_QUERY_CHUNK_BYTES``.  A set's count does not depend on what it is
-        batched with.
+        batched with.  Each set is one oracle call on one machine; its
+        determinants are charged as work.
         """
         values = np.zeros(len(subsets), dtype=float)
         tracker = current_tracker()
         for t, positions in group_by_size(subsets).items():
-            if t == 0:
+            idx = np.array([check_subset(subsets[p], self.n) for p in positions], dtype=int)
+            union = self._in_root(idx)
+            size = union.shape[1]
+            tracker.charge(work=len(idx) * tracker.cost_model.determinant_work(size),
+                           machines=float(len(idx)), oracle_calls=len(idx))
+            if size == 0:
                 values[positions] = self.partition_function()
                 continue
-            idx = np.array([check_subset(subsets[p], self.n) for p in positions], dtype=int)
             taken = (self._part_of[idx][:, :, None] == np.arange(self.r)).sum(axis=1)
-            tracker.charge_determinant(t, count=len(idx))
-            dets = np.linalg.det(self.L[idx[:, :, None], idx[:, None, :]])
+            dets = np.linalg.det(self.L[union[:, :, None], union[:, None, :]])
             ok = np.flatnonzero(np.all(taken <= self.counts, axis=1) & (dets > 0))
             out = np.zeros(len(idx), dtype=float)
             if t == self.k:
                 out[ok] = dets[ok]
             elif ok.size:
-                out[ok] = self._torus_counts(idx[ok])
-            values[positions] = out
+                out[ok] = self._torus_counts(union[ok])
+            values[positions] = out / self._det_given
         return values
 
     def _torus_counts(self, idx: np.ndarray) -> np.ndarray:
-        """Counts of the equal-size sets ``idx`` (one sorted row each)."""
+        """Root counts of the equal-size root sets ``idx`` (one sorted row each)."""
         weighted, inverses = self._node_tables()
         sets, t = idx.shape
         nodes = weighted.size
-        current_tracker().charge_determinant(t, count=sets * nodes)
+        tracker = current_tracker()
+        tracker.charge(work=sets * nodes * tracker.cost_model.determinant_work(t))
         chunk = max(1, _QUERY_CHUNK_BYTES // (nodes * t * t * np.dtype(complex).itemsize))
         out = np.empty(sets, dtype=float)
         for start in range(0, sets, chunk):
@@ -281,20 +318,35 @@ class PartitionDPP(HomogeneousDistribution):
 
     # ------------------------------------------------------------------ #
     def condition(self, include: Iterable[int]) -> "PartitionDPP":
+        """The distribution given ``include ⊆ S``, answered from the root's tables.
+
+        The child keeps the root's ``L``, tables and partition, and records
+        the conditioned root items ``A`` with ``det(L_A)``; its ``counts``
+        and ``k`` are the reduced ones.  Raises ``ValueError`` when a quota
+        goes negative or ``det(L_A) <= 0``: the event has zero probability.
+        """
         items = check_subset(include, self.n)
         if not items:
             return self
-        taken = [0] * self.r
-        for item in items:
-            taken[self._part_of[item]] += 1
-        reduced_counts = [c - t for c, t in zip(self.counts, taken)]
-        if any(c < 0 for c in reduced_counts):
+        taken = np.bincount(self._part_of[list(items)], minlength=self.r)
+        counts = tuple(int(c - t) for c, t in zip(self.counts, taken))
+        if min(counts) < 0:
             raise ValueError(f"conditioning on {items} violates the partition constraints")
-        L_cond, remaining = condition_ensemble(self.L, items)
-        L_cond = 0.5 * (L_cond + L_cond.T)
-        labels = tuple(self._labels[i] for i in remaining)
-        old_to_new = {old: new for new, old in enumerate(remaining)}
-        new_parts = []
-        for part in self.parts:
-            new_parts.append([old_to_new[i] for i in part if i in old_to_new])
-        return PartitionDPP(L_cond, new_parts, reduced_counts, validate=False, labels=labels)
+        given = tuple(sorted(self._given + tuple(int(i) for i in self._items[list(items)])))
+        sign, logdet = np.linalg.slogdet(self.L[np.ix_(given, given)])
+        if sign <= 0:
+            raise ValueError(f"conditioning event {items} has zero probability: "
+                             f"det(L_A) <= 0 for root items A={given}")
+        keep = np.setdiff1d(np.arange(self.n), items)
+        child = copy.copy(self)
+        child._tables = self._node_tables()
+        child._given = given
+        child._det_given = float(np.exp(logdet))
+        child._items = self._items[keep]
+        child._part_of = self._part_of[keep]
+        child._labels = tuple(self._labels[i] for i in keep)
+        child.n = len(keep)
+        child.parts = [tuple(np.flatnonzero(child._part_of == i).tolist()) for i in range(self.r)]
+        child.counts = counts
+        child.k = sum(counts)
+        return child

@@ -14,8 +14,8 @@ identical samples no matter which backend executes them.
   determinants overlap on multicore hosts.
 * :class:`ProcessPoolBackend` — worker *processes* fed through
   :mod:`multiprocessing.shared_memory` (:mod:`repro.engine.shm`), so
-  GIL-bound pure-Python oracle paths (ESP tables, charpoly minor sums) get
-  real multicore parallelism.
+  GIL-bound pure-Python oracle paths (a distribution's scalar
+  ``counting()`` loop) get real multicore parallelism.
 
 Every backend charges the PRAM tracker identically: one adaptive round per
 batch, ``n_queries`` machines, with per-query determinant work charged by the
@@ -405,7 +405,7 @@ class ProcessPoolBackend(ExecutionBackend):
     """Worker-process fan-out over a shared-memory kernel store.
 
     The thread backend only overlaps inside LAPACK; pure-Python oracle paths
-    (ESP tables, charpoly minor sums) serialize on the GIL.  This backend
+    (a distribution's scalar ``counting()`` loop) serialize on the GIL.  This backend
     executes each batch across worker processes instead: the kernel/ensemble
     payload is placed once in :mod:`multiprocessing.shared_memory`
     (content-fingerprinted, cached on both sides — see

@@ -16,7 +16,6 @@ from repro.linalg.determinant import (
 from repro.linalg.schur import schur_complement, condition_ensemble
 from repro.linalg.esp import elementary_symmetric_polynomials, esp_from_matrix
 from repro.linalg.batch import (
-    batched_schur_complements,
     conditioned_factor,
     grouped_log_principal_minors,
     grouped_principal_minors,
@@ -50,7 +49,6 @@ __all__ = [
     "condition_ensemble",
     "elementary_symmetric_polynomials",
     "esp_from_matrix",
-    "batched_schur_complements",
     "conditioned_factor",
     "grouped_log_principal_minors",
     "grouped_principal_minors",

@@ -2,15 +2,13 @@
 
 The engine (:mod:`repro.engine`) turns each adaptive round of a sampler into
 an :class:`~repro.engine.batch.OracleBatch` — many independent determinant /
-Schur-complement / spectrum queries against the same matrix.  This module
-provides the NumPy-stacked primitives the vectorized execution backend fans
-those queries out with:
+spectrum queries against the same matrix.  This module provides the
+NumPy-stacked primitives the vectorized execution backend fans those queries
+out with:
 
 * :func:`stacked_principal_submatrices` / :func:`grouped_principal_minors` /
   :func:`grouped_log_principal_minors` — principal minors of many (possibly
   mixed-size) index subsets via stacked ``det`` / ``slogdet`` calls;
-* :func:`batched_schur_complements` — Schur complements ``M^T`` for many
-  equal-size blocks ``T`` in one stacked ``solve``;
 * :func:`conditioned_factor` / :func:`lowrank_conditioned_gram` — conditioning
   in factor space: for a PSD ``L = B Bᵀ`` the Schur complement is
   ``L^T = F Fᵀ`` with ``F = B_O Q`` and the projector
@@ -41,7 +39,6 @@ __all__ = [
     "stacked_principal_submatrices",
     "grouped_principal_minors",
     "grouped_log_principal_minors",
-    "batched_schur_complements",
     "conditioned_factor",
     "lowrank_conditioned_gram",
     "psd_factor",
@@ -111,37 +108,6 @@ def grouped_log_principal_minors(matrix: np.ndarray, subsets: Sequence[Sequence[
         signs, logdets = np.linalg.slogdet(stacked)
         values[positions] = np.where(signs > 0, logdets, -np.inf)
     return values
-
-
-def batched_schur_complements(matrix: np.ndarray, subsets: Sequence[Sequence[int]]
-                              ) -> Tuple[np.ndarray, np.ndarray]:
-    """Schur complements ``M^T`` for many equal-size blocks ``T`` at once.
-
-    Returns ``(stack, complements)`` where ``stack[b]`` is the Schur complement
-    with respect to ``subsets[b]`` and ``complements[b]`` lists the surviving
-    row/column labels (ascending).  Mirrors the scalar operation order of
-    :func:`repro.linalg.schur.schur_complement` so results agree bitwise.
-    """
-    a = check_square(matrix, "matrix")
-    n = a.shape[0]
-    idx = _index_array(subsets, n)
-    batch, m = idx.shape
-    sizes = {len(s) for s in subsets}
-    if len(sizes) > 1:
-        raise ValueError(f"all subsets must have equal size, got sizes {sorted(sizes)}")
-    current_tracker().charge_determinant(n, count=batch)
-    mask = np.zeros((batch, n), dtype=bool)
-    if m:
-        mask[np.arange(batch)[:, None], idx] = True
-    comp = np.nonzero(~mask)[1].reshape(batch, n - m)
-    if m == 0:
-        return np.broadcast_to(a, (batch, n, n)).copy(), comp
-    a_bb = a[idx[:, :, None], idx[:, None, :]]
-    a_bo = a[idx[:, :, None], comp[:, None, :]]
-    a_ob = a[comp[:, :, None], idx[:, None, :]]
-    a_oo = a[comp[:, :, None], comp[:, None, :]]
-    solve = np.linalg.solve(a_bb, a_bo)
-    return a_oo - a_ob @ solve, comp
 
 
 def psd_factor(L: np.ndarray, *, tol: float = 1e-12) -> np.ndarray:

@@ -3,9 +3,9 @@
 Every sampler in this repository front-loads the same expensive linear
 algebra before any randomness happens: the eigendecomposition of the
 symmetrized ensemble, a rank-revealing PSD factor and its Gram companion, the
-ESP table of the spectrum, characteristic-polynomial minor sums
-(nonsymmetric kernels) and the torus-oracle node tables (partition
-kernels).  Serving traffic against a registered kernel should pay those costs
+ESP table of the spectrum, characteristic-polynomial minor sums (the
+nonsymmetric DPP's cardinality) and the torus-oracle node tables (partition
+kernels and nonsymmetric k-DPPs).  Serving traffic against a registered kernel should pay those costs
 once, not per request — the amortization regime of Barthelmé–Tremblay–Amblard
 and of the preprocess-then-sample line of work in PAPERS.md.
 
@@ -216,15 +216,6 @@ class KernelFactorization:
         """``[Σ_{|S|=j} det(L_S)]_{j=0..n}`` via the characteristic polynomial."""
         return self._get("minor_sums", lambda: all_principal_minor_sums(self.matrix))
 
-    def minor_sum(self, order: int) -> float:
-        """``Σ_{|S|=order} det(L_S)`` — matches
-        :func:`repro.dpp.likelihood.sum_principal_minors` value for value."""
-        if order < 0 or order > self.n:
-            return 0.0
-        if order == 0:
-            return 1.0
-        return float(self.minor_sums[order])
-
     @property
     def nonsym_size_distribution(self) -> np.ndarray:
         """Cardinality distribution of the nonsymmetric DPP — matches
@@ -295,7 +286,8 @@ class KernelFactorization:
         """Node tables of the Partition-DPP torus oracle
         (:func:`repro.dpp.partition.torus_tables`), memoized per
         ``(parts, counts)``: their stacked inverses are the dominant
-        preprocessing cost of the partition sampler."""
+        preprocessing cost of the partition sampler, and of the nonsymmetric
+        k-DPP, whose tables are the one part ``[n]`` with count ``k``."""
         from repro.dpp.partition import torus_tables  # deferred: dpp -> service has no cycle, keep it that way
 
         parts_key = tuple(tuple(sorted(int(i) for i in part)) for part in parts)
@@ -427,8 +419,9 @@ class KernelFactorization:
             patched["kernel"] = self._freeze(kernel)
             if "det_identity_plus" in sources:
                 patched["det_identity_plus"] = float(sources["det_identity_plus"]) * ratio
-        # charpoly memos (minor_sums, nonsym_size_distribution) have no cheap
-        # incremental form — they fall back to lazy recompute on the new entry
+        # charpoly memos (minor_sums, nonsym_size_distribution) and torus
+        # tables have no cheap incremental form — they fall back to lazy
+        # recompute on the new entry
 
         new._install_patched(patched)
         return new

@@ -158,7 +158,7 @@ class SamplerSession:
         """Precompute every factorization artifact this kernel's samplers use.
 
         Moves the lazy per-artifact preprocessing (eigendecompositions, PSD
-        factors, ESP tables, minor sums, partition normalizers) out of the
+        factors, ESP tables, minor sums, partition torus tables) out of the
         first request's latency; see
         :meth:`~repro.service.cache.KernelFactorization.warm`.  Returns the
         session for chaining: ``repro.serve(L).warm()``.
@@ -217,8 +217,11 @@ class SamplerSession:
             if k is None:
                 return NonsymmetricDPP(entry.matrix, validate=False).attach_precomputed(
                     kernel=fact.kernel, partition_function=fact.det_identity_plus)
-            return NonsymmetricKDPP(entry.matrix, int(k), validate=False,
-                                    partition_function=max(fact.minor_sum(int(k)), 0.0))
+            # the one-part partition tables, memoized per k like a partition
+            # kernel's; an infeasible k is refused by the constructor, unbuilt
+            n = entry.matrix.shape[0]
+            tables = fact.partition_tables([range(n)], [int(k)]) if 0 <= int(k) <= n else None
+            return NonsymmetricKDPP(entry.matrix, int(k), validate=False, tables=tables)
         if entry.kind == "lowrank":
             # entry.matrix is the (n, r) factor; thread the cached r x r duals
             kernel = LowRankKernel(entry.matrix, validate=False)

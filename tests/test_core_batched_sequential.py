@@ -14,6 +14,8 @@ from repro.core.batched import (
 from repro.core.sequential import sequential_sample
 from repro.distributions.generic import uniform_distribution_on_size_k
 from repro.dpp.exact import exact_kdpp_distribution
+from repro.dpp.nonsymmetric import NonsymmetricKDPP
+from repro.dpp.partition import PartitionDPP
 from repro.dpp.symmetric import SymmetricDPP, SymmetricKDPP
 from repro.pram.tracker import Tracker
 from repro.workloads import random_psd_ensemble
@@ -132,10 +134,14 @@ class TestSequentialSampler:
         assert len(result.subset) == 3
         assert dist.unnormalized(result.subset) > 0
 
-    def test_depth_is_linear_in_k(self, small_psd):
-        for k in (1, 2, 4):
-            result = sequential_sample(SymmetricKDPP(small_psd, k), seed=1)
-            assert result.report.rounds == 2 * k  # marginals round + pick round per step
+    def test_depth_is_linear_in_k(self, small_psd, small_npsd, clustered):
+        L, parts = clustered
+        for k, counts in ((1, (1, 0)), (2, (1, 1)), (4, (2, 2))):
+            # a conditioned child reads its root's tables: no child builds any
+            for dist in (SymmetricKDPP(small_psd, k), PartitionDPP(L, parts, counts),
+                         NonsymmetricKDPP(small_npsd, k)):
+                result = sequential_sample(dist, seed=1)
+                assert result.report.rounds == 2 * k  # marginals round + pick round per step
 
     def test_requires_fixed_cardinality(self, small_psd):
         with pytest.raises(ValueError):

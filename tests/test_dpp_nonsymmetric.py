@@ -7,6 +7,7 @@ import pytest
 
 from repro.dpp.exact import exact_dpp_distribution, exact_kdpp_distribution
 from repro.dpp.nonsymmetric import NonsymmetricDPP, NonsymmetricKDPP
+from repro.dpp.partition import InterpolationGridTooLarge
 from repro.distributions.negative_corr import negative_correlation_violations
 from repro.utils.subsets import all_subsets_of_size
 from repro.workloads import random_npsd_ensemble
@@ -214,3 +215,8 @@ class TestNonsymmetricExactness:
                 direct = sum(np.linalg.det(L[np.ix_(top + [j], top + [j])])
                              for j in range(100) if j not in top) / det_given
                 assert dist.counting(T) == pytest.approx(direct, rel=1e-11)
+
+    def test_size_ceiling_refused_before_allocating(self):
+        # the tables of n = 407 need (n + 1) complex n x n matrices, over 1 GiB
+        with pytest.raises(InterpolationGridTooLarge, match=r"\(408,\) has 408 nodes"):
+            NonsymmetricKDPP(np.eye(407), 3)

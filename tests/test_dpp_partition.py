@@ -6,11 +6,14 @@ import time
 import numpy as np
 import pytest
 
+import repro.dpp.partition as partition_module
+from repro.core.nonsymmetric import sample_nonsymmetric_kdpp_parallel
+from repro.core.partition import sample_partition_dpp_parallel
 from repro.dpp.exact import exact_partition_dpp_distribution
 from repro.dpp.partition import InterpolationGridTooLarge, PartitionDPP
 from repro.service import KernelRegistry, serve
 from repro.utils.subsets import all_subsets_of_size
-from repro.workloads import clustered_ensemble, random_psd_ensemble
+from repro.workloads import clustered_ensemble, random_npsd_ensemble, random_psd_ensemble
 
 
 @pytest.fixture
@@ -95,6 +98,19 @@ class TestPartitionDPPBasics:
         conditioned = pdpp.condition((parts[1][0],))
         assert conditioned.counts == (2, 0)
         assert conditioned.k == 2
+
+    def test_one_table_build_per_sample(self, monkeypatch):
+        # conditioned children read their root's tables: a Theorem-9 and a
+        # Theorem-8 sample each build them once, for the root
+        builds = []
+        build = partition_module.torus_tables
+        monkeypatch.setattr(partition_module, "torus_tables",
+                            lambda *args: builds.append(len(args[0])) or build(*args))
+        L, parts = clustered_ensemble([10, 10], within=0.6, across=0.05, scale=1.5, seed=0)
+        sample_partition_dpp_parallel(L, parts, (3, 3), seed=0, backend="vectorized")
+        sample_nonsymmetric_kdpp_parallel(random_npsd_ensemble(30, seed=0), 6, seed=0,
+                                          backend="vectorized")
+        assert builds == [20, 30]
 
     def test_condition_violating_constraints_raises(self, partition_setup):
         L, parts, counts = partition_setup

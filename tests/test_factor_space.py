@@ -21,6 +21,8 @@ from repro import KernelRegistry, sample_symmetric_kdpp_parallel, serve
 from repro.distributions.base import CountingOracleError
 from repro.distributions.lowrank import LowRankKDPP, LowRankKernel
 from repro.dpp.elementary import leave_one_out_esp
+from repro.dpp.nonsymmetric import NonsymmetricKDPP
+from repro.dpp.partition import PartitionDPP
 from repro.dpp.symmetric import SymmetricKDPP
 from repro.engine import OracleBatch, resolve_backend
 from repro.linalg.batch import (
@@ -34,7 +36,7 @@ from repro.linalg.esp import elementary_symmetric_polynomials, kdpp_counts_from_
 from repro.linalg.schur import condition_ensemble
 from repro.pram.tracker import Tracker, use_tracker
 from repro.utils.validation import check_subset
-from repro.workloads import random_psd_ensemble
+from repro.workloads import random_npsd_ensemble, random_psd_ensemble
 
 EPS = np.finfo(float).eps
 
@@ -405,13 +407,22 @@ class TestCircleCounts:
             dist.counting_batch([(1, 2)])
 
     def test_one_oracle_call_per_query(self):
-        dist = SymmetricKDPP(random_psd_ensemble(60, rank=20, seed=5), 6)
-        subsets = _random_subsets(np.random.default_rng(3), 60, 2, 17)
-        dist._factor_spectrum()   # warm: the decomposition is charged once, elsewhere
-        tracker = Tracker()
-        with use_tracker(tracker):
-            dist.counting_batch(subsets)
-        assert tracker.oracle_calls == 17
+        kdpp = SymmetricKDPP(random_psd_ensemble(60, rank=20, seed=5), 6)
+        kdpp._factor_spectrum()   # warm: the decomposition is charged once, elsewhere
+        # warm torus roots (built at construction) on 16 x 16 = 256 and 31
+        # nodes, and children that read their root's tables: a node
+        # determinant is work, not a query
+        partition = PartitionDPP(random_psd_ensemble(30, seed=5),
+                                 [list(range(15)), list(range(15, 30))], [2, 2])
+        nonsymmetric = NonsymmetricKDPP(random_npsd_ensemble(30, seed=5), 6)
+        for dist in (kdpp, partition, partition.condition((3,)),
+                     nonsymmetric, nonsymmetric.condition((3,))):
+            subsets = _random_subsets(np.random.default_rng(3), dist.n, 2, 17)
+            tracker = Tracker()
+            with use_tracker(tracker):
+                dist.counting_batch(subsets)
+            assert tracker.oracle_calls == 17
+            assert tracker.peak_machines <= 17
 
 
 # ---------------------------------------------------------------------- #

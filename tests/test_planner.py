@@ -41,10 +41,11 @@ from repro.engine import (
 from repro.engine.backends import _pin_worker_blas_threads, _WORKER_BLAS_ENV_VARS
 from repro.engine.planner import PLANNED_KINDS, shape_bucket
 from repro.core.symmetric import sample_symmetric_kdpp_parallel
+from repro.core.nonsymmetric import sample_nonsymmetric_kdpp_parallel
 from repro.core.partition import sample_partition_dpp_parallel
 from repro.pram.cost import CostModel
 from repro.pram.tracker import Tracker, use_tracker
-from repro.workloads import clustered_ensemble, random_psd_ensemble
+from repro.workloads import clustered_ensemble, random_npsd_ensemble, random_psd_ensemble
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
@@ -333,23 +334,32 @@ class _AnsweringStub(_StubBackend):
 
 class TestDefaultAutoOnTheorem9:
     def test_default_auto_keeps_theorem9_in_process(self):
-        """Theorem-9 rounds stay on ``vectorized`` on a 2-lane pool.
+        """Theorem-9 and Theorem-8 rounds stay on ``vectorized`` on a 2-lane pool.
 
-        The torus oracle is stacked LAPACK (``oracle_cost_hint()`` 0.1), so a
-        round measured at 20 ms, longer than any Theorem-9 round at parts of
-        10 on a 2-vCPU host, guesses ``process`` at 0.95 · 20 + 2 ms: three
-        samples route no round there.  The stubs answer with real values and
-        pin the measured time, so host load cannot move a decision.
+        Both read the torus oracle, stacked LAPACK (``oracle_cost_hint()``
+        0.1), so a round measured at 20 ms, longer than any Theorem-9 round
+        at parts of 10 on a 2-vCPU host, guesses ``process`` at
+        0.95 · 20 + 2 ms: three samples of each route no round there.  The
+        stubs answer with real values and pin the measured time, so host load
+        cannot move a decision.
         """
-        backends = {"vectorized": _AnsweringStub("vectorized", 0.02),
-                    "process": _AnsweringStub("process", 1e-6, parallelism=2,
-                                              escapes_gil=True, dispatch_overhead_s=2e-3)}
-        auto = AutoBackend(RoundPlanner(backends=backends))
         L, parts = clustered_ensemble([10, 10, 10], within=0.6, across=0.05, scale=1.5, seed=0)
-        for seed in range(3):
-            sample_partition_dpp_parallel(L, parts, [2, 2, 2], seed=seed, backend=auto)
-        assert backends["vectorized"].calls > 0
-        assert backends["process"].calls == 0
+        L_ns = random_npsd_ensemble(30, seed=0)
+        draws = {
+            "theorem 9": lambda seed, auto: sample_partition_dpp_parallel(
+                L, parts, [2, 2, 2], seed=seed, backend=auto),
+            "theorem 8": lambda seed, auto: sample_nonsymmetric_kdpp_parallel(
+                L_ns, 6, seed=seed, backend=auto),
+        }
+        for name, draw in draws.items():
+            backends = {"vectorized": _AnsweringStub("vectorized", 0.02),
+                        "process": _AnsweringStub("process", 1e-6, parallelism=2,
+                                                  escapes_gil=True, dispatch_overhead_s=2e-3)}
+            auto = AutoBackend(RoundPlanner(backends=backends))
+            for seed in range(3):
+                draw(seed, auto)
+            assert backends["vectorized"].calls > 0, name
+            assert backends["process"].calls == 0, name
 
 
 # ---------------------------------------------------------------------- #

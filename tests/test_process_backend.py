@@ -305,18 +305,21 @@ class TestPayloadRoundTrip:
         assert payload.to_batch().normalizer() == z
 
     def test_warm_payload_spares_workers_every_decomposition(self, monkeypatch):
-        # a warm kernel ships its spectra (a partition kernel its node
-        # tables), so a worker rebuilding it from the payload runs no eigh /
-        # eigvalsh / inv and answers with the same bits
+        # a warm kernel ships its spectra (a partition or nonsymmetric k-DPP
+        # kernel its root's node tables, children included), so a worker
+        # rebuilding it from the payload runs no eigh / eigvalsh / eigvals /
+        # inv and answers with the same bits
         root = SymmetricKDPP(random_psd_ensemble(14, seed=3), 6)
         partition = PartitionDPP(random_psd_ensemble(14, seed=3),
                                  [list(range(7)), list(range(7, 14))], [3, 3])
+        nonsymmetric = NonsymmetricKDPP(random_npsd_ensemble(14, seed=3), 6)
         queries = [(0,), (1, 5), ()]
-        for dist in (root, root.condition((2,)), partition, partition.condition((2,))):
+        for dist in (root, root.condition((2,)), partition, partition.condition((2,)),
+                     nonsymmetric, nonsymmetric.condition((2,))):
             expected = dist.counting_batch(queries)  # warms what these queries read
             calls = []
             with monkeypatch.context() as patch:
-                for name in ("eigh", "eigvalsh", "inv"):
+                for name in ("eigh", "eigvalsh", "eigvals", "inv"):
                     patch.setattr(np.linalg, name, _recording(getattr(np.linalg, name), calls))
                 payload = OracleBatch.counting(dist, queries).to_payload()
                 values = payload.build_distribution().counting_batch(queries)

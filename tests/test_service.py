@@ -260,6 +260,13 @@ class TestSamplerSession:
         session = serve(low_rank, name="lr", registry=registry)
         with pytest.raises(ValueError, match="zero mass"):
             session.sample(k=7, seed=0, method="parallel")
+        # a nonsymmetric k outside [0, n] is refused before its tables are built
+        nonsymmetric = serve(random_npsd_ensemble(10, seed=0), name="ns", kind="nonsymmetric",
+                             registry=registry)
+        for k, message in ((11, "exceeds ground set size"), (-1, "must be >= 0")):
+            with pytest.raises(ValueError, match=message):
+                nonsymmetric.sample(k=k, seed=0)
+        assert not any("partition_tables" in key for key in nonsymmetric.factorization.materialized)
 
     def test_partition_rejects_wrong_k(self, registry):
         L = random_psd_ensemble(6, seed=3)
