@@ -5,9 +5,10 @@ algebra before any randomness happens: the eigendecomposition of the
 symmetrized ensemble, a rank-revealing PSD factor and its Gram companion, the
 ESP table of the spectrum, characteristic-polynomial minor sums (the
 nonsymmetric DPP's cardinality) and the torus-oracle node tables (partition
-kernels and nonsymmetric k-DPPs).  Serving traffic against a registered kernel should pay those costs
-once, not per request — the amortization regime of Barthelmé–Tremblay–Amblard
-and of the preprocess-then-sample line of work in PAPERS.md.
+kernels and nonsymmetric k-DPPs).  Serving traffic against a registered
+kernel should pay those costs once, not per request — the amortization
+regime of Barthelmé–Tremblay–Amblard and of the preprocess-then-sample line
+of work in PAPERS.md.
 
 :class:`KernelFactorization` computes each artifact lazily **with the exact
 routine the corresponding sampler would run** (``np.linalg.eigvalsh`` of the

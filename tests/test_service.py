@@ -266,7 +266,8 @@ class TestSamplerSession:
         for k, message in ((11, "exceeds ground set size"), (-1, "must be >= 0")):
             with pytest.raises(ValueError, match=message):
                 nonsymmetric.sample(k=k, seed=0)
-        assert not any("partition_tables" in key for key in nonsymmetric.factorization.materialized)
+        built = nonsymmetric.factorization.materialized
+        assert not any("partition_tables" in key for key in built)
 
     def test_partition_rejects_wrong_k(self, registry):
         L = random_psd_ensemble(6, seed=3)
