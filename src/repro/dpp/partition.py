@@ -268,7 +268,9 @@ class PartitionDPP(HomogeneousDistribution):
         0, from ``|U| x |U|`` blocks gathered in chunks of at most
         ``_QUERY_CHUNK_BYTES``.  A set's count does not depend on what it is
         batched with.  Each set is one oracle call on one machine; its
-        determinants are charged as work.
+        determinants are charged as work.  A root's normalizer (``T = ∅``)
+        is a sum over its tables and charges nothing, like
+        :meth:`partition_function`, so every backend charges alike.
         """
         values = np.zeros(len(subsets), dtype=float)
         tracker = current_tracker()
@@ -276,11 +278,13 @@ class PartitionDPP(HomogeneousDistribution):
             idx = np.array([check_subset(subsets[p], self.n) for p in positions], dtype=int)
             union = self._in_root(idx)
             size = union.shape[1]
-            tracker.charge(work=len(idx) * tracker.cost_model.determinant_work(size),
-                           machines=float(len(idx)), oracle_calls=len(idx))
             if size == 0:
+                # a root's normalizer is a sum over its tables, as
+                # ``partition_function`` answers it: no query to charge
                 values[positions] = self.partition_function()
                 continue
+            tracker.charge(work=len(idx) * tracker.cost_model.determinant_work(size),
+                           machines=float(len(idx)), oracle_calls=len(idx))
             taken = (self._part_of[idx][:, :, None] == np.arange(self.r)).sum(axis=1)
             dets = np.linalg.det(self.L[union[:, :, None], union[:, None, :]])
             ok = np.flatnonzero(np.all(taken <= self.counts, axis=1) & (dets > 0))

@@ -10,6 +10,7 @@ from repro.core.partition import sample_partition_dpp_parallel
 from repro.core.symmetric import sample_symmetric_kdpp_parallel
 from repro.distributions.base import CountingOracleError, SubsetDistribution
 from repro.distributions.generic import ExplicitDistribution, uniform_distribution_on_size_k
+from repro.dpp.nonsymmetric import NonsymmetricKDPP
 from repro.dpp.partition import PartitionDPP
 from repro.dpp.symmetric import SymmetricKDPP
 from repro.engine import (
@@ -24,7 +25,7 @@ from repro.engine import (
     use_backend,
 )
 from repro.pram.tracker import Tracker
-from repro.workloads import random_psd_ensemble
+from repro.workloads import random_npsd_ensemble, random_psd_ensemble
 
 BACKENDS = [SerialBackend(), VectorizedBackend(), ThreadPoolBackend(max_workers=4)]
 BACKEND_IDS = ["serial", "vectorized", "threads"]
@@ -115,6 +116,24 @@ class TestBatchValueEquivalence:
             backend.execute(OracleBatch.joint_marginals(kdpp, subsets), tracker=tracker)
             depths.append(tracker.rounds)
         assert depths == [1, 1, 1]
+
+    def test_torus_accounting_is_backend_independent(self):
+        # one oracle call and one machine per query on every backend, at a
+        # root (whose normalizer is a table sum) and in a child alike
+        partition = PartitionDPP(random_psd_ensemble(12, seed=1),
+                                 [list(range(6)), list(range(6, 12))], [2, 2])
+        nonsymmetric = NonsymmetricKDPP(random_npsd_ensemble(12, seed=1), 4)
+        subsets = [(0, 1), (2, 3), (4, 5)]
+        for dist in (partition, partition.condition((7,)),
+                     nonsymmetric, nonsymmetric.condition((7,))):
+            charges = []
+            for backend in BACKENDS:
+                tracker = Tracker()
+                backend.execute(OracleBatch.joint_marginals(dist, subsets), tracker=tracker)
+                backend.execute(OracleBatch.counting(dist, subsets + [()]), tracker=tracker)
+                charges.append((tracker.rounds, tracker.oracle_calls, tracker.work,
+                                tracker.peak_machines))
+            assert charges == [charges[0]] * len(BACKENDS), charges
 
 
 class TestSamplerEquivalence:
