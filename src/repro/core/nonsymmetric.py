@@ -9,7 +9,8 @@ this module provides the two instantiations of Theorem 8:
    built once per sample (:class:`repro.dpp.nonsymmetric.NonsymmetricKDPP`,
    the one-part Partition-DPP; ``n ≤ 406``);
 2. unconstrained nonsymmetric DPPs (sample the cardinality first as in
-   Remark 15, then run the k-DPP sampler; ``Õ(√n (n/ε)^c)`` depth).
+   Remark 15, then run the k-DPP sampler; ``Õ(√n (n/ε)^c)`` depth), with
+   the same ``n ≤ 406``.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import numpy as np
 from repro.core.entropic import EntropicSamplerConfig, sample_entropic_parallel
 from repro.core.result import SampleResult, SamplerReport
 from repro.dpp.nonsymmetric import NonsymmetricDPP, NonsymmetricKDPP
+from repro.dpp.partition import check_grid_budget
 from repro.engine import BackendLike
 from repro.pram.tracker import Tracker, use_tracker
 from repro.utils.rng import SeedLike, as_generator
@@ -45,9 +47,11 @@ def sample_nonsymmetric_dpp_parallel(L: np.ndarray, *,
 
     The cardinality is sampled exactly from its distribution (computable in one
     round via the characteristic polynomial, Proposition 13.2), then the k-DPP
-    sampler runs with the same entropic configuration.
+    sampler runs with the same entropic configuration.  ``n > 406`` raises
+    :class:`~repro.dpp.partition.InterpolationGridTooLarge` before any draw.
     """
     distribution = NonsymmetricDPP(L)
+    check_grid_budget((distribution.n + 1,), distribution.n)
     rng = as_generator(seed)
     trk = tracker if tracker is not None else Tracker()
     with use_tracker(trk):

@@ -12,7 +12,8 @@ algebraic and hold verbatim:
   is therefore the one-part Partition-DPP: it reads that coefficient off
   node tables of ``(det A, A⁻¹)`` on a circle, built once per root
   (:func:`repro.dpp.partition.torus_tables`), and a conditioned child reads
-  its root's tables.
+  its root's tables until it is deep enough to re-root on its Schur
+  complement.
 """
 
 from __future__ import annotations
@@ -33,7 +34,11 @@ from repro.utils.validation import check_positive_int, check_subset
 
 
 class NonsymmetricDPP(SubsetDistribution):
-    """Unconstrained nonsymmetric DPP ``P[Y] ∝ det(L_Y)`` with nPSD ``L``."""
+    """Unconstrained nonsymmetric DPP ``P[Y] ∝ det(L_Y)`` with nPSD ``L``.
+
+    Its oracle serves any ``n``; :meth:`restrict_to_size` (and so Theorem 8's
+    unconstrained sampler) builds a :class:`NonsymmetricKDPP`: ``n ≤ 406``.
+    """
 
     def __init__(self, L: np.ndarray, *, validate: bool = True,
                  labels: Optional[Sequence[int]] = None):
@@ -159,7 +164,8 @@ class NonsymmetricKDPP(PartitionDPP):
     count ``k``): every count, marginal and conditioned child comes from the
     torus tables of ``det(I + z L)``, whose identity needs no symmetry.  The
     tables hold ``n + 1`` complex ``n x n`` inverses, so ``n`` is capped at
-    406 (:class:`~repro.dpp.partition.InterpolationGridTooLarge`).
+    406 (:class:`~repro.dpp.partition.InterpolationGridTooLarge`), and a
+    construction holds about ``16 (n + 1) n²`` bytes (1 GiB near the cap).
     ``tables`` lets a warm factorization cache supply them.
     """
 
@@ -177,10 +183,3 @@ class NonsymmetricKDPP(PartitionDPP):
         self._tables = tables
         if self.partition_function() <= 0:
             raise ValueError(f"nonsymmetric k-DPP with k={self.k} has zero partition function")
-
-    @classmethod
-    def from_worker_payload(cls, arrays, params):
-        tables = (arrays["weighted_dets"], arrays["inverses"]) if "inverses" in arrays else None
-        root = cls(arrays["L"], params["counts"][0], validate=False,
-                   labels=params["labels"], tables=tables)
-        return root.condition(params["given"])

@@ -23,11 +23,14 @@ distribution, answer every count with stacked ``|T| x |T|`` determinants.
 Conditioning on inclusion of ``A`` (Section 3.2 of the paper) keeps the
 root's tables: the child's count of ``T`` is the root's count of ``A ∪ T``
 divided by ``det(L_A)``, which is the count the Schur complement ``L^A``
-with reduced part sizes and counts has.  No child builds tables.
+with reduced part sizes and counts has.  The node weights are logarithms,
+so neither ``ρ_i^{c_i}`` nor ``det(L_A)``, folded in before a count is
+summed, has to be representable.  A child too deep for the root's radius
+re-roots on ``L^A`` (:meth:`PartitionDPP.condition`).
 
-The tables hold ``∏ (|V_i| + 1)`` complex ``n x n`` inverses and may take at
-most ``_GRID_BUDGET_BYTES`` (1 GiB), so a one-part kernel fits up to
-``n = 406``.
+The tables hold ``∏ (|V_i| + 1)`` complex ``n x n`` inverses, built in
+chunks of nodes, and may take at most ``_GRID_BUDGET_BYTES`` (1 GiB), so a
+one-part kernel fits up to ``n = 406``.
 """
 
 from __future__ import annotations
@@ -40,19 +43,31 @@ import numpy as np
 
 from repro.distributions.base import HomogeneousDistribution
 from repro.dpp.kernels import validate_ensemble
-from repro.dpp.likelihood import dpp_unnormalized
+from repro.dpp.likelihood import dpp_log_unnormalized
 from repro.linalg.batch import group_by_size
 from repro.linalg.esp import _saddle_radius
+from repro.linalg.schur import schur_complement
 from repro.pram.tracker import current_tracker
 from repro.utils.validation import check_subset
 
 
-#: largest stacked complex ``(nodes, n, n)`` torus grid, in bytes, a table build may
-#: allocate (it holds two such stacks at its peak)
+#: largest stacked complex ``(n, n, nodes)`` torus grid, in bytes, a table build may
+#: allocate
 _GRID_BUDGET_BYTES = 1 << 30
+
+#: a child re-roots when its parent's tables answer its normalizer with
+#: ``Σ_m |terms| > _CANCELLATION_LIMIT · count`` (more than ~4 digits lost)
+_CANCELLATION_LIMIT = 1e4
+
+#: shallower children never re-root to save work: their blocks cost call overhead
+_REROOT_MIN_DEPTH = 8
 
 #: largest stacked ``(sets, nodes, t, t)`` block gather of one counting chunk, in bytes
 _QUERY_CHUNK_BYTES = 64 << 20
+
+#: largest ``(nodes, n, n)`` chunk of a table build, in bytes: a build holds
+#: the tables plus two such chunks
+_BUILD_CHUNK_BYTES = 16 << 20
 
 
 class InterpolationGridTooLarge(ValueError):
@@ -64,9 +79,21 @@ class InterpolationGridTooLarge(ValueError):
     """
 
 
+def check_grid_budget(shape: Sequence[int], n: int) -> None:
+    """Raise :class:`InterpolationGridTooLarge` when the torus grid ``shape`` of
+    an ``n``-item kernel needs more than ``_GRID_BUDGET_BYTES``."""
+    nodes = math.prod(shape)
+    grid_bytes = nodes * n * n * np.dtype(complex).itemsize
+    if grid_bytes > _GRID_BUDGET_BYTES:
+        raise InterpolationGridTooLarge(
+            f"torus grid {tuple(shape)} has {nodes} nodes: its stacked complex "
+            f"({nodes}, {n}, {n}) matrices need {grid_bytes} bytes, "
+            f"over the budget of {_GRID_BUDGET_BYTES} bytes")
+
+
 def torus_tables(L: np.ndarray, parts: Sequence[Sequence[int]],
                  counts: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
-    """Node tables ``(w_m · det A_m, A_m⁻¹)`` with ``A_m = I + L · diag(z_m)``.
+    """Node tables ``(log(w_m · det A_m), A_m⁻¹)`` with ``A_m = I + L · diag(z_m)``.
 
     Axis ``i`` of the torus has the ``N_i = |V_i| + 1`` nodes
     ``ρ_i e^{iθ}``, ``θ = 2πj / N_i``, and every element of ``V_i`` takes the
@@ -75,26 +102,25 @@ def torus_tables(L: np.ndarray, parts: Sequence[Sequence[int]],
     a zero block), so each axis keeps its own scale; the moduli serve a
     nonsymmetric block as well as a symmetric one.  The weights
     ``w_m = e^{−i Σ_i c_i θ_im} / (N ∏_i ρ_i^{c_i})`` over the ``N = ∏ N_i``
-    nodes turn a sum of node values into the coefficient of ``∏ z_i^{c_i}``.
-    The inverses are stacked node-last, ``inverses[i, j, m] = (A_m⁻¹)_ij``,
-    so a set's blocks at every node are one contiguous gather.  A grid whose
-    stack would exceed ``_GRID_BUDGET_BYTES`` raises
-    :class:`InterpolationGridTooLarge` before anything is allocated.  The
-    build is charged as its determinant work on ``nodes`` machines; it
-    answers no query, so it makes no oracle call.
+    nodes turn a sum of node values into the coefficient of ``∏ z_i^{c_i}``;
+    ``w_m · det A_m`` is returned as a complex logarithm, from ``slogdet``
+    and ``Σ_i c_i log ρ_i``, so neither factor has to be representable on
+    its own.  The inverses are stacked node-last,
+    ``inverses[i, j, m] = (A_m⁻¹)_ij``, so a set's blocks at every node are
+    one contiguous gather; they are built in chunks of at most
+    ``_BUILD_CHUNK_BYTES``.  A grid over budget raises
+    :class:`InterpolationGridTooLarge` (:func:`check_grid_budget`) before
+    anything is allocated.  The build is charged as its determinant work on
+    ``nodes`` machines; it answers no query, so it makes no oracle call.
     """
     n = L.shape[0]
     shape = tuple(len(part) + 1 for part in parts)
+    check_grid_budget(shape, n)
     nodes = math.prod(shape)
-    grid_bytes = nodes * n * n * np.dtype(complex).itemsize
-    if grid_bytes > _GRID_BUDGET_BYTES:
-        raise InterpolationGridTooLarge(
-            f"torus grid {shape} has {nodes} nodes: its stacked complex "
-            f"({nodes}, {n}, {n}) matrices need {grid_bytes} bytes, "
-            f"over the budget of {_GRID_BUDGET_BYTES} bytes")
+    itemsize = np.dtype(complex).itemsize
     z = np.empty((nodes, n), dtype=complex)
     phase = np.zeros(nodes)
-    scale = float(nodes)
+    log_scale = math.log(nodes)
     grid = np.indices(shape).reshape(len(shape), nodes)     # node m's index on each axis
     for part, count, size, index in zip(parts, counts, shape, grid):
         spectrum = np.abs(np.linalg.eigvals(L[np.ix_(part, part)]))
@@ -102,14 +128,35 @@ def torus_tables(L: np.ndarray, parts: Sequence[Sequence[int]],
         theta = 2.0 * np.pi * index / size
         z[:, list(part)] = (rho * np.exp(1j * theta))[:, None]
         phase += count * theta
-        scale *= rho ** count
+        log_scale += count * math.log(rho)
+    log_weights = np.empty(nodes, dtype=complex)
+    inverses = np.empty((n, n, nodes), dtype=complex)
+    chunk = max(1, _BUILD_CHUNK_BYTES // (n * n * itemsize))
     tracker = current_tracker()
     with tracker.round("partition-tables"):
         tracker.charge(work=nodes * tracker.cost_model.determinant_work(n), machines=float(nodes))
-        stack = np.eye(n) + L[None] * z[:, None, :]              # A_m at every node
-        weighted = np.linalg.det(stack) * np.exp(-1j * phase) / scale
-        stack = np.linalg.inv(stack)  # rebound, so at most two stacks are alive
-    return weighted, np.ascontiguousarray(np.moveaxis(stack, 0, -1))
+        for start in range(0, nodes, chunk):
+            block = slice(start, start + chunk)
+            stack = L[None] * z[block, None, :]
+            stack += np.eye(n)                                      # A_m at these nodes
+            sign, logdet = np.linalg.slogdet(stack)
+            log_weights[block] = np.log(sign) + (logdet - log_scale) - 1j * phase[block]
+            inverses[:, :, block] = np.moveaxis(np.linalg.inv(stack), 0, -1)
+    return log_weights, inverses
+
+
+def _node_terms(idx: np.ndarray, weights: np.ndarray, inverses: np.ndarray) -> np.ndarray:
+    """``(sets, nodes)`` terms ``weights_m · det(I − A_m⁻¹[U, U])`` of each row
+    ``U`` of ``idx``, gathered in chunks of at most ``_QUERY_CHUNK_BYTES``."""
+    sets, t = idx.shape
+    nodes = weights.size
+    chunk = max(1, _QUERY_CHUNK_BYTES // (nodes * t * t * np.dtype(complex).itemsize))
+    terms = np.empty((sets, nodes), dtype=complex)
+    for start in range(0, sets, chunk):
+        rows = idx[start:start + chunk]
+        blocks = np.eye(t)[:, :, None] - inverses[rows[:, :, None], rows[:, None, :]]
+        terms[start:start + chunk] = np.linalg.det(np.moveaxis(blocks, -1, 1)) * weights
+    return terms
 
 
 class PartitionDPP(HomogeneousDistribution):
@@ -145,22 +192,22 @@ class PartitionDPP(HomogeneousDistribution):
         self.r = len(self.parts)
         self.k = int(sum(self.counts))
         self._labels = tuple(int(i) for i in labels) if labels is not None else tuple(range(self.n))
-        # part index of each element
-        self._part_of = np.empty(self.n, dtype=int)
+        self._part_of = np.empty(self.n, dtype=int)  # part index of each element
         for idx, part in enumerate(self.parts):
-            for element in part:
-                self._part_of[element] = idx
-        # ``tables`` lets a warm factorization cache (or a worker payload)
-        # supply the node tables ``torus_tables`` builds for this kernel, so
-        # repeated constructions skip the stacked inverses
+            self._part_of[list(part)] = idx
+        # a warm factorization cache (or a worker payload) may supply the
+        # tables ``torus_tables`` builds, so constructions skip the inverses
         self._tables = tables
         # a root: ``condition`` hands its children this ``L``, these tables
         # and this partition, with the conditioned root items ``_given``,
-        # ``det(L_given)`` and each child item's root index
+        # ``log det(L_given)`` and each child item's root index
         self._root = (tuple(self.parts), self.counts, self._labels)
         self._given: Tuple[int, ...] = ()
-        self._det_given = 1.0
+        self._logdet_given = 0.0
         self._items = np.arange(self.n)
+        self._weights: Optional[np.ndarray] = None
+        # a child's normalizer, summed once by ``condition``'s check
+        self._z: Optional[float] = None
         if validate or tables is not None:
             if self.partition_function() <= 0:
                 raise ValueError("partition constraints have zero probability under the DPP")
@@ -174,6 +221,14 @@ class PartitionDPP(HomogeneousDistribution):
         """Index of the part containing ``element``."""
         return int(self._part_of[int(element)])
 
+    @classmethod
+    def _bare(cls, L: np.ndarray, parts: Sequence[Sequence[int]], counts: Sequence[int],
+              labels: Sequence[int]) -> "PartitionDPP":
+        """A root with no tables yet and no checks: its sender validated ``L``."""
+        root = cls.__new__(cls)
+        PartitionDPP.__init__(root, L, parts, counts, validate=False, labels=labels)
+        return root
+
     def worker_payload(self):
         """Ship the root's ``L``, partition and node tables (once built) and
         the conditioned root items, so every child of one root shares one
@@ -182,15 +237,17 @@ class PartitionDPP(HomogeneousDistribution):
         params = {"parts": parts, "counts": counts, "labels": labels, "given": self._given}
         if self._tables is None:
             return {"L": self.L}, params
-        weighted, inverses = self._tables
-        return {"L": self.L, "weighted_dets": weighted, "inverses": inverses}, params
+        log_weights, inverses = self._tables
+        return {"L": self.L, "log_weights": log_weights, "inverses": inverses}, params
 
     @classmethod
     def from_worker_payload(cls, arrays, params):
-        tables = (arrays["weighted_dets"], arrays["inverses"]) if "inverses" in arrays else None
-        root = cls(arrays["L"], params["parts"], params["counts"], validate=False,
-                   labels=params["labels"], tables=tables)
-        return root.condition(params["given"])
+        # narrowed to the shipped items without re-deciding whether the child
+        # re-roots, so every backend answers from the same tables
+        root = cls._bare(arrays["L"], params["parts"], params["counts"], params["labels"])
+        if "inverses" in arrays:
+            root._tables = (arrays["log_weights"], arrays["inverses"])
+        return root._narrow(params["given"]) if params["given"] else root
 
     def oracle_cost_hint(self) -> float:
         """Stacked LAPACK, like :func:`~repro.linalg.esp.kdpp_counts_from_factor`.
@@ -222,7 +279,7 @@ class PartitionDPP(HomogeneousDistribution):
         if len(items) != self.k or not self._satisfies_constraints(items):
             return 0.0
         union = self._in_root(np.array([items], dtype=int))[0]
-        return max(dpp_unnormalized(self.L, union), 0.0) / self._det_given
+        return float(np.exp(dpp_log_unnormalized(self.L, union) - self._logdet_given))
 
     # ------------------------------------------------------------------ #
     # counting oracle on the torus
@@ -230,23 +287,27 @@ class PartitionDPP(HomogeneousDistribution):
     def _node_tables(self) -> Tuple[np.ndarray, np.ndarray]:
         # built once per root: every count of it and of its children reads them
         if self._tables is None:
-            self._tables = torus_tables(self.L, self.parts, self.counts)
+            parts, counts, _ = self._root
+            self._tables = torus_tables(self.L, parts, counts)
         return self._tables
+
+    def _node_weights(self) -> np.ndarray:
+        """``w_m det A_m / det(L_A)`` at every node, exponentiated once."""
+        if self._weights is None:
+            log_weights, _ = self._node_tables()
+            self._weights = np.exp(log_weights - self._logdet_given)
+        return self._weights
 
     def partition_function(self) -> float:
         if self._given:
             return self.counting(())
-        weighted, _ = self._node_tables()
-        return max(float(np.sum(weighted).real), 0.0)
+        return max(float(np.sum(self._node_weights()).real), 0.0)
 
     def counting(self, given: Iterable[int] = ()) -> float:
         return float(self.counting_batch([check_subset(given, self.n)])[0])
 
     def marginal_vector(self, given: Iterable[int] = ()) -> np.ndarray:
         items = check_subset(given, self.n)
-        denom = self.counting(items)
-        if denom <= 0:
-            raise ValueError(f"conditioning event {items} has zero probability")
         item_set = set(items)
         outside = [i for i in range(self.n) if i not in item_set]
         queries = [tuple(sorted(items + (i,))) for i in outside]
@@ -254,7 +315,10 @@ class PartitionDPP(HomogeneousDistribution):
         tracker = current_tracker()
         with tracker.round("partition-dpp-marginals"):
             tracker.charge(machines=float(self.n))
-            marginals[outside] = self.counting_batch(queries) / denom
+            values = self.counting_batch([items] + queries)  # the denominator rides along
+        if values[0] <= 0:
+            raise ValueError(f"conditioning event {items} has zero probability")
+        marginals[outside] = values[1:] / values[0]
         return np.clip(marginals, 0.0, 1.0)
 
     def counting_batch(self, subsets: Sequence[Sequence[int]]) -> np.ndarray:
@@ -263,9 +327,9 @@ class PartitionDPP(HomogeneousDistribution):
         A set ``T`` is read as the root set ``U = A ∪ T``, where ``A`` holds
         the conditioned root items (none at a root).  Sets that break a quota
         or have ``det(L_U) <= 0`` count 0, and sets of size ``k`` count
-        ``det(L_U) / det(L_A)``.  Every other set counts
-        ``Re Σ_m w_m det A_m · det(I − A_m⁻¹[U, U]) / det(L_A)``, clipped at
-        0, from ``|U| x |U|`` blocks gathered in chunks of at most
+        ``det(L_U) / det(L_A)``, from ``slogdet``.  Every other set counts
+        ``Re Σ_m (w_m det A_m / det(L_A)) · det(I − A_m⁻¹[U, U])``, clipped
+        at 0, from ``|U| x |U|`` blocks gathered in chunks of at most
         ``_QUERY_CHUNK_BYTES``.  A set's count does not depend on what it is
         batched with.  Each set is one oracle call on one machine; its
         determinants are charged as work.  A root's normalizer (``T = ∅``)
@@ -285,53 +349,75 @@ class PartitionDPP(HomogeneousDistribution):
                 continue
             tracker.charge(work=len(idx) * tracker.cost_model.determinant_work(size),
                            machines=float(len(idx)), oracle_calls=len(idx))
+            if t == 0 and self._z is not None:
+                # a child's normalizer, summed by ``condition``: charged as
+                # ``_torus_counts`` charges it
+                tracker.charge(work=self._node_weights().size
+                               * tracker.cost_model.determinant_work(size))
+                values[positions] = self._z
+                continue
             taken = (self._part_of[idx][:, :, None] == np.arange(self.r)).sum(axis=1)
-            dets = np.linalg.det(self.L[union[:, :, None], union[:, None, :]])
-            ok = np.flatnonzero(np.all(taken <= self.counts, axis=1) & (dets > 0))
+            sign, logdet = np.linalg.slogdet(self.L[union[:, :, None], union[:, None, :]])
+            ok = np.flatnonzero(np.all(taken <= self.counts, axis=1) & (sign > 0))
             out = np.zeros(len(idx), dtype=float)
             if t == self.k:
-                out[ok] = dets[ok]
+                out[ok] = np.exp(logdet[ok] - self._logdet_given)
             elif ok.size:
                 out[ok] = self._torus_counts(union[ok])
-            values[positions] = out / self._det_given
+            values[positions] = out
         return values
 
     def _torus_counts(self, idx: np.ndarray) -> np.ndarray:
-        """Root counts of the equal-size root sets ``idx`` (one sorted row each)."""
-        weighted, inverses = self._node_tables()
+        """Counts of the equal-size root sets ``idx`` (one sorted row each),
+        divided by ``det(L_A)``."""
+        weights = self._node_weights()
+        _, inverses = self._node_tables()
         sets, t = idx.shape
-        nodes = weighted.size
         tracker = current_tracker()
-        tracker.charge(work=sets * nodes * tracker.cost_model.determinant_work(t))
-        chunk = max(1, _QUERY_CHUNK_BYTES // (nodes * t * t * np.dtype(complex).itemsize))
-        out = np.empty(sets, dtype=float)
-        for start in range(0, sets, chunk):
-            rows = idx[start:start + chunk]
-            blocks = np.eye(t)[:, :, None] - inverses[rows[:, :, None], rows[:, None, :]]
-            minors = np.linalg.det(np.moveaxis(blocks, -1, 1))     # (sets, nodes)
-            out[start:start + chunk] = np.sum((minors * weighted).real, axis=1)
-        return np.clip(out, 0.0, None)
+        tracker.charge(work=sets * weights.size * tracker.cost_model.determinant_work(t))
+        return np.clip(_node_terms(idx, weights, inverses).real.sum(axis=1), 0.0, None)
 
     def joint_marginals_batch(self, subsets: Sequence[Sequence[int]]) -> np.ndarray:
-        z = self.partition_function()
         tracker = current_tracker()
         with tracker.round("partition-dpp-joint-marginals"):
             tracker.charge(machines=float(len(subsets)))
-            values = self.counting_batch(subsets) / z
-        return np.clip(values, 0.0, None)
+            values = self.counting_batch([()] + list(subsets))  # the normalizer rides along
+        return np.clip(values[1:] / values[0], 0.0, None)
 
     # ------------------------------------------------------------------ #
     def condition(self, include: Iterable[int]) -> "PartitionDPP":
         """The distribution given ``include ⊆ S``, answered from the root's tables.
 
         The child keeps the root's ``L``, tables and partition, and records
-        the conditioned root items ``A`` with ``det(L_A)``; its ``counts``
-        and ``k`` are the reduced ones.  Raises ``ValueError`` when a quota
-        goes negative or ``det(L_A) <= 0``: the event has zero probability.
+        the conditioned root items ``A`` with ``log det(L_A)``; its ``counts``
+        and ``k`` are the reduced ones.  It re-roots instead, on the Schur
+        complement ``L^A`` with tables built in the round that first counts,
+        when ``|A| >= _REROOT_MIN_DEPTH`` and ``|A|³ > n'²`` for its ``n'``
+        items (a marginal round of ``|A|``-item blocks costs about as much as
+        its own tables), or when the root's radius no longer suits it (deep
+        below a root whose ``k`` is a large share of ``n``): the root's
+        tables cancel more than ``_CANCELLATION_LIMIT`` in its normalizer.
+        Raises ``ValueError`` when a quota goes negative or
+        ``det(L_A) <= 0``: the event has zero probability.
         """
         items = check_subset(include, self.n)
         if not items:
             return self
+        child = self._narrow(items)
+        if child.k == 0:
+            return child  # every count of it is a determinant: it reads no table
+        depth = len(child._given)
+        if depth >= _REROOT_MIN_DEPTH and depth ** 3 > child.n ** 2:
+            return child._rerooted()
+        child._tables = self._node_tables()
+        terms = _node_terms(np.array([child._given]), child._node_weights(), child._tables[1])
+        child._z = float(np.clip(terms.real.sum(axis=1), 0.0, None)[0])
+        if not np.sum(np.abs(terms)) <= _CANCELLATION_LIMIT * child._z:
+            return child._rerooted()
+        return child
+
+    def _narrow(self, items: Sequence[int]) -> "PartitionDPP":
+        """The child given ``items``, reading these tables (refusals as in :meth:`condition`)."""
         taken = np.bincount(self._part_of[list(items)], minlength=self.r)
         counts = tuple(int(c - t) for c, t in zip(self.counts, taken))
         if min(counts) < 0:
@@ -341,11 +427,14 @@ class PartitionDPP(HomogeneousDistribution):
         if sign <= 0:
             raise ValueError(f"conditioning event {items} has zero probability: "
                              f"det(L_A) <= 0 for root items A={given}")
-        keep = np.setdiff1d(np.arange(self.n), items)
+        keep = np.ones(self.n, dtype=bool)
+        keep[list(items)] = False
+        keep = np.flatnonzero(keep)
         child = copy.copy(self)
-        child._tables = self._node_tables()
         child._given = given
-        child._det_given = float(np.exp(logdet))
+        child._logdet_given = float(logdet)
+        child._weights = None
+        child._z = None
         child._items = self._items[keep]
         child._part_of = self._part_of[keep]
         child._labels = tuple(self._labels[i] for i in keep)
@@ -354,3 +443,8 @@ class PartitionDPP(HomogeneousDistribution):
         child.counts = counts
         child.k = sum(counts)
         return child
+
+    def _rerooted(self) -> "PartitionDPP":
+        """A root over the Schur complement ``L^A`` with this child's partition and counts."""
+        return self._bare(schur_complement(self.L, self._given), self.parts, self.counts,
+                          self._labels)

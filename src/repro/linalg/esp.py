@@ -125,10 +125,12 @@ def _saddle_radius(spectrum: np.ndarray, k: float) -> float:
         else:
             lo = u
         step = excess / max(float(np.sum(p * (1.0 - p))), 1e-300)
-        u_next = u - step if lo < u - step < hi else 0.5 * (lo + hi)
-        if abs(u_next - u) <= 1e-12 * max(1.0, abs(u)):
+        # converged on the Newton step itself: at the root, a step of
+        # rounding size lands on the bracket end ``u`` and would otherwise
+        # fall back to bisection, away from the root
+        if abs(step) <= 1e-12 * max(1.0, abs(u)):
             break
-        u = u_next
+        u = u - step if lo < u - step < hi else 0.5 * (lo + hi)
     return float(np.exp(u))
 
 

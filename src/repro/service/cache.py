@@ -285,16 +285,21 @@ class KernelFactorization:
     def partition_tables(self, parts: Sequence[Sequence[int]],
                          counts: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
         """Node tables of the Partition-DPP torus oracle
-        (:func:`repro.dpp.partition.torus_tables`), memoized per
-        ``(parts, counts)``: their stacked inverses are the dominant
-        preprocessing cost of the partition sampler, and of the nonsymmetric
-        k-DPP, whose tables are the one part ``[n]`` with count ``k``."""
+        (:func:`repro.dpp.partition.torus_tables`): their stacked inverses
+        are the dominant preprocessing cost of the partition sampler, and of
+        the nonsymmetric k-DPP, whose tables are the one part ``[n]`` with
+        count ``k``.  Memoized for the latest ``(parts, counts)`` only: a
+        nonsymmetric kernel served at many ``k`` keeps one ``O(n³)`` set."""
         from repro.dpp.partition import torus_tables  # deferred: dpp -> service has no cycle, keep it that way
 
         parts_key = tuple(tuple(sorted(int(i) for i in part)) for part in parts)
         counts_key = tuple(int(c) for c in counts)
-        return self._get(("partition_tables", parts_key, counts_key),
-                         lambda: torus_tables(self.matrix, parts_key, counts_key))
+        key = ("partition_tables", parts_key, counts_key)
+        with self._lock:  # dropped before the new set is built, so one set is alive
+            for stale in [other for other in self._values
+                          if isinstance(other, tuple) and other[0] == key[0] and other != key]:
+                del self._values[stale]
+        return self._get(key, lambda: torus_tables(self.matrix, parts_key, counts_key))
 
     # ------------------------------------------------------------------ #
     def warm(self, kind: str = "symmetric",

@@ -37,7 +37,7 @@ from repro.distributions.base import SubsetDistribution
 from repro.distributions.lowrank import LowRankDPP, LowRankKDPP, LowRankKernel
 from repro.dpp.intermediate import sample_dpp_intermediate, sample_kdpp_intermediate
 from repro.dpp.nonsymmetric import NonsymmetricDPP, NonsymmetricKDPP
-from repro.dpp.partition import PartitionDPP
+from repro.dpp.partition import PartitionDPP, check_grid_budget
 from repro.dpp.spectral import sample_dpp_spectral, sample_kdpp_spectral
 from repro.dpp.symmetric import SymmetricDPP, SymmetricKDPP
 from repro.engine import BackendLike
@@ -198,6 +198,12 @@ class SamplerSession:
         with self._lock:
             dist = self._distributions.get(key)
             if dist is None:
+                if entry.kind == "nonsymmetric" and k is not None:
+                    # a nonsymmetric k-DPP holds O(n³) bytes of torus tables:
+                    # keep the latest k's, as the factorization cache does
+                    for stale in [other for other in self._distributions
+                                  if other[1] is not None]:
+                        del self._distributions[stale]
                 dist = self._construct_distribution(
                     entry, self._factorization_for(entry), k)
                 self._distributions[key] = dist
@@ -217,8 +223,7 @@ class SamplerSession:
             if k is None:
                 return NonsymmetricDPP(entry.matrix, validate=False).attach_precomputed(
                     kernel=fact.kernel, partition_function=fact.det_identity_plus)
-            # the one-part partition tables, memoized per k like a partition
-            # kernel's; an infeasible k is refused by the constructor, unbuilt
+            # the latest k's one-part tables; an infeasible k is refused unbuilt
             n = entry.matrix.shape[0]
             tables = fact.partition_tables([range(n)], [int(k)]) if 0 <= int(k) <= n else None
             return NonsymmetricKDPP(entry.matrix, int(k), validate=False, tables=tables)
@@ -369,13 +374,19 @@ class SamplerSession:
                                        tracker: Optional[Tracker],
                                        backend: BackendLike, delta: float,
                                        config: Optional[Union[BatchedSamplerConfig, EntropicSamplerConfig]]) -> SampleResult:
-        """Remark 15 with a cached size distribution: draw ``|S|``, then k-DPP."""
+        """Remark 15 with a cached size distribution: draw ``|S|``, then k-DPP.
+
+        A nonsymmetric kernel over 406 items is refused before the draw, as
+        the direct sampler refuses it: its k-DPP's torus tables would not fit.
+        """
         fact = self._factorization_for(entry)
         if entry.kind == "symmetric":
             sizes = fact.size_distribution
         elif entry.kind == "lowrank":
             sizes = fact.lowrank_size_distribution
         else:
+            n = entry.matrix.shape[0]
+            check_grid_budget((n + 1,), n)
             sizes = fact.nonsym_size_distribution
         rng = as_generator(seed)
         trk = tracker if tracker is not None else Tracker()

@@ -5,7 +5,10 @@ import itertools
 import numpy as np
 import pytest
 
+import repro
+from repro.core.nonsymmetric import sample_nonsymmetric_dpp_parallel
 from repro.dpp.exact import exact_dpp_distribution, exact_kdpp_distribution
+from repro.dpp.likelihood import sum_principal_minors
 from repro.dpp.nonsymmetric import NonsymmetricDPP, NonsymmetricKDPP
 from repro.dpp.partition import InterpolationGridTooLarge
 from repro.distributions.negative_corr import negative_correlation_violations
@@ -151,6 +154,14 @@ def _brute_force_counts(L, k, queries, given=()):
                      for T in queries])
 
 
+def _schur(L, given):
+    """Schur complement of ``L`` on the items ``given``: the kernel whose
+    ``j``-th minor sum is ``Σ_{S ⊇ given, |S| = |given| + j} det(L_S) / det(L_given)``."""
+    rest = np.setdiff1d(np.arange(len(L)), given)
+    return L[np.ix_(rest, rest)] - L[np.ix_(rest, given)] @ np.linalg.solve(
+        L[np.ix_(given, given)], L[np.ix_(given, rest)])
+
+
 def _relative_errors(got, exact):
     """Errors relative to the exact count (to the normalizer, ``exact[0]``,
     where the exact count is 0)."""
@@ -216,7 +227,49 @@ class TestNonsymmetricExactness:
                              for j in range(100) if j not in top) / det_given
                 assert dist.counting(T) == pytest.approx(direct, rel=1e-11)
 
+    def test_small_scale_at_large_k(self):
+        # at n = 200, k = 110 and scale 1e-3 the radius is ~1222, so ρ^k ~
+        # 1e339 leaves the float range while the count, ~1e-272, does not;
+        # log-space weights keep it exact
+        L = 1e-3 * np.eye(200)
+        assert NonsymmetricKDPP(L, 110).partition_function() == pytest.approx(
+            sum_principal_minors(L, 110), rel=1e-10)
+        # ρ^30 ~ 1e323 at n = 40, k = 30, scale 5e-11; a child on 20 items
+        L = 5e-11 * random_npsd_ensemble(40, seed=4)
+        root = NonsymmetricKDPP(L, 30)
+        assert root.partition_function() == pytest.approx(sum_principal_minors(L, 30), rel=1e-10)
+        given = tuple(range(0, 40, 2))
+        child = root.condition(given)
+        assert child.partition_function() == pytest.approx(
+            sum_principal_minors(_schur(L, given), 10), rel=1e-10)
+        assert child.marginal_vector().sum() == pytest.approx(10, abs=1e-10)
+
+    def test_deep_children_at_large_k_share_of_n(self):
+        # deep below a root whose k is half of n the root's radius no longer
+        # suits a child, which re-roots on its Schur complement; every
+        # normalizer along a sampler-like chain stays exact
+        L = random_npsd_ensemble(80, seed=0)
+        k = 40
+        order = np.random.default_rng(0).permutation(80).tolist()
+        dist = NonsymmetricKDPP(L, k)
+        given = []
+        for start in range(0, k - 4, 4):
+            batch = order[start:start + 4]
+            dist = dist.condition([dist.ground_labels.index(item) for item in batch])
+            given = sorted(given + batch)
+            assert dist.partition_function() == pytest.approx(
+                sum_principal_minors(_schur(L, given), k - len(given)), rel=1e-10)
+            assert dist.marginal_vector().sum() == pytest.approx(dist.k, abs=1e-10)
+
     def test_size_ceiling_refused_before_allocating(self):
-        # the tables of n = 407 need (n + 1) complex n x n matrices, over 1 GiB
+        # the tables of n = 407 need (n + 1) complex n x n matrices, over 1
+        # GiB; the unconstrained sampler, direct or served, refuses before it
+        # draws a cardinality, even one of 0 (nearly certain at this scale)
         with pytest.raises(InterpolationGridTooLarge, match=r"\(408,\) has 408 nodes"):
             NonsymmetricKDPP(np.eye(407), 3)
+        L = 1e-9 * np.eye(407)
+        with pytest.raises(InterpolationGridTooLarge, match=r"\(408,\) has 408 nodes"):
+            sample_nonsymmetric_dpp_parallel(L, seed=0)
+        with repro.serve(L, kind="nonsymmetric", registry=repro.KernelRegistry()) as session:
+            with pytest.raises(InterpolationGridTooLarge, match=r"\(408,\) has 408 nodes"):
+                session.sample(seed=0)

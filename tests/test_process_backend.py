@@ -313,9 +313,12 @@ class TestPayloadRoundTrip:
         partition = PartitionDPP(random_psd_ensemble(14, seed=3),
                                  [list(range(7)), list(range(7, 14))], [3, 3])
         nonsymmetric = NonsymmetricKDPP(random_npsd_ensemble(14, seed=3), 6)
+        # nine items deep in a 24-item kernel, a child re-roots on its Schur
+        # complement and ships its own tables, as do its children
+        rerooted = NonsymmetricKDPP(random_npsd_ensemble(24, seed=3), 12).condition(range(9))
         queries = [(0,), (1, 5), ()]
         for dist in (root, root.condition((2,)), partition, partition.condition((2,)),
-                     nonsymmetric, nonsymmetric.condition((2,))):
+                     nonsymmetric, nonsymmetric.condition((2,)), rerooted, rerooted.condition((2,))):
             expected = dist.counting_batch(queries)  # warms what these queries read
             calls = []
             with monkeypatch.context() as patch:

@@ -5,7 +5,9 @@ only — fixed-seed samples are identical with and without cached
 factorizations, and fused or unfused, on every execution backend.
 """
 
+import gc
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -268,6 +270,28 @@ class TestSamplerSession:
                 nonsymmetric.sample(k=k, seed=0)
         built = nonsymmetric.factorization.materialized
         assert not any("partition_tables" in key for key in built)
+
+    def test_nonsymmetric_tables_kept_for_one_k(self, registry):
+        # each k's torus tables take (n + 1) n² complex entries; serving many
+        # k (fixed, then unconstrained draws of a random k each) keeps one set
+        n = 40
+        one_set = (n + 1) * (n * n + 1) * 16
+        session = serve(random_npsd_ensemble(n, seed=2), name="nsk", kind="nonsymmetric",
+                        registry=registry)
+        tracemalloc.start()
+        try:
+            for k in (2, 3, 4, 5, 6):
+                session.sample(k=k, seed=k)
+            for seed in range(3):
+                session.sample(seed=seed)
+            gc.collect()
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        tables = [key for key in session.factorization.materialized if "partition_tables" in key]
+        assert len(tables) == 1
+        assert session.factorization.nbytes < 2 * one_set
+        assert retained < 2 * one_set
 
     def test_partition_rejects_wrong_k(self, registry):
         L = random_psd_ensemble(6, seed=3)
