@@ -1,16 +1,14 @@
-"""Process backend vs threads on two oracle paths.
+"""Process backend vs threads on the torus counting path.
 
 The thread backend only overlaps inside LAPACK, so a pure-Python oracle path
-holds the GIL and thread fan-out cannot use more than one core.  Both
-workloads here read torus node tables with stacked LAPACK, where the GIL is
-mostly released: the partition sampler, and the nonsymmetric k-DPP (the
-``charpoly`` workload, named for the characteristic-polynomial minor sums it
-ran before it became the one-part partition DPP).  So they measure what
+holds the GIL and thread fan-out cannot use more than one core.  The
+workload here reads torus node tables with stacked LAPACK, where the GIL is
+mostly released; it is the one counting route of the partition sampler and
+of the nonsymmetric k-DPP (the one-part partition DPP), so it measures what
 ``process`` wins without a GIL-bound share.  This sweep times one large
-``counting`` round on both workloads through the ``threads`` and ``process``
-backends (same worker count) plus the single-process ``vectorized``
-reference, verifies the values agree bitwise-closely, and reports a
-machine-readable JSON line per workload.
+``counting`` round through the ``threads`` and ``process`` backends (same
+worker count) plus the single-process ``vectorized`` reference, verifies
+the values agree bitwise-closely, and reports a machine-readable JSON line.
 
 Acceptance target: ``process`` ≥ 2x faster than ``threads`` with 4 workers on
 a ≥ 4-core host.  The pytest entry points warn (rather than flake) when the
@@ -33,7 +31,6 @@ import numpy as np
 import pytest
 
 from _helpers import best_of, emit_reports
-from repro.dpp.nonsymmetric import NonsymmetricKDPP
 from repro.dpp.partition import PartitionDPP
 from repro.engine import (
     OracleBatch,
@@ -42,7 +39,7 @@ from repro.engine import (
     resolve_backend,
 )
 from repro.pram.tracker import Tracker
-from repro.workloads import random_npsd_ensemble, random_psd_ensemble
+from repro.workloads import random_psd_ensemble
 
 WORKERS = 4
 REPEATS = 3
@@ -60,16 +57,6 @@ def _partition_workload():
     subsets = [tuple(sorted(rng.choice(n, size=t, replace=False).tolist()))
                for t in (1, 2, 3, 4) for _ in range(12)]
     return "partition", dist, subsets
-
-
-def _charpoly_workload():
-    n = 40
-    L = random_npsd_ensemble(n, seed=2)
-    dist = NonsymmetricKDPP(L, 8)
-    rng = np.random.default_rng(3)
-    subsets = [tuple(sorted(rng.choice(n, size=t, replace=False).tolist()))
-               for t in (1, 2, 3, 4) for _ in range(16)]
-    return "charpoly", dist, subsets
 
 
 def _best_of(run, repeats: int = REPEATS) -> float:
@@ -112,8 +99,7 @@ def process_backend_report() -> List[Dict[str, object]]:
     """The benchmark body: one JSON-serializable report per workload."""
     process_backend = ProcessPoolBackend(max_workers=WORKERS)
     try:
-        return [_measure(name, dist, subsets, process_backend)
-                for name, dist, subsets in (_partition_workload(), _charpoly_workload())]
+        return [_measure(*_partition_workload(), process_backend)]
     finally:
         process_backend.close()
 
