@@ -24,6 +24,30 @@ from repro.utils.subsets import all_subsets_of_size
 from repro.workloads import random_psd_ensemble
 
 
+def reference_select_kdpp_eigenvectors(eigenvalues, k, rng):
+    """Phase 1 with the per-eigenvalue table loop it replaced, kept as its reference."""
+    lam = np.asarray(eigenvalues, dtype=float)
+    n = lam.size
+    E = np.zeros((k + 1, n + 1))
+    E[0, :] = 1.0
+    for m in range(1, n + 1):
+        upper = min(k, m)
+        E[1:upper + 1, m] = E[1:upper + 1, m - 1] + lam[m - 1] * E[0:upper, m - 1]
+    include = np.zeros(n, dtype=bool)
+    remaining = k
+    for m in range(n, 0, -1):
+        if remaining == 0:
+            break
+        if m == remaining:
+            include[:m] = True
+            break
+        prob = lam[m - 1] * E[remaining - 1, m - 1] / E[remaining, m]
+        if rng.random() < prob:
+            include[m - 1] = True
+            remaining -= 1
+    return include
+
+
 def reference_leave_one_out_esp(values, order):
     """The per-``j`` loop the stacked call replaced, kept as its reference."""
     vals = np.asarray(values, dtype=float).ravel()
@@ -150,6 +174,29 @@ class TestSpectralSamplers:
         for k in (1, 3, 5):
             mask = select_kdpp_eigenvectors(eigenvalues, k, rng)
             assert mask.sum() == k
+
+    def test_select_kdpp_eigenvectors_matches_reference_loop(self):
+        # 320 spectra, n = 1..250, sorted like a clipped eigh, a share of
+        # exact zeros and eigenvalues spread over 1e±3: the same mask and
+        # the same random stream as the per-eigenvalue loop, at k = 1,
+        # k = rank and k = n where that is feasible
+        spectra = np.random.default_rng(24)
+        checked = 0
+        for case in range(320):
+            n = int(spectra.integers(1, 251))
+            lam = np.sort(spectra.exponential(size=n) * 10.0 ** spectra.uniform(-3, 3, size=n))
+            if case % 2:
+                lam[: int(spectra.integers(0, n))] = 0.0
+            rank = int(np.count_nonzero(lam))
+            for k in sorted({1, rank, n}):
+                if not 1 <= k <= rank:
+                    continue
+                fast, slow = np.random.default_rng(case), np.random.default_rng(case)
+                assert np.array_equal(select_kdpp_eigenvectors(lam, k, fast),
+                                      reference_select_kdpp_eigenvectors(lam, k, slow))
+                assert fast.random() == slow.random()
+                checked += 1
+        assert checked >= 600
 
     def test_select_kdpp_eigenvectors_invalid_k(self, small_psd, rng):
         eigenvalues = np.linalg.eigvalsh(small_psd)

@@ -28,10 +28,11 @@ ROTATION = np.array([[1.0, -2.0], [2.0, 1.0]])
 
 def reference_esp(values, max_order=None):
     """The scalar ESP loop the single routine replaced, kept as its reference."""
-    vals = np.asarray(values, dtype=float).ravel()
+    vals = np.asarray(values).ravel()
+    vals = vals.astype(complex if np.iscomplexobj(vals) else float)
     n = vals.size
     m = n if max_order is None else int(max_order)
-    esp = np.zeros(m + 1, dtype=float)
+    esp = np.zeros(m + 1, dtype=vals.dtype)
     esp[0] = 1.0
     upper = min(m, n)
     for x in vals:
@@ -152,11 +153,21 @@ class TestESP:
         assert np.allclose(elementary_symmetric_polynomials(np.array([])), [1.0])
 
     def test_one_dimensional_input_matches_reference_bitwise(self, rng):
-        for n in (1, 2, 7, 200):
-            values = rng.exponential(size=n)
-            for max_order in (None, 0, 1, n - 1, n, n + 2):
-                assert np.array_equal(elementary_symmetric_polynomials(values, max_order),
-                                      reference_esp(values, max_order))
+        # orders below n / 2 take the order-wise cumulative sums, the rest the
+        # per-value loop; complex spectra (``dpp/likelihood.py``) and exact
+        # zeros go down both
+        for n in (1, 2, 7, 33, 200):
+            # entries spread over 1e±8, or 1e±1 at n = 200, where e_100 would overflow
+            decades = 8 if n <= 33 else 1
+            real = rng.exponential(size=n) * 10.0 ** rng.uniform(-decades, decades, size=n)
+            real[rng.random(n) < 0.2] = 0.0
+            complex_ = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            complex_[rng.random(n) < 0.2] = 0.0
+            for values in (rng.exponential(size=n), real, complex_):
+                for max_order in (None, 0, 1, n // 4, (n - 1) // 2, n // 2, n - 1, n, n + 2):
+                    esp = elementary_symmetric_polynomials(values, max_order)
+                    assert esp.dtype == reference_esp(values, max_order).dtype
+                    assert np.array_equal(esp, reference_esp(values, max_order))
 
     def test_each_stacked_row_matches_reference_bitwise(self, rng):
         stack = rng.exponential(size=(3, 4, 9))
