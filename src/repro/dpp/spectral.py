@@ -6,18 +6,18 @@ phase 2 selects one element per chosen eigenvector, conditioning the projection
 at every step — an inherently sequential loop of ``|Y|`` rounds, which is
 exactly the ``Ω(k)`` depth the paper's batched samplers beat.
 
-Each phase-2 step is expressed as one ``projection_step``
-:class:`~repro.engine.batch.OracleBatch` executed through the engine (the
-numerics live in :func:`repro.linalg.batch.hkpv_projection_step`): project
-out the previously selected element, re-orthonormalize, return the squared
-row norms the next selection draws from.  Routing the round through the
-engine keeps the sampler's depth accounting where every other sampler's is
-(one adaptive round per batch), lets the planner see it, and —
-the real payoff — makes it fusable: the serving layer's
-:class:`~repro.service.scheduler.RoundScheduler` stacks the lockstep steps
-of concurrent same-kernel requests into single batched QR rounds.  The
-projection kind has a single fixed numerical route on every backend, so
-backend choice (or fusion) never perturbs a fixed-seed sample.
+Phase 1 walks back through :func:`repro.linalg.esp.esp_prefix_table`.  Each
+phase-2 step is one ``projection_step`` :class:`~repro.engine.batch.OracleBatch`
+executed through the engine (:func:`repro.linalg.batch.hkpv_projection_step`):
+drop the previously selected element's direction with one Householder
+reflector and return the squared row norms the next selection draws from.
+Routing the round through the engine keeps the sampler's depth accounting
+where every other sampler's is (one adaptive round per batch), lets the
+planner see it, and lets the serving layer's
+:class:`~repro.service.scheduler.RoundScheduler` stack the lockstep steps of
+concurrent same-kernel requests into one round.  The projection kind has a
+single fixed numerical route on every backend, so backend choice (or fusion)
+never perturbs a fixed-seed sample.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ import numpy as np
 
 from repro.dpp.kernels import validate_ensemble
 from repro.engine import BackendLike, OracleBatch, resolve_backend
+from repro.linalg.esp import esp_prefix_table
 from repro.pram.tracker import current_tracker
 from repro.utils.rng import SeedLike, as_generator
 from repro.utils.subsets import subset_key
@@ -75,17 +76,17 @@ def _phase_two(vectors: np.ndarray, seed: SeedLike = None, *,
 
     ``vectors`` has shape ``(n, m)`` — an orthonormal basis of the selected
     eigenspace.  Each of the ``m`` iterations is one ``projection_step``
-    engine round (project out the last selected element, re-orthonormalize,
-    read the squared row norms), so depth accounting is unchanged — one
-    adaptive round per step — while the rounds become visible to the
-    planner and fusable by the serving layer's scheduler.  All randomness
+    engine round (drop the last selected element's direction with a
+    Householder reflector, read the squared row norms), so depth accounting
+    is one adaptive round per step, and the rounds are visible to the
+    planner and stackable by the serving layer's scheduler.  All randomness
     stays here in the driver; the engine round is deterministic.
     """
     rng = as_generator(seed)
     engine = resolve_backend(backend)
     tracker = current_tracker()
     n, m = vectors.shape
-    basis = vectors.copy()
+    basis = vectors
     selected: List[int] = []
     last: Optional[int] = None
     for _step in range(m, 0, -1):
@@ -135,22 +136,23 @@ def select_kdpp_eigenvectors(eigenvalues: np.ndarray, k: int, seed: SeedLike = N
     """Phase 1 of the k-DPP sampler: choose exactly ``k`` eigen-indices.
 
     Works backwards through the eigenvalues using the standard elementary-
-    symmetric-polynomial recursion [KT12b]; returns a boolean mask of the
-    selected indices.
+    symmetric-polynomial recursion [KT12b] over the prefix table of
+    :func:`~repro.linalg.esp.esp_prefix_table`, read as Python floats (the
+    same IEEE arithmetic); returns a boolean mask of the selected indices.
+    Where ``E[r, m - 1]`` is 0 the step's probability is exactly 1, so no
+    denominator the walk reaches is zero.
     """
     rng = as_generator(seed)
     lam = np.asarray(eigenvalues, dtype=float)
     n = lam.size
     if not 0 <= k <= n:
         raise ValueError(f"k must lie in [0, {n}], got {k}")
-    # E[j, m] = e_j(lam_1..lam_m)
-    E = np.zeros((k + 1, n + 1))
-    E[0, :] = 1.0
-    for m in range(1, n + 1):
-        upper = min(k, m)
-        E[1:upper + 1, m] = E[1:upper + 1, m - 1] + lam[m - 1] * E[0:upper, m - 1]
-    if E[k, n] <= 0:
+    table = esp_prefix_table(lam, k)
+    if table[k, n] <= 0:
         raise ValueError("k-DPP has zero partition function (rank deficient)")
+    if not np.isfinite(table[k, n]):
+        raise ValueError("k-DPP partition function overflows; rescale the ensemble")
+    E, values = table.tolist(), lam.tolist()
     include = np.zeros(n, dtype=bool)
     remaining = k
     for m in range(n, 0, -1):
@@ -159,7 +161,7 @@ def select_kdpp_eigenvectors(eigenvalues: np.ndarray, k: int, seed: SeedLike = N
         if m == remaining:
             include[:m] = True
             break
-        prob = lam[m - 1] * E[remaining - 1, m - 1] / E[remaining, m]
+        prob = values[m - 1] * E[remaining - 1][m - 1] / E[remaining][m]
         if rng.random() < prob:
             include[m - 1] = True
             remaining -= 1

@@ -142,9 +142,9 @@ class ExecutionBackend(abc.ABC):
         (:func:`repro.linalg.batch.hkpv_projection_step`), so forcing any
         backend — or letting the planner choose — cannot perturb the
         sequential sampler's randomness.  Shipping a per-step mutated basis
-        to worker processes could never beat the in-process stacked QR (the
-        basis changes every round, so nothing amortizes), which is why no
-        backend overrides this.
+        to worker processes could never beat the in-process reflector step
+        (the basis changes every round, so nothing amortizes), which is why
+        no backend overrides this.
         """
         basis = batch.matrix
         assert basis is not None

@@ -25,16 +25,16 @@ Batch kinds
     (``-inf`` where the minor is nonpositive) — the filtering sampler's
     density-ratio round.
 ``projection_step``
-    One HKPV phase-2 round: project the basis in ``matrix`` onto the
-    orthogonal complement of the previously selected element (``given``,
-    when nonempty) and return the squared row norms — the next element's
-    selection weights.  The re-orthonormalized basis comes back in
-    :attr:`OracleBatchResult.artifacts` (``"bases"``).  Like
+    One HKPV phase-2 round: drop from the basis in ``matrix`` the direction
+    of the previously selected element (``given``, when nonempty) with one
+    Householder reflector and return the squared row norms — the next
+    element's selection weights.  The ``(n, m - 1)`` orthonormal basis
+    comes back in :attr:`OracleBatchResult.artifacts` (``"bases"``).  Like
     ``marginal_vector`` this kind has one fixed numerical route
     (:func:`repro.linalg.batch.hkpv_projection_step`) shared by every
     backend, so backend choice never perturbs the sequential sampler's
-    randomness; the :class:`~repro.service.scheduler.RoundScheduler` fuses
-    concurrent same-shape steps by stacking the bases (``matrix`` may be a
+    randomness; the :class:`~repro.service.scheduler.RoundScheduler` stacks
+    concurrent same-shape steps into one round (``matrix`` may be a
     ``(G, n, m)`` stack with one ``given`` entry per request).
 """
 
@@ -295,5 +295,5 @@ class OracleBatchResult:
     #: number of queries answered
     n_queries: int
     #: non-scalar outputs some kinds carry alongside ``values`` — e.g. the
-    #: re-orthonormalized ``"bases"`` of a ``projection_step`` round
+    #: reduced orthonormal ``"bases"`` of a ``projection_step`` round
     artifacts: Dict[str, object] = field(default_factory=dict)

@@ -207,12 +207,14 @@ def hkpv_projection_step(bases: np.ndarray,
 
     ``bases`` is a ``(G, n, m)`` stack of orthonormal bases (``G`` concurrent
     requests in lockstep — same kernel, same step).  When ``eliminate`` gives
-    one row index per basis, each basis is first projected onto the
-    orthogonal complement of its ``e_item`` and re-orthonormalized (batched
-    QR, with the pivoted-QR fallback of the scalar sampler when unpivoted QR
-    hides a surviving dimension); the returned ``weights[g]`` are the squared
-    row norms of basis ``g`` afterwards — the element-selection probabilities
-    of the next draw.
+    one row index per basis, each basis ``U`` drops the direction of its row
+    ``U_i``: with ``d = U_i / ‖U_i‖`` and ``w = d + sign(d_m) e_m``, the
+    Householder reflector ``H = I - 2wwᵀ/wᵀw`` maps ``d`` to ``∓e_m``, so its
+    first ``m - 1`` columns are an orthonormal basis of ``d``'s complement
+    and ``U H[:, :m-1] = U[:, :m-1] - (U w) w[:m-1]ᵀ / |w_m|`` (as
+    ``wᵀw = 2|w_m|``) is an orthonormal ``(n, m - 1)`` basis of the projected
+    span.  The returned ``weights[g]`` are the squared row norms of basis
+    ``g`` afterwards — the element-selection probabilities of the next draw.
 
     Every operation is a gufunc that processes slices independently, so the
     per-request numbers are **identical for any stacking factor** ``G`` —
@@ -221,55 +223,27 @@ def hkpv_projection_step(bases: np.ndarray,
     requests by stacking, without perturbing any request's samples.
 
     Returns ``(weights, new_bases)``: ``weights`` is ``(G, n)``;
-    ``new_bases`` is a list of ``G`` 2-D arrays (kept column counts can
-    differ per request when the rank test retains an extra dimension, so the
-    output is not necessarily stackable).
+    ``new_bases`` is a list of ``G`` 2-D arrays.
     """
     stacked = np.asarray(bases, dtype=float)
     if stacked.ndim != 3:
         raise ValueError(f"bases must be a (G, n, m) stack, got shape {stacked.shape}")
     G, n, m = stacked.shape
     if eliminate is None:
-        weights = np.sum(stacked * stacked, axis=2)
-        return weights, [stacked[g] for g in range(G)]
+        return np.sum(stacked * stacked, axis=2), [stacked[g] for g in range(G)]
 
     items = np.asarray(list(eliminate), dtype=int)
     if items.shape != (G,):
         raise ValueError(f"eliminate must give one row per basis, got {items.shape} for G={G}")
     current_tracker().charge(work=float(G) * n * m * m)
-    rows = stacked[np.arange(G), items]                      # (G, m)
+    # (G, m, n): loops run along n; returned bases are views, the next step copies nothing
+    columns = np.ascontiguousarray(stacked.transpose(0, 2, 1))
+    rows = columns[np.arange(G), :, items]                   # (G, m)
     norms = np.sqrt(np.sum(rows * rows, axis=1))
     if np.any(norms <= 0):
         raise RuntimeError("selected an element with zero residual norm")
-    directions = rows / norms[:, None]
-    coeff = np.matmul(stacked, directions[:, :, None])       # (G, n, 1)
-    projected = stacked - coeff * directions[:, None, :]
-    q, r = np.linalg.qr(projected)
-    diag = np.abs(np.diagonal(r, axis1=1, axis2=2))          # (G, m)
-    if m >= 1 and np.all(diag[:, :m - 1] > 1e-9) and np.all(diag[:, m - 1:] <= 1e-9):
-        # Common case, fully vectorized: the collapsed dimension landed in
-        # the last QR column for every member, so each kept basis is the
-        # leading m-1 columns — identical values to the per-member loop
-        # below (same columns, same per-slice reductions), just without G
-        # rounds of Python bookkeeping.
-        kept = q[:, :, :m - 1]
-        return np.sum(kept * kept, axis=2), [kept[g] for g in range(G)]
-    weights = np.empty((G, n), dtype=float)
-    new_bases: List[np.ndarray] = []
-    for g in range(G):
-        keep = diag[g] > 1e-9
-        if int(keep.sum()) < m - 1:
-            # Unpivoted QR can hide a surviving dimension's mass in the upper
-            # triangle when a leading column is nearly zero; pivoted QR
-            # orders the diagonal by magnitude so the first m-1 columns are
-            # exactly the surviving subspace (same fallback as the scalar
-            # sampler used before this routine existed).
-            from scipy.linalg import qr as _pivoted_qr
-
-            q_g, _r_g, _perm = _pivoted_qr(projected[g], mode="economic", pivoting=True)
-            basis = q_g[:, :m - 1]
-        else:
-            basis = q[g][:, keep]
-        new_bases.append(basis)
-        weights[g] = np.sum(basis * basis, axis=1)
-    return weights, new_bases
+    w = rows / norms[:, None]                                # d, then w in place
+    w[:, -1] += np.copysign(1.0, w[:, -1])
+    Uw = np.matmul((w / np.abs(w[:, -1:]))[:, None, :], columns)   # (G, 1, n)
+    kept = columns[:, :-1] - w[:, :-1, None] * Uw
+    return np.sum(kept * kept, axis=1), [basis.T for basis in kept]

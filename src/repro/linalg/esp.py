@@ -7,7 +7,8 @@ radius below sets the torus of the Partition-DPP counting oracle [Cel+16].
 
 We compute them with the standard stable dynamic program (equivalent to
 expanding ``∏ (1 + λ_i t)``) and, as an ``NC``-flavoured alternative, from the
-characteristic polynomial of the matrix.
+characteristic polynomial of the matrix.  The program runs value by value,
+or order by order as cumulative sums (:func:`esp_prefix_table`).
 
 A symmetric k-DPP's counting queries need no spectrum of their own:
 :func:`kdpp_counts_from_factor` reads ``Σ_{S ⊇ T, |S| = k} det(L_S)`` off
@@ -38,7 +39,8 @@ def elementary_symmetric_polynomials(values: np.ndarray, max_order: Optional[int
     Uses the O(n·m) dynamic program ``e_j <- e_j + x * e_{j-1}``, which is the
     coefficient recurrence of ``∏ (1 + x_i t)`` and is numerically stable for
     nonnegative inputs.  Each row sees the same update order whatever it is
-    stacked with, so a stacked call equals per-row calls bitwise.
+    stacked with, so a stacked call equals per-row calls bitwise.  A 1-D
+    input with ``2·m < n`` reads :func:`esp_prefix_table`, faster there.
     """
     vals = np.asarray(values)
     vals = vals.astype(complex if np.iscomplexobj(vals) else float, copy=False)
@@ -46,12 +48,32 @@ def elementary_symmetric_polynomials(values: np.ndarray, max_order: Optional[int
     m = n if max_order is None else int(max_order)
     if m < 0:
         raise ValueError("max_order must be nonnegative")
+    if vals.ndim == 1 and 2 * m < n:
+        return esp_prefix_table(vals, m)[:, -1].copy()
     esp = np.zeros((m + 1,) + vals.shape[:-1], dtype=vals.dtype)
     esp[0] = 1.0
     upper = min(m, n)
     for x in np.moveaxis(vals, -1, 0):
         esp[1:upper + 1] = esp[1:upper + 1] + x * esp[0:upper]
     return esp
+
+
+def esp_prefix_table(values: np.ndarray, max_order: int) -> np.ndarray:
+    """``E[j, i] = e_j(x_1..x_i)`` for a 1-D ``values``, shape ``(max_order + 1, n + 1)``.
+
+    Row ``j`` is one cumulative sum of ``x_i E[j - 1, i - 1]``: the additions
+    of the recurrence ``E[j, i] = E[j, i - 1] + x_i E[j - 1, i - 1]`` in its
+    order, so the table is that recurrence's bitwise.  The exact zeros
+    ``i < j`` are skipped, which is exact for finite inputs.
+    """
+    vals = np.asarray(values)
+    vals = vals.astype(complex if np.iscomplexobj(vals) else float, copy=False)
+    n = vals.size
+    table = np.zeros((max_order + 1, n + 1), dtype=vals.dtype)
+    table[0] = 1.0
+    for j in range(1, min(max_order, n) + 1):
+        np.cumsum(vals[j - 1:] * table[j - 1, j - 1:-1], out=table[j, j:])
+    return table
 
 
 def esp_from_matrix(matrix: np.ndarray, max_order: Optional[int] = None,

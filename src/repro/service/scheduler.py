@@ -9,11 +9,11 @@ thread behind a :class:`_FusingBackend` proxy that parks every submitted
 batch at a rendezvous; once all live requests are parked, the compatible
 batches are **fused** (same kind, same distribution object → subsets
 concatenated; identical marginal-vector queries → answered once and shared;
-same-shape HKPV ``projection_step`` rounds → bases stacked into one batched
-QR) and executed as a single batch through the real execution backend, then
-split back per request.  Spectral (HKPV) requests are submitted with
-``submit(..., method="spectral")``: concurrent same-kernel requests run
-phase 2 in lockstep, so every step fuses.
+same-shape HKPV ``projection_step`` rounds → bases stacked into one
+reflector step) and executed as a single batch through the real execution
+backend, then split back per request.  Spectral (HKPV) requests are
+submitted with ``submit(..., method="spectral")``: concurrent same-kernel
+requests run phase 2 in lockstep, so every step fuses.
 
 The scheduler's backend may be any engine backend, including
 ``backend="process"``: fused batches then ship through the process backend's
@@ -161,7 +161,7 @@ class _FusionCoordinator:
         ``projection_step`` keys on the basis *shape* (plus whether the step
         eliminates an element): every member has its own basis, and
         same-shape steps — concurrent same-kernel HKPV requests run phase 2
-        in lockstep — stack into one batched QR round.
+        in lockstep — stack into one projection round.
         """
         groups: Dict[tuple, List[_PendingExec]] = {}
         for entry in entries:
@@ -224,8 +224,8 @@ class _FusionCoordinator:
         runs the identical per-slice numerics
         (:func:`repro.linalg.batch.hkpv_projection_step` is gufunc-only), so
         each request's weights — and therefore its fixed-seed sample — match
-        unfused execution bitwise, while ``G`` small QR factorizations
-        collapse into one batched LAPACK round.
+        unfused execution bitwise, while ``G`` small reflector steps
+        collapse into one stacked round.
         """
         first = group[0].batch
         start = time.perf_counter()
@@ -341,8 +341,8 @@ class RoundScheduler:
         ``method`` selects the sampler family: ``"parallel"`` (the paper's
         batched samplers; the default) or ``"spectral"`` (the HKPV sampler,
         symmetric kernels only) — spectral requests fuse too, their lockstep
-        phase-2 projection rounds stacking into single batched QR rounds
-        across requests sharing one eigenbasis.  ``kwargs`` are forwarded to
+        phase-2 projection rounds stacking into single rounds across
+        requests sharing one eigenbasis.  ``kwargs`` are forwarded to
         ``session.sample()`` (e.g. ``config=``, ``delta=``); ``backend`` is
         owned by the scheduler (set ``backend=`` on the scheduler itself)
         and is rejected here rather than failing at drain time.

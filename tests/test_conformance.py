@@ -61,6 +61,34 @@ def test_served_theorem10_inclusions_match_exact_marginals():
     assert np.abs(pair_z).max() <= MAX_ABS_Z, np.abs(pair_z).max()
 
 
+def test_served_hkpv_inclusions_match_exact_marginals():
+    # the sequential baseline: phase 1's prefix table and phase 2's
+    # Householder steps are one route on every backend
+    n, k, draws = 200, 10, 2000
+    L = random_psd_ensemble(n, rank=60, seed=0)
+    dist = SymmetricKDPP(L, k)
+    pairs = list(itertools.combinations(range(n), 2))
+    pair_marginals = dist.counting_batch(pairs) / dist.partition_function()
+    top = np.argsort(pair_marginals)[::-1][:20]
+    watched = {pairs[i]: j for j, i in enumerate(top)}
+
+    item_hits = np.zeros(n)
+    pair_hits = np.zeros(len(top))
+    with serve(L, registry=KernelRegistry()) as session:
+        for seed in range(draws):
+            subset = session.sample(k=k, method="spectral", seed=seed).subset
+            assert len(subset) == k
+            item_hits[list(subset)] += 1
+            for pair in itertools.combinations(subset, 2):
+                if pair in watched:
+                    pair_hits[watched[pair]] += 1
+
+    item_z = _z_scores(item_hits, dist.marginal_vector(), draws)
+    pair_z = _z_scores(pair_hits, pair_marginals[top], draws)
+    assert np.abs(item_z).max() <= MAX_ABS_Z, np.abs(item_z).max()
+    assert np.abs(pair_z).max() <= MAX_ABS_Z, np.abs(pair_z).max()
+
+
 # --------------------------------------------------------------------------- #
 # low-rank intermediate samplers: every item and the 20 most repulsive pairs
 # --------------------------------------------------------------------------- #

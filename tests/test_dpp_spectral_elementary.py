@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import repro.dpp.elementary
+import repro.engine.backends
 from repro import serve
 from repro.dpp.elementary import (
     dpp_size_distribution,
@@ -17,8 +18,9 @@ from repro.dpp.spectral import (
     select_kdpp_eigenvectors,
 )
 from repro.dpp.symmetric import SymmetricKDPP
-from repro.linalg.batch import psd_factor
+from repro.linalg.batch import hkpv_projection_step, psd_factor
 from repro.linalg.esp import elementary_symmetric_polynomials
+from repro.linalg.psd import random_orthogonal
 from repro.pram.tracker import Tracker, use_tracker
 from repro.utils.subsets import all_subsets_of_size
 from repro.workloads import random_psd_ensemble
@@ -46,6 +48,36 @@ def reference_select_kdpp_eigenvectors(eigenvalues, k, rng):
             include[m - 1] = True
             remaining -= 1
     return include
+
+
+def reference_qr_projection_step(bases, eliminate=None):
+    """The batched-QR phase-2 step the Householder reflector replaced, kept as its reference."""
+    stacked = np.asarray(bases, dtype=float)
+    G, n, m = stacked.shape
+    if eliminate is None:
+        return np.sum(stacked * stacked, axis=2), [stacked[g] for g in range(G)]
+    items = np.asarray(list(eliminate), dtype=int)
+    rows = stacked[np.arange(G), items]
+    norms = np.sqrt(np.sum(rows * rows, axis=1))
+    directions = rows / norms[:, None]
+    projected = stacked - np.matmul(stacked, directions[:, :, None]) * directions[:, None, :]
+    q, r = np.linalg.qr(projected)
+    diag = np.abs(np.diagonal(r, axis1=1, axis2=2))
+    weights = np.empty((G, n))
+    new_bases = []
+    for g in range(G):
+        keep = diag[g] > 1e-9
+        if int(keep.sum()) < m - 1:
+            # a nearly zero leading column hides a surviving dimension from
+            # unpivoted QR; pivoted QR orders the diagonal by magnitude
+            from scipy.linalg import qr as pivoted_qr
+
+            basis = pivoted_qr(projected[g], mode="economic", pivoting=True)[0][:, :m - 1]
+        else:
+            basis = q[g][:, keep]
+        new_bases.append(basis)
+        weights[g] = np.sum(basis * basis, axis=1)
+    return weights, new_bases
 
 
 def reference_leave_one_out_esp(values, order):
@@ -198,6 +230,13 @@ class TestSpectralSamplers:
                 checked += 1
         assert checked >= 600
 
+    def test_overflowing_partition_function_raises(self):
+        # e_200 of these is 1e600: the walk would divide inf by inf, or by 0
+        for lam in (np.full(250, 1e3), np.r_[np.zeros(50), np.full(200, 1e3)]):
+            with np.errstate(over="ignore", invalid="ignore"), \
+                    pytest.raises(ValueError, match="overflows"):
+                select_kdpp_eigenvectors(lam, 200, np.random.default_rng(0))
+
     def test_select_kdpp_eigenvectors_invalid_k(self, small_psd, rng):
         eigenvalues = np.linalg.eigvalsh(small_psd)
         with pytest.raises(ValueError):
@@ -241,3 +280,54 @@ class TestPhaseTwoDegenerateBasis:
         for seed in range(8):
             subset = sample_kdpp_spectral(L, 4, seed=seed)
             assert subset == (0, 1, 2, 3)
+
+
+class TestHouseholderStep:
+    """Phase 2 drops the selected direction with one m x m Householder reflector."""
+
+    def test_weights_and_bases_on_random_orthonormal_stacks(self):
+        rng = np.random.default_rng(7)
+        for G, n, m in ((1, 1, 1), (1, 5, 1), (3, 12, 2), (4, 40, 7), (2, 200, 10)):
+            bases = np.stack([random_orthogonal(n, seed=rng)[:, :m] for _ in range(G)])
+            items = rng.integers(0, n, size=G)
+            weights, new_bases = hkpv_projection_step(bases, items)
+            assert weights.shape == (G, n)
+            for g in range(G):
+                U = bases[g]
+                d = U[items[g]] / np.linalg.norm(U[items[g]])
+                expected = np.diag(U @ (np.eye(m) - np.outer(d, d)) @ U.T)
+                np.testing.assert_allclose(weights[g], expected, rtol=0, atol=1e-13)
+                assert new_bases[g].shape == (n, m - 1)
+                np.testing.assert_allclose(new_bases[g].T @ new_bases[g], np.eye(m - 1),
+                                           rtol=0, atol=1e-13)
+                single_w, (single_b,) = hkpv_projection_step(U[None], [items[g]])
+                assert np.array_equal(weights[g], single_w[0])
+                assert np.array_equal(new_bases[g], single_b)
+
+    def test_served_draws_equal_the_qr_route(self, monkeypatch):
+        # the reflector and QR give different bases of the same span, so the
+        # weights agree to rounding; fixed seeds on three kernels draw the
+        # same subsets through the served sampler's engine rounds: 200
+        # k-DPP draws and 20 unconstrained draws per kernel
+        reference_calls = []
+
+        def reference(bases, eliminate=None):
+            reference_calls.append(eliminate)
+            return reference_qr_projection_step(bases, eliminate)
+
+        def draws(L, k):
+            with serve(L) as session:
+                return ([session.sample(k=k, method="spectral", seed=seed).subset
+                         for seed in range(200)]
+                        + [session.sample(method="spectral", seed=seed).subset
+                           for seed in range(20)])
+
+        for L, k in ((random_psd_ensemble(200, rank=60, seed=0), 10),
+                     (random_psd_ensemble(50, seed=1), 20),
+                     (np.diag(np.linspace(0.01, 5.0, 40)) + 1e-11, 15)):
+            fast = draws(L, k)
+            with monkeypatch.context() as patch:
+                patch.setattr(repro.engine.backends, "hkpv_projection_step", reference)
+                slow = draws(L, k)
+            assert fast == slow
+        assert reference_calls
