@@ -15,8 +15,9 @@ Two questions, answered with machine-readable JSON lines:
 
 2. **Spectral fusion.**  Concurrent same-kernel HKPV requests drained
    through the ``RoundScheduler`` run phase 2 in lockstep, and their
-   projection rounds stack into single batched QR rounds; the fused drain
-   should beat draining the same seeds sequentially, with identical samples.
+   projection rounds stack into single Householder-step rounds; the fused
+   drain should beat draining the same seeds sequentially, with identical
+   samples.
 
 Running as a script gives the exit-code gate (cell tolerance violations
 fail; the fusion speedup is advisory — it warns, because thread scheduling
