@@ -3,7 +3,7 @@
 Concurrency-bearing classes declare their protocol explicitly::
 
     class FactorizationCache:
-        _GUARDED_BY = {"_lock": ("_entries", "_sizes", "_total_bytes")}
+        _GUARDED_BY = {"_lock": ("_entries",)}
 
 and R2 flags any method body that reads or writes ``self._entries`` (etc.)
 outside a ``with self._lock:`` block.  The declaration is the contract; the

@@ -31,7 +31,7 @@ import numpy as np
 from repro import obs
 from repro.cluster.protocol import (ClusterError, Connection, NodeUnavailable,
                                     attach_trace)
-from repro.cluster.ring import DEFAULT_VNODES, HashRing
+from repro.cluster.ring import HashRing
 from repro.utils.fingerprint import kernel_fingerprint
 from repro.utils.rng import SeedLike, substream_seed
 
@@ -87,22 +87,21 @@ class ClusterClient:
     """Routing client over a set of shard-node addresses.
 
     ``addresses`` maps node id to ``(host, port)``; the ring is derived from
-    the ids (or injected for tests).  All methods are thread-safe.
+    the ids.  All methods are thread-safe.
     """
 
     #: concurrency contract, enforced by ``repro.analysis`` (R2 + race harness)
     _GUARDED_BY = {"_lock": ("_connections", "_catalog", "failovers")}
 
     def __init__(self, addresses: Dict[str, Tuple[str, int]], *,
-                 replication: int = 1, ring: Optional[HashRing] = None,
-                 vnodes: int = DEFAULT_VNODES, timeout: float = 30.0):
+                 replication: int = 1, timeout: float = 30.0):
         if replication < 1:
             raise ValueError(f"replication must be positive, got {replication}")
         self.addresses = {str(node): (host, int(port))
                           for node, (host, port) in addresses.items()}
         self.replication = int(replication)
         self.timeout = float(timeout)
-        self.ring = ring if ring is not None else HashRing(self.addresses, vnodes=vnodes)
+        self.ring = HashRing(self.addresses)
         self._lock = threading.RLock()
         self._connections: Dict[str, Connection] = {}
         self._catalog: Dict[str, _CatalogEntry] = {}

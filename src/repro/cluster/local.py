@@ -17,7 +17,6 @@ from typing import Dict, Optional, Tuple
 from repro import obs
 from repro.cluster.client import ClusterClient, RebalanceReport
 from repro.cluster.node import ShardNode
-from repro.cluster.ring import DEFAULT_VNODES
 from repro.engine import BackendLike
 
 __all__ = ["LocalCluster"]
@@ -33,25 +32,19 @@ class LocalCluster:
     replication:
         Replica factor R: every kernel registers on the first R distinct
         ring owners, and reads fail over along that set.
-    vnodes:
-        Virtual nodes per shard (ring smoothness vs membership-change cost).
-    backend / cache_ttl:
-        Forwarded to every node (execution backend for node-side sampling;
-        idle TTL for node factorization caches).
+    backend:
+        Execution backend every node samples with.
     """
 
     #: concurrency contract, enforced by ``repro.analysis`` (R2 + race harness)
     _GUARDED_BY = {"_lock": ("nodes", "_next_index")}
 
     def __init__(self, nodes: int = 3, *, replication: int = 1,
-                 vnodes: int = DEFAULT_VNODES, backend: BackendLike = None,
-                 cache_ttl: Optional[float] = None, node_prefix: str = "shard"):
+                 backend: BackendLike = None):
         if nodes < 1:
             raise ValueError(f"nodes must be positive, got {nodes}")
         self._lock = threading.RLock()
         self._backend = backend
-        self._cache_ttl = cache_ttl
-        self._prefix = node_prefix
         self._next_index = 0
         self.nodes: Dict[str, ShardNode] = {}
         addresses: Dict[str, Tuple[str, int]] = {}
@@ -59,16 +52,14 @@ class LocalCluster:
             node = self._spawn()
             addresses[node.node_id] = node.start()
             self.nodes[node.node_id] = node
-        self._client = ClusterClient(addresses, replication=replication,
-                                     vnodes=vnodes)
+        self._client = ClusterClient(addresses, replication=replication)
 
     def _spawn(self, node_id: Optional[str] = None) -> ShardNode:
         with self._lock:
             if node_id is None:
-                node_id = f"{self._prefix}-{self._next_index}"
+                node_id = f"shard-{self._next_index}"
                 self._next_index += 1
-            return ShardNode(node_id, backend=self._backend,
-                             cache_ttl=self._cache_ttl)
+            return ShardNode(node_id, backend=self._backend)
 
     # ------------------------------------------------------------------ #
     def client(self) -> ClusterClient:

@@ -45,7 +45,6 @@ import numpy as np
 from repro import obs
 from repro.cluster.protocol import ClusterError, NodeUnavailable, recv_frame, send_frame
 from repro.engine import BackendLike
-from repro.service.cache import FactorizationCache
 from repro.service.registry import KernelRegistry
 from repro.service.session import SamplerSession
 
@@ -60,10 +59,6 @@ class ShardNode:
     node_id:
         Stable identifier; the ring hashes it, so it must survive restarts
         for placement to survive restarts.
-    registry / cache:
-        Injectable for tests; by default each node gets a fresh private
-        :class:`KernelRegistry` over a fresh :class:`FactorizationCache`
-        (optionally TTL'd via ``cache_ttl``).
     backend:
         Execution backend node-side sessions sample with (``None`` — the
         planner default).
@@ -76,16 +71,10 @@ class ShardNode:
     _GUARDED_BY = {"_lock": ("_sessions", "_connections", "_stopped",
                              "_listener", "requests_served")}
 
-    def __init__(self, node_id: str, *, registry: Optional[KernelRegistry] = None,
-                 cache: Optional[FactorizationCache] = None,
-                 cache_ttl: Optional[float] = None,
-                 backend: BackendLike = None,
+    def __init__(self, node_id: str, *, backend: BackendLike = None,
                  host: str = "127.0.0.1", port: int = 0):
         self.node_id = str(node_id)
-        if registry is None:
-            registry = KernelRegistry(cache if cache is not None
-                                      else FactorizationCache(ttl=cache_ttl))
-        self.registry = registry
+        self.registry = KernelRegistry()
         self.backend = backend
         self.host = host
         self.port = int(port)

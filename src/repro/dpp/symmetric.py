@@ -294,8 +294,8 @@ class SymmetricKDPP(HomogeneousDistribution):
     def attach_precomputed(self, *, eigenvalues: Optional[np.ndarray] = None,
                            factor: Optional[np.ndarray] = None,
                            factor_gram: Optional[np.ndarray] = None,
-                           gram_eigh: Optional[Tuple[np.ndarray, np.ndarray]] = None,
-                           check_rank: bool = True) -> "SymmetricKDPP":
+                           gram_eigh: Optional[Tuple[np.ndarray, np.ndarray]] = None
+                           ) -> "SymmetricKDPP":
         """Install cached spectral artifacts so sampling skips preprocessing.
 
         ``eigenvalues`` must be the clipped ``eigvalsh`` spectrum of the
@@ -305,9 +305,9 @@ class SymmetricKDPP(HomogeneousDistribution):
         ``(s, V)`` of the symmetrized Gram — exactly what the serving layer's
         factorization cache computes (for a low-rank registration, its
         ``lowrank_gram`` and ``lowrank_dual``), so fixed-seed samples agree
-        bitwise with the uncached path.  ``check_rank`` re-runs the (now
-        cheap) feasibility check that ``validate=True`` construction would
-        have performed.
+        bitwise with the uncached path.  It then re-runs the (now cheap)
+        feasibility check that ``validate=True`` construction would have
+        performed.
         """
         if eigenvalues is not None:
             if eigenvalues.shape != (self.n,):
@@ -327,7 +327,7 @@ class SymmetricKDPP(HomogeneousDistribution):
             if vectors.shape != gram_shape:
                 raise ValueError("gram_eigh requires a matching precomputed factor")
             self._gram_eigh = (spectrum, self._factor @ vectors)
-        if check_rank and self.k > 0:
+        if self.k > 0:
             self._check_rank()
         return self
 

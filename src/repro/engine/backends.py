@@ -414,17 +414,18 @@ class ProcessPoolBackend(ExecutionBackend):
 
     * ``max_workers`` — the worker-process count (default: CPU count); a
       batch splits into one chunk per worker.
-    * ``start_method`` — ``"spawn"`` by default: fork duplicates the parent's
+    * Workers start by ``spawn``, never fork: fork duplicates the parent's
       locks/threads (the serving layer runs schedulers on threads) and is
       unsafe with most BLAS implementations.
     * Workers answer chunks through the distributions' ``counting_batch``
       oracles under private trackers; the parent merges work/oracle-call
       totals, so PRAM accounting matches the other backends (one round per
       batch, ``n_queries`` machines).
-    * Fallback: when shared memory is unavailable, the pool cannot start, or
-      a distribution cannot be shipped (e.g. closures over unpicklable
-      state), execution degrades gracefully to the vectorized backend with a
-      one-time warning — never a mid-round crash.
+    * Fallback: when shared memory is unavailable, the pool fails
+      ``MAX_POOL_REBUILDS`` batches in a row (it cannot start, or its
+      workers die), or a distribution cannot be shipped (e.g. closures over
+      unpicklable state), execution degrades gracefully to the vectorized
+      backend with a one-time warning — never a mid-round crash.
 
     Fixed-seed samples are identical to every other backend: all randomness
     stays in the parent, and workers run the same batched numerics the
@@ -433,12 +434,10 @@ class ProcessPoolBackend(ExecutionBackend):
 
     name = "process"
 
-    def __init__(self, max_workers: Optional[int] = None, *,
-                 start_method: str = "spawn"):
+    def __init__(self, max_workers: Optional[int] = None):
         if max_workers is not None and max_workers < 1:
             raise ValueError(f"max_workers must be positive, got {max_workers}")
         self.max_workers = max_workers
-        self.start_method = start_method
         self._lock = threading.Lock()
         self._pool = None
         self._store = None
@@ -475,7 +474,7 @@ class ProcessPoolBackend(ExecutionBackend):
                 import multiprocessing
                 from concurrent.futures import ProcessPoolExecutor
 
-                context = multiprocessing.get_context(self.start_method)
+                context = multiprocessing.get_context("spawn")
                 _pin_worker_blas_threads()
                 self._pool = ProcessPoolExecutor(max_workers=self.workers,
                                                  mp_context=context)
@@ -560,7 +559,6 @@ class ProcessPoolBackend(ExecutionBackend):
         — a mid-batch failure must not leave partial charges behind, or the
         vectorized fallback would double-charge the round's work.
         """
-        from concurrent.futures.process import BrokenProcessPool
         from dataclasses import replace
 
         round_context = obs.current_context()
@@ -587,10 +585,11 @@ class ProcessPoolBackend(ExecutionBackend):
                 total_calls += oracle_calls
                 if span is not None:
                     worker_spans.append(span)
-        except BrokenProcessPool as exc:
-            # the pool is dead, but a fresh one may be fine (e.g. one worker
-            # OOM-killed): rebuild on the next batch, degrading permanently
-            # only after MAX_POOL_REBUILDS consecutive deaths
+        except (OSError, RuntimeError) as exc:
+            # a dead worker (BrokenProcessPool), a failed spawn, a worker
+            # racing shm-store eviction, or a concurrent _degrade(): this
+            # batch falls back and the pool is rebuilt on the next one, but
+            # MAX_POOL_REBUILDS failures in a row degrade the backend for good
             with self._lock:
                 pool, self._pool = self._pool, None
                 self._broken_pools += 1
@@ -599,23 +598,11 @@ class ProcessPoolBackend(ExecutionBackend):
                 pool.shutdown(wait=False)
             if exhausted:
                 self._degrade(f"worker pool failed {self._broken_pools} times ({exc})")
-            elif "pool-rebuild" not in self._warned_specs:
+            elif self._degraded is None and "pool-rebuild" not in self._warned_specs:
                 self._warned_specs.add("pool-rebuild")
                 warnings.warn(
-                    f"process backend worker pool died ({exc}); answering this "
-                    "batch on the vectorized backend and rebuilding the pool",
-                    RuntimeWarning, stacklevel=4)
-            return None
-        except (OSError, RuntimeError) as exc:
-            # transient: e.g. a worker raced shm-store eviction of a segment
-            # it had not yet attached (FileNotFoundError), or a concurrent
-            # _degrade() shut the pool down under us.  The next round
-            # re-publishes and retries; only this batch falls back.
-            if self._degraded is None and "shm-transient" not in self._warned_specs:
-                self._warned_specs.add("shm-transient")
-                warnings.warn(
                     f"process backend could not answer this batch ({exc}); "
-                    "falling back to vectorized for it",
+                    "answering it on the vectorized backend and rebuilding the pool",
                     RuntimeWarning, stacklevel=4)
             return None
         with self._lock:

@@ -531,19 +531,16 @@ def register_kernel_registry(kernel_registry) -> None:
 
 
 def _collect_caches() -> List[CollectedMetric]:
-    """Sum CacheStats counters across live caches (reads attrs directly —
-    no TTL sweeps, no lock contention beyond one dict read per cache)."""
+    """Sum each live cache's ``stats.as_dict()`` counters (one series per
+    CacheStats field, so the export cannot drift from the cache's schema)."""
     caches = list(_CACHES)
     if not caches:
         return []
-    totals = {"hits": 0, "misses": 0, "evictions": 0, "size_evictions": 0,
-              "expired": 0, "invalidations": 0, "update_patched": 0,
-              "update_recomputed": 0}
+    totals: Dict[str, int] = {}
     entries = 0
     for cache in caches:
-        stats = cache.stats
-        for key in totals:
-            totals[key] += getattr(stats, key)
+        for key, value in cache.stats.as_dict().items():
+            totals[key] = totals.get(key, 0) + value
         entries += len(cache)
     rows = [
         CollectedMetric(

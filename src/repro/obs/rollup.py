@@ -4,8 +4,11 @@ Before this module, ``SamplerSession.stats`` and the two ``cluster_info()``
 implementations (``cluster/client.py`` and ``cluster/local.py``) each built
 their dicts by hand, so the schemas could drift apart silently.  The
 builders now live here, with the schema documented as **stable**: keys may
-be *added* in later PRs, but existing keys keep their names, types, and
-meaning.  Everything returned is ``json.dumps``-serializable.
+be *added* in later PRs, and existing keys keep their names, types, and
+meaning for as long as the mechanism they count exists; the keys of a
+deleted mechanism go with it (the cache's byte-budget and idle-TTL counters
+went with those two bounds).  Everything returned is
+``json.dumps``-serializable.
 
 Session stats schema (``session_stats``)::
 
@@ -15,8 +18,8 @@ Session stats schema (``session_stats``)::
       "n": int,                       # ground-set size
       "samples_served": int,
       "cache": {                      # FactorizationCache counters (CacheStats.as_dict)
-        "hits": int, "misses": int, "evictions": int,
-        "size_evictions": int, "expired": int, "invalidations": int,
+        "hits": int, "misses": int, "evictions": int, "invalidations": int,
+        "update_patched": int, "update_recomputed": int,
       },
       "cached_artifacts_bytes": int,
       "scheduler": {...},             # present only once a RoundScheduler exists
@@ -32,8 +35,9 @@ Cluster rollup schema (``cluster_rollup``)::
       "samples_served": int,          # summed over reachable nodes
       "failovers": int,               # client-side replica failovers
       "cache": {                      # summed node cache counters
-        "hits": int, "misses": int, "evictions": int, "size_evictions": int,
-        "expired": int, "invalidations": int, "entries": int, "nbytes": int,
+        "hits": int, "misses": int, "evictions": int, "invalidations": int,
+        "update_patched": int, "update_recomputed": int,
+        "entries": int, "nbytes": int,
       },
     }
 
@@ -47,9 +51,10 @@ from typing import Dict, Iterable, List, Mapping
 
 __all__ = ["CACHE_TOTAL_KEYS", "session_stats", "cluster_rollup"]
 
-#: node cache counters summed ring-wide by :func:`cluster_rollup`
-CACHE_TOTAL_KEYS = ("hits", "misses", "evictions", "size_evictions",
-                    "expired", "invalidations", "entries", "nbytes")
+#: node cache counters summed ring-wide by :func:`cluster_rollup`: the six
+#: ``CacheStats`` fields, then the occupancy keys of ``cache_info()``
+CACHE_TOTAL_KEYS = ("hits", "misses", "evictions", "invalidations",
+                    "update_patched", "update_recomputed", "entries", "nbytes")
 
 
 def session_stats(session) -> Dict[str, object]:

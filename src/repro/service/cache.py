@@ -22,8 +22,7 @@ one from the other.
 
 :class:`FactorizationCache` is the content-addressed store: artifacts are
 keyed by a SHA-256 fingerprint of the matrix bytes, entries are evicted LRU
-once ``capacity`` is exceeded, expire after an optional per-entry idle
-``ttl`` (swept lazily on access), and :meth:`~FactorizationCache.invalidate`
+once ``capacity`` is exceeded, and :meth:`~FactorizationCache.invalidate`
 drops an entry explicitly (e.g. after a workload retrains its kernel).  All
 operations are thread-safe; concurrent sessions serving the same kernel share
 one entry.
@@ -32,9 +31,8 @@ one entry.
 from __future__ import annotations
 
 import threading
-import time
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -54,33 +52,28 @@ __all__ = ["CacheStats", "KernelFactorization", "FactorizationCache"]
 class CacheStats:
     """Hit/miss/eviction counters of one :class:`FactorizationCache`.
 
-    ``evictions`` counts entries dropped by the LRU *entry-count* bound;
-    ``size_evictions`` counts entries dropped by the *byte-budget* bound
-    (``max_bytes``); ``expired`` counts entries reclaimed by the idle ``ttl``
-    — the three are tracked separately so operators can tell which limit is
-    actually binding.
+    ``evictions`` counts entries dropped by the LRU ``capacity`` bound;
+    ``invalidations`` counts entries dropped by
+    :meth:`~FactorizationCache.invalidate` and :meth:`~FactorizationCache.clear`.
 
     ``update_patched`` / ``update_recomputed`` count :meth:`~FactorizationCache.adopt`
     decisions — incremental kernel updates whose artifacts were patched from
     the predecessor entry versus rebuilt cold (the update chain reached the
     registry's rebuild depth, or the predecessor was already evicted).
+    The obs collector exports :meth:`as_dict` as it stands, and
+    ``cluster_info()`` sums the same six keys
+    (:data:`repro.obs.rollup.CACHE_TOTAL_KEYS`).
     """
 
     hits: int = 0
     misses: int = 0
     evictions: int = 0
-    size_evictions: int = 0
-    expired: int = 0
     invalidations: int = 0
     update_patched: int = 0
     update_recomputed: int = 0
 
     def as_dict(self) -> Dict[str, int]:
-        return {"hits": self.hits, "misses": self.misses,
-                "evictions": self.evictions, "size_evictions": self.size_evictions,
-                "expired": self.expired, "invalidations": self.invalidations,
-                "update_patched": self.update_patched,
-                "update_recomputed": self.update_recomputed}
+        return asdict(self)
 
 
 class KernelFactorization:
@@ -483,53 +476,21 @@ class KernelFactorization:
 class FactorizationCache:
     """Content-addressed LRU cache of :class:`KernelFactorization` objects.
 
-    ``capacity`` bounds the number of cached kernels (LRU eviction);
-    ``capacity=0`` disables storage entirely — every lookup returns a fresh
-    factorization, which is the "cache off" mode used to verify that caching
-    never changes samples.  ``max_bytes`` additionally bounds the
-    *approximate* bytes of materialized artifacts (summed ndarray
-    ``nbytes``): because artifacts materialize lazily, the budget is
-    enforced at every lookup rather than at write time — least-recently-used
-    entries are dropped until the rest fit, always keeping at least the
-    entry being returned.  ``ttl`` adds idle expiry: an entry untouched for
-    ``ttl`` seconds is reclaimed by a lazy sweep running inside ordinary
-    cache operations (no background thread), with per-entry overrides via
-    ``factorization(..., ttl=...)`` — this is what keeps a long-running shard
-    node serving churning kernels from pinning stale eigendecompositions
-    until LRU pressure happens to reach them.  Entry-count, byte-budget and
-    TTL reclamations are counted separately (see :class:`CacheStats` /
-    :meth:`cache_info`).
+    ``capacity`` bounds the number of cached kernels (LRU eviction, counted
+    in ``stats.evictions``); ``capacity=0`` disables storage entirely — every
+    lookup returns a fresh factorization, which is the "cache off" mode used
+    to verify that caching never changes samples.
     """
 
-    #: sentinel distinguishing "no per-entry ttl given" from an explicit None
-    _TTL_UNSET = object()
-
     #: concurrency contract, enforced by ``repro.analysis`` (R2 + race harness)
-    _GUARDED_BY = {"_lock": ("_entries", "_sizes", "_total_bytes", "_ttls", "_touched")}
+    _GUARDED_BY = {"_lock": ("_entries",)}
 
-    def __init__(self, capacity: int = 32, *, max_bytes: Optional[int] = None,
-                 ttl: Optional[float] = None,
-                 clock: Callable[[], float] = time.monotonic):
+    def __init__(self, capacity: int = 32):
         if capacity < 0:
             raise ValueError(f"capacity must be nonnegative, got {capacity}")
-        if max_bytes is not None and max_bytes < 0:
-            raise ValueError(f"max_bytes must be nonnegative, got {max_bytes}")
-        if ttl is not None and ttl < 0:
-            raise ValueError(f"ttl must be nonnegative, got {ttl}")
         self.capacity = int(capacity)
-        self.max_bytes = int(max_bytes) if max_bytes is not None else None
-        self.ttl = float(ttl) if ttl is not None else None
-        self._clock = clock
         self._lock = threading.RLock()
         self._entries: "OrderedDict[str, KernelFactorization]" = OrderedDict()
-        #: running artifact-byte total: one entry's nbytes is re-read per
-        #: lookup (the touched entry is the only one that can have grown),
-        #: so byte-budget enforcement never rescans the whole cache
-        self._sizes: Dict[str, int] = {}
-        self._total_bytes = 0
-        #: per-entry idle lifetime (defaults to ``self.ttl``) + last touch
-        self._ttls: Dict[str, Optional[float]] = {}
-        self._touched: Dict[str, float] = {}
         self.stats = CacheStats()
         # weakly tracked by the obs collector, which re-exports these
         # counters at snapshot time — no per-operation metric writes here
@@ -537,42 +498,25 @@ class FactorizationCache:
 
     # ------------------------------------------------------------------ #
     def factorization(self, matrix: np.ndarray, *,
-                      fingerprint: Optional[str] = None,
-                      ttl: object = _TTL_UNSET) -> KernelFactorization:
-        """Get-or-create the factorization for ``matrix`` (LRU touch).
-
-        ``ttl`` overrides the cache-level idle lifetime for this entry
-        (``None`` disables expiry for it); passing it on a hit re-arms the
-        entry with the new lifetime.
-        """
+                      fingerprint: Optional[str] = None) -> KernelFactorization:
+        """Get-or-create the factorization for ``matrix`` (LRU touch)."""
         key = fingerprint if fingerprint is not None else array_fingerprint(
             np.asarray(matrix, dtype=float))
         with self._lock:
-            self._sweep_locked()
             entry = self._entries.get(key)
             if entry is not None:
                 self.stats.hits += 1
                 self._entries.move_to_end(key)
-                self._touch_locked(key, ttl)
-                self._note_size_locked(key, entry)
-                self._enforce_byte_budget_locked()
                 return entry
             self.stats.misses += 1
             entry = KernelFactorization(matrix, fingerprint=key)
-            if self.capacity > 0:
-                self._entries[key] = entry
-                self._touch_locked(key, ttl)
-                self._note_size_locked(key, entry)
-                while len(self._entries) > self.capacity:
-                    self._drop_lru_locked()
-                    self.stats.evictions += 1
-                self._enforce_byte_budget_locked()
+            self._insert_locked(key, entry)
             return entry
 
     # ------------------------------------------------------------------ #
     def adopt(self, source_fingerprint: str, update, *, matrix: np.ndarray,
-              fingerprint: str, kind: str, patch: bool = True,
-              ttl: object = _TTL_UNSET) -> Tuple[KernelFactorization, str]:
+              fingerprint: str, kind: str,
+              patch: bool = True) -> Tuple[KernelFactorization, str]:
         """Entry for an incrementally updated kernel; returns ``(entry, decision)``.
 
         When ``patch`` is true and the predecessor
@@ -581,19 +525,14 @@ class FactorizationCache:
         (decision ``"patched"``); otherwise a cold lazy entry is built
         (``"recomputed"``).  The predecessor entry is deliberately **not**
         invalidated — in-flight draws against the old epoch keep their warm
-        artifacts, and LRU/TTL pressure reclaims it naturally.  The new
-        entry is inserted with ordinary LRU/byte-budget bookkeeping; patch
-        work runs outside the cache lock.
+        artifacts, and LRU pressure reclaims it naturally.  The new entry is
+        inserted like any other; patch work runs outside the cache lock.
         """
         with self._lock:
-            self._sweep_locked()
             existing = self._entries.get(fingerprint)
             if existing is not None:
                 self.stats.hits += 1
                 self._entries.move_to_end(fingerprint)
-                self._touch_locked(fingerprint, ttl)
-                self._note_size_locked(fingerprint, existing)
-                self._enforce_byte_budget_locked()
                 return existing, "hit"
             source = self._entries.get(source_fingerprint) if patch else None
         if source is not None:
@@ -611,86 +550,21 @@ class FactorizationCache:
                 self.stats.update_patched += 1
             else:
                 self.stats.update_recomputed += 1
-            if self.capacity > 0:
-                self._entries[fingerprint] = entry
-                self._touch_locked(fingerprint, ttl)
-                self._note_size_locked(fingerprint, entry)
-                while len(self._entries) > self.capacity:
-                    self._drop_lru_locked()
-                    self.stats.evictions += 1
-                self._enforce_byte_budget_locked()
+            self._insert_locked(fingerprint, entry)
         return entry, decision
 
-    # ------------------------------------------------------------------ #
-    # idle-TTL expiry
-    # ------------------------------------------------------------------ #
-    def _touch_locked(self, key: str, ttl: object = _TTL_UNSET) -> None:
-        self._touched[key] = self._clock()
-        if ttl is not self._TTL_UNSET:
-            self._ttls[key] = float(ttl) if ttl is not None else None  # type: ignore[arg-type]
-        elif key not in self._ttls:
-            self._ttls[key] = self.ttl
-
-    def sweep(self) -> int:
-        """Drop entries idle past their ttl; returns how many were reclaimed.
-
-        Sweeps also run lazily inside :meth:`factorization` and
-        :meth:`cache_info` — this public form exists for explicit maintenance
-        ticks in long-running serving processes (shard nodes call it from
-        their stats path).
-        """
-        with self._lock:
-            return self._sweep_locked()
-
-    def _sweep_locked(self) -> int:
-        if not self._entries:
-            return 0
-        now = self._clock()
-        expired = [key for key in self._entries
-                   if self._ttls.get(key) is not None
-                   and now - self._touched.get(key, now) >= self._ttls[key]]
-        for key in expired:
-            del self._entries[key]
-            self._forget_locked(key)
-            self.stats.expired += 1
-        return len(expired)
-
-    def _forget_locked(self, key: str) -> None:
-        self._total_bytes -= self._sizes.pop(key, 0)
-        self._ttls.pop(key, None)
-        self._touched.pop(key, None)
-
-    def _note_size_locked(self, key: str, entry: KernelFactorization) -> None:
-        """Refresh the running byte total with the touched entry's size."""
-        if self.max_bytes is None:
+    def _insert_locked(self, key: str, entry: KernelFactorization) -> None:
+        """Store ``entry`` as most recently used, evicting LRU entries past
+        ``capacity`` (stores nothing when the cache is off)."""
+        if self.capacity == 0:
             return
-        nbytes = entry.nbytes
-        self._total_bytes += nbytes - self._sizes.get(key, 0)
-        self._sizes[key] = nbytes
-
-    def _drop_lru_locked(self) -> str:
-        key, _ = self._entries.popitem(last=False)
-        self._forget_locked(key)
-        return key
-
-    def _enforce_byte_budget_locked(self) -> None:
-        """Evict LRU entries until materialized artifacts fit ``max_bytes``.
-
-        The most-recently-used entry always survives — a single kernel whose
-        artifacts exceed the whole budget still has to serve its session;
-        the budget then simply prevents a *second* kernel from being
-        retained alongside it.  Thanks to the running total this is O(1)
-        per lookup plus O(1) per actual eviction — no full-cache rescans on
-        the serving hot path.
-        """
-        if self.max_bytes is None:
-            return
-        while self._total_bytes > self.max_bytes and len(self._entries) > 1:
-            self._drop_lru_locked()
-            self.stats.size_evictions += 1
+        self._entries[key] = entry
+        while len(self._entries) > self.capacity:
+            self._entries.popitem(last=False)
+            self.stats.evictions += 1
 
     def cache_info(self) -> Dict[str, object]:
-        """One-call diagnostic snapshot: bounds, occupancy, and counters.
+        """One-call diagnostic snapshot: bound, occupancy, and counters.
 
         ``"artifacts"`` breaks the counters down per artifact kind
         (``eigh``, ``factor``, ``lowrank_gram``, ...) with
@@ -699,13 +573,10 @@ class FactorizationCache:
         recomputes in dashboards.
         """
         with self._lock:
-            self._sweep_locked()
             entries = list(self._entries.values())
             info: Dict[str, object] = {
                 "entries": len(entries),
                 "capacity": self.capacity,
-                "max_bytes": self.max_bytes,
-                "ttl": self.ttl,
                 "nbytes": sum(entry.nbytes for entry in entries),
             }
             info.update(self.stats.as_dict())
@@ -726,7 +597,6 @@ class FactorizationCache:
         with self._lock:
             if key in self._entries:
                 del self._entries[key]
-                self._forget_locked(key)
                 self.stats.invalidations += 1
                 return True
             return False
@@ -736,10 +606,6 @@ class FactorizationCache:
         with self._lock:
             self.stats.invalidations += len(self._entries)
             self._entries.clear()
-            self._sizes.clear()
-            self._ttls.clear()
-            self._touched.clear()
-            self._total_bytes = 0
 
     # ------------------------------------------------------------------ #
     def __len__(self) -> int:

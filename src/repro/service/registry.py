@@ -347,7 +347,7 @@ class KernelRegistry:
         nodes use to detect a replica whose chain has diverged from the
         client's.  The predecessor's cache entry is *not* invalidated:
         sessions still draining on the old epoch keep their warm artifacts,
-        and LRU/TTL pressure reclaims it.  :func:`updated_entry` decides
+        and LRU pressure reclaims it.  :func:`updated_entry` decides
         between patching and a lazy rebuild.
         """
         with self._lock:
@@ -454,7 +454,7 @@ class KernelRegistry:
         """Registration counts alone — no TTL sweeps, no cache traffic.
 
         The lightweight form the obs collector polls at export time;
-        :meth:`registry_info` is the full diagnostic (and sweeps the cache).
+        :meth:`registry_info` is the full diagnostic (and reads the cache).
         """
         with self._lock:
             return {"registered": len(self._entries),

@@ -19,6 +19,8 @@ from repro.cluster import (
     serve_cluster,
 )
 from repro.cluster.protocol import Connection, recv_frame, send_frame
+from repro.obs.rollup import CACHE_TOTAL_KEYS
+from repro.service.cache import CacheStats
 from repro.service.registry import kernel_fingerprint
 from repro.workloads import clustered_ensemble, random_npsd_ensemble, random_psd_ensemble
 
@@ -384,16 +386,22 @@ class TestClusterInfoAndFacade:
             session = serve_cluster(psd, cluster=cluster, warm=True)
             for seed in SEEDS:
                 session.sample(k=4, seed=seed)
+            session.update(np.random.default_rng(3).standard_normal(psd.shape[0]),
+                           weight=0.1)
             info = cluster.cluster_info()
             assert info["alive"] == 3
             assert info["registered"] == 1
             assert info["samples_served"] == len(SEEDS)
-            assert info["cache"]["entries"] == 2  # primary + one replica
+            assert info["cache"]["entries"] == 4  # primary + one replica, each epoch
             assert info["cache"]["misses"] >= 2
             assert set(info["nodes"]) == set(info["ring"]["nodes"])
-            per_node_entries = sum(
-                stats["registry"]["cache"]["entries"] for stats in info["nodes"].values())
-            assert per_node_entries == info["cache"]["entries"]
+            # every CacheStats counter plus the occupancy keys, summed over nodes
+            assert set(CACHE_TOTAL_KEYS) == set(CacheStats().as_dict()) | {"entries", "nbytes"}
+            assert set(info["cache"]) == set(CACHE_TOTAL_KEYS)
+            for key in CACHE_TOTAL_KEYS:
+                assert info["cache"][key] == sum(
+                    stats["registry"]["cache"][key] for stats in info["nodes"].values())
+            assert info["cache"]["update_patched"] + info["cache"]["update_recomputed"] == 2
 
     def test_unreachable_nodes_are_reported_not_fatal(self, psd):
         with LocalCluster(nodes=3, replication=2) as cluster:

@@ -7,6 +7,7 @@ enabling observability (metrics, tracing) never changes sampled values.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import re
 import threading
@@ -19,6 +20,7 @@ from repro import obs
 from repro.engine.batch import OracleBatch, OracleBatchResult
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
+from repro.service.cache import CacheStats
 
 
 @pytest.fixture(autouse=True)
@@ -279,7 +281,6 @@ class TestStatsRollups:
                               "cache", "cached_artifacts_bytes"}
         assert stats["samples_served"] == 1
         assert set(stats["cache"]) == {"hits", "misses", "evictions",
-                                       "size_evictions", "expired",
                                        "invalidations", "update_patched",
                                        "update_recomputed"}
 
@@ -328,7 +329,10 @@ class TestStatsRollups:
             session.sample(k=3, seed=1)
         json.dumps(obs.snapshot())
         text = obs.render_prometheus()
-        assert "repro_cache_hits_total" in text
+        # one counter series per CacheStats field, and no other
+        series = set(re.findall(r"^(repro_cache_\w+_total) ", text, re.M))
+        assert series == {f"repro_cache_{field.name}_total"
+                          for field in dataclasses.fields(CacheStats)}
         assert "repro_registry_kernels" in text
 
 

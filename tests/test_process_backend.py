@@ -4,6 +4,7 @@ backends (``serial`` / ``vectorized`` / ``threads`` / ``process`` / the
 planner-driven ``auto``) on every theorem sampler — spectral included,
 fused and unfused."""
 
+import errno
 import gc
 import pickle
 import warnings
@@ -438,6 +439,48 @@ class TestFallback:
             np.testing.assert_allclose(result.values, reference.values, rtol=1e-9)
         finally:
             backend.close()
+
+    def test_pool_that_cannot_start_degrades_after_bounded_retries(self, kdpp, monkeypatch):
+        """A pool whose ``submit`` fails to spawn is retried for at most
+        MAX_POOL_REBUILDS batches, then the backend degrades for good."""
+        submits = []
+
+        class _UnstartablePool:  # stands in for ProcessPoolExecutor: no process starts
+            def __init__(self, *args, **kwargs):
+                pass
+
+            def submit(self, *args, **kwargs):
+                submits.append(1)
+                raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+            def shutdown(self, wait=True):
+                pass
+
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _UnstartablePool)
+        monkeypatch.setattr("repro.engine.backends._pin_worker_blas_threads", lambda: None)
+        subsets = [(0,), (1,), (0, 1)]
+        reference = SerialBackend().execute(OracleBatch.counting(kdpp, subsets),
+                                            tracker=Tracker()).values
+        backend = ProcessPoolBackend(max_workers=2)
+        assert backend.MAX_POOL_REBUILDS == 3
+        degraded_on, submits_per_batch = [], []
+        try:
+            for index in range(6):
+                before = len(submits)
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    values = backend.execute(OracleBatch.counting(kdpp, subsets),
+                                             tracker=Tracker()).values
+                np.testing.assert_array_equal(values, reference)
+                submits_per_batch.append(len(submits) - before)
+                degraded_on += [index for w in caught
+                                if issubclass(w.category, RuntimeWarning)
+                                and "degraded to vectorized" in str(w.message)]
+        finally:
+            backend.close()
+        assert degraded_on == [2]
+        assert submits_per_batch == [1, 1, 1, 0, 0, 0]
+        assert backend._degraded is not None
 
     def test_unshippable_distribution_falls_back_per_batch(self, explicit, process_backend):
         dist = _Unpicklable(explicit)

@@ -110,6 +110,15 @@ class TestFactorizationCache:
         assert len(cache) == 0
         assert cache.stats.invalidations == 1
 
+    def test_cleared_entry_recomputes_but_samples_identically(self, psd):
+        cache = FactorizationCache()
+        session = serve(psd, name="cleared", registry=KernelRegistry(cache))
+        want = session.sample(k=5, seed=77).subset
+        cache.clear()  # warm artifacts reclaimed...
+        misses = cache.stats.misses
+        assert session.sample(k=5, seed=77).subset == want  # ...samples unchanged
+        assert cache.stats.misses == misses + 1  # ...recomputed
+
     def test_nbytes_grows_with_materialization(self, psd):
         cache = FactorizationCache()
         fact = cache.factorization(psd)
@@ -741,120 +750,6 @@ class TestWarmup:
         session.close()
         with pytest.raises(RuntimeError, match="closed"):
             session.warm()
-
-
-class TestByteBudgetEviction:
-    def test_size_budget_evicts_lru(self):
-        cache = FactorizationCache(capacity=16, max_bytes=1)
-        kernels = [random_psd_ensemble(12, seed=s) for s in range(3)]
-        for kernel in kernels:
-            cache.factorization(kernel).warm("symmetric")
-            cache.factorization(kernel)  # lookup enforces the budget
-        info = cache.cache_info()
-        assert info["entries"] == 1  # most-recent survivor only
-        assert info["size_evictions"] == 2
-        assert info["evictions"] == 0  # entry-count bound never fired
-        assert cache.fingerprints() == [array_fingerprint(kernels[-1])]
-
-    def test_budget_keeps_single_oversized_entry(self, psd):
-        cache = FactorizationCache(max_bytes=1)
-        fact = cache.factorization(psd)
-        fact.warm("symmetric")
-        assert cache.factorization(psd) is fact  # still cached, still warm
-
-    def test_no_budget_means_no_size_evictions(self, psd):
-        cache = FactorizationCache(capacity=2)
-        for seed in range(4):
-            cache.factorization(random_psd_ensemble(10, seed=seed))
-        info = cache.cache_info()
-        assert info["size_evictions"] == 0 and info["evictions"] == 2
-        assert info["max_bytes"] is None
-
-    def test_stats_expose_size_evictions_separately(self, psd):
-        cache = FactorizationCache(max_bytes=0)
-        stats = cache.stats.as_dict()
-        assert "size_evictions" in stats and "evictions" in stats
-
-    def test_invalid_budget_rejected(self):
-        with pytest.raises(ValueError, match="max_bytes"):
-            FactorizationCache(max_bytes=-1)
-
-
-# ---------------------------------------------------------------------- #
-class TestCacheTTLExpiry:
-    def test_idle_entries_expire_lazily_on_access(self, psd):
-        clock = _FakeClock()
-        cache = FactorizationCache(ttl=10.0, clock=clock)
-        cache.factorization(psd)
-        other = random_psd_ensemble(8, rank=4, seed=3)
-        clock.advance(5.0)
-        cache.factorization(other)
-        assert len(cache) == 2
-        clock.advance(6.0)  # psd idle 11s, other idle 6s
-        cache.factorization(other)  # lazy sweep runs here
-        assert len(cache) == 1
-        assert cache.stats.expired == 1
-        assert array_fingerprint(np.asarray(psd, dtype=float)) not in cache
-
-    def test_touch_rearms_the_idle_clock(self, psd):
-        clock = _FakeClock()
-        cache = FactorizationCache(ttl=10.0, clock=clock)
-        cache.factorization(psd)
-        for _ in range(5):
-            clock.advance(8.0)
-            cache.factorization(psd)  # touched before expiry every time
-        assert len(cache) == 1 and cache.stats.expired == 0
-
-    def test_per_entry_ttl_overrides_cache_default(self, psd):
-        clock = _FakeClock()
-        cache = FactorizationCache(ttl=100.0, clock=clock)
-        short = random_psd_ensemble(8, rank=4, seed=4)
-        cache.factorization(psd)
-        cache.factorization(short, ttl=5.0)
-        clock.advance(6.0)
-        info = cache.cache_info()
-        assert info["entries"] == 1 and info["expired"] == 1
-        # ttl=None pins an entry even under a cache-level default
-        pinned = random_psd_ensemble(8, rank=4, seed=5)
-        cache.factorization(pinned, ttl=None)
-        clock.advance(1000.0)
-        assert cache.cache_info()["entries"] == 1
-        assert cache.stats.expired == 2  # psd joined the reaped set
-
-    def test_no_ttl_means_no_expiry(self, psd):
-        clock = _FakeClock()
-        cache = FactorizationCache(clock=clock)
-        cache.factorization(psd)
-        clock.advance(1e9)
-        assert cache.cache_info()["entries"] == 1
-        assert cache.cache_info()["expired"] == 0
-
-    def test_expired_counter_is_separate_from_evictions(self, psd):
-        clock = _FakeClock()
-        cache = FactorizationCache(capacity=1, ttl=10.0, clock=clock)
-        cache.factorization(psd)
-        cache.factorization(random_psd_ensemble(8, rank=4, seed=6))  # LRU eviction
-        assert cache.stats.evictions == 1
-        clock.advance(11.0)
-        cache.sweep()
-        assert cache.stats.expired == 1
-        info = cache.cache_info()
-        assert info["ttl"] == 10.0
-        assert {"expired", "evictions", "size_evictions"} <= set(info)
-
-    def test_invalid_ttl_rejected(self):
-        with pytest.raises(ValueError, match="ttl"):
-            FactorizationCache(ttl=-1.0)
-
-    def test_expired_entry_recomputes_but_samples_identically(self, psd):
-        clock = _FakeClock()
-        cache = FactorizationCache(ttl=1.0, clock=clock)
-        registry = KernelRegistry(cache)
-        session = serve(psd, name="ttl-kernel", registry=registry)
-        want = session.sample(k=5, seed=77).subset
-        clock.advance(2.0)
-        cache.sweep()  # warm artifacts reclaimed...
-        assert session.sample(k=5, seed=77).subset == want  # ...samples unchanged
 
 
 class TestRegistryInfo:
