@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional
 
 from repro.analysis.report import Violation
 
@@ -102,18 +102,3 @@ def resolve(aliases: Dict[str, str], dotted: str) -> str:
     head, _, rest = dotted.partition(".")
     base = aliases.get(head, head)
     return f"{base}.{rest}" if rest else base
-
-
-def literal_str_keys(node: ast.Dict) -> Optional[Tuple[str, ...]]:
-    """All keys of a dict literal when every key is a string literal.
-
-    ``None`` when any key is dynamic (``**`` spread, variable, f-string) —
-    callers treat that dict as opaque rather than guessing.
-    """
-    keys: List[str] = []
-    for key in node.keys:
-        if isinstance(key, ast.Constant) and isinstance(key.value, str):
-            keys.append(key.value)
-        else:
-            return None
-    return tuple(keys)

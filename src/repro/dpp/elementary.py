@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.linalg.batch import symmetrized_eigh
 from repro.linalg.esp import elementary_symmetric_polynomials
 from repro.pram.tracker import current_tracker
 from repro.utils.validation import check_square
@@ -38,15 +39,19 @@ def dpp_size_distribution(L: np.ndarray) -> np.ndarray:
     if n == 0:
         return np.array([1.0])
     if np.allclose(a, a.T):
-        eigenvalues = np.clip(np.linalg.eigvalsh(0.5 * (a + a.T)), 0.0, None)
-        esp = elementary_symmetric_polynomials(eigenvalues)
+        esp = elementary_symmetric_polynomials(symmetrized_eigh(a)[0])
     else:
         # complex spectrum: the polynomials are real, the eigenvalues need not be
         esp = np.clip(elementary_symmetric_polynomials(np.linalg.eigvals(a)).real, 0.0, None)
-    total = esp.sum()
+    return normalize_sizes(esp)
+
+
+def normalize_sizes(weights: np.ndarray) -> np.ndarray:
+    """``P[|S| = t]`` from the size weights ``Σ_{|S| = t} det(L_S)``, ``t = 0..n``."""
+    total = weights.sum()
     if total <= 0:
         raise ValueError("ensemble matrix defines a zero measure")
-    return esp / total
+    return weights / total
 
 
 def leave_one_out_esp(values: np.ndarray, order: int) -> np.ndarray:

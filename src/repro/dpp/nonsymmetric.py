@@ -23,6 +23,7 @@ from typing import Iterable, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.distributions.base import SubsetDistribution
+from repro.dpp.elementary import normalize_sizes
 from repro.dpp.kernels import ensemble_to_kernel, validate_ensemble
 from repro.dpp.likelihood import all_principal_minor_sums, dpp_unnormalized
 from repro.dpp.partition import PartitionDPP
@@ -46,7 +47,6 @@ class NonsymmetricDPP(SubsetDistribution):
         self.n = self.L.shape[0]
         self._labels = tuple(int(i) for i in labels) if labels is not None else tuple(range(self.n))
         self._kernel: Optional[np.ndarray] = None
-        self._z: Optional[float] = None
 
     @property
     def ground_labels(self) -> Tuple[int, ...]:
@@ -59,36 +59,18 @@ class NonsymmetricDPP(SubsetDistribution):
             self._kernel = ensemble_to_kernel(self.L)
         return self._kernel
 
-    def attach_precomputed(self, *, kernel: Optional[np.ndarray] = None,
-                           partition_function: Optional[float] = None) -> "NonsymmetricDPP":
-        """Install cached artifacts (marginal kernel, ``det(I + L)``).
-
-        The values must be what this class would compute itself (the serving
-        layer's factorization cache uses the identical routines), so cached
-        and uncached fixed-seed samples agree bitwise.
-        """
-        if kernel is not None:
-            if kernel.shape != self.L.shape:
-                raise ValueError("precomputed kernel has mismatched shape")
-            self._kernel = kernel
-        if partition_function is not None:
-            self._z = float(partition_function)
-        return self
-
     def worker_payload(self):
-        """Ship ``L`` (plus the marginal kernel / normalizer when warm)."""
+        """Ship ``L`` (plus the marginal kernel once computed)."""
         arrays = {"L": self.L}
         if self._kernel is not None:
             arrays["kernel"] = self._kernel
-        return arrays, {"labels": self._labels, "z": self._z}
+        return arrays, {"labels": self._labels}
 
     @classmethod
     def from_worker_payload(cls, arrays, params):
         dist = cls(arrays["L"], validate=False, labels=params["labels"])
         if "kernel" in arrays:
             dist._kernel = arrays["kernel"]
-        if params["z"] is not None:
-            dist._z = float(params["z"])
         return dist
 
     def oracle_cost_hint(self) -> float:
@@ -101,8 +83,6 @@ class NonsymmetricDPP(SubsetDistribution):
         return max(dpp_unnormalized(self.L, items), 0.0)
 
     def partition_function(self) -> float:
-        if self._z is not None:
-            return self._z
         current_tracker().charge_determinant(self.n)
         return float(np.linalg.det(np.eye(self.n) + self.L))
 
@@ -137,12 +117,7 @@ class NonsymmetricDPP(SubsetDistribution):
         return np.clip(minors, 0.0, None) * self.partition_function()
 
     def cardinality_distribution(self) -> np.ndarray:
-        sums = all_principal_minor_sums(self.L)
-        sums = np.clip(sums, 0.0, None)
-        total = sums.sum()
-        if total <= 0:
-            raise ValueError("ensemble matrix defines a zero measure")
-        return sums / total
+        return normalize_sizes(np.clip(all_principal_minor_sums(self.L), 0.0, None))
 
     # ------------------------------------------------------------------ #
     def condition(self, include: Iterable[int]) -> "NonsymmetricDPP":

@@ -28,29 +28,11 @@ import numpy as np
 
 from repro.dpp.kernels import validate_ensemble
 from repro.engine import BackendLike, OracleBatch, resolve_backend
+from repro.linalg.batch import EighPair, symmetrized_eigh
 from repro.linalg.esp import esp_prefix_table
 from repro.pram.tracker import current_tracker
 from repro.utils.rng import SeedLike, as_generator
 from repro.utils.subsets import subset_key
-
-#: precomputed ``(eigenvalues, eigenvectors)`` pair accepted by the samplers
-EighPair = Tuple[np.ndarray, np.ndarray]
-
-
-def symmetrized_eigh(ensemble: np.ndarray) -> EighPair:
-    """One symmetrize-then-``eigh`` with eigenvalues clipped at zero.
-
-    Both spectral samplers used to recompute ``0.5 * (L + Lᵀ)`` and its
-    eigendecomposition independently at their own call sites; routing them
-    through this single helper guarantees the two phases agree bitwise, and
-    gives the serving layer one function to memoize — a
-    :class:`repro.service.FactorizationCache` computes the pair with exactly
-    this routine and threads it back in via the samplers' ``eigh=`` argument,
-    so cached and uncached draws consume identical spectra.
-    """
-    a = np.asarray(ensemble, dtype=float)
-    eigenvalues, eigenvectors = np.linalg.eigh(0.5 * (a + a.T))
-    return np.clip(eigenvalues, 0.0, None), eigenvectors
 
 
 def _resolve_eigh(ensemble: np.ndarray, eigh: Optional[EighPair]) -> EighPair:

@@ -32,12 +32,14 @@ from repro.dpp.elementary import dpp_size_distribution, kdpp_marginals_from_fact
 from repro.dpp.kernels import ensemble_to_kernel, validate_ensemble
 from repro.dpp.likelihood import dpp_unnormalized
 from repro.linalg.batch import (
+    EighPair,
     conditioned_factor,
+    factor_from_eigh,
     group_by_size,
     grouped_principal_minors,
     lowrank_conditioned_gram,
-    psd_factor,
     stacked_principal_submatrices,
+    symmetrized_eigh,
 )
 from repro.linalg.determinant import principal_minor
 from repro.linalg.esp import elementary_symmetric_polynomials, kdpp_counts_from_factor
@@ -55,7 +57,6 @@ class SymmetricDPP(SubsetDistribution):
         self.n = self.L.shape[0]
         self._labels = tuple(int(i) for i in labels) if labels is not None else tuple(range(self.n))
         self._kernel: Optional[np.ndarray] = None
-        self._z: Optional[float] = None
 
     # ------------------------------------------------------------------ #
     @property
@@ -69,45 +70,23 @@ class SymmetricDPP(SubsetDistribution):
             self._kernel = ensemble_to_kernel(self.L)
         return self._kernel
 
-    def attach_precomputed(self, *, kernel: Optional[np.ndarray] = None,
-                           partition_function: Optional[float] = None) -> "SymmetricDPP":
-        """Install cached artifacts so later queries skip recomputation.
-
-        The serving layer's :class:`~repro.service.cache.FactorizationCache`
-        computes the artifacts with the same routines this class would use
-        (``kernel`` via :func:`repro.dpp.kernels.ensemble_to_kernel`,
-        ``partition_function`` as ``det(I + L)``), so a fixed-seed sample is
-        identical with and without the cache.
-        """
-        if kernel is not None:
-            if kernel.shape != self.L.shape:
-                raise ValueError("precomputed kernel has mismatched shape")
-            self._kernel = kernel
-        if partition_function is not None:
-            self._z = float(partition_function)
-        return self
-
     def worker_payload(self):
-        """Ship ``L`` (plus any artifacts already materialized) to workers.
+        """Ship ``L`` (plus the marginal kernel once computed) to workers.
 
-        Lazily computed state travels only when present: a warm serving-layer
-        distribution ships its cached kernel/normalizer so workers skip the
-        ``O(n³)`` preprocessing, while a cold one lets each worker derive them
-        from ``L`` with the identical routines (same machine, same LAPACK —
-        same bits).
+        A distribution that has computed its kernel ships it so workers skip
+        the ``O(n³)`` inverse; otherwise each worker derives it from ``L``
+        with the identical routine (same machine, same LAPACK — same bits).
         """
         arrays = {"L": self.L}
         if self._kernel is not None:
             arrays["kernel"] = self._kernel
-        return arrays, {"labels": self._labels, "z": self._z}
+        return arrays, {"labels": self._labels}
 
     @classmethod
     def from_worker_payload(cls, arrays, params):
         dist = cls(arrays["L"], validate=False, labels=params["labels"])
         if "kernel" in arrays:
             dist._kernel = arrays["kernel"]
-        if params["z"] is not None:
-            dist._z = float(params["z"])
         return dist
 
     def oracle_cost_hint(self) -> float:
@@ -122,10 +101,7 @@ class SymmetricDPP(SubsetDistribution):
         return max(dpp_unnormalized(self.L, items), 0.0)
 
     def partition_function(self) -> float:
-        if self._z is not None:
-            return self._z
-        tracker = current_tracker()
-        tracker.charge_determinant(self.n)
+        current_tracker().charge_determinant(self.n)
         return float(np.linalg.det(np.eye(self.n) + self.L))
 
     def counting(self, given: Iterable[int] = ()) -> float:
@@ -209,6 +185,7 @@ class SymmetricKDPP(HomogeneousDistribution):
             raise ValueError(f"k={k} exceeds ground set size {self.n}")
         self._labels = tuple(int(i) for i in labels) if labels is not None else tuple(range(self.n))
         self._eigenvalues: Optional[np.ndarray] = None
+        self._eigh: Optional[EighPair] = None  # a dense L's, until its factor exists
         self._factor: Optional[np.ndarray] = factor
         self._factor_gram: Optional[np.ndarray] = None
         self._gram_eigh: Optional[Tuple[np.ndarray, np.ndarray]] = None
@@ -235,30 +212,40 @@ class SymmetricKDPP(HomogeneousDistribution):
     def ground_labels(self) -> Tuple[int, ...]:
         return self._labels
 
+    def _dense_eigh(self) -> EighPair:
+        """``symmetrized_eigh(L)``: the one decomposition of a dense ``L``."""
+        pair = self._eigh  # one read: a concurrent factor build may clear it
+        if pair is None:
+            pair = self._eigh = symmetrized_eigh(self.L)
+        return pair
+
     @property
     def eigenvalues(self) -> np.ndarray:
         """Clipped spectrum of ``L``, ascending (cached).
 
-        A kernel with a dense ``L`` takes it from one ``eigvalsh`` of the
-        symmetrized ``L``: ``n`` values.  A kernel without one returns the
-        spectrum of its factor's ``r x r`` Gram, which holds every nonzero
-        eigenvalue of ``L``, with no ``n x n`` decomposition.  It keeps at
-        most ``n`` values: ``rank(L) <= n``, so any further Gram eigenvalues
-        are rounding.
+        A kernel with a dense ``L`` takes the ``n`` eigenvalues of
+        :func:`~repro.linalg.batch.symmetrized_eigh`, the decomposition its
+        factor comes from.  A kernel without one returns the spectrum of its
+        factor's ``r x r`` Gram, which holds every nonzero eigenvalue of
+        ``L``, with no ``n x n`` decomposition.  It keeps at most ``n``
+        values: ``rank(L) <= n``, so any further Gram eigenvalues are
+        rounding.
         """
         if self._eigenvalues is None:
             if self.L is None:
                 s = self._factor_spectrum()[0]
                 return s[max(s.size - self.n, 0):]
-            self._eigenvalues = np.clip(np.linalg.eigvalsh(0.5 * (self.L + self.L.T)), 0.0, None)
+            self._eigenvalues = self._dense_eigh()[0]
         return self._eigenvalues
 
     @property
     def factor(self) -> np.ndarray:
         """Factor ``F`` with ``L = F Fᵀ`` (cached).
 
-        A dense ``L`` gets a rank-revealing factor from one eigh
-        (:func:`repro.linalg.batch.psd_factor`) on first use.  A kernel
+        A dense ``L`` gets a rank-revealing factor on first use, from the same
+        ``symmetrized_eigh`` pair as :attr:`eigenvalues`
+        (:func:`repro.linalg.batch.factor_from_eigh`), charged as the ``n x n``
+        decomposition; the eigenvectors are dropped once it exists.  A kernel
         without a dense ``L`` is given its factor: :meth:`condition` hands its
         child the projected factor ``B_O Q`` of the parent's width, and a
         :class:`~repro.distributions.lowrank.LowRankKDPP` holds its ``B``.
@@ -266,7 +253,11 @@ class SymmetricKDPP(HomogeneousDistribution):
         (see :meth:`_factor_spectrum`).
         """
         if self._factor is None:
-            self._factor = psd_factor(self.L)
+            current_tracker().charge_determinant(self.n)
+            pair = self._dense_eigh()
+            self._eigenvalues = pair[0]
+            self._factor = factor_from_eigh(*pair)
+            self._eigh = None
         return self._factor
 
     @property
@@ -298,14 +289,14 @@ class SymmetricKDPP(HomogeneousDistribution):
                            ) -> "SymmetricKDPP":
         """Install cached spectral artifacts so sampling skips preprocessing.
 
-        ``eigenvalues`` must be the clipped ``eigvalsh`` spectrum of the
-        symmetrized dense ``L``, ``factor`` a
-        :func:`repro.linalg.batch.psd_factor` output, ``factor_gram`` the
-        factor's Gram ``FᵀF`` and ``gram_eigh`` the clipped ``eigh`` pair
-        ``(s, V)`` of the symmetrized Gram — exactly what the serving layer's
-        factorization cache computes (for a low-rank registration, its
-        ``lowrank_gram`` and ``lowrank_dual``), so fixed-seed samples agree
-        bitwise with the uncached path.  It then re-runs the (now cheap)
+        ``eigenvalues`` must be the spectrum of
+        :func:`repro.linalg.batch.symmetrized_eigh` of the dense ``L``,
+        ``factor`` :func:`repro.linalg.batch.factor_from_eigh` of that pair,
+        ``factor_gram`` the factor's Gram ``FᵀF`` and ``gram_eigh`` the
+        clipped ``eigh`` pair ``(s, V)`` of the symmetrized Gram — exactly
+        what the serving layer's factorization cache computes (for a
+        low-rank registration, its ``lowrank_gram`` and ``lowrank_dual``), so
+        fixed-seed samples agree bitwise with the uncached path.  It then re-runs the (now cheap)
         feasibility check that ``validate=True`` construction would have
         performed.
         """
@@ -317,6 +308,7 @@ class SymmetricKDPP(HomogeneousDistribution):
             if factor.ndim != 2 or factor.shape[0] != self.n:
                 raise ValueError("precomputed factor has mismatched shape")
             self._factor = factor
+            self._eigh = None
         gram_shape = None if self._factor is None else (self._factor.shape[1],) * 2
         if factor_gram is not None:
             if factor_gram.shape != gram_shape:

@@ -17,19 +17,14 @@ from repro.linalg.schur import schur_complement, condition_ensemble
 from repro.linalg.esp import elementary_symmetric_polynomials, esp_from_matrix
 from repro.linalg.batch import (
     conditioned_factor,
+    factor_from_eigh,
     grouped_log_principal_minors,
     grouped_principal_minors,
     lowrank_conditioned_gram,
     psd_factor,
     stacked_principal_submatrices,
 )
-from repro.linalg.updates import (
-    KernelUpdate,
-    factor_from_eigh,
-    rank_one_eigh_update,
-    rank_one_kernel_update,
-    symmetric_rank_one_terms,
-)
+from repro.linalg.updates import KernelUpdate, rank_one_eigh_update, symmetric_rank_one_terms
 from repro.linalg.psd import (
     is_psd,
     is_npsd,
@@ -58,7 +53,6 @@ __all__ = [
     "KernelUpdate",
     "factor_from_eigh",
     "rank_one_eigh_update",
-    "rank_one_kernel_update",
     "symmetric_rank_one_terms",
     "is_psd",
     "is_npsd",

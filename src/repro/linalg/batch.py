@@ -19,7 +19,10 @@ out with:
   per conditioning.  Forming ``C`` costs ``O(t·r²)``, once per conditioning
   and once per :class:`~repro.distributions.lowrank.LowRankDPP` counting
   query; k-DPP counting queries form no Gram
-  (:func:`repro.linalg.esp.kdpp_counts_from_factor`).
+  (:func:`repro.linalg.esp.kdpp_counts_from_factor`);
+* :func:`symmetrized_eigh` / :func:`factor_from_eigh` / :func:`psd_factor` —
+  the one decomposition of a dense symmetric kernel, and the factor read
+  off it.
 
 All routines charge the current PRAM tracker exactly like their scalar
 counterparts in :mod:`repro.linalg.determinant` and :mod:`repro.linalg.schur`:
@@ -35,12 +38,17 @@ import numpy as np
 from repro.pram.tracker import current_tracker
 from repro.utils.validation import check_square
 
+#: an ``(eigenvalues, eigenvectors)`` pair in :func:`numpy.linalg.eigh` order
+EighPair = Tuple[np.ndarray, np.ndarray]
+
 __all__ = [
     "stacked_principal_submatrices",
     "grouped_principal_minors",
     "grouped_log_principal_minors",
     "conditioned_factor",
     "lowrank_conditioned_gram",
+    "symmetrized_eigh",
+    "factor_from_eigh",
     "psd_factor",
     "group_by_size",
     "hkpv_projection_step",
@@ -110,24 +118,47 @@ def grouped_log_principal_minors(matrix: np.ndarray, subsets: Sequence[Sequence[
     return values
 
 
-def psd_factor(L: np.ndarray, *, tol: float = 1e-12) -> np.ndarray:
-    """Rank-revealing factor ``B`` with ``L ≈ B Bᵀ`` from one eigendecomposition.
+def symmetrized_eigh(ensemble: np.ndarray) -> EighPair:
+    """One symmetrize-then-``eigh`` with eigenvalues clipped at zero.
 
-    Eigenvalues below ``tol * λmax`` are dropped, so ``B`` has ``rank(L)``
-    columns for numerically low-rank ensembles.
+    The only decomposition of a dense symmetric kernel: the HKPV samplers
+    read the pair, the k-DPP's spectrum and the DPP's size distribution read
+    its eigenvalues, and :func:`factor_from_eigh` turns it into the factor.
+    A :class:`repro.service.FactorizationCache` memoizes exactly this pair,
+    so cached and uncached draws consume identical spectra.
     """
-    a = check_square(L, "L")
-    n = a.shape[0]
-    current_tracker().charge_determinant(n)
+    a = np.asarray(ensemble, dtype=float)
+    eigenvalues, eigenvectors = np.linalg.eigh(0.5 * (a + a.T))
+    return np.clip(eigenvalues, 0.0, None), eigenvectors
+
+
+def factor_from_eigh(eigenvalues: np.ndarray, eigenvectors: np.ndarray, *,
+                     tol: float = 1e-12) -> np.ndarray:
+    """Rank-revealing ``B`` with ``L ≈ B Bᵀ`` from an eigenpair of ``L``.
+
+    Eigenvalues are clipped at zero and those below ``tol * λmax`` dropped,
+    so ``B`` has ``rank(L)`` columns for numerically low-rank ensembles.
+    The pair may be :func:`symmetrized_eigh`'s or a secular-patched one
+    (:func:`repro.linalg.updates.rank_one_eigh_update`); nothing is charged
+    here, the caller owns the decomposition.
+    """
+    lam = np.clip(np.asarray(eigenvalues, dtype=float), 0.0, None)
+    vec = np.asarray(eigenvectors, dtype=float)
+    n = lam.size
     if n == 0:
         return np.zeros((0, 0))
-    lam, vec = np.linalg.eigh(0.5 * (a + a.T))
-    lam = np.clip(lam, 0.0, None)
     top = float(lam.max(initial=0.0))
     keep = lam > tol * max(top, 1.0) if top > 0 else np.zeros(n, dtype=bool)
     if not np.any(keep):
         return np.zeros((n, 0))
     return vec[:, keep] * np.sqrt(lam[keep])
+
+
+def psd_factor(L: np.ndarray, *, tol: float = 1e-12) -> np.ndarray:
+    """Rank-revealing factor ``B`` with ``L ≈ B Bᵀ`` from one eigendecomposition."""
+    a = check_square(L, "L")
+    current_tracker().charge_determinant(a.shape[0])
+    return factor_from_eigh(*symmetrized_eigh(a), tol=tol)
 
 
 def conditioned_factor(factor: np.ndarray, items: Sequence[int]

@@ -13,16 +13,13 @@ mutation an ``O(n²)`` (dense) or ``O(n·k)`` (factor) *patch* instead:
 * :func:`symmetric_rank_one_terms` — splits the symmetrized outer-product
   update ``weight · (u vᵀ + v uᵀ)/2`` into at most two *symmetric* rank-1
   terms ``ρ z zᵀ`` so the secular machinery applies term by term.
-* :func:`rank_one_kernel_update` — Sherman–Morrison patch of the marginal
-  kernel ``K = L (I + L)⁻¹`` plus the matrix-determinant-lemma ratio for
-  ``det(I + L)``.
-* :func:`factor_from_eigh` — rebuilds the rank-revealing PSD factor from a
-  patched eigenpair with exactly :func:`repro.linalg.batch.psd_factor`'s
-  clipping/threshold semantics (minus the tracker charge — patches are
-  serving-layer bookkeeping, not sampler rounds).
 * :class:`KernelUpdate` — the serializable mutation descriptor the serving
   and cluster layers ship instead of full matrices (``rank_one`` for dense
   kinds, ``append_rows`` / ``delete_rows`` for ``LowRankKernel`` factors).
+
+A patched pair feeds :func:`repro.linalg.batch.factor_from_eigh`, the same
+routine a cold factor comes from, so every other artifact of a symmetric
+kernel is re-derived from it.
 
 Relationship to :mod:`repro.linalg.schur`: Schur complements handle the
 *conditioning* direction (fixing items in/out of a draw), these routines
@@ -42,8 +39,6 @@ __all__ = [
     "KernelUpdate",
     "rank_one_eigh_update",
     "symmetric_rank_one_terms",
-    "rank_one_kernel_update",
-    "factor_from_eigh",
 ]
 
 #: relative deflation / clustering tolerance for the secular update.
@@ -259,58 +254,6 @@ def symmetric_rank_one_terms(u: np.ndarray, v: Optional[np.ndarray] = None,
     if np.any(q):
         terms.append((q, -w))
     return tuple(terms)
-
-
-def rank_one_kernel_update(kernel: np.ndarray, u: np.ndarray,
-                           v: Optional[np.ndarray] = None,
-                           weight: float = 1.0) -> Tuple[np.ndarray, float]:
-    """Patch ``K = L (I + L)⁻¹`` after ``L += weight · u vᵀ``; returns ``(K', r)``.
-
-    Sherman–Morrison on ``M = (I + L)⁻¹ = I − K`` gives
-    ``K' = K + weight · (M u)(vᵀ M) / r`` with ``r = 1 + weight · vᵀ M u`` —
-    ``r`` is also the matrix-determinant-lemma ratio
-    ``det(I + L') / det(I + L)``.  Raises when the update makes ``I + L``
-    (numerically) singular, i.e. the mutated ensemble stops being a DPP.
-    """
-    K = np.asarray(kernel, dtype=float)
-    u = np.asarray(u, dtype=float).reshape(-1)
-    v = u if v is None else np.asarray(v, dtype=float).reshape(-1)
-    n = K.shape[0]
-    if K.shape != (n, n) or u.size != n or v.size != n:
-        raise ValueError(
-            f"shape mismatch: kernel {K.shape}, u {u.shape}, v {v.shape}")
-    w = float(weight)
-    if w == 0.0:
-        return K.copy(), 1.0
-    Mu = u - K @ u
-    vM = v - v @ K
-    ratio = 1.0 + w * float(v @ Mu)
-    if not np.isfinite(ratio) or abs(ratio) <= 1e-14 * max(1.0, abs(w) * float(v @ v)):
-        raise ValueError(
-            "rank-1 update makes I + L numerically singular: the mutated "
-            "ensemble no longer defines a DPP")
-    return K + np.outer(Mu, vM) * (w / ratio), ratio
-
-
-def factor_from_eigh(eigenvalues: np.ndarray, eigenvectors: np.ndarray, *,
-                     tol: float = 1e-12) -> np.ndarray:
-    """Rank-revealing ``B`` with ``L ≈ B Bᵀ`` from an (updated) eigenpair.
-
-    Applies exactly :func:`repro.linalg.batch.psd_factor`'s post-``eigh``
-    clipping and ``tol·λmax`` rank threshold so a factor rebuilt from a
-    secular-patched spectrum matches what a cold ``psd_factor`` of the
-    mutated ensemble computes, up to the patch's own rounding.
-    """
-    lam = np.clip(np.asarray(eigenvalues, dtype=float), 0.0, None)
-    vec = np.asarray(eigenvectors, dtype=float)
-    n = lam.size
-    if n == 0:
-        return np.zeros((0, 0))
-    top = float(lam.max(initial=0.0))
-    keep = lam > tol * max(top, 1.0) if top > 0 else np.zeros(n, dtype=bool)
-    if not np.any(keep):
-        return np.zeros((n, 0))
-    return vec[:, keep] * np.sqrt(lam[keep])
 
 
 # --------------------------------------------------------------------------- #

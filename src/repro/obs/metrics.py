@@ -324,11 +324,6 @@ class MetricsRegistry:
             if collector not in self._collectors:
                 self._collectors.append(collector)
 
-    def unregister_collector(self, collector: Callable[[], Iterable[CollectedMetric]]) -> None:
-        with self._lock:
-            if collector in self._collectors:
-                self._collectors.remove(collector)
-
     def _collected(self) -> List[CollectedMetric]:
         with self._lock:
             collectors = list(self._collectors)

@@ -9,7 +9,7 @@ you serve traffic through":
     --------                         -------------                    ------
     register(name, L)  ──▶  KernelRegistry ──▶ FactorizationCache
                                   │                  │  (eigh, PSD factor,
-    serve(name/L)      ──▶  SamplerSession ◀─────────┘   ESP tables, ...)
+    serve(name/L)      ──▶  SamplerSession ◀─────────┘   size distribution, ...)
                                   │ sample(k, seed)   warm artifacts threaded
                                   │                   into dpp/* samplers
     submit()/drain()   ──▶  RoundScheduler ──▶ fused OracleBatch ──▶ backend

@@ -2,23 +2,22 @@
 
 Every sampler in this repository front-loads the same expensive linear
 algebra before any randomness happens: the eigendecomposition of the
-symmetrized ensemble, a rank-revealing PSD factor and its Gram companion, the
-ESP table of the spectrum, characteristic-polynomial minor sums (the
-nonsymmetric DPP's cardinality) and the torus-oracle node tables (partition
-kernels and nonsymmetric k-DPPs).  Serving traffic against a registered
-kernel should pay those costs once, not per request — the amortization
-regime of Barthelmé–Tremblay–Amblard and of the preprocess-then-sample line
-of work in PAPERS.md.
+symmetrized ensemble and what derives from it (a rank-revealing PSD factor
+and its Gram companion, the size distribution), characteristic-polynomial
+minor sums (the nonsymmetric DPP's cardinality) and the torus-oracle node
+tables (partition kernels and nonsymmetric k-DPPs).  Serving traffic against
+a registered kernel should pay those costs once, not per request — the
+amortization regime of Barthelmé–Tremblay–Amblard and of the
+preprocess-then-sample line of work in PAPERS.md.
 
 :class:`KernelFactorization` computes each artifact lazily **with the exact
-routine the corresponding sampler would run** (``np.linalg.eigvalsh`` of the
-symmetrized ensemble for :class:`~repro.dpp.symmetric.SymmetricKDPP`,
-:func:`~repro.dpp.spectral.symmetrized_eigh` for the HKPV samplers,
-:func:`~repro.linalg.batch.psd_factor`, ...), so threading a cached artifact
-back into a sampler yields bit-identical fixed-seed samples.  Note that
-``eigvalsh`` and ``eigh`` may disagree in the last ulp (different LAPACK
-drivers), which is why the cache stores *both* spectra rather than deriving
-one from the other.
+routine the corresponding sampler would run**, so threading a cached artifact
+back into a sampler yields bit-identical fixed-seed samples.  A dense
+symmetric kernel is decomposed once, by
+:func:`~repro.linalg.batch.symmetrized_eigh`, as in the samplers: the HKPV
+samplers read the pair, and the k-DPP's spectrum, its factor
+(:func:`~repro.linalg.batch.factor_from_eigh`) and the size distribution
+derive from it.
 
 :class:`FactorizationCache` is the content-addressed store: artifacts are
 keyed by a SHA-256 fingerprint of the matrix bytes, entries are evicted LRU
@@ -38,10 +37,9 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro import obs
-from repro.dpp.kernels import ensemble_to_kernel
+from repro.dpp.elementary import normalize_sizes
 from repro.dpp.likelihood import all_principal_minor_sums
-from repro.dpp.spectral import symmetrized_eigh
-from repro.linalg.batch import psd_factor
+from repro.linalg.batch import factor_from_eigh, symmetrized_eigh
 from repro.linalg.esp import elementary_symmetric_polynomials
 from repro.utils.fingerprint import array_fingerprint
 
@@ -88,7 +86,7 @@ class KernelFactorization:
     instead of serializing behind one coarse lock (which is what the old
     hold-the-lock-while-computing implementation did, and what made two
     sessions warming one kernel pay the eigendecomposition twice... or wait
-    on each other's unrelated ESP tables).
+    on each other's unrelated artifacts).
     """
 
     #: concurrency contract, enforced by ``repro.analysis`` (R2 + race harness)
@@ -153,54 +151,32 @@ class KernelFactorization:
     # symmetric-kernel artifacts
     # ------------------------------------------------------------------ #
     @property
-    def eigenvalues(self) -> np.ndarray:
-        """Clipped ``eigvalsh`` spectrum of ``0.5 (L + Lᵀ)`` — the exact
-        array :attr:`repro.dpp.symmetric.SymmetricKDPP.eigenvalues` computes."""
-        return self._get("eigenvalues", lambda: np.clip(
-            np.linalg.eigvalsh(0.5 * (self.matrix + self.matrix.T)), 0.0, None))
-
-    @property
     def eigh_pair(self) -> Tuple[np.ndarray, np.ndarray]:
-        """``symmetrized_eigh(L)`` — the spectral samplers' preprocessing."""
+        """``symmetrized_eigh(L)`` — the one decomposition of a symmetric kernel."""
         return self._get("eigh", lambda: symmetrized_eigh(self.matrix))
 
     @property
-    def esp_table(self) -> np.ndarray:
-        """Full ESP table ``e_0..e_n`` of :attr:`eigenvalues`."""
-        return self._get("esp", lambda: elementary_symmetric_polynomials(self.eigenvalues))
+    def eigenvalues(self) -> np.ndarray:
+        """The spectrum of :attr:`eigh_pair` — the exact array
+        :attr:`repro.dpp.symmetric.SymmetricKDPP.eigenvalues` computes."""
+        return self.eigh_pair[0]
 
     @property
     def size_distribution(self) -> np.ndarray:
         """``P[|S| = t]`` of the symmetric DPP — matches
         :func:`repro.dpp.elementary.dpp_size_distribution` bitwise."""
-        def compute():
-            esp = self.esp_table
-            total = esp.sum()
-            if total <= 0:
-                raise ValueError("ensemble matrix defines a zero measure")
-            return esp / total
-        return self._get("size_distribution", compute)
+        return self._get("size_distribution", lambda: normalize_sizes(
+            elementary_symmetric_polynomials(self.eigenvalues)))
 
     @property
     def factor(self) -> np.ndarray:
-        """Rank-revealing ``B`` with ``L ≈ B Bᵀ`` (:func:`psd_factor`)."""
-        return self._get("factor", lambda: psd_factor(self.matrix))
+        """Rank-revealing ``B`` with ``L ≈ B Bᵀ``, from :attr:`eigh_pair`."""
+        return self._get("factor", lambda: factor_from_eigh(*self.eigh_pair))
 
     @property
     def factor_gram(self) -> np.ndarray:
         """``BᵀB`` companion of :attr:`factor`."""
         return self._get("factor_gram", lambda: self.factor.T @ self.factor)
-
-    @property
-    def kernel(self) -> np.ndarray:
-        """Marginal kernel ``K = L (I + L)^{-1}``."""
-        return self._get("kernel", lambda: ensemble_to_kernel(self.matrix))
-
-    @property
-    def det_identity_plus(self) -> float:
-        """``det(I + L)`` — the unconstrained DPP's partition function."""
-        return self._get("det_identity_plus", lambda: float(
-            np.linalg.det(np.eye(self.n) + self.matrix)))
 
     # ------------------------------------------------------------------ #
     # nonsymmetric-kernel artifacts
@@ -214,13 +190,8 @@ class KernelFactorization:
     def nonsym_size_distribution(self) -> np.ndarray:
         """Cardinality distribution of the nonsymmetric DPP — matches
         :meth:`repro.dpp.nonsymmetric.NonsymmetricDPP.cardinality_distribution`."""
-        def compute():
-            sums = np.clip(self.minor_sums, 0.0, None)
-            total = sums.sum()
-            if total <= 0:
-                raise ValueError("ensemble matrix defines a zero measure")
-            return sums / total
-        return self._get("nonsym_size_distribution", compute)
+        return self._get("nonsym_size_distribution", lambda: normalize_sizes(
+            np.clip(self.minor_sums, 0.0, None)))
 
     # ------------------------------------------------------------------ #
     # low-rank (factor) artifacts — ``matrix`` is the ``n x k`` factor ``B``
@@ -308,19 +279,11 @@ class KernelFactorization:
         first request's latency.  Values are identical either way — warm-up
         only calls the same lazy getters.
         """
+        # each getter pulls in what it derives from: eigh and factor, or minor_sums
         if kind == "symmetric":
-            self.eigh_pair
-            self.eigenvalues
-            self.esp_table
             self.size_distribution
-            self.factor
             self.factor_gram
-            self.kernel
-            self.det_identity_plus
         elif kind == "nonsymmetric":
-            self.kernel
-            self.det_identity_plus
-            self.minor_sums
             self.nonsym_size_distribution
         elif kind == "lowrank":
             self.lowrank_gram
@@ -343,86 +306,44 @@ class KernelFactorization:
         """A factorization of the mutated kernel, artifacts patched from here.
 
         ``matrix`` must be the mutated content (``update.apply`` of this
-        entry's matrix) and ``fingerprint`` its chain fingerprint.  Every
-        artifact *materialized in this entry* is carried over incrementally —
-        secular eigen-update, Sherman–Morrison kernel patch, determinant
-        lemma, ESP rebuild from the patched spectrum (all ``O(n²)``), or for
-        ``lowrank`` entries an exact re-derivation of the ``k``-sized
-        artifacts from the patched factor (``O(n·k²)``) — never a fresh
-        ``O(n³)`` factorization.  Artifacts this entry had not materialized
-        stay lazy in the result.  ``self`` is not modified, so in-flight
-        draws keep consuming the predecessor entry untouched.
+        entry's matrix) and ``fingerprint`` its chain fingerprint.  A
+        symmetric entry's materialized ``eigh`` is carried over by the
+        secular eigen-update (``O(n²)``), and its materialized size
+        distribution, factor and Gram are re-derived from the patched pair by
+        the getters a cold entry runs; a ``lowrank`` entry re-derives its
+        ``k``-sized artifacts from the patched factor (``O(n·k²)``).  Nothing
+        runs a fresh ``O(n³)`` factorization.  Artifacts this entry had not
+        materialized stay lazy in the result.  ``self`` is not modified, so
+        in-flight draws keep consuming the predecessor entry untouched.
         """
-        from repro.linalg.updates import (factor_from_eigh, rank_one_eigh_update,
-                                          rank_one_kernel_update)
+        from repro.linalg.updates import rank_one_eigh_update
 
         new = KernelFactorization(matrix, fingerprint=fingerprint)
         with self._lock:
             sources = dict(self._values)
 
         if kind == "lowrank":
-            # the patched factor IS the new matrix; the k-sized artifacts are
-            # recomputed through the very same lazy getters a cold entry runs,
-            # so they are bitwise identical to a cold registration
-            for key in ("lowrank_gram", "lowrank_dual", "lowrank_whitened",
-                        "lowrank_size_distribution"):
-                if key in sources:
-                    getattr(new, key)
-            return new
-
-        terms = ()
-        if update.op == "rank_one" and kind == "symmetric":
-            terms = update.rank_one_terms(kind)
-
-        patched: Dict[object, object] = {}
-        if kind == "symmetric" and "eigh" in sources:
+            # the patched factor IS the new matrix
+            derived = ("lowrank_gram", "lowrank_dual", "lowrank_whitened",
+                       "lowrank_size_distribution")
+        elif kind == "symmetric" and "eigh" in sources:
             lam, vec = sources["eigh"]
-            for z, rho in terms:
+            for z, rho in update.rank_one_terms(kind):
                 lam, vec = rank_one_eigh_update(lam, vec, z, rho)
             # the registry refused any update that leaves the PSD cone, so
             # only the patch's rounding can dip below zero here
-            lam = np.clip(lam, 0.0, None)
-            patched["eigh"] = (self._freeze(lam), self._freeze(vec))
-            if "eigenvalues" in sources:
-                # cold entries use eigvalsh here (last-ulp different driver);
-                # patched entries derive both spectra from the one patched pair
-                patched["eigenvalues"] = self._freeze(lam)
-            if "esp" in sources or "size_distribution" in sources:
-                esp = elementary_symmetric_polynomials(lam)
-                if "esp" in sources:
-                    patched["esp"] = self._freeze(esp)
-                if "size_distribution" in sources:
-                    total = esp.sum()
-                    if total <= 0:
-                        raise ValueError("ensemble matrix defines a zero measure")
-                    patched["size_distribution"] = self._freeze(esp / total)
-            if "factor" in sources or "factor_gram" in sources:
-                factor = factor_from_eigh(lam, vec)
-                if "factor" in sources:
-                    patched["factor"] = self._freeze(factor)
-                if "factor_gram" in sources:
-                    patched["factor_gram"] = self._freeze(factor.T @ factor)
-
-        if "kernel" in sources and update.op == "rank_one":
-            kernel = sources["kernel"]
-            ratio = 1.0
-            if kind == "symmetric":
-                for z, rho in terms:
-                    kernel, step = rank_one_kernel_update(kernel, z, weight=rho)
-                    ratio *= step
-            else:
-                kernel, step = rank_one_kernel_update(
-                    kernel, update.u, update.u if update.v is None else update.v,
-                    update.weight)
-                ratio = step
-            patched["kernel"] = self._freeze(kernel)
-            if "det_identity_plus" in sources:
-                patched["det_identity_plus"] = float(sources["det_identity_plus"]) * ratio
-        # charpoly memos (minor_sums, nonsym_size_distribution) and torus
-        # tables have no cheap incremental form — they fall back to lazy
-        # recompute on the new entry
-
-        new._install_patched(patched)
+            new._install_patched("eigh", (self._freeze(np.clip(lam, 0.0, None)),
+                                          self._freeze(vec)))
+            derived = ("size_distribution", "factor", "factor_gram")
+        else:
+            # no eigh to patch, or a nonsymmetric kernel: its charpoly memos
+            # and torus tables have no cheap incremental form
+            derived = ()
+        # the getters a cold entry runs: on the patched pair, or on the new
+        # factor itself, which makes a factor kernel's bitwise a cold entry's
+        for key in derived:
+            if key in sources:
+                getattr(new, key)
         return new
 
     @staticmethod
@@ -434,20 +355,20 @@ class KernelFactorization:
             out.flags.writeable = False
         return out
 
-    def _install_patched(self, values: Dict[object, object]) -> None:
+    def _install_patched(self, key: str, value: object) -> None:
         with self._lock:
-            for key, value in values.items():
-                if key not in self._values:
-                    self._values[key] = value
-                    self._bump_locked(key, "patched")
+            if key not in self._values:
+                self._values[key] = value
+                self._bump_locked(key, "patched")
 
     def artifact_stats(self) -> Dict[str, Dict[str, int]]:
         """Per-artifact-kind counters: hits/misses/patched.
 
-        ``patched`` counts artifacts installed by :meth:`apply_update`
-        (carried over incrementally), ``misses`` counts genuine cold
-        computations — the breakdown that makes update-patched vs recomputed
-        artifacts distinguishable in dashboards (surfaced through
+        ``patched`` counts the ``eigh`` pairs :meth:`apply_update` carried
+        over by the secular update, ``misses`` every computation by a getter,
+        including what an update re-derives from a patched pair — the
+        breakdown that makes update-patched vs recomputed decompositions
+        distinguishable in dashboards (surfaced through
         :meth:`FactorizationCache.cache_info`).
         """
         with self._lock:
@@ -522,11 +443,13 @@ class FactorizationCache:
         When ``patch`` is true and the predecessor
         (``source_fingerprint``) is still cached, its materialized artifacts
         are carried over via :meth:`KernelFactorization.apply_update`
-        (decision ``"patched"``); otherwise a cold lazy entry is built
-        (``"recomputed"``).  The predecessor entry is deliberately **not**
-        invalidated — in-flight draws against the old epoch keep their warm
-        artifacts, and LRU pressure reclaims it naturally.  The new entry is
-        inserted like any other; patch work runs outside the cache lock.
+        (decision ``"patched"``); otherwise, or when nothing carried over, the
+        new entry is a cold lazy one (``"recomputed"``).  The predecessor
+        entry is left in place; the registry invalidates it once no
+        registration serves it
+        (:meth:`~repro.service.registry.KernelRegistry.apply_update`).  The
+        new entry is inserted like any other; patch work runs outside the
+        cache lock.
         """
         with self._lock:
             existing = self._entries.get(fingerprint)
@@ -538,10 +461,9 @@ class FactorizationCache:
         if source is not None:
             entry = source.apply_update(update, matrix=matrix,
                                         fingerprint=fingerprint, kind=kind)
-            decision = "patched"
         else:
             entry = KernelFactorization(matrix, fingerprint=fingerprint)
-            decision = "recomputed"
+        decision = "patched" if entry.materialized else "recomputed"
         with self._lock:
             existing = self._entries.get(fingerprint)
             if existing is not None:

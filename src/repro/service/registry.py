@@ -111,8 +111,9 @@ def updated_entry(entry: RegisteredKernel, cache: FactorizationCache,
     ``weight >= 0``, which cannot leave the PSD / nPSD cone, is validated
     like a registration and refused with :class:`ValueError` before
     anything adopts it.  The new entry's ``fingerprint`` extends the chain
-    (:meth:`KernelUpdate.chained_fingerprint`), its ``epoch`` increments,
-    and the predecessor's cache entry is left warm for in-flight draws.
+    (:meth:`KernelUpdate.chained_fingerprint`) and its ``epoch`` increments.
+    The predecessor's cache entry stays; :meth:`KernelRegistry.apply_update`
+    drops it once no registration serves it.
 
     This is the core shared by :meth:`KernelRegistry.apply_update`,
     standalone :class:`~repro.service.session.SamplerSession` updates, and
@@ -345,10 +346,11 @@ class KernelRegistry:
         half-applied entry.  ``expect_fingerprint`` (when given) must match
         the current chain tip or the update is refused — the guard shard
         nodes use to detect a replica whose chain has diverged from the
-        client's.  The predecessor's cache entry is *not* invalidated:
-        sessions still draining on the old epoch keep their warm artifacts,
-        and LRU pressure reclaims it.  :func:`updated_entry` decides
-        between patching and a lazy rebuild.
+        client's.  The predecessor's cache entry is invalidated unless
+        another registration shares its content, so the cache holds the live
+        epoch only; a session still serving the old epoch recomputes its
+        artifacts from its entry snapshot on its next draw.
+        :func:`updated_entry` decides between patching and a lazy rebuild.
         """
         with self._lock:
             entry = self.get(name)
@@ -359,6 +361,8 @@ class KernelRegistry:
                     "(stale or rebased replica)")
             new_entry, _decision = updated_entry(entry, self.cache, update)
             self._entries[name] = new_entry
+            if new_entry.fingerprint != entry.fingerprint:
+                self._invalidate_unshared_locked(entry.fingerprint)
             return new_entry
 
     def unregister(self, name: str) -> bool:

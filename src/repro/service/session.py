@@ -4,11 +4,12 @@
 counterpart of the one-shot module-level samplers: the session pulls the
 kernel's :class:`~repro.service.cache.KernelFactorization` from the shared
 cache and threads the cached artifacts into the existing samplers
-(``dpp/spectral.py`` via the ``eigh=`` argument, ``dpp/symmetric.py`` /
-``dpp/nonsymmetric.py`` / ``dpp/partition.py`` via their precomputed-artifact
-hooks), so repeated draws skip every per-kernel preprocessing step while
-producing **bit-identical fixed-seed samples** — the warm path replays the
-cold path's numerics exactly, it just doesn't recompute them.
+(``dpp/spectral.py`` via the ``eigh=`` argument, the k-DPPs of
+``dpp/symmetric.py`` / ``dpp/nonsymmetric.py`` / ``dpp/partition.py`` via
+their precomputed-artifact hooks), so repeated draws skip every per-kernel
+preprocessing step while producing **bit-identical fixed-seed samples** —
+the warm path replays the cold path's numerics exactly, it just doesn't
+recompute them.
 
 Two sampling methods are exposed per kernel family:
 
@@ -158,8 +159,8 @@ class SamplerSession:
         """Precompute every factorization artifact this kernel's samplers use.
 
         Moves the lazy per-artifact preprocessing (eigendecompositions, PSD
-        factors, ESP tables, minor sums, partition torus tables) out of the
-        first request's latency; see
+        factors, size distributions, minor sums, partition torus tables) out
+        of the first request's latency; see
         :meth:`~repro.service.cache.KernelFactorization.warm`.  Returns the
         session for chaining: ``repro.serve(L).warm()``.
         """
@@ -181,8 +182,10 @@ class SamplerSession:
         """The (cached) distribution object serving cardinality ``k``.
 
         Construction skips re-validation — the registry validated the matrix
-        once — and attaches the cached factorization artifacts so the first
-        query of every request is already warm.
+        once — and a k-DPP gets the cached factorization artifacts, so the
+        first query of every request is already warm.  An unconstrained DPP
+        (``k=None``) computes its marginal kernel on first use, as a cold one
+        does.
         """
         entry = self.entry
         return self._distribution_for(entry, k)
@@ -214,15 +217,13 @@ class SamplerSession:
                                 k: Optional[int]) -> SubsetDistribution:
         if entry.kind == "symmetric":
             if k is None:
-                return SymmetricDPP(entry.matrix, validate=False).attach_precomputed(
-                    kernel=fact.kernel, partition_function=fact.det_identity_plus)
+                return SymmetricDPP(entry.matrix, validate=False)
             return SymmetricKDPP(entry.matrix, int(k), validate=False).attach_precomputed(
                 eigenvalues=fact.eigenvalues, factor=fact.factor,
                 factor_gram=fact.factor_gram)
         if entry.kind == "nonsymmetric":
             if k is None:
-                return NonsymmetricDPP(entry.matrix, validate=False).attach_precomputed(
-                    kernel=fact.kernel, partition_function=fact.det_identity_plus)
+                return NonsymmetricDPP(entry.matrix, validate=False)
             # the latest k's one-part tables; an infeasible k is refused unbuilt
             n = entry.matrix.shape[0]
             tables = fact.partition_tables([range(n)], [int(k)]) if 0 <= int(k) <= n else None
@@ -407,12 +408,11 @@ class SamplerSession:
         """Apply a rank-1 kernel update ``L += weight * u v^T`` in place.
 
         ``v=None`` means the symmetric special case ``L += weight * u u^T``.
-        Cached artifacts are *patched* (secular-equation eigen update,
-        Sherman-Morrison kernel update — :mod:`repro.linalg.updates`) rather
-        than recomputed, until the chain is deep enough that the registry
-        rebuilds them lazily instead
-        (:func:`~repro.service.registry.updated_entry`).  An update that
-        leaves the PSD / nPSD cone raises :class:`ValueError` and changes
+        A symmetric kernel's cached artifacts are *patched* (secular-equation
+        eigen update, :mod:`repro.linalg.updates`) rather than recomputed,
+        until the chain is deep enough that the registry rebuilds them lazily
+        instead (:func:`~repro.service.registry.updated_entry`).  An update
+        that leaves the PSD / nPSD cone raises :class:`ValueError` and changes
         nothing.  Fixed-seed draws after the update match cold-registering
         the mutated matrix.  Returns the new entry.
         """

@@ -1,10 +1,10 @@
 """Content fingerprints for arrays and kernel parameters.
 
 The serving layer (:mod:`repro.service`) memoizes expensive per-kernel
-artifacts — eigendecompositions, PSD factors, ESP tables — keyed by *content*,
-not by object identity: two registrations of numerically equal ensembles share
-one cache entry, and mutating a matrix (which callers should not do, but can)
-produces a different key instead of silently stale results.
+artifacts — eigendecompositions, PSD factors, size distributions — keyed by
+*content*, not by object identity: two registrations of numerically equal
+ensembles share one cache entry, and mutating a matrix (which callers should
+not do, but can) produces a different key instead of silently stale results.
 
 Fingerprints are SHA-256 digests over the raw array bytes together with shape
 and dtype, plus any extra scalar parameters (``k``, partition structure, ...).

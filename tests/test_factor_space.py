@@ -35,6 +35,7 @@ from repro.linalg.determinant import principal_minor
 from repro.linalg.esp import elementary_symmetric_polynomials, kdpp_counts_from_factor
 from repro.linalg.schur import condition_ensemble
 from repro.pram.tracker import Tracker, use_tracker
+from repro.service.cache import KernelFactorization
 from repro.utils.validation import check_subset
 from repro.workloads import random_npsd_ensemble, random_psd_ensemble
 
@@ -447,6 +448,23 @@ def test_warm_parallel_sample_decomposes_nothing_above_rank(monkeypatch, backend
             result = session.sample(k=10, method="parallel", seed=1, backend=backend)
     assert len(result.subset) == 10
     assert sizes and max(sizes) <= 60
+
+
+@pytest.mark.parametrize("path", ["warm", "first-served-draw"])
+def test_one_decomposition_per_symmetric_kernel(monkeypatch, path):
+    # the spectrum, the factor and the size distribution share one eigh
+    L = random_psd_ensemble(200, rank=60, seed=0)
+    calls = {name: [] for name in ("eigh", "eigvalsh", "inv", "det")}
+    with serve(L, registry=KernelRegistry()) as session:  # validates L unrecorded
+        with monkeypatch.context() as patch:
+            for name, sizes in calls.items():
+                patch.setattr(np.linalg, name, _recording(getattr(np.linalg, name), sizes))
+            if path == "warm":
+                KernelFactorization(L).warm("symmetric")
+            else:
+                session.sample(k=10, method="parallel", seed=0, backend="vectorized")
+    assert {name: sizes.count(200) for name, sizes in calls.items()} == \
+        {"eigh": 1, "eigvalsh": 0, "inv": 0, "det": 0}
 
 
 @pytest.mark.parametrize("route", ["direct", "served"])

@@ -13,16 +13,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.dpp.kernels import ensemble_to_kernel
 from repro.linalg.schur import condition_ensemble, schur_complement
-from repro.linalg.updates import (
-    KernelUpdate,
-    factor_from_eigh,
-    rank_one_eigh_update,
-    rank_one_kernel_update,
-    symmetric_rank_one_terms,
-)
-from repro.linalg.batch import psd_factor
+from repro.linalg.updates import KernelUpdate, rank_one_eigh_update
+from repro.linalg.batch import factor_from_eigh, psd_factor
 
 SETTINGS = settings(max_examples=25, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -118,40 +111,6 @@ class TestRankOneEighUpdate:
         np.testing.assert_allclose(patched @ patched.T, direct @ direct.T,
                                    rtol=1e-7, atol=1e-7)
         assert patched.shape[0] == d.size
-
-
-# ---------------------------------------------------------------------- #
-# marginal-kernel patches
-# ---------------------------------------------------------------------- #
-class TestKernelAndCholeskyPatches:
-    @SETTINGS
-    @given(eigh_instances(max_n=7))
-    def test_sherman_morrison_matches_cold_kernel(self, instance):
-        d, V, z, rho = instance
-        L = V @ np.diag(np.abs(d) + 0.1) @ V.T  # PSD: a valid DPP ensemble
-        K = ensemble_to_kernel(L)
-        terms = symmetric_rank_one_terms(z, weight=rho)
-        patched = K
-        ratio = 1.0
-        mutated = L.copy()
-        for vec, weight in terms:
-            patched, r = rank_one_kernel_update(patched, vec, weight=weight)
-            ratio *= r
-            mutated = mutated + weight * np.outer(vec, vec)
-        if np.linalg.eigvalsh(0.5 * (mutated + mutated.T)).min() < 1e-8:
-            return  # the mutation left the PSD cone; nothing to compare
-        np.testing.assert_allclose(patched, ensemble_to_kernel(mutated),
-                                   rtol=1e-7, atol=1e-7)
-        det_ratio = (np.linalg.det(np.eye(L.shape[0]) + mutated)
-                     / np.linalg.det(np.eye(L.shape[0]) + L))
-        np.testing.assert_allclose(ratio, det_ratio, rtol=1e-7)
-
-    def test_singular_update_raises(self):
-        L = np.diag([1.0, 2.0])
-        K = ensemble_to_kernel(L)
-        # drive 1 + w * v M u to zero: u = e0, M00 = 1/(1+L00) = 1/2 => w = -2
-        with pytest.raises(ValueError, match="singular"):
-            rank_one_kernel_update(K, np.array([1.0, 0.0]), weight=-2.0)
 
 
 # ---------------------------------------------------------------------- #

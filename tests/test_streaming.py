@@ -223,6 +223,23 @@ class TestEpochs:
         # the registry never saw the update: it still serves epoch 0
         assert registry.get("solo").epoch == 0
 
+    @pytest.mark.parametrize("method", ["spectral", "parallel"])
+    def test_session_on_a_superseded_epoch_draws_it_cold(self, psd, method):
+        registry = KernelRegistry()
+        registry.register("pair", psd, warm=True)
+        writer, reader = registry.session("pair"), registry.session("pair")
+        u, _ = _vectors(psd.shape[0], seed=304)
+        entry = writer.update(u, weight=0.1)
+        # the cache keeps the live epoch only...
+        assert entry.fingerprint in registry.cache
+        assert reader.entry.fingerprint not in registry.cache
+        # ...and the session still on epoch 0 recomputes it from its snapshot
+        assert reader.epoch == 0
+        cold = _cold(psd)
+        for seed in SEEDS:
+            assert reader.sample(k=K, seed=seed, method=method).subset == \
+                cold.sample(k=K, seed=seed, method=method).subset
+
     def test_adopt_entry_refuses_rollback(self, psd):
         registry = KernelRegistry()
         registry.register("roll", psd)
@@ -255,6 +272,27 @@ class TestCacheDecisions:
         assert info["update_recomputed"] >= 1
         artifacts = info["artifacts"]
         assert any(stats["patched"] > 0 for stats in artifacts.values())
+
+    def test_update_carrying_nothing_over_is_recomputed(self, npsd):
+        registry = KernelRegistry()
+        registry.register("ns", npsd, kind="nonsymmetric")
+        session = registry.session("ns")
+        session.sample(k=3, seed=0)  # caches torus tables, which no update patches
+        entry = session.update(np.eye(npsd.shape[0])[0], weight=0.5)
+        assert entry.update_log[-1].decision == "recomputed"
+        info = registry.cache.cache_info()
+        assert (info["update_patched"], info["update_recomputed"]) == (0, 1)
+
+    def test_parallel_only_symmetric_update_is_patched(self, psd):
+        registry = KernelRegistry()
+        registry.register("par", psd)
+        session = registry.session("par")
+        session.sample(k=K, seed=0, method="parallel")
+        u, _ = _vectors(psd.shape[0], seed=401)
+        entry = session.update(u, weight=0.1)
+        assert entry.update_log[-1].decision == "patched"
+        successor = registry.cache.factorization(entry.matrix, fingerprint=entry.fingerprint)
+        assert {"eigh", "factor", "factor_gram"} <= set(successor.materialized)
 
     @pytest.mark.parametrize("case, flip", [
         ("sym-n4", 4),      # dense: the depth limit is min(n, 64)
