@@ -18,7 +18,8 @@ with their ``NC``-style counting oracles:
 """
 
 # Import repro.distributions before repro.dpp.symmetric: its lowrank module
-# subclasses SymmetricKDPP, and dpp.symmetric imports repro.distributions.base.
+# subclasses SymmetricDPP and SymmetricKDPP, and dpp.symmetric imports
+# repro.distributions.base.
 # Started from here, repro.distributions would otherwise reach lowrank while
 # dpp.symmetric is only half-initialized.
 import repro.distributions  # noqa: F401

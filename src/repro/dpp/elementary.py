@@ -13,7 +13,9 @@ the nonzero spectrum ``s`` of ``L`` and, in ``F V``, its eigenvectors scaled
 by ``√s`` (:func:`kdpp_marginals_from_factor`).
 :class:`~repro.dpp.symmetric.SymmetricKDPP` answers marginals through that
 one routine, with a dense ``L`` and without one (a conditioned child, or a
-:class:`~repro.distributions.lowrank.LowRankKDPP`).
+:class:`~repro.distributions.lowrank.LowRankKDPP`); the unconstrained
+:class:`~repro.dpp.symmetric.SymmetricDPP` reads ``K_ii`` off the same pair,
+and its size distribution is :func:`normalize_sizes` of ``e_t(λ)``.
 
 The ``e_{k-1}(λ_{-j})`` terms are computed with a leave-one-out dynamic program
 that recomputes the ESP table with one eigenvalue removed (numerically safer

@@ -50,6 +50,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.dpp.spectral import select_kdpp_eigenvectors
+from repro.linalg.batch import symmetrized_eigh
 from repro.pram.tracker import current_tracker
 from repro.utils.rng import SeedLike, as_generator
 from repro.utils.subsets import subset_key
@@ -89,10 +90,8 @@ def lowrank_intermediate_basis(factor: np.ndarray, *,
     n, k = B.shape
     tracker = current_tracker()
     if dual is None:
-        gram = B.T @ B
         tracker.charge_determinant(k)
-        eigenvalues, vectors = np.linalg.eigh(0.5 * (gram + gram.T))
-        eigenvalues = np.clip(eigenvalues, 0.0, None)
+        eigenvalues, vectors = symmetrized_eigh(B.T @ B)
     else:
         eigenvalues = np.clip(np.asarray(dual[0], dtype=float), 0.0, None)
         vectors = np.asarray(dual[1], dtype=float)

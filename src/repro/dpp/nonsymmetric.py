@@ -47,6 +47,7 @@ class NonsymmetricDPP(SubsetDistribution):
         self.n = self.L.shape[0]
         self._labels = tuple(int(i) for i in labels) if labels is not None else tuple(range(self.n))
         self._kernel: Optional[np.ndarray] = None
+        self._z: Optional[float] = None
 
     @property
     def ground_labels(self) -> Tuple[int, ...]:
@@ -60,17 +61,18 @@ class NonsymmetricDPP(SubsetDistribution):
         return self._kernel
 
     def worker_payload(self):
-        """Ship ``L`` (plus the marginal kernel once computed)."""
+        """Ship ``L`` (plus the marginal kernel and ``det(I + L)`` once computed)."""
         arrays = {"L": self.L}
         if self._kernel is not None:
             arrays["kernel"] = self._kernel
-        return arrays, {"labels": self._labels}
+        return arrays, {"labels": self._labels, "z": self._z}
 
     @classmethod
     def from_worker_payload(cls, arrays, params):
         dist = cls(arrays["L"], validate=False, labels=params["labels"])
         if "kernel" in arrays:
             dist._kernel = arrays["kernel"]
+        dist._z = params["z"]
         return dist
 
     def oracle_cost_hint(self) -> float:
@@ -83,8 +85,11 @@ class NonsymmetricDPP(SubsetDistribution):
         return max(dpp_unnormalized(self.L, items), 0.0)
 
     def partition_function(self) -> float:
-        current_tracker().charge_determinant(self.n)
-        return float(np.linalg.det(np.eye(self.n) + self.L))
+        """``det(I + L)``, computed and charged on first use only."""
+        if self._z is None:
+            current_tracker().charge_determinant(self.n)
+            self._z = float(np.linalg.det(np.eye(self.n) + self.L))
+        return self._z
 
     def counting(self, given: Iterable[int] = ()) -> float:
         items = check_subset(given, self.n)

@@ -11,14 +11,21 @@ Both classes expose the counting-oracle / self-reducibility interface of
   ``K(z) = zL (I + zL)^{-1}``, read off ``r + 1`` points on a circle
   (:func:`repro.linalg.esp.kdpp_counts_from_factor`).
 
+Both answer from one kernel state, :class:`_SymmetricKernel`: a dense ``L``
+or a factor ``F`` alone (``L = F Fᵀ``), the rank-revealing factor of a dense
+``L`` read off its one :func:`~repro.linalg.batch.symmetrized_eigh`, and one
+``r x r`` eigendecomposition ``FᵀF = V diag(s) Vᵀ``.  The DPP's marginal
+kernel is ``K = W Wᵀ`` with ``W = F V (I + S)^{-1/2}``, so its minors are
+``det(W_T W_Tᵀ)`` and its normalizer is ``det(I + L) = ∏(1 + λ)``.
+
 Conditioning maps to Schur complements of the ensemble matrix (Section 3.2).
-``SymmetricDPP`` forms that Schur complement.  A conditioned
-``SymmetricKDPP`` holds only a factor of it, the projected factor
-``F = B_O Q`` (:func:`repro.linalg.batch.conditioned_factor`), and the
-factor's ``r x r`` Gram: its spectrum, marginals and counts come from one
-``r x r`` eigendecomposition, and no ``(n - t) x (n - t)`` matrix is formed.
-:class:`repro.distributions.lowrank.LowRankKDPP` is the same factor-only
-kernel, built from a factor.
+A conditioned kernel holds only a factor of that Schur complement, the
+projected factor ``F = B_O Q`` (:func:`repro.linalg.batch.conditioned_factor`),
+and the factor's ``r x r`` Gram: its spectrum, marginals and counts come from
+one ``r x r`` eigendecomposition, and no ``(n - t) x (n - t)`` matrix is
+formed.  :class:`repro.distributions.lowrank.LowRankDPP` and
+:class:`~repro.distributions.lowrank.LowRankKDPP` are the same factor-only
+kernels, built from a factor.
 """
 
 from __future__ import annotations
@@ -28,161 +35,45 @@ from typing import Iterable, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.distributions.base import HomogeneousDistribution, SubsetDistribution
-from repro.dpp.elementary import dpp_size_distribution, kdpp_marginals_from_factor
-from repro.dpp.kernels import ensemble_to_kernel, validate_ensemble
+from repro.dpp.elementary import kdpp_marginals_from_factor, normalize_sizes
+from repro.dpp.kernels import validate_ensemble
 from repro.dpp.likelihood import dpp_unnormalized
 from repro.linalg.batch import (
     EighPair,
     conditioned_factor,
     factor_from_eigh,
     group_by_size,
-    grouped_principal_minors,
     lowrank_conditioned_gram,
     stacked_principal_submatrices,
     symmetrized_eigh,
 )
-from repro.linalg.determinant import principal_minor
 from repro.linalg.esp import elementary_symmetric_polynomials, kdpp_counts_from_factor
-from repro.linalg.schur import condition_ensemble
 from repro.pram.tracker import current_tracker
 from repro.utils.validation import check_positive_int, check_subset
 
 
-class SymmetricDPP(SubsetDistribution):
-    """Unconstrained symmetric DPP ``P[Y] ∝ det(L_Y)`` with PSD ``L``."""
-
-    def __init__(self, L: np.ndarray, *, validate: bool = True,
-                 labels: Optional[Sequence[int]] = None):
-        self.L = validate_ensemble(L, symmetric=True) if validate else np.asarray(L, dtype=float)
-        self.n = self.L.shape[0]
-        self._labels = tuple(int(i) for i in labels) if labels is not None else tuple(range(self.n))
-        self._kernel: Optional[np.ndarray] = None
-
-    # ------------------------------------------------------------------ #
-    @property
-    def ground_labels(self) -> Tuple[int, ...]:
-        return self._labels
-
-    @property
-    def kernel(self) -> np.ndarray:
-        """Marginal kernel ``K = L (I + L)^{-1}`` (cached)."""
-        if self._kernel is None:
-            self._kernel = ensemble_to_kernel(self.L)
-        return self._kernel
-
-    def worker_payload(self):
-        """Ship ``L`` (plus the marginal kernel once computed) to workers.
-
-        A distribution that has computed its kernel ships it so workers skip
-        the ``O(n³)`` inverse; otherwise each worker derives it from ``L``
-        with the identical routine (same machine, same LAPACK — same bits).
-        """
-        arrays = {"L": self.L}
-        if self._kernel is not None:
-            arrays["kernel"] = self._kernel
-        return arrays, {"labels": self._labels}
-
-    @classmethod
-    def from_worker_payload(cls, arrays, params):
-        dist = cls(arrays["L"], validate=False, labels=params["labels"])
-        if "kernel" in arrays:
-            dist._kernel = arrays["kernel"]
-        return dist
-
-    def oracle_cost_hint(self) -> float:
-        """Marginal-kernel minors: stacked LAPACK, negligible Python lane."""
-        return 0.05
-
-    # ------------------------------------------------------------------ #
-    # counting oracle and densities
-    # ------------------------------------------------------------------ #
-    def unnormalized(self, subset: Iterable[int]) -> float:
-        items = check_subset(subset, self.n)
-        return max(dpp_unnormalized(self.L, items), 0.0)
-
-    def partition_function(self) -> float:
-        current_tracker().charge_determinant(self.n)
-        return float(np.linalg.det(np.eye(self.n) + self.L))
-
-    def counting(self, given: Iterable[int] = ()) -> float:
-        items = check_subset(given, self.n)
-        if not items:
-            return self.partition_function()
-        joint = principal_minor(self.kernel, items)
-        return max(joint, 0.0) * self.partition_function()
-
-    def joint_marginal(self, subset: Iterable[int]) -> float:
-        items = check_subset(subset, self.n)
-        if not items:
-            return 1.0
-        return float(np.clip(principal_minor(self.kernel, items), 0.0, 1.0))
-
-    def counting_batch(self, subsets: Sequence[Sequence[int]]) -> np.ndarray:
-        """Counting values for many (mixed-size) ``T``: ``det(K_T) · det(I + L)``."""
-        minors = grouped_principal_minors(self.kernel, subsets)
-        return np.clip(minors, 0.0, None) * self.partition_function()
-
-    def joint_marginals_batch(self, subsets: Sequence[Sequence[int]]) -> np.ndarray:
-        """``P[T ⊆ Y]`` for many (mixed-size) ``T`` in one batched round."""
-        return np.clip(grouped_principal_minors(self.kernel, subsets), 0.0, 1.0)
-
-    def marginal_vector(self, given: Iterable[int] = ()) -> np.ndarray:
-        items = check_subset(given, self.n)
-        tracker = current_tracker()
-        with tracker.round("dpp-marginals"):
-            if not items:
-                return np.clip(np.diag(self.kernel).copy(), 0.0, 1.0)
-            conditioned = self.condition(items)
-            marginals = np.ones(self.n, dtype=float)
-            inner = np.clip(np.diag(conditioned.kernel), 0.0, 1.0)
-            remaining = [i for i in range(self.n) if i not in items]
-            marginals[remaining] = inner
-        return marginals
-
-    def cardinality_distribution(self) -> np.ndarray:
-        return dpp_size_distribution(self.L)
-
-    # ------------------------------------------------------------------ #
-    def condition(self, include: Iterable[int]) -> "SymmetricDPP":
-        items = check_subset(include, self.n)
-        if not items:
-            return self
-        L_cond, remaining = condition_ensemble(self.L, items)
-        labels = tuple(self._labels[i] for i in remaining)
-        # The Schur complement of a PSD matrix is PSD up to floating point
-        # noise; skip re-validation to avoid spurious failures on tiny
-        # negative eigenvalues.
-        return SymmetricDPP(0.5 * (L_cond + L_cond.T), validate=False, labels=labels)
-
-    def restrict_to_size(self, k: int) -> "SymmetricKDPP":
-        """The k-DPP obtained by conditioning on ``|Y| = k`` (Definition 6)."""
-        return SymmetricKDPP(self.L, k)
+def _row_gram_dets(rows: np.ndarray, group: Sequence[Sequence[int]]) -> np.ndarray:
+    """``det(R_T R_Tᵀ)`` for every ``T`` of an equal-size group, one stacked call."""
+    idx = np.asarray([sorted(int(i) for i in s) for s in group], dtype=int)
+    block = rows[idx]                                   # (batch, t, r)
+    return np.linalg.det(block @ block.transpose(0, 2, 1))
 
 
-class SymmetricKDPP(HomogeneousDistribution):
-    """Symmetric k-DPP ``P[Y] ∝ det(L_Y) · 1[|Y| = k]`` with PSD ``L``.
+class _SymmetricKernel:
+    """A PSD ensemble given by its dense ``L``, or by a factor ``F`` alone.
 
-    A kernel made by :meth:`condition`, like every
-    :class:`~repro.distributions.lowrank.LowRankKDPP`, holds no dense ``L``
-    (``L is None``): only a factor ``F`` with ``L = F Fᵀ`` and that factor's
-    ``r x r`` Gram, from which every oracle answers.
+    Holds what both symmetric distributions answer from: the one
+    ``symmetrized_eigh`` of a dense ``L``, the factor read off it, the
+    factor's Gram and that Gram's spectrum.  A subclass adds its oracles;
+    the k-DPP also adds its ``k`` (a keyword of :meth:`_setup`) and its rank
+    check (:meth:`_check_rank`).
     """
 
-    def __init__(self, L: np.ndarray, k: int, *, validate: bool = True,
-                 labels: Optional[Sequence[int]] = None):
-        L = validate_ensemble(L, symmetric=True) if validate else np.asarray(L, dtype=float)
-        self._setup(L, None, k, labels)
-        if validate and self.k > 0:
-            self._check_rank()
-
-    def _setup(self, L: Optional[np.ndarray], factor: Optional[np.ndarray], k: int,
+    def _setup(self, L: Optional[np.ndarray], factor: Optional[np.ndarray],
                labels: Optional[Sequence[int]]) -> None:
         """State of a kernel given by its dense ``L``, or by a factor alone (``L=None``)."""
         self.L = L
         self.n = (factor if L is None else L).shape[0]
-        self.k = check_positive_int(k, "k", minimum=0) if k else 0
-        if self.k > self.n:
-            raise ValueError(f"k={k} exceeds ground set size {self.n}")
         self._labels = tuple(int(i) for i in labels) if labels is not None else tuple(range(self.n))
         self._eigenvalues: Optional[np.ndarray] = None
         self._eigh: Optional[EighPair] = None  # a dense L's, until its factor exists
@@ -191,21 +82,14 @@ class SymmetricKDPP(HomogeneousDistribution):
         self._gram_eigh: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     @classmethod
-    def _from_factor(cls, factor: np.ndarray, k: int,
-                     labels: Sequence[int]) -> "SymmetricKDPP":
+    def _from_factor(cls, factor: np.ndarray, labels: Sequence[int], **params):
         """A kernel holding only the factor ``F`` of ``L = F Fᵀ``, never ``L``."""
         dist = cls.__new__(cls)
-        dist._setup(None, factor, k, labels)
+        dist._setup(None, factor, labels, **params)
         return dist
 
     def _check_rank(self) -> None:
-        eigs = self.eigenvalues
-        top = float(eigs.max(initial=0.0))
-        numerical_rank = int(np.sum(eigs > 1e-10 * max(top, 1.0)))
-        if numerical_rank < self.k:
-            raise ValueError(
-                f"k-DPP with k={self.k} has zero mass: rank of L is {numerical_rank} < k"
-            )
+        """Feasibility check of validated construction and :meth:`attach_precomputed`."""
 
     # ------------------------------------------------------------------ #
     @property
@@ -246,11 +130,10 @@ class SymmetricKDPP(HomogeneousDistribution):
         ``symmetrized_eigh`` pair as :attr:`eigenvalues`
         (:func:`repro.linalg.batch.factor_from_eigh`), charged as the ``n x n``
         decomposition; the eigenvectors are dropped once it exists.  A kernel
-        without a dense ``L`` is given its factor: :meth:`condition` hands its
-        child the projected factor ``B_O Q`` of the parent's width, and a
-        :class:`~repro.distributions.lowrank.LowRankKDPP` holds its ``B``.
-        Counting and the marginals work from this factor's ``r x r`` Gram
-        (see :meth:`_factor_spectrum`).
+        without a dense ``L`` is given its factor: :meth:`_conditioned` hands
+        its child the projected factor ``B_O Q`` of the parent's width, and
+        the low-rank distributions hold their ``B``.  Every oracle works from
+        this factor's ``r x r`` Gram (see :meth:`_factor_spectrum`).
         """
         if self._factor is None:
             current_tracker().charge_determinant(self.n)
@@ -278,27 +161,26 @@ class SymmetricKDPP(HomogeneousDistribution):
         if self._gram_eigh is None:
             gram = self.factor_gram
             current_tracker().charge_determinant(gram.shape[0])
-            s, V = np.linalg.eigh(0.5 * (gram + gram.T))
-            self._gram_eigh = (np.clip(s, 0.0, None), self.factor @ V)
+            s, V = symmetrized_eigh(gram)
+            self._gram_eigh = (s, self.factor @ V)
         return self._gram_eigh
 
     def attach_precomputed(self, *, eigenvalues: Optional[np.ndarray] = None,
                            factor: Optional[np.ndarray] = None,
                            factor_gram: Optional[np.ndarray] = None,
-                           gram_eigh: Optional[Tuple[np.ndarray, np.ndarray]] = None
-                           ) -> "SymmetricKDPP":
+                           gram_eigh: Optional[Tuple[np.ndarray, np.ndarray]] = None):
         """Install cached spectral artifacts so sampling skips preprocessing.
 
         ``eigenvalues`` must be the spectrum of
         :func:`repro.linalg.batch.symmetrized_eigh` of the dense ``L``,
         ``factor`` :func:`repro.linalg.batch.factor_from_eigh` of that pair,
         ``factor_gram`` the factor's Gram ``FᵀF`` and ``gram_eigh`` the
-        clipped ``eigh`` pair ``(s, V)`` of the symmetrized Gram — exactly
-        what the serving layer's factorization cache computes (for a
-        low-rank registration, its ``lowrank_gram`` and ``lowrank_dual``), so
-        fixed-seed samples agree bitwise with the uncached path.  It then re-runs the (now cheap)
-        feasibility check that ``validate=True`` construction would have
-        performed.
+        ``symmetrized_eigh`` pair ``(s, V)`` of the Gram — exactly what the
+        serving layer's factorization cache computes (for a low-rank
+        registration, its ``lowrank_gram`` and ``lowrank_dual``), so
+        fixed-seed samples agree bitwise with the uncached path.  It then
+        re-runs the (now cheap) feasibility check that ``validate=True``
+        construction would have performed.
         """
         if eigenvalues is not None:
             if eigenvalues.shape != (self.n,):
@@ -319,22 +201,11 @@ class SymmetricKDPP(HomogeneousDistribution):
             if vectors.shape != gram_shape:
                 raise ValueError("gram_eigh requires a matching precomputed factor")
             self._gram_eigh = (spectrum, self._factor @ vectors)
-        if self.k > 0:
-            self._check_rank()
+        self._check_rank()
         return self
 
-    def worker_payload(self):
-        """Ship ``L`` (or, without one, the factor) plus the warm spectral artifacts.
-
-        A serving-layer distribution (``attach_precomputed``) and every
-        conditioned kernel ship their factor / Gram companion (and the
-        factor spectrum that counting reads, once computed) through shared
-        memory, so workers skip every eigendecomposition.  A kernel without a
-        dense ``L`` ships nothing larger than its ``n x r`` factor.  A cold
-        dense kernel ships only ``L`` and lets each worker derive the
-        artifacts once (they are cached per kernel fingerprint on the worker
-        side).
-        """
+    def _payload_arrays(self) -> dict:
+        """``L`` (or, without one, the factor) plus the warm spectral artifacts."""
         arrays = {} if self.L is None else {"L": self.L}
         if self._eigenvalues is not None:
             arrays["eigenvalues"] = self._eigenvalues
@@ -345,23 +216,209 @@ class SymmetricKDPP(HomogeneousDistribution):
         if self._gram_eigh is not None:
             arrays["factor_spectrum"] = self._gram_eigh[0]
             arrays["factor_rotated"] = self._gram_eigh[1]
-        return arrays, {"k": self.k, "labels": self._labels}
+        return arrays
+
+    def worker_payload(self):
+        """Ship ``L`` (or, without one, the factor) plus the warm spectral artifacts.
+
+        A serving-layer distribution (``attach_precomputed``) and every
+        conditioned kernel ship their factor / Gram companion (and the
+        factor spectrum the oracles read, once computed) through shared
+        memory, so workers skip every eigendecomposition.  A kernel without a
+        dense ``L`` ships nothing larger than its ``n x r`` factor.  A cold
+        dense kernel ships only ``L`` and lets each worker derive the
+        artifacts once (they are cached per kernel fingerprint on the worker
+        side).  ``params`` are :meth:`_setup`'s keywords.
+        """
+        return self._payload_arrays(), {"labels": self._labels}
 
     @classmethod
     def from_worker_payload(cls, arrays, params):
-        if "L" in arrays:
-            dist = cls(arrays["L"], params["k"], validate=False, labels=params["labels"])
-        else:
-            dist = cls._from_factor(arrays["factor"], params["k"], params["labels"])
+        dist = cls.__new__(cls)
+        dist._setup(arrays.get("L"), arrays.get("factor"), **params)
         if "eigenvalues" in arrays:
             dist._eigenvalues = arrays["eigenvalues"]
-        if "factor" in arrays:
-            dist._factor = arrays["factor"]
-            if "factor_gram" in arrays:
-                dist._factor_gram = arrays["factor_gram"]
-            if "factor_spectrum" in arrays:
-                dist._gram_eigh = (arrays["factor_spectrum"], arrays["factor_rotated"])
+        if "factor_gram" in arrays:
+            dist._factor_gram = arrays["factor_gram"]
+        if "factor_spectrum" in arrays:
+            dist._gram_eigh = (arrays["factor_spectrum"], arrays["factor_rotated"])
         return dist
+
+    def _conditioned(self, items: Tuple[int, ...], **params):
+        """The kernel given ``T ⊆ Y``, held as a factor alone.
+
+        ``F = B_O Q`` factors the Schur complement ``L^T``
+        (:func:`~repro.linalg.batch.conditioned_factor`, which raises on a
+        zero-probability event) and
+        :func:`~repro.linalg.batch.lowrank_conditioned_gram` gives its
+        ``r x r`` Gram, so the child never forms an ``(n - t) x (n - t)``
+        matrix.
+        """
+        factor, remaining = conditioned_factor(self.factor, items)
+        child = self._from_factor(factor, [self._labels[i] for i in remaining], **params)
+        child._factor_gram = lowrank_conditioned_gram(self.factor, self.factor_gram, [items])[1][0]
+        return child
+
+    def _normalizer_order(self) -> int:
+        """Size of the decomposition the spectrum comes from: ``n`` dense, ``r`` without."""
+        return self.n if self.L is not None else self.factor.shape[1]
+
+
+class SymmetricDPP(_SymmetricKernel, SubsetDistribution):
+    """Unconstrained symmetric DPP ``P[Y] ∝ det(L_Y)`` with PSD ``L``.
+
+    Every oracle reads the factor spectrum ``(s, F V)``: marginals are
+    ``(F V ∘ F V) · 1/(1 + s)``, joint marginals ``det(W_T W_Tᵀ)`` with
+    ``W = F V (I + S)^{-1/2}``, and the normalizer ``∏(1 + λ)``; no
+    ``n x n`` inverse or determinant runs.  A dense ``L``'s factor drops the
+    eigenvalues below ``1e-12 · λmax``
+    (:func:`~repro.linalg.batch.factor_from_eigh`), so its marginals may
+    differ from the exact ``diag(K)`` by up to ``1e-12 · λmax`` each.
+    """
+
+    def __init__(self, L: np.ndarray, *, validate: bool = True,
+                 labels: Optional[Sequence[int]] = None):
+        L = validate_ensemble(L, symmetric=True) if validate else np.asarray(L, dtype=float)
+        self._setup(L, None, labels)
+
+    @property
+    def kernel(self) -> np.ndarray:
+        """Marginal kernel ``K = W Wᵀ`` (formed on every call: ``n x n``)."""
+        s, rotated = self._factor_spectrum()
+        W = rotated / np.sqrt(1.0 + s)
+        return W @ W.T
+
+    def oracle_cost_hint(self) -> float:
+        """Stacked small determinants from the factor spectrum: negligible Python lane."""
+        return 0.05
+
+    # ------------------------------------------------------------------ #
+    # counting oracle and densities
+    # ------------------------------------------------------------------ #
+    def unnormalized(self, subset: Iterable[int]) -> float:
+        """``det(L_S)``, or ``det(F_S F_Sᵀ)`` without a dense ``L`` (0 beyond its rank)."""
+        items = check_subset(subset, self.n)
+        if self.L is not None:
+            return max(dpp_unnormalized(self.L, items), 0.0)
+        if len(items) > self.factor.shape[1]:
+            return 0.0
+        current_tracker().charge_determinant(len(items))
+        return max(float(_row_gram_dets(self.factor, [items])[0]), 0.0)
+
+    def partition_function(self) -> float:
+        """``det(I + L) = ∏(1 + λ)``, charged as the decomposition the spectrum comes from."""
+        current_tracker().charge_determinant(self._normalizer_order())
+        return float(np.exp(np.sum(np.log1p(self.eigenvalues))))
+
+    def counting(self, given: Iterable[int] = ()) -> float:
+        """A one-subset :meth:`counting_batch`."""
+        items = check_subset(given, self.n)
+        return float(self.counting_batch([items])[0])
+
+    def _kernel_minors(self, subsets: Sequence[Sequence[int]]) -> np.ndarray:
+        """``det(K_T) = det(W_T W_Tᵀ)``: one stacked determinant per size group."""
+        s, rotated = self._factor_spectrum()
+        W = rotated / np.sqrt(1.0 + s)
+        minors = np.ones(len(subsets), dtype=float)
+        tracker = current_tracker()
+        for t, positions in group_by_size(subsets).items():
+            if t == 0:
+                continue
+            if t > s.size:
+                minors[positions] = 0.0
+                continue
+            group = [subsets[p] for p in positions]
+            tracker.charge_determinant(t, count=len(group))
+            minors[positions] = _row_gram_dets(W, group)
+        return minors
+
+    def counting_batch(self, subsets: Sequence[Sequence[int]]) -> np.ndarray:
+        """Counting values for many (mixed-size) ``T``: ``det(K_T) · det(I + L)``."""
+        return np.clip(self._kernel_minors(subsets), 0.0, None) * self.partition_function()
+
+    def joint_marginals_batch(self, subsets: Sequence[Sequence[int]]) -> np.ndarray:
+        """``P[T ⊆ Y] = det(K_T)`` for many (mixed-size) ``T`` in one batched round."""
+        return np.clip(self._kernel_minors(subsets), 0.0, 1.0)
+
+    def marginal_vector(self, given: Iterable[int] = ()) -> np.ndarray:
+        """``K_ii = Σ_j (F V)_ij² / (1 + s_j)`` in ``O(n r)``."""
+        items = check_subset(given, self.n)
+        tracker = current_tracker()
+        with tracker.round("dpp-marginals"):
+            if not items:
+                s, rotated = self._factor_spectrum()
+                return np.clip((rotated * rotated) @ (1.0 / (1.0 + s)), 0.0, 1.0)
+            conditioned = self.condition(items)
+            marginals = np.ones(self.n, dtype=float)
+            remaining = [i for i in range(self.n) if i not in items]
+            marginals[remaining] = conditioned.marginal_vector()
+        return marginals
+
+    def cardinality_distribution(self) -> np.ndarray:
+        """``P[|S| = t] = e_t(λ) / ∏(1 + λ)`` from the spectrum of ``L``."""
+        current_tracker().charge_determinant(self._normalizer_order())
+        eigenvalues = self.eigenvalues
+        weights = np.zeros(self.n + 1, dtype=float)
+        weights[:eigenvalues.size + 1] = elementary_symmetric_polynomials(eigenvalues)
+        return normalize_sizes(weights)
+
+    # ------------------------------------------------------------------ #
+    def condition(self, include: Iterable[int]) -> "SymmetricDPP":
+        """The DPP given ``T ⊆ Y``, held as a factor alone (see :meth:`_conditioned`)."""
+        items = check_subset(include, self.n)
+        if not items:
+            return self
+        return self._conditioned(items)
+
+    def restrict_to_size(self, k: int) -> "SymmetricKDPP":
+        """The k-DPP obtained by conditioning on ``|Y| = k`` (Definition 6).
+
+        A dense ``L`` gives ``SymmetricKDPP(L, k)``; a factor-only kernel a
+        factor-only k-DPP on the same factor and Gram.
+        """
+        if self.L is not None:
+            return SymmetricKDPP(self.L, k, labels=self._labels)
+        kdpp = SymmetricKDPP._from_factor(self.factor, self._labels, k=k)
+        return kdpp.attach_precomputed(factor_gram=self.factor_gram)
+
+
+class SymmetricKDPP(_SymmetricKernel, HomogeneousDistribution):
+    """Symmetric k-DPP ``P[Y] ∝ det(L_Y) · 1[|Y| = k]`` with PSD ``L``.
+
+    A kernel made by :meth:`condition`, like every
+    :class:`~repro.distributions.lowrank.LowRankKDPP`, holds no dense ``L``
+    (``L is None``): only a factor ``F`` with ``L = F Fᵀ`` and that factor's
+    ``r x r`` Gram, from which every oracle answers.
+    """
+
+    def __init__(self, L: np.ndarray, k: int, *, validate: bool = True,
+                 labels: Optional[Sequence[int]] = None):
+        L = validate_ensemble(L, symmetric=True) if validate else np.asarray(L, dtype=float)
+        self._setup(L, None, labels, k=k)
+        if validate:
+            self._check_rank()
+
+    def _setup(self, L: Optional[np.ndarray], factor: Optional[np.ndarray],
+               labels: Optional[Sequence[int]], *, k: int) -> None:
+        super()._setup(L, factor, labels)
+        self.k = check_positive_int(k, "k", minimum=0) if k else 0
+        if self.k > self.n:
+            raise ValueError(f"k={k} exceeds ground set size {self.n}")
+
+    def _check_rank(self) -> None:
+        if self.k == 0:
+            return
+        eigs = self.eigenvalues
+        top = float(eigs.max(initial=0.0))
+        numerical_rank = int(np.sum(eigs > 1e-10 * max(top, 1.0)))
+        if numerical_rank < self.k:
+            raise ValueError(
+                f"k-DPP with k={self.k} has zero mass: rank of L is {numerical_rank} < k"
+            )
+
+    def worker_payload(self):
+        """The kernel's payload (see :meth:`_SymmetricKernel.worker_payload`) and ``k``."""
+        return self._payload_arrays(), {"labels": self._labels, "k": self.k}
 
     def oracle_cost_hint(self) -> float:
         """Stacked matmuls and small determinants: LAPACK-dominated.
@@ -385,8 +442,7 @@ class SymmetricKDPP(HomogeneousDistribution):
         dense ``L``, the factor's ``r x r`` Gram without one.  An exact zero
         leaves every ``e_j`` unchanged bit for bit.
         """
-        order = self.n if self.L is not None else self.factor.shape[1]
-        current_tracker().charge_determinant(order)
+        current_tracker().charge_determinant(self._normalizer_order())
         eigenvalues = self.eigenvalues
         esp = elementary_symmetric_polynomials(eigenvalues[eigenvalues > 0], max_order=self.k)
         return float(esp[self.k])
@@ -436,9 +492,7 @@ class SymmetricKDPP(HomogeneousDistribution):
             if t == self.k:
                 tracker.charge_determinant(t, count=len(group))
                 if self.L is None:
-                    idx = np.asarray([sorted(int(i) for i in s) for s in group], dtype=int)
-                    rows = self.factor[idx]                    # (batch, k, r)
-                    dets = np.linalg.det(rows @ rows.transpose(0, 2, 1))
+                    dets = _row_gram_dets(self.factor, group)
                 else:
                     dets = np.linalg.det(stacked_principal_submatrices(self.L, group))
                 values[positions] = np.where(dets > 0, dets, 0.0)
@@ -459,22 +513,10 @@ class SymmetricKDPP(HomogeneousDistribution):
 
     # ------------------------------------------------------------------ #
     def condition(self, include: Iterable[int]) -> "SymmetricKDPP":
-        """The ``(k - |T|)``-DPP given ``T ⊆ Y``, held as a factor alone.
-
-        ``F = B_O Q`` factors the Schur complement ``L^T``
-        (:func:`~repro.linalg.batch.conditioned_factor`, which raises on a
-        zero-probability event) and
-        :func:`~repro.linalg.batch.lowrank_conditioned_gram` gives its
-        ``r x r`` Gram, so the child never forms an ``(n - t) x (n - t)``
-        matrix.
-        """
+        """The ``(k - |T|)``-DPP given ``T ⊆ Y``, held as a factor alone (see :meth:`_conditioned`)."""
         items = check_subset(include, self.n)
         if not items:
             return self
         if len(items) > self.k:
             raise ValueError(f"cannot condition a {self.k}-DPP on {len(items)} inclusions")
-        factor, remaining = conditioned_factor(self.factor, items)
-        child = self._from_factor(factor, self.k - len(items),
-                                  [self._labels[i] for i in remaining])
-        child._factor_gram = lowrank_conditioned_gram(self.factor, self.factor_gram, [items])[1][0]
-        return child
+        return self._conditioned(items, k=self.k - len(items))

@@ -14,12 +14,10 @@ out with:
   ``L^T = F Fᵀ`` with ``F = B_O Q`` and the projector
   ``Q = I - B_Tᵀ L_{T,T}^{-1} B_T``, so the nonzero spectrum of ``L^T`` is
   the spectrum of the ``r x r`` Gram ``C = FᵀF = Q (BᵀB) Q``.  A conditioned
-  symmetric k-DPP keeps only ``(F, C)``, never the ``(n-t) x (n-t)`` Schur
-  complement, and decomposes only ``C``: one ``O(r³)`` eigendecomposition
-  per conditioning.  Forming ``C`` costs ``O(t·r²)``, once per conditioning
-  and once per :class:`~repro.distributions.lowrank.LowRankDPP` counting
-  query; k-DPP counting queries form no Gram
-  (:func:`repro.linalg.esp.kdpp_counts_from_factor`);
+  symmetric DPP or k-DPP keeps only ``(F, C)``, never the ``(n-t) x (n-t)``
+  Schur complement, and decomposes only ``C``: one ``O(r³)``
+  eigendecomposition per conditioning.  Forming ``C`` costs ``O(t·r²)``,
+  once per conditioning; counting queries form no Gram;
 * :func:`symmetrized_eigh` / :func:`factor_from_eigh` / :func:`psd_factor` —
   the one decomposition of a dense symmetric kernel, and the factor read
   off it.

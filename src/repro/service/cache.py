@@ -198,21 +198,17 @@ class KernelFactorization:
     # ------------------------------------------------------------------ #
     @property
     def lowrank_gram(self) -> np.ndarray:
-        """Dual ``k x k`` Gram ``BᵀB`` — the exact array
-        :attr:`repro.distributions.lowrank.LowRankDPP.gram` and a
-        ``LowRankKDPP``'s ``factor_gram`` compute."""
+        """Dual ``k x k`` Gram ``BᵀB`` — the exact array a
+        :class:`~repro.distributions.lowrank.LowRankDPP`'s or ``LowRankKDPP``'s
+        ``factor_gram`` computes."""
         return self._get("lowrank_gram", lambda: self.matrix.T @ self.matrix)
 
     @property
     def lowrank_dual(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Clipped ``eigh`` pair of the symmetrized dual Gram — matches
-        ``LowRankDPP._compute_dual`` and ``SymmetricKDPP._factor_spectrum``
-        numerics bitwise."""
-        def compute():
-            gram = self.lowrank_gram
-            eigenvalues, vectors = np.linalg.eigh(0.5 * (gram + gram.T))
-            return np.clip(eigenvalues, 0.0, None), vectors
-        return self._get("lowrank_dual", compute)
+        """``symmetrized_eigh`` of :attr:`lowrank_gram` — the pair a cold
+        low-rank distribution's factor spectrum and the cold whitening
+        compute, so cached and cold draws agree bitwise."""
+        return self._get("lowrank_dual", lambda: symmetrized_eigh(self.lowrank_gram))
 
     @property
     def lowrank_whitened(self) -> Tuple[np.ndarray, np.ndarray]:
@@ -237,10 +233,7 @@ class KernelFactorization:
             esp = elementary_symmetric_polynomials(self.lowrank_dual[0], max_order=min(k, n))
             weights = np.zeros(n + 1, dtype=float)
             weights[:esp.size] = np.clip(esp, 0.0, None)
-            total = weights.sum()
-            if total <= 0:
-                raise ValueError("low-rank ensemble defines a zero measure")
-            return weights / total
+            return normalize_sizes(weights)
         return self._get("lowrank_size_distribution", compute)
 
     # ------------------------------------------------------------------ #

@@ -182,10 +182,9 @@ class SamplerSession:
         """The (cached) distribution object serving cardinality ``k``.
 
         Construction skips re-validation — the registry validated the matrix
-        once — and a k-DPP gets the cached factorization artifacts, so the
-        first query of every request is already warm.  An unconstrained DPP
-        (``k=None``) computes its marginal kernel on first use, as a cold one
-        does.
+        once — and a symmetric or low-rank DPP or k-DPP gets the cached
+        factorization artifacts, so the first query of every request is
+        already warm and decomposes nothing ``n x n`` of its own.
         """
         entry = self.entry
         return self._distribution_for(entry, k)
@@ -216,11 +215,10 @@ class SamplerSession:
                                 fact: KernelFactorization,
                                 k: Optional[int]) -> SubsetDistribution:
         if entry.kind == "symmetric":
-            if k is None:
-                return SymmetricDPP(entry.matrix, validate=False)
-            return SymmetricKDPP(entry.matrix, int(k), validate=False).attach_precomputed(
-                eigenvalues=fact.eigenvalues, factor=fact.factor,
-                factor_gram=fact.factor_gram)
+            dist = SymmetricDPP(entry.matrix, validate=False) if k is None \
+                else SymmetricKDPP(entry.matrix, int(k), validate=False)
+            return dist.attach_precomputed(eigenvalues=fact.eigenvalues, factor=fact.factor,
+                                           factor_gram=fact.factor_gram)
         if entry.kind == "nonsymmetric":
             if k is None:
                 return NonsymmetricDPP(entry.matrix, validate=False)
@@ -231,13 +229,10 @@ class SamplerSession:
         if entry.kind == "lowrank":
             # entry.matrix is the (n, r) factor; thread the cached r x r duals
             kernel = LowRankKernel(entry.matrix, validate=False)
-            if k is not None:
-                return LowRankKDPP(kernel, int(k), validate=False).attach_precomputed(
-                    factor_gram=fact.lowrank_gram, gram_eigh=fact.lowrank_dual)
-            dual_eigenvalues, dual_vectors = fact.lowrank_dual
-            return LowRankDPP(kernel, validate=False).attach_precomputed(
-                gram=fact.lowrank_gram, dual_eigenvalues=dual_eigenvalues,
-                dual_vectors=dual_vectors)
+            dist = LowRankDPP(kernel, validate=False) if k is None \
+                else LowRankKDPP(kernel, int(k), validate=False)
+            return dist.attach_precomputed(factor_gram=fact.lowrank_gram,
+                                           gram_eigh=fact.lowrank_dual)
         # partition
         if k is not None and k != sum(entry.counts):
             raise ValueError(

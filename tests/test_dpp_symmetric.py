@@ -91,6 +91,22 @@ class TestSymmetricDPP:
         kdpp = SymmetricDPP(small_psd).restrict_to_size(3)
         assert isinstance(kdpp, SymmetricKDPP)
         assert kdpp.k == 3
+        # a factor-only kernel restricts on its factor, keeping its labels
+        child = SymmetricDPP(small_psd).condition((0,)).restrict_to_size(2)
+        assert child.L is None and child.ground_labels == (1, 2, 3, 4, 5)
+        exact = exact_kdpp_distribution(small_psd, 3).condition((0,))
+        assert child.to_explicit().total_variation(exact) < 1e-8
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_marginals_within_dropped_spectrum_of_exact(self, seed):
+        # a dense kernel's oracles read its rank-revealing factor, which drops
+        # eigenvalues below 1e-12·λmax; each marginal moves by at most that
+        rng = np.random.default_rng(seed)
+        Q, _ = np.linalg.qr(rng.standard_normal((80, 80)))
+        lam = np.logspace(-10, 3, 80)
+        exact = (Q * Q) @ (lam / (1.0 + lam))     # diag(K) from the known eigenpairs
+        marginals = SymmetricDPP((Q * lam) @ Q.T).marginal_vector()
+        assert np.abs(marginals - exact).max() <= 1e-12 * lam.max()
 
 
 class TestSymmetricKDPP:

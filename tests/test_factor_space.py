@@ -450,9 +450,10 @@ def test_warm_parallel_sample_decomposes_nothing_above_rank(monkeypatch, backend
     assert sizes and max(sizes) <= 60
 
 
-@pytest.mark.parametrize("path", ["warm", "first-served-draw"])
+@pytest.mark.parametrize("path", ["warm", "first-served-draw", "unconstrained-distribution"])
 def test_one_decomposition_per_symmetric_kernel(monkeypatch, path):
-    # the spectrum, the factor and the size distribution share one eigh
+    # the spectrum, the factor and the size distribution share one eigh, and
+    # a served unconstrained DPP answers from the cached factor
     L = random_psd_ensemble(200, rank=60, seed=0)
     calls = {name: [] for name in ("eigh", "eigvalsh", "inv", "det")}
     with serve(L, registry=KernelRegistry()) as session:  # validates L unrecorded
@@ -461,8 +462,14 @@ def test_one_decomposition_per_symmetric_kernel(monkeypatch, path):
                 patch.setattr(np.linalg, name, _recording(getattr(np.linalg, name), sizes))
             if path == "warm":
                 KernelFactorization(L).warm("symmetric")
-            else:
+            elif path == "first-served-draw":
                 session.sample(k=10, method="parallel", seed=0, backend="vectorized")
+            else:
+                dist = session.distribution()
+                for _ in range(10):
+                    dist.counting_batch([(0,), (1, 2), ()])
+                dist.marginal_vector()
+                dist.marginal_vector((3,))
     assert {name: sizes.count(200) for name, sizes in calls.items()} == \
         {"eigh": 1, "eigvalsh": 0, "inv": 0, "det": 0}
 

@@ -31,6 +31,7 @@ from repro.dpp.intermediate import (
     sample_kdpp_intermediate,
 )
 from repro.dpp.symmetric import SymmetricDPP
+from repro.linalg.schur import condition_ensemble
 from repro.service import KernelRegistry
 from repro.utils.fingerprint import kernel_fingerprint
 from repro.utils.validation import ValidationError, check_factor
@@ -119,12 +120,38 @@ class TestIntermediateExactness:
 class TestLowRankOracle:
     def test_counting_batch_matches_dense(self):
         B = _factor(12, 4, seed=3)
-        dense = SymmetricDPP(B @ B.T)
+        L = B @ B.T
+        dense = SymmetricDPP(L)
         lowrank = LowRankDPP(LowRankKernel(B))
         subsets = [(), (0,), (2, 5), (1, 4, 7), (0, 3, 6, 9)]
         np.testing.assert_allclose(lowrank.counting_batch(subsets),
                                    dense.counting_batch(subsets),
                                    rtol=1e-8, atol=1e-8)
+        # the rest of the oracle surface, against brute-force enumeration
+        assert isinstance(lowrank, SymmetricDPP)
+        exact = exact_dpp_distribution(L)
+        np.testing.assert_allclose(lowrank.joint_marginals_batch(subsets),
+                                   [exact.counting(s) for s in subsets], rtol=1e-8, atol=1e-10)
+        np.testing.assert_allclose(lowrank.marginal_vector(), exact.marginal_vector(),
+                                   rtol=1e-8, atol=1e-10)
+        np.testing.assert_allclose(lowrank.marginal_vector((2,)), exact.marginal_vector((2,)),
+                                   rtol=1e-8, atol=1e-10)
+        sizes = np.zeros(13)
+        for subset, probability in exact.items():
+            sizes[len(subset)] += probability
+        np.testing.assert_allclose(lowrank.cardinality_distribution(), sizes, atol=1e-10)
+        z = float(np.linalg.det(np.eye(12) + L))
+        assert lowrank.partition_function() == pytest.approx(z, rel=1e-10)
+        assert dense.partition_function() == pytest.approx(z, rel=1e-10)
+        # a conditioned child counts Σ_{S ⊇ T} det(L^{(1,4)}_S) on the Schur complement
+        child = lowrank.condition((1, 4))
+        L_cond, _ = condition_ensemble(L, (1, 4))
+        exact_child = exact.condition((1, 4))
+        local = [(), (0,), (2, 5), (1, 6, 7)]
+        z_child = float(np.linalg.det(np.eye(10) + L_cond))
+        np.testing.assert_allclose(child.counting_batch(local),
+                                   [exact_child.counting(s) * z_child for s in local],
+                                   rtol=1e-8, atol=1e-10)
 
     def test_partition_function_is_char_poly(self):
         B = _factor(10, 3, seed=4)

@@ -18,9 +18,10 @@ import repro
 from repro.core.batched import batched_sample
 from repro.core.filtering import sample_bounded_dpp_filtering
 from repro.distributions.generic import ExplicitDistribution
+from repro.distributions.lowrank import LowRankDPP
 from repro.dpp.nonsymmetric import NonsymmetricKDPP
 from repro.dpp.partition import PartitionDPP
-from repro.dpp.symmetric import SymmetricKDPP
+from repro.dpp.symmetric import SymmetricDPP, SymmetricKDPP
 from repro.engine import (
     ArrayRef,
     OracleBatch,
@@ -33,7 +34,11 @@ from repro.engine import (
 from repro.engine.shm import attach_shared_array
 from repro.pram.tracker import Tracker
 from repro.utils.subsets import all_subsets_of_size
-from repro.workloads import random_npsd_ensemble, random_psd_ensemble
+from repro.workloads import (
+    random_low_rank_factor_ensemble,
+    random_npsd_ensemble,
+    random_psd_ensemble,
+)
 
 BACKEND_NAMES = ("serial", "vectorized", "threads", "process")
 
@@ -317,9 +322,12 @@ class TestPayloadRoundTrip:
         # nine items deep in a 24-item kernel, a child re-roots on its Schur
         # complement and ships its own tables, as do its children
         rerooted = NonsymmetricKDPP(random_npsd_ensemble(24, seed=3), 12).condition(range(9))
+        dpp = SymmetricDPP(random_psd_ensemble(14, seed=3))
+        lowrank = LowRankDPP(random_low_rank_factor_ensemble(14, 5, seed=3)[0])
         queries = [(0,), (1, 5), ()]
         for dist in (root, root.condition((2,)), partition, partition.condition((2,)),
-                     nonsymmetric, nonsymmetric.condition((2,)), rerooted, rerooted.condition((2,))):
+                     nonsymmetric, nonsymmetric.condition((2,)), rerooted, rerooted.condition((2,)),
+                     dpp, dpp.condition((2,)), lowrank):
             expected = dist.counting_batch(queries)  # warms what these queries read
             calls = []
             with monkeypatch.context() as patch:

@@ -69,6 +69,11 @@ class TestFactorizationCache:
         w2, v2 = symmetrized_eigh(psd)
         np.testing.assert_array_equal(w, w2)
         np.testing.assert_array_equal(v, v2)
+        dpp = repro.dpp.SymmetricDPP(psd)
+        np.testing.assert_array_equal(fact.eigenvalues, dpp.eigenvalues)
+        np.testing.assert_array_equal(fact.factor, dpp.factor)
+        np.testing.assert_array_equal(fact.factor_gram, dpp.factor_gram)
+        np.testing.assert_array_equal(fact.size_distribution, dpp.cardinality_distribution())
 
     def test_hit_miss_accounting(self, psd):
         cache = FactorizationCache(capacity=4)
@@ -301,6 +306,29 @@ class TestSamplerSession:
         assert len(tables) == 1
         assert session.factorization.nbytes < 2 * one_set
         assert retained < 2 * one_set
+
+    def test_served_nonsymmetric_dpp_computes_its_normalizer_once(self, registry, monkeypatch):
+        n = 100
+        session = serve(random_npsd_ensemble(n, seed=0), name="nsz", kind="nonsymmetric",
+                        registry=registry)
+        dist = session.distribution()
+        sizes = []
+        det = np.linalg.det
+
+        def recording(a):
+            sizes.append(np.shape(a)[-1])
+            return det(a)
+
+        monkeypatch.setattr(np.linalg, "det", recording)
+        for _ in range(10):
+            dist.counting_batch([(0,), (1, 2), ()])
+        assert sizes.count(n) == 1
+        # it travels with the payload: a worker rebuilding it runs no det(I + L)
+        arrays, params = dist.worker_payload()
+        sizes.clear()
+        rebuilt = type(dist).from_worker_payload(arrays, params)
+        assert rebuilt.partition_function() == dist.partition_function()
+        assert sizes == []
 
     def test_partition_rejects_wrong_k(self, registry):
         L = random_psd_ensemble(6, seed=3)
