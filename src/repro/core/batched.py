@@ -15,7 +15,9 @@ iteration ``i`` it:
    ``k_{i+1} = k_i - ℓ`` remaining elements.
 
 Proposition 28: with ``ℓ = ⌈√k_i⌉`` the loop terminates within ``2√k``
-iterations, so the parallel depth is ``O(√k)`` rounds.
+iterations, so the parallel depth is ``O(√k)`` rounds.  Theorem 10's
+configuration (:func:`repro.core.symmetric.kdpp_batched_config`) takes
+``ℓ = ⌈√(2k_i)⌉`` with Lemma 27's exact constant, and fewer iterations.
 
 Every adaptive round (marginals, density-ratio joint marginals) is expressed
 as one :class:`~repro.engine.batch.OracleBatch` and executed by a pluggable
@@ -47,6 +49,19 @@ def default_batch_size(k_remaining: int) -> int:
     return int(math.ceil(math.sqrt(k_remaining)))
 
 
+def lemma27_constant(k_remaining: int, ell: int) -> float:
+    """Lemma 27's bound ``∏_{i<ℓ} k/(k − i) = k^ℓ (k − ℓ)!/k! ≈ exp(ℓ²/2k)``.
+
+    The density ratio of a distinct ordered ``ℓ``-tuple ``T`` is
+    ``P[T ⊆ S] · k^ℓ (k − ℓ)!/(k! ∏ p_t)``, and a negatively correlated μ
+    has ``P[T ⊆ S] <= ∏ p_t``.  The bound is attained (``k`` rank-one
+    blocks of a rank-``k`` projection kernel), where computed log ratios can
+    exceed it by rounding alone, so it carries a relative margin of ``1e-8``.
+    """
+    k, ell = int(k_remaining), int(ell)  # exact integers: numpy's would overflow
+    return k ** ell / math.perm(k, ell) * (1.0 + 1e-8)
+
+
 def batch_schedule(k: int, batch_size: Callable[[int], int] = default_batch_size) -> List[int]:
     """The sequence of batch sizes Algorithm 1 would use starting from ``k``.
 
@@ -70,10 +85,10 @@ class BatchedSamplerConfig:
 
     #: batch size as a function of the remaining cardinality ``k_i``
     batch_size: Callable[[int], int] = default_batch_size
-    #: rejection constant ``C(k_i, ℓ)`` used in step 3.  ``exp(ℓ²/k)`` is the
-    #: Lemma 27 value valid for negatively correlated distributions; entropic
-    #: samplers pass larger constants.
-    rejection_constant: Callable[[int, int], float] = lambda k, ell: math.exp(ell * ell / max(k, 1))
+    #: rejection constant ``C(k_i, ℓ)`` used in step 3.  The default is
+    #: Lemma 27's exact bound, valid for negatively correlated distributions;
+    #: entropic samplers pass larger constants.
+    rejection_constant: Callable[[int, int], float] = lemma27_constant
     #: per-iteration failure probability δ' driving the machine count of
     #: Proposition 25 (``O(C log 1/δ')`` machines per round)
     delta_per_round: float = 1e-2

@@ -2,8 +2,9 @@
 
 A strongly Rayleigh distribution satisfies
 ``P[T ⊆ S] <= ∏_{i in T} P[i ∈ S]`` for every ``T``.  Symmetric DPPs and
-k-DPPs are strongly Rayleigh (Lemma 17), which is what powers the clean
-``exp(-ℓ²/k)`` acceptance bound of Lemma 27.  Nonsymmetric DPPs generally are
+k-DPPs are strongly Rayleigh (Lemma 17), which is what powers Lemma 27's
+density-ratio bound ``C = ∏_{i<ℓ} k/(k − i)`` (acceptance ``1/C``, near
+``1/e`` at Theorem 10's batch ``ℓ = ⌈√(2k)⌉``).  Nonsymmetric DPPs generally are
 *not* negatively correlated — the diagnostics here are used both to verify the
 positive cases and to exhibit the violations the paper's Section 1.2 discusses.
 """

@@ -373,11 +373,16 @@ class SymmetricDPP(_SymmetricKernel, SubsetDistribution):
     def restrict_to_size(self, k: int) -> "SymmetricKDPP":
         """The k-DPP obtained by conditioning on ``|Y| = k`` (Definition 6).
 
-        A dense ``L`` gives ``SymmetricKDPP(L, k)``; a factor-only kernel a
-        factor-only k-DPP on the same factor and Gram.
+        A dense ``L`` gives ``SymmetricKDPP(L, k)`` holding this kernel's
+        ``symmetrized_eigh`` pair, so neither validates nor decomposes ``L``
+        again; a factor-only kernel a factor-only k-DPP on the same factor
+        and Gram.
         """
         if self.L is not None:
-            return SymmetricKDPP(self.L, k, labels=self._labels)
+            kdpp = SymmetricKDPP(self.L, k, validate=False, labels=self._labels)
+            kdpp._eigh = self._dense_eigh()
+            kdpp._check_rank()
+            return kdpp
         kdpp = SymmetricKDPP._from_factor(self.factor, self._labels, k=k)
         return kdpp.attach_precomputed(factor_gram=self.factor_gram)
 

@@ -10,6 +10,7 @@ from repro.core.batched import (
     batch_schedule,
     batched_sample,
     default_batch_size,
+    lemma27_constant,
 )
 from repro.core.sequential import sequential_sample
 from repro.distributions.generic import uniform_distribution_on_size_k
@@ -49,6 +50,13 @@ class TestBatchSchedule:
     def test_custom_batch_size(self):
         schedule = batch_schedule(10, batch_size=lambda k: 2)
         assert schedule == [2, 2, 2, 2, 2]
+
+    def test_lemma27_constant_is_the_exact_product_with_a_margin(self):
+        # prod_{i<ell} k/(k - i), raised by a relative 1e-8 above rounding
+        for k, ell in ((4, 3), (10, 5), (40, 9), (100, 15), (7, 1)):
+            product = math.prod(k / (k - i) for i in range(ell))
+            assert product * (1 + 5e-9) < lemma27_constant(k, ell) < product * (1 + 2e-8)
+        assert BatchedSamplerConfig().rejection_constant is lemma27_constant
 
 
 class TestBatchedSampler:
@@ -97,7 +105,8 @@ class TestBatchedSampler:
 
     def test_distribution_accuracy_uniform(self):
         # On the uniform size-k distribution (negatively correlated), batched
-        # sampling with the Lemma 27 constant is exact: check empirically.
+        # sampling with the default ceil(sqrt k) batch and Lemma 27's exact
+        # constant is exact: check empirically.
         dist = uniform_distribution_on_size_k(6, 2)
         counts = {}
         rng = np.random.default_rng(6)
