@@ -110,7 +110,7 @@ class LocalCluster:
         """
         with self._lock:
             node = self.nodes[str(node_id)]
-        # stop() outside the cluster lock: it joins the node's listener
+        # stop() outside the cluster lock: it joins the node's accept
         # thread, and membership operations must not stall behind that
         node.stop()
         obs.tracer().event("kill_node", node=str(node_id))

@@ -69,7 +69,7 @@ class ShardNode:
 
     #: concurrency contract, enforced by ``repro.analysis`` (R2 + race harness)
     _GUARDED_BY = {"_lock": ("_sessions", "_connections", "_stopped",
-                             "_listener", "requests_served")}
+                             "_listener", "_accept_thread", "requests_served")}
 
     def __init__(self, node_id: str, *, backend: BackendLike = None,
                  host: str = "127.0.0.1", port: int = 0):
@@ -108,13 +108,19 @@ class ShardNode:
     def stop(self) -> None:
         """Stop serving *abruptly*: close the listener and every live
         connection (in-flight clients see :class:`NodeUnavailable` — exactly
-        the node-death signal the cluster client's failover handles)."""
+        the node-death signal the cluster client's failover handles).
+
+        The accept thread is woken and joined, so a stopped node holds no
+        thread of its own and its address refuses connections."""
         with self._lock:
             self._stopped = True
             listener, self._listener = self._listener, None
+            accept_thread, self._accept_thread = self._accept_thread, None
             connections = list(self._connections)
             self._connections.clear()
+        woken = False
         if listener is not None:
+            woken = self._wake_accept(listener)
             try:
                 listener.close()
             except OSError:  # pragma: no cover - best effort
@@ -128,6 +134,30 @@ class ShardNode:
                 conn.close()
             except OSError:  # pragma: no cover - best effort
                 pass
+        if woken and accept_thread is not None \
+                and accept_thread is not threading.current_thread():
+            accept_thread.join()
+
+    @staticmethod
+    def _wake_accept(listener: socket.socket) -> bool:
+        """Wake a thread blocked in ``listener.accept()``; False if nothing could.
+
+        ``close()`` alone does not wake it: on Linux the blocked call keeps
+        the socket listening, so the thread, and through it the node, lives
+        on until some client connects.  ``shutdown`` wakes it there; where a
+        listening socket refuses ``shutdown``, one throwaway connection
+        does, and the accept loop drops it since the node is stopped.
+        """
+        try:
+            listener.shutdown(socket.SHUT_RDWR)
+            return True
+        except OSError:
+            pass
+        try:
+            socket.create_connection(listener.getsockname()[:2], timeout=1.0).close()
+            return True
+        except OSError:  # pragma: no cover - no platform known to get here
+            return False
 
     @property
     def running(self) -> bool:

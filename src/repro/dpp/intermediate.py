@@ -30,13 +30,24 @@ leverage-score proposals):
    expectation, ``m·H_m`` in all (``H_m`` the ``m``-th harmonic number).
    Residuals come from an ``m x m`` orthonormal basis of the chosen rows
    that grows by one row per acceptance, so a proposal costs ``O(m·t)``.
+3. **the proposal, in two levels** — the leverage law is searched through
+   a table that the whitening fixes: :func:`proposal_tables` holds, for
+   every whitened column, the cumulative sums of ``U∘U`` over blocks of
+   ``b = ⌈√(n/k)⌉`` consecutive rows (``k x ⌈n/b⌉``, cached next to the
+   whitening).  A draw sums the table rows of its ``m`` selected columns,
+   which gives the cumulative leverage at every block end.  A proposal
+   finds its block in that sum, computes the leverages of the block's
+   ``b`` rows over the selected columns, and finds its row among them:
+   the same inverse CDF of the same leverage law as one flat search over
+   all ``n`` rows, so the draws are the flat search's.
 
-Per-sample cost is one ``O(n·m)`` leverage pass and cumulative sum, then a
-``searchsorted`` and ``O(m²)`` work per proposal: ``O(n·m + m³·log m)`` in
-all, after a one-time ``O(n·k² + k³)`` whitening that the serving layer
-caches; memory never exceeds ``O(n·k)``.  PRAM accounting: the leverage
-pass is one round (``n`` machines, ``n·m`` work) and each proposal charges
-``m²`` work; the chain's ``m`` dependent steps are not counted as rounds.
+Per-sample cost is one ``O((n/b)·m)`` block sum, then ``O(b·m + m²)`` work
+per proposal: ``O(√(n·k)·m·log m + m³·log m)`` in all, after a one-time
+``O(n·k² + k³)`` whitening and ``O(n·k)`` table that the serving layer
+caches; memory never exceeds ``O(n·k)``.  PRAM accounting: the block sum is
+one round (``⌈n/b⌉`` machines, ``⌈n/b⌉·m`` work) and each proposal charges
+``b·m + m²`` work; the chain's ``m`` dependent steps are not counted as
+rounds.
 All randomness is consumed from one generator in a fixed order — phase 1,
 then per proposal one uniform for the row and one for the acceptance — so
 fixed-seed samples are byte-identical on every serving path.
@@ -44,8 +55,9 @@ fixed-seed samples are byte-identical on every serving path.
 
 from __future__ import annotations
 
+import bisect
 import math
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -57,6 +69,7 @@ from repro.utils.subsets import subset_key
 
 __all__ = [
     "lowrank_intermediate_basis",
+    "proposal_tables",
     "sample_dpp_intermediate",
     "sample_kdpp_intermediate",
 ]
@@ -109,67 +122,141 @@ def lowrank_intermediate_basis(factor: np.ndarray, *,
     return kept, coords
 
 
-def _projection_chain(coords: np.ndarray, mask: np.ndarray,
-                      rng: np.random.Generator) -> Tuple[int, ...]:
+def _block_rows(n: int, k: int) -> int:
+    """Rows per block of the proposal tables of ``n x k`` coordinates.
+
+    ``b = ⌈√(n/k)⌉``: a draw with ``m ≤ k`` selected columns sums ``⌈n/b⌉``
+    entries per column once, and each of its ``m·H_m`` proposals scans one
+    block, so both costs stay near ``√(n·k)·m``.
+    """
+    return max(1, math.ceil(math.sqrt(n / max(k, 1))))
+
+
+def proposal_tables(coords: np.ndarray) -> np.ndarray:
+    """Cumulative block leverages of every whitened column.
+
+    Row ``j`` of the ``k x ⌈n/b⌉`` result holds ``Σ_{i < (c+1)·b} U_ij²`` at
+    column ``c``, for the whitened coordinates ``U`` (``n x k``) and
+    :func:`_block_rows`'s ``b``; the last block may be short.  Summing the
+    rows of a draw's selected columns gives that draw's cumulative leverage
+    at every block end.  One ``O(n·k)`` pass per whitening: the cold
+    samplers run it per draw, the serving cache once per kernel epoch.
+    """
+    coords = np.asarray(coords, dtype=float)
+    n, k = coords.shape
+    b = _block_rows(n, k)
+    full = n // b
+    sums = np.empty((-(-n // b), k))
+    head = coords[:full * b].reshape(full, b, k)
+    np.einsum("cij,cij->cj", head, head, out=sums[:full])
+    if full < sums.shape[0]:
+        tail = coords[full * b:]
+        sums[full] = np.einsum("ij,ij->j", tail, tail)
+    current_tracker().charge(work=float(n) * k)
+    return np.ascontiguousarray(np.cumsum(sums, axis=0).T)
+
+
+def _propose(coords: np.ndarray, selected: np.ndarray, blocks: List[float],
+             b: int, position: float) -> Tuple[int, np.ndarray, float]:
+    """The row at ``position ∈ [0, 1)`` of the leverage CDF of ``coords[:, selected]``.
+
+    ``blocks`` is that CDF at every block end (the selected rows of
+    :func:`proposal_tables`, summed).  The block whose cumulative leverage
+    first exceeds the target holds the row; the leftover target, rescaled
+    to the block's own leverage sum, finds it among the block's ``b`` rows.
+    Returns the row's index, its coordinates over ``selected`` and its
+    leverage.  Python floats and ``bisect`` search as ``np.searchsorted``
+    would, at a fraction of its per-call cost.
+    """
+    total = blocks[-1]
+    target = position * total
+    block = bisect.bisect_right(blocks, target)
+    if block == len(blocks):                         # rounded up to the total:
+        block = bisect.bisect_left(blocks, total)    # the last block with mass
+    start = block * b
+    rows = coords[start:start + b, selected]
+    leverages = np.einsum("ij,ij->i", rows, rows)
+    inner = np.add.accumulate(leverages).tolist()
+    below = blocks[block - 1] if block else 0.0
+    # the block's leverage sum is positive: the search skips empty blocks
+    scale = inner[-1] / (blocks[block] - below)
+    offset = bisect.bisect_right(inner, (target - below) * scale)
+    if offset == len(inner):                         # rounded up again:
+        offset = bisect.bisect_left(inner, inner[-1])  # the last row with mass
+    return start + offset, rows[offset], leverages[offset]
+
+
+def _projection_chain(coords: np.ndarray, tables: Optional[np.ndarray],
+                      mask: np.ndarray, rng: np.random.Generator) -> Tuple[int, ...]:
     """Exact sample from the projection DPP on the rows of ``coords[:, mask]``.
 
     The chain rule by rejection of the module docstring: leverage-score
-    proposals, accepted with probability (residual norm²)/(leverage).
+    proposals, found in two levels through ``tables`` (``None``: built here
+    by :func:`proposal_tables`), accepted with probability (residual
+    norm²)/(leverage).
     """
-    n = coords.shape[0]
-    m = int(mask.sum())
+    selected = np.flatnonzero(mask)
+    m = selected.size
     if m == 0:
         return ()
+    n, k = coords.shape
+    b = _block_rows(n, k)
+    count = -(-n // b)
+    if tables is None:
+        tables = proposal_tables(coords)
+    elif tables.shape != (k, count):
+        raise ValueError(f"proposal tables have shape {tables.shape}, expected "
+                         f"({k}, {count}) for {n} x {k} coordinates")
     tracker = current_tracker()
     with tracker.round("intermediate-leverages"):
-        tracker.charge(machines=float(n), work=float(n) * m)
-        selected = coords.compress(mask, axis=1)     # (n, m) orthonormal columns
-        leverages = np.einsum("ij,ij->i", selected, selected)
-        cumulative = np.cumsum(leverages)
+        tracker.charge(machines=float(count), work=float(count) * m)
+        blocks = tables[selected].sum(axis=0).tolist()
     basis = np.empty((m, m))                         # orthonormal rows: chosen span
     chosen = []
     proposals = 0
     while len(chosen) < m:
         proposals += 1
-        position, accept = rng.random(2)
-        i = min(int(np.searchsorted(cumulative, position * cumulative[-1],
-                                    side="right")), n - 1)
+        position, accept = rng.random(2).tolist()
+        i, row, leverage = _propose(coords, selected, blocks, b, position)
         if i in chosen:
             continue
         span = basis[:len(chosen)]
-        residual = selected[i] - (span @ selected[i]) @ span
+        residual = row - (span @ row) @ span
         norm2 = float(residual @ residual)
-        if accept * leverages[i] < norm2:
+        if accept * leverage < norm2:
             basis[len(chosen)] = residual / math.sqrt(norm2)
             chosen.append(i)
-    tracker.charge(work=float(proposals) * m * m)
+    tracker.charge(work=float(proposals) * (b * m + m * m))
     return subset_key(chosen)
 
 
 def sample_dpp_intermediate(kernel, seed: SeedLike = None, *,
-                            whitened: Optional[WhitenedBasis] = None) -> Tuple[int, ...]:
+                            whitened: Optional[WhitenedBasis] = None,
+                            tables: Optional[np.ndarray] = None) -> Tuple[int, ...]:
     """Exact sample from ``DPP(B Bᵀ)`` without materializing the ``n x n`` kernel.
 
     ``kernel`` is a :class:`~repro.distributions.lowrank.LowRankKernel` or a
     raw ``n x k`` factor array.  ``whitened`` optionally supplies the cached
-    :func:`lowrank_intermediate_basis` pair.
+    :func:`lowrank_intermediate_basis` pair, and ``tables`` the cached
+    :func:`proposal_tables` of its coordinates.
     """
     factor = getattr(kernel, "factor", kernel)
     eigenvalues, coords = whitened if whitened is not None \
         else lowrank_intermediate_basis(factor)
     rng = as_generator(seed)
     mask = rng.random(eigenvalues.size) < eigenvalues / (1.0 + eigenvalues)
-    return _projection_chain(coords, mask, rng)
+    return _projection_chain(coords, tables, mask, rng)
 
 
 def sample_kdpp_intermediate(kernel, k: int, seed: SeedLike = None, *,
-                             whitened: Optional[WhitenedBasis] = None) -> Tuple[int, ...]:
+                             whitened: Optional[WhitenedBasis] = None,
+                             tables: Optional[np.ndarray] = None) -> Tuple[int, ...]:
     """Exact sample from the k-DPP of ``B Bᵀ`` without materializing it.
 
     Phase 1 runs the elementary-symmetric-polynomial eigenvector selection
     over the dual spectrum (the zero eigenvalues of ``L`` contribute nothing
     to any ESP, so the ``k``-sized dual recursion is exact); the rest matches
-    :func:`sample_dpp_intermediate`.
+    :func:`sample_dpp_intermediate`, ``tables`` included.
     """
     factor = getattr(kernel, "factor", kernel)
     eigenvalues, coords = whitened if whitened is not None \
@@ -181,4 +268,4 @@ def sample_kdpp_intermediate(kernel, k: int, seed: SeedLike = None, *,
             f"k-DPP with k={k} has zero mass: factor rank is {eigenvalues.size} < k")
     rng = as_generator(seed)
     mask = select_kdpp_eigenvectors(eigenvalues, k, rng)
-    return _projection_chain(coords, mask, rng)
+    return _projection_chain(coords, tables, mask, rng)

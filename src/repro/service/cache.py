@@ -4,8 +4,11 @@ Every sampler in this repository front-loads the same expensive linear
 algebra before any randomness happens: the eigendecomposition of the
 symmetrized ensemble and what derives from it (a rank-revealing PSD factor
 and its Gram companion, the size distribution), characteristic-polynomial
-minor sums (the nonsymmetric DPP's cardinality) and the torus-oracle node
-tables (partition kernels and nonsymmetric k-DPPs).  Serving traffic against
+minor sums (the nonsymmetric DPP's cardinality), the torus-oracle node
+tables (partition kernels and nonsymmetric k-DPPs), and a low-rank factor's
+``k x k`` dual decomposition, whitened basis and proposal tables (the
+intermediate sampler's, whose warm draw then costs ``O(√(n·k)·m)`` where
+a pass over every row costs ``O(n·m)``).  Serving traffic against
 a registered kernel should pay those costs once, not per request — the
 amortization regime of Barthelmé–Tremblay–Amblard and of the
 preprocess-then-sample line of work in PAPERS.md.
@@ -217,12 +220,28 @@ class KernelFactorization:
         Computed from :attr:`lowrank_dual` via
         :func:`repro.dpp.intermediate.lowrank_intermediate_basis` — identical
         to the cold path's whitening (which runs the same Gram + clipped
-        ``eigh``), so cached serving replays cold-path samples bitwise.
+        ``eigh``), so cached serving replays cold-path samples bitwise.  One
+        ``O(n·k²)`` matmul per kernel epoch; :attr:`lowrank_proposal_tables`
+        derives from it.
         """
         from repro.dpp.intermediate import lowrank_intermediate_basis
 
         return self._get("lowrank_whitened", lambda: lowrank_intermediate_basis(
             self.matrix, dual=self.lowrank_dual))
+
+    @property
+    def lowrank_proposal_tables(self) -> np.ndarray:
+        """Cumulative block leverages of :attr:`lowrank_whitened`'s coordinates.
+
+        :func:`repro.dpp.intermediate.proposal_tables`, the table a cold
+        intermediate draw builds for itself: ``k x ⌈n/b⌉`` floats, ``b ≈
+        √(n/k)``, from one ``O(n·k)`` pass.  A warm draw searches its leverage
+        law through it instead of an ``O(n·m)`` pass over every row.
+        """
+        from repro.dpp.intermediate import proposal_tables
+
+        return self._get("lowrank_proposal_tables",
+                         lambda: proposal_tables(self.lowrank_whitened[1]))
 
     @property
     def lowrank_size_distribution(self) -> np.ndarray:
@@ -282,6 +301,7 @@ class KernelFactorization:
             self.lowrank_gram
             self.lowrank_dual
             self.lowrank_whitened
+            self.lowrank_proposal_tables
             self.lowrank_size_distribution
         elif kind == "partition":
             if parts is None or counts is None:
@@ -304,7 +324,8 @@ class KernelFactorization:
         secular eigen-update (``O(n²)``), and its materialized size
         distribution, factor and Gram are re-derived from the patched pair by
         the getters a cold entry runs; a ``lowrank`` entry re-derives its
-        ``k``-sized artifacts from the patched factor (``O(n·k²)``).  Nothing
+        dual Gram and decomposition, whitened basis, proposal tables and size
+        distribution from the patched factor (``O(n·k²)``).  Nothing
         runs a fresh ``O(n³)`` factorization.  Artifacts this entry had not
         materialized stay lazy in the result.  ``self`` is not modified, so
         in-flight draws keep consuming the predecessor entry untouched.
@@ -318,7 +339,7 @@ class KernelFactorization:
         if kind == "lowrank":
             # the patched factor IS the new matrix
             derived = ("lowrank_gram", "lowrank_dual", "lowrank_whitened",
-                       "lowrank_size_distribution")
+                       "lowrank_proposal_tables", "lowrank_size_distribution")
         elif kind == "symmetric" and "eigh" in sources:
             lam, vec = sources["eigh"]
             for z, rho in update.rank_one_terms(kind):

@@ -322,17 +322,19 @@ class SamplerSession:
 
         Exactly the cold-path :func:`repro.dpp.intermediate.sample_dpp_intermediate`
         / :func:`~repro.dpp.intermediate.sample_kdpp_intermediate` draw — the
-        cache supplies the one-time ``O(n·k² + k³)`` whitening, never touches
-        the per-sample randomness.
+        cache supplies the one-time ``O(n·k² + k³)`` whitening and its
+        ``O(n·k)`` proposal tables, never touches the per-sample randomness.
         """
-        whitened = self._factorization_for(entry).lowrank_whitened
+        fact = self._factorization_for(entry)
+        whitened, tables = fact.lowrank_whitened, fact.lowrank_proposal_tables
         trk = tracker if tracker is not None else Tracker()
         with use_tracker(trk):
             if k is None:
-                subset = sample_dpp_intermediate(entry.matrix, seed, whitened=whitened)
+                subset = sample_dpp_intermediate(entry.matrix, seed, whitened=whitened,
+                                                 tables=tables)
             else:
                 subset = sample_kdpp_intermediate(entry.matrix, int(k), seed,
-                                                  whitened=whitened)
+                                                  whitened=whitened, tables=tables)
         return SampleResult(subset=subset, report=SamplerReport.from_tracker(trk))
 
     def _sample_parallel(self, entry: RegisteredKernel, k: Optional[int],

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,31 @@ from repro.workloads import (
     random_npsd_ensemble,
     random_psd_ensemble,
 )
+
+
+def _shard_threads():
+    return {thread for thread in threading.enumerate()
+            if thread.name.startswith("repro-shard-")}
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_shard_threads():
+    """Fail any test that leaves a shard node's thread running.
+
+    A stopped :class:`~repro.cluster.node.ShardNode` joins its accept thread,
+    and its connection threads end once their sockets close.  A thread that
+    outlives its test keeps its node, registry and cache alive.  Threads
+    already running when the test began are charged to the test that
+    started them, not to this one.
+    """
+    before = _shard_threads()
+    yield
+    started = _shard_threads() - before
+    for thread in started:
+        thread.join(timeout=5.0)  # a connection thread may finish its reply first
+    alive = sorted(thread.name for thread in started if thread.is_alive())
+    if alive:
+        pytest.fail(f"shard-node threads outlived the test: {alive}")
 
 
 @pytest.fixture

@@ -3,7 +3,10 @@ rebalance movement bounds, and the core contract — fixed-seed samples drawn
 through ``serve_cluster`` (any N, any replication R) are byte-identical to a
 single-node ``repro.serve`` session on every kernel family."""
 
+import gc
+import socket
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -180,7 +183,7 @@ def _single_node_session(matrix, **kwargs):
 
 
 class TestClusterByteIdentity:
-    @pytest.fixture(scope="class")
+    @pytest.fixture
     def cluster(self):
         with LocalCluster(nodes=3, replication=2) as cluster:
             yield cluster
@@ -290,6 +293,63 @@ class TestFailureModes:
             got = [result.subset for result in session.drain()]
             assert got == [reference.sample(k=4, seed=seed, method="parallel").subset
                            for seed in SEEDS]
+
+    @staticmethod
+    def _accept_threads(*node_ids):
+        names = {f"repro-shard-{node_id}" for node_id in node_ids}
+        return [thread for thread in threading.enumerate() if thread.name in names]
+
+    @staticmethod
+    def _collected(ref, node_id):
+        # a connection thread holds its node until it has closed its socket
+        for thread in threading.enumerate():
+            if thread.name == f"repro-shard-{node_id}-conn":
+                thread.join(timeout=5.0)
+        gc.collect()
+        return ref() is None
+
+    def test_killed_node_ends_its_accept_thread_and_refuses(self, psd):
+        with LocalCluster(nodes=3, replication=2) as cluster:
+            session = serve_cluster(psd, cluster=cluster, warm=True)
+            want = session.sample(k=4, seed=8).subset
+            dead = session.owners[0]
+            address = cluster.node(dead).address
+            ref = weakref.ref(cluster.kill_node(dead))
+            assert self._accept_threads(dead) == []
+            with pytest.raises(ConnectionRefusedError):
+                socket.create_connection(address, timeout=5.0).close()
+            assert session.sample(k=4, seed=8).subset == want
+            cluster.forget_node(dead)
+            assert self._collected(ref, dead)
+
+    def test_shutdown_ends_every_accept_thread_and_frees_the_nodes(self, psd):
+        cluster = LocalCluster(nodes=3, replication=2)
+        session = serve_cluster(psd, cluster=cluster, warm=True)
+        session.sample(k=4, seed=9)
+        refs = {node_id: weakref.ref(node) for node_id, node in cluster.nodes.items()}
+        session.close()
+        cluster.shutdown()
+        assert self._accept_threads(*refs) == []
+        del cluster, session
+        assert all(self._collected(ref, node_id) for node_id, ref in refs.items())
+
+    def test_stop_wakes_accept_where_a_listener_refuses_shutdown(self, monkeypatch):
+        # some platforms refuse shutdown() on a listening socket: stop() then
+        # wakes the accept thread with one throwaway connection
+        shutdown = socket.socket.shutdown
+
+        def refuse_on_listeners(sock, how):
+            if sock.getsockopt(socket.SOL_SOCKET, socket.SO_ACCEPTCONN):
+                raise OSError("shutdown refused on a listening socket")
+            return shutdown(sock, how)
+
+        monkeypatch.setattr(socket.socket, "shutdown", refuse_on_listeners)
+        node = ShardNode("node-e")
+        address = node.start()
+        node.stop()
+        assert self._accept_threads("node-e") == []
+        with pytest.raises(ConnectionRefusedError):
+            socket.create_connection(address, timeout=5.0).close()
 
     def test_replica_registration_survives_one_down_owner(self, psd):
         with LocalCluster(nodes=3, replication=2) as cluster:

@@ -24,9 +24,11 @@ import pytest
 
 import repro
 from repro.distributions.lowrank import LowRankDPP, LowRankKDPP, LowRankKernel
+from repro.dpp import intermediate
 from repro.dpp.exact import exact_dpp_distribution, exact_kdpp_distribution
 from repro.dpp.intermediate import (
     lowrank_intermediate_basis,
+    proposal_tables,
     sample_dpp_intermediate,
     sample_kdpp_intermediate,
 )
@@ -181,6 +183,19 @@ class TestLowRankOracle:
             work.append(result.report.work)
         assert max(work) <= 2 * min(work), work
 
+    def test_warm_lowrank_draw_work_grows_sublinearly_in_n(self):
+        # a warm intermediate draw sums O(n/b) table entries per selected
+        # column and scans one b-row block per proposal, b ≈ √(n/k): its
+        # work grows like √n, where one pass over all n rows grows 100x here
+        work = []
+        for n in (2_000, 200_000):
+            B = _factor(n, 16, seed=1)
+            with repro.serve(LowRankKernel(B), registry=KernelRegistry()) as session:
+                session.warm()
+                work.append(sum(session.sample(k=8, seed=seed).report.work
+                                for seed in range(8)))
+        assert work[1] <= 15 * work[0], work
+
     def test_whitened_basis_spans_factor(self):
         B = _factor(20, 5, seed=6)
         eigenvalues, coords = lowrank_intermediate_basis(B)
@@ -189,6 +204,90 @@ class TestLowRankOracle:
         K = L @ np.linalg.inv(np.eye(20) + L)
         lev = np.einsum("ij,j,ij->i", coords, eigenvalues / (1.0 + eigenvalues), coords)
         np.testing.assert_allclose(lev, np.diag(K), rtol=1e-8, atol=1e-10)
+
+
+# --------------------------------------------------------------------------- #
+# the two-level leverage search against one flat inverse CDF over all rows
+# --------------------------------------------------------------------------- #
+def _flat_row(coords, mask, position):
+    """The O(n·m) search the two-level one replaces: one inverse CDF over all rows."""
+    selected = coords[:, mask]
+    cumulative = np.cumsum(np.einsum("ij,ij->i", selected, selected))
+    row = int(np.searchsorted(cumulative, position * cumulative[-1], side="right"))
+    return min(row, coords.shape[0] - 1)
+
+
+def _two_level_row(coords, mask, position):
+    selected = np.flatnonzero(mask)
+    blocks = proposal_tables(coords)[selected].sum(axis=0).tolist()
+    b = intermediate._block_rows(*coords.shape)
+    return intermediate._propose(coords, selected, blocks, b, position)
+
+
+def _orthonormal_rows(n, rank, zero_rows, seed):
+    """``n x rank`` orthonormal columns whose ``zero_rows`` are exactly zero."""
+    live = np.setdiff1d(np.arange(n), zero_rows)
+    coords = np.zeros((n, rank))
+    coords[live] = np.linalg.qr(np.random.default_rng(seed).standard_normal(
+        (live.size, rank)))[0]
+    return coords
+
+
+class TestTwoLevelLeverageSearch:
+    # uniform positions away from 0 and 1, and 0 itself
+    GRID = np.concatenate([(np.arange(257) + 0.5) / 257,
+                           np.random.default_rng(7).random(200), [0.0]])
+
+    def _masks(self, rank, seed):
+        rng = np.random.default_rng(seed)
+        masks = [rng.random(rank) < 0.5 for _ in range(6)] + [np.ones(rank, dtype=bool)]
+        return [mask for mask in masks if mask.any()]
+
+    @pytest.mark.parametrize("n, rank", [(1, 1), (7, 3), (200, 16), (1_000, 5), (5_000, 12)])
+    def test_picks_the_flat_search_row(self, n, rank):
+        _, coords = lowrank_intermediate_basis(_factor(n, rank, seed=n + rank))
+        for mask in self._masks(coords.shape[1], seed=n):
+            for position in self.GRID:
+                assert _two_level_row(coords, mask, position)[0] == \
+                    _flat_row(coords, mask, position)
+
+    @pytest.mark.parametrize("n", [5, 24, 25])   # n < b, n = b·j, n = b·j + 1
+    def test_block_edges_pick_the_flat_search_row(self, monkeypatch, n):
+        monkeypatch.setattr(intermediate, "_block_rows", lambda n, k: 8)
+        coords = _orthonormal_rows(n, 3, zero_rows=[], seed=n)
+        assert proposal_tables(coords).shape == (3, -(-n // 8))
+        for mask in self._masks(3, seed=n):
+            for position in self.GRID:
+                assert _two_level_row(coords, mask, position)[0] == \
+                    _flat_row(coords, mask, position)
+
+    # blocks of 4 rows: a zero block in the middle (rows 8-11) and a zero row
+    # inside a live block; 24 rows end on a zero block, 25 on a zero row
+    @pytest.mark.parametrize("n, zero_rows", [(24, [8, 9, 10, 11, 14, 20, 21, 22, 23]),
+                                              (25, [8, 9, 10, 11, 14, 24])])
+    def test_zero_rows_are_never_proposed(self, monkeypatch, n, zero_rows):
+        monkeypatch.setattr(intermediate, "_block_rows", lambda n, k: 4)
+        coords = _orthonormal_rows(n, 4, zero_rows, seed=n)
+        last_live = max(set(range(n)) - set(zero_rows))
+        with np.errstate(divide="raise", invalid="raise"):
+            for mask in self._masks(4, seed=n):
+                for position in self.GRID:
+                    row, _, leverage = _two_level_row(coords, mask, position)
+                    assert row not in zero_rows and leverage > 0
+                    assert row == _flat_row(coords, mask, position)
+                # a uniform never reaches 1, but position · total can round
+                # up to the total: the last row with mass, not a zero row
+                assert _two_level_row(coords, mask, 1.0)[0] == last_live
+            for seed in range(40):
+                subset = sample_kdpp_intermediate(coords, 3, seed,
+                                                  whitened=(np.ones(4), coords))
+                assert len(subset) == 3 and not set(subset) & set(zero_rows)
+
+    def test_tables_of_another_kernel_are_refused(self):
+        whitened = lowrank_intermediate_basis(_factor(40, 4, seed=1))
+        other = proposal_tables(lowrank_intermediate_basis(_factor(90, 4, seed=2))[1])
+        with pytest.raises(ValueError, match="proposal tables"):
+            sample_kdpp_intermediate(None, 2, 0, whitened=whitened, tables=other)
 
 
 # --------------------------------------------------------------------------- #
@@ -239,6 +338,32 @@ class TestServingByteIdentity:
             for seed in self.SEEDS:
                 session.submit(k=self.K, seed=seed, method="lowrank")
             assert [r.subset for r in session.drain()] == reference
+        finally:
+            session.close()
+
+    def test_proposal_tables_follow_the_whitening(self):
+        B = _factor(self.N, self.RANK, seed=36)
+        session = self._session(B).warm()
+        try:
+            for epoch in range(3):
+                fact = session.factorization
+                # built once per epoch before any draw: by warm(), then by
+                # each update from the patched factor
+                assert fact.artifact_stats()["lowrank_proposal_tables"]["misses"] == 1
+                coords = fact.lowrank_whitened[1]
+                tables = fact.lowrank_proposal_tables
+                np.testing.assert_array_equal(tables, proposal_tables(coords))
+                matrix = session.entry.matrix
+                for seed in self.SEEDS:
+                    served = session.sample(k=self.K, seed=seed).subset
+                    assert served == sample_kdpp_intermediate(matrix, self.K, seed)
+                    assert served == sample_kdpp_intermediate(
+                        matrix, self.K, seed, whitened=fact.lowrank_whitened, tables=tables)
+                if epoch == 0:
+                    session.append_items(np.full((3, self.RANK), 0.2))
+                elif epoch == 1:
+                    session.delete_items([0, 5])
+            assert session.entry.matrix.shape[0] == self.N + 1
         finally:
             session.close()
 

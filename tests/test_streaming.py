@@ -347,7 +347,7 @@ class TestCacheDecisions:
 # cluster: verified fingerprint chain, stable routing, delta shipping
 # ---------------------------------------------------------------------- #
 class TestClusterStreaming:
-    @pytest.fixture(scope="class")
+    @pytest.fixture
     def cluster(self):
         with LocalCluster(nodes=3, replication=2) as cluster:
             yield cluster
