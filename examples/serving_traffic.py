@@ -35,7 +35,7 @@ USERS = 24
 def main() -> None:
     L = random_psd_ensemble(CATALOG_SIZE, rank=KERNEL_RANK, seed=0)
     registry = repro.KernelRegistry()
-    registry.register("catalog", L, metadata={"items": CATALOG_SIZE})
+    registry.register("catalog", L)
     print(f"Registered catalog kernel: n={CATALOG_SIZE}, rank={KERNEL_RANK}; "
           f"serving {USERS} users, slates of {SLATE_SIZE}\n")
 

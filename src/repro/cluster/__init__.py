@@ -39,8 +39,6 @@ from __future__ import annotations
 
 from typing import Optional, Sequence, Union
 
-import numpy as np
-
 from repro.cluster.client import ClusterClient, ClusterSession, RebalanceReport
 from repro.cluster.local import LocalCluster
 from repro.cluster.node import ShardNode
@@ -112,19 +110,8 @@ def serve_cluster(kernel, *,
             if warm:
                 client.warm(kernel)
         else:
-            from repro.distributions.lowrank import LowRankKernel
-
-            if isinstance(kernel, LowRankKernel):
-                if kind not in (None, "lowrank"):
-                    raise ValueError(
-                        f"a LowRankKernel serves as kind='lowrank', not {kind!r}")
-                kind, matrix = "lowrank", kernel.factor
-            else:
-                matrix = np.asarray(kernel, dtype=float)
-            entry = client.register(
-                matrix, name=name,
-                kind=kind if kind is not None else "symmetric",
-                parts=parts, counts=counts, warm=warm, validate=validate)
+            entry = client.register(kernel, name=name, kind=kind, parts=parts,
+                                    counts=counts, warm=warm, validate=validate)
     except BaseException:
         if owned is not None:
             owned.shutdown()

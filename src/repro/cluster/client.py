@@ -32,7 +32,7 @@ from repro import obs
 from repro.cluster.protocol import (ClusterError, Connection, NodeUnavailable,
                                     attach_trace)
 from repro.cluster.ring import HashRing
-from repro.utils.fingerprint import kernel_fingerprint
+from repro.service.registry import kernel_entry
 from repro.utils.rng import SeedLike, substream_seed
 
 __all__ = ["ClusterClient", "ClusterSession", "RebalanceReport"]
@@ -179,35 +179,25 @@ class ClusterClient:
     # registration & catalog
     # ------------------------------------------------------------------ #
     def register(self, matrix: np.ndarray, *, name: Optional[str] = None,
-                 kind: str = "symmetric",
+                 kind: Optional[str] = None,
                  parts: Optional[Sequence[Sequence[int]]] = None,
                  counts: Optional[Sequence[int]] = None,
                  warm: bool = False, validate: bool = True) -> _CatalogEntry:
         """Register a kernel on every ring owner of its content fingerprint.
 
         The fingerprint is computed client-side (it decides *where* to
-        register) with the identical derivation the node's registry uses;
-        registration succeeds if at least one owner accepted — down replicas
-        catch up on the next rebalance.  A
+        register) by the registry's own front door
+        (:func:`~repro.service.registry.kernel_entry`), which also gives an
+        unnamed kernel its auto-name; registration succeeds if at least one
+        owner accepted — down replicas catch up on the next rebalance.  A
         :class:`~repro.distributions.lowrank.LowRankKernel` registers its
         ``n x k`` factor under ``kind="lowrank"`` — only ``n·k`` floats cross
         the wire, and the owning shard caches ``k``-sized artifacts.
+        ``warm=True`` has each owner warm its session on the kernel.
         """
-        from repro.distributions.lowrank import LowRankKernel
-
-        if isinstance(matrix, LowRankKernel):
-            if kind == "symmetric":
-                kind = "lowrank"
-            if kind != "lowrank":
-                raise ClusterError(
-                    f"a LowRankKernel registers as kind='lowrank', not {kind!r}")
-            matrix = matrix.factor
-        matrix = np.ascontiguousarray(matrix, dtype=float) if kind == "lowrank" \
-            else np.asarray(matrix, dtype=float)
-        fingerprint = kernel_fingerprint(matrix, kind=kind, parts=parts, counts=counts)
-        if name is None:
-            name = f"kernel-{fingerprint[:12]}"
-        request = {"op": "register", "name": name, "matrix": matrix, "kind": kind,
+        cold = kernel_entry(matrix, name, kind=kind, parts=parts, counts=counts)
+        name, kind, fingerprint = cold.name, cold.kind, cold.fingerprint
+        request = {"op": "register", "name": name, "matrix": cold.matrix, "kind": kind,
                    "parts": parts, "counts": counts, "warm": warm,
                    "validate": validate}
         accepted = 0
@@ -228,8 +218,7 @@ class ClusterClient:
             raise ClusterError(
                 f"no owner of {fingerprint[:12]} is reachable"
             ) from last_error
-        entry = _CatalogEntry(name=name, fingerprint=fingerprint, kind=kind,
-                              n=matrix.shape[0])
+        entry = _CatalogEntry(name=name, fingerprint=fingerprint, kind=kind, n=cold.n)
         with self._lock:
             self._catalog[name] = entry
         return entry

@@ -260,8 +260,7 @@ class ShardNode:
         with self._lock:
             session = self._sessions.get(name)
             if session is None or session.closed:
-                session = SamplerSession(self.registry.get(name),
-                                         self.registry.cache, backend=self.backend)
+                session = self.registry.session(name, backend=self.backend)
                 self._sessions[name] = session
             return session
 
@@ -275,8 +274,9 @@ class ShardNode:
                      parts=None, counts=None, warm: bool = False,
                      validate: bool = True):
         entry = self.registry.register(name, matrix, kind=kind, parts=parts,
-                                       counts=counts, validate=validate,
-                                       overwrite=False, warm=warm)
+                                       counts=counts, validate=validate)
+        if warm:
+            self._op_warm(name)
         return {"name": entry.name, "fingerprint": entry.fingerprint,
                 "base_fingerprint": entry.route_fingerprint,
                 "epoch": entry.epoch,

@@ -20,12 +20,13 @@ from typing import Optional
 import numpy as np
 
 from repro.core.entropic import EntropicSamplerConfig, sample_entropic_parallel
-from repro.core.result import SampleResult, SamplerReport
+from repro.core.result import SampleResult
+from repro.core.symmetric import sample_by_cardinality
 from repro.dpp.nonsymmetric import NonsymmetricDPP, NonsymmetricKDPP
 from repro.dpp.partition import check_grid_budget
 from repro.engine import BackendLike
-from repro.pram.tracker import Tracker, use_tracker
-from repro.utils.rng import SeedLike, as_generator
+from repro.pram.tracker import Tracker
+from repro.utils.rng import SeedLike
 
 
 def sample_nonsymmetric_kdpp_parallel(L: np.ndarray, k: int, *,
@@ -52,15 +53,8 @@ def sample_nonsymmetric_dpp_parallel(L: np.ndarray, *,
     """
     distribution = NonsymmetricDPP(L)
     check_grid_budget((distribution.n + 1,), distribution.n)
-    rng = as_generator(seed)
-    trk = tracker if tracker is not None else Tracker()
-    with use_tracker(trk):
-        with trk.round("cardinality-sampling"):
-            sizes = distribution.cardinality_distribution()
-            k = int(rng.choice(sizes.size, p=sizes))
-    if k == 0:
-        return SampleResult(subset=(), report=SamplerReport.from_tracker(trk))
-    result = sample_nonsymmetric_kdpp_parallel(distribution.L, k, config=config, seed=rng,
-                                               tracker=trk, backend=backend)
-    result.report.extra["sampled_cardinality"] = float(k)
-    return result
+    return sample_by_cardinality(
+        distribution.cardinality_distribution,
+        lambda k, rng, trk: sample_nonsymmetric_kdpp_parallel(
+            distribution.L, k, config=config, seed=rng, tracker=trk, backend=backend),
+        seed, tracker)

@@ -22,7 +22,7 @@ Unconstrained symmetric DPPs are handled by first sampling the cardinality
 from __future__ import annotations
 
 import math
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -77,28 +77,49 @@ def sample_symmetric_kdpp_parallel(L: np.ndarray, k: int, *, delta: float = 1e-2
     return batched_sample(distribution, config, seed, tracker=tracker, backend=backend)
 
 
+def sample_by_cardinality(sizes: Callable[[], np.ndarray],
+                          sample_k: Callable[[int, np.random.Generator, Tracker], SampleResult],
+                          seed: SeedLike = None,
+                          tracker: Optional[Tracker] = None) -> SampleResult:
+    """Remark 15: draw ``|S|`` from its exact distribution, then the k-DPP.
+
+    ``sizes()`` runs inside the one ``cardinality-sampling`` round, so a
+    cold sampler charges computing the distribution to that round.  At
+    ``|S| = 0`` the empty set is returned; otherwise ``sample_k(k, rng,
+    tracker)`` draws the k-DPP on the same generator and tracker, and its
+    report gains ``extra["sampled_cardinality"]``.  The unconstrained
+    samplers of Theorems 8 and 10 and the served unconstrained draw all
+    run through here.
+    """
+    rng = as_generator(seed)
+    trk = tracker if tracker is not None else Tracker()
+    with use_tracker(trk):
+        with trk.round("cardinality-sampling"):
+            p = sizes()
+            k = int(rng.choice(p.size, p=p))
+    if k == 0:
+        return SampleResult(subset=(), report=SamplerReport.from_tracker(trk))
+    result = sample_k(k, rng, trk)
+    result.report.extra["sampled_cardinality"] = float(k)
+    return result
+
+
 def sample_symmetric_dpp_parallel(L: np.ndarray, *, delta: float = 1e-2,
                                   seed: SeedLike = None,
                                   tracker: Optional[Tracker] = None,
                                   backend: BackendLike = None) -> SampleResult:
     """Theorem 10.2: exact parallel sample from the unconstrained symmetric DPP.
 
-    Remark 15: sample the cardinality ``|S|`` from its exact distribution
-    (one constant-depth round: the ESPs of the spectrum), then run the k-DPP
-    sampler for that cardinality.  Both read the DPP's one
-    ``symmetrized_eigh`` of ``L`` (:meth:`SymmetricDPP.restrict_to_size`).
+    Remark 15 (:func:`sample_by_cardinality`): sample the cardinality
+    ``|S|`` from its exact distribution (one constant-depth round: the ESPs
+    of the spectrum), then run the k-DPP sampler for that cardinality.  Both
+    read the DPP's one ``symmetrized_eigh`` of ``L``
+    (:meth:`SymmetricDPP.restrict_to_size`).
     """
     distribution = SymmetricDPP(L)  # validates PSD-ness
-    rng = as_generator(seed)
-    trk = tracker if tracker is not None else Tracker()
-    with use_tracker(trk):
-        with trk.round("cardinality-sampling"):
-            sizes = distribution.cardinality_distribution()
-            k = int(rng.choice(sizes.size, p=sizes))
-    if k == 0:
-        report = SamplerReport.from_tracker(trk)
-        return SampleResult(subset=(), report=report)
-    result = batched_sample(distribution.restrict_to_size(k), kdpp_batched_config(k, delta), rng,
-                            tracker=trk, backend=backend)
-    result.report.extra["sampled_cardinality"] = float(k)
-    return result
+    return sample_by_cardinality(
+        distribution.cardinality_distribution,
+        lambda k, rng, trk: batched_sample(distribution.restrict_to_size(k),
+                                           kdpp_batched_config(k, delta), rng,
+                                           tracker=trk, backend=backend),
+        seed, tracker)

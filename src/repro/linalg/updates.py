@@ -391,8 +391,9 @@ class KernelUpdate:
         """The mutated matrix (dense ensemble or low-rank factor), frozen.
 
         This is the *content* ground truth every patched artifact must agree
-        with — ``updated_entry`` installs exactly this array so a cold
-        re-registration of the result reproduces the served kernel bitwise.
+        with — ``KernelRegistry.apply_update`` installs exactly this array so
+        a cold re-registration of the result reproduces the served kernel
+        bitwise.
         """
         self.validate_for(kind, matrix.shape[0])
         if self.op == "rank_one":

@@ -28,9 +28,7 @@ you serve traffic through":
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Union
-
-import numpy as np
+from typing import Optional, Sequence
 
 from repro.engine import BackendLike
 from repro.service.cache import CacheStats, FactorizationCache, KernelFactorization
@@ -72,27 +70,31 @@ def serve(kernel, *, name: Optional[str] = None,
           parts: Optional[Sequence[Sequence[int]]] = None,
           counts: Optional[Sequence[int]] = None,
           registry: Optional[KernelRegistry] = None,
-          cache: Optional[FactorizationCache] = None,
           backend: BackendLike = None,
           validate: bool = True) -> SamplerSession:
-    """Open a warm :class:`SamplerSession` for a kernel.
+    """Open a warm :class:`SamplerSession` on a kernel of ``registry``.
 
     ``kernel`` is the name of an already registered kernel, a raw ensemble
     matrix, or a :class:`~repro.distributions.lowrank.LowRankKernel` — the
     matrix/factor is (idempotently) registered first — under ``name`` when
-    given, else under a name derived from its content fingerprint and kind,
-    so serving the same kernel twice reuses one registration and one cached
-    factorization.  Low-rank kernels register their ``n x k`` factor (kind
-    ``"lowrank"``), so every cached artifact stays ``k``-sized and sampling
-    runs the sublinear intermediate sampler by default.
+    given, else under the auto-name ``kernel-<fingerprint[:12]>`` of its
+    content fingerprint and kind
+    (:func:`~repro.service.registry.kernel_entry`), so serving the same
+    kernel twice reuses one registration and one cached factorization.
+    Low-rank kernels register their ``n x k`` factor (kind ``"lowrank"``),
+    so every cached artifact stays ``k``-sized and sampling runs the
+    sublinear intermediate sampler by default.  ``registry`` defaults to
+    the process-wide :func:`default_registry`.
 
-    Lifecycle: auto-named registrations are **ephemeral** — the session pins
-    the entry while open, and once every session on it is closed the
-    registry's ``anonymous_ttl`` reclaims the registration (so a long-running
-    process churning through ``serve(matrix)`` kernels no longer accumulates
-    them forever).  Close sessions explicitly (``session.close()`` or
-    ``with repro.serve(L) as session: ...``); named/explicit registrations
-    stay until ``unregister``.
+    The session belongs to the registry however it was opened: its updates
+    go through :meth:`KernelRegistry.apply_update`, so a later
+    ``serve(name)`` draws the updated kernel.  Auto-named registrations are
+    **ephemeral** — the session pins the entry while open, and once every
+    session on it is closed the registry's ``anonymous_ttl`` reclaims the
+    registration (so a long-running process churning through
+    ``serve(matrix)`` kernels does not accumulate them).  Close sessions
+    explicitly (``session.close()`` or ``with repro.serve(L) as session:
+    ...``); named registrations stay until ``unregister``.
 
     Examples
     --------
@@ -100,55 +102,20 @@ def serve(kernel, *, name: Optional[str] = None,
     >>> session.sample(k=5, seed=123).subset         # doctest: +SKIP
     """
     reg = registry if registry is not None else _DEFAULT_REGISTRY
-    ephemeral = False
-    if isinstance(kernel, str):
-        # acquire first: pins an ephemeral entry atomically with the lookup,
-        # so a concurrent TTL sweep cannot reap it mid-serve
-        entry = reg.acquire(kernel)
-        ephemeral = reg.is_ephemeral(kernel)
-        try:
-            # registration-time arguments are meaningless for an existing
-            # entry: reject mismatches instead of silently sampling a
-            # different family
-            if name is not None or parts is not None or counts is not None:
-                raise ValueError(
-                    "name=/parts=/counts= apply when registering a matrix; "
-                    f"{kernel!r} is already registered"
-                )
-            if kind is not None and kind != entry.kind:
-                raise ValueError(
-                    f"kernel {kernel!r} is registered as kind={entry.kind!r}, not {kind!r}"
-                )
-        except ValueError:
-            if ephemeral:
-                reg.release(kernel)
-            raise
-    else:
-        from repro.distributions.lowrank import LowRankKernel
-
-        if isinstance(kernel, LowRankKernel):
-            if kind not in (None, "lowrank"):
-                raise ValueError(
-                    f"a LowRankKernel serves as kind='lowrank', not {kind!r}")
-            kind = "lowrank"
-            matrix = kernel.factor
-        else:
-            kind = kind if kind is not None else "symmetric"
-            matrix = np.asarray(kernel, dtype=float)
-        ephemeral = name is None
-        if name is None:
-            from repro.utils.fingerprint import matrix_fingerprint
-
-            # derive the name from content AND kind/structure so serving the
-            # same matrix as e.g. symmetric and nonsymmetric registers two
-            # kernels instead of colliding on one auto-generated name
-            params = (tuple(tuple(sorted(int(i) for i in part)) for part in parts)
-                      if parts is not None else None,
-                      tuple(int(c) for c in counts) if counts is not None else None)
-            name = f"kernel-{matrix_fingerprint(matrix, kind=kind, params=params)[:12]}"
-        # pin=True takes the session reference atomically with registration
-        # (a separate acquire could lose to an anonymous_ttl=0 sweep)
-        entry = reg.register(name, matrix, kind=kind, parts=parts, counts=counts,
-                             validate=validate, ephemeral=ephemeral, pin=ephemeral)
-    return SamplerSession(entry, cache if cache is not None else reg.cache,
-                          backend=backend, registry=reg if ephemeral else None)
+    if not isinstance(kernel, str):
+        # ephemeral=True pins the auto-named entry atomically with its
+        # registration; the session releases that pin on close
+        entry = reg.register(name, kernel, kind=kind, parts=parts, counts=counts,
+                             validate=validate, ephemeral=name is None)
+        return SamplerSession(reg, entry, backend=backend)
+    # registration-time arguments are meaningless for an existing entry:
+    # reject mismatches instead of silently sampling a different family
+    if name is not None or parts is not None or counts is not None:
+        raise ValueError("name=/parts=/counts= apply when registering a matrix; "
+                         f"{kernel!r} is already registered")
+    session = reg.session(kernel, backend=backend)
+    if kind is not None and kind != session.entry.kind:
+        session.close()
+        raise ValueError(
+            f"kernel {kernel!r} is registered as kind={session.entry.kind!r}, not {kind!r}")
+    return session

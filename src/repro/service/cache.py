@@ -284,12 +284,12 @@ class KernelFactorization:
         """Eagerly materialize every artifact the ``kind``'s samplers use.
 
         The cache is lazy by default — each artifact computes on first
-        access, i.e. during the first draw that needs it.  Warm-up moves
-        that cost to registration time (``KernelRegistry.register(...,
-        warm=True)`` / :meth:`SamplerSession.warm`), so a serving process
-        can pay preprocessing before taking traffic instead of inside the
-        first request's latency.  Values are identical either way — warm-up
-        only calls the same lazy getters.
+        access, i.e. during the first draw that needs it.  Warm-up, which
+        the serving layer runs through :meth:`SamplerSession.warm` alone,
+        moves that cost before the first request, so a serving process can
+        pay preprocessing before taking traffic instead of inside the first
+        request's latency.  Values are identical either way — warm-up only
+        calls the same lazy getters.
         """
         # each getter pulls in what it derives from: eigh and factor, or minor_sums
         if kind == "symmetric":

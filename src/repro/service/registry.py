@@ -18,21 +18,22 @@ registrations (and pinning their matrices) forever.
 
 from __future__ import annotations
 
+import dataclasses
 import threading
 import time
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro import obs
 from repro.dpp.kernels import validate_ensemble
+from repro.engine import BackendLike
 from repro.service.cache import FactorizationCache
 from repro.utils.fingerprint import kernel_fingerprint, partition_keys
 
 __all__ = ["KERNEL_KINDS", "RegisteredKernel", "UpdateRecord", "KernelRegistry",
-           "kernel_fingerprint", "updated_entry"]
+           "kernel_entry", "kernel_fingerprint"]
 
 #: distribution families the serving layer understands
 KERNEL_KINDS = ("symmetric", "nonsymmetric", "partition", "lowrank")
@@ -75,7 +76,6 @@ class RegisteredKernel:
     fingerprint: str
     parts: Optional[Tuple[Tuple[int, ...], ...]] = None
     counts: Optional[Tuple[int, ...]] = None
-    metadata: Dict[str, object] = field(default_factory=dict)
     epoch: int = 0
     base_fingerprint: Optional[str] = None
     update_log: Tuple[UpdateRecord, ...] = ()
@@ -99,57 +99,43 @@ class RegisteredKernel:
 _REFACTOR_DEPTH = 64
 
 
-def updated_entry(entry: RegisteredKernel, cache: FactorizationCache,
-                  update) -> Tuple[RegisteredKernel, str]:
-    """Apply one :class:`~repro.linalg.updates.KernelUpdate` to ``entry``.
+def kernel_entry(kernel, name: Optional[str] = None, *, kind: Optional[str] = None,
+                 parts: Optional[Sequence[Sequence[int]]] = None,
+                 counts: Optional[Sequence[int]] = None) -> RegisteredKernel:
+    """The front door of every serving entry point: ``kernel`` as a cold entry.
 
-    Returns ``(new_entry, decision)`` where ``decision`` is ``"patched"``
-    (artifacts carried over incrementally from the predecessor's cache
-    entry) or ``"recomputed"`` (cold lazy factorization: the chain reached
-    the rebuild depth of ``_REFACTOR_DEPTH``, or the predecessor was
-    already evicted).  A dense update other than ``weight · u uᵀ`` with
-    ``weight >= 0``, which cannot leave the PSD / nPSD cone, is validated
-    like a registration and refused with :class:`ValueError` before
-    anything adopts it.  The new entry's ``fingerprint`` extends the chain
-    (:meth:`KernelUpdate.chained_fingerprint`) and its ``epoch`` increments.
-    The predecessor's cache entry stays; :meth:`KernelRegistry.apply_update`
-    drops it once no registration serves it.
-
-    This is the core shared by :meth:`KernelRegistry.apply_update`,
-    standalone :class:`~repro.service.session.SamplerSession` updates, and
-    shard nodes applying cluster deltas.
+    ``kernel`` is an ensemble matrix or a
+    :class:`~repro.distributions.lowrank.LowRankKernel`, which serves its
+    ``n x r`` factor as kind ``"lowrank"`` (its default kind; a matrix's is
+    ``"symmetric"``).  The entry holds the float array (C-contiguous for a
+    factor, whose fingerprint hashes its bytes), the canonical partition
+    structure, :func:`kernel_fingerprint` of them, and ``name`` or else the
+    auto-name ``kernel-<fingerprint[:12]>``.  Nothing is validated or
+    copied: :meth:`KernelRegistry.register` does both, and
+    :meth:`~repro.cluster.client.ClusterClient.register` routes by this
+    fingerprint before a node recomputes it.
     """
-    if entry.kind == "partition":
-        raise ValueError("partition kernels do not support incremental updates "
-                         "(their normalizer has no known update identity)")
-    update.validate_for(entry.kind, entry.n)
-    matrix = update.apply(entry.matrix, entry.kind)
-    if entry.kind != "lowrank" and not (update.v is None and update.weight >= 0):
-        validate_ensemble(matrix, symmetric=entry.kind == "symmetric")
-    fingerprint = update.chained_fingerprint(entry.fingerprint)
-    depth = len(entry.update_log) + 1
-    if entry.kind == "lowrank":
-        recompute = depth >= _REFACTOR_DEPTH
-    else:
-        recompute = depth >= min(_REFACTOR_DEPTH, matrix.shape[0])
-    started = time.perf_counter()
-    fact, decision = cache.adopt(
-        entry.fingerprint, update, matrix=matrix, fingerprint=fingerprint,
-        kind=entry.kind, patch=not recompute)
-    seconds = time.perf_counter() - started
-    if decision == "hit":
-        decision = "patched"  # a racing update of identical content kept it warm
-    record = UpdateRecord(op=update.op, decision=decision,
-                          delta_nbytes=update.delta_nbytes,
-                          fingerprint=fingerprint)
-    new_entry = RegisteredKernel(
-        name=entry.name, kind=entry.kind, matrix=fact.matrix,
-        fingerprint=fingerprint, parts=entry.parts, counts=entry.counts,
-        metadata=dict(entry.metadata), epoch=entry.epoch + 1,
-        base_fingerprint=entry.route_fingerprint,
-        update_log=entry.update_log + (record,))
-    obs.record_kernel_update(entry.kind, decision, depth, seconds)
-    return new_entry, decision
+    from repro.distributions.lowrank import LowRankKernel
+
+    if isinstance(kernel, LowRankKernel):
+        if kind not in (None, "lowrank"):
+            raise ValueError(f"a LowRankKernel serves as kind='lowrank', not {kind!r}")
+        kind, kernel = "lowrank", kernel.factor
+    kind = "symmetric" if kind is None else kind
+    if kind not in KERNEL_KINDS:
+        raise ValueError(f"unknown kernel kind {kind!r}; expected one of {KERNEL_KINDS}")
+    if kind == "partition":
+        if parts is None or counts is None:
+            raise ValueError("partition kernels require parts= and counts=")
+    elif parts is not None or counts is not None:
+        raise ValueError(f"parts/counts are only valid for kind='partition', not {kind!r}")
+    matrix = np.ascontiguousarray(kernel, dtype=float) if kind == "lowrank" \
+        else np.asarray(kernel, dtype=float)
+    parts_key, counts_key = partition_keys(parts, counts)
+    fingerprint = kernel_fingerprint(matrix, kind=kind, parts=parts_key, counts=counts_key)
+    return RegisteredKernel(name=name if name is not None else f"kernel-{fingerprint[:12]}",
+                            kind=kind, matrix=matrix, fingerprint=fingerprint,
+                            parts=parts_key, counts=counts_key)
 
 
 @dataclass
@@ -163,9 +149,14 @@ class _EphemeralState:
 class KernelRegistry:
     """Mutable name → :class:`RegisteredKernel` map sharing one cache.
 
-    All operations are guarded by one registry lock (registration used to be
-    start-up-only, but ephemeral ``serve(matrix)`` entries are now created
-    and expired from concurrent request paths).  ``anonymous_ttl`` is the
+    The one owner of a served kernel's lifecycle: :meth:`register` admits
+    it, :meth:`session` (and ``repro.serve``) open the
+    :class:`~repro.service.session.SamplerSession` objects that draw from
+    it, :meth:`apply_update` makes each successor epoch, and
+    :meth:`release` / :meth:`unregister` / the TTL sweep retire it.
+    All operations are guarded by one registry lock (ephemeral
+    ``serve(matrix)`` entries are created and expired from concurrent
+    request paths).  ``anonymous_ttl`` is the
     idle lifetime of ephemeral registrations: ``0`` unregisters as soon as
     the last session closes, ``None`` never expires them (the pre-TTL
     behavior); ``clock`` is injectable for tests and must be monotonic.
@@ -188,169 +179,98 @@ class KernelRegistry:
         obs.register_kernel_registry(self)
 
     # ------------------------------------------------------------------ #
-    def register(self, name: str, matrix: np.ndarray, *, kind: str = "symmetric",
+    def register(self, name: Optional[str], matrix: np.ndarray, *, kind: Optional[str] = None,
                  parts: Optional[Sequence[Sequence[int]]] = None,
                  counts: Optional[Sequence[int]] = None,
                  validate: bool = True, overwrite: bool = False,
-                 ephemeral: bool = False, pin: bool = False, warm: bool = False,
-                 metadata: Optional[Dict[str, object]] = None) -> RegisteredKernel:
+                 ephemeral: bool = False) -> RegisteredKernel:
         """Register ``matrix`` under ``name``; validation happens here, once.
 
-        Re-registering the same name with identical content returns the
-        existing entry; different content requires ``overwrite=True`` (which
-        also invalidates the old entry's cached factorization).
-        ``ephemeral=True`` marks the entry for TTL-based auto-unregistration
-        once no session holds it (``repro.serve(matrix)`` uses this for its
-        auto-named registrations); re-registering an ephemeral name
-        non-ephemerally promotes it to a permanent entry.  ``pin=True``
-        additionally takes one session reference *atomically with the
-        registration* — without it, an ``anonymous_ttl=0`` sweep racing
-        between register and a separate :meth:`acquire` could reap the
-        brand-new entry.  ``warm=True`` precomputes the kind's factorization
-        artifacts (:meth:`~repro.service.cache.KernelFactorization.warm`)
-        before returning, so the first draw is already warm; the computation
-        runs outside the registry lock.
+        ``name``, ``matrix`` and ``kind``/``parts``/``counts`` are read as
+        :func:`kernel_entry` reads them (``name=None`` is the auto-name).
+        Re-registering the same name with
+        identical content returns the existing entry; different content
+        requires ``overwrite=True`` (which also invalidates the old entry's
+        cached factorization).  ``ephemeral=True`` marks the entry for
+        TTL-based auto-unregistration once no session holds it, and takes
+        one session pin for the caller atomically with the registration
+        (a separate :meth:`session` could lose the brand-new entry to an
+        ``anonymous_ttl=0`` sweep): hand the entry to one
+        :class:`~repro.service.session.SamplerSession`, whose ``close``
+        releases the pin, as ``repro.serve(matrix)`` does with its
+        auto-named registrations.  Re-registering an ephemeral name
+        non-ephemerally promotes it to a permanent entry.  Warm-up is
+        :meth:`~repro.service.session.SamplerSession.warm` on a session.
         """
-        from repro.distributions.lowrank import LowRankKernel
-
-        if isinstance(matrix, LowRankKernel):
-            # a LowRankKernel carries its own kind: auto-promote the default
-            if kind == "symmetric":
-                kind = "lowrank"
-            if kind != "lowrank":
-                raise ValueError(
-                    f"a LowRankKernel registers as kind='lowrank', not {kind!r}")
-            matrix = matrix.factor
-        if kind not in KERNEL_KINDS:
-            raise ValueError(f"unknown kernel kind {kind!r}; expected one of {KERNEL_KINDS}")
-        if kind == "partition":
-            if parts is None or counts is None:
-                raise ValueError("partition kernels require parts= and counts=")
-        elif parts is not None or counts is not None:
-            raise ValueError(f"parts/counts are only valid for kind='partition', not {kind!r}")
-
-        a = np.array(matrix, dtype=float, copy=True)
+        cold = kernel_entry(matrix, name, kind=kind, parts=parts, counts=counts)
+        a = np.array(cold.matrix, copy=True)
         if validate:
-            if kind == "lowrank":
-                # the registered matrix IS the (n, k) factor: validate shape,
+            if cold.kind == "lowrank":
+                # the registered matrix IS the (n, r) factor: validate shape,
                 # finiteness and column rank in factor-sized time
                 from repro.utils.validation import check_factor
 
-                a = check_factor(a)
+                check_factor(a)
             else:
-                validate_ensemble(a, symmetric=(kind != "nonsymmetric"))
-        elif kind == "lowrank":
-            # canonical layout even unvalidated: the content fingerprint
-            # hashes bytes, and a fortran-ordered duplicate must not re-key
-            a = np.ascontiguousarray(a)
-        parts_key, counts_key = partition_keys(parts, counts)
-        if kind == "partition":
-            if validate:
+                validate_ensemble(a, symmetric=(cold.kind != "nonsymmetric"))
+            if cold.kind == "partition":
                 # structural checks (disjointness, coverage, feasible counts)
                 # without building the torus node tables here — the
                 # factorization cache computes them lazily.
                 from repro.dpp.partition import PartitionDPP
-                PartitionDPP(a, parts_key, counts_key, validate=False)
+                PartitionDPP(a, cold.parts, cold.counts, validate=False)
         a.flags.writeable = False
-        # the single shared derivation (utils/fingerprint.kernel_fingerprint):
-        # cluster clients route by this key before any node recomputes it
-        fingerprint = kernel_fingerprint(a, kind=kind, parts=parts_key,
-                                         counts=counts_key)
-
-        if warm and self.cache.capacity == 0:
-            # a capacity-0 cache stores nothing: warming would compute the
-            # full artifact set onto a throwaway object — loudly skip
-            # instead of silently wasting the eigendecompositions
-            warnings.warn(
-                f"register(warm=True) skipped for {name!r}: the registry's "
-                "factorization cache has capacity=0 (storage disabled), so "
-                "warmed artifacts could not be retained",
-                RuntimeWarning, stacklevel=2)
-            warm = False
+        entry = dataclasses.replace(cold, matrix=a)
 
         with self._lock:
             self._sweep_locked()
-            existing = self._entries.get(name)
-            entry = None
+            existing = self._entries.get(entry.name)
+            if existing is not None and existing.fingerprint == entry.fingerprint:
+                state = self._ephemeral.get(entry.name)
+                if not ephemeral:
+                    self._ephemeral.pop(entry.name, None)  # promote to permanent
+                elif state is not None:
+                    state.sessions += 1
+                return existing
             if existing is not None:
-                if existing.fingerprint == fingerprint:
-                    if ephemeral:
-                        state = self._ephemeral.get(name)
-                        if state is not None and pin:
-                            state.sessions += 1
-                    else:
-                        self._ephemeral.pop(name, None)  # promote to permanent
-                    entry = existing
-                elif not overwrite:
+                if not overwrite:
                     raise ValueError(
-                        f"kernel {name!r} is already registered with different content; "
+                        f"kernel {entry.name!r} is already registered with different content; "
                         "pass overwrite=True to replace it"
                     )
-                else:
-                    self._invalidate_unshared_locked(existing.fingerprint, excluding=name)
-
-            if entry is None:
-                entry = RegisteredKernel(
-                    name=name, kind=kind, matrix=a, fingerprint=fingerprint,
-                    parts=parts_key, counts=counts_key, metadata=dict(metadata or {}),
-                )
-                self._entries[name] = entry
-                if ephemeral:
-                    self._ephemeral[name] = _EphemeralState(sessions=1 if pin else 0,
-                                                            idle_since=self._clock())
-                else:
-                    self._ephemeral.pop(name, None)
-            warm_state = None
-            if warm:
-                state = self._ephemeral.get(name)
-                if state is not None:
-                    # hold a temporary session pin across the warm-up so a
-                    # TTL sweep cannot reap the brand-new ephemeral entry
-                    # (and invalidate its cache slot) mid-eigendecomposition
-                    state.sessions += 1
-                    warm_state = state
-        if warm:
-            # outside the registry lock: eigendecompositions must not block
-            # concurrent registry traffic.  The factorization is single-flight
-            # per artifact, so racing warmers do not duplicate work.
-            try:
-                self.cache.factorization(entry.matrix, fingerprint=entry.fingerprint).warm(
-                    entry.kind, entry.parts, entry.counts)
-            finally:
-                with self._lock:
-                    # drop the temporary pin only if it still belongs to OUR
-                    # state object — a concurrent overwrite may have replaced
-                    # the ephemeral state, and decrementing the replacement
-                    # would unpin another session's live entry
-                    if warm_state is not None and self._ephemeral.get(name) is warm_state:
-                        warm_state.sessions = max(warm_state.sessions - 1, 0)
-                        if warm_state.sessions == 0:
-                            warm_state.idle_since = self._clock()
-                        self._sweep_locked()
-                    if self._entries.get(name) is not entry:
-                        # a concurrent unregister/overwrite (or the sweep
-                        # just above) invalidated this fingerprint while we
-                        # warmed: do not leave a stale fully-materialized
-                        # cache entry behind (unless another registration
-                        # still shares the content)
-                        self._invalidate_unshared_locked(entry.fingerprint)
-        return entry
+                self._invalidate_unshared_locked(existing.fingerprint, excluding=entry.name)
+            self._entries[entry.name] = entry
+            if ephemeral:
+                self._ephemeral[entry.name] = _EphemeralState(sessions=1, idle_since=self._clock())
+            else:
+                self._ephemeral.pop(entry.name, None)
+            return entry
 
     def apply_update(self, name: str, update, *,
                      expect_fingerprint: Optional[str] = None) -> RegisteredKernel:
-        """Mutate kernel ``name`` incrementally instead of re-registering.
+        """Mutate kernel ``name`` by one :class:`~repro.linalg.updates.KernelUpdate`.
 
-        Atomically (under the registry lock) replaces the entry with its
-        updated successor — concurrent updates to one name serialize, each
-        seeing the previous chain tip, and lookups never observe a
-        half-applied entry.  ``expect_fingerprint`` (when given) must match
-        the current chain tip or the update is refused — the guard shard
-        nodes use to detect a replica whose chain has diverged from the
-        client's.  The predecessor's cache entry is invalidated unless
+        The only code that makes a successor epoch.  Atomically (under the
+        registry lock) replaces the entry with its updated successor —
+        concurrent updates to one name serialize, each seeing the previous
+        chain tip, and lookups never observe a half-applied entry.
+        ``expect_fingerprint`` (when given) must match the current chain tip
+        or the update is refused — the guard shard nodes use to detect a
+        replica whose chain has diverged from the client's.  A dense update
+        other than ``weight · u uᵀ`` with ``weight >= 0``, which cannot
+        leave the PSD / nPSD cone, is validated like a registration and
+        refused with :class:`ValueError` before anything adopts it.
+
+        The successor's cached artifacts are patched from the predecessor's
+        (``"patched"`` in its :class:`UpdateRecord`), or rebuilt lazily
+        (``"recomputed"``) once the chain reaches the rebuild depth of
+        ``_REFACTOR_DEPTH`` or when the predecessor was already evicted.
+        Its ``fingerprint`` extends the chain
+        (:meth:`KernelUpdate.chained_fingerprint`) and its ``epoch``
+        increments.  The predecessor's cache entry is invalidated unless
         another registration shares its content, so the cache holds the live
         epoch only; a session still serving the old epoch recomputes its
         artifacts from its entry snapshot on its next draw.
-        :func:`updated_entry` decides between patching and a lazy rebuild.
         """
         with self._lock:
             entry = self.get(name)
@@ -359,10 +279,33 @@ class KernelRegistry:
                     f"kernel {name!r} chain is at {entry.fingerprint[:12]}..., "
                     f"update expected predecessor {expect_fingerprint[:12]}... "
                     "(stale or rebased replica)")
-            new_entry, _decision = updated_entry(entry, self.cache, update)
+            if entry.kind == "partition":
+                raise ValueError("partition kernels do not support incremental updates "
+                                 "(their normalizer has no known update identity)")
+            update.validate_for(entry.kind, entry.n)
+            matrix = update.apply(entry.matrix, entry.kind)
+            if entry.kind != "lowrank" and not (update.v is None and update.weight >= 0):
+                validate_ensemble(matrix, symmetric=entry.kind == "symmetric")
+            fingerprint = update.chained_fingerprint(entry.fingerprint)
+            depth = len(entry.update_log) + 1
+            rebuild_depth = _REFACTOR_DEPTH if entry.kind == "lowrank" \
+                else min(_REFACTOR_DEPTH, matrix.shape[0])
+            started = time.perf_counter()
+            fact, decision = self.cache.adopt(
+                entry.fingerprint, update, matrix=matrix, fingerprint=fingerprint,
+                kind=entry.kind, patch=depth < rebuild_depth)
+            seconds = time.perf_counter() - started
+            if decision == "hit":
+                decision = "patched"  # an equal-content kernel's identical update kept it warm
+            record = UpdateRecord(op=update.op, decision=decision,
+                                  delta_nbytes=update.delta_nbytes, fingerprint=fingerprint)
+            new_entry = dataclasses.replace(
+                entry, matrix=fact.matrix, fingerprint=fingerprint, epoch=entry.epoch + 1,
+                base_fingerprint=entry.route_fingerprint,
+                update_log=entry.update_log + (record,))
+            obs.record_kernel_update(entry.kind, decision, depth, seconds)
             self._entries[name] = new_entry
-            if new_entry.fingerprint != entry.fingerprint:
-                self._invalidate_unshared_locked(entry.fingerprint)
+            self._invalidate_unshared_locked(entry.fingerprint)
             return new_entry
 
     def unregister(self, name: str) -> bool:
@@ -389,15 +332,6 @@ class KernelRegistry:
     # ------------------------------------------------------------------ #
     # ephemeral lifecycle
     # ------------------------------------------------------------------ #
-    def acquire(self, name: str) -> RegisteredKernel:
-        """Look up ``name`` and, if ephemeral, pin it for one open session."""
-        with self._lock:
-            entry = self.get(name)
-            state = self._ephemeral.get(name)
-            if state is not None:
-                state.sessions += 1
-            return entry
-
     def release(self, name: str) -> None:
         """Drop one session's pin; starts the TTL clock at zero sessions.
 
@@ -496,7 +430,7 @@ class KernelRegistry:
             return len(self._entries)
 
     # ------------------------------------------------------------------ #
-    def session(self, name: str, **kwargs) -> "SamplerSession":
+    def session(self, name: str, *, backend: BackendLike = None) -> "SamplerSession":
         """Open a :class:`~repro.service.session.SamplerSession` on ``name``.
 
         Sessions on ephemeral registrations pin them until
@@ -504,7 +438,9 @@ class KernelRegistry:
         """
         from repro.service.session import SamplerSession
 
-        entry = self.acquire(name)
-        release = self.is_ephemeral(name)
-        return SamplerSession(entry, self.cache, registry=self, release=release,
-                              **kwargs)
+        with self._lock:
+            entry = self.get(name)
+            state = self._ephemeral.get(name)
+            if state is not None:
+                state.sessions += 1
+        return SamplerSession(self, entry, backend=backend)

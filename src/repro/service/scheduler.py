@@ -357,18 +357,7 @@ class RoundScheduler:
                 "submit() does not accept ['backend']: the scheduler executes fused "
                 "rounds on its own backend (set backend= on the scheduler)"
             )
-        if method not in ("parallel", "spectral", "lowrank"):
-            raise ValueError(f"unknown sampling method {method!r}")
-        if method == "spectral" and self.session.entry.kind != "symmetric":
-            raise ValueError(
-                f"method='spectral' requires a symmetric kernel, "
-                f"got kind={self.session.entry.kind!r}"
-            )
-        if method == "lowrank" and self.session.entry.kind != "lowrank":
-            raise ValueError(
-                f"method='lowrank' requires a LowRankKernel registration, "
-                f"got kind={self.session.entry.kind!r}"
-            )
+        method = self.session._resolve_method(method)  # raises at submit, not drain
         if trace is None:
             trace = obs.current_context()
         with self._lock:

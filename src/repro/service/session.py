@@ -33,7 +33,7 @@ from repro import obs
 from repro.core.batched import BatchedSamplerConfig, batched_sample
 from repro.core.entropic import EntropicSamplerConfig, sample_entropic_parallel
 from repro.core.result import SampleResult, SamplerReport
-from repro.core.symmetric import kdpp_batched_config
+from repro.core.symmetric import kdpp_batched_config, sample_by_cardinality
 from repro.distributions.base import SubsetDistribution
 from repro.distributions.lowrank import LowRankDPP, LowRankKDPP, LowRankKernel
 from repro.dpp.intermediate import sample_dpp_intermediate, sample_kdpp_intermediate
@@ -43,9 +43,9 @@ from repro.dpp.spectral import sample_dpp_spectral, sample_kdpp_spectral
 from repro.dpp.symmetric import SymmetricDPP, SymmetricKDPP
 from repro.engine import BackendLike
 from repro.pram.tracker import Tracker, use_tracker
-from repro.service.cache import FactorizationCache, KernelFactorization
-from repro.service.registry import RegisteredKernel
-from repro.utils.rng import SeedLike, as_generator
+from repro.service.cache import KernelFactorization
+from repro.service.registry import KernelRegistry, RegisteredKernel
+from repro.utils.rng import SeedLike
 
 __all__ = ["SamplerSession"]
 
@@ -55,29 +55,27 @@ class SamplerSession:
 
     Sessions are cheap: they hold no heavy state of their own beyond a memo
     of constructed distribution objects (one per requested cardinality), all
-    backed by the shared factorization cache.
+    backed by the registry's factorization cache.
 
-    Sessions opened on *ephemeral* registrations (``repro.serve(matrix)``
-    auto-names) pin the registration while open; :meth:`close` — or leaving
-    the session's ``with`` block — releases the pin so the registry's TTL can
-    reclaim the entry.  Long-running services should treat sessions as
-    scoped handles, not process-lifetime globals.
+    Every session belongs to a :class:`~repro.service.registry.KernelRegistry`
+    and holds one pin on its kernel's name, taken by whoever opened it
+    (:meth:`KernelRegistry.session`, ``repro.serve``); :meth:`close` — or
+    leaving the session's ``with`` block — releases it, so the registry's TTL
+    can reclaim an ephemeral (``repro.serve(matrix)`` auto-named) entry.
+    Updates go through :meth:`KernelRegistry.apply_update`, so every later
+    session on the name sees them.  Long-running services should treat
+    sessions as scoped handles, not process-lifetime globals.
     """
 
     #: concurrency contract, enforced by ``repro.analysis`` (R2 + race harness)
     _GUARDED_BY = {"_lock": ("_entry", "_distributions", "_scheduler", "_closed",
                              "samples_served")}
 
-    def __init__(self, entry: RegisteredKernel, cache: Optional[FactorizationCache] = None, *,
-                 backend: BackendLike = None, registry=None,
-                 release: Optional[bool] = None):
-        self.cache = cache if cache is not None else FactorizationCache()
+    def __init__(self, registry: KernelRegistry, entry: RegisteredKernel, *,
+                 backend: BackendLike = None):
+        self._registry = registry
+        self.cache = registry.cache
         self.backend = backend
-        self._registry = registry  # non-None => updates route through it
-        # release=None keeps the historical contract (registry => unpin on
-        # close); KernelRegistry.session() passes it explicitly so pinned
-        # (non-ephemeral) sessions can still route updates through the registry.
-        self._release = (registry is not None) if release is None else bool(release)
         self._lock = threading.RLock()
         self._entry = entry
         self._distributions: Dict[object, SubsetDistribution] = {}
@@ -89,7 +87,7 @@ class SamplerSession:
     # lifecycle
     # ------------------------------------------------------------------ #
     def close(self) -> None:
-        """Release this session: drop memos and unpin any ephemeral registration.
+        """Release this session: drop memos and its pin on the registration.
 
         Idempotent; sampling through a closed session raises
         ``RuntimeError``.  The factorization cache is shared and untouched —
@@ -99,13 +97,10 @@ class SamplerSession:
             if self._closed:
                 return
             self._closed = True
-            registry, self._registry = self._registry, None
-            release = self._release
             name = self._entry.name
             self._distributions.clear()
             self._scheduler = None
-        if registry is not None and release:
-            registry.release(name)
+        self._registry.release(name)
 
     @property
     def closed(self) -> bool:
@@ -158,11 +153,11 @@ class SamplerSession:
     def warm(self) -> "SamplerSession":
         """Precompute every factorization artifact this kernel's samplers use.
 
-        Moves the lazy per-artifact preprocessing (eigendecompositions, PSD
-        factors, size distributions, minor sums, partition torus tables) out
-        of the first request's latency; see
-        :meth:`~repro.service.cache.KernelFactorization.warm`.  Returns the
-        session for chaining: ``repro.serve(L).warm()``.
+        The serving layer's one warm-up: it moves the lazy per-artifact
+        preprocessing (eigendecompositions, PSD factors, size distributions,
+        minor sums, partition torus tables) out of the first request's
+        latency; see :meth:`~repro.service.cache.KernelFactorization.warm`.
+        Returns the session for chaining: ``repro.serve(L).warm()``.
         """
         self._check_open()
         entry = self.entry
@@ -374,8 +369,10 @@ class SamplerSession:
                                        config: Optional[Union[BatchedSamplerConfig, EntropicSamplerConfig]]) -> SampleResult:
         """Remark 15 with a cached size distribution: draw ``|S|``, then k-DPP.
 
-        A nonsymmetric kernel over 406 items is refused before the draw, as
-        the direct sampler refuses it: its k-DPP's torus tables would not fit.
+        The distribution is read before the ``cardinality-sampling`` round,
+        so a served draw charges no preprocessing to it.  A nonsymmetric
+        kernel over 406 items is refused before the draw, as the direct
+        sampler refuses it: its k-DPP's torus tables would not fit.
         """
         fact = self._factorization_for(entry)
         if entry.kind == "symmetric":
@@ -386,16 +383,11 @@ class SamplerSession:
             n = entry.matrix.shape[0]
             check_grid_budget((n + 1,), n)
             sizes = fact.nonsym_size_distribution
-        rng = as_generator(seed)
-        trk = tracker if tracker is not None else Tracker()
-        with use_tracker(trk):
-            with trk.round("cardinality-sampling"):
-                k = int(rng.choice(sizes.size, p=sizes))
-        if k == 0:
-            return SampleResult(subset=(), report=SamplerReport.from_tracker(trk))
-        result = self._sample_parallel(entry, k, rng, trk, backend, delta, config)
-        result.report.extra["sampled_cardinality"] = float(k)
-        return result
+        return sample_by_cardinality(
+            lambda: sizes,
+            lambda k, rng, trk: self._sample_parallel(entry, k, rng, trk, backend,
+                                                      delta, config),
+            seed, tracker)
 
     # ------------------------------------------------------------------ #
     # streaming kernels: incremental updates instead of O(n^3) recompute
@@ -408,10 +400,10 @@ class SamplerSession:
         A symmetric kernel's cached artifacts are *patched* (secular-equation
         eigen update, :mod:`repro.linalg.updates`) rather than recomputed,
         until the chain is deep enough that the registry rebuilds them lazily
-        instead (:func:`~repro.service.registry.updated_entry`).  An update
-        that leaves the PSD / nPSD cone raises :class:`ValueError` and changes
-        nothing.  Fixed-seed draws after the update match cold-registering
-        the mutated matrix.  Returns the new entry.
+        instead (:meth:`~repro.service.registry.KernelRegistry.apply_update`).
+        An update that leaves the PSD / nPSD cone raises :class:`ValueError`
+        and changes nothing.  Fixed-seed draws after the update match
+        cold-registering the mutated matrix.  Returns the new entry.
         """
         from repro.linalg.updates import KernelUpdate
 
@@ -430,16 +422,11 @@ class SamplerSession:
         return self._apply_update(KernelUpdate.delete_rows(indices))
 
     def _apply_update(self, update) -> RegisteredKernel:
-        from repro.service.registry import updated_entry
-
         with self._lock:
             self._check_open()
-            if self._registry is not None:
-                # Registry-backed: the registry serializes updates per name
-                # and every session on this kernel can adopt the new epoch.
-                entry = self._registry.apply_update(self._entry.name, update)
-            else:
-                entry, _decision = updated_entry(self._entry, self.cache, update)
+            # the registry serializes updates per name; every later session
+            # on this kernel opens on the new epoch
+            entry = self._registry.apply_update(self._entry.name, update)
             self._entry = entry
             self._distributions.clear()
             return entry

@@ -1,6 +1,6 @@
 """Shared utilities: RNG handling, subset helpers, argument validation."""
 
-from repro.utils.fingerprint import array_fingerprint, matrix_fingerprint
+from repro.utils.fingerprint import array_fingerprint
 from repro.utils.rng import as_generator, spawn_generators, substream
 from repro.utils.subsets import (
     all_subsets,
@@ -19,7 +19,6 @@ from repro.utils.validation import (
 
 __all__ = [
     "array_fingerprint",
-    "matrix_fingerprint",
     "as_generator",
     "spawn_generators",
     "substream",

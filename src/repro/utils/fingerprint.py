@@ -51,13 +51,6 @@ def chain_fingerprint(previous: str, *arrays: np.ndarray,
     return array_fingerprint(*arrays, extra=("chain", previous, *tuple(extra)))
 
 
-def matrix_fingerprint(matrix: np.ndarray, *, kind: str = "matrix",
-                       params: Optional[Iterable] = None) -> str:
-    """Fingerprint of one kernel matrix tagged with its distribution kind."""
-    return array_fingerprint(np.asarray(matrix, dtype=float),
-                             extra=(kind, *tuple(params or ())))
-
-
 def partition_keys(parts: Optional[Iterable] = None,
                    counts: Optional[Iterable] = None):
     """Canonical (hashable) forms of a partition kernel's structure.

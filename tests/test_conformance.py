@@ -15,6 +15,7 @@ from repro import KernelRegistry, serve
 from repro.distributions.lowrank import LowRankKDPP, LowRankKernel
 from repro.dpp.intermediate import (
     lowrank_intermediate_basis,
+    proposal_tables,
     sample_dpp_intermediate,
     sample_kdpp_intermediate,
 )
@@ -122,8 +123,10 @@ def test_lowrank_kdpp_inclusions_match_exact_marginals():
     pairs = list(itertools.combinations(range(LOWRANK_N), 2))
     pair_marginals = dist.counting_batch(pairs) / dist.partition_function()
     whitened = lowrank_intermediate_basis(factor)
+    tables = proposal_tables(whitened[1])
     item_z, pair_z = _lowrank_max_z(
-        lambda rng: sample_kdpp_intermediate(factor, LOWRANK_K, rng, whitened=whitened),
+        lambda rng: sample_kdpp_intermediate(factor, LOWRANK_K, rng, whitened=whitened,
+                                             tables=tables),
         dist.marginal_vector(), pair_marginals)
     assert item_z <= MAX_ABS_Z, item_z
     assert pair_z <= MAX_ABS_Z, pair_z
@@ -136,8 +139,9 @@ def test_lowrank_dpp_inclusions_match_exact_marginals():
     first, second = np.array(list(itertools.combinations(range(LOWRANK_N), 2))).T
     pair_marginals = K[first, first] * K[second, second] - K[first, second] ** 2
     whitened = lowrank_intermediate_basis(factor)
+    tables = proposal_tables(whitened[1])
     item_z, pair_z = _lowrank_max_z(
-        lambda rng: sample_dpp_intermediate(factor, rng, whitened=whitened),
+        lambda rng: sample_dpp_intermediate(factor, rng, whitened=whitened, tables=tables),
         np.diag(K).copy(), pair_marginals)
     assert item_z <= MAX_ABS_Z, item_z
     assert pair_z <= MAX_ABS_Z, pair_z

@@ -747,7 +747,8 @@ class TestSpectralFusion:
 # ---------------------------------------------------------------------- #
 class TestWarmup:
     def test_register_warm_materializes_artifacts(self, registry, psd):
-        entry = registry.register("warmed", psd, warm=True)
+        entry = registry.register("warmed", psd)
+        registry.session("warmed").warm()
         fact = registry.cache.factorization(entry.matrix, fingerprint=entry.fingerprint)
         names = set(fact.materialized)
         assert {"eigh", "size_distribution", "factor", "factor_gram"} <= names
@@ -769,7 +770,8 @@ class TestWarmup:
         L = random_psd_ensemble(8, seed=9)
         parts = [[0, 1, 2, 3], [4, 5, 6, 7]]
         entry = registry.register("pwarm", L, kind="partition", parts=parts,
-                                  counts=[2, 1], warm=True)
+                                  counts=[2, 1])
+        registry.session("pwarm").warm()
         fact = registry.cache.factorization(entry.matrix, fingerprint=entry.fingerprint)
         assert any(str(key).startswith("('partition_tables'") for key in fact.materialized)
 
@@ -782,7 +784,8 @@ class TestWarmup:
 
 class TestRegistryInfo:
     def test_registry_info_rolls_up_cache_and_census(self, registry, psd):
-        registry.register("a", psd, warm=True)
+        registry.register("a", psd)
+        registry.session("a").warm()
         serve(psd, registry=registry)  # ephemeral auto-name, same content
         info = registry.registry_info()
         assert info["registered"] == 2

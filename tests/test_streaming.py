@@ -19,7 +19,6 @@ from repro import obs
 from repro.cluster import LocalCluster, serve_cluster
 from repro.linalg.updates import KernelUpdate
 from repro.service.registry import KernelRegistry
-from repro.service.session import SamplerSession
 from repro.workloads import random_npsd_ensemble, random_psd_ensemble
 
 SEEDS = [0, 3, 11]
@@ -209,25 +208,36 @@ class TestEpochs:
             [cold.sample(k=K, seed=seed, method="parallel").subset
              for seed in (1, 2)]
 
-    def test_standalone_session_updates_without_registry(self, psd):
+    def test_named_session_update_reaches_a_later_serve(self, psd):
         registry = KernelRegistry()
-        registry.register("solo", psd)
-        session = SamplerSession(registry.get("solo"), registry.cache)
+        writer = repro.serve(psd, name="x", registry=registry)
         u, _ = _vectors(psd.shape[0], seed=302)
-        entry = session.update(u, weight=0.25)
-        assert entry.epoch == 1
+        entry = writer.update(u, weight=0.25)
+        reader = repro.serve("x", registry=registry)
+        assert reader.epoch == entry.epoch == 1
         cold = _cold(np.asarray(entry.matrix))
         for seed in SEEDS:
-            assert session.sample(k=K, seed=seed).subset == \
+            assert reader.sample(k=K, seed=seed).subset == \
                 cold.sample(k=K, seed=seed).subset
-        # the registry never saw the update: it still serves epoch 0
-        assert registry.get("solo").epoch == 0
+
+    def test_named_lowrank_stream_keeps_one_live_epoch(self):
+        rng = np.random.default_rng(12)
+        registry = KernelRegistry()
+        session = repro.serve(repro.LowRankKernel(rng.standard_normal((200, 8))),
+                              name="x", registry=registry).warm()
+        for step in range(64):
+            if step % 2 == 0:
+                session.append_items(rng.standard_normal((4, 8)))
+            else:
+                session.delete_items([0, 1, 2, 3])
+        assert session.epoch == registry.get("x").epoch == 64
+        assert len(registry.cache) == 1
 
     @pytest.mark.parametrize("method", ["spectral", "parallel"])
     def test_session_on_a_superseded_epoch_draws_it_cold(self, psd, method):
         registry = KernelRegistry()
-        registry.register("pair", psd, warm=True)
-        writer, reader = registry.session("pair"), registry.session("pair")
+        registry.register("pair", psd)
+        writer, reader = registry.session("pair").warm(), registry.session("pair")
         u, _ = _vectors(psd.shape[0], seed=304)
         entry = writer.update(u, weight=0.1)
         # the cache keeps the live epoch only...
