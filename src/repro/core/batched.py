@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -106,10 +106,12 @@ def _joint_marginals(distribution: SubsetDistribution, subsets: Sequence[Tuple[i
                      tracker: Tracker, backend: ExecutionBackend) -> np.ndarray:
     """``P[T ⊆ S]`` for each ``T`` — one :class:`OracleBatch` on ``backend``.
 
-    The normalizer is computed once per batch (cached on the request), and
-    the backend decides how the independent queries fan out.
+    ``subsets`` are already sorted tuples of ints, so the batch takes them as
+    they are.  The normalizer is computed once per batch (cached on the
+    request), and the backend decides how the independent queries fan out.
     """
-    batch = OracleBatch.joint_marginals(distribution, subsets, label="joint-marginals")
+    batch = OracleBatch(kind="joint_marginals", distribution=distribution,
+                        subsets=tuple(subsets), label="joint-marginals")
     return backend.execute(batch, tracker=tracker).values
 
 
@@ -126,25 +128,21 @@ def _log_target_ordered(distribution: SubsetDistribution, tuples: np.ndarray,
     log_target = np.full(count, -np.inf)
     if ell == 0:
         return np.zeros(count)
-    distinct_mask = np.array([len(set(row.tolist())) == ell for row in tuples])
-    distinct_indices = np.flatnonzero(distinct_mask)
+    # each row as its set: sorted, so a repeated element sits beside its twin
+    ordered = np.sort(tuples, axis=1)
+    distinct_indices = np.flatnonzero(np.all(ordered[:, 1:] != ordered[:, :-1], axis=1))
     if distinct_indices.size == 0:
         return log_target
-    # deduplicate identical sets to avoid redundant oracle calls
-    unique_sets = {}
-    for idx in distinct_indices:
-        key = subset_key(tuples[idx])
-        unique_sets.setdefault(key, []).append(idx)
-    keys = list(unique_sets)
-    joints = _joint_marginals(distribution, keys, tracker, backend)
+    # one query per distinct set, in order of first appearance
+    slots: Dict[Tuple[int, ...], int] = {}
+    slot_of = [slots.setdefault(key, len(slots))
+               for key in map(tuple, ordered[distinct_indices].tolist())]
+    joints = _joint_marginals(distribution, list(slots), tracker, backend)
     log_binom = math.log(binomial(k_remaining, ell))
     log_fact = math.lgamma(ell + 1)
-    for key, joint in zip(keys, joints):
-        if joint <= 0:
-            continue
-        value = math.log(joint) - log_binom - log_fact
-        for idx in unique_sets[key]:
-            log_target[idx] = value
+    values = np.array([-math.inf if joint <= 0 else math.log(joint) - log_binom - log_fact
+                       for joint in joints.tolist()])
+    log_target[distinct_indices] = values[slot_of]
     return log_target
 
 
@@ -164,6 +162,14 @@ def batched_sample(distribution: SubsetDistribution, config: Optional[BatchedSam
     :class:`~repro.engine.batch.OracleBatch` and executed by ``backend``
     (defaulting to the one installed via :func:`repro.configure_backend`);
     backend choice changes wall-clock fan-out, never the sampled output.
+
+    The distribution is conditioned after every batch but the last, and in
+    the sequential fallback after every element but the last: nothing reads
+    a conditioning on the completed sample, so ``len(batch_sizes) - 1``
+    conditionings run when no iteration falls back.  The first iteration
+    queries ``distribution`` itself, so a served
+    :class:`~repro.dpp.symmetric.SymmetricKDPP` answers its marginals and
+    normalizer from values it keeps across requests.
     """
     cfg = config if config is not None else BatchedSamplerConfig()
     k = distribution.cardinality
@@ -222,7 +228,8 @@ def batched_sample(distribution: SubsetDistribution, config: Optional[BatchedSam
                     with trk.round("sequential-fallback"):
                         element = int(rng.choice(inner.n, p=probs))
                     fallback.append(inner.ground_labels[element])
-                    inner = inner.condition((element,))
+                    if len(fallback) < remaining:  # the sample's last element needs none
+                        inner = inner.condition((element,))
                 chosen.extend(fallback)
                 current = inner
                 remaining -= ell
@@ -231,9 +238,10 @@ def batched_sample(distribution: SubsetDistribution, config: Optional[BatchedSam
 
             labels = tuple(current.ground_labels[i] for i in accepted_set)
             chosen.extend(labels)
-            current = current.condition(accepted_set)
             remaining -= ell
             report.batch_sizes.append(ell)
+            if remaining > 0:  # the completed sample needs no conditioning
+                current = current.condition(accepted_set)
 
     report.update_from_tracker(trk)
     return SampleResult(subset=tuple(sorted(chosen)), report=report)

@@ -57,11 +57,17 @@ def normalize_sizes(weights: np.ndarray) -> np.ndarray:
 
 
 def leave_one_out_esp(values: np.ndarray, order: int) -> np.ndarray:
-    """``e_order(values with entry j removed)`` for every ``j`` (vector of length n)."""
+    """``e_order(values with entry j removed)`` for every ``j`` (vector of length n).
+
+    Order 0 is ``e_0 = 1`` for every ``j``, the program's own value bit for
+    bit, so it runs no program.
+    """
     vals = np.asarray(values, dtype=float).ravel()
     n = vals.size
     if order < 0 or order > n - 1:
         return np.zeros(n)
+    if order == 0:
+        return np.ones(n)
     # row j is ``vals`` without entry j, in order: n² floats, the size of L
     rest = np.broadcast_to(vals, (n, n))[~np.eye(n, dtype=bool)].reshape(n, n - 1)
     return elementary_symmetric_polynomials(rest, max_order=order)[order]

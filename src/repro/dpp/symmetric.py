@@ -30,7 +30,7 @@ kernels, built from a factor.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -47,7 +47,7 @@ from repro.linalg.batch import (
     stacked_principal_submatrices,
     symmetrized_eigh,
 )
-from repro.linalg.esp import elementary_symmetric_polynomials, kdpp_counts_from_factor
+from repro.linalg.esp import elementary_symmetric_polynomials, kdpp_circle, kdpp_counts_on_circle
 from repro.pram.tracker import current_tracker
 from repro.utils.validation import check_positive_int, check_subset
 
@@ -70,19 +70,20 @@ class _SymmetricKernel:
     """
 
     def _setup(self, L: Optional[np.ndarray], factor: Optional[np.ndarray],
-               labels: Optional[Sequence[int]]) -> None:
+               labels: Optional[Iterable[int]]) -> None:
         """State of a kernel given by its dense ``L``, or by a factor alone (``L=None``)."""
         self.L = L
         self.n = (factor if L is None else L).shape[0]
-        self._labels = tuple(int(i) for i in labels) if labels is not None else tuple(range(self.n))
+        self._labels = tuple(map(int, labels)) if labels is not None else tuple(range(self.n))
         self._eigenvalues: Optional[np.ndarray] = None
         self._eigh: Optional[EighPair] = None  # a dense L's, until its factor exists
         self._factor: Optional[np.ndarray] = factor
         self._factor_gram: Optional[np.ndarray] = None
         self._gram_eigh: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        self._kept_values: Dict[str, object] = {}
 
     @classmethod
-    def _from_factor(cls, factor: np.ndarray, labels: Sequence[int], **params):
+    def _from_factor(cls, factor: np.ndarray, labels: Iterable[int], **params):
         """A kernel holding only the factor ``F`` of ``L = F Fᵀ``, never ``L``."""
         dist = cls.__new__(cls)
         dist._setup(None, factor, labels, **params)
@@ -90,6 +91,21 @@ class _SymmetricKernel:
 
     def _check_rank(self) -> None:
         """Feasibility check of validated construction and :meth:`attach_precomputed`."""
+
+    def _kept(self, name: str, compute: Callable[[], Any]) -> Any:
+        """``compute()`` on first use, then the kept value.
+
+        For results that depend on the kernel alone, which a served
+        distribution answers many requests from.  They are computed
+        deterministically, so two requests that race on first use store
+        equal values.  :meth:`attach_precomputed` clears them, and
+        :meth:`worker_payload` does not ship them.
+        """
+        kept = self._kept_values
+        value = kept.get(name)
+        if value is None:
+            value = kept[name] = compute()
+        return value
 
     # ------------------------------------------------------------------ #
     @property
@@ -180,8 +196,10 @@ class _SymmetricKernel:
         registration, its ``lowrank_gram`` and ``lowrank_dual``), so
         fixed-seed samples agree bitwise with the uncached path.  It then
         re-runs the (now cheap) feasibility check that ``validate=True``
-        construction would have performed.
+        construction would have performed.  Values kept after first use
+        (:meth:`_kept`) are cleared.
         """
+        self._kept_values = {}
         if eigenvalues is not None:
             if eigenvalues.shape != (self.n,):
                 raise ValueError("precomputed eigenvalues have mismatched shape")
@@ -255,7 +273,8 @@ class _SymmetricKernel:
         matrix.
         """
         factor, remaining = conditioned_factor(self.factor, items)
-        child = self._from_factor(factor, [self._labels[i] for i in remaining], **params)
+        child = self._from_factor(factor, map(self._labels.__getitem__, remaining.tolist()),
+                                  **params)
         child._factor_gram = lowrank_conditioned_gram(self.factor, self.factor_gram, [items])[1][0]
         return child
 
@@ -404,7 +423,7 @@ class SymmetricKDPP(_SymmetricKernel, HomogeneousDistribution):
             self._check_rank()
 
     def _setup(self, L: Optional[np.ndarray], factor: Optional[np.ndarray],
-               labels: Optional[Sequence[int]], *, k: int) -> None:
+               labels: Optional[Iterable[int]], *, k: int) -> None:
         super()._setup(L, factor, labels)
         self.k = check_positive_int(k, "k", minimum=0) if k else 0
         if self.k > self.n:
@@ -443,11 +462,16 @@ class SymmetricKDPP(_SymmetricKernel, HomogeneousDistribution):
     def partition_function(self) -> float:
         """``e_k(λ(L))`` over the positive eigenvalues.
 
-        Charged as the decomposition the spectrum comes from: ``n x n`` for a
-        dense ``L``, the factor's ``r x r`` Gram without one.  An exact zero
-        leaves every ``e_j`` unchanged bit for bit.
+        Charged on every call as the decomposition the spectrum comes from:
+        ``n x n`` for a dense ``L``, the factor's ``r x r`` Gram without one.
+        The value is computed once and kept (:meth:`_kept`), so a served
+        distribution charges each request as a fresh one would, and computes
+        it once.  An exact zero leaves every ``e_j`` unchanged bit for bit.
         """
         current_tracker().charge_determinant(self._normalizer_order())
+        return self._kept("normalizer", self._esp_normalizer)
+
+    def _esp_normalizer(self) -> float:
         eigenvalues = self.eigenvalues
         esp = elementary_symmetric_polynomials(eigenvalues[eigenvalues > 0], max_order=self.k)
         return float(esp[self.k])
@@ -462,25 +486,38 @@ class SymmetricKDPP(_SymmetricKernel, HomogeneousDistribution):
         return float(self.counting_batch([items])[0])
 
     def marginal_vector(self, given: Iterable[int] = ()) -> np.ndarray:
-        """Spectral k-DPP marginals from the factor's ``r x r`` Gram eigh."""
+        """Spectral k-DPP marginals from the factor's ``r x r`` Gram eigh.
+
+        The unconditioned vector depends on the kernel alone: it is computed
+        on first use and kept (:meth:`_kept`), and every call returns that
+        one read-only array.  Given ``T``, the marginals are the conditioned
+        child's, with ones on ``T``, in a new array.
+        """
         items = check_subset(given, self.n)
         tracker = current_tracker()
         with tracker.round("kdpp-marginals"):
             if not items:
-                return kdpp_marginals_from_factor(*self._factor_spectrum(), self.k)
+                return self._kept("marginals", self._unconditioned_marginals)
             conditioned = self.condition(items)
             marginals = np.ones(self.n, dtype=float)
             remaining = [i for i in range(self.n) if i not in items]
             marginals[remaining] = conditioned.marginal_vector()
         return marginals
 
+    def _unconditioned_marginals(self) -> np.ndarray:
+        marginals = kdpp_marginals_from_factor(*self._factor_spectrum(), self.k)
+        marginals.flags.writeable = False
+        return marginals
+
     def counting_batch(self, subsets: Sequence[Sequence[int]]) -> np.ndarray:
         """``Σ_{S ⊇ T, |S| = k} det(L_S)`` for many (mixed-size) ``T`` at once.
 
         Equal-size groups with ``0 < |T| < k`` are read off the generating
-        polynomial ``det(I + zL) · det(K(z)_T)`` on a circle by
-        :func:`~repro.linalg.esp.kdpp_counts_from_factor`, from the cached
-        factor spectrum: no query decomposes anything.  ``|T| = k`` is one
+        polynomial ``det(I + zL) · det(K(z)_T)`` on a circle, from the cached
+        factor spectrum: no query decomposes anything.  The circle's
+        kernel-only half (:func:`~repro.linalg.esp.kdpp_circle`) is kept
+        after first use (:meth:`_kept`); each group runs the per-set half,
+        :func:`~repro.linalg.esp.kdpp_counts_on_circle`.  ``|T| = k`` is one
         stacked determinant of ``L_T``, or of ``F_T F_Tᵀ`` without a dense
         ``L``.  Stacked slices are computed independently, so a query's value
         does not depend on what it is batched with.
@@ -502,7 +539,9 @@ class SymmetricKDPP(_SymmetricKernel, HomogeneousDistribution):
                     dets = np.linalg.det(stacked_principal_submatrices(self.L, group))
                 values[positions] = np.where(dets > 0, dets, 0.0)
                 continue
-            values[positions] = kdpp_counts_from_factor(*self._factor_spectrum(), group, self.k)
+            s, rotated = self._factor_spectrum()
+            circle = self._kept("circle", lambda: kdpp_circle(s, self.k))
+            values[positions] = kdpp_counts_on_circle(circle, rotated, group)
         return values
 
     def joint_marginals_batch(self, subsets: Sequence[Sequence[int]]) -> np.ndarray:

@@ -18,7 +18,7 @@ circle from the factor spectrum of ``L`` alone.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -156,6 +156,54 @@ def _saddle_radius(spectrum: np.ndarray, k: float) -> float:
     return float(np.exp(u))
 
 
+class KdppCircle(NamedTuple):
+    """The kernel-only half of the circle counts (:func:`kdpp_circle`).
+
+    Everything :func:`kdpp_counts_on_circle` reads that depends on the
+    spectrum and ``k`` alone, at the saddle radius ``ρ`` of
+    :func:`_saddle_radius`, so a kernel can keep it across queries.
+    """
+
+    #: ``∏_j (1 + z_m s_j) / ∏_j (1 + ρ s_j)`` at each node ``z_m``
+    prefactor: np.ndarray
+    #: ``∏_j (1 + ρ s_j) / ρ^k``, which turns a coefficient into a count
+    scale: float
+    #: ``(r, 2·nodes + 1)``: real and imaginary parts of ``z_m / (1 + z_m s_j)``, then ones
+    table: np.ndarray
+    #: each node's weight in the DFT: itself and its conjugate
+    fold: np.ndarray
+    #: ``(2·nodes, 1)``: the ``[z^k]`` DFT row, real parts then negated imaginary parts
+    dft: np.ndarray
+
+
+def kdpp_circle(spectrum: np.ndarray, k: int) -> Optional[KdppCircle]:
+    """The circle of :func:`kdpp_counts_from_factor` for ``spectrum`` and ``k``.
+
+    ``None`` when no ``s_j`` is positive: then every count is 0.  Computes
+    the saddle radius, the ``⌊(r + 1)/2⌋ + 1`` nodes of the upper
+    half-plane, their prefactors and weights, and the DFT row; it charges
+    nothing, since it reads no set.
+    """
+    s = np.asarray(spectrum, dtype=float)
+    r = s.size
+    if not np.any(s > 0):
+        return None
+    rho = _saddle_radius(s, k)
+    m = np.arange((r + 1) // 2 + 1)
+    angles = 2.0 * np.pi * m / (r + 1)
+    z = rho * (np.cos(angles) + 1j * np.sin(angles))
+    # ∏_j (1 + z s_j), divided by its value at z = ρ: modulus at most 1
+    prefactor = np.prod((1.0 + np.outer(z, s)) / (1.0 + rho * s), axis=1)
+    scale = float(np.exp(np.sum(np.log1p(rho * s)) - k * np.log(rho)))
+    weights = z / (1.0 + np.outer(s, z))                         # (r, nodes)
+    table = np.concatenate([weights.real, weights.imag, np.ones((r, 1))], axis=1)
+    # node m stands for itself and its conjugate N - m
+    fold = np.where((m == 0) | (2 * m == r + 1), 1.0, 2.0) / (r + 1)
+    dft = fold * np.exp(-1j * k * angles)
+    return KdppCircle(prefactor, scale, table, fold,
+                      np.concatenate([dft.real, -dft.imag])[:, None])
+
+
 def kdpp_counts_from_factor(spectrum: np.ndarray, rotated: np.ndarray,
                             subsets: Sequence[Sequence[int]], k: int) -> np.ndarray:
     """``Σ_{S ⊇ T, |S| = k} det(L_S)`` for equal-size sets ``T``, with no eigensolve.
@@ -186,8 +234,23 @@ def kdpp_counts_from_factor(spectrum: np.ndarray, rotated: np.ndarray,
     :class:`~repro.distributions.base.CountingOracleError`; smaller
     negatives are rounding and clip to 0.  Charged as one oracle call per
     set.
+
+    It is :func:`kdpp_circle`, the half that depends on the kernel and
+    ``k`` alone, followed by :func:`kdpp_counts_on_circle`, the per-set
+    half, which charges: a caller that keeps the circle (a
+    :class:`~repro.dpp.symmetric.SymmetricKDPP` does) gets the same counts
+    and charges from the second half alone.
     """
-    s = np.asarray(spectrum, dtype=float)
+    return kdpp_counts_on_circle(kdpp_circle(spectrum, k), rotated, subsets)
+
+
+def kdpp_counts_on_circle(circle: Optional[KdppCircle], rotated: np.ndarray,
+                          subsets: Sequence[Sequence[int]]) -> np.ndarray:
+    """The per-set half of :func:`kdpp_counts_from_factor`, on a kept circle.
+
+    ``circle`` is :func:`kdpp_circle` of the spectrum that ``rotated``
+    belongs to, and of the same ``k``.  Charges one oracle call per set.
+    """
     W = np.asarray(rotated, dtype=float)
     n, r = W.shape
     idx = np.sort(np.asarray(subsets, dtype=int), axis=1)
@@ -197,37 +260,26 @@ def kdpp_counts_from_factor(spectrum: np.ndarray, rotated: np.ndarray,
     nodes = (r + 1) // 2 + 1
     current_tracker().charge(work=float(batch) * nodes * (t * t * r + t ** 3),
                              machines=float(batch), oracle_calls=batch)
-    if not np.any(s > 0):
+    if circle is None:
         return np.zeros(batch)
-    rho = _saddle_radius(s, k)
-    m = np.arange(nodes)
-    angles = 2.0 * np.pi * m / (r + 1)
-    z = rho * (np.cos(angles) + 1j * np.sin(angles))
-    # ∏_j (1 + z s_j), divided by its value at z = ρ: modulus at most 1
-    prefactor = np.prod((1.0 + np.outer(z, s)) / (1.0 + rho * s), axis=1)
-    scale = float(np.exp(np.sum(np.log1p(rho * s)) - k * np.log(rho)))
-    weights = z / (1.0 + np.outer(s, z))                         # (r, nodes)
     # one row per entry of the symmetric t x t blocks: against the table's
     # columns it gives K(z_m)_T (real, imaginary parts) and, last, W_T W_Tᵀ
     iu, ju = np.triu_indices(t)
     rows = W[idx]                                                # (batch, t, r)
     products = rows[:, iu, :] * rows[:, ju, :]                   # (batch, t(t+1)/2, r)
-    table = np.concatenate([weights.real, weights.imag, np.ones((r, 1))], axis=1)
-    entries = products @ table
-    gram = np.empty((batch, t, t))
-    gram[:, iu, ju] = gram[:, ju, iu] = entries[:, :, -1]
+    entry_of = np.empty((t, t), dtype=int)
+    entry_of[iu, ju] = entry_of[ju, iu] = np.arange(iu.size)
+    blocks = (products @ circle.table)[:, entry_of]              # (batch, t, t, 2·nodes + 1)
+    gram = blocks[..., -1]
     K_T = np.empty((batch, nodes, t, t), dtype=complex)
-    K_T[:, :, iu, ju] = K_T[:, :, ju, iu] = \
-        (entries[:, :, :nodes] + 1j * entries[:, :, nodes:-1]).transpose(0, 2, 1)
+    K_T.real = blocks[..., :nodes].transpose(0, 3, 1, 2)
+    K_T.imag = blocks[..., nodes:-1].transpose(0, 3, 1, 2)
     det_T = np.linalg.det(gram)
-    values = np.linalg.det(K_T) * prefactor                      # P_T(z_m) / ∏(1 + ρ s)
-    # node m stands for itself and its conjugate N - m
-    fold = np.where((m == 0) | (2 * m == r + 1), 1.0, 2.0) / (r + 1)
-    dft = fold * np.exp(-1j * k * angles)
+    values = np.linalg.det(K_T) * circle.prefactor               # P_T(z_m) / ∏(1 + ρ s)
     parts = np.concatenate([values.real, values.imag], axis=1)[:, None, :]
-    coeff = (parts @ np.concatenate([dft.real, -dft.imag])[:, None])[:, 0, 0]
+    coeff = (parts @ circle.dft)[:, 0, 0]
     ok = det_T > _SINGULAR_TOL * np.prod(np.diagonal(gram, axis1=1, axis2=2), axis=1)
-    mean_modulus = (np.abs(values)[:, None, :] @ fold[:, None])[:, 0, 0]
+    mean_modulus = (np.abs(values)[:, None, :] @ circle.fold[:, None])[:, 0, 0]
     broken = np.flatnonzero(ok & (coeff < -_NEGATIVE_TOL * mean_modulus))
     if broken.size:
         # imported here: repro.distributions imports this module
@@ -235,6 +287,6 @@ def kdpp_counts_from_factor(spectrum: np.ndarray, rotated: np.ndarray,
 
         worst = broken[np.argmin(coeff[broken])]
         raise CountingOracleError(
-            f"k-DPP count for {tuple(idx[worst].tolist())} is {coeff[worst] * scale:.6g}, "
+            f"k-DPP count for {tuple(idx[worst].tolist())} is {coeff[worst] * circle.scale:.6g}, "
             f"below the rounding of its generating polynomial")
-    return np.where(ok, np.clip(coeff, 0.0, None) * scale, 0.0)
+    return np.where(ok, np.clip(coeff, 0.0, None) * circle.scale, 0.0)

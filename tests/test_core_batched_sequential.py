@@ -7,6 +7,7 @@ import pytest
 
 from repro.core.batched import (
     BatchedSamplerConfig,
+    _log_target_ordered,
     batch_schedule,
     batched_sample,
     default_batch_size,
@@ -18,8 +19,64 @@ from repro.dpp.exact import exact_kdpp_distribution
 from repro.dpp.nonsymmetric import NonsymmetricKDPP
 from repro.dpp.partition import PartitionDPP
 from repro.dpp.symmetric import SymmetricDPP, SymmetricKDPP
+from repro.engine import OracleBatch, VectorizedBackend
 from repro.pram.tracker import Tracker
+from repro.utils.subsets import binomial, subset_key
 from repro.workloads import random_psd_ensemble
+
+
+def reference_log_target_ordered(distribution, tuples, k_remaining, tracker, backend):
+    """The per-machine Python loop the sorted-array bookkeeping replaced, kept as its reference."""
+    count, ell = tuples.shape
+    log_target = np.full(count, -np.inf)
+    if ell == 0:
+        return np.zeros(count)
+    distinct_mask = np.array([len(set(row.tolist())) == ell for row in tuples])
+    distinct_indices = np.flatnonzero(distinct_mask)
+    if distinct_indices.size == 0:
+        return log_target
+    unique_sets = {}
+    for idx in distinct_indices:
+        key = subset_key(tuples[idx])
+        unique_sets.setdefault(key, []).append(idx)
+    keys = list(unique_sets)
+    batch = OracleBatch.joint_marginals(distribution, keys, label="joint-marginals")
+    joints = backend.execute(batch, tracker=tracker).values
+    log_binom = math.log(binomial(k_remaining, ell))
+    log_fact = math.lgamma(ell + 1)
+    for key, joint in zip(keys, joints):
+        if joint <= 0:
+            continue
+        value = math.log(joint) - log_binom - log_fact
+        for idx in unique_sets[key]:
+            log_target[idx] = value
+    return log_target
+
+
+class RecordingJoints:
+    """A stub distribution: each set's joint marginal is a fixed function of
+    the set (a thirteenth of them exactly 0), and every batch of queries is
+    recorded in order."""
+
+    def __init__(self):
+        self.batches = []
+
+    def joint_marginals_batch(self, subsets):
+        self.batches.append(list(subsets))
+        return np.array([(sum(s) * 7919 + 31 * len(s)) % 13 / 13.0 for s in subsets])
+
+
+def _proposal_tuples(rng, ell):
+    """Proposed ordered tuples with repeated elements, duplicate tuples and
+    permutations of one set, from a ground set small enough to collide."""
+    machines = int(rng.integers(1, 40))
+    tuples = rng.integers(0, ell + int(rng.integers(0, 8)), size=(machines, ell))
+    for row in rng.choice(machines, size=machines // 4, replace=False):
+        source = tuples[rng.integers(machines)]
+        tuples[row] = rng.permutation(source) if rng.random() < 0.7 else source
+    if ell > 1 and machines > 1:
+        tuples[rng.integers(machines), 1] = tuples[rng.integers(machines), 0]
+    return tuples
 
 
 class TestBatchSchedule:
@@ -134,6 +191,62 @@ class TestBatchedSampler:
         result = batched_sample(dist, config, seed=8)
         assert len(result.subset) == 3
         assert dist.unnormalized(result.subset) > 0
+
+
+class TestLogTargetBookkeeping:
+    def test_matches_the_per_machine_reference(self):
+        # bitwise-equal log targets and the same distinct sets, queried in
+        # the same order, over 540 seeded proposal arrays with l = 1..6
+        backend = VectorizedBackend()
+        repeated = duplicated = 0
+        for seed in range(540):
+            rng = np.random.default_rng(seed)
+            ell = 1 + seed % 6
+            tuples = _proposal_tuples(rng, ell)
+            k_remaining = ell + int(rng.integers(0, 5))
+            fast, slow = RecordingJoints(), RecordingJoints()
+            got = _log_target_ordered(fast, tuples, k_remaining, Tracker(), backend)
+            expected = reference_log_target_ordered(slow, tuples, k_remaining, Tracker(), backend)
+            assert got.tobytes() == expected.tobytes()
+            assert fast.batches == slow.batches
+            assert all(type(i) is int for batch in fast.batches for s in batch for i in s)
+            sets = [frozenset(row) for row in tuples.tolist()]
+            repeated += sum(len(row) < ell for row in sets)
+            duplicated += len(sets) - len(set(sets))
+        assert repeated > 500 and duplicated > 500  # the arrays exercised both
+
+
+class TestConditioningCount:
+    @staticmethod
+    def _counting_condition(monkeypatch):
+        calls = []
+        condition = SymmetricKDPP.condition
+
+        def counted(self, include):
+            calls.append(tuple(include))
+            return condition(self, include)
+
+        monkeypatch.setattr(SymmetricKDPP, "condition", counted)
+        return calls
+
+    @pytest.mark.parametrize("k", [1, 3, 10])
+    def test_one_conditioning_per_batch_but_the_last(self, monkeypatch, k):
+        calls = self._counting_condition(monkeypatch)
+        L = random_psd_ensemble(40, rank=20, seed=k)
+        for seed in range(4):
+            del calls[:]
+            result = batched_sample(SymmetricKDPP(L, k), seed=seed)
+            assert not result.report.failed
+            assert len(calls) == len(result.report.batch_sizes) - 1
+
+    def test_fallback_conditions_on_every_element_but_the_last(self, monkeypatch):
+        calls = self._counting_condition(monkeypatch)
+        dist = SymmetricKDPP(random_psd_ensemble(40, rank=20, seed=1), 7)
+        result = batched_sample(dist, BatchedSamplerConfig(max_rounds_per_batch=0), seed=3)
+        assert result.report.failed
+        assert result.report.batch_sizes == batch_schedule(7)
+        assert len(result.subset) == 7 and dist.unnormalized(result.subset) > 0
+        assert len(calls) == 7 - 1 and all(len(items) == 1 for items in calls)
 
 
 class TestSequentialSampler:

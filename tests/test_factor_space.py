@@ -5,19 +5,29 @@ Schur complement ``L^T``, and the ``r x r`` Gram ``FᵀF`` carries its whole
 nonzero spectrum.  Counting queries read ``[z^k]`` of the generating
 polynomial off ``r + 1`` points on a circle.  These tests hold the
 factor-space artifacts to the dense ``n x n`` quantities they replace, the
-counts to brute force and to the per-query eigendecomposition they replace,
-and the served Theorem-10 sampler to both replaced routes, seed for seed.
+counts to brute force, to the per-query eigendecomposition they replace and,
+beyond brute force, to identities every k-DPP oracle satisfies, and the
+served Theorem-10 sampler to both replaced routes, seed for seed.  A k-DPP
+keeps its kernel-only work (marginals, normalizer, circle) after first use;
+the last tests hold a served root to computing it once and to the reports of
+fresh instances.
 """
 
 import itertools
+import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro.dpp.symmetric
+import repro.linalg.esp
 import repro.service.session
 from repro import KernelRegistry, sample_symmetric_kdpp_parallel, serve
+from repro.core.batched import batched_sample
+from repro.core.symmetric import kdpp_batched_config
 from repro.distributions.base import CountingOracleError
 from repro.distributions.lowrank import LowRankKDPP, LowRankKernel
 from repro.dpp.elementary import leave_one_out_esp
@@ -30,6 +40,7 @@ from repro.linalg.batch import (
     group_by_size,
     lowrank_conditioned_gram,
     psd_factor,
+    symmetrized_eigh,
 )
 from repro.linalg.determinant import principal_minor
 from repro.linalg.esp import elementary_symmetric_polynomials, kdpp_counts_from_factor
@@ -407,6 +418,24 @@ class TestCircleCounts:
         with pytest.raises(CountingOracleError, match="k-DPP count"):
             dist.counting_batch([(1, 2)])
 
+    @pytest.mark.parametrize("kernel", ["dense", "lowrank"])
+    def test_marginal_and_extension_identities_beyond_brute_force(self, kernel):
+        # identities every k-DPP oracle satisfies at any size: the marginals
+        # sum to k, and each set counted for T holds k - |T| one-item
+        # extensions of T.  They check the circle counts, which every
+        # backend shares and fixed-seed byte-identity cannot catch.
+        L = random_psd_ensemble(200, rank=60, seed=0)
+        root = SymmetricKDPP(L, 10) if kernel == "dense" else LowRankKDPP(psd_factor(L), 10)
+        rng = np.random.default_rng(5)
+        given = tuple(rng.choice(200, size=9, replace=False).tolist())
+        for dist in (root, root.condition(given[:5]), root.condition(given)):
+            assert dist.marginal_vector().sum() == pytest.approx(dist.k, rel=1e-9)
+            for j in range(20):
+                T = _random_subsets(rng, dist.n, 1 + j % 3, 1)[0]
+                extensions = [tuple(sorted(T + (i,))) for i in range(dist.n) if i not in T]
+                assert dist.counting_batch(extensions).sum() == pytest.approx(
+                    (dist.k - len(T)) * dist.counting(T), rel=1e-9)
+
     def test_one_oracle_call_per_query(self):
         kdpp = SymmetricKDPP(random_psd_ensemble(60, rank=20, seed=5), 6)
         kdpp._factor_spectrum()   # warm: the decomposition is charged once, elsewhere
@@ -538,3 +567,114 @@ def test_lowrank_served_samples_match_dense_served(seed):
     with serve(LowRankKernel(psd_factor(L)), registry=KernelRegistry()) as session:
         lowrank = session.sample(k=10, method="parallel", seed=seed, backend="vectorized")
     assert lowrank.subset == dense.subset
+
+
+# ---------------------------------------------------------------------- #
+# kernel-only work a k-DPP keeps after first use
+# ---------------------------------------------------------------------- #
+def _orders(function, orders, order_of):
+    """``function``, appending each call's ESP order (its ``k``) to ``orders``."""
+    def wrapper(*args, **kwargs):
+        orders.append(order_of(*args, **kwargs))
+        return function(*args, **kwargs)
+    return wrapper
+
+
+def _fresh_kdpp(session, k, primed):
+    """A new instance built from the session's cached artifacts, as the
+    session builds its own; ``primed`` also installs the Gram spectrum, which
+    the session's dense distribution decomposes on its first draw."""
+    fact = session.factorization
+    if session.entry.kind == "lowrank":
+        dist = LowRankKDPP(LowRankKernel(session.entry.matrix, validate=False), k, validate=False)
+        return dist.attach_precomputed(factor_gram=fact.lowrank_gram, gram_eigh=fact.lowrank_dual)
+    dist = SymmetricKDPP(session.entry.matrix, k, validate=False)
+    return dist.attach_precomputed(
+        eigenvalues=fact.eigenvalues, factor=fact.factor, factor_gram=fact.factor_gram,
+        gram_eigh=symmetrized_eigh(fact.factor_gram) if primed else None)
+
+
+class TestKeptKernelWork:
+    @pytest.mark.parametrize("kernel", ["dense", "lowrank"])
+    def test_served_root_work_runs_once_and_draws_match_fresh_instances(self, monkeypatch,
+                                                                        kernel):
+        L = random_psd_ensemble(200, rank=60, seed=3)
+        matrix = L if kernel == "dense" else LowRankKernel(psd_factor(L))
+        orders = {"marginals": [], "radius": [], "normalizer": []}
+        with serve(matrix, registry=KernelRegistry()) as session:
+            with monkeypatch.context() as patch:
+                patch.setattr(repro.dpp.symmetric, "kdpp_marginals_from_factor", _orders(
+                    repro.dpp.symmetric.kdpp_marginals_from_factor, orders["marginals"],
+                    lambda spectrum, rotated, k: k))
+                patch.setattr(repro.linalg.esp, "_saddle_radius", _orders(
+                    repro.linalg.esp._saddle_radius, orders["radius"], lambda spectrum, k: k))
+                patch.setattr(repro.dpp.symmetric, "elementary_symmetric_polynomials", _orders(
+                    repro.dpp.symmetric.elementary_symmetric_polynomials, orders["normalizer"],
+                    lambda values, max_order=None: max_order))
+                served = [session.sample(k=10, method="parallel", seed=seed, backend="vectorized")
+                          for seed in range(20)]
+            fresh = [batched_sample(_fresh_kdpp(session, 10, primed=seed > 0),
+                                    kdpp_batched_config(10), seed, backend="vectorized")
+                     for seed in range(20)]
+        # the root is the one k = 10 instance (its children have k = 5 and 1)
+        # and each child ran its own
+        assert {name: calls.count(10) for name, calls in orders.items()} == \
+            {"marginals": 1, "radius": 1, "normalizer": 1}
+        assert orders["marginals"].count(5) == orders["radius"].count(5) == 20
+        for mine, theirs in zip(served, fresh):
+            assert mine.subset == theirs.subset
+            assert (mine.report.rounds, mine.report.oracle_calls, mine.report.work,
+                    mine.report.batch_sizes) == \
+                (theirs.report.rounds, theirs.report.oracle_calls, theirs.report.work,
+                 theirs.report.batch_sizes)
+
+    def test_attach_precomputed_clears_kept_values(self):
+        B = psd_factor(random_psd_ensemble(60, rank=20, seed=3))
+        other = np.ascontiguousarray(B * np.random.default_rng(4).uniform(0.5, 2.0, (60, 1)))
+        dist = LowRankKDPP(B, 5)
+        marginals = dist.marginal_vector()
+        assert dist.marginal_vector() is marginals and not marginals.flags.writeable
+        dist.partition_function(), dist.counting_batch([(0, 1)])
+        gram = other.T @ other
+        dist.attach_precomputed(factor=other, factor_gram=gram, gram_eigh=symmetrized_eigh(gram))
+        expected = LowRankKDPP(other, 5)
+        assert np.array_equal(dist.marginal_vector(), expected.marginal_vector())
+        assert dist.partition_function() == expected.partition_function()
+        assert np.array_equal(dist.counting_batch([(0, 1)]), expected.counting_batch([(0, 1)]))
+
+    def test_racing_first_uses_store_equal_values(self):
+        # 6 threads on 2+ cores race each kept value's first use on one
+        # instance, with a short switch interval: every thread must read the
+        # single-threaded values bit for bit
+        L = random_psd_ensemble(120, rank=30, seed=8)
+        reference = SymmetricKDPP(L, 6)
+        expected = (reference.marginal_vector(), reference.partition_function(),
+                    reference.counting_batch([(0, 1), (5, 9)]))
+        for _ in range(5):
+            shared = SymmetricKDPP(L, 6)
+            shared._factor_spectrum()   # the spectrum is not a kept value
+            start, seen, errors = threading.Barrier(6), [], []
+
+            def draw():
+                try:
+                    start.wait(timeout=10)
+                    seen.append((shared.marginal_vector(), shared.partition_function(),
+                                 shared.counting_batch([(0, 1), (5, 9)])))
+                except Exception as exc:  # reported below
+                    errors.append(exc)
+
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                threads = [threading.Thread(target=draw) for _ in range(6)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not errors and not any(thread.is_alive() for thread in threads)
+            assert len(seen) == 6
+            for marginals, z, counts in seen:
+                assert np.array_equal(marginals, expected[0]) and z == expected[1]
+                assert np.array_equal(counts, expected[2])
