@@ -7,7 +7,7 @@ Measures the three claims the streaming tier (:mod:`repro.linalg.updates` +
   2000) with a rank-8 factor kernel, one incremental mutation (append one
   item + delete one item, patching the cached k-sized artifacts) is gated
   ≥ 5x faster wall-clock than the dense O(n³) refactorization of the same
-  ensemble (``KernelFactorization(B Bᵀ).warm("symmetric")``) that a
+  ensemble (``KernelFactorization(B Bᵀ).warm()``) that a
   recompute-on-mutate serving layer would pay.  A dense rank-1 secular
   update at ``n = BENCH_STREAMING_DENSE_N`` (default 600) is reported as an
   advisory ratio against a fresh ``numpy.linalg.eigh``.
@@ -77,7 +77,7 @@ def _update_leg(n: int, rank: int) -> Dict[str, float]:
     dense = np.asarray(session.entry.matrix) @ np.asarray(session.entry.matrix).T
 
     def refactorize() -> None:
-        KernelFactorization(dense).warm("symmetric")
+        KernelFactorization(dense).warm()
 
     refactor_seconds = best_of(refactorize)
     subset = session.sample(K, seed=7).subset

@@ -376,7 +376,7 @@ class ShardNode:
         }
 
     def _op_flush(self):
-        """Drop warm state (cache + session memos); registrations survive.
+        """Drop warm state (the cache and the open sessions); registrations survive.
 
         Benchmarks use this to measure genuinely cold passes on a built
         cluster without re-registering kernels.

@@ -94,12 +94,10 @@ class BatchedSamplerConfig:
     delta_per_round: float = 1e-2
     #: hard cap on simulated machines per round (memory guard)
     machine_cap: int = 4096
-    #: number of retry rounds before an iteration is declared failed
+    #: number of retry rounds before an iteration is declared failed; a
+    #: failed iteration falls back to sequential single-element steps (the
+    #: output stays a valid sample, and ``report.failed`` records it)
     max_rounds_per_batch: int = 12
-    #: if an iteration fails, fall back to sequential single-element steps for
-    #: that iteration instead of aborting (keeps the output well-defined while
-    #: recording ``report.failed = True``)
-    sequential_fallback: bool = True
 
 
 def _joint_marginals(distribution: SubsetDistribution, subsets: Sequence[Tuple[int, ...]],
@@ -211,8 +209,6 @@ def batched_sample(distribution: SubsetDistribution, config: Optional[BatchedSam
 
             if accepted_set is None:
                 report.failed = True
-                if not cfg.sequential_fallback:
-                    break
                 # Sequential fallback for this iteration: pick ``ell`` elements
                 # one at a time (keeps the output a valid sample of the right
                 # cardinality; the failure is recorded for the caller).

@@ -23,11 +23,12 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
+from repro.core.batched import batched_sample
 from repro.core.rejection import machines_for_boosting, modified_rejection_round
 from repro.core.result import SampleResult, SamplerReport
-from repro.core.symmetric import sample_symmetric_kdpp_parallel
-from repro.dpp.elementary import dpp_size_distribution
+from repro.core.symmetric import kdpp_batched_config, sample_by_cardinality
 from repro.dpp.kernels import ensemble_to_kernel, kernel_to_ensemble, validate_ensemble
+from repro.dpp.symmetric import SymmetricDPP
 from repro.engine import BackendLike, ExecutionBackend, OracleBatch, resolve_backend
 from repro.linalg.schur import condition_ensemble
 from repro.pram.tracker import Tracker, use_tracker
@@ -131,18 +132,17 @@ def sample_bounded_dpp_filtering(L: np.ndarray, *, epsilon: float = 0.05,
 
         if use_trace:
             # Remark 15 + Theorem 10: sample the cardinality; a typical draw has
-            # |S| = O(tr K log 1/ε) whp (Lemma 14), so depth is Õ(√tr K).
-            with trk.round("cardinality-sampling"):
-                sizes = dpp_size_distribution(ensemble)
-                k = int(rng.choice(sizes.size, p=sizes))
-            report.extra["sampled_cardinality"] = float(k)
-            if k == 0:
-                report.update_from_tracker(trk)
-                return SampleResult(subset=(), report=report)
-            inner = sample_symmetric_kdpp_parallel(ensemble, k, delta=epsilon, seed=rng, tracker=trk,
-                                                   backend=engine)
-            inner.report.extra.update(report.extra)
-            return inner
+            # |S| = O(tr K log 1/ε) whp (Lemma 14), so depth is Õ(√tr K).  The
+            # DPP's one eigh of L serves the cardinality and the k-DPP.
+            dpp = SymmetricDPP(ensemble, validate=False)
+            result = sample_by_cardinality(
+                dpp.cardinality_distribution,
+                lambda k, rng, trk: batched_sample(dpp.restrict_to_size(k),
+                                                   kdpp_batched_config(k, epsilon), rng,
+                                                   tracker=trk, backend=engine),
+                rng, trk)
+            result.report.extra.update(report.extra)
+            return result
 
         alpha = 1.0 / (max(lam_max, 1e-12) * math.sqrt(n))
         if alpha >= 1.0:

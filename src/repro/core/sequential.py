@@ -25,7 +25,8 @@ def sequential_sample(distribution: SubsetDistribution, seed: SeedLike = None, *
 
     Requires a fixed-cardinality distribution (``distribution.cardinality``
     not ``None``); unconstrained DPPs should first sample their cardinality
-    (Remark 15) and call this on the resulting k-DPP.
+    (Remark 15) and call this on the resulting k-DPP.  The distribution is
+    conditioned after every element but the last, which nothing reads.
     """
     k = distribution.cardinality
     if k is None:
@@ -51,7 +52,8 @@ def sequential_sample(distribution: SubsetDistribution, seed: SeedLike = None, *
                 trk.charge(machines=1.0)
                 element = int(rng.choice(current.n, p=probs))
             chosen.append(current.ground_labels[element])
-            current = current.condition((element,))
+            if len(chosen) < k:
+                current = current.condition((element,))
             report.batch_sizes.append(1)
     report.update_from_tracker(trk)
     return SampleResult(subset=tuple(sorted(chosen)), report=report)

@@ -86,10 +86,10 @@ def sample_by_cardinality(sizes: Callable[[], np.ndarray],
     ``sizes()`` runs inside the one ``cardinality-sampling`` round, so a
     cold sampler charges computing the distribution to that round.  At
     ``|S| = 0`` the empty set is returned; otherwise ``sample_k(k, rng,
-    tracker)`` draws the k-DPP on the same generator and tracker, and its
+    tracker)`` draws the k-DPP on the same generator and tracker.  Either
     report gains ``extra["sampled_cardinality"]``.  The unconstrained
-    samplers of Theorems 8 and 10 and the served unconstrained draw all
-    run through here.
+    samplers of Theorems 8 and 10, the trace route of Theorem 41 and the
+    served unconstrained draw all run through here.
     """
     rng = as_generator(seed)
     trk = tracker if tracker is not None else Tracker()
@@ -97,9 +97,8 @@ def sample_by_cardinality(sizes: Callable[[], np.ndarray],
         with trk.round("cardinality-sampling"):
             p = sizes()
             k = int(rng.choice(p.size, p=p))
-    if k == 0:
-        return SampleResult(subset=(), report=SamplerReport.from_tracker(trk))
-    result = sample_k(k, rng, trk)
+    result = SampleResult(subset=(), report=SamplerReport.from_tracker(trk)) if k == 0 \
+        else sample_k(k, rng, trk)
     result.report.extra["sampled_cardinality"] = float(k)
     return result
 

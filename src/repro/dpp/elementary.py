@@ -15,7 +15,7 @@ by ``√s`` (:func:`kdpp_marginals_from_factor`).
 one routine, with a dense ``L`` and without one (a conditioned child, or a
 :class:`~repro.distributions.lowrank.LowRankKDPP`); the unconstrained
 :class:`~repro.dpp.symmetric.SymmetricDPP` reads ``K_ii`` off the same pair,
-and its size distribution is :func:`normalize_sizes` of ``e_t(λ)``.
+and its size distribution is :func:`spectrum_sizes`, the normalized ``e_t(λ)``.
 
 The ``e_{k-1}(λ_{-j})`` terms are computed with a leave-one-out dynamic program
 that recomputes the ESP table with one eigenvalue removed (numerically safer
@@ -46,6 +46,14 @@ def dpp_size_distribution(L: np.ndarray) -> np.ndarray:
         # complex spectrum: the polynomials are real, the eigenvalues need not be
         esp = np.clip(elementary_symmetric_polynomials(np.linalg.eigvals(a)).real, 0.0, None)
     return normalize_sizes(esp)
+
+
+def spectrum_sizes(eigenvalues: np.ndarray, n: int) -> np.ndarray:
+    """``P[|S| = t]``, ``t = 0..n``, of the DPP on ``n`` items whose ensemble
+    has the nonzero spectrum ``eigenvalues`` (the ``e_t(λ)``, normalized)."""
+    weights = np.zeros(n + 1, dtype=float)
+    weights[:eigenvalues.size + 1] = elementary_symmetric_polynomials(eigenvalues)
+    return normalize_sizes(weights)
 
 
 def normalize_sizes(weights: np.ndarray) -> np.ndarray:

@@ -35,7 +35,7 @@ from typing import Any, Callable, Dict, Iterable, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.distributions.base import HomogeneousDistribution, SubsetDistribution
-from repro.dpp.elementary import kdpp_marginals_from_factor, normalize_sizes
+from repro.dpp.elementary import kdpp_marginals_from_factor, spectrum_sizes
 from repro.dpp.kernels import validate_ensemble
 from repro.dpp.likelihood import dpp_unnormalized
 from repro.linalg.batch import (
@@ -192,8 +192,8 @@ class _SymmetricKernel:
         ``factor`` :func:`repro.linalg.batch.factor_from_eigh` of that pair,
         ``factor_gram`` the factor's Gram ``FᵀF`` and ``gram_eigh`` the
         ``symmetrized_eigh`` pair ``(s, V)`` of the Gram — exactly what the
-        serving layer's factorization cache computes (for a low-rank
-        registration, its ``lowrank_gram`` and ``lowrank_dual``), so
+        serving layer's factorization cache computes (its ``factor_gram``
+        and ``gram_eigh``, for a dense or a low-rank registration), so
         fixed-seed samples agree bitwise with the uncached path.  It then
         re-runs the (now cheap) feasibility check that ``validate=True``
         construction would have performed.  Values kept after first use
@@ -376,10 +376,7 @@ class SymmetricDPP(_SymmetricKernel, SubsetDistribution):
     def cardinality_distribution(self) -> np.ndarray:
         """``P[|S| = t] = e_t(λ) / ∏(1 + λ)`` from the spectrum of ``L``."""
         current_tracker().charge_determinant(self._normalizer_order())
-        eigenvalues = self.eigenvalues
-        weights = np.zeros(self.n + 1, dtype=float)
-        weights[:eigenvalues.size + 1] = elementary_symmetric_polynomials(eigenvalues)
-        return normalize_sizes(weights)
+        return spectrum_sizes(self.eigenvalues, self.n)
 
     # ------------------------------------------------------------------ #
     def condition(self, include: Iterable[int]) -> "SymmetricDPP":

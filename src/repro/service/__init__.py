@@ -8,19 +8,19 @@ you serve traffic through":
     workload                         service layer                    engine
     --------                         -------------                    ------
     register(name, L)  ──▶  KernelRegistry ──▶ FactorizationCache
-                                  │                  │  (eigh, PSD factor,
-    serve(name/L)      ──▶  SamplerSession ◀─────────┘   size distribution, ...)
-                                  │ sample(k, seed)   warm artifacts threaded
-                                  │                   into dpp/* samplers
+                                  │                  │  (eigh, PSD factor, Gram eigh,
+    serve(name/L)      ──▶  SamplerSession ◀─────────┘   size distribution, and the
+                                  │ sample(k, seed)     served distributions)
     submit()/drain()   ──▶  RoundScheduler ──▶ fused OracleBatch ──▶ backend
 
 * :class:`~repro.service.registry.KernelRegistry` — register ensembles once,
   paying validation up front.
 * :class:`~repro.service.cache.FactorizationCache` — content-fingerprinted,
-  LRU-evicted memo of the expensive per-kernel preprocessing artifacts.
+  LRU-evicted memo of each kernel epoch: the expensive preprocessing
+  artifacts and the served distributions built on them, one per ``k``.
 * :class:`~repro.service.session.SamplerSession` — ``repro.serve(L)`` handle
   whose repeated ``sample()`` calls skip preprocessing entirely while staying
-  bit-identical to the cold-path samplers at fixed seeds.
+  bit-identical to the cold-path samplers at fixed seeds; it keeps no memo.
 * :class:`~repro.service.scheduler.RoundScheduler` — coalesces concurrently
   submitted requests against the same distribution into fused engine rounds,
   with per-request seeded substreams.

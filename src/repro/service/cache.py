@@ -1,15 +1,15 @@
-"""Factorization cache: memoized per-kernel preprocessing artifacts.
+"""Factorization cache: the one memo of a served kernel epoch.
 
 Every sampler in this repository front-loads the same expensive linear
 algebra before any randomness happens: the eigendecomposition of the
-symmetrized ensemble and what derives from it (a rank-revealing PSD factor
-and its Gram companion, the size distribution), characteristic-polynomial
-minor sums (the nonsymmetric DPP's cardinality), the torus-oracle node
-tables (partition kernels and nonsymmetric k-DPPs), and a low-rank factor's
-``k x k`` dual decomposition, whitened basis and proposal tables (the
-intermediate sampler's, whose warm draw then costs ``O(√(n·k)·m)`` where
-a pass over every row costs ``O(n·m)``).  Serving traffic against
-a registered kernel should pay those costs once, not per request — the
+symmetrized ensemble and what derives from it (a rank-revealing PSD factor,
+its Gram and the Gram's eigendecomposition, the size distribution),
+characteristic-polynomial minor sums (the nonsymmetric DPP's cardinality),
+the torus-oracle node tables (partition kernels and nonsymmetric k-DPPs),
+and a low-rank factor's whitened basis and proposal tables (the
+intermediate sampler's, whose warm draw then costs ``O(√(n·k)·m)`` where a
+pass over every row costs ``O(n·m)``).  Serving traffic against a
+registered kernel should pay those costs once, not per request — the
 amortization regime of Barthelmé–Tremblay–Amblard and of the
 preprocess-then-sample line of work in PAPERS.md.
 
@@ -18,12 +18,17 @@ routine the corresponding sampler would run**, so threading a cached artifact
 back into a sampler yields bit-identical fixed-seed samples.  A dense
 symmetric kernel is decomposed once, by
 :func:`~repro.linalg.batch.symmetrized_eigh`, as in the samplers: the HKPV
-samplers read the pair, and the k-DPP's spectrum, its factor
+samplers read the pair, and the spectrum, the factor
 (:func:`~repro.linalg.batch.factor_from_eigh`) and the size distribution
-derive from it.
+derive from it.  A low-rank kernel's factor is its matrix.  Either way the
+factor's Gram and that Gram's eigendecomposition are artifacts too.  The
+factorization also builds each served distribution
+(:meth:`KernelFactorization.distribution`), once per epoch and ``k``, and
+every session of the epoch draws from that one object; sessions keep no
+memo of their own.
 
 :class:`FactorizationCache` is the content-addressed store: artifacts are
-keyed by a SHA-256 fingerprint of the matrix bytes, entries are evicted LRU
+keyed by a SHA-256 fingerprint of the kernel, entries are evicted LRU
 once ``capacity`` is exceeded, and :meth:`~FactorizationCache.invalidate`
 drops an entry explicitly (e.g. after a workload retrains its kernel).  All
 operations are thread-safe; concurrent sessions serving the same kernel share
@@ -40,13 +45,29 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro import obs
-from repro.dpp.elementary import normalize_sizes
-from repro.dpp.likelihood import all_principal_minor_sums
-from repro.linalg.batch import factor_from_eigh, symmetrized_eigh
-from repro.linalg.esp import elementary_symmetric_polynomials
-from repro.utils.fingerprint import array_fingerprint
+from repro.distributions.base import SubsetDistribution
+from repro.distributions.lowrank import LowRankDPP, LowRankKDPP, LowRankKernel
+from repro.dpp.elementary import spectrum_sizes
+from repro.dpp.intermediate import lowrank_intermediate_basis, proposal_tables
+from repro.dpp.nonsymmetric import NonsymmetricDPP, NonsymmetricKDPP
+from repro.dpp.partition import PartitionDPP, torus_tables
+from repro.dpp.symmetric import SymmetricDPP, SymmetricKDPP
+from repro.linalg.batch import EighPair, factor_from_eigh, symmetrized_eigh
+from repro.utils.fingerprint import kernel_fingerprint, partition_keys
 
 __all__ = ["CacheStats", "KernelFactorization", "FactorizationCache"]
+
+#: per kind, what :meth:`KernelFactorization.warm` materializes, and what
+#: :meth:`KernelFactorization.apply_update` re-derives from the patched
+#: ``eigh`` or factor where the predecessor had it.  Each getter pulls in
+#: what it derives from.
+_ARTIFACTS: Dict[str, Tuple[str, ...]] = {
+    "symmetric": ("factor", "factor_gram", "gram_eigh", "size_distribution"),
+    "lowrank": ("factor_gram", "gram_eigh", "lowrank_whitened",
+                "lowrank_proposal_tables", "size_distribution"),
+    "nonsymmetric": ("size_distribution",),
+    "partition": ("node_tables",),
+}
 
 
 @dataclass
@@ -78,18 +99,17 @@ class CacheStats:
 
 
 class KernelFactorization:
-    """Lazy, memoized preprocessing artifacts for one ensemble matrix.
+    """Lazy, memoized artifacts and served distributions of one kernel epoch.
 
-    Artifacts materialize on first access and are retained for the lifetime
-    of the object (the enclosing cache controls the object's lifetime).  All
+    ``kind`` (and a partition kernel's ``parts`` and ``counts``) are the
+    registered entry's; a bare matrix is a symmetric kernel.  Artifacts
+    materialize on first access and are retained for the lifetime of the
+    object (the enclosing cache controls the object's lifetime).  All
     getters are thread-safe, and each artifact's computation is
     **single-flight**: when several sessions miss the same key concurrently,
     one thread computes while the rest wait for its result — and threads
     asking for *different* artifacts of the same kernel proceed in parallel
-    instead of serializing behind one coarse lock (which is what the old
-    hold-the-lock-while-computing implementation did, and what made two
-    sessions warming one kernel pay the eigendecomposition twice... or wait
-    on each other's unrelated artifacts).
+    instead of serializing behind one coarse lock.
     """
 
     #: concurrency contract, enforced by ``repro.analysis`` (R2 + race harness)
@@ -98,7 +118,14 @@ class KernelFactorization:
     #: per-artifact counter slots (see :meth:`artifact_stats`)
     _STAT_FIELDS = ("hits", "misses", "patched")
 
-    def __init__(self, matrix: np.ndarray, fingerprint: Optional[str] = None):
+    def __init__(self, matrix: np.ndarray, fingerprint: Optional[str] = None, *,
+                 kind: str = "symmetric",
+                 parts: Optional[Sequence[Sequence[int]]] = None,
+                 counts: Optional[Sequence[int]] = None):
+        if kind not in _ARTIFACTS:
+            raise ValueError(f"unknown kernel kind {kind!r}")
+        if (kind == "partition") != (parts is not None and counts is not None):
+            raise ValueError("parts= and counts= go with kind='partition', and it needs both")
         a = np.asarray(matrix, dtype=float)
         if a.flags.writeable:
             # Defensive copy: the fingerprint is computed from today's content,
@@ -107,7 +134,10 @@ class KernelFactorization:
             a = a.copy()
             a.flags.writeable = False
         self.matrix = a
-        self.fingerprint = fingerprint if fingerprint is not None else array_fingerprint(self.matrix)
+        self.kind = kind
+        self.parts, self.counts = partition_keys(parts, counts)
+        self.fingerprint = fingerprint if fingerprint is not None else kernel_fingerprint(
+            self.matrix, kind=kind, parts=self.parts, counts=self.counts)
         self.n = self.matrix.shape[0]
         self._lock = threading.Lock()
         self._values: Dict[object, object] = {}
@@ -151,11 +181,12 @@ class KernelFactorization:
             # leader finished (or failed); loop re-checks the memo
 
     # ------------------------------------------------------------------ #
-    # symmetric-kernel artifacts
+    # spectral artifacts: a dense symmetric kernel's, and the factor-space
+    # set it shares with a low-rank kernel
     # ------------------------------------------------------------------ #
     @property
-    def eigh_pair(self) -> Tuple[np.ndarray, np.ndarray]:
-        """``symmetrized_eigh(L)`` — the one decomposition of a symmetric kernel."""
+    def eigh_pair(self) -> EighPair:
+        """``symmetrized_eigh(L)`` — the one decomposition of a dense symmetric kernel."""
         return self._get("eigh", lambda: symmetrized_eigh(self.matrix))
 
     @property
@@ -165,15 +196,11 @@ class KernelFactorization:
         return self.eigh_pair[0]
 
     @property
-    def size_distribution(self) -> np.ndarray:
-        """``P[|S| = t]`` of the symmetric DPP — matches
-        :func:`repro.dpp.elementary.dpp_size_distribution` bitwise."""
-        return self._get("size_distribution", lambda: normalize_sizes(
-            elementary_symmetric_polynomials(self.eigenvalues)))
-
-    @property
     def factor(self) -> np.ndarray:
-        """Rank-revealing ``B`` with ``L ≈ B Bᵀ``, from :attr:`eigh_pair`."""
+        """``B`` with ``L ≈ B Bᵀ``: a low-rank kernel's matrix, or the
+        rank-revealing factor read off a dense kernel's :attr:`eigh_pair`."""
+        if self.kind == "lowrank":
+            return self.matrix
         return self._get("factor", lambda: factor_from_eigh(*self.eigh_pair))
 
     @property
@@ -181,53 +208,42 @@ class KernelFactorization:
         """``BᵀB`` companion of :attr:`factor`."""
         return self._get("factor_gram", lambda: self.factor.T @ self.factor)
 
-    # ------------------------------------------------------------------ #
-    # nonsymmetric-kernel artifacts
-    # ------------------------------------------------------------------ #
     @property
-    def minor_sums(self) -> np.ndarray:
-        """``[Σ_{|S|=j} det(L_S)]_{j=0..n}`` via the characteristic polynomial."""
-        return self._get("minor_sums", lambda: all_principal_minor_sums(self.matrix))
+    def gram_eigh(self) -> EighPair:
+        """``symmetrized_eigh`` of :attr:`factor_gram` — the pair a cold
+        distribution's factor spectrum and the cold whitening decompose, so
+        served and cold draws agree bitwise."""
+        return self._get("gram_eigh", lambda: symmetrized_eigh(self.factor_gram))
 
     @property
-    def nonsym_size_distribution(self) -> np.ndarray:
-        """Cardinality distribution of the nonsymmetric DPP — matches
-        :meth:`repro.dpp.nonsymmetric.NonsymmetricDPP.cardinality_distribution`."""
-        return self._get("nonsym_size_distribution", lambda: normalize_sizes(
-            np.clip(self.minor_sums, 0.0, None)))
+    def size_distribution(self) -> np.ndarray:
+        """``P[|S| = t]`` of the kernel's DPP, bitwise the
+        ``cardinality_distribution()`` a cold sampler draws ``|S|`` from: the
+        ESPs of the spectrum (a low-rank kernel's Gram spectrum), or a
+        nonsymmetric kernel's principal-minor sums."""
+        def compute():
+            if self.kind == "nonsymmetric":
+                return self.distribution().cardinality_distribution()
+            spectrum = self.gram_eigh[0] if self.kind == "lowrank" else self.eigenvalues
+            return spectrum_sizes(spectrum, self.n)
+        return self._get("size_distribution", compute)
 
     # ------------------------------------------------------------------ #
-    # low-rank (factor) artifacts — ``matrix`` is the ``n x k`` factor ``B``
+    # low-rank intermediate-sampler artifacts — ``matrix`` is the factor ``B``
     # ------------------------------------------------------------------ #
-    @property
-    def lowrank_gram(self) -> np.ndarray:
-        """Dual ``k x k`` Gram ``BᵀB`` — the exact array a
-        :class:`~repro.distributions.lowrank.LowRankDPP`'s or ``LowRankKDPP``'s
-        ``factor_gram`` computes."""
-        return self._get("lowrank_gram", lambda: self.matrix.T @ self.matrix)
-
-    @property
-    def lowrank_dual(self) -> Tuple[np.ndarray, np.ndarray]:
-        """``symmetrized_eigh`` of :attr:`lowrank_gram` — the pair a cold
-        low-rank distribution's factor spectrum and the cold whitening
-        compute, so cached and cold draws agree bitwise."""
-        return self._get("lowrank_dual", lambda: symmetrized_eigh(self.lowrank_gram))
-
     @property
     def lowrank_whitened(self) -> Tuple[np.ndarray, np.ndarray]:
         """Whitened ``(λ_kept, U)`` intermediate-sampling basis.
 
-        Computed from :attr:`lowrank_dual` via
+        Computed from :attr:`gram_eigh` via
         :func:`repro.dpp.intermediate.lowrank_intermediate_basis` — identical
         to the cold path's whitening (which runs the same Gram + clipped
         ``eigh``), so cached serving replays cold-path samples bitwise.  One
         ``O(n·k²)`` matmul per kernel epoch; :attr:`lowrank_proposal_tables`
         derives from it.
         """
-        from repro.dpp.intermediate import lowrank_intermediate_basis
-
         return self._get("lowrank_whitened", lambda: lowrank_intermediate_basis(
-            self.matrix, dual=self.lowrank_dual))
+            self.matrix, dual=self.gram_eigh))
 
     @property
     def lowrank_proposal_tables(self) -> np.ndarray:
@@ -238,25 +254,11 @@ class KernelFactorization:
         √(n/k)``, from one ``O(n·k)`` pass.  A warm draw searches its leverage
         law through it instead of an ``O(n·m)`` pass over every row.
         """
-        from repro.dpp.intermediate import proposal_tables
-
         return self._get("lowrank_proposal_tables",
                          lambda: proposal_tables(self.lowrank_whitened[1]))
 
-    @property
-    def lowrank_size_distribution(self) -> np.ndarray:
-        """``P[|S| = t]`` of the low-rank DPP — matches
-        :meth:`repro.distributions.lowrank.LowRankDPP.cardinality_distribution`."""
-        def compute():
-            n, k = self.matrix.shape
-            esp = elementary_symmetric_polynomials(self.lowrank_dual[0], max_order=min(k, n))
-            weights = np.zeros(n + 1, dtype=float)
-            weights[:esp.size] = np.clip(esp, 0.0, None)
-            return normalize_sizes(weights)
-        return self._get("lowrank_size_distribution", compute)
-
     # ------------------------------------------------------------------ #
-    # partition-kernel artifacts
+    # torus tables and served distributions
     # ------------------------------------------------------------------ #
     def partition_tables(self, parts: Sequence[Sequence[int]],
                          counts: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
@@ -264,24 +266,67 @@ class KernelFactorization:
         (:func:`repro.dpp.partition.torus_tables`): their stacked inverses
         are the dominant preprocessing cost of the partition sampler, and of
         the nonsymmetric k-DPP, whose tables are the one part ``[n]`` with
-        count ``k``.  Memoized for the latest ``(parts, counts)`` only: a
-        nonsymmetric kernel served at many ``k`` keeps one ``O(n³)`` set."""
-        from repro.dpp.partition import torus_tables  # deferred: dpp -> service has no cycle, keep it that way
+        count ``k``."""
+        parts_key, counts_key = partition_keys(parts, counts)
+        return self._get(("partition_tables", parts_key, counts_key),
+                         lambda: torus_tables(self.matrix, parts_key, counts_key))
 
-        parts_key = tuple(tuple(sorted(int(i) for i in part)) for part in parts)
-        counts_key = tuple(int(c) for c in counts)
-        key = ("partition_tables", parts_key, counts_key)
-        with self._lock:  # dropped before the new set is built, so one set is alive
-            for stale in [other for other in self._values
-                          if isinstance(other, tuple) and other[0] == key[0] and other != key]:
-                del self._values[stale]
-        return self._get(key, lambda: torus_tables(self.matrix, parts_key, counts_key))
+    @property
+    def node_tables(self) -> Tuple[np.ndarray, np.ndarray]:
+        """A partition kernel's :meth:`partition_tables`, of its own parts and counts."""
+        return self.partition_tables(self.parts, self.counts)
+
+    def distribution(self, k: Optional[int] = None) -> SubsetDistribution:
+        """The served distribution of cardinality ``k`` (``None``: the DPP).
+
+        Built once per epoch and ``k``, single-flight, and shared by every
+        session of the epoch.  Construction skips re-validation — the
+        registry validated the kernel once — and a symmetric or low-rank
+        DPP or k-DPP carries this factorization's factor, Gram and Gram
+        ``eigh`` (a dense one also its spectrum), so no request decomposes
+        anything.  A partition kernel serves its one fixed cardinality.  A
+        nonsymmetric kernel keeps one k-DPP: its torus tables hold
+        ``O(n³)`` bytes, so a new ``k`` drops the last one's distribution
+        and tables before its own are built, and one set is alive.
+        """
+        if self.kind == "partition":
+            if k is not None and k != sum(self.counts):
+                raise ValueError(f"partition kernel has fixed cardinality {sum(self.counts)}, "
+                                 f"cannot sample k={k}")
+            k = None
+        k = None if k is None else int(k)
+        return self._get(("distribution", k), lambda: self._build_distribution(k))
+
+    def _build_distribution(self, k: Optional[int]) -> SubsetDistribution:
+        if self.kind == "nonsymmetric":
+            if k is None:
+                return NonsymmetricDPP(self.matrix, validate=False)
+            tables_key = ("partition_tables", *partition_keys([range(self.n)], [k]))
+            with self._lock:  # every other k's distribution and tables go first
+                for stale in [key for key in self._values if isinstance(key, tuple)
+                              and key not in (tables_key, ("distribution", None))]:
+                    del self._values[stale]
+            # an infeasible k is refused unbuilt
+            tables = self.partition_tables([range(self.n)], [k]) if 0 <= k <= self.n else None
+            return NonsymmetricKDPP(self.matrix, k, validate=False, tables=tables)
+        if self.kind == "partition":
+            return PartitionDPP(self.matrix, self.parts, self.counts, validate=False,
+                                tables=self.node_tables)
+        if self.kind == "lowrank":
+            kernel = LowRankKernel(self.matrix, validate=False)
+            dist = LowRankDPP(kernel, validate=False) if k is None \
+                else LowRankKDPP(kernel, k, validate=False)
+            dense = {}
+        else:
+            dist = SymmetricDPP(self.matrix, validate=False) if k is None \
+                else SymmetricKDPP(self.matrix, k, validate=False)
+            dense = {"eigenvalues": self.eigenvalues, "factor": self.factor}
+        return dist.attach_precomputed(factor_gram=self.factor_gram, gram_eigh=self.gram_eigh,
+                                       **dense)
 
     # ------------------------------------------------------------------ #
-    def warm(self, kind: str = "symmetric",
-             parts: Optional[Sequence[Sequence[int]]] = None,
-             counts: Optional[Sequence[int]] = None) -> "KernelFactorization":
-        """Eagerly materialize every artifact the ``kind``'s samplers use.
+    def warm(self) -> "KernelFactorization":
+        """Eagerly materialize every artifact the kind's samplers use.
 
         The cache is lazy by default — each artifact computes on first
         access, i.e. during the first draw that needs it.  Warm-up, which
@@ -291,73 +336,50 @@ class KernelFactorization:
         request's latency.  Values are identical either way — warm-up only
         calls the same lazy getters.
         """
-        # each getter pulls in what it derives from: eigh and factor, or minor_sums
-        if kind == "symmetric":
-            self.size_distribution
-            self.factor_gram
-        elif kind == "nonsymmetric":
-            self.nonsym_size_distribution
-        elif kind == "lowrank":
-            self.lowrank_gram
-            self.lowrank_dual
-            self.lowrank_whitened
-            self.lowrank_proposal_tables
-            self.lowrank_size_distribution
-        elif kind == "partition":
-            if parts is None or counts is None:
-                raise ValueError("warming a partition kernel requires parts= and counts=")
-            self.partition_tables(parts, counts)
-        else:
-            raise ValueError(f"unknown kernel kind {kind!r}")
+        for name in _ARTIFACTS[self.kind]:
+            getattr(self, name)
         return self
 
     # ------------------------------------------------------------------ #
     # incremental updates (streaming kernels)
     # ------------------------------------------------------------------ #
-    def apply_update(self, update, *, matrix: np.ndarray, fingerprint: str,
-                     kind: str) -> "KernelFactorization":
+    def apply_update(self, update, *, matrix: np.ndarray,
+                     fingerprint: str) -> "KernelFactorization":
         """A factorization of the mutated kernel, artifacts patched from here.
 
         ``matrix`` must be the mutated content (``update.apply`` of this
         entry's matrix) and ``fingerprint`` its chain fingerprint.  A
         symmetric entry's materialized ``eigh`` is carried over by the
-        secular eigen-update (``O(n²)``), and its materialized size
-        distribution, factor and Gram are re-derived from the patched pair by
-        the getters a cold entry runs; a ``lowrank`` entry re-derives its
-        dual Gram and decomposition, whitened basis, proposal tables and size
-        distribution from the patched factor (``O(n·k²)``).  Nothing
-        runs a fresh ``O(n³)`` factorization.  Artifacts this entry had not
-        materialized stay lazy in the result.  ``self`` is not modified, so
-        in-flight draws keep consuming the predecessor entry untouched.
+        secular eigen-update (``O(n²)``), and a low-rank entry's factor is
+        the new matrix; from either, the artifacts of the kind's table this
+        entry had materialized are re-derived by the getters a cold entry
+        runs (``O(n·k²)`` for a factor).  Nothing runs a fresh ``O(n³)``
+        factorization.  Artifacts this entry had not materialized, and every
+        served distribution, stay lazy in the result.  ``self`` is not
+        modified, so in-flight draws keep consuming the predecessor entry
+        untouched.
         """
         from repro.linalg.updates import rank_one_eigh_update
 
-        new = KernelFactorization(matrix, fingerprint=fingerprint)
+        new = KernelFactorization(matrix, fingerprint=fingerprint, kind=self.kind)
         with self._lock:
             sources = dict(self._values)
 
-        if kind == "lowrank":
-            # the patched factor IS the new matrix
-            derived = ("lowrank_gram", "lowrank_dual", "lowrank_whitened",
-                       "lowrank_proposal_tables", "lowrank_size_distribution")
-        elif kind == "symmetric" and "eigh" in sources:
+        if self.kind == "symmetric" and "eigh" in sources:
             lam, vec = sources["eigh"]
-            for z, rho in update.rank_one_terms(kind):
+            for z, rho in update.rank_one_terms(self.kind):
                 lam, vec = rank_one_eigh_update(lam, vec, z, rho)
             # the registry refused any update that leaves the PSD cone, so
             # only the patch's rounding can dip below zero here
             new._install_patched("eigh", (self._freeze(np.clip(lam, 0.0, None)),
                                           self._freeze(vec)))
-            derived = ("size_distribution", "factor", "factor_gram")
-        else:
+        elif self.kind != "lowrank":
             # no eigh to patch, or a nonsymmetric kernel: its charpoly memos
             # and torus tables have no cheap incremental form
-            derived = ()
-        # the getters a cold entry runs: on the patched pair, or on the new
-        # factor itself, which makes a factor kernel's bitwise a cold entry's
-        for key in derived:
-            if key in sources:
-                getattr(new, key)
+            return new
+        for name in _ARTIFACTS[self.kind]:
+            if name in sources:
+                getattr(new, name)
         return new
 
     @staticmethod
@@ -391,7 +413,7 @@ class KernelFactorization:
 
     @property
     def nbytes(self) -> int:
-        """Bytes held by materialized artifacts (excluding the matrix itself)."""
+        """Bytes held by materialized array artifacts (excluding the matrix itself)."""
         with self._lock:
             total = 0
             for value in self._values.values():
@@ -413,8 +435,9 @@ class FactorizationCache:
 
     ``capacity`` bounds the number of cached kernels (LRU eviction, counted
     in ``stats.evictions``); ``capacity=0`` disables storage entirely — every
-    lookup returns a fresh factorization, which is the "cache off" mode used
-    to verify that caching never changes samples.
+    lookup returns a fresh factorization, so every request builds its
+    distribution cold, which is the "cache off" mode used to verify that
+    caching never changes samples.
     """
 
     #: concurrency contract, enforced by ``repro.analysis`` (R2 + race harness)
@@ -431,12 +454,28 @@ class FactorizationCache:
         # counters at snapshot time — no per-operation metric writes here
         obs.register_cache(self)
 
+    @staticmethod
+    def _key(target: Union[str, np.ndarray]) -> str:
+        """A fingerprint as given, or a matrix's as a symmetric registration has it."""
+        return target if isinstance(target, str) else kernel_fingerprint(
+            np.asarray(target, dtype=float))
+
     # ------------------------------------------------------------------ #
-    def factorization(self, matrix: np.ndarray, *,
-                      fingerprint: Optional[str] = None) -> KernelFactorization:
-        """Get-or-create the factorization for ``matrix`` (LRU touch)."""
-        key = fingerprint if fingerprint is not None else array_fingerprint(
-            np.asarray(matrix, dtype=float))
+    def factorization(self, kernel) -> KernelFactorization:
+        """Get-or-create the factorization of ``kernel`` (LRU touch).
+
+        ``kernel`` is a registered entry
+        (:class:`~repro.service.registry.RegisteredKernel`), whose matrix,
+        kind, partition structure and fingerprint the factorization takes,
+        or an ensemble matrix: a symmetric kernel, keyed by the fingerprint
+        a symmetric registration of it has, so it never returns an entry
+        built for another kind.
+        """
+        if isinstance(kernel, np.ndarray):
+            matrix, key, structure = kernel, self._key(kernel), {}
+        else:
+            matrix, key = kernel.matrix, kernel.fingerprint
+            structure = {"kind": kernel.kind, "parts": kernel.parts, "counts": kernel.counts}
         with self._lock:
             entry = self._entries.get(key)
             if entry is not None:
@@ -444,7 +483,7 @@ class FactorizationCache:
                 self._entries.move_to_end(key)
                 return entry
             self.stats.misses += 1
-            entry = KernelFactorization(matrix, fingerprint=key)
+            entry = KernelFactorization(matrix, fingerprint=key, **structure)
             self._insert_locked(key, entry)
             return entry
 
@@ -458,9 +497,9 @@ class FactorizationCache:
         (``source_fingerprint``) is still cached, its materialized artifacts
         are carried over via :meth:`KernelFactorization.apply_update`
         (decision ``"patched"``); otherwise, or when nothing carried over, the
-        new entry is a cold lazy one (``"recomputed"``).  The predecessor
-        entry is left in place; the registry invalidates it once no
-        registration serves it
+        new entry is a cold lazy one of ``kind`` (``"recomputed"``).  The
+        predecessor entry is left in place; the registry invalidates it once
+        no registration serves it
         (:meth:`~repro.service.registry.KernelRegistry.apply_update`).  The
         new entry is inserted like any other; patch work runs outside the
         cache lock.
@@ -473,10 +512,9 @@ class FactorizationCache:
                 return existing, "hit"
             source = self._entries.get(source_fingerprint) if patch else None
         if source is not None:
-            entry = source.apply_update(update, matrix=matrix,
-                                        fingerprint=fingerprint, kind=kind)
+            entry = source.apply_update(update, matrix=matrix, fingerprint=fingerprint)
         else:
-            entry = KernelFactorization(matrix, fingerprint=fingerprint)
+            entry = KernelFactorization(matrix, fingerprint=fingerprint, kind=kind)
         decision = "patched" if entry.materialized else "recomputed"
         with self._lock:
             existing = self._entries.get(fingerprint)
@@ -503,7 +541,7 @@ class FactorizationCache:
         """One-call diagnostic snapshot: bound, occupancy, and counters.
 
         ``"artifacts"`` breaks the counters down per artifact kind
-        (``eigh``, ``factor``, ``lowrank_gram``, ...) with
+        (``eigh``, ``factor``, ``gram_eigh``, ``distribution``, ...) with
         hits/misses/patched slots aggregated across live entries —
         the view that distinguishes update-patched artifacts from cold
         recomputes in dashboards.
@@ -528,8 +566,7 @@ class FactorizationCache:
 
     def invalidate(self, target: Union[str, np.ndarray]) -> bool:
         """Drop the entry for a fingerprint or matrix; True if one existed."""
-        key = target if isinstance(target, str) else array_fingerprint(
-            np.asarray(target, dtype=float))
+        key = self._key(target)
         with self._lock:
             if key in self._entries:
                 del self._entries[key]
@@ -549,8 +586,7 @@ class FactorizationCache:
             return len(self._entries)
 
     def __contains__(self, target: Union[str, np.ndarray]) -> bool:
-        key = target if isinstance(target, str) else array_fingerprint(
-            np.asarray(target, dtype=float))
+        key = self._key(target)
         with self._lock:
             return key in self._entries
 

@@ -3,13 +3,12 @@
 ``session = repro.serve(L); session.sample(k=5, seed=...)`` is the serving
 counterpart of the one-shot module-level samplers: the session pulls the
 kernel's :class:`~repro.service.cache.KernelFactorization` from the shared
-cache and threads the cached artifacts into the existing samplers
-(``dpp/spectral.py`` via the ``eigh=`` argument, the k-DPPs of
-``dpp/symmetric.py`` / ``dpp/nonsymmetric.py`` / ``dpp/partition.py`` via
-their precomputed-artifact hooks), so repeated draws skip every per-kernel
-preprocessing step while producing **bit-identical fixed-seed samples** —
-the warm path replays the cold path's numerics exactly, it just doesn't
-recompute them.
+cache and runs the existing samplers on what it holds (``dpp/spectral.py``
+via the ``eigh=`` argument, the intermediate sampler via its whitened basis,
+the parallel samplers on the factorization's served distributions), so
+repeated draws skip every per-kernel preprocessing step while producing
+**bit-identical fixed-seed samples** — the warm path replays the cold path's
+numerics exactly, it just doesn't recompute them.
 
 Two sampling methods are exposed per kernel family:
 
@@ -35,12 +34,9 @@ from repro.core.entropic import EntropicSamplerConfig, sample_entropic_parallel
 from repro.core.result import SampleResult, SamplerReport
 from repro.core.symmetric import kdpp_batched_config, sample_by_cardinality
 from repro.distributions.base import SubsetDistribution
-from repro.distributions.lowrank import LowRankDPP, LowRankKDPP, LowRankKernel
 from repro.dpp.intermediate import sample_dpp_intermediate, sample_kdpp_intermediate
-from repro.dpp.nonsymmetric import NonsymmetricDPP, NonsymmetricKDPP
-from repro.dpp.partition import PartitionDPP, check_grid_budget
+from repro.dpp.partition import check_grid_budget
 from repro.dpp.spectral import sample_dpp_spectral, sample_kdpp_spectral
-from repro.dpp.symmetric import SymmetricDPP, SymmetricKDPP
 from repro.engine import BackendLike
 from repro.pram.tracker import Tracker, use_tracker
 from repro.service.cache import KernelFactorization
@@ -53,9 +49,10 @@ __all__ = ["SamplerSession"]
 class SamplerSession:
     """A warm handle for repeated sampling against one registered kernel.
 
-    Sessions are cheap: they hold no heavy state of their own beyond a memo
-    of constructed distribution objects (one per requested cardinality), all
-    backed by the registry's factorization cache.
+    Sessions are cheap: they hold no heavy state of their own.  Every
+    artifact and every served distribution is the registry's factorization
+    cache's (:meth:`KernelFactorization.distribution`), one per kernel epoch
+    and cardinality, shared by every session of the epoch.
 
     Every session belongs to a :class:`~repro.service.registry.KernelRegistry`
     and holds one pin on its kernel's name, taken by whoever opened it
@@ -68,8 +65,7 @@ class SamplerSession:
     """
 
     #: concurrency contract, enforced by ``repro.analysis`` (R2 + race harness)
-    _GUARDED_BY = {"_lock": ("_entry", "_distributions", "_scheduler", "_closed",
-                             "samples_served")}
+    _GUARDED_BY = {"_lock": ("_entry", "_scheduler", "_closed", "samples_served")}
 
     def __init__(self, registry: KernelRegistry, entry: RegisteredKernel, *,
                  backend: BackendLike = None):
@@ -78,7 +74,6 @@ class SamplerSession:
         self.backend = backend
         self._lock = threading.RLock()
         self._entry = entry
-        self._distributions: Dict[object, SubsetDistribution] = {}
         self._scheduler = None
         self._closed = False
         self.samples_served = 0
@@ -87,7 +82,7 @@ class SamplerSession:
     # lifecycle
     # ------------------------------------------------------------------ #
     def close(self) -> None:
-        """Release this session: drop memos and its pin on the registration.
+        """Release this session: drop its scheduler and its pin on the registration.
 
         Idempotent; sampling through a closed session raises
         ``RuntimeError``.  The factorization cache is shared and untouched —
@@ -98,7 +93,6 @@ class SamplerSession:
                 return
             self._closed = True
             name = self._entry.name
-            self._distributions.clear()
             self._scheduler = None
         self._registry.release(name)
 
@@ -142,20 +136,17 @@ class SamplerSession:
         """How many incremental updates this session's kernel has absorbed."""
         return self.entry.epoch
 
-    def _factorization_for(self, entry: RegisteredKernel) -> KernelFactorization:
-        return self.cache.factorization(entry.matrix, fingerprint=entry.fingerprint)
-
     @property
     def factorization(self) -> KernelFactorization:
         """The kernel's cached (or, on a cold cache, freshly computed) artifacts."""
-        return self._factorization_for(self.entry)
+        return self.cache.factorization(self.entry)
 
     def warm(self) -> "SamplerSession":
         """Precompute every factorization artifact this kernel's samplers use.
 
         The serving layer's one warm-up: it moves the lazy per-artifact
         preprocessing (eigendecompositions, PSD factors, size distributions,
-        minor sums, partition torus tables) out of the first request's
+        partition torus tables) out of the first request's
         latency; see :meth:`~repro.service.cache.KernelFactorization.warm`.
         Returns the session for chaining: ``repro.serve(L).warm()``.
         """
@@ -170,73 +161,14 @@ class SamplerSession:
                 "warmed artifacts could not be retained",
                 RuntimeWarning, stacklevel=2)
             return self
-        self._factorization_for(entry).warm(entry.kind, entry.parts, entry.counts)
+        self.cache.factorization(entry).warm()
         return self
 
     def distribution(self, k: Optional[int] = None) -> SubsetDistribution:
-        """The (cached) distribution object serving cardinality ``k``.
-
-        Construction skips re-validation — the registry validated the matrix
-        once — and a symmetric or low-rank DPP or k-DPP gets the cached
-        factorization artifacts, so the first query of every request is
-        already warm and decomposes nothing ``n x n`` of its own.
-        """
-        entry = self.entry
-        return self._distribution_for(entry, k)
-
-    def _distribution_for(self, entry: RegisteredKernel,
-                          k: Optional[int]) -> SubsetDistribution:
-        if entry.kind == "partition" and k is not None and k == sum(entry.counts):
-            k = None  # the partition kernel's one (fixed) cardinality
-        # Keyed by the entry *fingerprint* so a racing draw on the old epoch
-        # cannot repopulate the memo with a stale distribution after an
-        # update cleared it.
-        key = (entry.fingerprint, k)
-        with self._lock:
-            dist = self._distributions.get(key)
-            if dist is None:
-                if entry.kind == "nonsymmetric" and k is not None:
-                    # a nonsymmetric k-DPP holds O(n³) bytes of torus tables:
-                    # keep the latest k's, as the factorization cache does
-                    for stale in [other for other in self._distributions
-                                  if other[1] is not None]:
-                        del self._distributions[stale]
-                dist = self._construct_distribution(
-                    entry, self._factorization_for(entry), k)
-                self._distributions[key] = dist
-            return dist
-
-    def _construct_distribution(self, entry: RegisteredKernel,
-                                fact: KernelFactorization,
-                                k: Optional[int]) -> SubsetDistribution:
-        if entry.kind == "symmetric":
-            dist = SymmetricDPP(entry.matrix, validate=False) if k is None \
-                else SymmetricKDPP(entry.matrix, int(k), validate=False)
-            return dist.attach_precomputed(eigenvalues=fact.eigenvalues, factor=fact.factor,
-                                           factor_gram=fact.factor_gram)
-        if entry.kind == "nonsymmetric":
-            if k is None:
-                return NonsymmetricDPP(entry.matrix, validate=False)
-            # the latest k's one-part tables; an infeasible k is refused unbuilt
-            n = entry.matrix.shape[0]
-            tables = fact.partition_tables([range(n)], [int(k)]) if 0 <= int(k) <= n else None
-            return NonsymmetricKDPP(entry.matrix, int(k), validate=False, tables=tables)
-        if entry.kind == "lowrank":
-            # entry.matrix is the (n, r) factor; thread the cached r x r duals
-            kernel = LowRankKernel(entry.matrix, validate=False)
-            dist = LowRankDPP(kernel, validate=False) if k is None \
-                else LowRankKDPP(kernel, int(k), validate=False)
-            return dist.attach_precomputed(factor_gram=fact.lowrank_gram,
-                                           gram_eigh=fact.lowrank_dual)
-        # partition
-        if k is not None and k != sum(entry.counts):
-            raise ValueError(
-                f"partition kernel {entry.name!r} has fixed cardinality {sum(entry.counts)}, "
-                f"cannot sample k={k}"
-            )
-        return PartitionDPP(
-            entry.matrix, entry.parts, entry.counts, validate=False,
-            tables=fact.partition_tables(entry.parts, entry.counts))
+        """The distribution serving cardinality ``k``: the cache's one object
+        for this kernel epoch and ``k``
+        (:meth:`~repro.service.cache.KernelFactorization.distribution`)."""
+        return self.factorization.distribution(k)
 
     # ------------------------------------------------------------------ #
     def sample(self, k: Optional[int] = None, *, seed: SeedLike = None,
@@ -299,7 +231,7 @@ class SamplerSession:
     def _sample_spectral(self, entry: RegisteredKernel, k: Optional[int],
                          seed: SeedLike, tracker: Optional[Tracker],
                          backend: BackendLike = None) -> SampleResult:
-        eigh = self._factorization_for(entry).eigh_pair
+        eigh = self.cache.factorization(entry).eigh_pair
         backend = backend if backend is not None else self.backend
         trk = tracker if tracker is not None else Tracker()
         with use_tracker(trk):
@@ -320,7 +252,7 @@ class SamplerSession:
         cache supplies the one-time ``O(n·k² + k³)`` whitening and its
         ``O(n·k)`` proposal tables, never touches the per-sample randomness.
         """
-        fact = self._factorization_for(entry)
+        fact = self.cache.factorization(entry)
         whitened, tables = fact.lowrank_whitened, fact.lowrank_proposal_tables
         trk = tracker if tracker is not None else Tracker()
         with use_tracker(trk):
@@ -337,15 +269,12 @@ class SamplerSession:
                          backend: BackendLike, delta: float,
                          config: Optional[Union[BatchedSamplerConfig, EntropicSamplerConfig]]) -> SampleResult:
         backend = backend if backend is not None else self.backend
-        if entry.kind == "partition":
-            return sample_entropic_parallel(self._distribution_for(entry, k), config, seed,
-                                            tracker=tracker, backend=backend)
-        if k is None:
+        if k is None and entry.kind != "partition":
             return self._sample_parallel_unconstrained(entry, seed, tracker, backend,
                                                        delta, config)
-        if entry.kind == "nonsymmetric":
-            return sample_entropic_parallel(self._distribution_for(entry, int(k)), config, seed,
-                                            tracker=tracker, backend=backend)
+        if entry.kind in ("partition", "nonsymmetric"):
+            return sample_entropic_parallel(self.cache.factorization(entry).distribution(k),
+                                            config, seed, tracker=tracker, backend=backend)
         # symmetric / low-rank k-DPP: same driver construction as
         # sample_symmetric_kdpp_parallel, so warm draws replay the cold
         # path's randomness verbatim (the low-rank distribution answers the
@@ -360,7 +289,7 @@ class SamplerSession:
             driver = config
         else:
             driver = kdpp_batched_config(kk, delta)
-        return batched_sample(self._distribution_for(entry, kk), driver, seed,
+        return batched_sample(self.cache.factorization(entry).distribution(kk), driver, seed,
                               tracker=tracker, backend=backend)
 
     def _sample_parallel_unconstrained(self, entry: RegisteredKernel, seed: SeedLike,
@@ -374,15 +303,9 @@ class SamplerSession:
         kernel over 406 items is refused before the draw, as the direct
         sampler refuses it: its k-DPP's torus tables would not fit.
         """
-        fact = self._factorization_for(entry)
-        if entry.kind == "symmetric":
-            sizes = fact.size_distribution
-        elif entry.kind == "lowrank":
-            sizes = fact.lowrank_size_distribution
-        else:
-            n = entry.matrix.shape[0]
-            check_grid_budget((n + 1,), n)
-            sizes = fact.nonsym_size_distribution
+        if entry.kind == "nonsymmetric":
+            check_grid_budget((entry.n + 1,), entry.n)
+        sizes = self.cache.factorization(entry).size_distribution
         return sample_by_cardinality(
             lambda: sizes,
             lambda k, rng, trk: self._sample_parallel(entry, k, rng, trk, backend,
@@ -428,7 +351,6 @@ class SamplerSession:
             # on this kernel opens on the new epoch
             entry = self._registry.apply_update(self._entry.name, update)
             self._entry = entry
-            self._distributions.clear()
             return entry
 
     def adopt_entry(self, entry: RegisteredKernel) -> bool:
@@ -444,7 +366,6 @@ class SamplerSession:
             if entry.epoch < self._entry.epoch:
                 return False
             self._entry = entry
-            self._distributions.clear()
             return True
 
     # ------------------------------------------------------------------ #

@@ -248,6 +248,15 @@ class TestConditioningCount:
         assert len(result.subset) == 7 and dist.unnormalized(result.subset) > 0
         assert len(calls) == 7 - 1 and all(len(items) == 1 for items in calls)
 
+    def test_sequential_sampler_conditions_on_every_element_but_the_last(self, monkeypatch):
+        calls = self._counting_condition(monkeypatch)
+        dist = SymmetricKDPP(random_psd_ensemble(40, rank=20, seed=2), 10)
+        for seed in range(3):
+            del calls[:]
+            result = sequential_sample(dist, seed=seed)
+            assert len(result.subset) == 10 and dist.unnormalized(result.subset) > 0
+            assert len(calls) == 10 - 1 and all(len(items) == 1 for items in calls)
+
 
 class TestSequentialSampler:
     def test_output_validity(self, small_psd):

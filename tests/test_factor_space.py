@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 
 import repro.dpp.symmetric
 import repro.linalg.esp
-import repro.service.session
+import repro.service.cache
 from repro import KernelRegistry, sample_symmetric_kdpp_parallel, serve
 from repro.core.batched import batched_sample
 from repro.core.symmetric import kdpp_batched_config
@@ -490,7 +490,7 @@ def test_one_decomposition_per_symmetric_kernel(monkeypatch, path):
             for name, sizes in calls.items():
                 patch.setattr(np.linalg, name, _recording(getattr(np.linalg, name), sizes))
             if path == "warm":
-                KernelFactorization(L).warm("symmetric")
+                KernelFactorization(L).warm()
             elif path == "first-served-draw":
                 session.sample(k=10, method="parallel", seed=0, backend="vectorized")
             else:
@@ -530,7 +530,7 @@ def test_served_samples_match_dense_route(monkeypatch, seed):
             return super().condition(include)
 
     with monkeypatch.context() as patch:
-        patch.setattr(repro.service.session, "SymmetricKDPP", Recorded)
+        patch.setattr(repro.service.cache, "SymmetricKDPP", Recorded)
         with serve(L, registry=KernelRegistry()) as session:
             dense = session.sample(k=10, method="parallel", seed=seed, backend="vectorized")
     assert conditioned  # the reference route really ran
@@ -550,7 +550,7 @@ def test_served_samples_match_gram_route(monkeypatch, seed):
             return super().counting_batch(subsets)
 
     with monkeypatch.context() as patch:
-        patch.setattr(repro.service.session, "SymmetricKDPP", Recorded)
+        patch.setattr(repro.service.cache, "SymmetricKDPP", Recorded)
         with serve(L, registry=KernelRegistry()) as session:
             reference = session.sample(k=10, method="parallel", seed=seed, backend="vectorized")
     assert queried  # the reference route really ran
@@ -580,18 +580,16 @@ def _orders(function, orders, order_of):
     return wrapper
 
 
-def _fresh_kdpp(session, k, primed):
+def _fresh_kdpp(session, k):
     """A new instance built from the session's cached artifacts, as the
-    session builds its own; ``primed`` also installs the Gram spectrum, which
-    the session's dense distribution decomposes on its first draw."""
+    cache builds the served one."""
     fact = session.factorization
     if session.entry.kind == "lowrank":
         dist = LowRankKDPP(LowRankKernel(session.entry.matrix, validate=False), k, validate=False)
-        return dist.attach_precomputed(factor_gram=fact.lowrank_gram, gram_eigh=fact.lowrank_dual)
+        return dist.attach_precomputed(factor_gram=fact.factor_gram, gram_eigh=fact.gram_eigh)
     dist = SymmetricKDPP(session.entry.matrix, k, validate=False)
-    return dist.attach_precomputed(
-        eigenvalues=fact.eigenvalues, factor=fact.factor, factor_gram=fact.factor_gram,
-        gram_eigh=symmetrized_eigh(fact.factor_gram) if primed else None)
+    return dist.attach_precomputed(eigenvalues=fact.eigenvalues, factor=fact.factor,
+                                   factor_gram=fact.factor_gram, gram_eigh=fact.gram_eigh)
 
 
 class TestKeptKernelWork:
@@ -613,7 +611,7 @@ class TestKeptKernelWork:
                     lambda values, max_order=None: max_order))
                 served = [session.sample(k=10, method="parallel", seed=seed, backend="vectorized")
                           for seed in range(20)]
-            fresh = [batched_sample(_fresh_kdpp(session, 10, primed=seed > 0),
+            fresh = [batched_sample(_fresh_kdpp(session, 10),
                                     kdpp_batched_config(10), seed, backend="vectorized")
                      for seed in range(20)]
         # the root is the one k = 10 instance (its children have k = 5 and 1)
@@ -627,6 +625,33 @@ class TestKeptKernelWork:
                     mine.report.batch_sizes) == \
                 (theirs.report.rounds, theirs.report.oracle_calls, theirs.report.work,
                  theirs.report.batch_sizes)
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["lazy", "warm"])
+    @pytest.mark.parametrize("kernel", ["dense", "lowrank"])
+    def test_first_request_charges_what_later_ones_do(self, kernel, warm):
+        # the cache attaches the Gram's eigh to the served distribution, so
+        # no request decomposes it: 74 then 73 oracle calls before, on a
+        # dense kernel, with or without warm()
+        L = random_psd_ensemble(200, rank=60, seed=0)
+        matrix = L if kernel == "dense" else LowRankKernel(psd_factor(L))
+        with serve(matrix, registry=KernelRegistry()) as session:
+            if warm:
+                session.warm()
+            reports = [session.sample(k=10, method="parallel", seed=0).report for _ in range(3)]
+        assert len({(r.rounds, r.oracle_calls, r.work) for r in reports}) == 1
+        if kernel == "dense":
+            assert (reports[0].oracle_calls, reports[0].work) == (73, 11_502_374)
+
+    def test_sessions_of_one_registry_share_the_served_distribution(self):
+        registry = KernelRegistry()
+        registry.register("x", random_psd_ensemble(200, rank=60, seed=0))
+        first, second = registry.session("x"), registry.session("x")
+        first.sample(k=10, method="parallel", seed=0)
+        again = first.sample(k=10, method="parallel", seed=0).report
+        other = second.sample(k=10, method="parallel", seed=0).report
+        assert (other.rounds, other.oracle_calls, other.work) == \
+            (again.rounds, again.oracle_calls, again.work)
+        assert first.distribution(10) is second.distribution(10)
 
     def test_attach_precomputed_clears_kept_values(self):
         B = psd_factor(random_psd_ensemble(60, rank=20, seed=3))

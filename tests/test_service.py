@@ -6,6 +6,7 @@ factorizations, and fused or unfused, on every execution backend.
 """
 
 import gc
+import sys
 import threading
 import tracemalloc
 
@@ -17,6 +18,7 @@ from repro.core.entropic import EntropicSamplerConfig
 from repro.dpp.spectral import sample_dpp_spectral, sample_kdpp_spectral, symmetrized_eigh
 from repro.service import (
     FactorizationCache,
+    KernelFactorization,
     KernelRegistry,
     RoundScheduler,
     SamplerSession,
@@ -171,7 +173,7 @@ class TestKernelRegistry:
 
     def test_overwrite_invalidates_stale_factorization(self, registry, psd):
         entry = registry.register("movies", psd)
-        registry.cache.factorization(entry.matrix, fingerprint=entry.fingerprint)
+        registry.cache.factorization(entry)
         registry.register("movies", random_psd_ensemble(24, seed=9), overwrite=True)
         assert registry.cache.stats.invalidations == 1
 
@@ -188,7 +190,7 @@ class TestKernelRegistry:
 
     def test_unregister(self, registry, psd):
         entry = registry.register("movies", psd)
-        registry.cache.factorization(entry.matrix, fingerprint=entry.fingerprint)
+        registry.cache.factorization(entry)
         assert registry.unregister("movies")
         assert "movies" not in registry
         assert not registry.unregister("movies")
@@ -643,6 +645,37 @@ class TestCacheSingleFlight:
         assert fact._get("flaky", flaky) == "ok"
         assert len(attempts) == 2
 
+    def test_racing_sessions_build_one_distribution(self, psd):
+        # 6 threads on two sessions of one kernel race the first request for
+        # k = 5 with a short switch interval: one object is built and shared
+        for _ in range(5):
+            registry = KernelRegistry()
+            registry.register("race", psd)
+            sessions = [registry.session("race") for _ in range(2)]
+            start, seen, errors = threading.Barrier(6), [], []
+
+            def draw(session):
+                try:
+                    start.wait(timeout=10)
+                    seen.append(session.distribution(5))
+                except Exception as exc:  # reported below
+                    errors.append(exc)
+
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                threads = [threading.Thread(target=draw, args=(sessions[i % 2],))
+                           for i in range(6)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not errors and not any(thread.is_alive() for thread in threads)
+            assert len(seen) == 6 and all(dist is seen[0] for dist in seen)
+            assert registry.cache.cache_info()["artifacts"]["distribution"]["misses"] == 1
+
     def test_different_artifacts_do_not_serialize(self, psd):
         """A slow computation of one artifact must not block another key."""
         from repro.service.cache import KernelFactorization
@@ -675,7 +708,7 @@ class TestSharedFingerprintInvalidation:
         session = serve(psd, registry=registry)  # ephemeral twin
         fingerprint = session.entry.fingerprint
         assert fingerprint == registry.get("movies").fingerprint
-        registry.cache.factorization(psd, fingerprint=fingerprint)  # warm it
+        registry.cache.factorization(session.entry)  # warm it
         session.close()  # ttl=0: ephemeral entry reclaimed immediately
         assert session.entry.name not in registry
         # the warm factorization survives: "movies" still uses it
@@ -684,7 +717,7 @@ class TestSharedFingerprintInvalidation:
     def test_unregister_invalidates_when_unshared(self, psd):
         registry = KernelRegistry()
         entry = registry.register("only", psd)
-        registry.cache.factorization(psd, fingerprint=entry.fingerprint)
+        registry.cache.factorization(entry)
         assert entry.fingerprint in registry.cache
         registry.unregister("only")
         assert entry.fingerprint not in registry.cache
@@ -749,7 +782,7 @@ class TestWarmup:
     def test_register_warm_materializes_artifacts(self, registry, psd):
         entry = registry.register("warmed", psd)
         registry.session("warmed").warm()
-        fact = registry.cache.factorization(entry.matrix, fingerprint=entry.fingerprint)
+        fact = registry.cache.factorization(entry)
         names = set(fact.materialized)
         assert {"eigh", "size_distribution", "factor", "factor_gram"} <= names
 
@@ -759,12 +792,12 @@ class TestWarmup:
         assert warm_session.sample(k=5, seed=7).subset == cold
         assert len(warm_session.factorization.materialized) >= 4
 
-    def test_warm_partition_requires_structure(self, registry, psd):
-        fact = registry.cache.factorization(psd)
+    def test_warm_partition_requires_structure(self, psd):
+        # the kind is the factorization's, taken from the registered entry
         with pytest.raises(ValueError, match="parts"):
-            fact.warm("partition")
+            KernelFactorization(psd, kind="partition").warm()
         with pytest.raises(ValueError, match="unknown kernel kind"):
-            fact.warm("banded")
+            KernelFactorization(psd, kind="banded").warm()
 
     def test_register_warm_partition(self, registry):
         L = random_psd_ensemble(8, seed=9)
@@ -772,7 +805,7 @@ class TestWarmup:
         entry = registry.register("pwarm", L, kind="partition", parts=parts,
                                   counts=[2, 1])
         registry.session("pwarm").warm()
-        fact = registry.cache.factorization(entry.matrix, fingerprint=entry.fingerprint)
+        fact = registry.cache.factorization(entry)
         assert any(str(key).startswith("('partition_tables'") for key in fact.materialized)
 
     def test_closed_session_rejects_warm(self, registry, psd):

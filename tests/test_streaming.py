@@ -250,6 +250,27 @@ class TestEpochs:
             assert reader.sample(k=K, seed=seed, method=method).subset == \
                 cold.sample(k=K, seed=seed, method=method).subset
 
+    def test_update_serves_a_new_distribution_while_the_old_epoch_draws_on(self, psd):
+        registry = KernelRegistry()
+        registry.register("e", psd)
+        writer, reader = registry.session("e"), registry.session("e")
+
+        def draws(session):
+            results = [session.sample(k=K, seed=seed, method="parallel") for seed in SEEDS]
+            return [(r.subset, r.report.rounds, r.report.oracle_calls, r.report.work)
+                    for r in results]
+
+        before, old = draws(reader), reader.distribution(K)
+        u, _ = _vectors(psd.shape[0], seed=305)
+        writer.update(u, weight=0.1)
+        # the new epoch's one distribution, shared by every session on it...
+        new = writer.distribution(K)
+        assert new is not old and new is registry.session("e").distribution(K)
+        # ...while the session still on epoch 0 draws that epoch bitwise, with
+        # the charges of its earlier draws
+        assert reader.epoch == 0
+        assert draws(reader) == before
+
     def test_adopt_entry_refuses_rollback(self, psd):
         registry = KernelRegistry()
         registry.register("roll", psd)
@@ -301,7 +322,7 @@ class TestCacheDecisions:
         u, _ = _vectors(psd.shape[0], seed=401)
         entry = session.update(u, weight=0.1)
         assert entry.update_log[-1].decision == "patched"
-        successor = registry.cache.factorization(entry.matrix, fingerprint=entry.fingerprint)
+        successor = registry.cache.factorization(entry)
         assert {"eigh", "factor", "factor_gram"} <= set(successor.materialized)
 
     @pytest.mark.parametrize("case, flip", [
