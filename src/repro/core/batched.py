@@ -40,7 +40,7 @@ from repro.distributions.base import SubsetDistribution
 from repro.distributions.generic import ProductMarginalProposal
 from repro.engine import BackendLike, ExecutionBackend, OracleBatch, resolve_backend
 from repro.pram.tracker import Tracker, use_tracker
-from repro.utils.rng import SeedLike, as_generator
+from repro.utils.rng import SeedLike, as_generator, weighted_choice
 from repro.utils.subsets import binomial, subset_key
 
 
@@ -222,7 +222,7 @@ def batched_sample(distribution: SubsetDistribution, config: Optional[BatchedSam
                     probs = np.clip(inner_marginals, 0.0, None)
                     probs = probs / probs.sum()
                     with trk.round("sequential-fallback"):
-                        element = int(rng.choice(inner.n, p=probs))
+                        element = weighted_choice(rng, probs)
                     fallback.append(inner.ground_labels[element])
                     if len(fallback) < remaining:  # the sample's last element needs none
                         inner = inner.condition((element,))

@@ -16,7 +16,7 @@ import numpy as np
 from repro.core.result import SampleResult, SamplerReport
 from repro.distributions.base import SubsetDistribution
 from repro.pram.tracker import Tracker, use_tracker
-from repro.utils.rng import SeedLike, as_generator
+from repro.utils.rng import SeedLike, as_generator, weighted_choice
 
 
 def sequential_sample(distribution: SubsetDistribution, seed: SeedLike = None, *,
@@ -50,7 +50,7 @@ def sequential_sample(distribution: SubsetDistribution, seed: SeedLike = None, *
             probs = weights / total
             with trk.round("sequential-pick"):
                 trk.charge(machines=1.0)
-                element = int(rng.choice(current.n, p=probs))
+                element = weighted_choice(rng, probs)
             chosen.append(current.ground_labels[element])
             if len(chosen) < k:
                 current = current.condition((element,))

@@ -19,7 +19,7 @@ from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.distributions.base import SubsetDistribution
-from repro.utils.rng import SeedLike, as_generator
+from repro.utils.rng import SeedLike, as_generator, weighted_choice
 from repro.utils.subsets import Subset, all_subsets_of_size, binomial, subset_key
 from repro.utils.validation import check_subset
 
@@ -246,7 +246,7 @@ class ProductMarginalProposal:
         rng = as_generator(seed)
         if ell == 0:
             return np.empty((count, 0), dtype=int)
-        return rng.choice(self.n, size=(count, ell), p=self.single)
+        return weighted_choice(rng, self.single, (count, ell))
 
     def log_density_tuple(self, ordered: Sequence[int]) -> float:
         """Log proposal density of one ordered tuple under ``∏ p_i / k``."""

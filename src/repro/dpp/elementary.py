@@ -13,7 +13,8 @@ the nonzero spectrum ``s`` of ``L`` and, in ``F V``, its eigenvectors scaled
 by ``√s`` (:func:`kdpp_marginals_from_factor`).
 :class:`~repro.dpp.symmetric.SymmetricKDPP` answers marginals through that
 one routine, with a dense ``L`` and without one (a conditioned child, or a
-:class:`~repro.distributions.lowrank.LowRankKDPP`); the unconstrained
+:class:`~repro.distributions.lowrank.LowRankKDPP`), except that a 1-DPP
+without a dense ``L`` reads its factor's squared row norms; the unconstrained
 :class:`~repro.dpp.symmetric.SymmetricDPP` reads ``K_ii`` off the same pair,
 and its size distribution is :func:`spectrum_sizes`, the normalized ``e_t(λ)``.
 

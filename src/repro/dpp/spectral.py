@@ -31,7 +31,7 @@ from repro.engine import BackendLike, OracleBatch, resolve_backend
 from repro.linalg.batch import EighPair, symmetrized_eigh
 from repro.linalg.esp import esp_prefix_table
 from repro.pram.tracker import current_tracker
-from repro.utils.rng import SeedLike, as_generator
+from repro.utils.rng import SeedLike, as_generator, weighted_choice
 from repro.utils.subsets import subset_key
 
 
@@ -67,7 +67,7 @@ def _phase_two(vectors: np.ndarray, seed: SeedLike = None, *,
     rng = as_generator(seed)
     engine = resolve_backend(backend)
     tracker = current_tracker()
-    n, m = vectors.shape
+    m = vectors.shape[1]
     basis = vectors
     selected: List[int] = []
     last: Optional[int] = None
@@ -84,7 +84,7 @@ def _phase_two(vectors: np.ndarray, seed: SeedLike = None, *,
             raise RuntimeError("spectral sampler ran out of probability mass")
         probs = np.clip(weights / total, 0.0, None)
         probs = probs / probs.sum()
-        item = int(rng.choice(n, p=probs))
+        item = weighted_choice(rng, probs)
         selected.append(item)
         last = item
     return subset_key(selected)

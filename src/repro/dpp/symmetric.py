@@ -23,7 +23,9 @@ A conditioned kernel holds only a factor of that Schur complement, the
 projected factor ``F = B_O Q`` (:func:`repro.linalg.batch.conditioned_factor`),
 and the factor's ``r x r`` Gram: its spectrum, marginals and counts come from
 one ``r x r`` eigendecomposition, and no ``(n - t) x (n - t)`` matrix is
-formed.  :class:`repro.distributions.lowrank.LowRankDPP` and
+formed.  A conditioned 1-DPP holds the factor alone and decomposes nothing:
+its marginals and normalizer are the factor's squared row norms.
+:class:`repro.distributions.lowrank.LowRankDPP` and
 :class:`~repro.distributions.lowrank.LowRankKDPP` are the same factor-only
 kernels, built from a factor.
 """
@@ -43,7 +45,6 @@ from repro.linalg.batch import (
     conditioned_factor,
     factor_from_eigh,
     group_by_size,
-    lowrank_conditioned_gram,
     stacked_principal_submatrices,
     symmetrized_eigh,
 )
@@ -262,20 +263,23 @@ class _SymmetricKernel:
             dist._gram_eigh = (arrays["factor_spectrum"], arrays["factor_rotated"])
         return dist
 
-    def _conditioned(self, items: Tuple[int, ...], **params):
+    def _conditioned(self, items: Tuple[int, ...], *, spectral: bool = True, **params):
         """The kernel given ``T ⊆ Y``, held as a factor alone.
 
-        ``F = B_O Q`` factors the Schur complement ``L^T``
+        ``F = B_O Q`` factors the Schur complement ``L^T`` and, from the same
+        ``t x t`` solve, its ``r x r`` Gram
         (:func:`~repro.linalg.batch.conditioned_factor`, which raises on a
-        zero-probability event) and
-        :func:`~repro.linalg.batch.lowrank_conditioned_gram` gives its
-        ``r x r`` Gram, so the child never forms an ``(n - t) x (n - t)``
-        matrix.
+        zero-probability event), so the child never forms an
+        ``(n - t) x (n - t)`` matrix.  A child that reads no spectrum
+        (``spectral=False``: a 1-DPP) gets the factor alone.
         """
-        factor, remaining = conditioned_factor(self.factor, items)
+        if spectral:
+            factor, remaining, gram = conditioned_factor(self.factor, items, self.factor_gram)
+        else:
+            (factor, remaining), gram = conditioned_factor(self.factor, items), None
         child = self._from_factor(factor, map(self._labels.__getitem__, remaining.tolist()),
                                   **params)
-        child._factor_gram = lowrank_conditioned_gram(self.factor, self.factor_gram, [items])[1][0]
+        child._factor_gram = gram
         return child
 
     def _normalizer_order(self) -> int:
@@ -409,7 +413,11 @@ class SymmetricKDPP(_SymmetricKernel, HomogeneousDistribution):
     A kernel made by :meth:`condition`, like every
     :class:`~repro.distributions.lowrank.LowRankKDPP`, holds no dense ``L``
     (``L is None``): only a factor ``F`` with ``L = F Fᵀ`` and that factor's
-    ``r x r`` Gram, from which every oracle answers.
+    ``r x r`` Gram, from which every oracle answers.  A 1-DPP among them
+    (``k = 1``, the last iteration of every Theorem-10 schedule) reads no
+    spectrum and holds no Gram: ``P[Y = {i}] = ‖F_i‖² / ‖F‖²_F``, so its
+    marginals and normalizer are its factor's squared row norms
+    (:meth:`_row_norms`) and its counts ``det(F_i F_iᵀ)``.
     """
 
     def __init__(self, L: np.ndarray, k: int, *, validate: bool = True,
@@ -461,12 +469,30 @@ class SymmetricKDPP(_SymmetricKernel, HomogeneousDistribution):
 
         Charged on every call as the decomposition the spectrum comes from:
         ``n x n`` for a dense ``L``, the factor's ``r x r`` Gram without one.
-        The value is computed once and kept (:meth:`_kept`), so a served
-        distribution charges each request as a fresh one would, and computes
-        it once.  An exact zero leaves every ``e_j`` unchanged bit for bit.
+        A 1-DPP without a dense ``L`` decomposes nothing: its normalizer is
+        ``e_1(λ) = tr L = ‖F‖²_F`` (:meth:`_row_norms`), charged as one
+        order-1 count like each of its ``|T| = 1`` counts.  The value is
+        computed once and kept (:meth:`_kept`), so a served distribution
+        charges each request as a fresh one would, and computes it once.  An
+        exact zero leaves every ``e_j`` unchanged bit for bit.
         """
+        if self._reads_rows:
+            current_tracker().charge_determinant(1)
+            return self._row_norms()[1]
         current_tracker().charge_determinant(self._normalizer_order())
         return self._kept("normalizer", self._esp_normalizer)
+
+    @property
+    def _reads_rows(self) -> bool:
+        """A 1-DPP without a dense ``L``: it answers from :meth:`_row_norms`."""
+        return self.k == 1 and self.L is None
+
+    def _row_norms(self) -> Tuple[np.ndarray, float]:
+        """The factor's squared row norms ``‖F_i‖²`` and their sum ``‖F‖²_F`` (kept)."""
+        def compute() -> Tuple[np.ndarray, float]:
+            rows = np.einsum("ij,ij->i", self.factor, self.factor)
+            return rows, float(rows.sum())
+        return self._kept("row_norms", compute)
 
     def _esp_normalizer(self) -> float:
         eigenvalues = self.eigenvalues
@@ -485,10 +511,12 @@ class SymmetricKDPP(_SymmetricKernel, HomogeneousDistribution):
     def marginal_vector(self, given: Iterable[int] = ()) -> np.ndarray:
         """Spectral k-DPP marginals from the factor's ``r x r`` Gram eigh.
 
-        The unconditioned vector depends on the kernel alone: it is computed
-        on first use and kept (:meth:`_kept`), and every call returns that
-        one read-only array.  Given ``T``, the marginals are the conditioned
-        child's, with ones on ``T``, in a new array.
+        A 1-DPP without a dense ``L`` decomposes nothing: its marginals are
+        ``‖F_i‖² / ‖F‖²_F`` (:meth:`_row_norms`).  The unconditioned vector
+        depends on the kernel alone: it is computed on first use and kept
+        (:meth:`_kept`), and every call returns that one read-only array.
+        Given ``T``, the marginals are the conditioned child's, with ones on
+        ``T``, in a new array.
         """
         items = check_subset(given, self.n)
         tracker = current_tracker()
@@ -502,7 +530,13 @@ class SymmetricKDPP(_SymmetricKernel, HomogeneousDistribution):
         return marginals
 
     def _unconditioned_marginals(self) -> np.ndarray:
-        marginals = kdpp_marginals_from_factor(*self._factor_spectrum(), self.k)
+        if self._reads_rows:
+            rows, total = self._row_norms()
+            if total <= 0:
+                raise ValueError("k-DPP with k=1 has zero partition function (rank too small)")
+            marginals = rows / total
+        else:
+            marginals = kdpp_marginals_from_factor(*self._factor_spectrum(), self.k)
         marginals.flags.writeable = False
         return marginals
 
@@ -554,10 +588,14 @@ class SymmetricKDPP(_SymmetricKernel, HomogeneousDistribution):
 
     # ------------------------------------------------------------------ #
     def condition(self, include: Iterable[int]) -> "SymmetricKDPP":
-        """The ``(k - |T|)``-DPP given ``T ⊆ Y``, held as a factor alone (see :meth:`_conditioned`)."""
+        """The ``(k - |T|)``-DPP given ``T ⊆ Y``, held as a factor alone (see :meth:`_conditioned`).
+
+        A 1-DPP child gets no Gram: it reads no spectrum.
+        """
         items = check_subset(include, self.n)
         if not items:
             return self
         if len(items) > self.k:
             raise ValueError(f"cannot condition a {self.k}-DPP on {len(items)} inclusions")
-        return self._conditioned(items, k=self.k - len(items))
+        k = self.k - len(items)
+        return self._conditioned(items, spectral=k != 1, k=k)

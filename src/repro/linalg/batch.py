@@ -17,7 +17,9 @@ out with:
   symmetric DPP or k-DPP keeps only ``(F, C)``, never the ``(n-t) x (n-t)``
   Schur complement, and decomposes only ``C``: one ``O(r³)``
   eigendecomposition per conditioning.  Forming ``C`` costs ``O(t·r²)``,
-  once per conditioning; counting queries form no Gram;
+  once per conditioning, from the ``t x t`` solve that gives ``F``; a
+  1-DPP child keeps ``F`` alone and forms none, and counting queries form
+  no Gram;
 * :func:`symmetrized_eigh` / :func:`factor_from_eigh` / :func:`psd_factor` —
   the one decomposition of a dense symmetric kernel, and the factor read
   off it.
@@ -159,9 +161,9 @@ def psd_factor(L: np.ndarray, *, tol: float = 1e-12) -> np.ndarray:
     return factor_from_eigh(*symmetrized_eigh(a), tol=tol)
 
 
-def conditioned_factor(factor: np.ndarray, items: Sequence[int]
-                       ) -> Tuple[np.ndarray, np.ndarray]:
-    """Factor of the conditioned ensemble ``L^T`` for ``L = B Bᵀ``.
+def conditioned_factor(factor: np.ndarray, items: Sequence[int],
+                       gram: Optional[np.ndarray] = None):
+    """Factor of the conditioned ensemble ``L^T`` for ``L = B Bᵀ``, and its Gram.
 
     ``L^T = B_O Q B_Oᵀ`` with the projector
     ``Q = I - B_Tᵀ (B_T B_Tᵀ)^{-1} B_T``; since ``Q`` is a symmetric
@@ -170,15 +172,20 @@ def conditioned_factor(factor: np.ndarray, items: Sequence[int]
     ``O((n-t)·r² + t³)``, with no ``n x n`` intermediate.
 
     Returns ``(F, remaining)``, where ``remaining`` lists the surviving rows
-    of ``B`` in ascending order.  Raises ``ValueError`` when
-    ``det(L_{T,T}) <= 0``: the conditioning event has zero probability.
+    of ``B`` in ascending order.  Given the parent's Gram ``gram = BᵀB`` it
+    returns ``(F, remaining, C)``: ``C = FᵀF`` from the same ``t x t``
+    solve, in ``O(t·r²)`` and charged as an ``r x r`` determinant, bitwise
+    :func:`lowrank_conditioned_gram` of ``[items]`` for sorted ``items``.
+    Raises ``ValueError`` when ``det(L_{T,T}) <= 0``: the conditioning event
+    has zero probability.
     """
     B = np.asarray(factor, dtype=float)
     n, r = B.shape
     idx = [int(i) for i in items]
     B_T = B[idx]
     L_TT = B_T @ B_T.T
-    current_tracker().charge_determinant(len(idx))
+    tracker = current_tracker()
+    tracker.charge_determinant(len(idx))
     sign, _ = np.linalg.slogdet(L_TT)
     if sign <= 0:
         raise ValueError(f"conditioning event {tuple(idx)} has zero probability")
@@ -186,7 +193,11 @@ def conditioned_factor(factor: np.ndarray, items: Sequence[int]
     Q = np.eye(r) - B_T.T @ X
     mask = np.ones(n, dtype=bool)
     mask[idx] = False
-    return B[mask] @ Q, np.flatnonzero(mask)
+    F, remaining = B[mask] @ Q, np.flatnonzero(mask)
+    if gram is None:
+        return F, remaining
+    tracker.charge_determinant(r)
+    return F, remaining, _projected_gram(gram, B_T[None], X[None])[0]
 
 
 def lowrank_conditioned_gram(factor: np.ndarray, gram: np.ndarray,
@@ -216,17 +227,21 @@ def lowrank_conditioned_gram(factor: np.ndarray, gram: np.ndarray,
         C = np.broadcast_to(gram, (batch, r, r)).copy()
         return np.ones(batch), C
     B_T = B[idx]                                    # (batch, t, r)
-    B_Tt = B_T.transpose(0, 2, 1)                   # (batch, r, t)
-    L_TT = B_T @ B_Tt                               # (batch, t, t)
+    L_TT = B_T @ B_T.transpose(0, 2, 1)             # (batch, t, t)
     det_T = np.linalg.det(L_TT)
     ok = det_T > 0
     safe_L_TT = np.where(ok[:, None, None], L_TT, np.eye(t)[None])
     X = np.linalg.solve(safe_L_TT, B_T)             # (batch, t, r)
+    return det_T, _projected_gram(gram, B_T, X)
+
+
+def _projected_gram(gram: np.ndarray, B_T: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """``Q G Q`` for stacked blocks ``B_T`` and solves ``X = L_{T,T}^{-1} B_T``, symmetrized."""
+    B_Tt = B_T.transpose(0, 2, 1)                   # (batch, r, t)
     Y = X @ gram                                    # (batch, t, r)
     BY = B_Tt @ Y                                   # (batch, r, r) = B_Tᵀ X G
     C = gram[None] - BY - BY.transpose(0, 2, 1) + B_Tt @ ((Y @ X.transpose(0, 2, 1)) @ B_T)
-    C = 0.5 * (C + C.transpose(0, 2, 1))
-    return det_T, C
+    return 0.5 * (C + C.transpose(0, 2, 1))
 
 
 def hkpv_projection_step(bases: np.ndarray,

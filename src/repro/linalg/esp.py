@@ -18,7 +18,8 @@ circle from the factor spectrum of ``L`` alone.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Sequence
+import functools
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -244,6 +245,20 @@ def kdpp_counts_from_factor(spectrum: np.ndarray, rotated: np.ndarray,
     return kdpp_counts_on_circle(kdpp_circle(spectrum, k), rotated, subsets)
 
 
+@functools.lru_cache(maxsize=64)
+def _block_entries(t: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``triu_indices(t)`` and the ``(t, t)`` map from a block entry to its slot there.
+
+    Kept per ``t`` (read-only), since every counting round of a size asks again.
+    """
+    iu, ju = np.triu_indices(t)
+    entry_of = np.empty((t, t), dtype=int)
+    entry_of[iu, ju] = entry_of[ju, iu] = np.arange(iu.size)
+    for array in (iu, ju, entry_of):
+        array.flags.writeable = False
+    return iu, ju, entry_of
+
+
 def kdpp_counts_on_circle(circle: Optional[KdppCircle], rotated: np.ndarray,
                           subsets: Sequence[Sequence[int]]) -> np.ndarray:
     """The per-set half of :func:`kdpp_counts_from_factor`, on a kept circle.
@@ -264,11 +279,9 @@ def kdpp_counts_on_circle(circle: Optional[KdppCircle], rotated: np.ndarray,
         return np.zeros(batch)
     # one row per entry of the symmetric t x t blocks: against the table's
     # columns it gives K(z_m)_T (real, imaginary parts) and, last, W_T W_Tᵀ
-    iu, ju = np.triu_indices(t)
+    iu, ju, entry_of = _block_entries(t)
     rows = W[idx]                                                # (batch, t, r)
     products = rows[:, iu, :] * rows[:, ju, :]                   # (batch, t(t+1)/2, r)
-    entry_of = np.empty((t, t), dtype=int)
-    entry_of[iu, ju] = entry_of[ju, iu] = np.arange(iu.size)
     blocks = (products @ circle.table)[:, entry_of]              # (batch, t, t, 2·nodes + 1)
     gram = blocks[..., -1]
     K_T = np.empty((batch, nodes, t, t), dtype=complex)

@@ -412,4 +412,7 @@ class KernelUpdate:
             out = np.concatenate([matrix, self.rows], axis=0)
         else:  # delete_rows
             out = np.delete(matrix, list(self.indices), axis=0)
-        return _frozen(out)
+        # every branch made a new array: freeze it in place, not a copy of it
+        out = np.ascontiguousarray(out, dtype=float)
+        out.flags.writeable = False
+        return out

@@ -8,7 +8,7 @@ callers share a single generator across composed samplers.
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -31,6 +31,28 @@ def as_generator(seed: SeedLike = None) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
+
+
+def weighted_choice(rng: np.random.Generator, p: np.ndarray,
+                    size: Optional[Union[int, Tuple[int, ...]]] = None):
+    """``rng.choice(len(p), size, p=p)``, bit for bit, without re-validating ``p``.
+
+    For a ``p`` its caller has just clipped to ``>= 0`` and normalized.
+    ``Generator.choice`` checks every entry again (NaN, sign, a Kahan sum
+    against 1) before it draws; this runs only its draw, the inverse CDF
+    ``cdf = p.cumsum(); cdf /= cdf[-1]`` searched with ``rng.random(size)``,
+    so it consumes the same stream and returns the same indices: an ``int``
+    for ``size=None``, else an ``int64`` array of shape ``size``.  One scalar
+    guard stays: a total mass that is not finite and positive (a NaN, an inf
+    or all zeros) raises ``ValueError``.
+    """
+    cdf = np.cumsum(p, dtype=float)
+    total = cdf[-1] if cdf.size else 0.0
+    if not 0.0 < total < np.inf:
+        raise ValueError(f"weights have total mass {total}, not a finite positive number")
+    cdf /= total
+    index = cdf.searchsorted(rng.random(size), side="right")
+    return int(index) if size is None else index.astype(np.int64, copy=False)
 
 
 def spawn_generators(seed: SeedLike, count: int) -> list:

@@ -30,7 +30,8 @@ from repro.core.batched import batched_sample
 from repro.core.symmetric import kdpp_batched_config
 from repro.distributions.base import CountingOracleError
 from repro.distributions.lowrank import LowRankKDPP, LowRankKernel
-from repro.dpp.elementary import leave_one_out_esp
+from repro.dpp.elementary import kdpp_marginals_from_factor, leave_one_out_esp
+from repro.dpp.exact import exact_kdpp_distribution
 from repro.dpp.nonsymmetric import NonsymmetricKDPP
 from repro.dpp.partition import PartitionDPP
 from repro.dpp.symmetric import SymmetricKDPP
@@ -217,6 +218,25 @@ class TestConditionedFactor:
         # C is the Gram of the conditioned factor
         F, _ = conditioned_factor(B, subsets[0])
         np.testing.assert_allclose(C[0], F.T @ F, rtol=0, atol=1e-12 * np.abs(G).max())
+
+    def test_factor_and_gram_from_one_solve_equal_the_two_routines(self):
+        # what a conditioned child gets from one t x t solve is bitwise the
+        # factor of conditioned_factor and the Gram of lowrank_conditioned_gram,
+        # charged as their two determinants
+        rng = np.random.default_rng(31)
+        for case in range(50):
+            n = int(rng.integers(8, 220))
+            B = psd_factor(random_psd_ensemble(n, rank=int(rng.integers(4, min(n, 70) + 1)),
+                                               seed=case))
+            G = B.T @ B
+            T = _random_subsets(rng, n, int(rng.integers(1, 6)), 1)[0]
+            with use_tracker(Tracker()) as tracker:
+                F, remaining, C = conditioned_factor(B, T, G)
+            F_alone, remaining_alone = conditioned_factor(B, T)
+            assert np.array_equal(F, F_alone) and np.array_equal(remaining, remaining_alone)
+            assert np.array_equal(C, lowrank_conditioned_gram(B, G, [T])[1][0])
+            r = B.shape[1]
+            assert (tracker.oracle_calls, tracker.work) == (2, len(T) ** 3 + r ** 3)
 
 
 # ---------------------------------------------------------------------- #
@@ -631,7 +651,9 @@ class TestKeptKernelWork:
     def test_first_request_charges_what_later_ones_do(self, kernel, warm):
         # the cache attaches the Gram's eigh to the served distribution, so
         # no request decomposes it: 74 then 73 oracle calls before, on a
-        # dense kernel, with or without warm()
+        # dense kernel, with or without warm().  The last child, a 1-DPP,
+        # forms and decomposes no Gram, and its normalizer is an order-1
+        # count, not an r x r decomposition: 73 and 11,502,374 before
         L = random_psd_ensemble(200, rank=60, seed=0)
         matrix = L if kernel == "dense" else LowRankKernel(psd_factor(L))
         with serve(matrix, registry=KernelRegistry()) as session:
@@ -640,7 +662,7 @@ class TestKeptKernelWork:
             reports = [session.sample(k=10, method="parallel", seed=0).report for _ in range(3)]
         assert len({(r.rounds, r.oracle_calls, r.work) for r in reports}) == 1
         if kernel == "dense":
-            assert (reports[0].oracle_calls, reports[0].work) == (73, 11_502_374)
+            assert (reports[0].oracle_calls, reports[0].work) == (71, 10_854_375)
 
     def test_sessions_of_one_registry_share_the_served_distribution(self):
         registry = KernelRegistry()
@@ -703,3 +725,112 @@ class TestKeptKernelWork:
             for marginals, z, counts in seen:
                 assert np.array_equal(marginals, expected[0]) and z == expected[1]
                 assert np.array_equal(counts, expected[2])
+
+
+# ---------------------------------------------------------------------- #
+# the last iteration: a 1-DPP answers from its factor's row norms
+# ---------------------------------------------------------------------- #
+#: items conditioned on at each level, down to a 1-DPP at depth 1, 2 and 3
+_LEVELS = {1: (4,), 2: (3, 2), 3: (2, 2, 1)}
+
+
+def _one_dpp_child(L, kernel, depth, seed):
+    """A root with ``k = 1 + Σ levels``, conditioned level by level on random items."""
+    sizes = _LEVELS[depth]
+    k = 1 + sum(sizes)
+    child = SymmetricKDPP(L, k) if kernel == "dense" else LowRankKDPP(psd_factor(L), k)
+    rng = np.random.default_rng(seed)
+    for size in sizes:
+        child = child.condition(rng.choice(child.n, size=size, replace=False).tolist())
+    return child
+
+
+def _spectral_one_dpp(child):
+    """The spectral route a 1-DPP took before: its factor's Gram eigh, the k-DPP formulas."""
+    s, V = symmetrized_eigh(child.factor.T @ child.factor)
+    marginals = kdpp_marginals_from_factor(s, child.factor @ V, 1)
+    return marginals, float(elementary_symmetric_polynomials(s[s > 0], max_order=1)[1])
+
+
+def _spectral_condition(self, include):
+    """``SymmetricKDPP.condition`` with every child, a 1-DPP too, given its Gram."""
+    items = check_subset(include, self.n)
+    if not items:
+        return self
+    return self._conditioned(items, k=self.k - len(items))
+
+
+class TestOneDPP:
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    @pytest.mark.parametrize("kernel", ["dense", "lowrank"])
+    def test_equals_the_spectral_formula(self, kernel, depth):
+        L = random_psd_ensemble(200, rank=60, seed=depth)
+        for seed in range(5):
+            child = _one_dpp_child(L, kernel, depth, seed)
+            assert (child.k, child.L, child._factor_gram) == (1, None, None)
+            marginals, z = _spectral_one_dpp(child)
+            np.testing.assert_allclose(child.marginal_vector(), marginals, rtol=1e-12, atol=0)
+            assert child.partition_function() == pytest.approx(z, rel=1e-12)
+            assert child.marginal_vector() is child.marginal_vector()
+            assert not child.marginal_vector().flags.writeable
+            # it answered without forming or decomposing a Gram
+            assert child._factor_gram is None and child._gram_eigh is None
+
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    @pytest.mark.parametrize("kernel", ["dense", "lowrank"])
+    def test_matches_brute_force(self, kernel, depth):
+        L = random_psd_ensemble(10, rank=7, seed=depth)
+        for seed in range(4):
+            child = _one_dpp_child(L, kernel, depth, seed)
+            given = sorted(set(range(10)) - set(child.ground_labels))
+            L_cond, remaining = condition_ensemble(L, given)
+            assert tuple(remaining.tolist()) == child.ground_labels
+            exact = exact_kdpp_distribution(L_cond, 1).marginal_vector()
+            np.testing.assert_allclose(child.marginal_vector(), exact, rtol=1e-9, atol=1e-12)
+            assert child.partition_function() == pytest.approx(np.trace(L_cond), rel=1e-9)
+            singles = [(i,) for i in range(child.n)]
+            np.testing.assert_allclose(child.counting_batch(singles), np.diag(L_cond),
+                                       rtol=1e-9, atol=1e-12)
+
+    @pytest.mark.parametrize("kernel", ["dense", "lowrank"])
+    def test_served_draws_match_the_spectral_route(self, monkeypatch, kernel):
+        # k = 10 runs batches 5, 4, 1: the last child is a 1-DPP.  Seed for
+        # seed, the spectral route draws the same subsets; it also forms and
+        # decomposes that child's r x r Gram and charges its normalizer as
+        # an r x r decomposition, r = 60
+        for seed in range(3):
+            L = random_psd_ensemble(200, rank=60, seed=seed)
+            matrix = L if kernel == "dense" else LowRankKernel(psd_factor(L))
+            with serve(matrix, registry=KernelRegistry()) as session:
+                rows = [session.sample(k=10, method="parallel", seed=s, backend="vectorized")
+                        for s in range(10)]
+            with monkeypatch.context() as patch:
+                patch.setattr(SymmetricKDPP, "_reads_rows", property(lambda self: False))
+                patch.setattr(SymmetricKDPP, "condition", _spectral_condition)
+                with serve(matrix, registry=KernelRegistry()) as session:
+                    spectral = [session.sample(k=10, method="parallel", seed=s,
+                                               backend="vectorized") for s in range(10)]
+            for mine, theirs in zip(rows, spectral):
+                assert mine.subset == theirs.subset
+                assert mine.report.batch_sizes == theirs.report.batch_sizes == [5, 4, 1]
+                assert mine.report.rounds == theirs.report.rounds
+                assert theirs.report.oracle_calls - mine.report.oracle_calls == 2
+                assert theirs.report.work - mine.report.work == 3 * 60 ** 3 - 1
+
+    @pytest.mark.parametrize("kernel", ["dense", "lowrank"])
+    def test_served_draw_runs_one_gram_eigh(self, monkeypatch, kernel):
+        # the root's Gram eigh is the cache's and the 1-DPP runs none: the
+        # k = 5 child's is the one decomposition of a served k = 10 draw
+        L = random_psd_ensemble(200, rank=60, seed=0)
+        matrix = L if kernel == "dense" else LowRankKernel(psd_factor(L))
+        with serve(matrix, registry=KernelRegistry()) as session:
+            session.warm()
+            session.sample(k=10, method="parallel", seed=0, backend="vectorized")
+            for seed in range(1, 5):
+                sizes = {"eigh": [], "eigvalsh": []}
+                with monkeypatch.context() as patch:
+                    for name, recorded in sizes.items():
+                        patch.setattr(np.linalg, name, _recording(getattr(np.linalg, name),
+                                                                  recorded))
+                    session.sample(k=10, method="parallel", seed=seed, backend="vectorized")
+                assert sizes == {"eigh": [60], "eigvalsh": []}

@@ -8,6 +8,8 @@ and updated-then-conditioned ensembles (the :mod:`repro.linalg.schur`
 interaction the module docstring promises).
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -211,6 +213,30 @@ class TestKernelUpdateDescriptor:
         nonsym = KernelUpdate.rank_one(u, v, weight=0.7).apply(L, "nonsymmetric")
         np.testing.assert_allclose(nonsym, L + 0.7 * np.outer(u, v))
         assert not sym.flags.writeable
+
+    @pytest.mark.parametrize("op", ["append_rows", "delete_rows"])
+    def test_apply_freezes_its_result_without_copying_it(self, op):
+        # cluster-stream's factor shape: the result is frozen in place, so
+        # apply allocates it once and never holds a second copy
+        rng = np.random.default_rng(4)
+        B = rng.standard_normal((20_000, 16))
+        B.flags.writeable = False
+        if op == "append_rows":
+            update = KernelUpdate.append_rows(rng.standard_normal((3, 16)))
+            expected = np.concatenate([B, update.rows])
+        else:
+            update = KernelUpdate.delete_rows([5, 17, 19_999])
+            expected = np.delete(B, [5, 17, 19_999], axis=0)
+        tracemalloc.start()
+        try:
+            out = update.apply(B, "lowrank")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(out, expected)
+        assert not out.flags.writeable and out.flags.c_contiguous
+        assert not np.shares_memory(out, B)
+        assert peak < 1.5 * out.nbytes
 
     def test_delta_nbytes_counts_payload_only(self):
         up = KernelUpdate.append_rows(np.ones((3, 5)))

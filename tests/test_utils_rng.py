@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.utils.rng import as_generator, spawn_generators
+from repro.utils.rng import as_generator, spawn_generators, weighted_choice
 
 
 class TestAsGenerator:
@@ -59,3 +59,34 @@ class TestSpawnGenerators:
 
     def test_zero_count(self):
         assert spawn_generators(0, 0) == []
+
+
+class TestWeightedChoice:
+    def test_equals_generator_choice_bit_for_bit(self):
+        # the helper replays Generator.choice's draw without its validation:
+        # if a numpy release changes that draw, this is the test that fails.
+        # 320 seeds, lengths 1..300, a share of exact zeros, one index and a
+        # 2-D batch of them per seed; the streams must also stay in step
+        weights = np.random.default_rng(11)
+        for seed in range(320):
+            n = 1 + seed % 300
+            p = weights.exponential(size=n)
+            p[weights.random(n) < 0.3] = 0.0
+            if not p.any():
+                p[n - 1] = 1.0
+            p /= p.sum()
+            for size in (None, (7, 3)):
+                mine, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+                got = weighted_choice(mine, p, size)
+                expected = theirs.choice(n, size, p=p)
+                assert type(got) is type(expected)
+                assert np.array_equal(got, expected)
+                if size is not None:
+                    assert got.dtype == expected.dtype and got.shape == size
+                assert mine.random() == theirs.random()
+
+    @pytest.mark.parametrize("bad", [[0.5, np.nan, 0.5], [0.5, np.inf], [0.0, 0.0, 0.0], []],
+                             ids=["nan", "inf", "zero", "empty"])
+    def test_refuses_a_total_that_is_not_finite_and_positive(self, bad):
+        with pytest.raises(ValueError, match="total mass"):
+            weighted_choice(np.random.default_rng(0), np.asarray(bad, dtype=float))
