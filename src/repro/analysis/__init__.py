@@ -4,8 +4,8 @@ Two enforcement layers over one declared protocol:
 
 * **static** (``python -m repro.analysis src benchmarks``): AST rules
   R1 (determinism), R2 (lock discipline over ``_GUARDED_BY``),
-  R3 (worker-payload shipping contract), R4 (export hygiene), plus P0
-  pragma hygiene — see :mod:`repro.analysis.checker`;
+  R3 (worker-payload shipping contract), R4 (export hygiene) — see
+  :mod:`repro.analysis.checker`;
 * **dynamic** (:mod:`repro.analysis.runtime`): ``DebugLock`` rank-order
   assertions, ``guard_instance`` runtime guarded-attribute enforcement and
   the seeded ``ChaosScheduler`` interleaving randomizer used by the stress
@@ -20,17 +20,14 @@ from __future__ import annotations
 
 from repro.analysis.checker import ALL_RULES, check_paths, check_source
 from repro.analysis.lockorder import LOCK_ORDER, lock_rank
-from repro.analysis.pragmas import Pragma, collect_pragmas
 from repro.analysis.report import AnalysisReport, Violation
 
 __all__ = [
     "ALL_RULES",
     "AnalysisReport",
     "LOCK_ORDER",
-    "Pragma",
     "Violation",
     "check_paths",
     "check_source",
-    "collect_pragmas",
     "lock_rank",
 ]

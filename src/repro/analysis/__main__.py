@@ -40,8 +40,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     if options.list_rules:
         for rule in ALL_RULES:
             print(f"{rule.id}: {rule.summary}")
-        print("P0: pragma hygiene: every `# repro: allow[...]` carries a "
-              "justification and suppresses at least one finding")
         return 0
     if not options.paths:
         parser.print_usage(sys.stderr)

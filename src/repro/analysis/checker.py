@@ -1,16 +1,15 @@
-"""The checker driver: walk files, run rules, apply pragmas, build the report."""
+"""The checker driver: walk files, run rules, build the report."""
 
 from __future__ import annotations
 
 import ast
 import os
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set
+from typing import Iterable, Iterator, List, Optional, Sequence, Set
 
 from repro.analysis.determinism import DeterminismRule
 from repro.analysis.exports import ExportHygieneRule
 from repro.analysis.locks import LockDisciplineRule
-from repro.analysis.pragmas import Pragma, collect_pragmas
-from repro.analysis.report import AnalysisReport, Violation
+from repro.analysis.report import AnalysisReport
 from repro.analysis.rulebase import Rule, RuleContext
 from repro.analysis.shipping import ShippingContractRule
 
@@ -64,7 +63,7 @@ def check_source(source: str, path: str = "<string>", *,
                  in_repro: Optional[bool] = None,
                  rules: Optional[Sequence[Rule]] = None,
                  report: Optional[AnalysisReport] = None) -> AnalysisReport:
-    """Run the rule set over one source string, applying pragmas.
+    """Run the rule set over one source string.
 
     ``in_repro`` defaults to path inspection; fixture tests force it so R1
     fires on temp-dir snippets.  Pass ``report`` to accumulate across files.
@@ -81,48 +80,10 @@ def check_source(source: str, path: str = "<string>", *,
         report.errors.append(f"{path}: syntax error: {exc.msg} (line {exc.lineno})")
         return report
     ctx = RuleContext(path=path, source=source, tree=tree, in_repro=in_repro)
-    pragma_table = collect_pragmas(source)
-    all_pragmas: List[Pragma] = [p for plist in pragma_table.values() for p in plist]
-    report.pragmas_seen += len(all_pragmas)
     report.files_scanned += 1
-
     for rule in rules:
-        for violation in rule.check(ctx):
-            if violation.suppressible and _suppressed(violation, pragma_table):
-                continue
-            report.violations.append(violation)
-
-    for pragma in all_pragmas:
-        if not pragma.justified:
-            report.violations.append(Violation(
-                rule="P0", code="unjustified-pragma", path=path,
-                line=pragma.line, col=0,
-                message=("pragma without justification: write "
-                         "`# repro: allow[...] -- <why this is safe>`"),
-                snippet=ctx.snippet(pragma.line), suppressible=False))
-        elif not pragma.used:
-            report.violations.append(Violation(
-                rule="P0", code="unused-pragma", path=path,
-                line=pragma.line, col=0,
-                message=(f"pragma allow[{', '.join(pragma.rules)}] suppresses "
-                         "nothing: stale allowlist entries hide future "
-                         "regressions — delete it"),
-                snippet=ctx.snippet(pragma.line), suppressible=False))
-        else:
-            report.pragmas_used += 1
+        report.violations.extend(rule.check(ctx))
     return report
-
-
-def _suppressed(violation: Violation,
-                pragma_table: Dict[int, List[Pragma]]) -> bool:
-    for pragma in pragma_table.get(violation.line, []):
-        if pragma.covers(violation.rule, violation.code):
-            if pragma.justified:
-                pragma.used = True
-                return True
-            pragma.used = True  # counted used, but P0[unjustified] still fires
-            return False
-    return False
 
 
 def check_paths(paths: Iterable[str], *,

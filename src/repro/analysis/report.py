@@ -20,10 +20,8 @@ __all__ = ["Violation", "AnalysisReport"]
 class Violation:
     """One finding: a rule hit at a specific source location.
 
-    ``rule`` is the coarse rule family (``"R1"`` .. ``"R4"``, or ``"P0"`` for
-    pragma hygiene); ``code`` the specific check within it (e.g.
-    ``"unseeded-default-rng"``); ``suppressible`` is False for findings that
-    a pragma must not silence (pragma hygiene itself).
+    ``rule`` is the coarse rule family (``"R1"`` .. ``"R4"``); ``code`` the
+    specific check within it (e.g. ``"unseeded-default-rng"``).
     """
 
     rule: str
@@ -33,7 +31,6 @@ class Violation:
     col: int
     message: str
     snippet: str = ""
-    suppressible: bool = True
 
     def location(self) -> str:
         return f"{self.path}:{self.line}:{self.col}"
@@ -59,8 +56,6 @@ class AnalysisReport:
 
     violations: List[Violation] = field(default_factory=list)
     files_scanned: int = 0
-    pragmas_seen: int = 0
-    pragmas_used: int = 0
     errors: List[str] = field(default_factory=list)
 
     @property
@@ -77,8 +72,6 @@ class AnalysisReport:
         return {
             "ok": self.ok,
             "files_scanned": self.files_scanned,
-            "pragmas_seen": self.pragmas_seen,
-            "pragmas_used": self.pragmas_used,
             "violations_by_rule": self.by_rule(),
             "violations": [v.as_dict() for v in self.violations],
             "errors": list(self.errors),
@@ -96,6 +89,5 @@ class AnalysisReport:
         lines.append(
             f"{len(self.violations)} violation(s) in {self.files_scanned} file(s)"
             + (f" [{summary}]" if summary else "")
-            + f"; pragmas used: {self.pragmas_used}/{self.pragmas_seen}"
         )
         return "\n".join(lines)

@@ -31,13 +31,12 @@ class RuleContext:
             return self.lines[line - 1].strip()
         return ""
 
-    def violation(self, rule: str, code: str, node: ast.AST, message: str,
-                  *, suppressible: bool = True) -> Violation:
+    def violation(self, rule: str, code: str, node: ast.AST,
+                  message: str) -> Violation:
         line = int(getattr(node, "lineno", 1))
         col = int(getattr(node, "col_offset", 0))
         return Violation(rule=rule, code=code, path=self.path, line=line,
-                         col=col, message=message, snippet=self.snippet(line),
-                         suppressible=suppressible)
+                         col=col, message=message, snippet=self.snippet(line))
 
 
 class Rule:

@@ -28,7 +28,7 @@ import sys
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Tuple, Type
+from typing import Any, Dict, List, Optional, Tuple, Type
 
 from repro.analysis.lockorder import lock_rank
 
@@ -217,22 +217,19 @@ class _GuardedAttribute:
 
 def guard_instance(obj: Any, *,
                    collector: Optional[List[RaceViolation]] = None,
-                   chaos: Optional[ChaosScheduler] = None,
-                   exempt: Iterable[str] = ()) -> Any:
+                   chaos: Optional[ChaosScheduler] = None) -> Any:
     """Turn one live object's ``_GUARDED_BY`` declaration into runtime checks.
 
     Swaps each declared lock for a :class:`DebugLock` and the object's class
     for a dynamic subclass whose guarded attributes are
     :class:`_GuardedAttribute` descriptors.  Call after construction (the
     ``__init__`` exemption the static rule grants is realized by guarding
-    only finished instances).  ``exempt`` names attributes to leave
-    unchecked — for documented, pragma'd benign races.  Returns ``obj``.
+    only finished instances).  Returns ``obj``.
     """
     cls = type(obj)
     guarded = merged_guarded_by(cls)
     if not guarded:
         raise ValueError(f"{cls.__name__} declares no _GUARDED_BY protocol")
-    exempt_set = set(exempt)
     namespace: Dict[str, Any] = {}
     for lock_attr, attrs in guarded.items():
         inner = obj.__dict__.get(lock_attr)
@@ -243,7 +240,6 @@ def guard_instance(obj: Any, *,
                 inner, owner=cls.__name__, attr=lock_attr,
                 collector=collector, chaos=chaos)
         for attr in attrs:
-            if attr not in exempt_set:
-                namespace[attr] = _GuardedAttribute(attr, lock_attr)
+            namespace[attr] = _GuardedAttribute(attr, lock_attr)
     obj.__class__ = type("Guarded" + cls.__name__, (cls,), namespace)
     return obj

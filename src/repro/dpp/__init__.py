@@ -33,7 +33,6 @@ from repro.dpp.kernels import (
 from repro.dpp.likelihood import (
     dpp_unnormalized,
     dpp_log_unnormalized,
-    sum_principal_minors,
 )
 from repro.dpp.symmetric import SymmetricDPP, SymmetricKDPP
 from repro.dpp.nonsymmetric import NonsymmetricDPP, NonsymmetricKDPP
@@ -44,7 +43,6 @@ from repro.dpp.spectral import (
     select_kdpp_eigenvectors,
     symmetrized_eigh,
 )
-from repro.dpp.elementary import dpp_size_distribution
 from repro.dpp.exact import exact_dpp_distribution, exact_kdpp_distribution
 from repro.dpp.intermediate import (
     lowrank_intermediate_basis,
@@ -63,7 +61,6 @@ __all__ = [
     "marginal_kernel_conditioned",
     "dpp_unnormalized",
     "dpp_log_unnormalized",
-    "sum_principal_minors",
     "SymmetricDPP",
     "SymmetricKDPP",
     "NonsymmetricDPP",
@@ -73,7 +70,6 @@ __all__ = [
     "sample_kdpp_spectral",
     "select_kdpp_eigenvectors",
     "symmetrized_eigh",
-    "dpp_size_distribution",
     "exact_dpp_distribution",
     "exact_kdpp_distribution",
 ]

@@ -28,25 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.linalg.batch import symmetrized_eigh
 from repro.linalg.esp import elementary_symmetric_polynomials
-from repro.pram.tracker import current_tracker
-from repro.utils.validation import check_square
-
-
-def dpp_size_distribution(L: np.ndarray) -> np.ndarray:
-    """``P[|S| = t]`` for ``t = 0..n`` for the DPP with ensemble ``L``."""
-    a = check_square(L, "L")
-    n = a.shape[0]
-    current_tracker().charge_determinant(n)
-    if n == 0:
-        return np.array([1.0])
-    if np.allclose(a, a.T):
-        esp = elementary_symmetric_polynomials(symmetrized_eigh(a)[0])
-    else:
-        # complex spectrum: the polynomials are real, the eigenvalues need not be
-        esp = np.clip(elementary_symmetric_polynomials(np.linalg.eigvals(a)).real, 0.0, None)
-    return normalize_sizes(esp)
 
 
 def spectrum_sizes(eigenvalues: np.ndarray, n: int) -> np.ndarray:

@@ -38,24 +38,6 @@ def dpp_log_unnormalized(L: np.ndarray, subset: Iterable[int]) -> float:
     return float(logabs)
 
 
-def sum_principal_minors(matrix: np.ndarray, order: int) -> float:
-    """``Σ_{|S| = order} det(M_{S,S})``.
-
-    Equal to the elementary symmetric polynomial of the eigenvalues of ``M``
-    (real even when the eigenvalues are complex, because it is a coefficient
-    of the real characteristic polynomial ``det(tI + M)``).
-    """
-    a = check_square(matrix, "matrix")
-    n = a.shape[0]
-    if order < 0 or order > n:
-        return 0.0
-    if order == 0:
-        return 1.0
-    current_tracker().charge_determinant(n)
-    esp = elementary_symmetric_polynomials(np.linalg.eigvals(a), max_order=order)
-    return float(esp[order].real)
-
-
 def all_principal_minor_sums(matrix: np.ndarray) -> np.ndarray:
     """``[Σ_{|S|=j} det(M_S)]_{j=0..n}`` from one eigenvalue call."""
     a = check_square(matrix, "matrix")

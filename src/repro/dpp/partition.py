@@ -47,7 +47,7 @@ from repro.dpp.likelihood import dpp_log_unnormalized
 from repro.linalg.batch import group_by_size
 from repro.linalg.esp import _saddle_radius
 from repro.linalg.schur import schur_complement
-from repro.pram.tracker import current_tracker
+from repro.pram.tracker import current_tracker, determinant_work
 from repro.utils.validation import check_subset
 
 
@@ -134,7 +134,7 @@ def torus_tables(L: np.ndarray, parts: Sequence[Sequence[int]],
     chunk = max(1, _BUILD_CHUNK_BYTES // (n * n * itemsize))
     tracker = current_tracker()
     with tracker.round("partition-tables"):
-        tracker.charge(work=nodes * tracker.cost_model.determinant_work(n), machines=float(nodes))
+        tracker.charge(work=nodes * determinant_work(n), machines=float(nodes))
         for start in range(0, nodes, chunk):
             block = slice(start, start + chunk)
             stack = L[None] * z[block, None, :]
@@ -347,13 +347,13 @@ class PartitionDPP(HomogeneousDistribution):
                 # ``partition_function`` answers it: no query to charge
                 values[positions] = self.partition_function()
                 continue
-            tracker.charge(work=len(idx) * tracker.cost_model.determinant_work(size),
+            tracker.charge(work=len(idx) * determinant_work(size),
                            machines=float(len(idx)), oracle_calls=len(idx))
             if t == 0 and self._z is not None:
                 # a child's normalizer, summed by ``condition``: charged as
                 # ``_torus_counts`` charges it
                 tracker.charge(work=self._node_weights().size
-                               * tracker.cost_model.determinant_work(size))
+                               * determinant_work(size))
                 values[positions] = self._z
                 continue
             taken = (self._part_of[idx][:, :, None] == np.arange(self.r)).sum(axis=1)
@@ -374,7 +374,7 @@ class PartitionDPP(HomogeneousDistribution):
         _, inverses = self._node_tables()
         sets, t = idx.shape
         tracker = current_tracker()
-        tracker.charge(work=sets * weights.size * tracker.cost_model.determinant_work(t))
+        tracker.charge(work=sets * weights.size * determinant_work(t))
         return np.clip(_node_terms(idx, weights, inverses).real.sum(axis=1), 0.0, None)
 
     def joint_marginals_batch(self, subsets: Sequence[Sequence[int]]) -> np.ndarray:

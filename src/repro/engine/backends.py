@@ -354,13 +354,11 @@ def _process_worker_run(payload: BatchPayload, subsets: Sequence,
                                    Optional[Dict[str, object]]]:
     """Answer one chunk of a shipped batch inside a worker process.
 
-    Runs under a private tracker — built from the parent's shipped
-    :class:`~repro.pram.cost.CostModel` when one travels with the payload,
-    so work parity holds under custom models — and returns ``(values, work,
-    oracle_calls, span)`` so the parent can merge PRAM accounting exactly
-    like the thread backend merges its child trackers.  Kernels arrive as
-    shared-memory refs and are rebuilt once per process (see
-    :mod:`repro.engine.shm`).
+    Runs under a private tracker, which prices work as the parent's does,
+    and returns ``(values, work, oracle_calls, span)`` so the parent can
+    merge PRAM accounting exactly like the thread backend merges its child
+    trackers.  Kernels arrive as shared-memory refs and are rebuilt once per
+    process (see :mod:`repro.engine.shm`).
 
     ``span`` is a plain dict describing this chunk's execution when the
     payload carries a trace context (``None`` otherwise): the worker's obs
@@ -372,7 +370,7 @@ def _process_worker_run(payload: BatchPayload, subsets: Sequence,
     from repro.engine.shm import attach_shared_array
 
     chunk = tuple(tuple(s) for s in subsets)
-    child = Tracker(payload.cost_model) if payload.cost_model is not None else Tracker()
+    child = Tracker()
     started = time.perf_counter()
     with use_tracker(child):
         if payload.kind == "log_principal_minors":
@@ -518,28 +516,17 @@ class ProcessPoolBackend(ExecutionBackend):
     # ------------------------------------------------------------------ #
     # shipping
     # ------------------------------------------------------------------ #
-    def _payload(self, batch: OracleBatch,
-                 tracker: Optional[Tracker] = None) -> Optional[BatchPayload]:
-        """Shippable payload for ``batch``, or ``None`` to fall back.
-
-        The parent tracker's cost model ships with the payload (when it is
-        not the shared default) so worker trackers charge determinant work
-        on the parent's schedule — exact work parity under custom models.
-        """
+    def _payload(self, batch: OracleBatch) -> Optional[BatchPayload]:
+        """Shippable payload for ``batch``, or ``None`` to fall back."""
         from repro.engine.shm import shared_memory_available
-        from repro.pram.cost import DEFAULT_COST_MODEL
 
         if self._degraded is not None:
             return None
         if not shared_memory_available():
             self._degrade("multiprocessing.shared_memory is unavailable on this host")
             return None
-        cost_model = None
-        if tracker is not None and tracker.cost_model is not DEFAULT_COST_MODEL:
-            cost_model = tracker.cost_model
         try:
-            return batch.to_payload(publish=self._ensure_store().publish,
-                                    cost_model=cost_model)
+            return batch.to_payload(publish=self._ensure_store().publish)
         except Exception as exc:
             kind = type(batch.distribution).__name__ if batch.distribution is not None else "matrix"
             if kind not in self._warned_specs:
@@ -624,7 +611,7 @@ class ProcessPoolBackend(ExecutionBackend):
         """
         if not batch.subsets:
             return np.empty(0, dtype=float)
-        payload = self._payload(batch, tracker)
+        payload = self._payload(batch)
         if payload is not None:
             values = self._fan_out(payload, batch.subsets, tracker)
             if values is not None:

@@ -52,7 +52,6 @@ from repro.utils.subsets import Subset, subset_key
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.distributions.base import SubsetDistribution
-    from repro.pram.cost import CostModel
 
 #: the five request kinds understood by every backend
 BATCH_KINDS = ("counting", "joint_marginals", "marginal_vector",
@@ -156,8 +155,7 @@ class OracleBatch:
     # serialization round-trip contract (process backend / shm transport)
     # ------------------------------------------------------------------ #
     def to_payload(self, publish: Optional[Callable[[np.ndarray], object]] = None,
-                   *, normalizer: Optional[float] = None,
-                   cost_model: Optional["CostModel"] = None) -> "BatchPayload":
+                   *, normalizer: Optional[float] = None) -> "BatchPayload":
         """Picklable description of this batch for out-of-process execution.
 
         ``publish`` maps each heavy array to a transport token (the process
@@ -170,12 +168,9 @@ class OracleBatch:
         layer raises for genuinely unshippable state, e.g. closures).
 
         Contract: ``payload.to_batch(attach)`` answers every query with the
-        same values as the original batch, on every backend.
-
-        ``cost_model`` ships the parent tracker's :class:`CostModel` so
-        worker-side trackers charge determinant work with the parent's
-        schedule — exact work parity under custom models (workers used to
-        fall back to the default model).
+        same values as the original batch, on every backend, and a worker's
+        tracker charges them the work the parent's would: every tracker
+        prices a determinant by :func:`~repro.pram.tracker.determinant_work`.
         """
         publish = publish if publish is not None else (lambda a: a)
         matrix_token = publish(self.matrix) if self.matrix is not None else None
@@ -214,7 +209,6 @@ class OracleBatch:
             kind=self.kind, subsets=self.subsets, given=self.given, label=self.label,
             normalizer=normalizer if normalizer is not None else self._normalizer,
             matrix=matrix_token, spec=spec, pickled_distribution=blob,
-            cost_model=cost_model,
         )
 
 
@@ -236,8 +230,6 @@ class BatchPayload:
     matrix: Optional[object] = None
     spec: Optional[Dict[str, object]] = None
     pickled_distribution: Optional[bytes] = None
-    #: the parent tracker's cost model (``None`` -> workers use the default)
-    cost_model: Optional["CostModel"] = None
     #: ``(trace_id, parent_span_id)`` of the traced engine round shipping
     #: this payload, so worker chunks can report spans that join the
     #: request's tree; ``None`` when tracing is off or the round is untraced

@@ -1,20 +1,19 @@
-"""NC-flavoured linear algebra substrate.
+"""Linear algebra substrate.
 
-The paper's counting oracles reduce to determinants, characteristic
-polynomials, and Schur complements — all computable in ``NC`` [Csa75, Ber84].
-This package implements those primitives with NumPy/SciPy (vectorized, batched
-where possible) and exposes depth/work-aware wrappers that charge the PRAM
-tracker.
+The paper's counting oracles reduce to determinants and Schur complements,
+which Csanky put in ``NC`` [Csa75, Ber84]; the tracker charges each
+determinant as ``n³`` work.  This package implements those primitives with
+NumPy/SciPy (vectorized, batched where possible) and charges the PRAM
+tracker for them.
 """
 
-from repro.linalg.charpoly import faddeev_leverrier, char_poly_coefficients
 from repro.linalg.determinant import (
     determinant,
     log_determinant,
     principal_minor,
 )
 from repro.linalg.schur import schur_complement, condition_ensemble
-from repro.linalg.esp import elementary_symmetric_polynomials, esp_from_matrix
+from repro.linalg.esp import elementary_symmetric_polynomials
 from repro.linalg.batch import (
     conditioned_factor,
     factor_from_eigh,
@@ -35,15 +34,12 @@ from repro.linalg.psd import (
 )
 
 __all__ = [
-    "faddeev_leverrier",
-    "char_poly_coefficients",
     "determinant",
     "log_determinant",
     "principal_minor",
     "schur_complement",
     "condition_ensemble",
     "elementary_symmetric_polynomials",
-    "esp_from_matrix",
     "conditioned_factor",
     "grouped_log_principal_minors",
     "grouped_principal_minors",

@@ -6,9 +6,8 @@ appear in the size distribution of an unconstrained DPP, and the saddle-point
 radius below sets the torus of the Partition-DPP counting oracle [Cel+16].
 
 We compute them with the standard stable dynamic program (equivalent to
-expanding ``∏ (1 + λ_i t)``) and, as an ``NC``-flavoured alternative, from the
-characteristic polynomial of the matrix.  The program runs value by value,
-or order by order as cumulative sums (:func:`esp_prefix_table`).
+expanding ``∏ (1 + λ_i t)``), value by value or order by order as
+cumulative sums (:func:`esp_prefix_table`).
 
 A symmetric k-DPP's counting queries need no spectrum of their own:
 :func:`kdpp_counts_from_factor` reads ``Σ_{S ⊇ T, |S| = k} det(L_S)`` off
@@ -23,9 +22,7 @@ from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.linalg.charpoly import char_poly_coefficients
 from repro.pram.tracker import current_tracker
-from repro.utils.validation import check_square
 
 
 def elementary_symmetric_polynomials(values: np.ndarray, max_order: Optional[int] = None) -> np.ndarray:
@@ -75,43 +72,6 @@ def esp_prefix_table(values: np.ndarray, max_order: int) -> np.ndarray:
     for j in range(1, min(max_order, n) + 1):
         np.cumsum(vals[j - 1:] * table[j - 1, j - 1:-1], out=table[j, j:])
     return table
-
-
-def esp_from_matrix(matrix: np.ndarray, max_order: Optional[int] = None,
-                    method: str = "eigenvalues") -> np.ndarray:
-    """ESPs of the eigenvalues of ``matrix``.
-
-    Parameters
-    ----------
-    method:
-        ``"eigenvalues"`` (default, eigh/eig then the stable DP) or
-        ``"charpoly"`` (read ESPs off the characteristic polynomial,
-        ``e_j = (-1)^j c_j`` — the genuinely NC route, used for cross-checks).
-    """
-    a = check_square(matrix, "matrix")
-    n = a.shape[0]
-    current_tracker().charge_determinant(n)
-    if method == "charpoly":
-        coeffs = char_poly_coefficients(a)
-        esp = np.array([(-1.0) ** j * coeffs[j] for j in range(n + 1)])
-    elif method == "eigenvalues":
-        if n == 0:
-            esp = np.array([1.0])
-        else:
-            if np.allclose(a, a.T):
-                eigenvalues = np.linalg.eigvalsh(a)
-            else:
-                eigenvalues = np.linalg.eigvals(a)
-            # a complex-conjugate pair contributes |λ|² to e_2: only the
-            # polynomials, never the eigenvalues, may drop their imaginary part
-            esp = elementary_symmetric_polynomials(eigenvalues).real
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    if max_order is not None:
-        if max_order + 1 <= esp.size:
-            return esp[: max_order + 1]
-        return np.concatenate([esp, np.zeros(max_order + 1 - esp.size)])
-    return esp
 
 
 #: a counting coefficient below ``-_NEGATIVE_TOL`` times the polynomial's mean

@@ -256,6 +256,22 @@ def symmetric_rank_one_terms(u: np.ndarray, v: Optional[np.ndarray] = None,
     return tuple(terms)
 
 
+#: rows of ``rho · u vᵀ`` that :func:`_add_outer` forms at a time
+_OUTER_BLOCK_ROWS = 64
+
+
+def _add_outer(out: np.ndarray, rho: float, u: np.ndarray, v: np.ndarray) -> None:
+    """``out += rho * np.outer(u, v)``, bitwise, one block of rows at a time.
+
+    Each element is ``rho * (u_i * v_j)`` either way, so blocking changes no
+    bit; it keeps the temporary at ``_OUTER_BLOCK_ROWS`` rows instead of a
+    second ``n x n`` array.
+    """
+    for start in range(0, out.shape[0], _OUTER_BLOCK_ROWS):
+        rows = slice(start, start + _OUTER_BLOCK_ROWS)
+        out[rows] += rho * np.outer(u[rows], v)
+
+
 # --------------------------------------------------------------------------- #
 # the serializable mutation descriptor
 # --------------------------------------------------------------------------- #
@@ -400,10 +416,10 @@ class KernelUpdate:
             out = np.array(matrix, dtype=float, copy=True)
             if kind == "symmetric":
                 for z, rho in self.rank_one_terms(kind):
-                    out += rho * np.outer(z, z)
+                    _add_outer(out, rho, z, z)
             else:
-                v = self.u if self.v is None else self.v
-                out += self.weight * np.outer(self.u, v)
+                _add_outer(out, self.weight, self.u,
+                           self.u if self.v is None else self.v)
         elif self.op == "append_rows":
             if self.rows.shape[1] != matrix.shape[1]:
                 raise ValueError(

@@ -18,6 +18,10 @@ A module-level *current tracker* (:func:`current_tracker`) lets low-level
 oracles charge costs without having a tracker threaded through every call
 signature; samplers install their tracker with :func:`use_tracker`.
 
+Work is priced as the paper prices every count: determinants, which Csanky
+put in ``NC`` (Proposition 13).  :func:`determinant_work` charges ``n³``
+for one ``n x n`` determinant; the exponent affects no depth claim.
+
 A tracker keeps totals only.  The per-round record is written by the engine:
 :meth:`~repro.engine.backends.ExecutionBackend.execute` hands the work and
 oracle calls charged during one round, as deltas of these totals, to
@@ -30,14 +34,16 @@ import contextlib
 from contextvars import ContextVar
 from typing import Iterator, List
 
-from repro.pram.cost import CostModel, DEFAULT_COST_MODEL
+
+def determinant_work(n: int) -> float:
+    """Work charged for one determinant of an ``n x n`` matrix: ``max(n, 1)³``."""
+    return float(max(n, 1)) ** 3
 
 
 class Tracker:
     """Accumulates PRAM depth and work for one sampler execution."""
 
-    def __init__(self, cost_model: CostModel = DEFAULT_COST_MODEL):
-        self.cost_model = cost_model
+    def __init__(self) -> None:
         self.rounds: int = 0
         self.work: float = 0.0
         self.oracle_calls: int = 0
@@ -84,23 +90,15 @@ class Tracker:
     def charge_determinant(self, n: int, count: int = 1) -> None:
         """Charge ``count`` independent determinant evaluations on ``n x n``
         matrices (one batched ``Õ(1)``-depth block)."""
-        work = count * self.cost_model.determinant_work(n)
-        self.charge(work=work, machines=float(count), oracle_calls=count)
-
-    def charge_oracle(self, n: int, queries: int = 1) -> None:
-        """Charge ``queries`` independent counting-oracle queries."""
-        self.charge(
-            work=self.cost_model.oracle_query_work(n, queries),
-            machines=float(queries),
-            oracle_calls=queries,
-        )
+        self.charge(work=count * determinant_work(n), machines=float(count),
+                    oracle_calls=count)
 
     # ------------------------------------------------------------------ #
     # merging parallel branches (recursive samplers, e.g. Theorem 11)
     # ------------------------------------------------------------------ #
     def spawn(self) -> "Tracker":
         """Create a child tracker for a parallel branch."""
-        return Tracker(self.cost_model)
+        return Tracker()
 
     def merge_parallel(self, branches: List["Tracker"]) -> None:
         """Merge branch trackers executed *in parallel*: depth is the max of
@@ -114,14 +112,6 @@ class Tracker:
         combined_machines = sum(max(b.peak_machines, 1.0) for b in branches)
         if combined_machines > self.peak_machines:
             self.peak_machines = combined_machines
-
-    def merge_sequential(self, branch: "Tracker") -> None:
-        """Merge a branch executed *after* the current work (depths add)."""
-        self.add_rounds(branch.rounds)
-        self.work += branch.work
-        self.oracle_calls += branch.oracle_calls
-        if branch.peak_machines > self.peak_machines:
-            self.peak_machines = branch.peak_machines
 
     # ------------------------------------------------------------------ #
     def snapshot(self) -> dict:
@@ -162,9 +152,6 @@ class _NullTracker(Tracker):
         pass
 
     def merge_parallel(self, branches: List["Tracker"]) -> None:
-        pass
-
-    def merge_sequential(self, branch: "Tracker") -> None:
         pass
 
 

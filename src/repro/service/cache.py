@@ -4,7 +4,7 @@ Every sampler in this repository front-loads the same expensive linear
 algebra before any randomness happens: the eigendecomposition of the
 symmetrized ensemble and what derives from it (a rank-revealing PSD factor,
 its Gram and the Gram's eigendecomposition, the size distribution),
-characteristic-polynomial minor sums (the nonsymmetric DPP's cardinality),
+principal-minor sums (the nonsymmetric DPP's cardinality),
 the torus-oracle node tables (partition kernels and nonsymmetric k-DPPs),
 and a low-rank factor's whitened basis and proposal tables (the
 intermediate sampler's, whose warm draw then costs ``O(√(n·k)·m)`` where a
@@ -374,8 +374,8 @@ class KernelFactorization:
             new._install_patched("eigh", (self._freeze(np.clip(lam, 0.0, None)),
                                           self._freeze(vec)))
         elif self.kind != "lowrank":
-            # no eigh to patch, or a nonsymmetric kernel: its charpoly memos
-            # and torus tables have no cheap incremental form
+            # no eigh to patch, or a nonsymmetric kernel: its principal-minor
+            # sums and torus tables have no cheap incremental form
             return new
         for name in _ARTIFACTS[self.kind]:
             if name in sources:

@@ -270,7 +270,7 @@ class KernelRegistry:
         increments.  The predecessor's cache entry is invalidated unless
         another registration shares its content, so the cache holds the live
         epoch only; a session still serving the old epoch recomputes its
-        artifacts from its entry snapshot on its next draw.
+        artifacts from its entry snapshot and keeps them itself.
         """
         with self._lock:
             entry = self.get(name)
@@ -383,6 +383,12 @@ class KernelRegistry:
                 raise KeyError(
                     f"no kernel registered under {name!r}; known: {sorted(self._entries)}"
                 ) from None
+
+    def is_live(self, entry: RegisteredKernel) -> bool:
+        """Whether ``entry`` is the epoch its name serves now."""
+        with self._lock:
+            current = self._entries.get(entry.name)
+        return current is not None and current.fingerprint == entry.fingerprint
 
     def names(self) -> List[str]:
         with self._lock:

@@ -49,10 +49,11 @@ __all__ = ["SamplerSession"]
 class SamplerSession:
     """A warm handle for repeated sampling against one registered kernel.
 
-    Sessions are cheap: they hold no heavy state of their own.  Every
-    artifact and every served distribution is the registry's factorization
-    cache's (:meth:`KernelFactorization.distribution`), one per kernel epoch
-    and cardinality, shared by every session of the epoch.
+    Sessions are cheap: the artifacts and served distributions of the epoch
+    their kernel's name serves are the registry's factorization cache's
+    (:meth:`KernelFactorization.distribution`), one per kernel epoch and
+    cardinality, shared by every session of the epoch.  Only a session left
+    on a superseded epoch keeps that epoch's factorization itself.
 
     Every session belongs to a :class:`~repro.service.registry.KernelRegistry`
     and holds one pin on its kernel's name, taken by whoever opened it
@@ -65,7 +66,8 @@ class SamplerSession:
     """
 
     #: concurrency contract, enforced by ``repro.analysis`` (R2 + race harness)
-    _GUARDED_BY = {"_lock": ("_entry", "_scheduler", "_closed", "samples_served")}
+    _GUARDED_BY = {"_lock": ("_entry", "_scheduler", "_closed", "samples_served",
+                             "_superseded")}
 
     def __init__(self, registry: KernelRegistry, entry: RegisteredKernel, *,
                  backend: BackendLike = None):
@@ -77,6 +79,7 @@ class SamplerSession:
         self._scheduler = None
         self._closed = False
         self.samples_served = 0
+        self._superseded: Optional[KernelFactorization] = None
 
     # ------------------------------------------------------------------ #
     # lifecycle
@@ -94,6 +97,7 @@ class SamplerSession:
             self._closed = True
             name = self._entry.name
             self._scheduler = None
+            self._superseded = None
         self._registry.release(name)
 
     @property
@@ -139,7 +143,28 @@ class SamplerSession:
     @property
     def factorization(self) -> KernelFactorization:
         """The kernel's cached (or, on a cold cache, freshly computed) artifacts."""
-        return self.cache.factorization(self.entry)
+        return self._factorization(self.entry)
+
+    def _factorization(self, entry: RegisteredKernel) -> KernelFactorization:
+        """The factorization a draw on ``entry`` reads.
+
+        The shared cache's while ``entry`` is the epoch its name serves, or
+        while the cache holds it for another registration of equal content.
+        Any other superseded epoch's is kept by this session instead, so the
+        draws of a session left on an old epoch do not put that epoch back in
+        the cache, and the session drops it when it updates, adopts an entry
+        or closes.  With ``capacity=0`` nothing is kept.
+        """
+        if (self.cache.capacity == 0 or self._registry.is_live(entry)
+                or entry.fingerprint in self.cache):
+            return self.cache.factorization(entry)
+        with self._lock:
+            fact = self._superseded
+            if fact is None or fact.fingerprint != entry.fingerprint:
+                fact = self._superseded = KernelFactorization(
+                    entry.matrix, fingerprint=entry.fingerprint, kind=entry.kind,
+                    parts=entry.parts, counts=entry.counts)
+            return fact
 
     def warm(self) -> "SamplerSession":
         """Precompute every factorization artifact this kernel's samplers use.
@@ -161,7 +186,7 @@ class SamplerSession:
                 "warmed artifacts could not be retained",
                 RuntimeWarning, stacklevel=2)
             return self
-        self.cache.factorization(entry).warm()
+        self._factorization(entry).warm()
         return self
 
     def distribution(self, k: Optional[int] = None) -> SubsetDistribution:
@@ -231,7 +256,7 @@ class SamplerSession:
     def _sample_spectral(self, entry: RegisteredKernel, k: Optional[int],
                          seed: SeedLike, tracker: Optional[Tracker],
                          backend: BackendLike = None) -> SampleResult:
-        eigh = self.cache.factorization(entry).eigh_pair
+        eigh = self._factorization(entry).eigh_pair
         backend = backend if backend is not None else self.backend
         trk = tracker if tracker is not None else Tracker()
         with use_tracker(trk):
@@ -252,7 +277,7 @@ class SamplerSession:
         cache supplies the one-time ``O(n·k² + k³)`` whitening and its
         ``O(n·k)`` proposal tables, never touches the per-sample randomness.
         """
-        fact = self.cache.factorization(entry)
+        fact = self._factorization(entry)
         whitened, tables = fact.lowrank_whitened, fact.lowrank_proposal_tables
         trk = tracker if tracker is not None else Tracker()
         with use_tracker(trk):
@@ -273,7 +298,7 @@ class SamplerSession:
             return self._sample_parallel_unconstrained(entry, seed, tracker, backend,
                                                        delta, config)
         if entry.kind in ("partition", "nonsymmetric"):
-            return sample_entropic_parallel(self.cache.factorization(entry).distribution(k),
+            return sample_entropic_parallel(self._factorization(entry).distribution(k),
                                             config, seed, tracker=tracker, backend=backend)
         # symmetric / low-rank k-DPP: same driver construction as
         # sample_symmetric_kdpp_parallel, so warm draws replay the cold
@@ -289,7 +314,7 @@ class SamplerSession:
             driver = config
         else:
             driver = kdpp_batched_config(kk, delta)
-        return batched_sample(self.cache.factorization(entry).distribution(kk), driver, seed,
+        return batched_sample(self._factorization(entry).distribution(kk), driver, seed,
                               tracker=tracker, backend=backend)
 
     def _sample_parallel_unconstrained(self, entry: RegisteredKernel, seed: SeedLike,
@@ -305,7 +330,7 @@ class SamplerSession:
         """
         if entry.kind == "nonsymmetric":
             check_grid_budget((entry.n + 1,), entry.n)
-        sizes = self.cache.factorization(entry).size_distribution
+        sizes = self._factorization(entry).size_distribution
         return sample_by_cardinality(
             lambda: sizes,
             lambda k, rng, trk: self._sample_parallel(entry, k, rng, trk, backend,
@@ -351,6 +376,7 @@ class SamplerSession:
             # on this kernel opens on the new epoch
             entry = self._registry.apply_update(self._entry.name, update)
             self._entry = entry
+            self._superseded = None
             return entry
 
     def adopt_entry(self, entry: RegisteredKernel) -> bool:
@@ -366,6 +392,7 @@ class SamplerSession:
             if entry.epoch < self._entry.epoch:
                 return False
             self._entry = entry
+            self._superseded = None
             return True
 
     # ------------------------------------------------------------------ #

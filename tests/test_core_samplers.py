@@ -19,7 +19,6 @@ from repro.core.symmetric import (
     sample_symmetric_dpp_parallel,
     sample_symmetric_kdpp_parallel,
 )
-from repro.dpp.elementary import dpp_size_distribution
 from repro.dpp.exact import (
     exact_dpp_distribution,
     exact_kdpp_distribution,
@@ -27,7 +26,7 @@ from repro.dpp.exact import (
 )
 from repro.dpp.nonsymmetric import NonsymmetricKDPP
 from repro.dpp.partition import PartitionDPP
-from repro.dpp.symmetric import SymmetricKDPP
+from repro.dpp.symmetric import SymmetricDPP, SymmetricKDPP
 from repro.pram.tracker import Tracker, use_tracker
 from repro.utils.rng import as_generator
 from repro.workloads import (
@@ -226,7 +225,7 @@ class TestTheorem10Symmetric:
         rng = as_generator(seed)
         tracker = Tracker()
         with use_tracker(tracker), tracker.round("cardinality-sampling"):
-            sizes = dpp_size_distribution(L)
+            sizes = SymmetricDPP(L).cardinality_distribution()
             k = int(rng.choice(sizes.size, p=sizes))
         expected = sample_symmetric_kdpp_parallel(L, k, seed=rng, tracker=tracker)
         assert result.subset == expected.subset

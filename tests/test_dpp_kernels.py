@@ -14,7 +14,6 @@ from repro.dpp.likelihood import (
     all_principal_minor_sums,
     dpp_log_unnormalized,
     dpp_unnormalized,
-    sum_principal_minors,
 )
 from repro.dpp.exact import exact_dpp_distribution
 from repro.dpp.symmetric import SymmetricDPP
@@ -111,21 +110,21 @@ class TestLikelihood:
         L = random_npsd_ensemble(5, seed=2)
         from itertools import combinations
 
+        sums = all_principal_minor_sums(L)
+        assert sums.shape == (6,)
         for order in range(6):
             expected = sum(
                 np.linalg.det(L[np.ix_(s, s)]) if s else 1.0
                 for s in combinations(range(5), order)
             )
-            assert sum_principal_minors(L, order) == pytest.approx(expected, rel=1e-7, abs=1e-9)
+            assert sums[order] == pytest.approx(expected, rel=1e-7, abs=1e-9)
 
-    def test_sum_principal_minors_out_of_range(self, small_psd):
-        assert sum_principal_minors(small_psd, 99) == 0.0
-        assert sum_principal_minors(small_psd, -1) == 0.0
-
-    def test_all_principal_minor_sums_consistent(self, small_npsd):
-        sums = all_principal_minor_sums(small_npsd)
-        for order in range(small_npsd.shape[0] + 1):
-            assert sums[order] == pytest.approx(sum_principal_minors(small_npsd, order), rel=1e-7, abs=1e-9)
+    def test_all_principal_minor_sums_consistent(self):
+        # eigenvalues 1 ± 2i: the sums are [1, 2, 5], not the [1, 2, 1] of
+        # the real parts
+        rotation = np.array([[1.0, -2.0], [2.0, 1.0]])
+        np.testing.assert_allclose(all_principal_minor_sums(rotation), [1.0, 2.0, 5.0])
+        assert np.array_equal(all_principal_minor_sums(np.zeros((0, 0))), [1.0])
 
     def test_batched_joint_marginals_match_exact(self, small_psd):
         exact = exact_dpp_distribution(small_psd)

@@ -8,7 +8,7 @@ import pytest
 import repro
 from repro.core.nonsymmetric import sample_nonsymmetric_dpp_parallel
 from repro.dpp.exact import exact_dpp_distribution, exact_kdpp_distribution
-from repro.dpp.likelihood import sum_principal_minors
+from repro.dpp.likelihood import all_principal_minor_sums
 from repro.dpp.nonsymmetric import NonsymmetricDPP, NonsymmetricKDPP
 from repro.dpp.partition import InterpolationGridTooLarge
 from repro.distributions.negative_corr import negative_correlation_violations
@@ -233,15 +233,16 @@ class TestNonsymmetricExactness:
         # log-space weights keep it exact
         L = 1e-3 * np.eye(200)
         assert NonsymmetricKDPP(L, 110).partition_function() == pytest.approx(
-            sum_principal_minors(L, 110), rel=1e-10)
+            all_principal_minor_sums(L)[110], rel=1e-10)
         # ρ^30 ~ 1e323 at n = 40, k = 30, scale 5e-11; a child on 20 items
         L = 5e-11 * random_npsd_ensemble(40, seed=4)
         root = NonsymmetricKDPP(L, 30)
-        assert root.partition_function() == pytest.approx(sum_principal_minors(L, 30), rel=1e-10)
+        assert root.partition_function() == pytest.approx(
+            all_principal_minor_sums(L)[30], rel=1e-10)
         given = tuple(range(0, 40, 2))
         child = root.condition(given)
         assert child.partition_function() == pytest.approx(
-            sum_principal_minors(_schur(L, given), 10), rel=1e-10)
+            all_principal_minor_sums(_schur(L, given))[10], rel=1e-10)
         assert child.marginal_vector().sum() == pytest.approx(10, abs=1e-10)
 
     def test_deep_children_at_large_k_share_of_n(self):
@@ -258,7 +259,7 @@ class TestNonsymmetricExactness:
             dist = dist.condition([dist.ground_labels.index(item) for item in batch])
             given = sorted(given + batch)
             assert dist.partition_function() == pytest.approx(
-                sum_principal_minors(_schur(L, given), k - len(given)), rel=1e-10)
+                all_principal_minor_sums(_schur(L, given))[k - len(given)], rel=1e-10)
             assert dist.marginal_vector().sum() == pytest.approx(dist.k, abs=1e-10)
 
     def test_size_ceiling_refused_before_allocating(self):

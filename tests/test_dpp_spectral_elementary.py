@@ -6,18 +6,15 @@ import pytest
 import repro.dpp.elementary
 import repro.engine.backends
 from repro import serve
-from repro.dpp.elementary import (
-    dpp_size_distribution,
-    kdpp_marginals_from_factor,
-    leave_one_out_esp,
-)
+from repro.dpp.elementary import kdpp_marginals_from_factor, leave_one_out_esp
 from repro.dpp.exact import exact_dpp_distribution, exact_kdpp_distribution
 from repro.dpp.spectral import (
     sample_dpp_spectral,
     sample_kdpp_spectral,
     select_kdpp_eigenvectors,
 )
-from repro.dpp.symmetric import SymmetricKDPP
+from repro.dpp.nonsymmetric import NonsymmetricDPP
+from repro.dpp.symmetric import SymmetricDPP, SymmetricKDPP
 from repro.linalg.batch import hkpv_projection_step, psd_factor
 from repro.linalg.esp import elementary_symmetric_polynomials
 from repro.linalg.psd import random_orthogonal
@@ -103,8 +100,9 @@ def factor_marginals(L, k):
 class TestElementary:
     def test_size_distribution_matches_exact(self, small_psd):
         rotation = np.array([[1.0, -2.0], [2.0, 1.0]])  # eigenvalues 1 ± 2i
-        for L in (small_psd, rotation):
-            sizes = dpp_size_distribution(L)
+        for dpp in (SymmetricDPP(small_psd), NonsymmetricDPP(rotation)):
+            L = dpp.L
+            sizes = dpp.cardinality_distribution()
             exact = exact_dpp_distribution(L)
             expected = np.zeros(L.shape[0] + 1)
             for subset, prob in exact.items():
@@ -192,7 +190,7 @@ class TestSpectralSamplers:
 
     def test_dpp_sampler_size_distribution(self, small_low_rank_psd):
         rng = np.random.default_rng(1)
-        expected = dpp_size_distribution(small_low_rank_psd)
+        expected = SymmetricDPP(small_low_rank_psd).cardinality_distribution()
         sizes = np.zeros(8)
         num_samples = 3000
         for _ in range(num_samples):

@@ -1,16 +1,15 @@
-"""Tests for repro.linalg: charpoly, determinants, Schur, ESPs, PSD helpers."""
+"""Tests for repro.linalg: determinants, Schur, ESPs, PSD helpers."""
 
 import numpy as np
 import pytest
 
 from repro.linalg.batch import grouped_principal_minors
-from repro.linalg.charpoly import char_poly_coefficients, faddeev_leverrier
 from repro.linalg.determinant import (
     determinant,
     log_determinant,
     principal_minor,
 )
-from repro.linalg.esp import elementary_symmetric_polynomials, esp_from_matrix
+from repro.linalg.esp import elementary_symmetric_polynomials
 from repro.linalg.psd import (
     is_npsd,
     is_psd,
@@ -20,10 +19,6 @@ from repro.linalg.psd import (
     symmetrize,
 )
 from repro.linalg.schur import condition_ensemble, schur_complement
-from repro.workloads import random_psd_ensemble
-
-#: eigenvalues 1 ± 2i: e = [1, 2, 5], not the [1, 2, 1] of the real parts
-ROTATION = np.array([[1.0, -2.0], [2.0, 1.0]])
 
 
 def reference_esp(values, max_order=None):
@@ -38,33 +33,6 @@ def reference_esp(values, max_order=None):
     for x in vals:
         esp[1:upper + 1] = esp[1:upper + 1] + x * esp[0:upper]
     return esp
-
-
-class TestCharPoly:
-    def test_faddeev_matches_numpy_poly(self, rng):
-        a = rng.standard_normal((5, 5))
-        coeffs = faddeev_leverrier(a)
-        expected = np.poly(a)
-        assert np.allclose(coeffs, expected, atol=1e-8)
-
-    def test_char_poly_matches_numpy_poly(self, rng):
-        a = rng.standard_normal((6, 6))
-        coeffs = char_poly_coefficients(a)
-        expected = np.poly(a)
-        assert np.allclose(coeffs, expected, atol=1e-6 * max(1.0, np.abs(expected).max()))
-
-    def test_identity_matrix(self):
-        coeffs = faddeev_leverrier(np.eye(3))
-        # det(tI - I) = (t-1)^3 = t^3 - 3t^2 + 3t - 1
-        assert np.allclose(coeffs, [1, -3, 3, -1])
-
-    def test_constant_term_is_signed_determinant(self, rng):
-        a = rng.standard_normal((4, 4))
-        coeffs = faddeev_leverrier(a)
-        assert coeffs[-1] == pytest.approx((-1) ** 4 * np.linalg.det(a), rel=1e-8)
-
-    def test_empty_matrix(self):
-        assert np.allclose(char_poly_coefficients(np.zeros((0, 0))), [1.0])
 
 
 class TestDeterminants:
@@ -183,35 +151,6 @@ class TestESP:
         table = elementary_symmetric_polynomials(stack)
         for row in range(6):
             np.testing.assert_allclose(table[:, row], np.poly(-stack[row]), rtol=1e-13)
-
-    def test_esp_from_matrix_matches_eigenvalues(self, small_psd):
-        eigs = np.linalg.eigvalsh(small_psd)
-        expected = elementary_symmetric_polynomials(eigs)
-        via_matrix = esp_from_matrix(small_psd)
-        assert np.allclose(via_matrix, expected, rtol=1e-8)
-
-    def test_esp_charpoly_route_agrees(self, small_psd):
-        for matrix in (small_psd, ROTATION):
-            a = esp_from_matrix(matrix, method="eigenvalues")
-            b = esp_from_matrix(matrix, method="charpoly")
-            assert np.allclose(a, b, rtol=1e-6, atol=1e-8)
-
-    def test_esp_sum_of_minors_identity(self, rng):
-        # e_j(eigenvalues) equals the sum of j x j principal minors
-        a = random_psd_ensemble(5, seed=3)
-        esp = esp_from_matrix(a)
-        from itertools import combinations
-
-        for j in range(6):
-            total = sum(
-                np.linalg.det(a[np.ix_(s, s)]) if s else 1.0
-                for s in combinations(range(5), j)
-            )
-            assert esp[j] == pytest.approx(total, rel=1e-8)
-
-    def test_unknown_method_raises(self, small_psd):
-        with pytest.raises(ValueError):
-            esp_from_matrix(small_psd, method="nope")
 
 
 class TestPSD:

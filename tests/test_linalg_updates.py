@@ -238,6 +238,35 @@ class TestKernelUpdateDescriptor:
         assert not np.shares_memory(out, B)
         assert peak < 1.5 * out.nbytes
 
+    @pytest.mark.parametrize("n", [7, 300, 2000])
+    def test_dense_apply_is_the_one_outer_update_bitwise(self, n):
+        rng = np.random.default_rng(n)
+        L = rng.standard_normal((n, n))
+        u, v = rng.standard_normal(n), rng.standard_normal(n)
+        update = KernelUpdate.rank_one(u, v, weight=0.7)
+        terms = update.rank_one_terms("symmetric")
+        # the symmetrized u vᵀ + v uᵀ splits into terms of both signs
+        assert sorted(np.sign(rho) for _z, rho in terms) == [-1.0, 1.0]
+        expected = L.copy()
+        for z, rho in terms:
+            expected += rho * np.outer(z, z)
+        assert np.array_equal(update.apply(L, "symmetric"), expected)
+        assert np.array_equal(update.apply(L, "nonsymmetric"),
+                              L + 0.7 * np.outer(u, v))
+
+    def test_dense_apply_forms_no_second_square_array(self):
+        rng = np.random.default_rng(5)
+        L = rng.standard_normal((2000, 2000))
+        update = KernelUpdate.rank_one(rng.standard_normal(2000),
+                                       rng.standard_normal(2000), weight=-0.3)
+        tracemalloc.start()
+        try:
+            out = update.apply(L, "symmetric")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * out.nbytes
+
     def test_delta_nbytes_counts_payload_only(self):
         up = KernelUpdate.append_rows(np.ones((3, 5)))
         assert up.delta_nbytes == 3 * 5 * 8

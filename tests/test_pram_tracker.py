@@ -1,4 +1,4 @@
-"""Tests for the PRAM cost model and tracker."""
+"""Tests for the PRAM work price and tracker."""
 
 import os
 import sys
@@ -10,23 +10,22 @@ from repro import obs, serve
 from repro.dpp.symmetric import SymmetricKDPP
 from repro.engine.backends import SerialBackend
 from repro.engine.batch import OracleBatch
-from repro.pram.cost import CostModel
-from repro.pram.tracker import Tracker, current_tracker, null_tracker, use_tracker
+from repro.pram.tracker import (
+    Tracker,
+    current_tracker,
+    determinant_work,
+    null_tracker,
+    use_tracker,
+)
 from repro.workloads import random_psd_ensemble
 
 
 class TestCostModel:
     def test_determinant_work_scaling(self):
-        model = CostModel(determinant_exponent=3.0)
-        assert model.determinant_work(10) == pytest.approx(1000.0)
+        assert determinant_work(10) == 1000.0
 
     def test_determinant_work_minimum(self):
-        model = CostModel()
-        assert model.determinant_work(0) == pytest.approx(1.0)
-
-    def test_oracle_query_work(self):
-        model = CostModel(determinant_exponent=2.0)
-        assert model.oracle_query_work(4, queries=3) == pytest.approx(3 * 16.0)
+        assert determinant_work(0) == 1.0
 
 
 class TestTrackerRounds:
@@ -165,16 +164,11 @@ class TestTrackerCharges:
         assert t.peak_machines == pytest.approx(3.0)
 
     def test_charge_determinant(self):
-        t = Tracker(CostModel(determinant_exponent=3.0))
+        t = Tracker()
         t.charge_determinant(4, count=2)
         assert t.work == pytest.approx(2 * 64.0)
         assert t.oracle_calls == 2
-
-    def test_charge_oracle(self):
-        t = Tracker()
-        t.charge_oracle(5, queries=7)
-        assert t.oracle_calls == 7
-        assert t.peak_machines == pytest.approx(7.0)
+        assert t.peak_machines == pytest.approx(2.0)
 
     def test_snapshot_keys(self):
         t = Tracker()
@@ -219,7 +213,7 @@ class TestTrackerMerging:
         for depth, branch in zip((2, 4, 1), branches):
             for _ in range(depth):
                 with branch.round():
-                    branch.charge_oracle(4, queries=2)
+                    branch.charge_determinant(4, count=2)
         parent.merge_parallel(branches)
         assert parent.rounds == 1 + 4
         assert parent.oracle_calls == 1 + 2 * (2 + 4 + 1)
@@ -242,17 +236,6 @@ class TestTrackerMerging:
             child.charge(work=1.0)
         parent.merge_parallel([child])
         assert parent.rounds == 1
-
-    def test_merge_sequential_adds_depth(self):
-        parent = Tracker()
-        with parent.round():
-            pass
-        child = parent.spawn()
-        for _ in range(2):
-            with child.round():
-                pass
-        parent.merge_sequential(child)
-        assert parent.rounds == 3
 
 
 class TestCurrentTracker:

@@ -19,7 +19,7 @@ from repro.dpp.spectral import sample_kdpp_spectral
 from repro.service import FactorizationCache, KernelRegistry, RoundScheduler, serve
 from repro.distributions.generic import ExplicitDistribution
 from repro.dpp.kernels import ensemble_to_kernel, kernel_to_ensemble
-from repro.dpp.likelihood import sum_principal_minors
+from repro.dpp.likelihood import all_principal_minor_sums
 from repro.linalg.esp import elementary_symmetric_polynomials
 from repro.linalg.psd import is_npsd, is_psd
 from repro.linalg.schur import condition_ensemble
@@ -155,7 +155,7 @@ class TestESPProperties:
     def test_minor_sums_nonnegative_for_psd(self, L, order):
         if order > L.shape[0]:
             return
-        assert sum_principal_minors(L, order) >= -1e-7
+        assert all_principal_minor_sums(L)[order] >= -1e-7
 
 
 # ---------------------------------------------------------------------- #

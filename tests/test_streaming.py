@@ -11,12 +11,19 @@ depth rule must flip long chains to a lazy rebuild, and the cluster must
 ship O(n·k) deltas over a verified fingerprint chain.
 """
 
+import contextlib
+import os
+import sys
+import threading
+from unittest import mock
+
 import numpy as np
 import pytest
 
 import repro
 from repro import obs
 from repro.cluster import LocalCluster, serve_cluster
+from repro.linalg.batch import symmetrized_eigh
 from repro.linalg.updates import KernelUpdate
 from repro.service.registry import KernelRegistry
 from repro.workloads import random_npsd_ensemble, random_psd_ensemble
@@ -44,6 +51,21 @@ def factor():
 def _cold(matrix, **kwargs):
     """A fresh single-node session on an independent registry/cache."""
     return repro.serve(matrix, registry=KernelRegistry(), **kwargs)
+
+
+@contextlib.contextmanager
+def _counting_decompositions():
+    """Record the shape of every ``symmetrized_eigh`` a served draw runs."""
+    calls = []
+
+    def counting(ensemble):
+        calls.append(np.shape(ensemble))
+        return symmetrized_eigh(ensemble)
+
+    with mock.patch("repro.service.cache.symmetrized_eigh", counting), \
+            mock.patch("repro.dpp.symmetric.symmetrized_eigh", counting), \
+            mock.patch("repro.dpp.spectral.symmetrized_eigh", counting):
+        yield calls
 
 
 def _vectors(n, seed=100):
@@ -249,6 +271,73 @@ class TestEpochs:
         for seed in SEEDS:
             assert reader.sample(k=K, seed=seed, method=method).subset == \
                 cold.sample(k=K, seed=seed, method=method).subset
+
+    @pytest.mark.parametrize("method", ["spectral", "parallel"])
+    def test_superseded_epoch_stays_out_of_the_cache(self, psd, method):
+        registry = KernelRegistry()
+        registry.register("pair", psd)
+        writer, reader = registry.session("pair").warm(), registry.session("pair")
+        u, _ = _vectors(psd.shape[0], seed=306)
+        writer.update(u, weight=0.1)
+        with _counting_decompositions() as decompositions:
+            first = reader.sample(k=K, seed=0, method=method)
+            # the stale draw keeps its epoch in the session, not the cache
+            assert len(registry.cache) == 1
+            assert decompositions
+            decompositions.clear()
+            second = reader.sample(k=K, seed=0, method=method)
+        assert decompositions == []
+        assert first.subset == second.subset
+        assert len(registry.cache) == 1
+
+    def test_superseded_epoch_another_name_serves_reads_the_cache(self, psd):
+        registry = KernelRegistry()
+        registry.register("a", psd)
+        registry.register("b", psd)
+        writer, reader = registry.session("a"), registry.session("a")
+        registry.session("b").warm()
+        u, _ = _vectors(psd.shape[0], seed=308)
+        writer.update(u, weight=0.1)
+        with _counting_decompositions() as decompositions:
+            reader.sample(k=K, seed=0, method="parallel")
+        assert decompositions == []
+        assert len(registry.cache) == 2
+
+    def test_concurrent_stale_draws_share_one_kept_factorization(self, psd):
+        registry = KernelRegistry()
+        registry.register("pair", psd)
+        writer, reader = registry.session("pair"), registry.session("pair")
+        u, _ = _vectors(psd.shape[0], seed=307)
+        writer.update(u, weight=0.1)
+        cold = _cold(psd)
+        expected = [cold.sample(k=K, seed=seed, method="parallel").subset
+                    for seed in range(8)]
+        results, errors = {}, []
+
+        def draw(seed):
+            try:
+                results[seed] = reader.sample(k=K, seed=seed, method="parallel").subset
+            except Exception as exc:  # surfaced by the assertion below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=draw, args=(seed,))
+                   for seed in range(2 * (os.cpu_count() or 1) + 4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with _counting_decompositions() as decompositions:
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        # one kept factorization: its eigh and Gram eigh ran once between them
+        assert len(decompositions) == 2
+        assert [results[seed] for seed in range(8)] == expected
+        assert len(registry.cache) == 1
 
     def test_update_serves_a_new_distribution_while_the_old_epoch_draws_on(self, psd):
         registry = KernelRegistry()
