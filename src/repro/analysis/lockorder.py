@@ -43,7 +43,6 @@ LOCK_ORDER: Tuple[Tuple[str, str], ...] = (
     ("MetricsRegistry", "_lock"),
     ("_Instrument", "_lock"),
     ("Counter", "_lock"),
-    ("Gauge", "_lock"),
     ("Histogram", "_lock"),
     ("Tracer", "_lock"),
     ("SLOTracker", "_lock"),

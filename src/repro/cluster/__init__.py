@@ -44,6 +44,7 @@ from repro.cluster.local import LocalCluster
 from repro.cluster.node import ShardNode
 from repro.cluster.protocol import ClusterError, NodeUnavailable, RemoteError
 from repro.cluster.ring import HashRing
+from repro.service.registry import _refuse_registration_args
 from repro.utils.rng import SeedLike
 
 __all__ = [
@@ -97,16 +98,9 @@ def serve_cluster(kernel, *,
         client = cluster
     try:
         if isinstance(kernel, str):
-            if name is not None or parts is not None or counts is not None:
-                raise ValueError(
-                    "name=/parts=/counts= apply when registering a matrix; "
-                    f"{kernel!r} is already registered"
-                )
             entry = client.lookup(kernel)
-            if kind is not None and kind != entry.kind:
-                raise ValueError(
-                    f"kernel {kernel!r} is registered as kind={entry.kind!r}, not {kind!r}"
-                )
+            _refuse_registration_args(kernel, entry.kind, name=name, kind=kind,
+                                      parts=parts, counts=counts)
             if warm:
                 client.warm(kernel)
         else:

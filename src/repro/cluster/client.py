@@ -8,15 +8,20 @@ same content fingerprint that keys the factorization caches
 (:func:`~repro.service.registry.kernel_fingerprint`), so the node that owns a
 kernel's traffic is exactly the node holding its warm eigendecompositions.
 
-Replication factor ``R`` registers each kernel on the first ``R`` distinct
-ring owners; reads (sample/drain/warm) go primary-first and **fail over** to
-the next replica when a node is unreachable — and because node-side sampling
-is seed-deterministic, a failover returns the byte-identical sample the
-primary would have produced.
+Replication factor ``R`` places each kernel on the first ``R`` distinct
+ring owners.  Reads (sample/drain) go primary-first and **fail over** to the
+next replica when a node is unreachable — and because node-side sampling is
+seed-deterministic, a failover returns the byte-identical sample the primary
+would have produced.  The owner-wide ops (register/update/warm) share one
+replica policy: each is sent to every owner, an owner that is down or never
+received the kernel is skipped, and the op fails only when no owner answered.
 
-:class:`ClusterSession` is the drop-in ``SamplerSession``-shaped handle
-:func:`repro.serve_cluster` returns: the same ``sample / warm / close`` (and
-``submit / drain``) surface, backed by the ring instead of a local registry.
+:class:`ClusterSession` is the drop-in handle :func:`repro.serve_cluster`
+returns.  It subclasses :class:`~repro.service.session.SessionBase` as
+``SamplerSession`` does, so both share one ``entry`` / ``name`` / ``kind`` /
+``n`` / ``fingerprint`` / ``epoch`` / ``closed`` surface and one set of
+update constructors; its ``sample / warm / close`` (and ``submit / drain``)
+are backed by the ring instead of a local registry.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ from repro.cluster.protocol import (ClusterError, Connection, NodeUnavailable,
                                     attach_trace)
 from repro.cluster.ring import HashRing
 from repro.service.registry import kernel_entry
+from repro.service.session import SessionBase
 from repro.utils.rng import SeedLike, substream_seed
 
 __all__ = ["ClusterClient", "ClusterSession", "RebalanceReport"]
@@ -48,13 +54,17 @@ class _CatalogEntry:
     #: chain (equal to ``fingerprint`` until the first incremental update).
     #: Routing by it keeps a mutating kernel on its owners — updates ship
     #: deltas instead of triggering ring moves.
-    route: str = ""
+    route: str
     #: how many incremental updates the chain has absorbed
-    epoch: int = 0
+    epoch: int
 
-    def __post_init__(self) -> None:
-        if not self.route:
-            self.route = self.fingerprint
+    @classmethod
+    def from_reply(cls, info: dict) -> "_CatalogEntry":
+        """The entry a node's reply describes
+        (:meth:`~repro.service.registry.RegisteredKernel.describe`)."""
+        return cls(name=info["name"], fingerprint=info["fingerprint"], kind=info["kind"],
+                   n=int(info["n"]), route=info["base_fingerprint"],
+                   epoch=int(info["epoch"]))
 
 
 @dataclass
@@ -81,6 +91,29 @@ def _wire_seed(seed: SeedLike) -> object:
             "a Generator's state cannot be shipped to a shard node"
         )
     return seed
+
+
+def _sample_request(name: str, k: Optional[int], seed: SeedLike,
+                    method: Optional[str], delta: float) -> dict:
+    """The ``sample`` op of one draw of kernel ``name``."""
+    return {"op": "sample", "name": name, "k": k, "seed": _wire_seed(seed),
+            "method": method, "delta": delta}
+
+
+#: per-call sampler arguments that do not ship over the wire, and what to
+#: do instead
+_NODE_SIDE = {
+    "config": "sampler config objects hold callables; tune delta= instead",
+    "backend": "set the backend on the ShardNode",
+    "tracker": "read reports from the result",
+}
+
+
+def _refuse_node_side(**arguments: object) -> None:
+    """Refuse the per-call arguments of :data:`_NODE_SIDE` a caller set."""
+    for name, instead in _NODE_SIDE.items():
+        if arguments.get(name) is not None:
+            raise ValueError(f"{name}= does not ship over the cluster wire: {instead}")
 
 
 class ClusterClient:
@@ -196,31 +229,18 @@ class ClusterClient:
         ``warm=True`` has each owner warm its session on the kernel.
         """
         cold = kernel_entry(matrix, name, kind=kind, parts=parts, counts=counts)
-        name, kind, fingerprint = cold.name, cold.kind, cold.fingerprint
-        request = {"op": "register", "name": name, "matrix": cold.matrix, "kind": kind,
-                   "parts": parts, "counts": counts, "warm": warm,
-                   "validate": validate}
-        accepted = 0
-        last_error: Optional[BaseException] = None
-        for node_id in self.owners(fingerprint):
-            try:
-                info = self.call_node(node_id, request)
-            except NodeUnavailable as exc:
-                last_error = exc
-                continue
-            if info["fingerprint"] != fingerprint:  # pragma: no cover - contract guard
+        replies = self._fan_out(cold.fingerprint, {
+            "op": "register", "name": cold.name, "matrix": cold.matrix, "kind": cold.kind,
+            "parts": parts, "counts": counts, "warm": warm, "validate": validate})
+        for info in replies:
+            if info["fingerprint"] != cold.fingerprint:  # pragma: no cover - contract guard
                 raise ClusterError(
-                    f"node {node_id} derived fingerprint {info['fingerprint'][:12]} "
-                    f"for a kernel routed by {fingerprint[:12]}"
+                    f"node {info['node']} derived fingerprint {info['fingerprint'][:12]} "
+                    f"for a kernel routed by {cold.fingerprint[:12]}"
                 )
-            accepted += 1
-        if not accepted:
-            raise ClusterError(
-                f"no owner of {fingerprint[:12]} is reachable"
-            ) from last_error
-        entry = _CatalogEntry(name=name, fingerprint=fingerprint, kind=kind, n=cold.n)
+        entry = _CatalogEntry.from_reply(replies[0])
         with self._lock:
-            self._catalog[name] = entry
+            self._catalog[entry.name] = entry
         return entry
 
     def lookup(self, name: str) -> _CatalogEntry:
@@ -236,11 +256,7 @@ class ClusterClient:
                 continue
             info = catalog.get(name)
             if info is not None:
-                entry = _CatalogEntry(name=name, fingerprint=info["fingerprint"],
-                                      kind=info["kind"], n=info["n"],
-                                      route=info.get("base_fingerprint")
-                                      or info["fingerprint"],
-                                      epoch=int(info.get("epoch", 0)))
+                entry = _CatalogEntry.from_reply(info)
                 with self._lock:
                     self._catalog[name] = entry
                 return entry
@@ -261,10 +277,7 @@ class ClusterClient:
     def sample(self, name: str, k: Optional[int] = None, *, seed: SeedLike = None,
                method: Optional[str] = None, delta: float = 1e-2):
         entry = self.lookup(name)
-        return self.call(entry.route, {
-            "op": "sample", "name": name, "k": k, "seed": _wire_seed(seed),
-            "method": method, "delta": delta,
-        })
+        return self.call(entry.route, _sample_request(name, k, seed, method, delta))
 
     def update(self, name: str, update) -> _CatalogEntry:
         """Apply an incremental kernel update on every owner — shipping only
@@ -282,52 +295,47 @@ class ClusterClient:
         """
         entry = self.lookup(name)
         expected = update.chained_fingerprint(entry.fingerprint)
-        request = {"op": "update", "name": name, "update": update,
-                   "prev": entry.fingerprint}
         obs.record_update_delta(update.delta_nbytes)
-        accepted = 0
-        new_n = entry.n
-        last_error: Optional[BaseException] = None
-        for node_id in self.owners(entry.route):
-            try:
-                info = self.call_node(node_id, request)
-            except (NodeUnavailable, KeyError) as exc:
-                # unreachable, or a replica that never received this kernel
-                last_error = exc
-                continue
+        replies = self._fan_out(entry.route, {"op": "update", "name": name,
+                                              "update": update, "prev": entry.fingerprint})
+        for info in replies:
             if info["fingerprint"] != expected:
                 raise ClusterError(
-                    f"node {node_id} applied an update to {name!r} but landed on "
+                    f"node {info['node']} applied an update to {name!r} but landed on "
                     f"chain fingerprint {info['fingerprint'][:12]}, client "
                     f"derived {expected[:12]} — replica chain diverged"
                 )
-            accepted += 1
-            new_n = int(info["n"])
-        if not accepted:
-            raise ClusterError(
-                f"no owner of {name!r} accepted the update"
-            ) from last_error
-        new_entry = _CatalogEntry(name=name, fingerprint=expected, kind=entry.kind,
-                                  n=new_n, route=entry.route,
-                                  epoch=entry.epoch + 1)
+        new_entry = _CatalogEntry.from_reply(replies[0])
         with self._lock:
             self._catalog[name] = new_entry
         return new_entry
 
     def warm(self, name: str) -> int:
         """Warm the kernel on every reachable owner; returns how many warmed."""
-        entry = self.lookup(name)
-        warmed = 0
+        return len(self._fan_out(self.lookup(name).route, {"op": "warm", "name": name}))
+
+    def _fan_out(self, route: str, request: dict) -> List[dict]:
+        """Send ``request`` to every ring owner of ``route``; the owners' replies.
+
+        The one replica policy of the owner-wide ops (:meth:`register`,
+        :meth:`update`, :meth:`warm`): an unreachable owner, or one that never
+        received the kernel (``KeyError``), is skipped — it catches up on the
+        next rebalance — and the op fails with :class:`ClusterError` only
+        when no owner answered.  A genuine remote error propagates at once.
+        """
+        replies: List[dict] = []
         last_error: Optional[BaseException] = None
-        for node_id in self.owners(entry.route):
+        for node_id in self.owners(route):
             try:
-                self.call_node(node_id, {"op": "warm", "name": name})
-                warmed += 1
+                replies.append(self.call_node(node_id, request))
             except (NodeUnavailable, KeyError) as exc:
                 last_error = exc
-        if not warmed:
-            raise ClusterError(f"no owner of {name!r} is reachable") from last_error
-        return warmed
+        if not replies:
+            raise ClusterError(
+                f"no owner of {request['name']!r} ({route[:12]}) answered "
+                f"{request['op']!r}"
+            ) from last_error
+        return replies
 
     # ------------------------------------------------------------------ #
     # membership & rebalance
@@ -479,12 +487,15 @@ class ClusterClient:
             connection.close()
 
 
-class ClusterSession:
+class ClusterSession(SessionBase):
     """``SamplerSession``-shaped facade over one cluster-registered kernel.
 
-    Drop-in for the single-node session's serving surface — ``sample``,
-    ``warm``, ``close`` (and ``submit``/``drain`` for fused batches) with the
-    same defaults and the same fixed-seed samples; the differences are the
+    Drop-in for the single-node session: both subclass
+    :class:`~repro.service.session.SessionBase`, so ``entry`` / ``name`` /
+    ``kind`` / ``n`` / ``fingerprint`` / ``epoch`` / ``closed``, the ``with``
+    block and the update constructors are one code path, and ``sample``,
+    ``warm``, ``close`` (and ``submit``/``drain`` for fused batches) keep the
+    same defaults and the same fixed-seed samples.  The differences are the
     wire constraints (seeds must be re-derivable, sampler ``config`` objects
     and per-call ``backend`` overrides do not ship) and that ``close`` only
     releases client state (shard registrations are durable by design).
@@ -496,62 +507,22 @@ class ClusterSession:
 
     def __init__(self, client: ClusterClient, entry: _CatalogEntry, *,
                  scheduler_seed: SeedLike = 0, owned_cluster=None):
+        super().__init__(entry)
         self._client = client
-        self._entry = entry
         self._root_seed = scheduler_seed if scheduler_seed is not None else 0
         self._owned_cluster = owned_cluster
-        self._lock = threading.Lock()
         self._queue: List[dict] = []
         #: one request span (``None`` when dark) per queued request, index-
         #: aligned with ``_queue`` (swapped/restored together by drain)
         self._pending_spans: List[Optional[obs.Span]] = []
         self._submitted = 0
-        self._closed = False
         self.samples_served = 0
 
     # ------------------------------------------------------------------ #
     @property
-    def entry(self) -> _CatalogEntry:
-        """Snapshot of the served catalog entry (swapped atomically by updates)."""
-        with self._lock:
-            return self._entry
-
-    @property
-    def name(self) -> str:
-        return self.entry.name
-
-    @property
-    def kind(self) -> str:
-        return self.entry.kind
-
-    @property
-    def n(self) -> int:
-        return self.entry.n
-
-    @property
-    def fingerprint(self) -> str:
-        return self.entry.fingerprint
-
-    @property
-    def epoch(self) -> int:
-        """How many incremental updates this kernel has absorbed."""
-        return self.entry.epoch
-
-    @property
     def owners(self) -> Tuple[str, ...]:
         """Current replica set (primary first) — changes with the ring."""
         return self._client.owners(self.entry.route)
-
-    @property
-    def closed(self) -> bool:
-        with self._lock:
-            return self._closed
-
-    def _check_open(self) -> None:
-        with self._lock:
-            closed = self._closed
-        if closed:
-            raise RuntimeError(f"cluster session on kernel {self.name!r} is closed")
 
     # ------------------------------------------------------------------ #
     def sample(self, k: Optional[int] = None, *, seed: SeedLike = None,
@@ -563,23 +534,12 @@ class ClusterSession:
         single node: the shard runs the very same session/sampler stack.
         """
         self._check_open()
-        if config is not None:
-            raise ValueError(
-                "sampler config objects hold callables and do not ship over "
-                "the cluster wire; tune delta= instead"
-            )
-        if backend is not None or tracker is not None:
-            raise ValueError(
-                "backend/tracker are node-side concerns in a cluster: set the "
-                "backend on the ShardNode, read reports from the result"
-            )
+        _refuse_node_side(config=config, backend=backend, tracker=tracker)
         with obs.span("cluster-sample", category="request", family=self.kind,
                       kernel=self.name, method=method,
                       k=-1 if k is None else int(k)):
-            result = self._client.call(self.entry.route, {
-                "op": "sample", "name": self.name, "k": k,
-                "seed": _wire_seed(seed), "method": method, "delta": delta,
-            })
+            result = self._client.call(self.entry.route, _sample_request(
+                self.name, k, seed, method, delta))
         with self._lock:
             self.samples_served += 1
         return result
@@ -593,32 +553,6 @@ class ClusterSession:
     # ------------------------------------------------------------------ #
     # streaming kernels: ship deltas, never the mutated matrix
     # ------------------------------------------------------------------ #
-    def update(self, u: np.ndarray, v: Optional[np.ndarray] = None, *,
-               weight: float = 1.0) -> _CatalogEntry:
-        """Rank-1 update ``L += weight * u v^T`` on every owning shard.
-
-        Only the update vectors cross the wire (O(n) bytes, not the O(n²)
-        matrix); each owner patches its cached factorization via
-        :meth:`~repro.service.registry.KernelRegistry.apply_update` and its
-        live session adopts the new epoch.  Same contract as
-        :meth:`repro.service.session.SamplerSession.update`.
-        """
-        from repro.linalg.updates import KernelUpdate
-
-        return self._apply_update(KernelUpdate.rank_one(u, v, weight=weight))
-
-    def append_items(self, rows: np.ndarray) -> _CatalogEntry:
-        """Grow a low-rank kernel's ground set on every owning shard."""
-        from repro.linalg.updates import KernelUpdate
-
-        return self._apply_update(KernelUpdate.append_rows(rows))
-
-    def delete_items(self, indices) -> _CatalogEntry:
-        """Shrink a low-rank kernel's ground set on every owning shard."""
-        from repro.linalg.updates import KernelUpdate
-
-        return self._apply_update(KernelUpdate.delete_rows(indices))
-
     def _apply_update(self, update) -> _CatalogEntry:
         self._check_open()
         entry = self._client.update(self.name, update)
@@ -646,12 +580,7 @@ class ClusterSession:
         later :meth:`drain` (which re-queues on error by design).
         """
         self._check_open()
-        for rejected in ("config", "backend", "tracker"):
-            if kwargs.get(rejected) is not None:
-                raise ValueError(
-                    f"{rejected}= does not ship over the cluster wire; "
-                    "see ClusterSession.sample for the node-side alternatives"
-                )
+        _refuse_node_side(**kwargs)
         with self._lock:
             index = self._submitted
             self._submitted += 1
@@ -662,8 +591,7 @@ class ClusterSession:
             # each request is born as a trace root here; its context ships
             # inside the queued dict so the node's drain scheduler parents
             # the server-side span tree under it, and the node never counts
-            # the request again (read _entry directly: the kind/name
-            # properties re-acquire this non-reentrant lock)
+            # the request again
             span = obs.start_span("cluster-request", category="request",
                                   family=self._entry.kind,
                                   kernel=self._entry.name,
@@ -746,10 +674,3 @@ class ClusterSession:
             owned, self._owned_cluster = self._owned_cluster, None
         if owned is not None:
             owned.shutdown()
-
-    def __enter__(self) -> "ClusterSession":
-        self._check_open()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()

@@ -17,7 +17,7 @@ drain    a batch of draws fused node-side by a :class:`RoundScheduler`
 update   apply an incremental kernel delta (rank-1 / row append / delete)
          to the node's replica — patching cached artifacts in place
 stats    node census: sessions served + ``registry_info()`` rollup
-catalog  ``name -> (fingerprint, kind)`` of everything registered
+catalog  ``name -> description`` of everything registered
 export   full kernel payload (matrix + structure) for rebalance moves
 unregister / flush / shutdown  lifecycle & maintenance
 ======== =============================================================
@@ -277,10 +277,7 @@ class ShardNode:
                                        counts=counts, validate=validate)
         if warm:
             self._op_warm(name)
-        return {"name": entry.name, "fingerprint": entry.fingerprint,
-                "base_fingerprint": entry.route_fingerprint,
-                "epoch": entry.epoch,
-                "kind": entry.kind, "n": entry.n, "node": self.node_id}
+        return {**entry.describe(), "node": self.node_id}
 
     def _op_update(self, name: str, update, prev: Optional[str] = None):
         """Apply one kernel delta to this node's replica.
@@ -297,10 +294,7 @@ class ShardNode:
         if session is not None and not session.closed:
             session.adopt_entry(entry)
         decision = entry.update_log[-1].decision if entry.update_log else "patched"
-        return {"name": entry.name, "fingerprint": entry.fingerprint,
-                "base_fingerprint": entry.route_fingerprint,
-                "epoch": entry.epoch, "n": entry.n,
-                "decision": decision, "node": self.node_id}
+        return {**entry.describe(), "decision": decision, "node": self.node_id}
 
     def _op_unregister(self, name: str):
         with self._lock:
@@ -348,20 +342,14 @@ class ShardNode:
                 entry = self.registry.get(name)
             except KeyError:  # pragma: no cover - concurrent unregister
                 continue
-            catalog[name] = {"fingerprint": entry.fingerprint, "kind": entry.kind,
-                             "n": entry.n,
-                             "base_fingerprint": entry.route_fingerprint,
-                             "epoch": entry.epoch}
+            catalog[name] = entry.describe()
         return catalog
 
     def _op_export(self, name: str):
         """Ship a kernel's full definition (for rebalance data movement)."""
         entry = self.registry.get(name)
-        return {"name": entry.name, "matrix": np.asarray(entry.matrix),
-                "kind": entry.kind, "parts": entry.parts, "counts": entry.counts,
-                "fingerprint": entry.fingerprint,
-                "base_fingerprint": entry.route_fingerprint,
-                "epoch": entry.epoch}
+        return {**entry.describe(), "matrix": np.asarray(entry.matrix),
+                "parts": entry.parts, "counts": entry.counts}
 
     def _op_stats(self):
         with self._lock:

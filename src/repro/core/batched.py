@@ -10,7 +10,8 @@ iteration ``i`` it:
    draws from ``p / k_i`` (the proposal ``μ'_ℓ``);
 3. computes the density ratio ``μ*_ℓ(tuple) / μ'_ℓ(tuple)`` for every
    proposal — one batched round of counting-oracle queries — and runs
-   (modified) rejection sampling with constant ``C = rejection_constant(k_i, ℓ)``;
+   (modified) rejection sampling with constant ``C = rejection_constant(k_i, ℓ)``
+   (:func:`~repro.core.rejection.boosted_rejection_sample`);
 4. conditions the distribution on the accepted batch and recurses on the
    ``k_{i+1} = k_i - ℓ`` remaining elements.
 
@@ -34,7 +35,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.rejection import machines_for_boosting, modified_rejection_round
+from repro.core.rejection import boosted_rejection_sample
 from repro.core.result import SampleResult, SamplerReport
 from repro.distributions.base import SubsetDistribution
 from repro.distributions.generic import ProductMarginalProposal
@@ -190,25 +191,15 @@ def batched_sample(distribution: SubsetDistribution, config: Optional[BatchedSam
                 tracker=trk,
             ).values
             proposal = ProductMarginalProposal(marginals, remaining)
-            C = max(float(cfg.rejection_constant(remaining, ell)), 1.0)
-            machines = machines_for_boosting(C, cfg.delta_per_round, cap=cfg.machine_cap)
+            accepted = boosted_rejection_sample(
+                lambda count, gen: proposal.sample_tuples(ell, count, gen),
+                lambda tuples: (_log_target_ordered(current, tuples, remaining, trk, engine)
+                                - proposal.log_density_tuples(tuples)),
+                float(cfg.rejection_constant(remaining, ell)), cfg.delta_per_round,
+                rng, report, tracker=trk, max_rounds=cfg.max_rounds_per_batch,
+                machine_cap=cfg.machine_cap)
 
-            accepted_set: Optional[Tuple[int, ...]] = None
-            for _attempt in range(cfg.max_rounds_per_batch):
-                tuples = proposal.sample_tuples(ell, machines, rng)
-                log_target = _log_target_ordered(current, tuples, remaining, trk, engine)
-                log_proposal = proposal.log_density_tuples(tuples)
-                log_ratios = log_target - log_proposal
-                outcome = modified_rejection_round(log_ratios, math.log(C), rng, tracker=trk)
-                report.proposals += outcome.proposals
-                report.ratio_violations += outcome.ratio_violations
-                report.acceptance_rates.append(outcome.acceptance_rate)
-                if outcome.accepted:
-                    accepted_set = subset_key(tuples[outcome.accepted_index])
-                    break
-
-            if accepted_set is None:
-                report.failed = True
+            if accepted is None:
                 # Sequential fallback for this iteration: pick ``ell`` elements
                 # one at a time (keeps the output a valid sample of the right
                 # cardinality; the failure is recorded for the caller).
@@ -232,6 +223,8 @@ def batched_sample(distribution: SubsetDistribution, config: Optional[BatchedSam
                 report.batch_sizes.append(ell)
                 continue
 
+            tuples, index = accepted
+            accepted_set = subset_key(tuples[index])
             labels = tuple(current.ground_labels[i] for i in accepted_set)
             chosen.extend(labels)
             remaining -= ell

@@ -24,7 +24,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.core.batched import batched_sample
-from repro.core.rejection import machines_for_boosting, modified_rejection_round
+from repro.core.rejection import boosted_rejection_sample
 from repro.core.result import SampleResult, SamplerReport
 from repro.core.symmetric import kdpp_batched_config, sample_by_cardinality
 from repro.dpp.kernels import ensemble_to_kernel, kernel_to_ensemble, validate_ensemble
@@ -64,33 +64,33 @@ def _sample_small_kernel_dpp(K: np.ndarray, epsilon: float, rng: np.random.Gener
     # Lemma 44's rejection constant: exp(c sqrt(log 1/eps)) with a modest c.
     C = math.exp(2.0 * math.sqrt(max(math.log(1.0 / max(epsilon, 1e-9)), 1.0)))
     size_cap = max(1, int(math.ceil(3.0 * math.sqrt(n) * max(math.log(1.0 / max(epsilon, 1e-9)), 1.0))))
-    machines = machines_for_boosting(C, max(epsilon, 1e-6), cap=machine_cap)
     log_keep = np.log1p(-p)
     with np.errstate(divide="ignore"):
         log_p = np.where(p > 0, np.log(np.where(p > 0, p, 1.0)), -np.inf)
 
-    for _ in range(max_rounds):
-        proposals = rng.random((machines, n)) < p[np.newaxis, :]
-        sizes = proposals.sum(axis=1)
-        inside = np.flatnonzero(sizes <= size_cap)
+    def propose(machines: int, gen: np.random.Generator) -> np.ndarray:
+        return gen.random((machines, n)) < p[np.newaxis, :]
+
+    def log_ratio(proposals: np.ndarray) -> np.ndarray:
+        inside = np.flatnonzero(proposals.sum(axis=1) <= size_cap)
         subsets = [tuple(np.flatnonzero(proposals[idx]).tolist()) for idx in inside]
         log_dets = engine.execute(
             OracleBatch.log_principal_minors(L, subsets, label="lemma44-log-minors"),
             tracker=tracker,
         ).values
         # proposals outside Ω (too large) are never accepted
-        log_ratios = np.full(machines, np.inf)
+        log_ratios = np.full(len(proposals), np.inf)
         log_proposal = np.where(proposals, log_p[np.newaxis, :], log_keep[np.newaxis, :]).sum(axis=1)
         log_ratios[inside] = (log_dets + log_det_res) - log_proposal[inside]
-        outcome = modified_rejection_round(log_ratios, math.log(C), rng, tracker=tracker,
-                                           label="lemma44-rejection")
-        report.proposals += outcome.proposals
-        report.ratio_violations += outcome.ratio_violations
-        report.acceptance_rates.append(outcome.acceptance_rate)
-        if outcome.accepted:
-            return subset_key(np.flatnonzero(proposals[outcome.accepted_index]))
-    report.failed = True
-    return ()
+        return log_ratios
+
+    accepted = boosted_rejection_sample(propose, log_ratio, C, max(epsilon, 1e-6), rng,
+                                        report, tracker=tracker, max_rounds=max_rounds,
+                                        machine_cap=machine_cap)
+    if accepted is None:
+        return ()
+    proposals, index = accepted
+    return subset_key(np.flatnonzero(proposals[index]))
 
 
 def sample_bounded_dpp_filtering(L: np.ndarray, *, epsilon: float = 0.05,

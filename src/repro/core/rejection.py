@@ -1,15 +1,20 @@
 """Rejection sampling primitives (Algorithms 2 and 3, Propositions 25/26).
 
-* :func:`boosted_rejection_sample` — plain rejection sampling against a known
-  density-ratio bound ``C``: run ``C · log(1/δ)`` proposals "in parallel"
-  (one adaptive round) and return the first accepted one (Proposition 25).
-* :func:`modified_rejection_round` — the modified scheme of Algorithm 3: the
-  ratio bound only holds on a high-probability set ``Ω``; proposals whose
-  ratio exceeds ``C`` are declared bad (never accepted) and counted, which is
-  what produces the ``O(ε)`` total-variation error of Proposition 26.
+* :func:`boosted_rejection_sample` — the one boosted rejection loop: run
+  ``O(C · log(1/δ))`` proposals "in parallel" (one adaptive round), accept
+  the first one the coins keep, and retry on failure up to a cap
+  (Proposition 25).  Every rejection step in the repository runs it: the
+  Algorithm-1 driver :func:`repro.core.batched.batched_sample` (each draw of
+  Theorems 8, 9, 10 and 29) and Lemma 44's small-kernel sampler inside
+  :func:`repro.core.filtering.sample_bounded_dpp_filtering` (Theorem 41).
+* :func:`modified_rejection_round` — one round of the modified scheme of
+  Algorithm 3: the ratio bound only holds on a high-probability set ``Ω``;
+  proposals whose ratio exceeds ``C`` are declared bad (never accepted) and
+  counted, which is what produces the ``O(ε)`` total-variation error of
+  Proposition 26.
 
-Both helpers operate on log densities for numerical robustness and charge one
-adaptive round per call to the PRAM tracker.
+Both operate on log densities for numerical robustness, and each round
+charges one adaptive round to the PRAM tracker.
 """
 
 from __future__ import annotations
@@ -20,13 +25,13 @@ from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.result import SamplerReport
 from repro.pram.tracker import Tracker, current_tracker
-from repro.utils.rng import SeedLike, as_generator
 
 
 @dataclass
 class RejectionOutcome:
-    """Outcome of one (boosted) rejection-sampling round."""
+    """Outcome of one modified rejection-sampling round."""
 
     #: index (into the proposed batch) of the accepted proposal, or ``None``
     accepted_index: Optional[int]
@@ -53,8 +58,7 @@ def machines_for_boosting(C: float, delta: float, *, cap: int = 100_000, floor: 
 
 
 def modified_rejection_round(log_ratios: np.ndarray, log_C: float, rng: np.random.Generator,
-                             *, tracker: Optional[Tracker] = None,
-                             label: str = "rejection-round") -> RejectionOutcome:
+                             *, tracker: Optional[Tracker] = None) -> RejectionOutcome:
     """One adaptive round of (modified) rejection sampling over a batch of proposals.
 
     Parameters
@@ -79,7 +83,7 @@ def modified_rejection_round(log_ratios: np.ndarray, log_C: float, rng: np.rando
     trk = tracker if tracker is not None else current_tracker()
     ratios = np.asarray(log_ratios, dtype=float)
     m = ratios.size
-    with trk.round(label):
+    with trk.round("rejection-round"):
         trk.charge(machines=float(m))
         violations = int(np.sum(ratios > log_C + 1e-12))
         log_accept = ratios - log_C
@@ -104,41 +108,34 @@ def modified_rejection_round(log_ratios: np.ndarray, log_C: float, rng: np.rando
 
 def boosted_rejection_sample(propose: Callable[[int, np.random.Generator], Sequence],
                              log_ratio: Callable[[Sequence], np.ndarray],
-                             C: float, delta: float, rng: SeedLike = None, *,
+                             C: float, delta: float, rng: np.random.Generator,
+                             report: SamplerReport, *,
                              tracker: Optional[Tracker] = None,
                              max_rounds: int = 8,
-                             machine_cap: int = 100_000) -> Tuple[Optional[int], Sequence, RejectionOutcome]:
-    """Proposition 25/26: boosted rejection sampling.
+                             machine_cap: int = 100_000) -> Optional[Tuple[Sequence, int]]:
+    """Proposition 25/26: boosted (modified) rejection sampling.
 
     ``propose(count, rng)`` draws ``count`` proposals (any indexable batch);
     ``log_ratio(batch)`` returns the log density ratios of the batch.  One
     round of ``O(C log 1/δ)`` machines succeeds with probability ``1 - δ``;
     if it fails we retry (each retry is another adaptive round) up to
     ``max_rounds`` times — matching the "repeat on failure" remark after
-    Theorem 10.
+    Theorem 10.  Each round draws its proposals from ``rng`` before its
+    coins, and adds its proposals, ratio violations and acceptance rate to
+    ``report``.
 
-    Returns ``(index_within_last_batch, last_batch, outcome)`` with ``index``
-    ``None`` if every round failed.
+    Returns ``(batch, index)`` of the accepted proposal, or ``None`` (with
+    ``report.failed`` set) if every round failed.
     """
-    generator = as_generator(rng)
     machines = machines_for_boosting(C, delta, cap=machine_cap)
     log_C = math.log(max(C, 1.0))
-    last_outcome = RejectionOutcome(None, 0, 0, 0.0)
-    batch: Sequence = ()
-    total_violations = 0
-    total_proposals = 0
     for _ in range(max_rounds):
-        batch = propose(machines, generator)
-        ratios = log_ratio(batch)
-        outcome = modified_rejection_round(ratios, log_C, generator, tracker=tracker)
-        total_violations += outcome.ratio_violations
-        total_proposals += outcome.proposals
-        last_outcome = RejectionOutcome(
-            accepted_index=outcome.accepted_index,
-            proposals=total_proposals,
-            ratio_violations=total_violations,
-            acceptance_rate=outcome.acceptance_rate,
-        )
+        batch = propose(machines, rng)
+        outcome = modified_rejection_round(log_ratio(batch), log_C, rng, tracker=tracker)
+        report.proposals += outcome.proposals
+        report.ratio_violations += outcome.ratio_violations
+        report.acceptance_rates.append(outcome.acceptance_rate)
         if outcome.accepted:
-            return outcome.accepted_index, batch, last_outcome
-    return None, batch, last_outcome
+            return batch, outcome.accepted_index
+    report.failed = True
+    return None

@@ -30,10 +30,7 @@ from repro.dpp.kernels import (
     validate_kernel,
     marginal_kernel_conditioned,
 )
-from repro.dpp.likelihood import (
-    dpp_unnormalized,
-    dpp_log_unnormalized,
-)
+from repro.dpp.likelihood import dpp_log_unnormalized
 from repro.dpp.symmetric import SymmetricDPP, SymmetricKDPP
 from repro.dpp.nonsymmetric import NonsymmetricDPP, NonsymmetricKDPP
 from repro.dpp.partition import PartitionDPP
@@ -59,7 +56,6 @@ __all__ = [
     "validate_ensemble",
     "validate_kernel",
     "marginal_kernel_conditioned",
-    "dpp_unnormalized",
     "dpp_log_unnormalized",
     "SymmetricDPP",
     "SymmetricKDPP",

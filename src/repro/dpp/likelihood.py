@@ -1,6 +1,7 @@
 """Unnormalized DPP densities and principal-minor sums.
 
-* ``μ(S) = det(L_{S,S})`` — one principal minor per subset.
+* ``log μ(S) = log det(L_{S,S})`` — one principal minor per subset (the
+  minor itself is :func:`repro.linalg.determinant.principal_minor`).
 * ``Σ_{|S| = j} det(L_{S,S})`` — the ``j``-th coefficient sum of principal
   minors, the ``j``-th elementary symmetric polynomial of the spectrum
   (works for nonsymmetric matrices, whose eigenvalues may be complex but
@@ -13,15 +14,9 @@ from typing import Iterable
 
 import numpy as np
 
-from repro.linalg.determinant import principal_minor
 from repro.linalg.esp import elementary_symmetric_polynomials
 from repro.pram.tracker import current_tracker
 from repro.utils.validation import check_square
-
-
-def dpp_unnormalized(L: np.ndarray, subset: Iterable[int]) -> float:
-    """``det(L_{S,S})`` — the unnormalized DPP probability of ``subset``."""
-    return principal_minor(L, subset)
 
 
 def dpp_log_unnormalized(L: np.ndarray, subset: Iterable[int]) -> float:

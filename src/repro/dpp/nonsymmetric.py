@@ -25,7 +25,7 @@ import numpy as np
 from repro.distributions.base import SubsetDistribution
 from repro.dpp.elementary import normalize_sizes
 from repro.dpp.kernels import ensemble_to_kernel, validate_ensemble
-from repro.dpp.likelihood import all_principal_minor_sums, dpp_unnormalized
+from repro.dpp.likelihood import all_principal_minor_sums
 from repro.dpp.partition import PartitionDPP
 from repro.linalg.batch import grouped_principal_minors
 from repro.linalg.determinant import principal_minor
@@ -82,7 +82,7 @@ class NonsymmetricDPP(SubsetDistribution):
     # ------------------------------------------------------------------ #
     def unnormalized(self, subset: Iterable[int]) -> float:
         items = check_subset(subset, self.n)
-        return max(dpp_unnormalized(self.L, items), 0.0)
+        return max(principal_minor(self.L, items), 0.0)
 
     def partition_function(self) -> float:
         """``det(I + L)``, computed and charged on first use only."""

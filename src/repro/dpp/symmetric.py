@@ -39,7 +39,6 @@ import numpy as np
 from repro.distributions.base import HomogeneousDistribution, SubsetDistribution
 from repro.dpp.elementary import kdpp_marginals_from_factor, spectrum_sizes
 from repro.dpp.kernels import validate_ensemble
-from repro.dpp.likelihood import dpp_unnormalized
 from repro.linalg.batch import (
     EighPair,
     conditioned_factor,
@@ -48,6 +47,7 @@ from repro.linalg.batch import (
     stacked_principal_submatrices,
     symmetrized_eigh,
 )
+from repro.linalg.determinant import principal_minor
 from repro.linalg.esp import elementary_symmetric_polynomials, kdpp_circle, kdpp_counts_on_circle
 from repro.pram.tracker import current_tracker
 from repro.utils.validation import check_positive_int, check_subset
@@ -322,7 +322,7 @@ class SymmetricDPP(_SymmetricKernel, SubsetDistribution):
         """``det(L_S)``, or ``det(F_S F_Sᵀ)`` without a dense ``L`` (0 beyond its rank)."""
         items = check_subset(subset, self.n)
         if self.L is not None:
-            return max(dpp_unnormalized(self.L, items), 0.0)
+            return max(principal_minor(self.L, items), 0.0)
         if len(items) > self.factor.shape[1]:
             return 0.0
         current_tracker().charge_determinant(len(items))

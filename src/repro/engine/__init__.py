@@ -14,10 +14,11 @@ a first-class object and separates the *what* from the *how*:
 
 * :class:`~repro.engine.batch.OracleBatch` — a declarative request: many
   subsets against one distribution (or matrix), answered in one round.
-* :class:`~repro.engine.backends.ExecutionBackend` — how the round fans out:
+* :class:`~repro.engine.backends.ExecutionBackend` — how the round fans out.
+  Its own hooks are the stacked routes (the distributions' batch oracles
+  and :mod:`repro.linalg.batch`), which
+  :class:`~repro.engine.backends.VectorizedBackend` runs as they are;
   :class:`~repro.engine.backends.SerialBackend` (reference scalar loop),
-  :class:`~repro.engine.backends.VectorizedBackend` (stacked NumPy via the
-  distributions' batch oracles and :mod:`repro.linalg.batch`),
   :class:`~repro.engine.backends.ThreadPoolBackend`
   (``concurrent.futures`` fan-out), and
   :class:`~repro.engine.backends.ProcessPoolBackend` (worker processes over

@@ -4,11 +4,13 @@ A backend decides *how* one adaptive round's independent oracle queries are
 answered; it never changes *what* is asked, so fixed-seed sampler runs produce
 identical samples no matter which backend executes them.
 
+* :class:`ExecutionBackend` — the base every backend shares: one round per
+  batch, and query hooks that are the stacked routes, the distribution's
+  batch-aware oracles (``counting_batch`` / ``joint_marginals_batch``) and
+  the stacked NumPy primitives in :mod:`repro.linalg.batch`.
 * :class:`SerialBackend` — the reference loop over scalar ``counting()``
   calls; what the pre-engine drivers did implicitly.
-* :class:`VectorizedBackend` — dispatches to the distribution's batch-aware
-  oracles (``counting_batch`` / ``joint_marginals_batch``), which fan out via
-  the stacked NumPy primitives in :mod:`repro.linalg.batch`.
+* :class:`VectorizedBackend` — the base's stacked routes as they are.
 * :class:`ThreadPoolBackend` — ``concurrent.futures`` fan-out of scalar
   queries; NumPy releases the GIL inside LAPACK so large per-query
   determinants overlap on multicore hosts.
@@ -25,7 +27,6 @@ side by side in :class:`~repro.engine.batch.OracleBatchResult`.
 
 from __future__ import annotations
 
-import abc
 import atexit
 import math
 import os
@@ -77,8 +78,15 @@ class BackendTraits:
 _DispatchReturn = Union[np.ndarray, Tuple[np.ndarray, Dict[str, object]]]
 
 
-class ExecutionBackend(abc.ABC):
-    """Strategy for answering one :class:`OracleBatch`."""
+class ExecutionBackend:
+    """Strategy for answering one :class:`OracleBatch`.
+
+    The query hooks here are the stacked routes — the distributions' batch
+    oracles and :func:`~repro.linalg.batch.grouped_log_principal_minors` —
+    which :class:`VectorizedBackend` runs as they are.  A subclass overrides
+    a hook to answer its kind another way (the serial loop, thread or
+    process fan-out), or :meth:`execute` to delegate whole rounds.
+    """
 
     #: short identifier used by ``configure_backend`` and reports
     name: str = "abstract"
@@ -153,17 +161,22 @@ class ExecutionBackend(abc.ABC):
         weights, bases = hkpv_projection_step(stacked, eliminate)
         return weights.reshape(-1), {"bases": bases}
 
-    @abc.abstractmethod
     def _counting(self, batch: OracleBatch, tracker: Tracker) -> np.ndarray:
         """Raw counting values for ``batch.subsets``."""
+        dist = batch.distribution
+        assert dist is not None
+        return np.asarray(dist.counting_batch(batch.subsets), dtype=float)
 
-    @abc.abstractmethod
     def _joint_marginals(self, batch: OracleBatch, tracker: Tracker) -> np.ndarray:
         """``P[T ⊆ S]`` for ``batch.subsets``."""
+        dist = batch.distribution
+        assert dist is not None
+        return np.asarray(dist.joint_marginals_batch(batch.subsets), dtype=float)
 
-    @abc.abstractmethod
     def _log_principal_minors(self, batch: OracleBatch, tracker: Tracker) -> np.ndarray:
         """``log det(M_{T,T})`` (``-inf`` on nonpositive minors)."""
+        assert batch.matrix is not None
+        return grouped_log_principal_minors(batch.matrix, batch.subsets)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}()"
@@ -208,23 +221,10 @@ class SerialBackend(ExecutionBackend):
 
 
 class VectorizedBackend(ExecutionBackend):
-    """One stacked NumPy call per batch via the distributions' batch oracles."""
+    """One stacked NumPy call per batch via the distributions' batch oracles
+    (:class:`ExecutionBackend`'s own hooks)."""
 
     name = "vectorized"
-
-    def _counting(self, batch: OracleBatch, tracker: Tracker) -> np.ndarray:
-        dist = batch.distribution
-        assert dist is not None
-        return np.asarray(dist.counting_batch(batch.subsets), dtype=float)
-
-    def _joint_marginals(self, batch: OracleBatch, tracker: Tracker) -> np.ndarray:
-        dist = batch.distribution
-        assert dist is not None
-        return np.asarray(dist.joint_marginals_batch(batch.subsets), dtype=float)
-
-    def _log_principal_minors(self, batch: OracleBatch, tracker: Tracker) -> np.ndarray:
-        assert batch.matrix is not None
-        return grouped_log_principal_minors(batch.matrix, batch.subsets)
 
 
 class ThreadPoolBackend(SerialBackend):
@@ -439,7 +439,6 @@ class ProcessPoolBackend(ExecutionBackend):
         self._lock = threading.Lock()
         self._pool = None
         self._store = None
-        self._vectorized = VectorizedBackend()
         self._degraded: Optional[str] = None  # reason, once permanently degraded
         self._broken_pools = 0  # consecutive pool deaths; bounded rebuild retries
         self._warned_specs: set = set()
@@ -619,14 +618,14 @@ class ProcessPoolBackend(ExecutionBackend):
         return fallback(batch, tracker)
 
     def _counting(self, batch: OracleBatch, tracker: Tracker) -> np.ndarray:
-        return self._answer(batch, tracker, self._vectorized._counting)
+        return self._answer(batch, tracker, super()._counting)
 
     def _joint_marginals(self, batch: OracleBatch, tracker: Tracker) -> np.ndarray:
         # workers return raw counting values; the parent normalizes exactly
         # like the serial/thread backends (one normalizer query per batch)
         return self._answer(
-            batch, tracker, self._vectorized._joint_marginals,
+            batch, tracker, super()._joint_marginals,
             finish=lambda values: np.clip(values / batch.normalizer(), 0.0, None))
 
     def _log_principal_minors(self, batch: OracleBatch, tracker: Tracker) -> np.ndarray:
-        return self._answer(batch, tracker, self._vectorized._log_principal_minors)
+        return self._answer(batch, tracker, super()._log_principal_minors)

@@ -154,8 +154,7 @@ class OracleBatch:
     # ------------------------------------------------------------------ #
     # serialization round-trip contract (process backend / shm transport)
     # ------------------------------------------------------------------ #
-    def to_payload(self, publish: Optional[Callable[[np.ndarray], object]] = None,
-                   *, normalizer: Optional[float] = None) -> "BatchPayload":
+    def to_payload(self, publish: Optional[Callable[[np.ndarray], object]] = None) -> "BatchPayload":
         """Picklable description of this batch for out-of-process execution.
 
         ``publish`` maps each heavy array to a transport token (the process
@@ -207,7 +206,7 @@ class OracleBatch:
                 blob = pickle.dumps(self.distribution)
         return BatchPayload(
             kind=self.kind, subsets=self.subsets, given=self.given, label=self.label,
-            normalizer=normalizer if normalizer is not None else self._normalizer,
+            normalizer=self._normalizer,
             matrix=matrix_token, spec=spec, pickled_distribution=blob,
         )
 

@@ -243,13 +243,3 @@ class AutoBackend(ExecutionBackend):
         result = backend.execute(batch, tracker=tracker)
         self.planner.observe(decision, result)
         return result
-
-    # the abstract hooks are never reached — execute() is fully delegated
-    def _counting(self, batch, tracker):  # pragma: no cover
-        raise NotImplementedError
-
-    def _joint_marginals(self, batch, tracker):  # pragma: no cover
-        raise NotImplementedError
-
-    def _log_principal_minors(self, batch, tracker):  # pragma: no cover
-        raise NotImplementedError

@@ -7,11 +7,7 @@ NumPy/SciPy (vectorized, batched where possible) and charges the PRAM
 tracker for them.
 """
 
-from repro.linalg.determinant import (
-    determinant,
-    log_determinant,
-    principal_minor,
-)
+from repro.linalg.determinant import principal_minor
 from repro.linalg.schur import schur_complement, condition_ensemble
 from repro.linalg.esp import elementary_symmetric_polynomials
 from repro.linalg.batch import (
@@ -34,8 +30,6 @@ from repro.linalg.psd import (
 )
 
 __all__ = [
-    "determinant",
-    "log_determinant",
     "principal_minor",
     "schur_complement",
     "condition_ensemble",

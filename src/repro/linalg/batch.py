@@ -101,8 +101,8 @@ def grouped_principal_minors(matrix: np.ndarray, subsets: Sequence[Sequence[int]
 def grouped_log_principal_minors(matrix: np.ndarray, subsets: Sequence[Sequence[int]]) -> np.ndarray:
     """``log det(M_{S,S})`` for mixed-size subsets; ``-inf`` for nonpositive minors.
 
-    The vectorized form of looping :func:`repro.linalg.determinant.log_determinant`
-    over principal submatrices (empty subsets contribute ``0.0``).
+    The vectorized form of one ``slogdet`` per principal submatrix (empty
+    subsets contribute ``0.0``).
     """
     a = check_square(matrix, "matrix")
     values = np.full(len(subsets), -np.inf)

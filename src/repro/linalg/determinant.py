@@ -1,44 +1,19 @@
-"""Determinants and principal minors.
+"""Principal minors.
 
-Unnormalized DPP probabilities are principal minors ``det(L_{S,S})``; partition
-functions are determinants like ``det(L + I)``.  This module provides:
-
-* scalar determinants / log-determinants (depth-charged),
-* :func:`principal_minor` for a single index subset.
-
-Many principal minors in one batched-oracle round go through
-:func:`repro.linalg.batch.grouped_principal_minors`.
+Unnormalized DPP probabilities are principal minors ``det(L_{S,S})``; this
+module provides :func:`principal_minor` for a single index subset, charged
+as one determinant.  Many principal minors in one batched-oracle round go
+through :func:`repro.linalg.batch.grouped_principal_minors`.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Tuple
+from typing import Iterable
 
 import numpy as np
 
 from repro.pram.tracker import current_tracker
 from repro.utils.validation import check_square
-
-
-def determinant(matrix: np.ndarray) -> float:
-    """Determinant of a (possibly empty) square matrix, charged as one oracle call."""
-    a = check_square(matrix, "matrix")
-    n = a.shape[0]
-    current_tracker().charge_determinant(n)
-    if n == 0:
-        return 1.0
-    return float(np.linalg.det(a))
-
-
-def log_determinant(matrix: np.ndarray) -> Tuple[float, float]:
-    """``(sign, logabsdet)`` of a square matrix (empty matrix -> ``(1, 0)``)."""
-    a = check_square(matrix, "matrix")
-    n = a.shape[0]
-    current_tracker().charge_determinant(n)
-    if n == 0:
-        return 1.0, 0.0
-    sign, logabs = np.linalg.slogdet(a)
-    return float(sign), float(logabs)
 
 
 def principal_minor(matrix: np.ndarray, subset: Iterable[int]) -> float:

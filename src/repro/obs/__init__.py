@@ -61,7 +61,7 @@ from repro.obs.context import (Span, TraceContext, activate, context_from_wire,
                                current_context, new_context, reset_ids)
 from repro.obs.export import (chrome_trace, chrome_trace_events,
                               dump_chrome_trace)
-from repro.obs.metrics import (CollectedMetric, Counter, Gauge, Histogram,
+from repro.obs.metrics import (CollectedMetric, Counter, Histogram,
                                MetricsRegistry, RATIO_BUCKETS, SIZE_BUCKETS,
                                TIME_BUCKETS)
 from repro.obs.rollup import CACHE_TOTAL_KEYS, cluster_rollup, session_stats
@@ -71,7 +71,7 @@ from repro.obs.trace import Tracer
 __all__ = [
     "MetricsRegistry", "Tracer",
     "SLOTracker", "FlightRecorder", "TraceContext", "Span",
-    "Counter", "Gauge", "Histogram", "CollectedMetric",
+    "Counter", "Histogram", "CollectedMetric",
     "registry", "tracer", "slo", "flight_recorder",
     "enabled", "tracing", "enable", "disable", "configure", "reset",
     "snapshot", "render_prometheus",

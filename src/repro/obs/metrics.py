@@ -1,4 +1,4 @@
-"""Process-wide metrics primitives: counters, gauges, histograms.
+"""Process-wide metrics primitives: counters and histograms.
 
 The :class:`MetricsRegistry` is the single store every instrumented layer
 (engine backends, planner, scheduler, caches, cluster nodes) writes into.
@@ -39,7 +39,6 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 __all__ = [
     "Counter",
-    "Gauge",
     "Histogram",
     "CollectedMetric",
     "MetricsRegistry",
@@ -95,7 +94,7 @@ class _Instrument:
     kind = "untyped"
 
     #: concurrency contract, enforced by ``repro.analysis`` (R2 + race
-    #: harness); Counter/Gauge/Histogram inherit this declaration
+    #: harness); Counter/Histogram inherit this declaration
     _GUARDED_BY = {"_lock": ("_values",)}
 
     def __init__(self, registry: "MetricsRegistry", name: str, help: str,
@@ -146,30 +145,6 @@ class Counter(_Instrument):
             return
         if amount < 0:
             raise ValueError(f"counter {self.name!r} cannot decrease (amount={amount})")
-        key = self._key(labels)
-        with self._lock:
-            self._values[key] = self._values.get(key, 0.0) + float(amount)
-
-    def value(self, **labels: object) -> float:
-        with self._lock:
-            return float(self._values.get(self._key(labels), 0.0))
-
-
-class Gauge(_Instrument):
-    """A point-in-time value (``set``/``add``)."""
-
-    kind = "gauge"
-
-    def set(self, value: float, **labels: object) -> None:
-        if not self._registry.enabled:
-            return
-        key = self._key(labels)
-        with self._lock:
-            self._values[key] = float(value)
-
-    def add(self, amount: float, **labels: object) -> None:
-        if not self._registry.enabled:
-            return
         key = self._key(labels)
         with self._lock:
             self._values[key] = self._values.get(key, 0.0) + float(amount)
@@ -304,10 +279,6 @@ class MetricsRegistry:
     def counter(self, name: str, help: str = "",
                 labelnames: Sequence[str] = ()) -> Counter:
         return self._get_or_create(Counter, name, help, labelnames)
-
-    def gauge(self, name: str, help: str = "",
-              labelnames: Sequence[str] = ()) -> Gauge:
-        return self._get_or_create(Gauge, name, help, labelnames)
 
     def histogram(self, name: str, help: str = "",
                   labelnames: Sequence[str] = (),

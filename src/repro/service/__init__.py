@@ -36,6 +36,7 @@ from repro.service.registry import (
     KERNEL_KINDS,
     KernelRegistry,
     RegisteredKernel,
+    _refuse_registration_args,
     kernel_fingerprint,
 )
 from repro.service.scheduler import RoundScheduler, SampleTicket
@@ -108,14 +109,6 @@ def serve(kernel, *, name: Optional[str] = None,
         entry = reg.register(name, kernel, kind=kind, parts=parts, counts=counts,
                              validate=validate, ephemeral=name is None)
         return SamplerSession(reg, entry, backend=backend)
-    # registration-time arguments are meaningless for an existing entry:
-    # reject mismatches instead of silently sampling a different family
-    if name is not None or parts is not None or counts is not None:
-        raise ValueError("name=/parts=/counts= apply when registering a matrix; "
-                         f"{kernel!r} is already registered")
-    session = reg.session(kernel, backend=backend)
-    if kind is not None and kind != session.entry.kind:
-        session.close()
-        raise ValueError(
-            f"kernel {kernel!r} is registered as kind={session.entry.kind!r}, not {kind!r}")
-    return session
+    _refuse_registration_args(kernel, reg.get(kernel).kind, name=name, kind=kind,
+                              parts=parts, counts=counts)
+    return reg.session(kernel, backend=backend)

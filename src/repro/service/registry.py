@@ -89,6 +89,17 @@ class RegisteredKernel:
         """The placement-stable identity: base of the chain, or self if cold."""
         return self.base_fingerprint or self.fingerprint
 
+    def describe(self) -> Dict[str, object]:
+        """The entry without its matrix: name, family, size and chain identity.
+
+        The one description of a registration that ``registry_info`` lists and
+        a shard node replies with (``register`` / ``update`` / ``catalog`` /
+        ``export``); the cluster client reads it back into its catalog.
+        """
+        return {"name": self.name, "kind": self.kind, "n": self.n,
+                "fingerprint": self.fingerprint,
+                "base_fingerprint": self.route_fingerprint, "epoch": self.epoch}
+
 
 #: update-chain depth from which an update rebuilds its cached artifacts
 #: lazily instead of patching them.  A dense kernel rebuilds from depth
@@ -136,6 +147,25 @@ def kernel_entry(kernel, name: Optional[str] = None, *, kind: Optional[str] = No
     return RegisteredKernel(name=name if name is not None else f"kernel-{fingerprint[:12]}",
                             kind=kind, matrix=matrix, fingerprint=fingerprint,
                             parts=parts_key, counts=counts_key)
+
+
+def _refuse_registration_args(kernel: str, registered_kind: str, *,
+                              name: Optional[str], kind: Optional[str],
+                              parts: Optional[Sequence[Sequence[int]]],
+                              counts: Optional[Sequence[int]]) -> None:
+    """Refuse registration-time arguments when serving the registered name ``kernel``.
+
+    ``repro.serve`` and ``repro.serve_cluster`` serve a registered name as
+    it stands: ``name=`` / ``parts=`` / ``counts=`` apply only when
+    registering a matrix, and a ``kind=`` other than ``registered_kind``
+    would sample a different family than asked for.
+    """
+    if name is not None or parts is not None or counts is not None:
+        raise ValueError("name=/parts=/counts= apply when registering a matrix; "
+                         f"{kernel!r} is already registered")
+    if kind is not None and kind != registered_kind:
+        raise ValueError(
+            f"kernel {kernel!r} is registered as kind={registered_kind!r}, not {kind!r}")
 
 
 @dataclass
@@ -412,14 +442,8 @@ class KernelRegistry:
         ``repro.cluster``'s ``cluster_info()`` aggregates across shards.
         """
         with self._lock:
-            kernels = [
-                {"name": entry.name, "kind": entry.kind, "n": entry.n,
-                 "fingerprint": entry.fingerprint,
-                 "base_fingerprint": entry.route_fingerprint,
-                 "epoch": entry.epoch,
-                 "ephemeral": name in self._ephemeral}
-                for name, entry in sorted(self._entries.items())
-            ]
+            kernels = [{**entry.describe(), "ephemeral": name in self._ephemeral}
+                       for name, entry in sorted(self._entries.items())]
         return {
             "kernels": kernels,
             "registered": len(kernels),

@@ -289,16 +289,6 @@ class _FusingBackend(ExecutionBackend):
     def execute(self, batch: OracleBatch, *, tracker: Optional[Tracker] = None) -> OracleBatchResult:
         return self._coordinator.execute(batch, tracker)
 
-    # the abstract hooks are never reached — execute() is fully overridden
-    def _counting(self, batch, tracker):  # pragma: no cover
-        raise NotImplementedError
-
-    def _joint_marginals(self, batch, tracker):  # pragma: no cover
-        raise NotImplementedError
-
-    def _log_principal_minors(self, batch, tracker):  # pragma: no cover
-        raise NotImplementedError
-
 
 class RoundScheduler:
     """Thread-safe ``submit()`` / ``drain()`` front of one sampler session.

@@ -38,6 +38,7 @@ from repro.dpp.intermediate import sample_dpp_intermediate, sample_kdpp_intermed
 from repro.dpp.partition import check_grid_budget
 from repro.dpp.spectral import sample_dpp_spectral, sample_kdpp_spectral
 from repro.engine import BackendLike
+from repro.linalg.updates import KernelUpdate
 from repro.pram.tracker import Tracker, use_tracker
 from repro.service.cache import KernelFactorization
 from repro.service.registry import KernelRegistry, RegisteredKernel
@@ -46,7 +47,111 @@ from repro.utils.rng import SeedLike
 __all__ = ["SamplerSession"]
 
 
-class SamplerSession:
+class SessionBase:
+    """The surface every serving session shares, local or cluster.
+
+    :class:`SamplerSession` and :class:`~repro.cluster.client.ClusterSession`
+    both subclass it: a consistent ``entry`` snapshot and its read-only
+    ``name`` / ``kind`` / ``n`` / ``fingerprint`` / ``epoch``, the
+    ``closed`` state with its ``with`` block, and the three update
+    constructors.  Each subclass answers ``_apply_update`` (and ``close``,
+    ``sample``, ``warm``, ``submit`` / ``drain``, ``stats``) for where its
+    kernel lives.
+    """
+
+    #: concurrency contract, enforced by ``repro.analysis`` (R2 + race harness)
+    _GUARDED_BY = {"_lock": ("_entry", "_closed")}
+
+    def __init__(self, entry):
+        # an RLock: a subclass's close()/scheduler()/submit() may hold it
+        # while reading the properties below
+        self._lock = threading.RLock()
+        self._entry = entry
+        self._closed = False
+
+    @property
+    def entry(self):
+        """The kernel currently served — a consistent snapshot.
+
+        Incremental updates (:meth:`update` / :meth:`append_items` /
+        :meth:`delete_items`) swap this atomically; callers needing several
+        coherent reads should snapshot once (``entry = session.entry``)
+        instead of re-reading the property.
+        """
+        with self._lock:
+            return self._entry
+
+    @property
+    def name(self) -> str:
+        return self.entry.name
+
+    @property
+    def kind(self) -> str:
+        return self.entry.kind
+
+    @property
+    def n(self) -> int:
+        return self.entry.n
+
+    @property
+    def fingerprint(self) -> str:
+        return self.entry.fingerprint
+
+    @property
+    def epoch(self) -> int:
+        """How many incremental updates this session's kernel has absorbed."""
+        return self.entry.epoch
+
+    @property
+    def closed(self) -> bool:
+        # under the lock, so close() is visible to other threads before
+        # they start a draw
+        with self._lock:
+            return self._closed
+
+    def _check_open(self) -> None:
+        with self._lock:
+            closed = self._closed
+        if closed:
+            raise RuntimeError(f"session on kernel {self.name!r} is closed")
+
+    def __enter__(self):
+        self._check_open()
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.close()
+
+    # ------------------------------------------------------------------ #
+    # streaming kernels: incremental updates instead of O(n^3) recompute
+    # ------------------------------------------------------------------ #
+    def update(self, u: np.ndarray, v: Optional[np.ndarray] = None, *,
+               weight: float = 1.0):
+        """Apply a rank-1 kernel update ``L += weight * u v^T`` in place.
+
+        ``v=None`` means the symmetric special case ``L += weight * u u^T``.
+        A symmetric kernel's cached artifacts are *patched* (secular-equation
+        eigen update, :mod:`repro.linalg.updates`) rather than recomputed,
+        until the chain is deep enough that the registry rebuilds them lazily
+        instead (:meth:`~repro.service.registry.KernelRegistry.apply_update`).
+        A cluster session ships only the update's vectors (O(n) bytes, never
+        the O(n²) matrix) to every owning shard, which patches its replica.
+        An update that leaves the PSD / nPSD cone raises :class:`ValueError`
+        and changes nothing.  Fixed-seed draws after the update match
+        cold-registering the mutated matrix.  Returns the new entry.
+        """
+        return self._apply_update(KernelUpdate.rank_one(u, v, weight=weight))
+
+    def append_items(self, rows: np.ndarray):
+        """Grow a low-rank kernel's ground set: append factor rows (items)."""
+        return self._apply_update(KernelUpdate.append_rows(rows))
+
+    def delete_items(self, indices):
+        """Shrink a low-rank kernel's ground set: delete factor rows (items)."""
+        return self._apply_update(KernelUpdate.delete_rows(indices))
+
+
+class SamplerSession(SessionBase):
     """A warm handle for repeated sampling against one registered kernel.
 
     Sessions are cheap: the artifacts and served distributions of the epoch
@@ -71,13 +176,11 @@ class SamplerSession:
 
     def __init__(self, registry: KernelRegistry, entry: RegisteredKernel, *,
                  backend: BackendLike = None):
+        super().__init__(entry)
         self._registry = registry
         self.cache = registry.cache
         self.backend = backend
-        self._lock = threading.RLock()
-        self._entry = entry
         self._scheduler = None
-        self._closed = False
         self.samples_served = 0
         self._superseded: Optional[KernelFactorization] = None
 
@@ -100,46 +203,7 @@ class SamplerSession:
             self._superseded = None
         self._registry.release(name)
 
-    @property
-    def closed(self) -> bool:
-        # The lock (an RLock — close()/scheduler() may already hold it)
-        # makes close() visible to other threads before they start a draw.
-        with self._lock:
-            return self._closed
-
-    def _check_open(self) -> None:
-        with self._lock:
-            closed = self._closed
-        if closed:
-            raise RuntimeError(
-                f"session on kernel {self.entry.name!r} is closed"
-            )
-
-    def __enter__(self) -> "SamplerSession":
-        self._check_open()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
-
     # ------------------------------------------------------------------ #
-    @property
-    def entry(self) -> RegisteredKernel:
-        """The kernel currently served — a consistent snapshot.
-
-        Incremental updates (:meth:`update` / :meth:`append_items` /
-        :meth:`delete_items` / :meth:`adopt_entry`) swap this atomically;
-        callers needing several coherent reads should snapshot once
-        (``entry = session.entry``) instead of re-reading the property.
-        """
-        with self._lock:
-            return self._entry
-
-    @property
-    def epoch(self) -> int:
-        """How many incremental updates this session's kernel has absorbed."""
-        return self.entry.epoch
-
     @property
     def factorization(self) -> KernelFactorization:
         """The kernel's cached (or, on a cold cache, freshly computed) artifacts."""
@@ -338,37 +402,8 @@ class SamplerSession:
             seed, tracker)
 
     # ------------------------------------------------------------------ #
-    # streaming kernels: incremental updates instead of O(n^3) recompute
+    # streaming kernels: the registry makes the successor epoch
     # ------------------------------------------------------------------ #
-    def update(self, u: np.ndarray, v: Optional[np.ndarray] = None, *,
-               weight: float = 1.0) -> RegisteredKernel:
-        """Apply a rank-1 kernel update ``L += weight * u v^T`` in place.
-
-        ``v=None`` means the symmetric special case ``L += weight * u u^T``.
-        A symmetric kernel's cached artifacts are *patched* (secular-equation
-        eigen update, :mod:`repro.linalg.updates`) rather than recomputed,
-        until the chain is deep enough that the registry rebuilds them lazily
-        instead (:meth:`~repro.service.registry.KernelRegistry.apply_update`).
-        An update that leaves the PSD / nPSD cone raises :class:`ValueError`
-        and changes nothing.  Fixed-seed draws after the update match
-        cold-registering the mutated matrix.  Returns the new entry.
-        """
-        from repro.linalg.updates import KernelUpdate
-
-        return self._apply_update(KernelUpdate.rank_one(u, v, weight=weight))
-
-    def append_items(self, rows: np.ndarray) -> RegisteredKernel:
-        """Grow a low-rank kernel's ground set: append factor rows (items)."""
-        from repro.linalg.updates import KernelUpdate
-
-        return self._apply_update(KernelUpdate.append_rows(rows))
-
-    def delete_items(self, indices) -> RegisteredKernel:
-        """Shrink a low-rank kernel's ground set: delete factor rows (items)."""
-        from repro.linalg.updates import KernelUpdate
-
-        return self._apply_update(KernelUpdate.delete_rows(indices))
-
     def _apply_update(self, update) -> RegisteredKernel:
         with self._lock:
             self._check_open()

@@ -22,9 +22,11 @@ from repro.cluster import (
     serve_cluster,
 )
 from repro.cluster.protocol import Connection, recv_frame, send_frame
+from repro.linalg.updates import KernelUpdate
 from repro.obs.rollup import CACHE_TOTAL_KEYS
 from repro.service.cache import CacheStats
 from repro.service.registry import kernel_fingerprint
+from repro.service.session import SessionBase
 from repro.workloads import clustered_ensemble, random_npsd_ensemble, random_psd_ensemble
 
 
@@ -362,6 +364,44 @@ class TestFailureModes:
             assert client.sample(entry.name, k=3, seed=2).subset == \
                 reference.sample(k=3, seed=2).subset
 
+    @staticmethod
+    def _owner_wide(op, client, psd, name):
+        if op == "register":
+            return client.register(psd, name=name)
+        if op == "warm":
+            return client.warm(name)
+        return client.update(name, KernelUpdate.rank_one(np.full(psd.shape[0], 0.1)))
+
+    @pytest.mark.parametrize("op", ["register", "warm", "update"])
+    def test_owner_wide_ops_share_one_replica_policy(self, psd, op):
+        # register, warm and update each reach every owner of the kernel:
+        # a down owner is skipped, and only no answering owner is an error
+        with LocalCluster(nodes=3, replication=2) as cluster:
+            client = cluster.client()
+            first, second = client.owners(kernel_fingerprint(psd))
+            if op != "register":
+                client.register(psd, name="replicated")
+            cluster.kill_node(first)
+            result = self._owner_wide(op, client, psd, "replicated")
+            survivor = cluster.node(second).registry.get("replicated")
+            assert survivor.epoch == (1 if op == "update" else 0)
+            if op == "warm":
+                assert result == 1  # the one owner that answered
+            cluster.kill_node(second)
+            with pytest.raises(ClusterError):
+                self._owner_wide(op, client, psd, "replicated")
+
+    @pytest.mark.parametrize("op", ["warm", "update"])
+    def test_owner_wide_ops_skip_a_replica_missing_the_kernel(self, psd, op):
+        with LocalCluster(nodes=3, replication=2) as cluster:
+            client = cluster.client()
+            first, second = client.owners(client.register(psd, name="partial").route)
+            cluster.node(first).handle({"op": "unregister", "name": "partial"})
+            self._owner_wide(op, client, psd, "partial")
+            survivor = cluster.node(second).registry.get("partial")
+            assert survivor.epoch == (1 if op == "update" else 0)
+            assert "partial" not in cluster.node(first).registry
+
 
 # ---------------------------------------------------------------------- #
 # rebalance
@@ -471,10 +511,25 @@ class TestClusterInfoAndFacade:
             assert info["alive"] == 2
             assert "unreachable" in info["nodes"]["shard-2"]
 
+    @staticmethod
+    def _assert_shared_surface(session, psd):
+        """What a local and a cluster session share, one code path for both."""
+        for member in ("entry", "name", "kind", "n", "fingerprint", "epoch", "closed",
+                       "__enter__", "__exit__", "update", "append_items", "delete_items"):
+            assert getattr(type(session), member) is getattr(SessionBase, member)
+        assert session.kind == "symmetric" and session.n == psd.shape[0]
+        assert session.name == session.entry.name
+        assert session.fingerprint == kernel_fingerprint(psd) and session.epoch == 0
+        assert not session.closed
+        entry = session.update(np.full(psd.shape[0], 0.1))
+        assert session.epoch == entry.epoch == 1
+        assert session.fingerprint == entry.fingerprint != kernel_fingerprint(psd)
+
     def test_session_surface_is_sampler_session_shaped(self, psd):
+        with repro.serve(psd, registry=repro.KernelRegistry()) as local:
+            self._assert_shared_surface(local, psd)
         with serve_cluster(psd, nodes=2) as session:
-            assert session.kind == "symmetric" and session.n == psd.shape[0]
-            assert not session.closed
+            self._assert_shared_surface(session, psd)
             with pytest.raises(TypeError):
                 session.sample(k=3, seed=np.random.default_rng(0))
             with pytest.raises(ValueError):
@@ -493,10 +548,13 @@ class TestClusterInfoAndFacade:
             session.submit(3, seed=4)
             assert session.pending == 1
             assert len(session.drain()) == 1  # the queue stayed healthy
-        assert session.closed
-        with pytest.raises(RuntimeError):
-            session.sample(k=3, seed=0)
-        session.close()  # idempotent
+        for closed in (local, session):
+            assert closed.closed
+            with pytest.raises(RuntimeError, match="closed"):
+                closed.sample(k=3, seed=0)
+            with pytest.raises(RuntimeError, match="closed"):
+                closed.update(np.full(psd.shape[0], 0.1))
+            closed.close()  # idempotent
 
     def test_serve_cluster_by_name_shares_registrations(self, psd):
         with LocalCluster(nodes=2) as cluster:

@@ -10,6 +10,7 @@ from repro.core.rejection import (
     machines_for_boosting,
     modified_rejection_round,
 )
+from repro.core.result import SamplerReport
 from repro.pram.tracker import Tracker
 
 
@@ -92,13 +93,17 @@ class TestBoostedRejection:
             return np.log(target[batch] / proposal[batch])
 
         counts = np.zeros(2)
+        report = SamplerReport()
         for _ in range(2000):
-            idx, batch, outcome = boosted_rejection_sample(propose, log_ratio, C, 0.01, rng,
-                                                           tracker=Tracker())
-            assert idx is not None
+            accepted = boosted_rejection_sample(propose, log_ratio, C, 0.01, rng, report,
+                                                tracker=Tracker())
+            assert accepted is not None
+            batch, idx = accepted
             counts[batch[idx]] += 1
         freqs = counts / counts.sum()
         assert np.allclose(freqs, target, atol=0.03)
+        assert not report.failed
+        assert len(report.acceptance_rates) >= 2000
 
     def test_returns_none_when_impossible(self):
         rng = np.random.default_rng(5)
@@ -109,10 +114,15 @@ class TestBoostedRejection:
         def log_ratio(batch):
             return np.full(len(batch), -np.inf)
 
-        idx, _, outcome = boosted_rejection_sample(propose, log_ratio, 2.0, 0.1, rng,
-                                                   tracker=Tracker(), max_rounds=3)
-        assert idx is None
-        assert outcome.proposals > 0
+        report = SamplerReport()
+        tracker = Tracker()
+        accepted = boosted_rejection_sample(propose, log_ratio, 2.0, 0.1, rng, report,
+                                            tracker=tracker, max_rounds=3)
+        assert accepted is None
+        assert report.failed
+        assert report.proposals > 0
+        assert report.acceptance_rates == [0.0, 0.0, 0.0]
+        assert tracker.rounds == 3
 
     def test_violation_accounting(self):
         rng = np.random.default_rng(6)
@@ -123,7 +133,9 @@ class TestBoostedRejection:
         def log_ratio(batch):
             return np.full(len(batch), 10.0)  # way above log C
 
-        idx, _, outcome = boosted_rejection_sample(propose, log_ratio, 2.0, 0.1, rng,
-                                                   tracker=Tracker(), max_rounds=2)
-        assert idx is None
-        assert outcome.ratio_violations == outcome.proposals
+        report = SamplerReport()
+        accepted = boosted_rejection_sample(propose, log_ratio, 2.0, 0.1, rng, report,
+                                            tracker=Tracker(), max_rounds=2)
+        assert accepted is None
+        assert report.ratio_violations == report.proposals
+        assert report.proposals == 2 * machines_for_boosting(2.0, 0.1)

@@ -10,13 +10,10 @@ from repro.dpp.kernels import (
     validate_ensemble,
     validate_kernel,
 )
-from repro.dpp.likelihood import (
-    all_principal_minor_sums,
-    dpp_log_unnormalized,
-    dpp_unnormalized,
-)
+from repro.dpp.likelihood import all_principal_minor_sums, dpp_log_unnormalized
 from repro.dpp.exact import exact_dpp_distribution
 from repro.dpp.symmetric import SymmetricDPP
+from repro.linalg.determinant import principal_minor
 from repro.workloads import random_npsd_ensemble, random_psd_ensemble
 
 
@@ -94,7 +91,7 @@ class TestLikelihood:
     def test_unnormalized_is_principal_minor(self, small_psd):
         subset = (0, 2, 5)
         expected = np.linalg.det(small_psd[np.ix_(subset, subset)])
-        assert dpp_unnormalized(small_psd, subset) == pytest.approx(expected)
+        assert principal_minor(small_psd, subset) == pytest.approx(expected)
 
     def test_log_unnormalized(self, small_psd):
         subset = (1, 3)

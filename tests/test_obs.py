@@ -40,13 +40,11 @@ class TestMetricsRegistry:
     def test_disabled_registry_records_nothing(self):
         reg = MetricsRegistry(enabled=False)
         counter = reg.counter("t_total", "help")
-        gauge = reg.gauge("t_gauge", "help")
         hist = reg.histogram("t_seconds", "help")
         counter.inc()
-        gauge.set(5.0)
         hist.observe(1.0)
         assert counter.value() == 0.0
-        assert gauge.value() == 0.0
+        assert hist.value()["count"] == 0
         snap = reg.snapshot()
         assert snap["enabled"] is False
 
@@ -64,13 +62,6 @@ class TestMetricsRegistry:
         counter = reg.counter("neg_total", "help")
         with pytest.raises(ValueError):
             counter.inc(-1.0)
-
-    def test_gauge_set_and_add(self):
-        reg = MetricsRegistry(enabled=True)
-        gauge = reg.gauge("level", "help")
-        gauge.set(10.0)
-        gauge.add(-3.0)
-        assert gauge.value() == pytest.approx(7.0)
 
     def test_histogram_buckets_and_sum(self):
         reg = MetricsRegistry(enabled=True)
@@ -93,7 +84,7 @@ class TestMetricsRegistry:
         reg = MetricsRegistry(enabled=True)
         reg.counter("clash", "help")
         with pytest.raises(ValueError):
-            reg.gauge("clash", "help")
+            reg.histogram("clash", "help")
 
     def test_unknown_label_rejected(self):
         reg = MetricsRegistry(enabled=True)

@@ -93,15 +93,6 @@ class _StubBackend(ExecutionBackend):
     def traits(self):
         return self._traits
 
-    def _counting(self, batch, tracker):  # pragma: no cover
-        raise NotImplementedError
-
-    def _joint_marginals(self, batch, tracker):  # pragma: no cover
-        raise NotImplementedError
-
-    def _log_principal_minors(self, batch, tracker):  # pragma: no cover
-        raise NotImplementedError
-
 
 def _make_planner(vectorized=0.05, process=0.01, *, lanes=4):
     """A planner over scripted pooled backends (``lanes`` each): no pools
