@@ -12,7 +12,7 @@ import json
 import os
 import socket
 import subprocess
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, Optional, Sequence, Union
 
 import numpy as np
 

@@ -27,7 +27,6 @@ import sys
 import time
 from typing import Dict
 
-import numpy as np
 import pytest
 
 import repro

@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from repro.distributions.hard_instance import PairedHardInstance
 
 from _helpers import fit_power_law, print_table, record

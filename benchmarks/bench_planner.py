@@ -15,7 +15,7 @@ Two questions, answered with machine-readable JSON lines:
 
 2. **Spectral fusion.**  Concurrent same-kernel HKPV requests drained
    through the ``RoundScheduler`` run phase 2 in lockstep, and their
-   projection rounds stack into single Householder-step rounds; the fused
+   projection rounds stack into single leverage-downdate rounds; the fused
    drain should beat draining the same seeds sequentially, with identical
    samples.
 
@@ -36,7 +36,6 @@ import warnings
 from typing import Dict, List
 
 import numpy as np
-import pytest
 
 import repro
 from _helpers import best_of, emit_reports

@@ -23,7 +23,6 @@ from __future__ import annotations
 import json
 import os
 import sys
-import time
 import warnings
 from typing import Dict, List
 

@@ -8,8 +8,6 @@ paper's predicted depth, and the speedup factor.
 
 from __future__ import annotations
 
-import math
-
 from repro.core.entropic import EntropicSamplerConfig
 from repro.core.nonsymmetric import sample_nonsymmetric_kdpp_parallel
 from repro.core.partition import sample_partition_dpp_parallel

@@ -10,9 +10,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-import pytest
-
 from repro.core.sequential import sequential_sample
 from repro.core.symmetric import sample_symmetric_dpp_parallel, sample_symmetric_kdpp_parallel
 from repro.dpp.symmetric import SymmetricKDPP

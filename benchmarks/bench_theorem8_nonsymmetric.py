@@ -8,8 +8,6 @@ modified-rejection violation counts.
 
 from __future__ import annotations
 
-import math
-
 from repro.core.entropic import EntropicSamplerConfig
 from repro.core.nonsymmetric import sample_nonsymmetric_kdpp_parallel
 from repro.core.sequential import sequential_sample

@@ -63,7 +63,9 @@ independence, isotropic transform, hard instance), :mod:`repro.workloads`
 (synthetic workloads).
 """
 
-from repro import cluster, core, distributions, dpp, engine, linalg, obs, planar, pram, service, utils, workloads
+import importlib
+
+from repro import cluster, core, distributions, dpp, engine, linalg, obs, pram, service, utils, workloads
 from repro.service import (
     FactorizationCache,
     KernelRegistry,
@@ -105,15 +107,23 @@ from repro.core import (
     sample_bounded_dpp_filtering,
     sequential_sample,
 )
-from repro.planar import (
-    sample_planar_matching_parallel,
-    sample_planar_matching_sequential,
-)
 from repro.distributions.lowrank import LowRankDPP, LowRankKDPP, LowRankKernel
 from repro.dpp.intermediate import sample_dpp_intermediate, sample_kdpp_intermediate
 from repro.pram import Tracker
 
 __version__ = "1.0.0"
+
+#: served through ``__getattr__``: ``repro.planar`` is networkx's only user,
+#: so ``import repro`` loads neither until one of these is first read
+_PLANAR_NAMES = ("sample_planar_matching_parallel", "sample_planar_matching_sequential")
+
+
+def __getattr__(name: str):
+    if name == "planar":
+        return importlib.import_module("repro.planar")
+    if name in _PLANAR_NAMES:
+        return getattr(importlib.import_module("repro.planar"), name)
+    raise AttributeError(f"module 'repro' has no attribute {name!r}")
 
 __all__ = [
     "cluster",

@@ -4,8 +4,8 @@ Two enforcement layers over one declared protocol:
 
 * **static** (``python -m repro.analysis src benchmarks``): AST rules
   R1 (determinism), R2 (lock discipline over ``_GUARDED_BY``),
-  R3 (worker-payload shipping contract), R4 (export hygiene) — see
-  :mod:`repro.analysis.checker`;
+  R3 (worker-payload shipping contract), R4 (export hygiene), R5 (unused
+  imports) — see :mod:`repro.analysis.checker`;
 * **dynamic** (:mod:`repro.analysis.runtime`): ``DebugLock`` rank-order
   assertions, ``guard_instance`` runtime guarded-attribute enforcement and
   the seeded ``ChaosScheduler`` interleaving randomizer used by the stress

@@ -18,7 +18,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.analysis",
         description=("determinism & concurrency invariant checker: "
                      "R1 determinism, R2 lock discipline, R3 shipping "
-                     "contract, R4 export hygiene"),
+                     "contract, R4 export hygiene, R5 unused imports"),
     )
     parser.add_argument("paths", nargs="*", default=[],
                         help="files or directory trees to scan (e.g. src benchmarks)")

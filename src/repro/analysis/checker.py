@@ -8,6 +8,7 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Set
 
 from repro.analysis.determinism import DeterminismRule
 from repro.analysis.exports import ExportHygieneRule
+from repro.analysis.imports import UnusedImportRule
 from repro.analysis.locks import LockDisciplineRule
 from repro.analysis.report import AnalysisReport
 from repro.analysis.rulebase import Rule, RuleContext
@@ -21,6 +22,7 @@ ALL_RULES: Sequence[Rule] = (
     LockDisciplineRule(),
     ShippingContractRule(),
     ExportHygieneRule(),
+    UnusedImportRule(),
 )
 
 #: directory names never descended into

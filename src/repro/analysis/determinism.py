@@ -32,7 +32,7 @@ that invariant quietly dies inside ``src/repro``:
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, Optional, Set
+from typing import Dict, Iterator, Optional
 
 from repro.analysis.report import Violation
 from repro.analysis.rulebase import Rule, RuleContext, dotted_name, import_aliases, resolve

@@ -42,7 +42,7 @@ class RuleContext:
 class Rule:
     """One named check over a parsed module; subclasses yield violations."""
 
-    #: rule family id ("R1" .. "R4")
+    #: rule family id ("R1" .. "R5")
     id: str = ""
     #: one-line description for ``--list-rules``
     summary: str = ""

@@ -27,7 +27,7 @@ from repro.core.batched import batched_sample
 from repro.core.rejection import boosted_rejection_sample
 from repro.core.result import SampleResult, SamplerReport
 from repro.core.symmetric import kdpp_batched_config, sample_by_cardinality
-from repro.dpp.kernels import ensemble_to_kernel, kernel_to_ensemble, validate_ensemble
+from repro.dpp.kernels import ensemble_to_kernel, validate_ensemble
 from repro.dpp.symmetric import SymmetricDPP
 from repro.engine import BackendLike, ExecutionBackend, OracleBatch, resolve_backend
 from repro.linalg.schur import condition_ensemble

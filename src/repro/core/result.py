@@ -10,7 +10,7 @@ claims directly from sampler outputs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.pram.tracker import Tracker
 

@@ -19,13 +19,12 @@ interface only.
 from __future__ import annotations
 
 import abc
-import math
 from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.pram.tracker import current_tracker
-from repro.utils.subsets import Subset, all_subsets_of_size, subset_key
+from repro.utils.subsets import all_subsets_of_size, subset_key
 from repro.utils.validation import check_subset
 
 

@@ -21,14 +21,12 @@ on random small instances and to certify the Section 7 hard instance.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from repro.distributions.divergences import kl_divergence
 from repro.distributions.generic import ExplicitDistribution
 from repro.utils.rng import SeedLike, as_generator
-from repro.utils.subsets import subset_key
 
 
 def _check_homogeneous(mu: ExplicitDistribution) -> int:

@@ -13,7 +13,6 @@ strategy.
 
 from __future__ import annotations
 
-import math
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np

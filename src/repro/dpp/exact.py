@@ -6,7 +6,7 @@ ground sets; they exist to validate the fast oracles and the samplers.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 

@@ -9,8 +9,12 @@ exactly the ``Ω(k)`` depth the paper's batched samplers beat.
 Phase 1 walks back through :func:`repro.linalg.esp.esp_prefix_table`.  Each
 phase-2 step is one ``projection_step`` :class:`~repro.engine.batch.OracleBatch`
 executed through the engine (:func:`repro.linalg.batch.hkpv_projection_step`):
-drop the previously selected element's direction with one Householder
-reflector and return the squared row norms the next selection draws from.
+a leverage downdate.  The eigenbasis stays fixed; the round extends the span
+of the elements chosen so far by the previously selected element's
+Gram–Schmidt residual and subtracts its squared projections from the
+leverage scores, which are the next draw's selection weights.  That is the
+chain rule of the projection DPP (after Barthelmé–Tremblay–Amblard,
+2210.17358), one ``n x m`` matvec per round.
 Routing the round through the engine keeps the sampler's depth accounting
 where every other sampler's is (one adaptive round per batch), lets the
 planner see it, and lets the serving layer's
@@ -57,34 +61,33 @@ def _phase_two(vectors: np.ndarray, seed: SeedLike = None, *,
     """HKPV phase 2: sample one element per selected eigenvector.
 
     ``vectors`` has shape ``(n, m)`` — an orthonormal basis of the selected
-    eigenspace.  Each of the ``m`` iterations is one ``projection_step``
-    engine round (drop the last selected element's direction with a
-    Householder reflector, read the squared row norms), so depth accounting
-    is one adaptive round per step, and the rounds are visible to the
-    planner and stackable by the serving layer's scheduler.  All randomness
-    stays here in the driver; the engine round is deterministic.
+    eigenspace, fixed for the whole chain.  Each of the ``m`` iterations is
+    one ``projection_step`` engine round: it takes the previous round's
+    ``(spans, leverages)`` state, folds in the last selected element's
+    direction and returns the downdated leverage scores, which the draw
+    reads after clipping at zero.  So depth accounting is one adaptive round
+    per step, and the rounds are visible to the planner and stackable by the
+    serving layer's scheduler.  All randomness stays here in the driver; the
+    engine round is deterministic.
     """
     rng = as_generator(seed)
     engine = resolve_backend(backend)
     tracker = current_tracker()
-    m = vectors.shape[1]
-    basis = vectors
     selected: List[int] = []
     last: Optional[int] = None
-    for _step in range(m, 0, -1):
+    state = None
+    for _step in range(vectors.shape[1]):
         result = engine.execute(
             OracleBatch.projection_step(
-                basis, eliminate=None if last is None else (last,), label="hkpv-step"),
+                vectors, eliminate=None if last is None else (last,), state=state,
+                label="hkpv-step"),
             tracker=tracker,
         )
-        basis = result.artifacts["bases"][0]
-        weights = result.values
-        total = weights.sum()
-        if total <= 0:
-            raise RuntimeError("spectral sampler ran out of probability mass")
-        probs = np.clip(weights / total, 0.0, None)
-        probs = probs / probs.sum()
-        item = weighted_choice(rng, probs)
+        state = result.artifacts["state"]
+        try:
+            item = weighted_choice(rng, np.clip(result.values, 0.0, None))
+        except ValueError as exc:
+            raise RuntimeError("spectral sampler ran out of probability mass") from exc
         selected.append(item)
         last = item
     return subset_key(selected)

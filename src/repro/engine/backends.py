@@ -103,8 +103,12 @@ class ExecutionBackend:
         start = time.perf_counter()
         with trk.round(batch.label):
             trk.charge(machines=float(batch.n_queries))
-            with use_tracker(trk), obs.activate(trace_context):
-                values = self._dispatch(batch, trk)
+            with use_tracker(trk):
+                if trace_context is None:
+                    values = self._dispatch(batch, trk)
+                else:
+                    with obs.activate(trace_context):
+                        values = self._dispatch(batch, trk)
         artifacts: Dict[str, object] = {}
         if isinstance(values, tuple):
             values, artifacts = values
@@ -147,19 +151,21 @@ class ExecutionBackend:
         """One HKPV phase-2 round — a fixed route shared by every backend.
 
         Like ``marginal_vector``, this kind has exactly one numerical route
-        (:func:`repro.linalg.batch.hkpv_projection_step`), so forcing any
-        backend — or letting the planner choose — cannot perturb the
-        sequential sampler's randomness.  Shipping a per-step mutated basis
-        to worker processes could never beat the in-process reflector step
-        (the basis changes every round, so nothing amortizes), which is why
-        no backend overrides this.
+        (:func:`repro.linalg.batch.hkpv_projection_step`, a leverage
+        downdate), so forcing any backend — or letting the planner choose —
+        cannot perturb the sequential sampler's randomness.  The values are
+        the downdated leverage scores and the ``"state"`` artifact carries
+        ``(spans, leverages)`` into the next round.  A round is one
+        ``n x m`` matvec per request against state that changes every round,
+        so shipping it to worker processes could never pay for itself, which
+        is why no backend overrides this.
         """
         basis = batch.matrix
         assert basis is not None
         stacked = basis if basis.ndim == 3 else basis[None]
         eliminate = batch.given if batch.given else None
-        weights, bases = hkpv_projection_step(stacked, eliminate)
-        return weights.reshape(-1), {"bases": bases}
+        leverages, state = hkpv_projection_step(stacked, eliminate, batch.state)
+        return leverages.reshape(-1), {"state": state}
 
     def _counting(self, batch: OracleBatch, tracker: Tracker) -> np.ndarray:
         """Raw counting values for ``batch.subsets``."""

@@ -25,17 +25,19 @@ Batch kinds
     (``-inf`` where the minor is nonpositive) — the filtering sampler's
     density-ratio round.
 ``projection_step``
-    One HKPV phase-2 round: drop from the basis in ``matrix`` the direction
-    of the previously selected element (``given``, when nonempty) with one
-    Householder reflector and return the squared row norms — the next
-    element's selection weights.  The ``(n, m - 1)`` orthonormal basis
-    comes back in :attr:`OracleBatchResult.artifacts` (``"bases"``).  Like
-    ``marginal_vector`` this kind has one fixed numerical route
+    One HKPV phase-2 round as a leverage downdate over the fixed basis in
+    ``matrix``: given the previous round's ``state`` (the orthonormal span
+    of the elements chosen so far and the current leverage scores), fold in
+    the direction of the previously selected element (``given``, when
+    nonempty) and return the downdated leverage scores — the next
+    element's selection weights.  The new ``(spans, leverages)`` come back
+    in :attr:`OracleBatchResult.artifacts` (``"state"``) for the next round.
+    Like ``marginal_vector`` this kind has one fixed numerical route
     (:func:`repro.linalg.batch.hkpv_projection_step`) shared by every
     backend, so backend choice never perturbs the sequential sampler's
     randomness; the :class:`~repro.service.scheduler.RoundScheduler` stacks
-    concurrent same-shape steps into one round (``matrix`` may be a
-    ``(G, n, m)`` stack with one ``given`` entry per request).
+    concurrent same-step rounds into one (``matrix`` may be a ``(G, n, m)``
+    stack with one ``given`` entry and one stacked state row per request).
 """
 
 from __future__ import annotations
@@ -68,6 +70,9 @@ class OracleBatch:
     given: Subset = ()
     matrix: Optional[np.ndarray] = None
     label: str = "oracle-batch"
+    #: a ``projection_step`` round's input ``(spans, leverages)``, stacked
+    #: ``(G, t, m)`` / ``(G, n)``: the previous round's ``"state"`` artifact
+    state: Optional[Tuple[np.ndarray, np.ndarray]] = field(default=None, repr=False)
     _normalizer: Optional[float] = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
@@ -111,15 +116,17 @@ class OracleBatch:
     @classmethod
     def projection_step(cls, basis: np.ndarray, *,
                         eliminate: Optional[Sequence[int]] = None,
+                        state: Optional[Tuple[np.ndarray, np.ndarray]] = None,
                         label: str = "hkpv-step") -> "OracleBatch":
         """One HKPV phase-2 round over ``basis`` (``(n, m)`` or a ``(G, n, m)`` stack).
 
         ``eliminate`` holds the previously selected element per stacked
-        request (empty/None on the first round, before any element exists).
+        request and ``state`` the previous round's ``"state"`` artifact (both
+        None on the first round, before any element exists).
         """
         items = () if eliminate is None else tuple(int(i) for i in eliminate)
         return cls(kind="projection_step", matrix=np.asarray(basis, dtype=float),
-                   given=items, label=label)
+                   given=items, label=label, state=state)
 
     # ------------------------------------------------------------------ #
     @property
@@ -286,5 +293,5 @@ class OracleBatchResult:
     #: number of queries answered
     n_queries: int
     #: non-scalar outputs some kinds carry alongside ``values`` — e.g. the
-    #: reduced orthonormal ``"bases"`` of a ``projection_step`` round
+    #: ``"state"`` (chosen span, leverage scores) of a ``projection_step`` round
     artifacts: Dict[str, object] = field(default_factory=dict)

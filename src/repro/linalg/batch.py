@@ -22,7 +22,11 @@ out with:
   no Gram;
 * :func:`symmetrized_eigh` / :func:`factor_from_eigh` / :func:`psd_factor` —
   the one decomposition of a dense symmetric kernel, and the factor read
-  off it.
+  off it;
+* :func:`hkpv_projection_step` — one HKPV phase-2 round as a leverage
+  downdate: the eigenbasis stays fixed, and the round extends the chosen
+  span by one Gram–Schmidt direction and subtracts its squared projections
+  from the leverage scores, one ``n x m`` matvec per request.
 
 All routines charge the current PRAM tracker exactly like their scalar
 counterparts in :mod:`repro.linalg.determinant` and :mod:`repro.linalg.schur`:
@@ -31,6 +35,7 @@ counterparts in :mod:`repro.linalg.determinant` and :mod:`repro.linalg.schur`:
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -40,6 +45,8 @@ from repro.utils.validation import check_square
 
 #: an ``(eigenvalues, eigenvectors)`` pair in :func:`numpy.linalg.eigh` order
 EighPair = Tuple[np.ndarray, np.ndarray]
+#: an HKPV chain's ``(spans, leverages)`` after a round (:func:`hkpv_projection_step`)
+ProjectionState = Tuple[np.ndarray, np.ndarray]
 
 __all__ = [
     "stacked_principal_submatrices",
@@ -245,49 +252,68 @@ def _projected_gram(gram: np.ndarray, B_T: np.ndarray, X: np.ndarray) -> np.ndar
 
 
 def hkpv_projection_step(bases: np.ndarray,
-                         eliminate: Optional[Sequence[int]] = None
-                         ) -> Tuple[np.ndarray, List[np.ndarray]]:
-    """One HKPV phase-2 round for ``G`` stacked eigenbases at once.
+                         eliminate: Optional[Sequence[int]] = None,
+                         state: Optional[ProjectionState] = None
+                         ) -> Tuple[np.ndarray, ProjectionState]:
+    """One HKPV phase-2 round for ``G`` stacked requests: a leverage downdate.
 
-    ``bases`` is a ``(G, n, m)`` stack of orthonormal bases (``G`` concurrent
-    requests in lockstep — same kernel, same step).  When ``eliminate`` gives
-    one row index per basis, each basis ``U`` drops the direction of its row
-    ``U_i``: with ``d = U_i / ‖U_i‖`` and ``w = d + sign(d_m) e_m``, the
-    Householder reflector ``H = I - 2wwᵀ/wᵀw`` maps ``d`` to ``∓e_m``, so its
-    first ``m - 1`` columns are an orthonormal basis of ``d``'s complement
-    and ``U H[:, :m-1] = U[:, :m-1] - (U w) w[:m-1]ᵀ / |w_m|`` (as
-    ``wᵀw = 2|w_m|``) is an orthonormal ``(n, m - 1)`` basis of the projected
-    span.  The returned ``weights[g]`` are the squared row norms of basis
-    ``g`` afterwards — the element-selection probabilities of the next draw.
+    ``bases`` is a ``(G, n, m)`` stack of orthonormal bases ``U`` (``G``
+    concurrent requests in lockstep — same kernel, same step); each stays
+    fixed for the whole chain.  A round's state is ``(spans, leverages)``:
+    ``spans[g]`` is a ``(t, m)`` array ``E`` of orthonormal rows spanning the
+    ``t`` rows of ``U`` chosen so far, and ``leverages[g]`` holds
+    ``ℓ_j = ‖U_j (I - EᵀE)‖²``, the selection weights of the next draw.
 
-    Every operation is a gufunc that processes slices independently, so the
-    per-request numbers are **identical for any stacking factor** ``G`` —
-    the single-request sampler calls this with ``G = 1`` and the
+    The first round (``eliminate=None``) has ``ℓ_j = ‖U_j‖²`` and an empty
+    ``E``.  A round given one row ``i`` per basis and the previous round's
+    ``state`` takes ``U_i``'s residual against ``E`` by Gram–Schmidt with one
+    re-orthogonalization (``r = U_i - (E U_i)ᵀE``, applied twice), appends
+    ``e = r / ‖r‖`` to ``E`` and downdates ``ℓ ← ℓ - (U e)²``, then sets
+    ``ℓ_i = 0`` exactly: subtraction leaves a chosen row at rounding level,
+    from where it could be drawn again.  That is one ``n x m`` matvec and no
+    ``n x m`` temporary, charged as ``n·(m - t)²`` work per request, the
+    width of the space the round projects.
+
+    Each request runs 2-D operations on its own slices, so its numbers are
+    **identical for any stacking factor** ``G`` — the single-request sampler
+    calls this with ``G = 1`` and the
     :class:`~repro.service.scheduler.RoundScheduler` fuses concurrent
     requests by stacking, without perturbing any request's samples.
 
-    Returns ``(weights, new_bases)``: ``weights`` is ``(G, n)``;
-    ``new_bases`` is a list of ``G`` 2-D arrays.
+    Returns ``(leverages, (spans, leverages))`` with ``leverages`` of shape
+    ``(G, n)`` and ``spans`` of shape ``(G, t + 1, m)``.  Raises
+    ``RuntimeError`` when a selected row has a zero residual.
     """
     stacked = np.asarray(bases, dtype=float)
     if stacked.ndim != 3:
         raise ValueError(f"bases must be a (G, n, m) stack, got shape {stacked.shape}")
     G, n, m = stacked.shape
     if eliminate is None:
-        return np.sum(stacked * stacked, axis=2), [stacked[g] for g in range(G)]
+        leverages = np.sum(stacked * stacked, axis=2)
+        return leverages, (np.empty((G, 0, m)), leverages)
 
-    items = np.asarray(list(eliminate), dtype=int)
-    if items.shape != (G,):
-        raise ValueError(f"eliminate must give one row per basis, got {items.shape} for G={G}")
-    current_tracker().charge(work=float(G) * n * m * m)
-    # (G, m, n): loops run along n; returned bases are views, the next step copies nothing
-    columns = np.ascontiguousarray(stacked.transpose(0, 2, 1))
-    rows = columns[np.arange(G), :, items]                   # (G, m)
-    norms = np.sqrt(np.sum(rows * rows, axis=1))
-    if np.any(norms <= 0):
-        raise RuntimeError("selected an element with zero residual norm")
-    w = rows / norms[:, None]                                # d, then w in place
-    w[:, -1] += np.copysign(1.0, w[:, -1])
-    Uw = np.matmul((w / np.abs(w[:, -1:]))[:, None, :], columns)   # (G, 1, n)
-    kept = columns[:, :-1] - w[:, :-1, None] * Uw
-    return np.sum(kept * kept, axis=1), [basis.T for basis in kept]
+    items = [int(i) for i in eliminate]
+    if len(items) != G:
+        raise ValueError(f"eliminate must give one row per basis, got {len(items)} for G={G}")
+    if state is None:
+        raise ValueError("an eliminating round needs the previous round's state")
+    spans, previous = state
+    t = spans.shape[1]
+    current_tracker().charge(work=float(G) * n * (m - t) ** 2)
+    new_spans = np.empty((G, t + 1, m))
+    new_spans[:, :t] = spans
+    leverages = np.empty((G, n))
+    for g, i in enumerate(items):
+        U, E = stacked[g], spans[g]
+        residual = U[i] - (E @ U[i]) @ E
+        residual -= (E @ residual) @ E
+        norm = math.sqrt(float(residual @ residual))
+        if not norm > 0:
+            raise RuntimeError("selected an element with zero residual norm")
+        direction = residual / norm
+        new_spans[g, t] = direction
+        projection = U @ direction
+        projection *= projection
+        np.subtract(previous[g], projection, out=leverages[g])
+        leverages[g, i] = 0.0
+    return leverages, (new_spans, leverages)

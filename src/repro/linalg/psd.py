@@ -7,8 +7,6 @@ guarantees all principal minors are nonnegative.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from repro.utils.rng import SeedLike, as_generator

@@ -35,7 +35,7 @@ import re
 import threading
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
 __all__ = [
     "Counter",

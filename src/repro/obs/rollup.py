@@ -47,7 +47,7 @@ and contributes nothing to the totals.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping
+from typing import Dict, Iterable, Mapping
 
 __all__ = ["CACHE_TOTAL_KEYS", "session_stats", "cluster_rollup"]
 

@@ -9,10 +9,9 @@ separator recursion of Theorem 11 performs.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import networkx as nx
-import numpy as np
 
 from repro.utils.rng import SeedLike, as_generator
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 import networkx as nx
 import numpy as np

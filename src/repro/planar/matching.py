@@ -10,8 +10,7 @@ endpoints, and repeats — ``n/2`` inherently sequential rounds.
 from __future__ import annotations
 
 import math
-from itertools import combinations
-from typing import FrozenSet, List, Optional, Set, Tuple
+from typing import FrozenSet, List, Optional, Tuple
 
 import numpy as np
 

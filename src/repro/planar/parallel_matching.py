@@ -17,7 +17,7 @@ Depth recursion: ``D(n) = O(√n) + D(2n/3) = O(√n)``; work obeys
 from __future__ import annotations
 
 import math
-from typing import FrozenSet, List, Optional, Tuple
+from typing import FrozenSet, List, Optional
 
 import numpy as np
 

@@ -16,7 +16,10 @@ the machines of that round).
 
 A module-level *current tracker* (:func:`current_tracker`) lets low-level
 oracles charge costs without having a tracker threaded through every call
-signature; samplers install their tracker with :func:`use_tracker`.
+signature; samplers install their tracker with :func:`use_tracker`.  Every
+engine round enters both :meth:`Tracker.round` and :func:`use_tracker`, so
+each is a small slotted context-manager object rather than a generator-based
+one (a generator costs a few microseconds a use, per round of every sampler).
 
 Work is priced as the paper prices every count: determinants, which Csanky
 put in ``NC`` (Proposition 13).  :func:`determinant_work` charges ``n³``
@@ -31,8 +34,8 @@ oracle calls charged during one round, as deltas of these totals, to
 from __future__ import annotations
 
 import contextlib
-from contextvars import ContextVar
-from typing import Iterator, List
+from contextvars import ContextVar, Token
+from typing import Iterator, List, Optional
 
 
 def determinant_work(n: int) -> float:
@@ -53,22 +56,15 @@ class Tracker:
     # ------------------------------------------------------------------ #
     # round management
     # ------------------------------------------------------------------ #
-    @contextlib.contextmanager
-    def round(self, label: str = "round") -> Iterator["Tracker"]:
-        """Open one adaptive round.
+    def round(self, label: str = "round") -> "_Round":
+        """Open one adaptive round (``with tracker.round(): ...``).
 
         Charges exactly one unit of parallel depth at the outermost nesting
         level; inner rounds are absorbed (they represent the ``Õ(1)``-depth
         subroutines executed by the machines working in this round).
         ``label`` only names the round at the call site.
         """
-        if self._round_depth == 0:
-            self.rounds += 1
-        self._round_depth += 1
-        try:
-            yield self
-        finally:
-            self._round_depth -= 1
+        return _Round(self)
 
     def add_rounds(self, count: int) -> None:
         """Charge ``count`` rounds of depth directly (used when merging
@@ -130,6 +126,25 @@ class Tracker:
         )
 
 
+class _Round:
+    """The context manager :meth:`Tracker.round` returns."""
+
+    __slots__ = ("_tracker",)
+
+    def __init__(self, tracker: Tracker) -> None:
+        self._tracker = tracker
+
+    def __enter__(self) -> Tracker:
+        tracker = self._tracker
+        if tracker._round_depth == 0:
+            tracker.rounds += 1
+        tracker._round_depth += 1
+        return tracker
+
+    def __exit__(self, *exc_info: object) -> None:
+        self._tracker._round_depth -= 1
+
+
 # ---------------------------------------------------------------------- #
 # current-tracker plumbing
 # ---------------------------------------------------------------------- #
@@ -169,11 +184,20 @@ def current_tracker() -> Tracker:
     return _current.get()
 
 
-@contextlib.contextmanager
-def use_tracker(tracker: Tracker) -> Iterator[Tracker]:
-    """Install ``tracker`` as the current tracker for the enclosed block."""
-    token = _current.set(tracker)
-    try:
-        yield tracker
-    finally:
-        _current.reset(token)
+class use_tracker:
+    """Install ``tracker`` as the current tracker for the enclosed block
+    (``with use_tracker(tracker): ...``)."""
+
+    __slots__ = ("_tracker", "_token")
+
+    def __init__(self, tracker: Tracker) -> None:
+        self._tracker = tracker
+        self._token: Optional[Token] = None
+
+    def __enter__(self) -> Tracker:
+        self._token = _current.set(self._tracker)
+        return self._tracker
+
+    def __exit__(self, *exc_info: object) -> None:
+        assert self._token is not None
+        _current.reset(self._token)

@@ -9,9 +9,9 @@ thread behind a :class:`_FusingBackend` proxy that parks every submitted
 batch at a rendezvous; once all live requests are parked, the compatible
 batches are **fused** (same kind, same distribution object → subsets
 concatenated; identical marginal-vector queries → answered once and shared;
-same-shape HKPV ``projection_step`` rounds → bases stacked into one
-reflector step) and executed as a single batch through the real execution
-backend, then split back per request.  Spectral (HKPV) requests are
+same-step HKPV ``projection_step`` rounds → bases and chain states stacked
+into one leverage-downdate round) and executed as a single batch through the
+real execution backend, then split back per request.  Spectral (HKPV) requests are
 submitted with ``submit(..., method="spectral")``: concurrent same-kernel
 requests run phase 2 in lockstep, so every step fuses.
 
@@ -37,7 +37,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -158,10 +158,10 @@ class _FusionCoordinator:
 
         ``marginal_vector`` additionally keys on ``given`` — equal keys mean
         the *identical* query, answered once and shared by every member.
-        ``projection_step`` keys on the basis *shape* (plus whether the step
-        eliminates an element): every member has its own basis, and
-        same-shape steps — concurrent same-kernel HKPV requests run phase 2
-        in lockstep — stack into one projection round.
+        ``projection_step`` keys on the basis *shape* and the chosen span's
+        shape (``None`` on the first step): every member has its own basis
+        and state, and same-step rounds — concurrent same-kernel HKPV
+        requests run phase 2 in lockstep — stack into one projection round.
         """
         groups: Dict[tuple, List[_PendingExec]] = {}
         for entry in entries:
@@ -169,7 +169,7 @@ class _FusionCoordinator:
             if b.kind == "marginal_vector":
                 key = (b.kind, id(b.distribution), b.given)
             elif b.kind == "projection_step":
-                key = (b.kind, b.matrix.shape, bool(b.given))
+                key = (b.kind, b.matrix.shape, None if b.state is None else b.state[0].shape)
             elif b.kind == "log_principal_minors":
                 key = (b.kind, id(b.matrix))
             else:
@@ -217,36 +217,40 @@ class _FusionCoordinator:
                 wall_time=elapsed, n_queries=hi - lo)
 
     def _execute_projection_group(self, group: List[_PendingExec]) -> None:
-        """Stack same-shape HKPV steps into one batched projection round.
+        """Stack same-step HKPV rounds into one batched projection round.
 
-        Every member contributes its own ``(n, m)`` basis (and eliminated
-        element, when the step has one); the stacked ``(G, n, m)`` batch
-        runs the identical per-slice numerics
-        (:func:`repro.linalg.batch.hkpv_projection_step` is gufunc-only), so
-        each request's weights — and therefore its fixed-seed sample — match
-        unfused execution bitwise, while ``G`` small reflector steps
-        collapse into one stacked round.
+        Every member contributes its own ``(n, m)`` basis and, after the
+        first step, its eliminated element and ``(spans, leverages)`` state;
+        the stacked batch runs each member's downdate on its own slices
+        (:func:`repro.linalg.batch.hkpv_projection_step`), so each request's
+        leverages and state — and therefore its fixed-seed sample — match
+        unfused execution bitwise, while ``G`` small steps collapse into one
+        stacked round.  The stacked state is split back per member.
         """
         first = group[0].batch
         start = time.perf_counter()
         stacked = np.stack([member.batch.matrix for member in group])
-        eliminate = (tuple(member.batch.given[0] for member in group)
-                     if first.given else None)
-        merged = OracleBatch.projection_step(stacked, eliminate=eliminate,
+        eliminate = state = None
+        if first.state is not None:
+            eliminate = tuple(member.batch.given[0] for member in group)
+            state = (np.concatenate([member.batch.state[0] for member in group]),
+                     np.concatenate([member.batch.state[1] for member in group]))
+        merged = OracleBatch.projection_step(stacked, eliminate=eliminate, state=state,
                                              label=f"fused-{first.label}")
         with self._fused_span(group):
             fused = self._inner.execute(merged, tracker=self._scratch)
         self.executed_batches += 1
         elapsed = time.perf_counter() - start
         rows = first.matrix.shape[0]
-        bases = fused.artifacts["bases"]
+        spans, leverages = fused.artifacts["state"]
         for position, member in enumerate(group):
             self._charge(member)
             member.result = OracleBatchResult(
                 values=np.asarray(fused.values[position * rows:(position + 1) * rows]).copy(),
                 backend=f"fused({self._inner.name})",
                 wall_time=elapsed, n_queries=rows,
-                artifacts={"bases": [bases[position]]})
+                artifacts={"state": (spans[position:position + 1],
+                                     leverages[position:position + 1])})
 
     @staticmethod
     def _fused_span(group: List[_PendingExec]):

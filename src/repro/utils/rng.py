@@ -37,8 +37,9 @@ def weighted_choice(rng: np.random.Generator, p: np.ndarray,
                     size: Optional[Union[int, Tuple[int, ...]]] = None):
     """``rng.choice(len(p), size, p=p)``, bit for bit, without re-validating ``p``.
 
-    For a ``p`` its caller has just clipped to ``>= 0`` and normalized.
-    ``Generator.choice`` checks every entry again (NaN, sign, a Kahan sum
+    For a ``p`` its caller has just clipped to ``>= 0``; it need not be
+    normalized (HKPV's phase 2 passes raw leverage scores), since the CDF is
+    divided by its last entry.  ``Generator.choice`` checks every entry again (NaN, sign, a Kahan sum
     against 1) before it draws; this runs only its draw, the inverse CDF
     ``cdf = p.cumsum(); cdf /= cdf[-1]`` searched with ``rng.random(size)``,
     so it consumes the same stream and returns the same indices: an ``int``

@@ -2,7 +2,7 @@
 
 Three layers under test:
 
-* the static rules (R1-R4) each catch a seeded regression in a fixture
+* the static rules (R1-R5) each catch a seeded regression in a fixture
   snippet and stay quiet on the corrected version;
 * no comment silences a finding, and the CLI exit-code contract
   (0 clean / 1 violations / 2 usage) holds;
@@ -433,6 +433,48 @@ class TestExportHygieneRule:
                     return {"nodes": {1, 2, 3}}
         """)
         assert codes(report) == []
+
+
+# ---------------------------------------------------------------------- #
+# R5 — unused imports
+# ---------------------------------------------------------------------- #
+class TestUnusedImportRule:
+    def test_unread_imports_flagged(self):
+        report = check("""
+            import math
+            import os.path
+            from typing import List, Optional
+            from collections import deque as queue
+
+            def f(xs: List[int]) -> int:
+                return len(xs)
+        """)
+        assert codes(report) == ["R5[unused-import]"] * 4
+        assert sorted(v.message.split("'")[1] for v in report.violations) == [
+            "Optional", "math", "os", "queue"]
+
+    def test_reads_annotations_and_all_count(self):
+        report = check("""
+            from __future__ import annotations
+
+            import os.path
+            from typing import TYPE_CHECKING, Optional
+            from repro.utils.subsets import subset_key
+
+            if TYPE_CHECKING:
+                from repro.distributions.base import SubsetDistribution
+
+            __all__ = ["subset_key", "f"]
+
+            def f(d: Optional["SubsetDistribution"]) -> bool:
+                return os.path.exists("x")
+        """)
+        assert codes(report) == []
+
+    def test_package_init_reexports_exempt(self):
+        source = "from repro.utils.subsets import subset_key\n"
+        assert codes(check_source(source, "src/repro/pkg/__init__.py")) == []
+        assert codes(check_source(source, "src/repro/pkg/mod.py")) == ["R5[unused-import]"]
 
 
 # ---------------------------------------------------------------------- #

@@ -64,7 +64,7 @@ def test_served_theorem10_inclusions_match_exact_marginals():
 
 def test_served_hkpv_inclusions_match_exact_marginals():
     # the sequential baseline: phase 1's prefix table and phase 2's
-    # Householder steps are one route on every backend
+    # leverage downdates are one route on every backend
     n, k, draws = 200, 10, 2000
     L = random_psd_ensemble(n, rank=60, seed=0)
     dist = SymmetricKDPP(L, k)

@@ -47,34 +47,34 @@ def reference_select_kdpp_eigenvectors(eigenvalues, k, rng):
     return include
 
 
-def reference_qr_projection_step(bases, eliminate=None):
-    """The batched-QR phase-2 step the Householder reflector replaced, kept as its reference."""
+def reference_qr_projection_step(bases, eliminate=None, state=None):
+    """Each round's leverages from scratch, by QR of the chosen rows.
+
+    Kept as the reference of the leverage downdate, under its signature: this
+    route's state is ``(chosen rows, leverages)``, and every round
+    orthonormalizes all the chosen rows again instead of extending a span.
+    """
     stacked = np.asarray(bases, dtype=float)
     G, n, m = stacked.shape
     if eliminate is None:
-        return np.sum(stacked * stacked, axis=2), [stacked[g] for g in range(G)]
+        leverages = np.sum(stacked * stacked, axis=2)
+        return leverages, (np.empty((G, 0, m)), leverages)
     items = np.asarray(list(eliminate), dtype=int)
-    rows = stacked[np.arange(G), items]
-    norms = np.sqrt(np.sum(rows * rows, axis=1))
-    directions = rows / norms[:, None]
-    projected = stacked - np.matmul(stacked, directions[:, :, None]) * directions[:, None, :]
-    q, r = np.linalg.qr(projected)
-    diag = np.abs(np.diagonal(r, axis1=1, axis2=2))
-    weights = np.empty((G, n))
-    new_bases = []
-    for g in range(G):
-        keep = diag[g] > 1e-9
-        if int(keep.sum()) < m - 1:
-            # a nearly zero leading column hides a surviving dimension from
-            # unpivoted QR; pivoted QR orders the diagonal by magnitude
-            from scipy.linalg import qr as pivoted_qr
+    rows = np.concatenate([state[0], stacked[np.arange(G), items][:, None, :]], axis=1)
+    q, _ = np.linalg.qr(rows.transpose(0, 2, 1))               # (G, m, t + 1)
+    residual = stacked - np.matmul(np.matmul(stacked, q), q.transpose(0, 2, 1))
+    leverages = np.sum(residual * residual, axis=2)
+    leverages[np.arange(G), items] = 0.0
+    return leverages, (rows, leverages)
 
-            basis = pivoted_qr(projected[g], mode="economic", pivoting=True)[0][:, :m - 1]
-        else:
-            basis = q[g][:, keep]
-        new_bases.append(basis)
-        weights[g] = np.sum(basis * basis, axis=1)
-    return weights, new_bases
+
+def from_scratch_leverages(U, chosen):
+    """``diag(U (I - QQᵀ) Uᵀ)`` with ``Q`` an orthonormal basis of the chosen rows."""
+    if not len(chosen):
+        return np.sum(U * U, axis=1)
+    q, _ = np.linalg.qr(U[list(chosen)].T)
+    residual = U - (U @ q) @ q.T
+    return np.sum(residual * residual, axis=1)
 
 
 def reference_leave_one_out_esp(values, order):
@@ -280,38 +280,45 @@ class TestPhaseTwoDegenerateBasis:
             assert subset == (0, 1, 2, 3)
 
 
-class TestHouseholderStep:
-    """Phase 2 drops the selected direction with one m x m Householder reflector."""
+class TestLeverageDowndate:
+    """Phase 2 downdates the leverage scores of a fixed basis, one span direction a round."""
 
-    def test_weights_and_bases_on_random_orthonormal_stacks(self):
+    def test_leverages_and_spans_on_random_stacks(self):
         rng = np.random.default_rng(7)
         for G, n, m in ((1, 1, 1), (1, 5, 1), (3, 12, 2), (4, 40, 7), (2, 200, 10)):
             bases = np.stack([random_orthogonal(n, seed=rng)[:, :m] for _ in range(G)])
-            items = rng.integers(0, n, size=G)
-            weights, new_bases = hkpv_projection_step(bases, items)
-            assert weights.shape == (G, n)
-            for g in range(G):
-                U = bases[g]
-                d = U[items[g]] / np.linalg.norm(U[items[g]])
-                expected = np.diag(U @ (np.eye(m) - np.outer(d, d)) @ U.T)
-                np.testing.assert_allclose(weights[g], expected, rtol=0, atol=1e-13)
-                assert new_bases[g].shape == (n, m - 1)
-                np.testing.assert_allclose(new_bases[g].T @ new_bases[g], np.eye(m - 1),
-                                           rtol=0, atol=1e-13)
-                single_w, (single_b,) = hkpv_projection_step(U[None], [items[g]])
-                assert np.array_equal(weights[g], single_w[0])
-                assert np.array_equal(new_bases[g], single_b)
+            leverages, state = hkpv_projection_step(bases)
+            np.testing.assert_array_equal(leverages, np.sum(bases * bases, axis=2))
+            assert state[0].shape == (G, 0, m)
+            chosen = [rng.choice(n, size=m, replace=False) for _ in range(G)]
+            for t in range(m):
+                items = [int(c[t]) for c in chosen]
+                previous = state
+                leverages, state = hkpv_projection_step(bases, items, previous)
+                spans = state[0]
+                assert leverages.shape == (G, n) and spans.shape == (G, t + 1, m)
+                assert state[1] is leverages
+                for g in range(G):
+                    U, E = bases[g], spans[g]
+                    np.testing.assert_allclose(E @ E.T, np.eye(t + 1), rtol=0, atol=1e-13)
+                    expected = np.diag(U @ (np.eye(m) - E.T @ E) @ U.T)
+                    np.testing.assert_allclose(leverages[g], expected, rtol=0, atol=1e-13)
+                    single_l, (single_e, _) = hkpv_projection_step(
+                        U[None], [items[g]],
+                        (previous[0][g:g + 1], previous[1][g:g + 1]))
+                    assert np.array_equal(leverages[g], single_l[0])
+                    assert np.array_equal(E, single_e[0])
 
     def test_served_draws_equal_the_qr_route(self, monkeypatch):
-        # the reflector and QR give different bases of the same span, so the
-        # weights agree to rounding; fixed seeds on three kernels draw the
-        # same subsets through the served sampler's engine rounds: 200
-        # k-DPP draws and 20 unconstrained draws per kernel
+        # the downdate and a from-scratch QR of the chosen rows give the same
+        # leverages to rounding; fixed seeds on three kernels draw the same
+        # subsets through the served sampler's engine rounds: 200 k-DPP
+        # draws and 20 unconstrained draws per kernel
         reference_calls = []
 
-        def reference(bases, eliminate=None):
+        def reference(bases, eliminate=None, state=None):
             reference_calls.append(eliminate)
-            return reference_qr_projection_step(bases, eliminate)
+            return reference_qr_projection_step(bases, eliminate, state)
 
         def draws(L, k):
             with serve(L) as session:
@@ -329,3 +336,56 @@ class TestHouseholderStep:
                 slow = draws(L, k)
             assert fast == slow
         assert reference_calls
+
+    def test_whole_chains_track_a_from_scratch_projection(self):
+        rng = np.random.default_rng(11)
+        bases = [random_orthogonal(200, seed=1)[:, :10],
+                 random_orthogonal(1000, seed=2)[:, :100]]
+        for L in (TestPhaseTwoDegenerateBasis.DEGENERATE,
+                  np.diag([0.05, 0.5, 1.05, 2.0]) + 1e-11):
+            bases.append(np.linalg.eigh(L)[1])
+        for U in bases:
+            for _chain in range(3):
+                leverages, state = hkpv_projection_step(U[None])
+                chosen = []
+                for _step in range(U.shape[1]):
+                    np.testing.assert_allclose(leverages[0], from_scratch_leverages(U, chosen),
+                                               rtol=0, atol=1e-12)
+                    weights = np.clip(leverages[0], 0.0, None)
+                    chosen.append(int(rng.choice(U.shape[0], p=weights / weights.sum())))
+                    leverages, state = hkpv_projection_step(U[None], chosen[-1:], state)
+                np.testing.assert_allclose(leverages[0], 0.0, rtol=0, atol=1e-12)
+
+    def test_chosen_rows_get_zero_weight_and_no_draw_repeats(self, monkeypatch):
+        # k equals the rank, so each chain uses up the whole eigenspace and
+        # its last draw sees one unit of mass beside the chosen rows' residue
+        L = random_psd_ensemble(30, rank=8, seed=3)
+        chain = []
+
+        def checking(bases, eliminate=None, state=None):
+            leverages, new_state = hkpv_projection_step(bases, eliminate, state)
+            if eliminate is None:
+                chain.clear()
+            else:
+                chain.append(int(eliminate[0]))
+                # the new row is set to 0; earlier ones sit at 0 - (tiny)²,
+                # so the draw's clip gives every chosen row weight exactly 0
+                assert leverages[0, chain[-1]] == 0.0
+                assert np.all(leverages[0, chain] <= 0.0)
+            return leverages, new_state
+
+        monkeypatch.setattr(repro.engine.backends, "hkpv_projection_step", checking)
+        with serve(L) as session:
+            for seed in range(2000):
+                subset = session.sample(k=8, method="spectral", seed=seed).subset
+                assert len(set(subset)) == 8
+                assert set(chain) < set(subset)
+
+    def test_served_draw_charges_one_round_per_step(self):
+        # n³ for the eigendecomposition, n·w² for each step over a width-w space
+        for n, rank, k, work in ((200, 60, 10, 8_076_800), (100, 40, 25, 1_552_400)):
+            assert work == n ** 3 + n * sum(w * w for w in range(2, k + 1))
+            with serve(random_psd_ensemble(n, rank=rank, seed=0)) as session:
+                report = session.sample(k=k, method="spectral", seed=4).report
+            assert report.rounds == 1 + k
+            assert report.work == work

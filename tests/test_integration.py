@@ -7,6 +7,9 @@ quadratic-speedup claim on mid-size instances.
 """
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -36,6 +39,19 @@ class TestPublicAPI:
             "Tracker",
         ):
             assert hasattr(repro, name)
+
+    def test_import_leaves_networkx_unloaded(self):
+        # repro.planar is networkx's only user; its names resolve on first read
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        script = ("import sys, repro\n"
+                  "assert 'networkx' not in sys.modules, 'import repro loaded networkx'\n"
+                  "assert 'planar' in repro.__all__\n"
+                  "assert callable(repro.sample_planar_matching_parallel)\n"
+                  "assert 'networkx' in sys.modules\n")
+        env = dict(os.environ, PYTHONPATH=src)
+        result = subprocess.run([sys.executable, "-c", script], env=env,
+                                capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
 
     def test_sample_result_behaves_like_container(self, small_psd):
         result = repro.sample_symmetric_kdpp_parallel(small_psd, 3, seed=0)

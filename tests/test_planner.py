@@ -422,38 +422,54 @@ class TestSpectralEngineRounds:
     def test_projection_step_round_trip(self):
         rng = np.random.default_rng(0)
         basis, _ = np.linalg.qr(rng.standard_normal((10, 4)))
-        batch = OracleBatch.projection_step(basis)
-        result = resolve_backend("vectorized").execute(batch, tracker=Tracker())
+        backend = resolve_backend("vectorized")
+        result = backend.execute(OracleBatch.projection_step(basis), tracker=Tracker())
         np.testing.assert_array_equal(result.values, np.sum(basis * basis, axis=1))
-        (returned,) = result.artifacts["bases"]
-        np.testing.assert_array_equal(returned, basis)
+        spans, leverages = result.artifacts["state"]
+        assert spans.shape == (1, 0, 4)
+        np.testing.assert_array_equal(leverages[0], result.values)
+        step = backend.execute(
+            OracleBatch.projection_step(basis, eliminate=(2,), state=(spans, leverages)),
+            tracker=Tracker())
+        spans, leverages = step.artifacts["state"]
+        np.testing.assert_allclose(spans[0], basis[2][None] / np.linalg.norm(basis[2]),
+                                   rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(leverages[0], step.values)
+        assert step.values[2] == 0.0
 
     def test_projection_step_identical_across_backends(self):
         rng = np.random.default_rng(1)
         basis, _ = np.linalg.qr(rng.standard_normal((12, 5)))
         reference = None
         for backend in (SerialBackend(), VectorizedBackend(), ThreadPoolBackend(max_workers=2)):
+            first = backend.execute(OracleBatch.projection_step(basis), tracker=Tracker())
             result = backend.execute(
-                OracleBatch.projection_step(basis, eliminate=(3,)), tracker=Tracker())
+                OracleBatch.projection_step(basis, eliminate=(3,),
+                                            state=first.artifacts["state"]),
+                tracker=Tracker())
             if reference is None:
                 reference = result
             else:
                 np.testing.assert_array_equal(result.values, reference.values)
-                np.testing.assert_array_equal(result.artifacts["bases"][0],
-                                              reference.artifacts["bases"][0])
+                for part, expected in zip(result.artifacts["state"],
+                                          reference.artifacts["state"]):
+                    np.testing.assert_array_equal(part, expected)
 
     def test_stacked_matches_single(self):
         """The fusion contract: G-stacked execution equals G=1 slices bitwise."""
         from repro.linalg.batch import hkpv_projection_step
 
         rng = np.random.default_rng(2)
-        bases = [np.linalg.qr(rng.standard_normal((9, 3)))[0] for _ in range(4)]
-        items = [0, 4, 7, 2]
-        stacked_w, stacked_b = hkpv_projection_step(np.stack(bases), items)
-        for g in range(4):
-            single_w, single_b = hkpv_projection_step(bases[g][None], [items[g]])
-            np.testing.assert_array_equal(stacked_w[g], single_w[0])
-            np.testing.assert_array_equal(stacked_b[g], single_b[0])
+        bases = np.stack([np.linalg.qr(rng.standard_normal((9, 3)))[0] for _ in range(4)])
+        _, state = hkpv_projection_step(bases)
+        for items in ([0, 4, 7, 2], [5, 1, 3, 8]):
+            stacked_l, stacked_state = hkpv_projection_step(bases, items, state)
+            for g in range(4):
+                single_l, single_state = hkpv_projection_step(
+                    bases[g][None], [items[g]], (state[0][g:g + 1], state[1][g:g + 1]))
+                np.testing.assert_array_equal(stacked_l[g], single_l[0])
+                np.testing.assert_array_equal(stacked_state[0][g], single_state[0][0])
+            state = stacked_state
 
     def test_spectral_depth_one_round_per_step(self):
         L = random_psd_ensemble(12, seed=6)
