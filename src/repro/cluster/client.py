@@ -37,7 +37,7 @@ from repro import obs
 from repro.cluster.protocol import (ClusterError, Connection, NodeUnavailable,
                                     attach_trace)
 from repro.cluster.ring import HashRing
-from repro.service.registry import kernel_entry
+from repro.service.registry import KernelConflict, kernel_entry
 from repro.service.session import SessionBase
 from repro.utils.rng import SeedLike, substream_seed
 
@@ -229,9 +229,13 @@ class ClusterClient:
         ``warm=True`` has each owner warm its session on the kernel.
         """
         cold = kernel_entry(matrix, name, kind=kind, parts=parts, counts=counts)
-        replies = self._fan_out(cold.fingerprint, {
-            "op": "register", "name": cold.name, "matrix": cold.matrix, "kind": cold.kind,
-            "parts": parts, "counts": counts, "warm": warm, "validate": validate})
+        try:
+            replies = self._fan_out(cold.fingerprint, {
+                "op": "register", "name": cold.name, "matrix": cold.matrix,
+                "kind": cold.kind, "parts": parts, "counts": counts, "warm": warm,
+                "validate": validate})
+        except KernelConflict as exc:  # the wire takes no overwrite=
+            raise KernelConflict(exc.name, exc.epoch, front="serve_cluster") from None
         for info in replies:
             if info["fingerprint"] != cold.fingerprint:  # pragma: no cover - contract guard
                 raise ClusterError(

@@ -112,10 +112,6 @@ class HashRing:
                     break
         return tuple(owners)
 
-    def node_for(self, key: str) -> str:
-        """The primary owner of ``key``."""
-        return self.nodes_for(key, 1)[0]
-
     def ownership(self, keys: Sequence[str], count: int = 1) -> Dict[str, Tuple[str, ...]]:
         """``key -> owners`` for many keys (rebalance planning helper)."""
         return {str(key): self.nodes_for(key, count) for key in keys}

@@ -28,7 +28,6 @@ from repro.dpp.kernels import (
     kernel_to_ensemble,
     validate_ensemble,
     validate_kernel,
-    marginal_kernel_conditioned,
 )
 from repro.dpp.likelihood import dpp_log_unnormalized
 from repro.dpp.symmetric import SymmetricDPP, SymmetricKDPP
@@ -55,7 +54,6 @@ __all__ = [
     "kernel_to_ensemble",
     "validate_ensemble",
     "validate_kernel",
-    "marginal_kernel_conditioned",
     "dpp_log_unnormalized",
     "SymmetricDPP",
     "SymmetricKDPP",

@@ -50,7 +50,10 @@ one round (``⌈n/b⌉`` machines, ``⌈n/b⌉·m`` work) and each proposal char
 rounds.
 All randomness is consumed from one generator in a fixed order — phase 1,
 then per proposal one uniform for the row and one for the acceptance — so
-fixed-seed samples are byte-identical on every serving path.
+fixed-seed samples are byte-identical on every serving path.  Both phases
+read their uniforms in blocks (:class:`repro.utils.rng.UniformBlocks`), in
+that order and with the generator left where one ``rng.random()`` per
+uniform would leave it.
 """
 
 from __future__ import annotations
@@ -61,10 +64,10 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.dpp.spectral import select_kdpp_eigenvectors
+from repro.dpp.spectral import StepTable, select_kdpp_eigenvectors
 from repro.linalg.batch import symmetrized_eigh
 from repro.pram.tracker import current_tracker
-from repro.utils.rng import SeedLike, as_generator
+from repro.utils.rng import SeedLike, UniformBlocks, as_generator
 from repro.utils.subsets import subset_key
 
 __all__ = [
@@ -193,7 +196,8 @@ def _projection_chain(coords: np.ndarray, tables: Optional[np.ndarray],
     The chain rule by rejection of the module docstring: leverage-score
     proposals, found in two levels through ``tables`` (``None``: built here
     by :func:`proposal_tables`), accepted with probability (residual
-    norm²)/(leverage).
+    norm²)/(leverage).  Each proposal reads two uniforms, the row's and then
+    the acceptance's, in blocks.
     """
     selected = np.flatnonzero(mask)
     m = selected.size
@@ -214,18 +218,20 @@ def _projection_chain(coords: np.ndarray, tables: Optional[np.ndarray],
     basis = np.empty((m, m))                         # orthonormal rows: chosen span
     chosen = []
     proposals = 0
-    while len(chosen) < m:
-        proposals += 1
-        position, accept = rng.random(2).tolist()
-        i, row, leverage = _propose(coords, selected, blocks, b, position)
-        if i in chosen:
-            continue
-        span = basis[:len(chosen)]
-        residual = row - (span @ row) @ span
-        norm2 = float(residual @ residual)
-        if accept * leverage < norm2:
-            basis[len(chosen)] = residual / math.sqrt(norm2)
-            chosen.append(i)
+    with UniformBlocks(rng) as uniform:
+        while len(chosen) < m:
+            proposals += 1
+            position = uniform()
+            accept = uniform()
+            i, row, leverage = _propose(coords, selected, blocks, b, position)
+            if i in chosen:
+                continue
+            span = basis[:len(chosen)]
+            residual = row - (span @ row) @ span
+            norm2 = float(residual @ residual)
+            if accept * leverage < norm2:
+                basis[len(chosen)] = residual / math.sqrt(norm2)
+                chosen.append(i)
     tracker.charge(work=float(proposals) * (b * m + m * m))
     return subset_key(chosen)
 
@@ -250,12 +256,15 @@ def sample_dpp_intermediate(kernel, seed: SeedLike = None, *,
 
 def sample_kdpp_intermediate(kernel, k: int, seed: SeedLike = None, *,
                              whitened: Optional[WhitenedBasis] = None,
-                             tables: Optional[np.ndarray] = None) -> Tuple[int, ...]:
+                             tables: Optional[np.ndarray] = None,
+                             steps: Optional[StepTable] = None) -> Tuple[int, ...]:
     """Exact sample from the k-DPP of ``B Bᵀ`` without materializing it.
 
     Phase 1 runs the elementary-symmetric-polynomial eigenvector selection
     over the dual spectrum (the zero eigenvalues of ``L`` contribute nothing
-    to any ESP, so the ``k``-sized dual recursion is exact); the rest matches
+    to any ESP, so the ``k``-sized dual recursion is exact); ``steps``
+    optionally supplies its :func:`~repro.dpp.spectral.kdpp_step_table` over
+    the kept dual eigenvalues, built for any ``k' ≥ k``.  The rest matches
     :func:`sample_dpp_intermediate`, ``tables`` included.
     """
     factor = getattr(kernel, "factor", kernel)
@@ -267,5 +276,5 @@ def sample_kdpp_intermediate(kernel, k: int, seed: SeedLike = None, *,
         raise ValueError(
             f"k-DPP with k={k} has zero mass: factor rank is {eigenvalues.size} < k")
     rng = as_generator(seed)
-    mask = select_kdpp_eigenvectors(eigenvalues, k, rng)
+    mask = select_kdpp_eigenvectors(eigenvalues, k, rng, steps=steps)
     return _projection_chain(coords, tables, mask, rng)

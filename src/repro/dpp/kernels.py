@@ -10,12 +10,9 @@ into :func:`validate_ensemble` (PSD or nPSD as requested) and
 
 from __future__ import annotations
 
-from typing import Iterable, Tuple
-
 import numpy as np
 
 from repro.linalg.psd import is_npsd, is_psd, symmetrize
-from repro.linalg.schur import condition_ensemble
 from repro.pram.tracker import current_tracker
 from repro.utils.validation import check_square
 
@@ -72,12 +69,3 @@ def validate_kernel(K: np.ndarray, tol: float = 1e-8) -> np.ndarray:
         raise ValueError("marginal kernel eigenvalues must lie in [0, 1]")
     return k
 
-
-def marginal_kernel_conditioned(L: np.ndarray, include: Iterable[int]) -> Tuple[np.ndarray, np.ndarray]:
-    """Marginal kernel of the DPP conditioned on ``include ⊆ sample``.
-
-    Conditions the ensemble matrix by a Schur complement (Section 3.2) and
-    converts to a kernel; returns ``(K_cond, remaining_labels)``.
-    """
-    L_cond, remaining = condition_ensemble(L, include)
-    return ensemble_to_kernel(L_cond), remaining

@@ -6,7 +6,14 @@ phase 2 selects one element per chosen eigenvector, conditioning the projection
 at every step — an inherently sequential loop of ``|Y|`` rounds, which is
 exactly the ``Ω(k)`` depth the paper's batched samplers beat.
 
-Phase 1 walks back through :func:`repro.linalg.esp.esp_prefix_table`.  Each
+Phase 1 of the k-DPP sampler walks back through the eigenvalues, testing at
+each one the probability that it is chosen given how many are still to be
+chosen.  Those probabilities depend only on the spectrum and ``k``, so
+:func:`kdpp_step_table` computes all of them at once from
+:func:`repro.linalg.esp.esp_prefix_table`; the serving cache keeps one table
+per kernel epoch, and a cold draw builds its own.  The walk reads its
+uniforms in blocks (:class:`repro.utils.rng.UniformBlocks`), which leaves the
+generator where one ``rng.random()`` per step would.  Each
 phase-2 step is one ``projection_step`` :class:`~repro.engine.batch.OracleBatch`
 executed through the engine (:func:`repro.linalg.batch.hkpv_projection_step`):
 a leverage downdate.  The eigenbasis stays fixed; the round extends the span
@@ -35,8 +42,11 @@ from repro.engine import BackendLike, OracleBatch, resolve_backend
 from repro.linalg.batch import EighPair, symmetrized_eigh
 from repro.linalg.esp import esp_prefix_table
 from repro.pram.tracker import current_tracker
-from repro.utils.rng import SeedLike, as_generator, weighted_choice
+from repro.utils.rng import SeedLike, UniformBlocks, as_generator, weighted_choice
 from repro.utils.subsets import subset_key
+
+#: :func:`kdpp_step_table`'s ``(steps, totals)`` pair
+StepTable = Tuple[np.ndarray, np.ndarray]
 
 
 def _resolve_eigh(ensemble: np.ndarray, eigh: Optional[EighPair]) -> EighPair:
@@ -117,51 +127,81 @@ def sample_dpp_spectral(L: np.ndarray, seed: SeedLike = None, *, validate: bool 
     return _phase_two(eigenvectors[:, include], rng, backend=backend)
 
 
-def select_kdpp_eigenvectors(eigenvalues: np.ndarray, k: int, seed: SeedLike = None) -> np.ndarray:
+def kdpp_step_table(eigenvalues: np.ndarray, k: int) -> StepTable:
+    """The probabilities phase 1 tests, for up to ``k`` eigenvectors still to choose.
+
+    Returns ``(steps, totals)``.  ``steps[r - 1, m - 1] = λ_m · E[r - 1, m - 1]
+    / E[r, m]`` over the prefix table ``E`` of :func:`esp_prefix_table` is the
+    probability that the walk takes eigenvalue ``m`` with ``r`` still to
+    choose, computed with the walk's IEEE operations in its order, so each
+    entry equals the value a walk over ``E`` itself would compute.
+    ``totals[j] = E[j, n] = e_j(λ)`` for ``j ≤ k``.  Row ``j`` of ``E`` does
+    not depend on how many rows are built, so a table built to ``k`` serves
+    every smaller ``k`` too.  Entries the walk never reaches may be 0/0;
+    they are computed without a warning.  ``k x n`` floats.
+    """
+    lam = np.asarray(eigenvalues, dtype=float)
+    table = esp_prefix_table(lam, k)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        steps = lam * table[:-1, :-1] / table[1:, 1:]
+    return steps, table[:, -1].copy()     # a view would keep all of E alive
+
+
+def select_kdpp_eigenvectors(eigenvalues: np.ndarray, k: int, seed: SeedLike = None, *,
+                             steps: Optional[StepTable] = None) -> np.ndarray:
     """Phase 1 of the k-DPP sampler: choose exactly ``k`` eigen-indices.
 
     Works backwards through the eigenvalues using the standard elementary-
-    symmetric-polynomial recursion [KT12b] over the prefix table of
-    :func:`~repro.linalg.esp.esp_prefix_table`, read as Python floats (the
-    same IEEE arithmetic); returns a boolean mask of the selected indices.
-    Where ``E[r, m - 1]`` is 0 the step's probability is exactly 1, so no
-    denominator the walk reaches is zero.
+    symmetric-polynomial recursion [KT12b]: at eigenvalue ``m`` with ``r``
+    still to choose, one uniform against :func:`kdpp_step_table`'s
+    ``steps[r - 1, m - 1]``.  ``steps`` optionally supplies that table, built
+    for these eigenvalues and any ``k' ≥ k`` (e.g. from a warm factorization
+    cache); without it the table is built here.  Returns a boolean mask of
+    the selected indices.  Where ``E[r, m - 1]`` is 0 the step's probability
+    is exactly 1, so no denominator the walk reaches is zero.  The uniforms
+    are read in blocks, and the generator is left where one ``rng.random()``
+    per step would leave it.
     """
     rng = as_generator(seed)
-    lam = np.asarray(eigenvalues, dtype=float)
-    n = lam.size
+    n = np.shape(eigenvalues)[0]
     if not 0 <= k <= n:
         raise ValueError(f"k must lie in [0, {n}], got {k}")
-    table = esp_prefix_table(lam, k)
-    if table[k, n] <= 0:
+    probs, totals = steps if steps is not None else kdpp_step_table(eigenvalues, k)
+    if probs.shape[0] < k or probs.shape[1] != n:
+        raise ValueError(f"step table has shape {probs.shape}, expected at least "
+                         f"({k}, {n})")
+    total = float(totals[k])
+    if total <= 0:
         raise ValueError("k-DPP has zero partition function (rank deficient)")
-    if not np.isfinite(table[k, n]):
+    if not np.isfinite(total):
         raise ValueError("k-DPP partition function overflows; rescale the ensemble")
-    E, values = table.tolist(), lam.tolist()
     include = np.zeros(n, dtype=bool)
     remaining = k
-    for m in range(n, 0, -1):
-        if remaining == 0:
-            break
-        if m == remaining:
-            include[:m] = True
-            break
-        prob = values[m - 1] * E[remaining - 1][m - 1] / E[remaining][m]
-        if rng.random() < prob:
-            include[m - 1] = True
-            remaining -= 1
+    with UniformBlocks(rng) as uniform:
+        for m in range(n, 0, -1):
+            if remaining == 0:
+                break
+            if m == remaining:
+                include[:m] = True
+                break
+            if uniform() < probs.item(remaining - 1, m - 1):
+                include[m - 1] = True
+                remaining -= 1
     return include
 
 
 def sample_kdpp_spectral(L: np.ndarray, k: int, seed: SeedLike = None, *,
                          validate: bool = True,
                          eigh: Optional[EighPair] = None,
+                         steps: Optional[StepTable] = None,
                          backend: BackendLike = None) -> Tuple[int, ...]:
     """Exact sequential sample from the symmetric k-DPP with ensemble matrix ``L``.
 
     ``eigh`` optionally supplies a precomputed ``symmetrized_eigh(L)`` pair
     and ``backend`` routes the phase-2 engine rounds; see
-    :func:`sample_dpp_spectral`.
+    :func:`sample_dpp_spectral`.  ``steps`` optionally supplies the
+    :func:`kdpp_step_table` of that pair's eigenvalues, built for any
+    ``k' ≥ k``; phase 1 then builds nothing, and draws the identical sample.
     """
     ensemble = validate_ensemble(L, symmetric=True) if validate else np.asarray(L, dtype=float)
     rng = as_generator(seed)
@@ -172,5 +212,5 @@ def sample_kdpp_spectral(L: np.ndarray, k: int, seed: SeedLike = None, *,
     with tracker.round("hkpv-eigendecomposition"):
         tracker.charge_determinant(n)
         eigenvalues, eigenvectors = _resolve_eigh(ensemble, eigh)
-    include = select_kdpp_eigenvectors(eigenvalues, k, rng)
+    include = select_kdpp_eigenvectors(eigenvalues, k, rng, steps=steps)
     return _phase_two(eigenvectors[:, include], rng, backend=backend)

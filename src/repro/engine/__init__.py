@@ -60,17 +60,6 @@ from repro.engine.config import (
     use_backend,
 )
 
-from typing import Optional
-
-from repro.pram.tracker import Tracker
-
-
-def execute_batch(batch: OracleBatch, *, tracker: Optional[Tracker] = None,
-                  backend=None) -> OracleBatchResult:
-    """Execute ``batch`` on ``backend`` (or the currently configured one)."""
-    return resolve_backend(backend).execute(batch, tracker=tracker)
-
-
 __all__ = [
     "BATCH_KINDS",
     "ArrayRef",
@@ -94,5 +83,4 @@ __all__ = [
     "current_backend",
     "resolve_backend",
     "use_backend",
-    "execute_batch",
 ]

@@ -23,7 +23,6 @@ from repro.linalg.updates import KernelUpdate, rank_one_eigh_update, symmetric_r
 from repro.linalg.psd import (
     is_psd,
     is_npsd,
-    project_psd,
     random_orthogonal,
     symmetrize,
     psd_sqrt,
@@ -46,7 +45,6 @@ __all__ = [
     "symmetric_rank_one_terms",
     "is_psd",
     "is_npsd",
-    "project_psd",
     "random_orthogonal",
     "symmetrize",
     "psd_sqrt",

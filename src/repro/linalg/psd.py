@@ -43,20 +43,6 @@ def is_npsd(matrix: np.ndarray, tol: float = _DEFAULT_TOL) -> bool:
     return bool(eigenvalues.min() >= -tol * scale)
 
 
-def project_psd(matrix: np.ndarray, floor: float = 0.0) -> np.ndarray:
-    """Nearest PSD matrix (in Frobenius norm) to ``symmetrize(matrix)``.
-
-    Eigenvalues are clipped at ``floor`` (use a small positive floor to obtain
-    a strictly positive definite matrix).
-    """
-    a = symmetrize(matrix)
-    if a.shape[0] == 0:
-        return a
-    eigenvalues, vectors = np.linalg.eigh(a)
-    clipped = np.clip(eigenvalues, floor, None)
-    return (vectors * clipped) @ vectors.T
-
-
 def psd_sqrt(matrix: np.ndarray) -> np.ndarray:
     """Symmetric PSD square root ``M^{1/2}``."""
     a = check_square(matrix, "matrix")

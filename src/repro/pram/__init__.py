@@ -19,7 +19,6 @@ from repro.pram.tracker import (
     Tracker,
     current_tracker,
     determinant_work,
-    null_tracker,
     use_tracker,
 )
 from repro.pram.schedule import parallel_map, parallel_branches
@@ -29,7 +28,6 @@ __all__ = [
     "current_tracker",
     "determinant_work",
     "use_tracker",
-    "null_tracker",
     "parallel_map",
     "parallel_branches",
 ]

@@ -174,11 +174,6 @@ _NULL_TRACKER = _NullTracker()
 _current: ContextVar[Tracker] = ContextVar("repro_current_tracker", default=_NULL_TRACKER)
 
 
-def null_tracker() -> Tracker:
-    """The no-op tracker used when no sampler installed one."""
-    return _NULL_TRACKER
-
-
 def current_tracker() -> Tracker:
     """Return the tracker installed by the innermost :func:`use_tracker`."""
     return _current.get()

@@ -34,6 +34,7 @@ from repro.engine import BackendLike
 from repro.service.cache import CacheStats, FactorizationCache, KernelFactorization
 from repro.service.registry import (
     KERNEL_KINDS,
+    KernelConflict,
     KernelRegistry,
     RegisteredKernel,
     _refuse_registration_args,
@@ -46,6 +47,7 @@ __all__ = [
     "KERNEL_KINDS",
     "CacheStats",
     "FactorizationCache",
+    "KernelConflict",
     "KernelFactorization",
     "KernelRegistry",
     "RegisteredKernel",
@@ -106,8 +108,11 @@ def serve(kernel, *, name: Optional[str] = None,
     if not isinstance(kernel, str):
         # ephemeral=True pins the auto-named entry atomically with its
         # registration; the session releases that pin on close
-        entry = reg.register(name, kernel, kind=kind, parts=parts, counts=counts,
-                             validate=validate, ephemeral=name is None)
+        try:
+            entry = reg.register(name, kernel, kind=kind, parts=parts, counts=counts,
+                                 validate=validate, ephemeral=name is None)
+        except KernelConflict as exc:  # serve() takes no overwrite=
+            raise KernelConflict(exc.name, exc.epoch, front="serve") from None
         return SamplerSession(reg, entry, backend=backend)
     _refuse_registration_args(kernel, reg.get(kernel).kind, name=name, kind=kind,
                               parts=parts, counts=counts)

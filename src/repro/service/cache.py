@@ -6,9 +6,10 @@ symmetrized ensemble and what derives from it (a rank-revealing PSD factor,
 its Gram and the Gram's eigendecomposition, the size distribution),
 principal-minor sums (the nonsymmetric DPP's cardinality),
 the torus-oracle node tables (partition kernels and nonsymmetric k-DPPs),
-and a low-rank factor's whitened basis and proposal tables (the
+a low-rank factor's whitened basis and proposal tables (the
 intermediate sampler's, whose warm draw then costs ``O(√(n·k)·m)`` where a
-pass over every row costs ``O(n·m)``).  Serving traffic against a
+pass over every row costs ``O(n·m)``), and the step table of a k-DPP's
+phase-1 walk over either spectrum.  Serving traffic against a
 registered kernel should pay those costs once, not per request — the
 amortization regime of Barthelmé–Tremblay–Amblard and of the
 preprocess-then-sample line of work in PAPERS.md.
@@ -51,6 +52,7 @@ from repro.dpp.elementary import spectrum_sizes
 from repro.dpp.intermediate import lowrank_intermediate_basis, proposal_tables
 from repro.dpp.nonsymmetric import NonsymmetricDPP, NonsymmetricKDPP
 from repro.dpp.partition import PartitionDPP, torus_tables
+from repro.dpp.spectral import StepTable, kdpp_step_table
 from repro.dpp.symmetric import SymmetricDPP, SymmetricKDPP
 from repro.linalg.batch import EighPair, factor_from_eigh, symmetrized_eigh
 from repro.utils.fingerprint import kernel_fingerprint, partition_keys
@@ -60,7 +62,9 @@ __all__ = ["CacheStats", "KernelFactorization", "FactorizationCache"]
 #: per kind, what :meth:`KernelFactorization.warm` materializes, and what
 #: :meth:`KernelFactorization.apply_update` re-derives from the patched
 #: ``eigh`` or factor where the predecessor had it.  Each getter pulls in
-#: what it derives from.
+#: what it derives from.  A k-DPP draw's phase-1 step table
+#: (:meth:`KernelFactorization.kdpp_steps`) is not listed: it depends on
+#: ``k``, which neither knows, so the epoch's first k-DPP draw builds it.
 _ARTIFACTS: Dict[str, Tuple[str, ...]] = {
     "symmetric": ("factor", "factor_gram", "gram_eigh", "size_distribution"),
     "lowrank": ("factor_gram", "gram_eigh", "lowrank_whitened",
@@ -104,7 +108,9 @@ class KernelFactorization:
     ``kind`` (and a partition kernel's ``parts`` and ``counts``) are the
     registered entry's; a bare matrix is a symmetric kernel.  Artifacts
     materialize on first access and are retained for the lifetime of the
-    object (the enclosing cache controls the object's lifetime).  All
+    object (the enclosing cache controls the object's lifetime); the one
+    that depends on ``k``, a k-DPP's phase-1 step table
+    (:meth:`kdpp_steps`), is kept once, for the largest ``k`` drawn.  All
     getters are thread-safe, and each artifact's computation is
     **single-flight**: when several sessions miss the same key concurrently,
     one thread computes while the rest wait for its result — and threads
@@ -150,10 +156,17 @@ class KernelFactorization:
         self._stats.setdefault(name, [0, 0, 0])[
             self._STAT_FIELDS.index(event)] += 1
 
-    def _get(self, key: object, compute: Callable[[], object]):
+    def _get(self, key: object, compute: Callable[[], object],
+             fits: Optional[Callable[[object], bool]] = None):
+        """The memo of ``key``, computed single-flight on a miss.
+
+        ``fits``, when given, decides whether the held value answers this
+        call; one that does not is a miss, and the value computed for it
+        replaces the held one.
+        """
         while True:
             with self._lock:
-                if key in self._values:
+                if key in self._values and (fits is None or fits(self._values[key])):
                     self._bump_locked(key, "hits")
                     return self._values[key]
                 waiter = self._inflight.get(key)
@@ -256,6 +269,25 @@ class KernelFactorization:
         """
         return self._get("lowrank_proposal_tables",
                          lambda: proposal_tables(self.lowrank_whitened[1]))
+
+    def kdpp_steps(self, k: int) -> Optional[StepTable]:
+        """Phase 1's :func:`~repro.dpp.spectral.kdpp_step_table` for a ``k``-DPP draw.
+
+        Over the spectrum the walk reads: a dense kernel's :attr:`eigenvalues`,
+        or a low-rank kernel's kept dual eigenvalues
+        (``lowrank_whitened[0]``).  The epoch keeps one table, grown to
+        exactly the largest ``k`` drawn so far: a table built to ``k``
+        answers every smaller ``k``, and a larger ``k`` replaces it,
+        single-flight.  So it holds ``O(k_max·n)`` floats however many
+        ``k`` are served, and never builds rows no draw reads (they could
+        overflow).  ``None`` for a ``k`` outside ``1..len(spectrum)``, which
+        the samplers refuse, or answer with ``()``, before phase 1.
+        """
+        spectrum = self.lowrank_whitened[0] if self.kind == "lowrank" else self.eigenvalues
+        if not 0 < k <= spectrum.size:
+            return None
+        return self._get("kdpp_steps", lambda: kdpp_step_table(spectrum, k),
+                         fits=lambda table: table[0].shape[0] >= k)
 
     # ------------------------------------------------------------------ #
     # torus tables and served distributions

@@ -32,8 +32,8 @@ from repro.engine import BackendLike
 from repro.service.cache import FactorizationCache
 from repro.utils.fingerprint import kernel_fingerprint, partition_keys
 
-__all__ = ["KERNEL_KINDS", "RegisteredKernel", "UpdateRecord", "KernelRegistry",
-           "kernel_entry", "kernel_fingerprint"]
+__all__ = ["KERNEL_KINDS", "KernelConflict", "RegisteredKernel", "UpdateRecord",
+           "KernelRegistry", "kernel_entry", "kernel_fingerprint"]
 
 #: distribution families the serving layer understands
 KERNEL_KINDS = ("symmetric", "nonsymmetric", "partition", "lowrank")
@@ -168,6 +168,34 @@ def _refuse_registration_args(kernel: str, registered_kind: str, *,
             f"kernel {kernel!r} is registered as kind={registered_kind!r}, not {kind!r}")
 
 
+class KernelConflict(ValueError):
+    """A name is registered with other content than a registration brought.
+
+    ``epoch`` counts the updates the registered entry has absorbed: after
+    ``serve(L).update(u)`` the auto-name of ``L`` holds the updated kernel,
+    so a second ``serve(L)`` lands here.  The message gives the ways forward
+    of the front door that raised it: ``front`` is ``"serve"`` or
+    ``"serve_cluster"``, which take no ``overwrite=``, or ``None`` for
+    :meth:`KernelRegistry.register`, the one caller that can pass it.
+    """
+
+    def __init__(self, name: str, epoch: int, front: Optional[str] = None):
+        super().__init__(name, epoch, front)
+        self.name, self.epoch, self.front = name, epoch, front
+
+    def __str__(self) -> str:
+        door = self.front or "serve"
+        if self.epoch:
+            text = (f"kernel {self.name!r} has absorbed {self.epoch} update(s) since it was "
+                    f"registered, so it no longer holds this content: {door}({self.name!r}) "
+                    f"serves the updated kernel, and {door}(matrix, name=...) registers "
+                    "the matrix under a new name")
+        else:
+            text = (f"kernel {self.name!r} is already registered with different content; "
+                    f"{door}(matrix, name=...) registers the matrix under another name")
+        return text if self.front else f"{text}, or pass overwrite=True to replace it"
+
+
 @dataclass
 class _EphemeralState:
     """Refcount + idle timestamp of one auto-named registration."""
@@ -264,10 +292,7 @@ class KernelRegistry:
                 return existing
             if existing is not None:
                 if not overwrite:
-                    raise ValueError(
-                        f"kernel {entry.name!r} is already registered with different content; "
-                        "pass overwrite=True to replace it"
-                    )
+                    raise KernelConflict(entry.name, existing.epoch)
                 self._invalidate_unshared_locked(existing.fingerprint, excluding=entry.name)
             self._entries[entry.name] = entry
             if ephemeral:
@@ -398,11 +423,6 @@ class KernelRegistry:
             if entry is not None:
                 self._invalidate_unshared_locked(entry.fingerprint)
         return len(expired)
-
-    def is_ephemeral(self, name: str) -> bool:
-        """Whether ``name`` is an ephemeral (TTL-managed) registration."""
-        with self._lock:
-            return name in self._ephemeral
 
     # ------------------------------------------------------------------ #
     def get(self, name: str) -> RegisteredKernel:

@@ -5,6 +5,7 @@ counterpart of the one-shot module-level samplers: the session pulls the
 kernel's :class:`~repro.service.cache.KernelFactorization` from the shared
 cache and runs the existing samplers on what it holds (``dpp/spectral.py``
 via the ``eigh=`` argument, the intermediate sampler via its whitened basis,
+a k-DPP's phase 1 via the epoch's ``steps=`` table,
 the parallel samplers on the factorization's served distributions), so
 repeated draws skip every per-kernel preprocessing step while producing
 **bit-identical fixed-seed samples** — the warm path replays the cold path's
@@ -320,7 +321,8 @@ class SamplerSession(SessionBase):
     def _sample_spectral(self, entry: RegisteredKernel, k: Optional[int],
                          seed: SeedLike, tracker: Optional[Tracker],
                          backend: BackendLike = None) -> SampleResult:
-        eigh = self._factorization(entry).eigh_pair
+        fact = self._factorization(entry)
+        eigh = fact.eigh_pair
         backend = backend if backend is not None else self.backend
         trk = tracker if tracker is not None else Tracker()
         with use_tracker(trk):
@@ -328,8 +330,9 @@ class SamplerSession(SessionBase):
                 subset = sample_dpp_spectral(entry.matrix, seed, validate=False,
                                              eigh=eigh, backend=backend)
             else:
-                subset = sample_kdpp_spectral(entry.matrix, int(k), seed,
-                                              validate=False, eigh=eigh, backend=backend)
+                subset = sample_kdpp_spectral(entry.matrix, int(k), seed, validate=False,
+                                              eigh=eigh, steps=fact.kdpp_steps(int(k)),
+                                              backend=backend)
         return SampleResult(subset=subset, report=SamplerReport.from_tracker(trk))
 
     def _sample_lowrank(self, entry: RegisteredKernel, k: Optional[int],
@@ -338,8 +341,9 @@ class SamplerSession(SessionBase):
 
         Exactly the cold-path :func:`repro.dpp.intermediate.sample_dpp_intermediate`
         / :func:`~repro.dpp.intermediate.sample_kdpp_intermediate` draw — the
-        cache supplies the one-time ``O(n·k² + k³)`` whitening and its
-        ``O(n·k)`` proposal tables, never touches the per-sample randomness.
+        cache supplies the one-time ``O(n·k² + k³)`` whitening, its
+        ``O(n·k)`` proposal tables and a k-DPP's phase-1 step table, never
+        touches the per-sample randomness.
         """
         fact = self._factorization(entry)
         whitened, tables = fact.lowrank_whitened, fact.lowrank_proposal_tables
@@ -350,7 +354,8 @@ class SamplerSession(SessionBase):
                                                  tables=tables)
             else:
                 subset = sample_kdpp_intermediate(entry.matrix, int(k), seed,
-                                                  whitened=whitened, tables=tables)
+                                                  whitened=whitened, tables=tables,
+                                                  steps=fact.kdpp_steps(int(k)))
         return SampleResult(subset=subset, report=SamplerReport.from_tracker(trk))
 
     def _sample_parallel(self, entry: RegisteredKernel, k: Optional[int],

@@ -6,13 +6,11 @@ from repro.utils.subsets import (
     all_subsets,
     all_subsets_of_size,
     subset_to_mask,
-    mask_to_subset,
     subset_key,
     binomial,
 )
 from repro.utils.validation import (
     check_square,
-    check_probability,
     check_subset,
     check_positive_int,
 )
@@ -25,11 +23,9 @@ __all__ = [
     "all_subsets",
     "all_subsets_of_size",
     "subset_to_mask",
-    "mask_to_subset",
     "subset_key",
     "binomial",
     "check_square",
-    "check_probability",
     "check_subset",
     "check_positive_int",
 ]

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from itertools import combinations
 from math import comb
-from typing import Iterable, Iterator, Sequence, Tuple
+from typing import Iterable, Iterator, Tuple
 
 import numpy as np
 
@@ -44,11 +44,6 @@ def subset_to_mask(subset: Iterable[int], n: int) -> np.ndarray:
             raise ValueError(f"subset {idx} out of range for ground set of size {n}")
         mask[arr] = True
     return mask
-
-
-def mask_to_subset(mask: Sequence[bool]) -> Subset:
-    """Inverse of :func:`subset_to_mask`."""
-    return tuple(int(i) for i in np.flatnonzero(np.asarray(mask, dtype=bool)))
 
 
 def binomial(n: int, k: int) -> int:

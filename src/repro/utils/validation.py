@@ -31,19 +31,6 @@ def check_square(matrix: np.ndarray, name: str = "matrix") -> np.ndarray:
     return arr
 
 
-def check_probability(value: float, name: str = "probability", *, allow_zero: bool = True,
-                      allow_one: bool = True) -> float:
-    """Validate that ``value`` lies in [0, 1] (with configurable open ends)."""
-    p = float(value)
-    if not np.isfinite(p):
-        raise ValueError(f"{name} must be finite, got {p}")
-    low_ok = p > 0 or (allow_zero and p == 0)
-    high_ok = p < 1 or (allow_one and p == 1)
-    if not (low_ok and high_ok):
-        raise ValueError(f"{name} must lie in the unit interval, got {p}")
-    return p
-
-
 def check_subset(subset: Iterable[int], n: int, name: str = "subset") -> tuple:
     """Validate that ``subset`` has distinct elements inside ``[0, n)``."""
     items = tuple(int(i) for i in subset)

@@ -11,7 +11,6 @@ from repro.workloads.kernels import (
     bounded_spectrum_ensemble,
     spiked_spectrum_ensemble,
 )
-from repro.workloads.graphs import benchmark_grid_sizes
 from repro.workloads.datasets import synthetic_documents, synthetic_catalog
 
 __all__ = [
@@ -24,7 +23,6 @@ __all__ = [
     "random_npsd_ensemble",
     "bounded_spectrum_ensemble",
     "spiked_spectrum_ensemble",
-    "benchmark_grid_sizes",
     "synthetic_documents",
     "synthetic_catalog",
 ]

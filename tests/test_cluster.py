@@ -63,7 +63,7 @@ class TestHashRing:
         for key in self.KEYS[:50]:
             owners = ring.nodes_for(key, 3)
             assert len(owners) == len(set(owners)) == 3
-            assert owners[0] == ring.node_for(key)
+            assert owners[0] == ring.nodes_for(key, 1)[0]
 
     def test_replication_beyond_membership_degrades_gracefully(self):
         ring = HashRing(["n0", "n1"])
@@ -94,7 +94,7 @@ class TestHashRing:
     def test_membership_helpers(self):
         ring = HashRing(vnodes=8)
         with pytest.raises(RuntimeError):
-            ring.node_for("k")
+            ring.nodes_for("k", 1)
         ring.add_node("a")
         ring.add_node("a")  # idempotent
         assert len(ring) == 1 and "a" in ring

@@ -6,7 +6,6 @@ import pytest
 from repro.dpp.kernels import (
     ensemble_to_kernel,
     kernel_to_ensemble,
-    marginal_kernel_conditioned,
     validate_ensemble,
     validate_kernel,
 )
@@ -51,13 +50,6 @@ class TestKernelConversions:
         exact = exact_dpp_distribution(small_psd)
         marginals = exact.marginal_vector()
         assert np.allclose(np.diag(K), marginals, atol=1e-8)
-
-    def test_marginal_kernel_conditioned(self, small_psd):
-        K_cond, remaining = marginal_kernel_conditioned(small_psd, (1,))
-        exact = exact_dpp_distribution(small_psd)
-        conditioned = exact.condition((1,))
-        assert np.allclose(np.diag(K_cond), conditioned.marginal_vector(), atol=1e-7)
-        assert list(remaining) == [0, 2, 3, 4, 5]
 
 
 class TestValidation:

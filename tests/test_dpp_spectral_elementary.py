@@ -1,5 +1,7 @@
 """Tests for the sequential HKPV spectral samplers and ESP-based marginals."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -9,13 +11,14 @@ from repro import serve
 from repro.dpp.elementary import kdpp_marginals_from_factor, leave_one_out_esp
 from repro.dpp.exact import exact_dpp_distribution, exact_kdpp_distribution
 from repro.dpp.spectral import (
+    kdpp_step_table,
     sample_dpp_spectral,
     sample_kdpp_spectral,
     select_kdpp_eigenvectors,
 )
 from repro.dpp.nonsymmetric import NonsymmetricDPP
 from repro.dpp.symmetric import SymmetricDPP, SymmetricKDPP
-from repro.linalg.batch import hkpv_projection_step, psd_factor
+from repro.linalg.batch import hkpv_projection_step, psd_factor, symmetrized_eigh
 from repro.linalg.esp import elementary_symmetric_polynomials
 from repro.linalg.psd import random_orthogonal
 from repro.pram.tracker import Tracker, use_tracker
@@ -209,7 +212,10 @@ class TestSpectralSamplers:
         # 320 spectra, n = 1..250, sorted like a clipped eigh, a share of
         # exact zeros and eigenvalues spread over 1e±3: the same mask and
         # the same random stream as the per-eigenvalue loop, at k = 1,
-        # k = rank and k = n where that is feasible
+        # k = rank and k = n where that is feasible; with a step table built
+        # here, and one built for a larger k' (a served epoch's table, grown
+        # to the largest k drawn); and on four bit generators, since the walk
+        # reads its uniforms in blocks and rewinds the generator by its state
         spectra = np.random.default_rng(24)
         checked = 0
         for case in range(320):
@@ -221,19 +227,58 @@ class TestSpectralSamplers:
             for k in sorted({1, rank, n}):
                 if not 1 <= k <= rank:
                     continue
-                fast, slow = np.random.default_rng(case), np.random.default_rng(case)
-                assert np.array_equal(select_kdpp_eigenvectors(lam, k, fast),
-                                      reference_select_kdpp_eigenvectors(lam, k, slow))
-                assert fast.random() == slow.random()
-                checked += 1
-        assert checked >= 600
+                larger = min(n, k + 7)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    wide = kdpp_step_table(lam, larger)
+                for bits in (np.random.PCG64, np.random.MT19937, np.random.Philox,
+                             np.random.SFC64):
+                    slow = np.random.Generator(bits(case))
+                    expected = reference_select_kdpp_eigenvectors(lam, k, slow)
+                    after = slow.random()
+                    for steps in (None, wide):
+                        fast = np.random.Generator(bits(case))
+                        assert np.array_equal(
+                            select_kdpp_eigenvectors(lam, k, fast, steps=steps), expected)
+                        assert fast.random() == after
+                        checked += 1
+        assert checked >= 4800
+
+    def test_step_table_of_a_feasible_spectrum_warns_nothing(self):
+        # entries the walk never reaches are 0/0 (E[r, m] = 0 for m < r, and
+        # where the spectrum has zeros); they are computed silently, up to
+        # k = rank
+        L = random_psd_ensemble(60, rank=12, seed=4)
+        lam = symmetrized_eigh(L)[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for k in (1, 5, 12):
+                steps, totals = kdpp_step_table(lam, k)
+                assert steps.shape == (k, 60) and totals.shape == (k + 1,)
+                assert 0 < totals[k] < np.inf
+                assert k == 1 or np.isnan(steps).any()
+                mask = select_kdpp_eigenvectors(lam, k, np.random.default_rng(k),
+                                                steps=(steps, totals))
+                assert mask.sum() == k
+
+    def test_step_table_too_small_is_refused(self):
+        lam = np.linspace(0.1, 2.0, 12)
+        with pytest.raises(ValueError, match="step table"):
+            select_kdpp_eigenvectors(lam, 5, np.random.default_rng(0),
+                                     steps=kdpp_step_table(lam, 4))
+        with pytest.raises(ValueError, match="step table"):
+            select_kdpp_eigenvectors(lam, 3, np.random.default_rng(0),
+                                     steps=kdpp_step_table(lam[:10], 4))
 
     def test_overflowing_partition_function_raises(self):
-        # e_200 of these is 1e600: the walk would divide inf by inf, or by 0
+        # e_200 of these is 1e600: the walk would divide inf by inf, or by 0;
+        # the check runs on every call, also with a table supplied
         for lam in (np.full(250, 1e3), np.r_[np.zeros(50), np.full(200, 1e3)]):
-            with np.errstate(over="ignore", invalid="ignore"), \
-                    pytest.raises(ValueError, match="overflows"):
-                select_kdpp_eigenvectors(lam, 200, np.random.default_rng(0))
+            with np.errstate(over="ignore", invalid="ignore"):
+                steps = kdpp_step_table(lam, 200)
+                for table in (None, steps):
+                    with pytest.raises(ValueError, match="overflows"):
+                        select_kdpp_eigenvectors(lam, 200, np.random.default_rng(0),
+                                                 steps=table)
 
     def test_select_kdpp_eigenvectors_invalid_k(self, small_psd, rng):
         eigenvalues = np.linalg.eigvalsh(small_psd)

@@ -20,7 +20,6 @@ from repro.engine import (
     VectorizedBackend,
     configure_backend,
     current_backend,
-    execute_batch,
     resolve_backend,
     use_backend,
 )
@@ -369,8 +368,3 @@ class TestBatchProtocol:
     def test_distribution_kind_requires_distribution(self):
         with pytest.raises(ValueError):
             OracleBatch(kind="counting")
-
-    def test_execute_batch_uses_configured_backend(self, kdpp):
-        with use_backend("serial"):
-            result = execute_batch(OracleBatch.counting(kdpp, [(0,)]), tracker=Tracker())
-        assert result.backend == "serial"

@@ -9,7 +9,6 @@ from repro.linalg.esp import elementary_symmetric_polynomials
 from repro.linalg.psd import (
     is_npsd,
     is_psd,
-    project_psd,
     psd_sqrt,
     random_orthogonal,
     symmetrize,
@@ -153,15 +152,6 @@ class TestPSD:
 
     def test_is_npsd_false(self):
         assert not is_npsd(np.diag([-2.0, 1.0]))
-
-    def test_project_psd_is_psd(self, rng):
-        a = rng.standard_normal((5, 5))
-        assert is_psd(project_psd(a))
-
-    def test_project_psd_fixes_negative_eigenvalues(self):
-        a = np.diag([1.0, -0.5])
-        out = project_psd(a)
-        assert np.linalg.eigvalsh(out).min() >= -1e-12
 
     def test_psd_sqrt_squares_back(self, small_psd):
         root = psd_sqrt(small_psd)

@@ -19,6 +19,8 @@ Three layers of pins:
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -36,6 +38,7 @@ from repro.dpp.symmetric import SymmetricDPP
 from repro.linalg.schur import condition_ensemble
 from repro.service import KernelRegistry
 from repro.utils.fingerprint import kernel_fingerprint
+from repro.utils.subsets import subset_key
 from repro.utils.validation import ValidationError, check_factor
 from repro.workloads import random_low_rank_factor_ensemble, rbf_factor_ensemble
 
@@ -231,6 +234,51 @@ def _orthonormal_rows(n, rank, zero_rows, seed):
     coords[live] = np.linalg.qr(np.random.default_rng(seed).standard_normal(
         (live.size, rank)))[0]
     return coords
+
+
+def reference_projection_chain(coords, tables, mask, rng):
+    """The projection chain with one ``rng.random(2)`` per proposal.
+
+    Kept as the reference of the chain that reads its uniforms in blocks: the
+    same proposals, residuals and acceptance test, with the uniforms drawn
+    two at a time.
+    """
+    selected = np.flatnonzero(mask)
+    m = selected.size
+    if m == 0:
+        return ()
+    b = intermediate._block_rows(*coords.shape)
+    blocks = tables[selected].sum(axis=0).tolist()
+    basis = np.empty((m, m))
+    chosen = []
+    while len(chosen) < m:
+        position, accept = rng.random(2).tolist()
+        i, row, leverage = intermediate._propose(coords, selected, blocks, b, position)
+        if i in chosen:
+            continue
+        span = basis[:len(chosen)]
+        residual = row - (span @ row) @ span
+        norm2 = float(residual @ residual)
+        if accept * leverage < norm2:
+            basis[len(chosen)] = residual / math.sqrt(norm2)
+            chosen.append(i)
+    return subset_key(chosen)
+
+
+class TestBlockReadChain:
+    @pytest.mark.parametrize("n, rank", [(48, 6), (200, 16), (2_000, 30)])
+    def test_matches_the_pairwise_chain_and_its_stream(self, n, rank):
+        # 120 fixed-seed masks per kernel, from one row to all of them: the
+        # same subset, and the generator left where the pairwise reads leave it
+        _, coords = lowrank_intermediate_basis(_factor(n, rank, seed=rank))
+        tables = proposal_tables(coords)
+        masks = np.random.default_rng(n)
+        for case in range(120):
+            mask = masks.random(rank) < masks.uniform(0.05, 1.0)
+            fast, slow = np.random.default_rng(case), np.random.default_rng(case)
+            assert intermediate._projection_chain(coords, tables, mask, fast) == \
+                reference_projection_chain(coords, tables, mask, slow)
+            assert fast.random() == slow.random()
 
 
 class TestTwoLevelLeverageSearch:

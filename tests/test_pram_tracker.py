@@ -10,11 +10,11 @@ from repro import obs, serve
 from repro.dpp.symmetric import SymmetricKDPP
 from repro.engine.backends import SerialBackend
 from repro.engine.batch import OracleBatch
+from repro.pram import tracker as tracker_module
 from repro.pram.tracker import (
     Tracker,
     current_tracker,
     determinant_work,
-    null_tracker,
     use_tracker,
 )
 from repro.workloads import random_psd_ensemble
@@ -240,7 +240,8 @@ class TestTrackerMerging:
 
 class TestCurrentTracker:
     def test_default_is_null_tracker(self):
-        assert current_tracker() is null_tracker()
+        assert isinstance(current_tracker(), tracker_module._NullTracker)
+        assert current_tracker() is current_tracker()
 
     def test_null_tracker_ignores_concurrent_charges(self):
         zero = {"rounds": 0, "work": 0.0, "oracle_calls": 0, "peak_machines": 0.0}
@@ -276,9 +277,9 @@ class TestCurrentTracker:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert errors == []
-        assert null_tracker().snapshot() == zero
+        assert current_tracker().snapshot() == zero
         assert explicit.oracle_calls == 200
-        child = null_tracker().spawn()
+        child = current_tracker().spawn()
         child.charge(oracle_calls=1)
         assert child.oracle_calls == 1
 

@@ -18,6 +18,7 @@ from repro.core.entropic import EntropicSamplerConfig
 from repro.dpp.spectral import sample_dpp_spectral, sample_kdpp_spectral, symmetrized_eigh
 from repro.service import (
     FactorizationCache,
+    KernelConflict,
     KernelFactorization,
     KernelRegistry,
     RoundScheduler,
@@ -518,11 +519,12 @@ class _FakeClock:
 
 class TestRegistryLifecycle:
     def test_serve_matrix_registration_is_ephemeral(self, psd):
-        registry = KernelRegistry()
+        registry = KernelRegistry(anonymous_ttl=0.0)
         session = serve(psd, registry=registry)
-        assert registry.is_ephemeral(session.entry.name)
+        name = session.entry.name
         assert len(registry) == 1
-        session.close()
+        session.close()         # the TTL reclaims only ephemeral entries
+        assert name not in registry
 
     def test_named_registration_is_permanent(self, psd):
         registry = KernelRegistry(anonymous_ttl=0.0)
@@ -595,6 +597,165 @@ class TestRegistryLifecycle:
         registry.register(name, psd)  # explicit (permanent) re-registration
         session.close()
         assert name in registry
+
+
+class TestServeAfterUpdate:
+    """A second ``serve(L)`` after ``serve(L).update(u)`` says what happened."""
+
+    def test_serve_names_both_ways_forward(self, psd):
+        registry = KernelRegistry()
+        first = serve(psd, registry=registry)
+        first.update(np.full(24, 0.1))
+        with pytest.raises(KernelConflict, match="absorbed 1 update") as refused:
+            serve(psd, registry=registry)
+        message = str(refused.value)
+        assert f"serve({first.name!r})" in message and "name=" in message
+        assert "overwrite" not in message
+        # the registry's own caller can pass overwrite=, so it is offered there
+        with pytest.raises(KernelConflict, match="overwrite=True"):
+            registry.register(first.name, psd)
+        # way 1: serve the name, which draws the updated kernel
+        updated = serve(first.name, registry=registry)
+        assert updated.epoch == 1
+        assert updated.sample(k=4, seed=3).subset == first.sample(k=4, seed=3).subset
+        # way 2: register L under a new name, which draws L itself
+        fresh = serve(psd, name="original", registry=registry)
+        assert fresh.epoch == 0
+        for seed in range(6):
+            assert fresh.sample(k=4, seed=seed).subset == sample_kdpp_spectral(psd, 4, seed=seed)
+
+    def test_serve_cluster_names_its_own_front_door(self, psd):
+        from repro.cluster import LocalCluster, serve_cluster
+
+        with LocalCluster(nodes=2, replication=2) as cluster:
+            first = serve_cluster(psd, cluster=cluster)
+            first.update(np.full(24, 0.1))
+            with pytest.raises(KernelConflict, match="absorbed 1 update") as refused:
+                serve_cluster(psd, cluster=cluster)
+            message = str(refused.value)
+            assert f"serve_cluster({first.name!r})" in message
+            assert "overwrite" not in message
+            assert serve_cluster(first.name, cluster=cluster).epoch == 1
+            fresh = serve_cluster(psd, name="original", cluster=cluster)
+            assert fresh.sample(k=4, seed=2).subset == sample_kdpp_spectral(psd, 4, seed=2)
+
+
+# ---------------------------------------------------------------------- #
+# phase 1 of a served k-DPP: one step table per kernel epoch
+# ---------------------------------------------------------------------- #
+class TestKdppStepTable:
+    """Each epoch keeps one phase-1 step table, grown to the largest k drawn."""
+
+    @staticmethod
+    def _rows(fact):
+        assert fact.materialized.count("kdpp_steps") == 1
+        return fact.kdpp_steps(1)[0].shape[0]    # a hit: the held table
+
+    def test_dense_epochs_grow_one_table_and_draw_as_cold(self):
+        L = random_psd_ensemble(60, rank=30, seed=5)
+        registry = KernelRegistry()
+        session = serve(L, registry=registry)
+        largest = 0
+        for k in (3, 10, 5, 20):
+            for seed in range(4):
+                assert session.sample(k=k, seed=seed).subset == \
+                    sample_kdpp_spectral(L, k, seed=seed)
+            largest = max(largest, k)
+            assert self._rows(session.factorization) == largest
+        before = session.factorization
+        session.update(np.linspace(-0.3, 0.4, 60))
+        mutated = np.asarray(session.entry.matrix)
+        for k in (4, 12, 7):
+            for seed in range(4):
+                assert session.sample(k=k, seed=seed).subset == \
+                    sample_kdpp_spectral(mutated, k, seed=seed)
+        assert self._rows(session.factorization) == 12
+        assert self._rows(before) == 20
+
+    def test_lowrank_epochs_grow_one_table_and_draw_as_cold(self):
+        from repro.distributions.lowrank import LowRankKernel
+        from repro.dpp.intermediate import sample_kdpp_intermediate
+
+        factor = np.random.default_rng(8).standard_normal((80, 10))
+        session = serve(LowRankKernel(factor), registry=KernelRegistry())
+        largest = 0
+        for k in (2, 8, 4):
+            for seed in range(4):
+                assert session.sample(k=k, seed=seed).subset == \
+                    sample_kdpp_intermediate(factor, k, seed)
+            largest = max(largest, k)
+            assert self._rows(session.factorization) == largest
+        session.append_items(np.random.default_rng(9).standard_normal((3, 10)))
+        grown = np.asarray(session.entry.matrix)
+        assert grown.shape == (83, 10)
+        for k in (5, 3):
+            for seed in range(4):
+                assert session.sample(k=k, seed=seed).subset == \
+                    sample_kdpp_intermediate(grown, k, seed)
+        assert self._rows(session.factorization) == 5
+
+    def test_warm_draws_build_no_table(self, monkeypatch):
+        import repro.dpp.spectral as spectral
+
+        builds = []
+        real = spectral.esp_prefix_table
+
+        def counted(values, max_order):
+            builds.append(max_order)
+            return real(values, max_order)
+
+        monkeypatch.setattr(spectral, "esp_prefix_table", counted)
+        L = random_psd_ensemble(40, rank=20, seed=2)
+        session = serve(L, registry=KernelRegistry())
+        session.sample(k=8, seed=0)
+        assert builds == [8]
+        for seed in range(10):
+            session.sample(k=8 - seed % 5, seed=seed)
+        assert builds == [8]
+
+    def test_racing_draws_of_several_k_keep_one_table(self):
+        # 8 threads on one epoch draw k = 3, 9, 6 and 12 in different orders
+        # with a short switch interval: every draw equals the cold sampler,
+        # and the epoch ends with one table, of 12 rows
+        L = random_psd_ensemble(50, rank=25, seed=6)
+        expected = {(k, seed): sample_kdpp_spectral(L, k, seed=seed)
+                    for k in (3, 9, 6, 12) for seed in range(3)}
+        session = serve(L, registry=KernelRegistry())
+        session.warm()
+        start, errors = threading.Barrier(8), []
+
+        def draw(order):
+            try:
+                start.wait(timeout=10)
+                for k in order:
+                    for seed in range(3):
+                        assert session.sample(k=k, seed=seed).subset == expected[k, seed]
+            except Exception as exc:  # surfaced by the assertion below
+                errors.append(exc)
+
+        orders = [(3, 9, 6, 12), (12, 6, 9, 3), (9, 12, 3, 6), (6, 3, 12, 9)] * 2
+        threads = [threading.Thread(target=draw, args=(order,)) for order in orders]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert self._rows(session.factorization) == 12
+
+    def test_infeasible_k_builds_nothing_and_raises_as_cold(self):
+        L = random_psd_ensemble(30, rank=6, seed=1)
+        session = serve(L, registry=KernelRegistry())
+        for k in (31, -1):
+            with pytest.raises(ValueError, match="k must lie"):
+                session.sample(k=k, seed=0)
+        assert session.sample(k=0, seed=0).subset == ()
+        assert "kdpp_steps" not in session.factorization.materialized
 
 
 # ---------------------------------------------------------------------- #

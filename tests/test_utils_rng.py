@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.utils.rng import as_generator, spawn_generators, weighted_choice
+from repro.utils.rng import UniformBlocks, as_generator, spawn_generators, weighted_choice
 
 
 class TestAsGenerator:
@@ -90,3 +90,37 @@ class TestWeightedChoice:
     def test_refuses_a_total_that_is_not_finite_and_positive(self, bad):
         with pytest.raises(ValueError, match="total mass"):
             weighted_choice(np.random.default_rng(0), np.asarray(bad, dtype=float))
+
+
+BIT_GENERATORS = (np.random.PCG64, np.random.MT19937, np.random.Philox, np.random.SFC64)
+
+
+class TestUniformBlocks:
+    @pytest.mark.parametrize("bits", BIT_GENERATORS)
+    @pytest.mark.parametrize("count", [0, 1, 63, 64, 65, 128, 200])
+    def test_reads_and_leaves_the_stream_as_scalar_calls(self, bits, count):
+        blocked, scalar = np.random.Generator(bits(11)), np.random.Generator(bits(11))
+        blocked.random()            # a generator already part-way through its stream
+        scalar.random()
+        with UniformBlocks(blocked) as uniform:
+            values = [uniform() for _ in range(count)]
+        assert values == [scalar.random() for _ in range(count)]
+        assert all(type(value) is float for value in values)
+        assert blocked.random() == scalar.random()
+        assert blocked.integers(1 << 62) == scalar.integers(1 << 62)
+
+    def test_a_raising_loop_leaves_the_stream_where_it_stopped(self):
+        blocked, scalar = np.random.default_rng(5), np.random.default_rng(5)
+        with pytest.raises(RuntimeError):
+            with UniformBlocks(blocked) as uniform:
+                for _ in range(10):
+                    uniform()
+                raise RuntimeError("stop")
+        scalar.random(10)
+        assert blocked.random() == scalar.random()
+
+    def test_reading_nothing_leaves_the_stream(self):
+        rng = np.random.default_rng(3)
+        with UniformBlocks(rng):
+            pass
+        assert rng.random() == np.random.default_rng(3).random()

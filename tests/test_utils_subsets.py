@@ -9,7 +9,6 @@ from repro.utils.subsets import (
     all_subsets,
     all_subsets_of_size,
     binomial,
-    mask_to_subset,
     subset_key,
     subset_to_mask,
 )
@@ -50,12 +49,11 @@ class TestEnumeration:
 class TestMasks:
     def test_roundtrip(self):
         subset = (0, 2, 4)
-        assert mask_to_subset(subset_to_mask(subset, 6)) == subset
+        assert tuple(np.flatnonzero(subset_to_mask(subset, 6))) == subset
 
     def test_empty_mask(self):
         mask = subset_to_mask([], 4)
-        assert mask.sum() == 0
-        assert mask_to_subset(mask) == ()
+        assert mask.shape == (4,) and mask.sum() == 0
 
     def test_out_of_range_raises(self):
         with pytest.raises(ValueError):

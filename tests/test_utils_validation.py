@@ -5,7 +5,6 @@ import pytest
 
 from repro.utils.validation import (
     check_positive_int,
-    check_probability,
     check_square,
     check_subset,
 )
@@ -33,31 +32,6 @@ class TestCheckSquare:
     def test_casts_to_float(self):
         out = check_square(np.eye(2, dtype=int))
         assert out.dtype == float
-
-
-class TestCheckProbability:
-    def test_valid(self):
-        assert check_probability(0.5) == 0.5
-
-    def test_endpoints(self):
-        assert check_probability(0.0) == 0.0
-        assert check_probability(1.0) == 1.0
-
-    def test_excluded_endpoints(self):
-        with pytest.raises(ValueError):
-            check_probability(0.0, allow_zero=False)
-        with pytest.raises(ValueError):
-            check_probability(1.0, allow_one=False)
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            check_probability(1.5)
-        with pytest.raises(ValueError):
-            check_probability(-0.1)
-
-    def test_nan(self):
-        with pytest.raises(ValueError):
-            check_probability(float("nan"))
 
 
 class TestCheckSubset:

@@ -6,7 +6,6 @@ import pytest
 from repro.dpp.kernels import ensemble_to_kernel
 from repro.linalg.psd import is_npsd, is_psd
 from repro.workloads import (
-    benchmark_grid_sizes,
     bounded_spectrum_ensemble,
     clustered_ensemble,
     random_low_rank_ensemble,
@@ -100,11 +99,6 @@ class TestKernelGenerators:
 
 
 class TestGraphsAndDatasets:
-    def test_benchmark_grid_sizes(self):
-        sizes = benchmark_grid_sizes(100)
-        assert all(r * c <= 100 and (r * c) % 2 == 0 for r, c in sizes)
-        assert sizes  # non-empty
-
     def test_synthetic_documents(self):
         docs = synthetic_documents(20, num_topics=3, seed=0)
         assert len(docs) == 20
